@@ -6,6 +6,10 @@ matrix A is therefore W <- A.T @ W.
 
 Engines
 -------
+ENGINE_SPECS, at the end of the engine section, lists every engine with
+its step function, communication cost, target, matrix requirement,
+state seeding and step-size rule:
+
 exact_diffusion           correction-term combine form, one combine/iter
 exact_diffusion_pd        equivalent primal-dual form driven by V
 extra                     symmetric doubly stochastic variant, gradient
@@ -24,34 +28,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .costs import CostModel, GroundTruth, solve_centralized
-from .graphs import CombinationMatrix, check_balanced, matrix_from_array, perron_vector
-from .spectral import compute_v
-
-ENGINES = (
-    "exact_diffusion",
-    "exact_diffusion_pd",
-    "extra",
-    "diging",
-    "aug_dgm",
-    "adaptive_exact_diffusion",
-)
-
-#: combines (and hence transmitted vectors per agent per link) per iteration
-COMM_UNITS = {
-    "exact_diffusion": 1,
-    "exact_diffusion_pd": 1,
-    "extra": 1,
-    "diging": 2,
-    "aug_dgm": 2,
-    "adaptive_exact_diffusion": 2,
-}
-
-#: engines that solve the weighted aggregate (the rest solve the uniform one)
-WEIGHTED_ENGINES = ("exact_diffusion", "exact_diffusion_pd", "adaptive_exact_diffusion")
+from .graphs import CombinationMatrix, check_balanced, matrix_from_array
 
 DIVERGENCE_CAP = 1e12
 
@@ -96,7 +78,6 @@ class AlgorithmState:
     g_prev: np.ndarray | None = None
     z: np.ndarray | None = None
     z_diag_history: list = field(default_factory=list)
-    mu_current: np.ndarray | None = None
     iteration: int = 0
 
 
@@ -128,18 +109,17 @@ class RunResult:
 
 @dataclass
 class _EngineContext:
-    engine: str
     model: CostModel
     a: np.ndarray
     abar: np.ndarray
-    p: np.ndarray
     steps: StepSizes
     v: np.ndarray | None = None
     pinv_v: np.ndarray | None = None  # diag(1/p) @ V
 
 
-def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext):
-    mu = ctx.steps.mu[:, np.newaxis]
+def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext, mu=None):
+    if mu is None:
+        mu = ctx.steps.mu[:, np.newaxis]
     psi = state.w - mu * ctx.model.grad(state.w)
     phi = psi + state.w - state.psi_prev
     state.w = ctx.abar.T @ phi
@@ -179,63 +159,98 @@ def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
     state.z = ctx.a.T @ state.z
     z_diag = np.diag(state.z).copy()
     state.z_diag_history.append(z_diag)
-    mu = (ctx.model.q * ctx.steps.mu_o / z_diag)[:, np.newaxis]
-    state.mu_current = mu[:, 0]
-    psi = state.w - mu * ctx.model.grad(state.w)
-    phi = psi + state.w - state.psi_prev
-    state.w = ctx.abar.T @ phi
-    state.psi_prev = psi
+    _step_exact_diffusion(state, ctx, (ctx.model.q * ctx.steps.mu_o / z_diag)[:, np.newaxis])
 
 
-_STEP_FUNCTIONS = {
-    "exact_diffusion": _step_exact_diffusion,
-    "exact_diffusion_pd": _step_exact_diffusion_pd,
-    "extra": _step_extra,
-    "diging": _step_diging,
-    "aug_dgm": _step_aug_dgm,
-    "adaptive_exact_diffusion": _step_adaptive,
+def _seed_correction(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
+    state.psi_prev = state.w.copy()
+
+
+def _seed_dual(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
+    state.y = np.zeros_like(state.w)
+
+
+def _seed_tracking(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
+    g0 = model.grad(state.w)
+    state.y = g0.copy()
+    state.g_prev = g0
+
+
+def _seed_adaptive(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
+    if np.diag(matrix.a).min() <= 0:
+        raise ValueError("adaptive step-size tuning needs positive self-weights on every agent")
+    _seed_correction(state, model, matrix)
+    state.z = np.eye(model.n_agents)
+
+
+@dataclass(frozen=True)
+class EngineSpec:
+    """How `run` drives one engine.
+
+    step_rule is "perron" (mu_k = q_k mu_o / p_k), "base" (only mu_o is
+    used; the engine retunes per-agent steps itself), "uniform" (one mu
+    for every agent) or "free" (any positive vector).
+    """
+
+    step: Callable  # one iteration: step(state, ctx)
+    seed: Callable  # adds the engine's extra state blocks: seed(state, model, matrix)
+    comm_units: int  # combines (transmitted vectors per agent per link) per iteration
+    weighted: bool = False  # q-weighted aggregate over a balanced matrix, else
+    #                         the uniform aggregate over a doubly stochastic one
+    symmetric: bool = False  # the matrix must also be symmetric
+    step_rule: str = "uniform"
+    needs_v: bool = False  # the step reads V and diag(1/p) V
+    error_map: str | None = None  # T block of the quadratic one-step map: "t_d" or "t_e"
+
+
+ENGINE_SPECS = {
+    "exact_diffusion": EngineSpec(_step_exact_diffusion, _seed_correction, 1, weighted=True,
+                                  step_rule="perron", error_map="t_d"),
+    "exact_diffusion_pd": EngineSpec(_step_exact_diffusion_pd, _seed_dual, 1, weighted=True,
+                                     step_rule="perron", needs_v=True, error_map="t_d"),
+    "extra": EngineSpec(_step_extra, _seed_dual, 1, symmetric=True, needs_v=True,
+                        error_map="t_e"),
+    "diging": EngineSpec(_step_diging, _seed_tracking, 2),
+    "aug_dgm": EngineSpec(_step_aug_dgm, _seed_tracking, 2, step_rule="free"),
+    "adaptive_exact_diffusion": EngineSpec(_step_adaptive, _seed_adaptive, 2, weighted=True,
+                                           step_rule="base", error_map="t_d"),
 }
 
+ENGINES = tuple(ENGINE_SPECS)
 
-def _is_doubly_stochastic(a: np.ndarray, tol: float = 1e-10) -> bool:
-    n = a.shape[0]
-    return bool(
-        np.abs(a.sum(axis=0) - 1.0).max() <= tol
-        and np.abs(a.sum(axis=1) - 1.0).max() <= tol
-    )
+#: combines (and hence transmitted vectors per agent per link) per iteration
+COMM_UNITS = {name: spec.comm_units for name, spec in ENGINE_SPECS.items()}
 
 
-def _validate_combination(engine: str, matrix: CombinationMatrix, perron):
-    a = matrix.a
-    if engine in WEIGHTED_ENGINES:
-        balanced, violation = check_balanced(matrix, perron)
+def _validate_combination(engine: str, matrix: CombinationMatrix):
+    spec = ENGINE_SPECS[engine]
+    if spec.weighted:
+        balanced, violation = check_balanced(matrix, matrix.perron)
         if not balanced:
             raise ValueError(
                 f"{engine} requires a locally balanced combination matrix "
                 f"(violation {violation:.3e})"
             )
-    else:
-        if not _is_doubly_stochastic(a):
-            raise ValueError(f"{engine} requires a doubly stochastic combination matrix")
-        if engine == "extra" and np.abs(a - a.T).max() > 1e-10:
-            raise ValueError("extra requires a symmetric combination matrix")
+    elif not matrix.is_doubly_stochastic:
+        raise ValueError(f"{engine} requires a doubly stochastic combination matrix")
+    elif spec.symmetric and not matrix.is_symmetric_doubly_stochastic:
+        raise ValueError(f"{engine} requires a symmetric combination matrix")
 
 
-def _validate_steps(engine: str, steps: StepSizes, model: CostModel, p: np.ndarray):
+def _validate_steps(engine: str, steps: StepSizes, model: CostModel, matrix: CombinationMatrix):
     if steps.mu.shape != (model.n_agents,):
         raise ValueError("step-size vector length does not match the agent count")
-    if engine == "adaptive_exact_diffusion":
-        if steps.mu_o is None:
-            raise ValueError("adaptive_exact_diffusion needs a base step size mu_o")
-        return
-    if engine in WEIGHTED_ENGINES:
-        ratio = steps.mu * p / model.q
+    rule = ENGINE_SPECS[engine].step_rule
+    if rule == "base" and steps.mu_o is None:
+        raise ValueError(f"{engine} needs a base step size mu_o")
+    if rule == "perron":
+        ratio = steps.mu * matrix.perron.p / model.q
         if np.ptp(ratio) > 1e-9 * ratio.max():
             raise ValueError(
                 "exact diffusion step sizes must satisfy mu_k = q_k * mu_o / p_k; "
                 "build them with StepSizes.from_weights"
             )
-    elif engine in ("extra", "diging") and not steps.is_uniform:
+    elif rule == "uniform" and not steps.is_uniform:
         raise ValueError(f"{engine} supports only a uniform step size")
 
 
@@ -244,20 +259,7 @@ def init_state(engine: str, model: CostModel, matrix: CombinationMatrix,
     """Seed state for an engine; w0 plays the role of the pre-iteration
     iterate, so the first recorded step already includes one combine."""
     state = AlgorithmState(w=w0.copy())
-    if engine in ("exact_diffusion", "adaptive_exact_diffusion"):
-        state.psi_prev = w0.copy()
-    if engine in ("exact_diffusion_pd", "extra"):
-        state.y = np.zeros_like(w0)
-    if engine in ("diging", "aug_dgm"):
-        g0 = model.grad(w0)
-        state.y = g0.copy()
-        state.g_prev = g0
-    if engine == "adaptive_exact_diffusion":
-        if np.diag(matrix.a).min() <= 0:
-            raise ValueError(
-                "adaptive step-size tuning needs positive self-weights on every agent"
-            )
-        state.z = np.eye(model.n_agents)
+    ENGINE_SPECS[engine].seed(state, model, matrix)
     return state
 
 
@@ -291,14 +293,13 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
-    perron = perron_vector(matrix)
-    p = perron.p
-    _validate_combination(engine, matrix, perron)
-    _validate_steps(engine, steps, model, p)
+    spec = ENGINE_SPECS[engine]
+    _validate_combination(engine, matrix)
+    _validate_steps(engine, steps, model, matrix)
 
     if ground_truth is None:
         ground_truth = solve_centralized(model)
-    if engine in WEIGHTED_ENGINES:
+    if spec.weighted:
         target = ground_truth.w_star
     else:
         if np.ptp(model.q) > 1e-12 * model.q.max():
@@ -314,16 +315,13 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         if w0.shape != (model.n_agents, model.dim):
             raise ValueError(f"w0 shape {w0.shape} does not match {(model.n_agents, model.dim)}")
 
-    ctx = _EngineContext(engine=engine, model=model, a=matrix.a,
-                         abar=(np.eye(matrix.n) + matrix.a) / 2.0, p=p, steps=steps)
-    if engine in ("exact_diffusion_pd", "extra"):
-        vm = compute_v(matrix, perron)
-        ctx.v = vm.v
-        ctx.pinv_v = vm.v / p[:, np.newaxis]
+    ctx = _EngineContext(model=model, a=matrix.a,
+                         abar=(np.eye(matrix.n) + matrix.a) / 2.0, steps=steps)
+    if spec.needs_v:
+        ctx.v = matrix.vmat.v
+        ctx.pinv_v = ctx.v / matrix.perron.p[:, np.newaxis]
 
     state = init_state(engine, model, matrix, steps, w0)
-    step_fn = _STEP_FUNCTIONS[engine]
-    comm_per_iter = COMM_UNITS[engine]
     target_stack = np.broadcast_to(target, w0.shape)
     denom = float(np.sum((w0 - target_stack) ** 2))
 
@@ -345,10 +343,10 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
                          target=target, iterates=iterates, dual_iterates=duals)
 
     for i in range(1, max_iters + 1):
-        step_fn(state, ctx)
+        spec.step(state, ctx)
         state.iteration = i
         rel = rel_error_of(state.w)
-        records.append(TraceRecord(i, i * comm_per_iter, rel, grad_norm_of(state.w)))
+        records.append(TraceRecord(i, i * spec.comm_units, rel, grad_norm_of(state.w)))
         if keep_iterates:
             iterates.append(state.w.copy())
             if duals is not None:

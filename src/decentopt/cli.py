@@ -18,12 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ENGINES, WEIGHTED_ENGINES, StepSizes, run, write_status_json, write_trace_csv
-from .costs import CostModel, hessian_bounds, model_from_config
+from .algorithms import (ENGINE_SPECS, ENGINES, StepSizes, run, write_status_json,
+                         write_trace_csv)
+from .costs import ConvergenceError, CostModel, hessian_bounds, model_from_config
 from .graphs import (
     CombinationMatrix,
     Graph,
@@ -34,7 +36,6 @@ from .graphs import (
     check_balanced,
     load_matrix_csv,
     matrix_from_array,
-    perron_vector,
     random_connected_graph,
 )
 from .stability import (
@@ -55,6 +56,24 @@ class ConfigError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+@contextmanager
+def _failures_at(path: str):
+    """Report library failures as config errors: ground-truth solver at
+    `model`, eigen computations at `matrix`, any other ValueError at `path`."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        raise ConfigError("model", str(exc))
+    except SpectralError as exc:
+        raise ConfigError("matrix", str(exc))
+    except ValueError as exc:
+        raise ConfigError(path, str(exc))
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -186,44 +205,40 @@ def _build_model(cfg: dict, n_agents: int, default_seed) -> CostModel:
     return model
 
 
-def _build_steps(run_cfg: dict, engine: str, model: CostModel, perron) -> StepSizes:
+def _positive(run_cfg: dict, key: str) -> float:
+    value = _field(run_cfg, "run", key, "number")
+    if value <= 0:
+        raise ConfigError(f"run.{key}", "must be positive")
+    return value
+
+
+def _build_steps(run_cfg: dict, engine: str, model: CostModel,
+                 matrix: CombinationMatrix) -> StepSizes:
+    rule = ENGINE_SPECS[engine].step_rule
     has_mu = "mu" in run_cfg
     has_mu_o = "mu_o" in run_cfg
-    if engine == "adaptive_exact_diffusion":
-        if not has_mu_o:
-            raise ConfigError("run.mu_o", "adaptive_exact_diffusion tunes from mu_o; set it")
-        mu_o = _field(run_cfg, "run", "mu_o", "number")
-        if mu_o <= 0:
-            raise ConfigError("run.mu_o", "must be positive")
-        return StepSizes.from_weights(model.q, perron.p, mu_o)
-    if engine in WEIGHTED_ENGINES:
-        if has_mu and has_mu_o:
-            raise ConfigError("run.mu", "give either mu or mu_o, not both")
-        if has_mu_o:
-            mu_o = _field(run_cfg, "run", "mu_o", "number")
-            if mu_o <= 0:
-                raise ConfigError("run.mu_o", "must be positive")
-            return StepSizes.from_weights(model.q, perron.p, mu_o)
-        if has_mu:
-            mu = _field(run_cfg, "run", "mu", "number")
-            if mu <= 0:
-                raise ConfigError("run.mu", "must be positive")
-            ratio = model.q / perron.p
-            if np.ptp(ratio) > 1e-9 * ratio.max():
-                raise ConfigError(
-                    "run.mu",
-                    "a uniform step only matches this matrix when q is proportional "
-                    "to its Perron vector; set run.mu_o instead",
-                )
-            return StepSizes(mu=np.full(model.n_agents, float(mu)),
-                             mu_o=float(mu / ratio[0]))
-        raise ConfigError("run.mu_o", "required field is missing")
+    if rule == "base" and not has_mu_o:
+        raise ConfigError("run.mu_o", f"{engine} tunes from mu_o; set it")
+    if rule == "perron" and has_mu and has_mu_o:
+        raise ConfigError("run.mu", "give either mu or mu_o, not both")
+    if rule in ("base", "perron") and has_mu_o:
+        return StepSizes.from_weights(model.q, matrix.perron.p, _positive(run_cfg, "mu_o"))
+    if rule == "perron":
+        if not has_mu:
+            raise ConfigError("run.mu_o", "required field is missing")
+        mu = _positive(run_cfg, "mu")
+        ratio = model.q / matrix.perron.p
+        if np.ptp(ratio) > 1e-9 * ratio.max():
+            raise ConfigError(
+                "run.mu",
+                "a uniform step only matches this matrix when q is proportional "
+                "to its Perron vector; set run.mu_o instead",
+            )
+        return StepSizes(mu=np.full(model.n_agents, float(mu)),
+                         mu_o=float(mu / ratio[0]))
     if has_mu_o:
         raise ConfigError("run.mu_o", f"{engine} takes a plain uniform mu")
-    mu = _field(run_cfg, "run", "mu", "number")
-    if mu <= 0:
-        raise ConfigError("run.mu", "must be positive")
-    return StepSizes.uniform(mu, model.n_agents)
+    return StepSizes.uniform(_positive(run_cfg, "mu"), model.n_agents)
 
 
 def _cmd_run(cfg: dict, outdir: Path, seed, jobs) -> int:
@@ -233,8 +248,8 @@ def _cmd_run(cfg: dict, outdir: Path, seed, jobs) -> int:
         raise ConfigError("run.engine", f"unknown engine {engine!r}; choose from {list(ENGINES)}")
     matrix = _build_matrix(cfg, seed)
     model = _build_model(cfg, matrix.n, seed)
-    perron = perron_vector(matrix)
-    steps = _build_steps(run_cfg, engine, model, perron)
+    with _failures_at("run"):
+        steps = _build_steps(run_cfg, engine, model, matrix)
     max_iters = _field(run_cfg, "run", "max_iters", "int", default=4000)
     stop = _field(run_cfg, "run", "stop", "number", default=1e-8)
     if max_iters < 1:
@@ -245,11 +260,9 @@ def _cmd_run(cfg: dict, outdir: Path, seed, jobs) -> int:
     if "w0_seed" in run_cfg:
         w0_seed = _field(run_cfg, "run", "w0_seed", "int")
         w0 = np.random.default_rng(w0_seed).standard_normal((model.n_agents, model.dim))
-    try:
+    with _failures_at("run"):
         result = run(engine, model, matrix, steps, max_iters=max_iters,
                      stop=stop, w0=w0)
-    except ValueError as exc:
-        raise ConfigError("run", str(exc))
     write_trace_csv(outdir / "trace.csv", result.records)
     write_status_json(outdir / "trace.json", result)
     return 0
@@ -273,28 +286,23 @@ def _cmd_scan(cfg: dict, outdir: Path, seed, jobs) -> int:
     matrix = _build_matrix(cfg, seed)
     model = _build_model(cfg, matrix.n, seed)
     grid = (np.geomspace if log_spacing else np.linspace)(mu_min, mu_max, points)
-    try:
+    with _failures_at("scan"):
         result = stability_scan(engine, model, matrix, grid, max_iters=max_iters,
                                 stop=stop, jobs=max(1, jobs))
-    except ValueError as exc:
-        raise ConfigError("scan", str(exc))
     with open(outdir / "scan.csv", "w") as fh:
         fh.write("mu,algorithm,status\n")
         for mu, cls in zip(result.mus, result.classifications):
             fh.write(f"{mu:.17g},{engine},{cls}\n")
-    summary = {
+    _write_json(outdir / "scan.json", {
         "engine": engine,
         "mu_stable": result.mu_stable,
         "mu_unstable": result.mu_unstable,
         "refined": result.refined,
-    }
-    with open(outdir / "scan.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return 0
 
 
-def _curvature(cfg: dict, matrix: CombinationMatrix, perron, seed):
+def _curvature(cfg: dict, matrix: CombinationMatrix, seed):
     """(nu, delta, k_o, tau) from the optional model section; normalized
     defaults (nu = delta = 1, uniform tau) otherwise."""
     if "model" not in cfg:
@@ -304,57 +312,41 @@ def _curvature(cfg: dict, matrix: CombinationMatrix, perron, seed):
         nu, delta, k_o = hessian_bounds(model)
     except (TypeError, ValueError) as exc:
         raise ConfigError("model", str(exc))
-    ratio = model.q / perron.p
+    ratio = model.q / matrix.perron.p
     return nu, delta, k_o, ratio / ratio.max()
 
 
 def _cmd_analyze(cfg: dict, outdir: Path, seed, jobs) -> int:
     matrix = _build_matrix(cfg, seed)
-    perron = perron_vector(matrix)
     n = matrix.n
-    a = matrix.a
-    report = {
-        "n_agents": n,
-        "degenerate": n < 2,
-        "rhoA": perron.rhoA,
-        "lambdaN": perron.lambdaN,
-        "lambda2": None if n < 2 else perron.lambda2,
-        "alpha_d": None,
-        "alpha_e": None,
-        "mu_bound_diffusion": None,
-        "mu_bound_extra": None,
-        "closed_form_residual": None,
-        "nu": None,
-        "delta": None,
-        "t_d_norm": None,
-        "t_e_norm": None,
-    }
-    if n >= 2:
-        balanced, violation = check_balanced(matrix, perron)
-        if not balanced:
-            raise ConfigError(
-                "matrix", f"analysis needs a balanced matrix (violation {violation:.3e})"
-            )
-        nu, delta, k_o, tau = _curvature(cfg, matrix, perron, seed)
-        report["nu"] = float(nu)
-        report["delta"] = float(delta)
-        dyn = build_error_dynamics(matrix, perron)
-        report["closed_form_residual"] = b_spectrum_residual(dyn)
-        d_bound = diffusion_step_bound(matrix, perron, tau, nu, delta, k_o)
-        report["alpha_d"] = d_bound.alpha
-        report["mu_bound_diffusion"] = d_bound.mu_bound
-        symmetric = (np.abs(a - a.T).max() <= 1e-10
-                     and np.abs(a.sum(axis=1) - 1.0).max() <= 1e-10)
-        if symmetric:
-            e_bound = extra_step_bound(matrix, nu, delta)
-            report["alpha_e"] = e_bound.alpha
-            report["mu_bound_extra"] = e_bound.mu_bound
-            t_d, t_e, _ = norm_comparison(matrix)
-            report["t_d_norm"] = t_d
-            report["t_e_norm"] = t_e
-    with open(outdir / "analysis.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _failures_at("matrix"):
+        perron = matrix.perron
+        report = {
+            "n_agents": n,
+            "degenerate": n < 2,
+            "rhoA": perron.rhoA,
+            "lambdaN": perron.lambdaN,
+            "lambda2": None if n < 2 else perron.lambda2,
+            **dict.fromkeys(["alpha_d", "alpha_e", "mu_bound_diffusion", "mu_bound_extra",
+                             "closed_form_residual", "nu", "delta", "t_d_norm", "t_e_norm"]),
+        }
+        if n >= 2:
+            balanced, violation = check_balanced(matrix, perron)
+            if not balanced:
+                raise ConfigError(
+                    "matrix", f"analysis needs a balanced matrix (violation {violation:.3e})"
+                )
+            nu, delta, k_o, tau = _curvature(cfg, matrix, seed)
+            residual = b_spectrum_residual(build_error_dynamics(matrix))
+            d_bound = diffusion_step_bound(matrix, tau=tau, nu=nu, delta=delta, k_o=k_o)
+            report.update(nu=float(nu), delta=float(delta), closed_form_residual=residual,
+                          alpha_d=d_bound.alpha, mu_bound_diffusion=d_bound.mu_bound)
+            if matrix.is_symmetric_doubly_stochastic:
+                e_bound = extra_step_bound(matrix, nu, delta)
+                t_d, t_e, _ = norm_comparison(matrix)
+                report.update(alpha_e=e_bound.alpha, mu_bound_extra=e_bound.mu_bound,
+                              t_d_norm=t_d, t_e_norm=t_e)
+    _write_json(outdir / "analysis.json", report)
     return 0
 
 
@@ -384,9 +376,7 @@ def _cmd_two_agent(cfg: dict, outdir: Path, seed, jobs) -> int:
         "onset_diffusion": onset_d,
         "onset_extra": onset_e,
     }
-    with open(outdir / "two_agent.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "two_agent.json", payload)
     return 0
 
 

@@ -3,12 +3,17 @@
 Agents are the nodes of an undirected connected graph.  A combination
 matrix A is nonnegative and left-stochastic (columns sum to one); entry
 a[l, k] is the weight agent k applies to data arriving from agent l.
+
+A CombinationMatrix is immutable and computes its spectral data once, on
+first use: the Perron vector p with the spectrum summary (lambda2,
+lambdaN, rhoA) in `perron`, and the dual factor V in `vmat`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -17,6 +22,7 @@ import scipy.sparse.csgraph
 COLUMN_SUM_TOL = 1e-12
 PERRON_RESIDUAL_TOL = 1e-10
 BALANCE_TOL = 1e-10
+STOCHASTIC_TOL = 1e-10
 
 
 class GraphError(ValueError):
@@ -96,13 +102,16 @@ class CombinationMatrix:
     Validated at construction: nonnegativity, column sums, sparsity that
     respects the graph, and primitivity (a single eigenvalue on the unit
     circle, located at 1, with at least one positive self-weight).
+    `a` is a read-only copy, so the cached spectral data cannot go stale.
     """
 
     a: np.ndarray
     graph: Graph
+    _eigvals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
+        a.flags.writeable = False
         object.__setattr__(self, "a", a)
         n = self.graph.n
         if a.shape != (n, n):
@@ -143,10 +152,56 @@ class CombinationMatrix:
             raise SpectralError(
                 "matrix is not primitive: non-unit eigenvalue on the unit circle"
             )
+        object.__setattr__(self, "_eigvals", vals)
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def is_doubly_stochastic(self) -> bool:
+        """Rows sum to one within 1e-10 (columns always do)."""
+        return bool(np.abs(self.a.sum(axis=1) - 1.0).max() <= STOCHASTIC_TOL)
+
+    @property
+    def is_symmetric_doubly_stochastic(self) -> bool:
+        """Symmetric within 1e-10 as well as doubly stochastic."""
+        a = self.a
+        return self.is_doubly_stochastic and bool(np.abs(a - a.T).max() <= STOCHASTIC_TOL)
+
+    @cached_property
+    def perron(self) -> PerronData:
+        """Perron data of A, computed on first use; see `perron_vector`."""
+        a = self.a
+        lambda2, lambdaN, rhoA = _spectrum_summary(self._eigvals)
+        p = None
+        if self.n == 1:
+            p = np.array([1.0])
+        elif abs(1.0 - rhoA) >= 1e-3:
+            x, residual = _power_iteration(a)
+            if residual <= PERRON_RESIDUAL_TOL:
+                p = x
+        if p is None:
+            # slow mixing (or stalled): read the eigenvector off the full solve
+            w, v = np.linalg.eig(a)
+            vec = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+            if vec.sum() < 0:
+                vec = -vec
+            p = vec / vec.sum()
+        if p.min() <= 0:
+            raise SpectralError("Perron vector is not entrywise positive")
+        residual = np.abs(a @ p - p).max()
+        if residual > PERRON_RESIDUAL_TOL:
+            raise SpectralError(f"Perron residual {residual:.3e} above tolerance")
+        p.flags.writeable = False
+        return PerronData(p=p, lambda2=lambda2, lambdaN=lambdaN, rhoA=rhoA)
+
+    @cached_property
+    def vmat(self):
+        """`spectral.compute_v` of a balanced matrix, computed on first use."""
+        from .spectral import compute_v
+
+        return compute_v(self, self.perron)
 
 
 @dataclass(frozen=True)
@@ -191,78 +246,50 @@ def build_averaging(graph: Graph) -> CombinationMatrix:
     return CombinationMatrix(a, graph)
 
 
-def _spectrum_summary(a: np.ndarray):
-    """(lambda2, lambdaN, rhoA) from a full eigendecomposition."""
-    n = a.shape[0]
-    vals = np.linalg.eigvals(a)
-    order = np.lexsort((-vals.imag, -vals.real))
-    vals = vals[order]
-    if n == 1:
-        return float("nan"), 1.0, 0.0, vals
+def _spectrum_summary(vals: np.ndarray):
+    """(lambda2, lambdaN, rhoA) from the full set of eigenvalues."""
+    vals = vals[np.lexsort((-vals.imag, -vals.real))]
+    if vals.size == 1:
+        return float("nan"), 1.0, 0.0
     lambda2 = float(vals[1].real)
     lambdaN = float(vals[-1].real)
     perron_idx = int(np.argmin(np.abs(vals - 1.0)))
     rest = np.delete(vals, perron_idx)
     rhoA = float(np.abs(rest).max())
-    return lambda2, lambdaN, rhoA, vals
+    return lambda2, lambdaN, rhoA
 
 
-def perron_vector(a: CombinationMatrix, max_iter: int = 100_000) -> PerronData:
-    """Compute the Perron data of a primitive combination matrix.
+def _power_iteration(a: np.ndarray):
+    """x <- Ax with sum-one renormalization, iterated down to the
+    numerical floor: stop once the residual no longer improves, so
+    downstream consumers see the vector at full precision rather than an
+    early-exit approximation.  Returns the best iterate and its residual."""
+    n = a.shape[0]
+    x = np.full(n, 1.0 / n)
+    best, best_res, stall = x, np.inf, 0
+    for _ in range(100_000):
+        x = a @ x
+        x /= x.sum()
+        res = np.abs(a @ x - x).max()
+        if res < best_res:
+            best, best_res, stall = x, res, 0
+        else:
+            stall += 1
+        if res <= 5e-16 or stall >= 50:
+            break
+    return best, best_res
 
-    The vector itself comes from power iteration (x <- Ax with sum-one
-    renormalization); when the spectral gap is small (|1 - rhoA| < 1e-3)
-    or the iteration stalls, the eigenvector is taken from the full
-    eigendecomposition instead.
 
-    Raises SpectralError for non-primitive input (repeated eigenvalue 1,
-    eigenvalue at -1, or a non-positive limit vector).
+def perron_vector(a: CombinationMatrix) -> PerronData:
+    """The Perron data of a combination matrix, computed once per matrix.
+
+    The vector comes from power iteration; when the spectral gap is small
+    (|1 - rhoA| < 1e-3) or the iteration stalls, the eigenvector is taken
+    from the full eigendecomposition instead.  The spectrum summary reuses
+    the constructor's eigenvalues.  Raises SpectralError when the vector
+    is not entrywise positive or misses the residual tolerance.
     """
-    A = a.a
-    n = A.shape[0]
-    vals = np.linalg.eigvals(A)
-    near_one = np.abs(vals - 1.0) <= 1e-8
-    if near_one.sum() != 1:
-        raise SpectralError("repeated eigenvalue at 1; matrix is not primitive")
-    if np.any(np.abs(vals + 1.0) <= 1e-8):
-        raise SpectralError("eigenvalue at -1; matrix is not primitive")
-    lambda2, lambdaN, rhoA, _ = _spectrum_summary(A)
-
-    p = None
-    if n == 1:
-        p = np.array([1.0])
-    elif abs(1.0 - rhoA) >= 1e-3:
-        # iterate down to the numerical floor: stop once the residual no
-        # longer improves, so downstream consumers see the vector at full
-        # precision rather than an early-exit approximation
-        x = np.full(n, 1.0 / n)
-        best, best_res, stall = x, np.inf, 0
-        for _ in range(max_iter):
-            x = A @ x
-            x /= x.sum()
-            res = np.abs(A @ x - x).max()
-            if res < best_res:
-                best, best_res, stall = x, res, 0
-            else:
-                stall += 1
-            if res <= 5e-16 or stall >= 50:
-                break
-        if best_res <= PERRON_RESIDUAL_TOL:
-            p = best
-    if p is None and n > 1:
-        # slow mixing (or stalled): read the eigenvector off the full solve
-        w, v = np.linalg.eig(A)
-        vec = np.real(v[:, np.argmin(np.abs(w - 1.0))])
-        if vec.sum() < 0:
-            vec = -vec
-        p = vec / vec.sum()
-
-    if p.min() <= 0:
-        raise SpectralError("Perron vector is not entrywise positive")
-    residual = np.abs(A @ p - p).max()
-    if residual > PERRON_RESIDUAL_TOL:
-        raise SpectralError(f"Perron residual {residual:.3e} above tolerance")
-    return PerronData(p=p, lambda2=lambda2, lambdaN=lambdaN, rhoA=rhoA)
+    return a.perron
 
 
 def check_balanced(a: CombinationMatrix, p: PerronData):

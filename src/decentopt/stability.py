@@ -22,17 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algorithms import (
-    _STEP_FUNCTIONS,
-    _EngineContext,
-    StepSizes,
-    WEIGHTED_ENGINES,
-    init_state,
-    run,
-)
+from .algorithms import ENGINE_SPECS, StepSizes, _EngineContext, init_state, run
 from .costs import CostModel, QuadraticModel, solve_centralized
-from .graphs import CombinationMatrix, PerronData, SpectralError, matrix_from_array, perron_vector
-from .spectral import VMatrix, compute_v, general_eig
+from .graphs import CombinationMatrix, PerronData, SpectralError, matrix_from_array
+from .spectral import VMatrix, general_eig
 
 UNIT_EIG_TOL = 1e-8
 CANONICAL_ROW_TOL = 1e-10
@@ -73,15 +66,16 @@ def build_error_dynamics(matrix, perron: PerronData = None, vmat: VMatrix = None
                          model: CostModel = None, steps: StepSizes = None) -> ErrorDynamics:
     """Assemble B, T_d, T_e for a balanced combination matrix.
 
+    perron/vmat default to the matrix's cached spectral data.
     model/steps are optional; they are only needed later by
     one_step_matrix, which requires constant Hessians (quadratic costs).
     """
     if not isinstance(matrix, CombinationMatrix):
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
     if perron is None:
-        perron = perron_vector(matrix)
+        perron = matrix.perron
     if vmat is None:
-        vmat = compute_v(matrix, perron)
+        vmat = matrix.vmat
     n = matrix.n
     p = perron.p
     abar_t = ((np.eye(n) + matrix.a) / 2.0).T
@@ -116,12 +110,10 @@ def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
         raise ValueError("one_step_matrix needs step sizes")
     n = dyn.matrix.n
     mu = np.broadcast_to(np.atleast_1d(np.asarray(mu, dtype=float)), (n,))
-    if engine in WEIGHTED_ENGINES:
-        t = dyn.t_d
-    elif engine == "extra":
-        t = dyn.t_e
-    else:
+    spec = ENGINE_SPECS.get(engine)
+    if spec is None or spec.error_map is None:
         raise ValueError(f"no analytic error map for engine {engine!r}")
+    t = getattr(dyn, spec.error_map)
     m = dyn.h.shape[-1]
     mh = scipy.linalg.block_diag(*(mu[k] * dyn.h[k] for k in range(n)))
     big = np.kron(dyn.b, np.eye(m))
@@ -151,11 +143,10 @@ def simulate_error_recursion(dyn: ErrorDynamics, model: QuadraticModel,
         w_ref = gt.w_o
         y_ref = -(steps.mu[0] / n) * (pinv_v @ g)
 
-    ctx = _EngineContext(engine=engine, model=model, a=dyn.a, abar=dyn.abar,
-                         p=dyn.p, steps=steps, v=dyn.v,
+    ctx = _EngineContext(model=model, a=dyn.a, abar=dyn.abar, steps=steps, v=dyn.v,
                          pinv_v=dyn.v / dyn.p[:, np.newaxis])
     state = init_state(engine, model, dyn.matrix, steps, np.asarray(w0, dtype=float))
-    step = _STEP_FUNCTIONS[engine]
+    step = ENGINE_SPECS[engine].step
     errors = np.empty((iters + 1, 2 * n, m))
     errors[0] = np.vstack([state.w - w_ref, state.y - y_ref])
     for i in range(1, iters + 1):
@@ -310,9 +301,13 @@ class StabilityBound:
         return max(branch1, branch2)
 
 
-def _assemble_bound(engine: str, sigma11: float, p_max: float, lam: float,
-                    nu: float, delta: float, dec: SpectralPair,
-                    t_norm: float) -> StabilityBound:
+def _assemble_bound(engine: str, matrix: CombinationMatrix, perron: PerronData,
+                    sigma11: float, nu: float, delta: float) -> StabilityBound:
+    dyn = build_error_dynamics(matrix, perron)
+    dec = decompose_b(dyn, perron)
+    lam = float(np.sqrt((1.0 + perron.lambda2) / 2.0))
+    p_max = float(perron.p.max())
+    t_norm = float(np.linalg.norm(getattr(dyn, ENGINE_SPECS[engine].error_map), 2))
     norm_r, norm_l = dec.norm_r, dec.norm_l
     alpha = norm_l * t_norm * norm_r
     # at the optimal c the two cross couplings coincide:
@@ -354,7 +349,7 @@ def diffusion_step_bound(matrix, perron: PerronData = None, tau=None,
     if matrix.n < 2:
         raise ValueError("stability bounds need at least two agents")
     if perron is None:
-        perron = perron_vector(matrix)
+        perron = matrix.perron
     n = matrix.n
     tau = np.ones(n) if tau is None else np.asarray(tau, dtype=float)
     if tau.shape != (n,) or tau.min() <= 0:
@@ -364,13 +359,8 @@ def diffusion_step_bound(matrix, perron: PerronData = None, tau=None,
         raise ValueError("need 0 < nu <= delta")
     if not 0 <= k_o < n:
         raise ValueError("k_o out of range")
-    dyn = build_error_dynamics(matrix, perron)
-    dec = decompose_b(dyn, perron)
-    lam = float(np.sqrt((1.0 + perron.lambda2) / 2.0))
-    sigma11 = float(perron.p[k_o] * tau[k_o] * nu)
-    t_norm = float(np.linalg.norm(dyn.t_d, 2))
-    return _assemble_bound("exact_diffusion", sigma11, float(perron.p.max()),
-                           lam, nu, delta, dec, t_norm)
+    return _assemble_bound("exact_diffusion", matrix, perron,
+                           float(perron.p[k_o] * tau[k_o] * nu), nu, delta)
 
 
 def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBound:
@@ -384,19 +374,11 @@ def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBo
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
     if matrix.n < 2:
         raise ValueError("stability bounds need at least two agents")
-    a = matrix.a
-    if np.abs(a - a.T).max() > 1e-10 or np.abs(a.sum(axis=1) - 1.0).max() > 1e-10:
+    if not matrix.is_symmetric_doubly_stochastic:
         raise ValueError("this bound needs a symmetric doubly stochastic matrix")
-    perron = perron_vector(matrix)
-    dyn = build_error_dynamics(matrix, perron)
-    dec = decompose_b(dyn, perron)
-    lam = float(np.sqrt((1.0 + perron.lambda2) / 2.0))
-    sigma11 = nu / matrix.n
     if nu <= 0 or delta < nu:
         raise ValueError("need 0 < nu <= delta")
-    t_norm = float(np.linalg.norm(dyn.t_e, 2))
-    return _assemble_bound("extra", float(sigma11), float(perron.p.max()),
-                           lam, nu, delta, dec, t_norm)
+    return _assemble_bound("extra", matrix, matrix.perron, float(nu / matrix.n), nu, delta)
 
 
 def norm_comparison(matrix) -> tuple:
@@ -408,8 +390,7 @@ def norm_comparison(matrix) -> tuple:
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
     if matrix.n == 1:
         return (1.0, 1.0, 1.0)
-    a = matrix.a
-    if np.abs(a - a.T).max() > 1e-10 or np.abs(a.sum(axis=1) - 1.0).max() > 1e-10:
+    if not matrix.is_symmetric_doubly_stochastic:
         raise ValueError("norm comparison needs a symmetric doubly stochastic matrix")
     dyn = build_error_dynamics(matrix)
     t_d = float(np.linalg.norm(dyn.t_d, 2))
@@ -594,14 +575,16 @@ class ScanResult:
     refined: bool = False
 
 
-def _steps_for(engine: str, model: CostModel, perron: PerronData, mu: float) -> StepSizes:
+def _steps_for(engine: str, model: CostModel, matrix: CombinationMatrix,
+               mu: float) -> StepSizes:
     # The scan axis is the largest per-agent step size, for every engine.
     # Heterogeneous engines keep their q/p profile but are rescaled so the
     # biggest entry equals mu; uniform engines just use mu everywhere.
     # That keeps measured ranges comparable across engines.
-    if engine in WEIGHTED_ENGINES:
-        ratio = np.asarray(model.q, dtype=float) / perron.p
-        return StepSizes.from_weights(model.q, perron.p, float(mu) / float(ratio.max()))
+    if ENGINE_SPECS[engine].weighted:
+        p = matrix.perron.p
+        ratio = np.asarray(model.q, dtype=float) / p
+        return StepSizes.from_weights(model.q, p, float(mu) / float(ratio.max()))
     return StepSizes.uniform(mu, model.n_agents)
 
 
@@ -619,7 +602,8 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     """
     if not isinstance(matrix, CombinationMatrix):
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
-    perron = perron_vector(matrix)
+    if engine not in ENGINE_SPECS:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {tuple(ENGINE_SPECS)}")
     if ground_truth is None:
         ground_truth = solve_centralized(model)
     mus = sorted(float(mu) for mu in mu_grid)
@@ -629,7 +613,7 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
         raise ValueError("mu_grid entries must be positive and finite")
 
     def classify(mu: float) -> str:
-        res = run(engine, model, matrix, _steps_for(engine, model, perron, mu),
+        res = run(engine, model, matrix, _steps_for(engine, model, matrix, mu),
                   max_iters=max_iters, stop=stop, ground_truth=ground_truth)
         return classify_run(res, max_iters)
 

@@ -20,7 +20,7 @@ from decentopt import (
     write_status_json,
     write_trace_csv,
 )
-from decentopt.algorithms import AlgorithmState, _EngineContext, _STEP_FUNCTIONS, init_state
+from decentopt.algorithms import ENGINE_SPECS, AlgorithmState, _EngineContext, init_state
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 
@@ -188,9 +188,8 @@ def test_adaptive_first_step_uses_self_weights():
 
 def build_ctx(engine, model, matrix, steps):
     perron = perron_vector(matrix)
-    ctx = _EngineContext(engine=engine, model=model, a=matrix.a,
-                         abar=(np.eye(matrix.n) + matrix.a) / 2.0,
-                         p=perron.p, steps=steps)
+    ctx = _EngineContext(model=model, a=matrix.a,
+                         abar=(np.eye(matrix.n) + matrix.a) / 2.0, steps=steps)
     if engine in ("exact_diffusion_pd", "extra"):
         vm = compute_v(matrix, perron)
         ctx.v = vm.v
@@ -233,7 +232,7 @@ def test_fixed_point_residency_all_engines():
             s = StepSizes(mu=steps.mu, mu_o=steps.mu_o)
         ctx = build_ctx(engine, model, matrix, s)
         w_ref = state.w.copy()
-        _STEP_FUNCTIONS[engine](state, ctx)
+        ENGINE_SPECS[engine].step(state, ctx)
         assert np.abs(state.w - w_ref).max() <= 1e-12, engine
 
 

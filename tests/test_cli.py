@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import decentopt
-from decentopt import save_matrix_csv, two_agent_case, two_agent_onset
+from decentopt import (
+    ConvergenceError,
+    SpectralError,
+    save_matrix_csv,
+    two_agent_case,
+    two_agent_onset,
+)
 from decentopt.cli import main
 
 SCHEMA_PATH = Path(decentopt.__file__).parent / "schemas" / "analysis_report.schema.json"
@@ -275,6 +281,21 @@ def test_analyze_rejects_unbalanced_matrix(tmp_path, capsys):
     assert "matrix" in capsys.readouterr().err
 
 
+def test_analyze_beyond_dense_cap_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"graph": {"kind": "ring", "n": 120},
+                                  "matrix": {"rule": "metropolis"}})
+    assert run_cli(["analyze", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "config error at matrix" in err and "dense cap" in err
+
+
+def test_analyze_decomposition_failure_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"graph": {"kind": "star", "n": 100},
+                                  "matrix": {"rule": "averaging"}})
+    assert run_cli(["analyze", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "config error at matrix" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ two-agent
 
 
@@ -357,3 +378,31 @@ def test_model_agent_count_must_match_graph(tmp_path, capsys):
     cfg = write_config(tmp_path, payload)
     assert run_cli(["run", "--config", cfg, "--out", tmp_path / "x"]) == 2
     assert "model" in capsys.readouterr().err
+
+
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+    return fail
+
+
+@pytest.mark.parametrize("command", ["run", "stability-scan"])
+def test_ground_truth_nonconvergence_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # the real reproducer needs 200k gradient iterations; inject the failure
+    monkeypatch.setattr(decentopt.algorithms, "solve_centralized", _raise(ConvergenceError))
+    monkeypatch.setattr(decentopt.stability, "solve_centralized", _raise(ConvergenceError))
+    payload = base_run_config()
+    payload["scan"] = {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.1}
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "config error at model: injected failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "stability-scan"])
+def test_perron_failure_is_config_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(decentopt.graphs, "_power_iteration", _raise(SpectralError))
+    payload = base_run_config()
+    payload["scan"] = {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.1}
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "config error at matrix: injected failure" in capsys.readouterr().err

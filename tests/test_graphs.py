@@ -172,6 +172,17 @@ def test_perron_residual_is_tiny():
             assert abs(p.sum() - 1.0) <= 1e-14
 
 
+def test_combination_matrix_is_read_only():
+    source = random_metropolis(4, seed=2).a.copy()
+    m = matrix_from_array(source)
+    source[0, 0] = 0.0  # the matrix keeps its own copy
+    assert m.a[0, 0] > 0
+    with pytest.raises(ValueError):
+        m.a[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        perron_vector(m).p[0] = 1.0
+
+
 def test_check_balanced_flags_asymmetric_column_stochastic():
     a = np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]])
     assert np.abs(a.sum(axis=0) - 1.0).max() <= 1e-15  # column stochastic...

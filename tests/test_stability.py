@@ -30,6 +30,8 @@ from decentopt import (
     two_agent_case,
     two_agent_onset,
 )
+from decentopt import graphs
+from decentopt.algorithms import run
 from decentopt.stability import classify_run
 
 from conftest import random_averaging, random_metropolis, random_quadratic
@@ -486,3 +488,37 @@ def test_stability_scan_rejects_bad_grid():
         stability_scan("exact_diffusion", model, matrix, [0.5])
     with pytest.raises(ValueError):
         stability_scan("exact_diffusion", model, matrix, [0.5, -0.2])
+
+
+# ------------------------------------------------------ shared spectral setup
+
+
+def test_one_spectral_setup_per_matrix(monkeypatch):
+    """Every consumer of one matrix shares a single Perron power iteration
+    and a single eigendecomposition for V."""
+    matrix = random_metropolis(6, seed=3)
+    model = random_quadratic(6, 2, seed=3)
+    calls = {"power": 0, "eigh": 0}
+    power, eigh = graphs._power_iteration, np.linalg.eigh
+
+    def counted_power(a):
+        calls["power"] += 1
+        return power(a)
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_power_iteration", counted_power)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    perron = perron_vector(matrix)
+    run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, perron.p, 0.01),
+        max_iters=20)
+    run("extra", model, matrix, StepSizes.uniform(0.05, 6), max_iters=20)
+    stability_scan("exact_diffusion", model, matrix, [0.01, 0.05], max_iters=20)
+    build_error_dynamics(matrix)
+    diffusion_step_bound(matrix)
+    extra_step_bound(matrix)
+    norm_comparison(matrix)
+    assert calls == {"power": 1, "eigh": 1}
+    assert perron_vector(matrix) is perron_vector(matrix)
