@@ -315,8 +315,7 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         if w0.shape != (model.n_agents, model.dim):
             raise ValueError(f"w0 shape {w0.shape} does not match {(model.n_agents, model.dim)}")
 
-    ctx = _EngineContext(model=model, a=matrix.a,
-                         abar=(np.eye(matrix.n) + matrix.a) / 2.0, steps=steps)
+    ctx = _EngineContext(model=model, a=matrix.a, abar=matrix.abar, steps=steps)
     if spec.needs_v:
         ctx.v = matrix.vmat.v
         ctx.pinv_v = ctx.v / matrix.perron.p[:, np.newaxis]

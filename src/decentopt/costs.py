@@ -14,8 +14,14 @@ import numpy as np
 from scipy.special import expit
 
 
+# a quadratic aggregate Hessian is positive definite when its smallest
+# eigenvalue exceeds this fraction of its largest
+PD_REL_TOL = 1e-10
+
+
 class ConvergenceError(RuntimeError):
-    """Centralized solver failed to reach its tolerance."""
+    """Centralized solver failed to reach its tolerance, or the problem
+    has no unique minimizer."""
 
 
 @dataclass(frozen=True)
@@ -244,52 +250,59 @@ def model_from_config(cfg: dict) -> CostModel:
 
 def _solve_quadratic(model: QuadraticModel, weights: np.ndarray) -> np.ndarray:
     h_sum = np.einsum("k,kij->ij", weights, model.h)
-    b_sum = weights @ model.b
-    return np.linalg.solve(h_sum, b_sum)
+    eigs = np.linalg.eigvalsh(h_sum)
+    if eigs[0] <= PD_REL_TOL * abs(eigs[-1]):
+        raise ConvergenceError(
+            f"aggregate Hessian is not positive definite (smallest eigenvalue {eigs[0]:.3e}, "
+            f"largest {eigs[-1]:.3e}), so the minimizer is not unique"
+        )
+    return np.linalg.solve(h_sum, weights @ model.b)
 
 
-def _solve_logistic_gd(model: LogisticModel, weights: np.ndarray,
-                       tol: float = 1e-12, max_iter: int = 200_000):
-    """Gradient descent with Armijo backtracking on the weighted aggregate."""
+def _solve_logistic(model: LogisticModel, weights: np.ndarray,
+                    tol: float = 1e-12, max_iter: int = 100):
+    """Damped Newton on sum_k w_k J_k from x = 0 with the analytic Hessian
+    sum_k w_k [(1/L) sum_l s(1-s) h h^T + rho I], s = expit(-margin).  The
+    Armijo backtracking on f has a slack of 1e-15 |f|, so full steps pass
+    once f cannot resolve the decrease.  Returns (x, gradient norm)."""
 
     def f(x):
         return float(weights @ model.value_at(x))
 
-    def g(x):
-        return weights @ model.grad_at(x)
-
     x = np.zeros(model.dim)
     fx = f(x)
-    t = 1.0
+    feats = model.features.reshape(-1, model.dim)
+    ridge_hess = model.ridge * weights.sum() * np.eye(model.dim)
     for _ in range(max_iter):
-        gx = g(x)
-        gnorm2 = float(gx @ gx)
-        if np.sqrt(gnorm2) <= tol:
-            return x, np.sqrt(gnorm2)
-        t = min(t * 2.0, 1e6)
+        g = weights @ model.grad_at(x)
+        if np.linalg.norm(g) <= tol:
+            break
+        s = expit(-model._margins_at(x))
+        curv = (weights[:, np.newaxis] * s * (1.0 - s)).reshape(-1) / model.n_samples
+        step = np.linalg.solve(feats.T @ (curv[:, np.newaxis] * feats) + ridge_hess, g)
+        decrease = float(g @ step)
+        t = 1.0
         while True:
-            x_new = x - t * gx
+            x_new = x - t * step
             fx_new = f(x_new)
-            if fx_new <= fx - 1e-4 * t * gnorm2:
+            if fx_new <= fx - 1e-4 * t * decrease + 1e-15 * abs(fx):
                 break
             t *= 0.5
-            if t < 1e-18:
-                raise ConvergenceError("line search collapsed")
         x, fx = x_new, fx_new
-    residual = float(np.linalg.norm(g(x)))
+    residual = float(np.linalg.norm(weights @ model.grad_at(x)))
     if residual > 1e-8:
-        raise ConvergenceError(
-            f"logistic solver stopped at gradient norm {residual:.3e}"
-        )
+        raise ConvergenceError(f"logistic solver stopped at gradient norm {residual:.3e}")
     return x, residual
 
 
 def solve_centralized(model: CostModel) -> GroundTruth:
     """Ground truth for the weighted and uniform aggregate problems.
 
-    Quadratics are solved directly; logistic models run gradient descent
-    with backtracking down to gradient norm 1e-12 (hard failure above
-    1e-8).
+    Quadratics are solved directly and must have a positive definite
+    aggregate Hessian (smallest eigenvalue above 1e-10 times the largest);
+    otherwise the minimizer is not unique and ConvergenceError is raised.
+    Logistic models run damped Newton from zero down to gradient norm
+    1e-12, with a hard failure above 1e-8.
     """
     ones = np.ones(model.n_agents)
     if isinstance(model, QuadraticModel):
@@ -303,11 +316,11 @@ def solve_centralized(model: CostModel) -> GroundTruth:
             raise ConvergenceError(f"direct solve residual {residual:.3e}")
         return GroundTruth(w_star=w_star, w_o=w_o, solver_residual=residual)
     if isinstance(model, LogisticModel):
-        w_star, r1 = _solve_logistic_gd(model, model.q)
+        w_star, r1 = _solve_logistic(model, model.q)
         if np.array_equal(model.q, ones):
             w_o, r2 = w_star.copy(), r1
         else:
-            w_o, r2 = _solve_logistic_gd(model, ones)
+            w_o, r2 = _solve_logistic(model, ones)
         return GroundTruth(w_star=w_star, w_o=w_o, solver_residual=max(r1, r2))
     raise TypeError(f"no centralized solver for model kind {model.kind!r}")
 

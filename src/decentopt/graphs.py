@@ -6,7 +6,8 @@ a[l, k] is the weight agent k applies to data arriving from agent l.
 
 A CombinationMatrix is immutable and computes its spectral data once, on
 first use: the Perron vector p with the spectrum summary (lambda2,
-lambdaN, rhoA) in `perron`, and the dual factor V in `vmat`.
+lambdaN, rhoA) in `perron`, the dual factor V in `vmat`, and (I + A)/2
+in `abar`.  `stability` caches its error-recursion blocks here too.
 """
 
 from __future__ import annotations
@@ -202,6 +203,21 @@ class CombinationMatrix:
         from .spectral import compute_v
 
         return compute_v(self, self.perron)
+
+    @cached_property
+    def abar(self) -> np.ndarray:
+        """(I + A)/2, read-only, computed on first use."""
+        abar = (np.eye(self.n) + self.a) / 2.0
+        abar.flags.writeable = False
+        return abar
+
+    @cached_property
+    def _error_blocks(self):
+        """B, T_d, T_e of the error recursion of a balanced matrix, and the
+        decomposition of B, computed on first use (`stability._Blocks`)."""
+        from .stability import _network_blocks
+
+        return _network_blocks(self, self.perron, self.vmat)
 
 
 @dataclass(frozen=True)

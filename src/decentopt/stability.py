@@ -17,7 +17,8 @@ bounds.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -31,10 +32,42 @@ UNIT_EIG_TOL = 1e-8
 CANONICAL_ROW_TOL = 1e-10
 
 
+@dataclass(frozen=True)
+class _Blocks:
+    """Read-only B, T_d, T_e for one matrix, Perron vector p and V, plus
+    the unscaled decomposition of B, computed on first use.  It holds no
+    reference to the matrix that caches it, so it makes no reference
+    cycle and is freed with the matrix."""
+
+    b: np.ndarray
+    t_d: np.ndarray
+    t_e: np.ndarray
+    p: np.ndarray
+
+    @cached_property
+    def pair(self) -> SpectralPair:
+        return _pin_unit_pair(self.b, self.p)
+
+
+def _network_blocks(matrix: CombinationMatrix, perron: PerronData, vmat: VMatrix) -> _Blocks:
+    n = matrix.n
+    abar_t = matrix.abar.T
+    v = vmat.v
+    pinv_v = v / perron.p[:, np.newaxis]
+    eye = np.eye(n)
+    b = np.block([[abar_t, -pinv_v], [v @ abar_t, eye - v @ pinv_v]])
+    t_d = np.block([[abar_t, np.zeros((n, n))], [v @ abar_t, np.zeros((n, n))]])
+    t_e = np.block([[eye, np.zeros((n, n))], [v, np.zeros((n, n))]])
+    for block in (b, t_d, t_e):
+        block.flags.writeable = False
+    return _Blocks(b=b, t_d=t_d, t_e=t_e, p=perron.p)
+
+
 @dataclass
 class ErrorDynamics:
     """Network-level (dimension-free) blocks of the error recursion,
-    optionally carrying per-agent Hessians and step sizes."""
+    optionally carrying per-agent Hessians and step sizes.  The blocks
+    are read-only: every dynamics of one matrix shares them."""
 
     matrix: CombinationMatrix
     perron: PerronData
@@ -44,6 +77,7 @@ class ErrorDynamics:
     t_e: np.ndarray
     h: np.ndarray | None = None
     mu: np.ndarray | None = None
+    _blocks: _Blocks | None = field(default=None, repr=False, compare=False)
 
     @property
     def a(self) -> np.ndarray:
@@ -51,7 +85,7 @@ class ErrorDynamics:
 
     @property
     def abar(self) -> np.ndarray:
-        return (np.eye(self.matrix.n) + self.matrix.a) / 2.0
+        return self.matrix.abar
 
     @property
     def p(self) -> np.ndarray:
@@ -66,35 +100,30 @@ def build_error_dynamics(matrix, perron: PerronData = None, vmat: VMatrix = None
                          model: CostModel = None, steps: StepSizes = None) -> ErrorDynamics:
     """Assemble B, T_d, T_e for a balanced combination matrix.
 
-    perron/vmat default to the matrix's cached spectral data.
+    perron/vmat default to the matrix's cached spectral data; with both
+    defaults the blocks, and the decomposition of B, are computed once
+    per matrix and shared.
     model/steps are optional; they are only needed later by
     one_step_matrix, which requires constant Hessians (quadratic costs).
     """
     if not isinstance(matrix, CombinationMatrix):
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
-    if perron is None:
-        perron = matrix.perron
-    if vmat is None:
-        vmat = matrix.vmat
-    n = matrix.n
-    p = perron.p
-    abar_t = ((np.eye(n) + matrix.a) / 2.0).T
-    v = vmat.v
-    pinv_v = v / p[:, np.newaxis]
-    eye = np.eye(n)
-    b = np.block([[abar_t, -pinv_v], [v @ abar_t, eye - v @ pinv_v]])
-    t_d = np.block([[abar_t, np.zeros((n, n))], [v @ abar_t, np.zeros((n, n))]])
-    t_e = np.block([[eye, np.zeros((n, n))], [v, np.zeros((n, n))]])
+    if (perron is None or perron is matrix.perron) and vmat is None:
+        perron, vmat, blocks = matrix.perron, matrix.vmat, matrix._error_blocks
+    else:
+        perron = matrix.perron if perron is None else perron
+        vmat = matrix.vmat if vmat is None else vmat
+        blocks = _network_blocks(matrix, perron, vmat)
     h = None
     if model is not None:
         if not isinstance(model, QuadraticModel):
             raise TypeError("error dynamics need constant Hessians (quadratic costs)")
-        if model.n_agents != n:
+        if model.n_agents != matrix.n:
             raise ValueError("model size does not match the combination matrix")
         h = model.hessians()
     mu = None if steps is None else steps.mu
-    return ErrorDynamics(matrix=matrix, perron=perron, vmat=vmat, b=b,
-                         t_d=t_d, t_e=t_e, h=h, mu=mu)
+    return ErrorDynamics(matrix=matrix, perron=perron, vmat=vmat, b=blocks.b,
+                         t_d=blocks.t_d, t_e=blocks.t_e, h=h, mu=mu, _blocks=blocks)
 
 
 def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
@@ -196,11 +225,29 @@ def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) 
 
     c, when given, additionally scales X_R by 1/c and X_L by c; products
     such as ||X_L|| ||T|| ||X_R|| are invariant to it.
+
+    Against the dynamics' own Perron data and shared blocks, the unscaled
+    pair is computed once and shared (read-only).
     """
-    if perron is None:
-        perron = dyn.perron
-    n = dyn.matrix.n
-    vals, x, _ = general_eig(dyn.b)
+    p = (dyn.perron if perron is None else perron).p
+    blocks = dyn._blocks
+    if blocks is not None and blocks.b is dyn.b and blocks.p is p:
+        pair = blocks.pair
+    else:
+        pair = _pin_unit_pair(dyn.b, p)
+    if c is None:
+        return pair
+    if c <= 0:
+        raise ValueError("c must be positive")
+    x, x_inv = pair.x.copy(), pair.x_inv.copy()
+    x[:, 2:] /= c
+    x_inv[2:, :] *= c
+    return SpectralPair(d=pair.d, x=x, x_inv=x_inv)
+
+
+def _pin_unit_pair(b: np.ndarray, p: np.ndarray) -> SpectralPair:
+    n = p.size
+    vals, x, _ = general_eig(b)
     unit = np.abs(vals - 1.0) <= UNIT_EIG_TOL
     if int(unit.sum()) != 2 or not (unit[0] and unit[1]):
         raise SpectralError(
@@ -213,7 +260,7 @@ def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) 
     x[:, 0] = np.concatenate([np.ones(n), np.zeros(n)])
     x[:, 1] = np.concatenate([np.zeros(n), np.ones(n)])
     x_inv = np.linalg.inv(x)
-    l1 = np.concatenate([perron.p, np.zeros(n)])
+    l1 = np.concatenate([p, np.zeros(n)])
     l2 = np.concatenate([np.zeros(n), np.ones(n) / n])
     row_err = max(np.abs(x_inv[0] - l1).max(), np.abs(x_inv[1] - l2).max())
     if row_err > CANONICAL_ROW_TOL:
@@ -227,11 +274,8 @@ def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) 
         s = np.sqrt(rn / cn)
         x[:, j] *= s
         x_inv[j, :] /= s
-    if c is not None:
-        if c <= 0:
-            raise ValueError("c must be positive")
-        x[:, 2:] /= c
-        x_inv[2:, :] *= c
+    for block in (d, x, x_inv):
+        block.flags.writeable = False
     return SpectralPair(d=d, x=x, x_inv=x_inv)
 
 
@@ -241,8 +285,7 @@ def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:
     conjugate pair of modulus sqrt(lam))."""
     if not isinstance(matrix, CombinationMatrix):
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
-    n = matrix.n
-    lams = np.linalg.eigvals((np.eye(n) + matrix.a) / 2.0)
+    lams = np.linalg.eigvals(matrix.abar)
     drop = int(np.argmin(np.abs(lams - 1.0)))
     out = [1.0 + 0.0j, 1.0 + 0.0j]
     for k, lam in enumerate(lams):

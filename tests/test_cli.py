@@ -388,7 +388,7 @@ def _raise(error):
 
 @pytest.mark.parametrize("command", ["run", "stability-scan"])
 def test_ground_truth_nonconvergence_is_config_error(tmp_path, capsys, monkeypatch, command):
-    # the real reproducer needs 200k gradient iterations; inject the failure
+    # no known input makes the solvers fail; inject the failure
     monkeypatch.setattr(decentopt.algorithms, "solve_centralized", _raise(ConvergenceError))
     monkeypatch.setattr(decentopt.stability, "solve_centralized", _raise(ConvergenceError))
     payload = base_run_config()
@@ -406,3 +406,31 @@ def test_perron_failure_is_config_error(tmp_path, capsys, monkeypatch, command):
     cfg = write_config(tmp_path, payload)
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
     assert "config error at matrix: injected failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "stability-scan"])
+def test_rank_deficient_model_is_config_error(tmp_path, capsys, command):
+    # five unknowns, one sample per agent, two agents: the aggregate
+    # Hessian has rank two and the minimizer is not unique
+    payload = base_run_config()
+    payload["graph"] = {"kind": "path", "n": 2}
+    payload["model"] = {"kind": "least_squares", "dim": 5, "samples_per_agent": 1}
+    payload["scan"] = {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.1}
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "config error at model: aggregate Hessian" in capsys.readouterr().err
+
+
+def test_logistic_run_on_hard_instance_converges(tmp_path):
+    # this instance's ground truth used to stop above gradient norm 1e-8
+    payload = {
+        "seed": 3,
+        "graph": {"kind": "random", "n": 6, "edge_probability": 0.5},
+        "matrix": {"rule": "metropolis"},
+        "model": {"kind": "logistic", "dim": 3, "samples_per_agent": 10, "ridge": 1.0},
+        "run": {"engine": "exact_diffusion", "mu_o": 0.08},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "trace.json").read_text())["status"] == "converged"

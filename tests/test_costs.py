@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decentopt import (
+    ConvergenceError,
     LeastSquaresModel,
     LogisticModel,
     MSEQuadraticModel,
@@ -125,6 +126,25 @@ def test_logistic_centralized_solution_is_stationary():
     assert np.linalg.norm(grads.sum(axis=0)) <= 1e-8
 
 
+@pytest.mark.parametrize("args", [(1, 10, 3, 20, 0.5), (3, 6, 3, 10, 1.0)])
+def test_logistic_solver_meets_tolerance_on_hard_instances(args):
+    # both instances stopped above gradient norm 1e-8 after 200k
+    # gradient-descent iterations
+    model = logistic_model(*args)
+    gt = solve_centralized(model)
+    assert gt.solver_residual <= 1e-12
+    assert np.linalg.norm(model.weighted_grad(gt.w_star)) <= 1e-12
+
+
+def test_logistic_weighted_solution_meets_tolerance():
+    model = logistic_model(8, 3, 3, 20, ridge=0.2, q=[2.0, 1.0, 0.5])
+    gt = solve_centralized(model)
+    assert gt.solver_residual <= 1e-12
+    assert np.linalg.norm(model.weighted_grad(gt.w_star)) <= 1e-12
+    assert np.linalg.norm(model.grad_at(gt.w_o).sum(axis=0)) <= 1e-12
+    assert np.abs(gt.w_star - gt.w_o).max() > 1e-3  # w_o solved separately
+
+
 def test_logistic_hessian_bounds():
     model = logistic_model(4, 3, 4, 10, ridge=0.3)
     nu, delta, k_o = hessian_bounds(model)
@@ -175,6 +195,18 @@ def test_model_from_config_round_trips():
 
     with pytest.raises(ValueError):
         model_from_config({"kind": "nope"})
+
+
+def test_rank_deficient_quadratic_is_rejected():
+    # five unknowns, one sample on each of two agents: rank-2 aggregate
+    model = least_squares_model(5, 2, 5, 1, q=[1.0, 3.0])
+    with pytest.raises(ConvergenceError, match="not positive definite"):
+        solve_centralized(model)
+    # the floor is relative: a uniformly tiny but well-conditioned
+    # aggregate still solves
+    tiny = mse_quadratic_model(2, 2, [np.diag([1e-20, 2e-20]).tolist()] * 2,
+                               [[1e-20, 0.0], [0.0, 1e-20]])
+    assert np.allclose(solve_centralized(tiny).w_star, [0.5, 0.25])
 
 
 def test_mse_quadratic_weighted_solution():

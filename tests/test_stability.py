@@ -30,7 +30,7 @@ from decentopt import (
     two_agent_case,
     two_agent_onset,
 )
-from decentopt import graphs
+from decentopt import graphs, stability
 from decentopt.algorithms import run
 from decentopt.stability import classify_run
 
@@ -494,12 +494,12 @@ def test_stability_scan_rejects_bad_grid():
 
 
 def test_one_spectral_setup_per_matrix(monkeypatch):
-    """Every consumer of one matrix shares a single Perron power iteration
-    and a single eigendecomposition for V."""
+    """Every consumer of one matrix shares a single Perron power iteration,
+    a single eigendecomposition for V and a single decomposition of B."""
     matrix = random_metropolis(6, seed=3)
     model = random_quadratic(6, 2, seed=3)
-    calls = {"power": 0, "eigh": 0}
-    power, eigh = graphs._power_iteration, np.linalg.eigh
+    calls = {"power": 0, "eigh": 0, "general_eig": 0}
+    power, eigh, general_eig = graphs._power_iteration, np.linalg.eigh, stability.general_eig
 
     def counted_power(a):
         calls["power"] += 1
@@ -509,8 +509,13 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
         calls["eigh"] += 1
         return eigh(*args, **kwargs)
 
+    def counted_general_eig(m):
+        calls["general_eig"] += 1
+        return general_eig(m)
+
     monkeypatch.setattr(graphs, "_power_iteration", counted_power)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(stability, "general_eig", counted_general_eig)
     perron = perron_vector(matrix)
     run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, perron.p, 0.01),
         max_iters=20)
@@ -520,5 +525,6 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     diffusion_step_bound(matrix)
     extra_step_bound(matrix)
     norm_comparison(matrix)
-    assert calls == {"power": 1, "eigh": 1}
+    decompose_b(build_error_dynamics(matrix), c=2.0)
+    assert calls == {"power": 1, "eigh": 1, "general_eig": 1}
     assert perron_vector(matrix) is perron_vector(matrix)
