@@ -44,7 +44,7 @@ from .graphs import (
     random_connected_graph,
     save_matrix_csv,
 )
-from .spectral import VMatrix, certify_nullspace, compute_v, general_eig
+from .spectral import VMatrix, certify_nullspace, compute_v
 from .stability import (
     ErrorDynamics,
     ScanResult,

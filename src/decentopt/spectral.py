@@ -1,9 +1,12 @@
-"""Eigendecompositions and the consensus square-root matrix V.
+"""The consensus square-root matrix V and its nullspace certificate.
 
 V is the symmetric PSD square root of (P - A P)/2, where P = diag(p) and
-A is a balanced left-stochastic combination matrix.  Its nullspace is the
-consensus line span{1}, which is what couples the primal and dual blocks
-of the error dynamics.
+A is a balanced left-stochastic combination matrix, built from one
+symmetric eigendecomposition.  Its nullspace is the consensus line
+span{1}, which is what couples the primal and dual blocks of the error
+dynamics.  The eigensystem of the lifted error map B is derived from
+these pieces in closed form (`stability.decompose_b`), so no dense
+nonsymmetric eigensolver is needed.
 """
 
 from __future__ import annotations
@@ -11,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import CombinationMatrix, PerronData, SpectralError, check_balanced
 
 CLIP_TOL = 1e-12
 PSD_TOL = -1e-8
-MAX_DENSE_DIM = 200
 
 
 @dataclass(frozen=True)
@@ -72,43 +73,3 @@ def certify_nullspace(v: VMatrix) -> bool:
     u_null = v.u[:, int(np.argmax(null_mask))]
     inner = abs(float(u_null @ np.ones(n))) / np.sqrt(n)
     return inner >= 1.0 - 1e-8
-
-
-def general_eig(m: np.ndarray):
-    """Dense nonsymmetric eigendecomposition with left/right vectors.
-
-    Returns (vals, x, y): eigenvalues sorted by descending real part
-    (ties by descending imaginary part), right eigenvectors as columns of
-    x, left eigenvectors as columns of y normalized so that y_i^H x_i = 1
-    wherever the pairing is nondegenerate (simple spectra; a known
-    multiplicity-2 eigenvalue at 1 is left untouched and handled by the
-    caller).
-
-    Raises SpectralError if the QR iteration fails or a residual exceeds
-    1e-8.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_DENSE_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds dense cap {MAX_DENSE_DIM}")
-    try:
-        vals, vl, vr = scipy.linalg.eig(m, left=True, right=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SpectralError(f"eigensolver failed to converge: {exc}") from exc
-    order = np.lexsort((-vals.imag, -vals.real))
-    vals = vals[order]
-    vr = vr[:, order]
-    vl = vl[:, order]
-    scale = max(1.0, float(np.abs(m).max()))
-    for i in range(len(vals)):
-        res = np.linalg.norm(m @ vr[:, i] - vals[i] * vr[:, i])
-        if res > 1e-8 * scale:
-            raise SpectralError(
-                f"eigenpair {i} residual {res:.3e} above tolerance"
-            )
-    # biorthogonal normalization y_i^H x_i = 1 where the pairing allows it
-    d = np.sum(np.conj(vl) * vr, axis=0)
-    ok = np.abs(d) > 1e-12
-    vl[:, ok] = vl[:, ok] / np.conj(d[ok])[np.newaxis, :]
-    return vals, vr, vl

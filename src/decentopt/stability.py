@@ -26,27 +26,30 @@ import scipy.linalg
 from .algorithms import ENGINE_SPECS, StepSizes, _EngineContext, init_state, run
 from .costs import CostModel, QuadraticModel, solve_centralized
 from .graphs import CombinationMatrix, PerronData, SpectralError, matrix_from_array
-from .spectral import VMatrix, general_eig
+from .spectral import VMatrix
 
 UNIT_EIG_TOL = 1e-8
-CANONICAL_ROW_TOL = 1e-10
+EIGENPAIR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class _Blocks:
     """Read-only B, T_d, T_e for one matrix, Perron vector p and V, plus
-    the unscaled decomposition of B, computed on first use.  It holds no
-    reference to the matrix that caches it, so it makes no reference
-    cycle and is freed with the matrix."""
+    the unscaled closed-form decomposition of B (`_closed_form_pair`),
+    computed on first use.  It keeps the arrays A and V it needs for that,
+    but no reference to the matrix that caches it, so it makes no
+    reference cycle and is freed with the matrix."""
 
     b: np.ndarray
     t_d: np.ndarray
     t_e: np.ndarray
+    a: np.ndarray
     p: np.ndarray
+    v: np.ndarray
 
     @cached_property
     def pair(self) -> SpectralPair:
-        return _pin_unit_pair(self.b, self.p)
+        return _closed_form_pair(self.b, self.a, self.p, self.v)
 
 
 def _network_blocks(matrix: CombinationMatrix, perron: PerronData, vmat: VMatrix) -> _Blocks:
@@ -60,7 +63,7 @@ def _network_blocks(matrix: CombinationMatrix, perron: PerronData, vmat: VMatrix
     t_e = np.block([[eye, np.zeros((n, n))], [v, np.zeros((n, n))]])
     for block in (b, t_d, t_e):
         block.flags.writeable = False
-    return _Blocks(b=b, t_d=t_d, t_e=t_e, p=perron.p)
+    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=perron.p, v=v)
 
 
 @dataclass
@@ -205,36 +208,45 @@ class SpectralPair:
         """Inverse rows away from the unit pair."""
         return self.x_inv[2:, :]
 
-    @property
+    @cached_property
     def norm_r(self) -> float:
         return float(np.linalg.norm(self.x_r, 2)) if self.x_r.size else 0.0
 
-    @property
+    @cached_property
     def norm_l(self) -> float:
         return float(np.linalg.norm(self.x_l, 2)) if self.x_l.size else 0.0
 
 
 def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) -> SpectralPair:
-    """Diagonalize B = X D X^{-1} with the unit eigenvalue pair pinned.
+    """Diagonalize B = X D X^{-1} in closed form, with the unit pair pinned.
 
-    The two eigenvalues at 1 are replaced by the canonical right vectors
-    and the inverse is verified to reproduce the canonical left rows
-    (they are unique once the right block is pinned).  The remaining
-    columns are rescaled so each column/inverse-row pair has equal norm,
-    which keeps ||X_R|| ||X_L|| small without affecting invariants.
+    With At = P^{-1/2} A P^{1/2} (symmetric for a balanced A), every
+    non-Perron eigenpair (lam, u) of At gives x = P^{-1/2} u, an
+    eigenvector of A^T, and the unit vector r = V x / s with
+    s = sqrt((1 - lam)/2).  On span{[x; 0], [0; r]} B acts as
+    [[lb, -s], [s lb, lb]] with lb = (1 + lam)/2, whose eigenvalues
+    lb +- i sqrt(lb - lb^2) have right columns [x; -+ i sqrt(lb) r] and
+    inverse rows [(P^{1/2} u)^T / 2, +- i r^T / (2 sqrt(lb))].  The
+    Perron pair gives the canonical columns [1; 0], [0; 1] and rows
+    [p^T, 0], [0, 1^T/N].  Each column/inverse-row pair is rescaled to
+    equal norm, which keeps ||X_R|| ||X_L|| small.  Within an eigenspace
+    of At on which p is constant these norms do not depend on the basis
+    the eigensolver picks, so neither do the bounds built from them.
 
     c, when given, additionally scales X_R by 1/c and X_L by c; products
     such as ||X_L|| ||T|| ||X_R|| are invariant to it.
 
-    Against the dynamics' own Perron data and shared blocks, the unscaled
-    pair is computed once and shared (read-only).
+    Raises SpectralError when At does not have exactly one eigenvalue at
+    1 or when max |B X - X D| exceeds 1e-8.  Against the dynamics' own
+    Perron data and shared blocks, the unscaled pair is computed once and
+    shared (read-only).
     """
     p = (dyn.perron if perron is None else perron).p
     blocks = dyn._blocks
     if blocks is not None and blocks.b is dyn.b and blocks.p is p:
         pair = blocks.pair
     else:
-        pair = _pin_unit_pair(dyn.b, p)
+        pair = _closed_form_pair(dyn.b, dyn.a, p, dyn.v)
     if c is None:
         return pair
     if c <= 0:
@@ -245,38 +257,45 @@ def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) 
     return SpectralPair(d=pair.d, x=x, x_inv=x_inv)
 
 
-def _pin_unit_pair(b: np.ndarray, p: np.ndarray) -> SpectralPair:
+def _closed_form_pair(b: np.ndarray, a: np.ndarray, p: np.ndarray,
+                      v: np.ndarray) -> SpectralPair:
     n = p.size
-    vals, x, _ = general_eig(b)
-    unit = np.abs(vals - 1.0) <= UNIT_EIG_TOL
-    if int(unit.sum()) != 2 or not (unit[0] and unit[1]):
+    root_p = np.sqrt(p)
+    a_tilde = a * root_p[np.newaxis, :] / root_p[:, np.newaxis]
+    lam, u = np.linalg.eigh((a_tilde + a_tilde.T) / 2.0)
+    unit = np.abs(lam - 1.0) <= UNIT_EIG_TOL
+    if int(unit.sum()) != 1:
         raise SpectralError(
-            f"expected exactly two leading unit eigenvalues, found {int(unit.sum())}"
+            f"expected exactly one unit eigenvalue of P^-1/2 A P^1/2, found {int(unit.sum())}"
         )
-    d = vals.copy()
-    d[0] = 1.0
-    d[1] = 1.0
-    x = x.astype(complex)
-    x[:, 0] = np.concatenate([np.ones(n), np.zeros(n)])
-    x[:, 1] = np.concatenate([np.zeros(n), np.ones(n)])
-    x_inv = np.linalg.inv(x)
-    l1 = np.concatenate([p, np.zeros(n)])
-    l2 = np.concatenate([np.zeros(n), np.ones(n) / n])
-    row_err = max(np.abs(x_inv[0] - l1).max(), np.abs(x_inv[1] - l2).max())
-    if row_err > CANONICAL_ROW_TOL:
-        raise SpectralError(f"canonical left rows not recovered (residual {row_err:.3e})")
-    x_inv[0] = l1
-    x_inv[1] = l2
-    # per-pair balancing: ||x[:, j]|| == ||x_inv[j, :]|| for every j >= 2
-    for j in range(2, 2 * n):
-        cn = np.linalg.norm(x[:, j])
-        rn = np.linalg.norm(x_inv[j, :])
-        s = np.sqrt(rn / cn)
-        x[:, j] *= s
-        x_inv[j, :] /= s
-    for block in (d, x, x_inv):
+    # descending, as the eigenvalues of B are listed
+    lam, u = lam[~unit][::-1], u[:, ~unit][:, ::-1]
+    lbar = (1.0 + lam) / 2.0
+    root_lbar = np.sqrt(lbar)
+    x = u / root_p[:, np.newaxis]
+    y = u * root_p[:, np.newaxis] / 2.0
+    r = (v @ x) / np.sqrt(1.0 - lbar)
+    # balance each column/inverse-row pair to equal norm
+    scale = np.sqrt(np.sqrt((y * y).sum(axis=0) + 1.0 / (4.0 * lbar))
+                    / np.sqrt((x * x).sum(axis=0) + lbar))
+    d = np.ones(2 * n, dtype=complex)
+    x_full = np.zeros((2 * n, 2 * n), dtype=complex)
+    x_inv = np.zeros((2 * n, 2 * n), dtype=complex)
+    x_full[:n, 0] = x_full[n:, 1] = 1.0
+    x_inv[0, :n] = p
+    x_inv[1, n:] = 1.0 / n
+    for first, sign in ((2, 1.0), (3, -1.0)):
+        d[first::2] = lbar + sign * 1j * np.sqrt(lbar - lbar ** 2)
+        x_full[:n, first::2] = x * scale
+        x_full[n:, first::2] = -sign * 1j * root_lbar * scale * r
+        x_inv[first::2, :n] = (y / scale).T
+        x_inv[first::2, n:] = (sign * 1j / (2.0 * root_lbar * scale) * r).T
+    residual = float(np.abs(b @ x_full - x_full * d[np.newaxis, :]).max())
+    if residual > EIGENPAIR_TOL:
+        raise SpectralError(f"eigenpair residual {residual:.3e} above tolerance")
+    for block in (d, x_full, x_inv):
         block.flags.writeable = False
-    return SpectralPair(d=d, x=x, x_inv=x_inv)
+    return SpectralPair(d=d, x=x_full, x_inv=x_inv)
 
 
 def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:
@@ -491,20 +510,8 @@ def two_agent_case(a: float, sigma2: float, mu_d: float, mu_e: float = None) -> 
         mu_e = mu_d
     if mu_e <= 0:
         raise ValueError("mu_e must be positive")
-    m = mu_d * sigma2
-    me = mu_e * sigma2
-    s = np.sqrt(2.0 - 2.0 * a)
-    t = np.sqrt((1.0 - a) / 2.0)
-    e_d = np.array([
-        [1.0 - m, 0.0, 0.0],
-        [0.0, (1.0 - m) * a, -s],
-        [0.0, (1.0 - m) * a * t, a],
-    ])
-    e_e = np.array([
-        [1.0 - me, 0.0, 0.0],
-        [0.0, a - me, -s],
-        [0.0, (a - me) * t, a],
-    ])
+    e_d = _two_agent_map(a, mu_d * sigma2, "exact_diffusion")
+    e_e = _two_agent_map(a, mu_e * sigma2, "extra")
     matrix = matrix_from_array(np.array([[a, 1.0 - a], [1.0 - a, a]]))
     dyn = build_error_dynamics(matrix, model=QuadraticModel(
         h=np.full((2, 1, 1), sigma2), b=np.zeros((2, 1))))
@@ -521,6 +528,20 @@ def two_agent_case(a: float, sigma2: float, mu_d: float, mu_e: float = None) -> 
                         stable_d=specrad_d < 1.0, stable_e=specrad_e < 1.0)
 
 
+def _two_agent_map(a: float, m: float, algorithm: str) -> np.ndarray:
+    """Reduced 3x3 two-agent error map (see `two_agent_case`) at
+    m = mu sigma2; the gradient enters combined for exact diffusion and
+    raw for extra."""
+    s = np.sqrt(2.0 - 2.0 * a)
+    t = np.sqrt((1.0 - a) / 2.0)
+    g = (1.0 - m) * a if algorithm == "exact_diffusion" else a - m
+    return np.array([
+        [1.0 - m, 0.0, 0.0],
+        [0.0, g, -s],
+        [0.0, g * t, a],
+    ])
+
+
 def two_agent_onset(a: float, sigma2: float, algorithm: str = "extra",
                     hi: float = None, tol: float = 1e-6) -> float:
     """Smallest step size at which the chosen two-agent map stops being a
@@ -532,9 +553,8 @@ def two_agent_onset(a: float, sigma2: float, algorithm: str = "extra",
         hi = (2.5 + 2.0 * a) / sigma2
 
     def unstable(mu):
-        case = two_agent_case(a, sigma2, mu, mu)
-        rad = case.specrad_e if algorithm == "extra" else case.specrad_d
-        return rad >= 1.0
+        e = _two_agent_map(a, mu * sigma2, algorithm)
+        return float(np.abs(np.linalg.eigvals(e)).max()) >= 1.0
 
     grid = np.linspace(hi / 400.0, hi, 400)
     lo = None

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -281,19 +284,51 @@ def test_analyze_rejects_unbalanced_matrix(tmp_path, capsys):
     assert "matrix" in capsys.readouterr().err
 
 
-def test_analyze_beyond_dense_cap_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"graph": {"kind": "ring", "n": 120},
+def analyze_report(tmp_path, payload):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "x"
+    assert run_cli(["analyze", "--config", cfg, "--out", out]) == 0
+    report = json.loads((out / "analysis.json").read_text())
+    jsonschema.validate(report, load_schema())
+    return report
+
+
+def test_analyze_beyond_dense_cap_is_config_error(tmp_path):
+    # 2N = 240: analyze has no size cap, because B is decomposed in
+    # closed form rather than by a dense 2N eigensolver
+    report = analyze_report(tmp_path, {"graph": {"kind": "ring", "n": 120},
+                                       "matrix": {"rule": "metropolis"}})
+    assert report["n_agents"] == 120
+    assert report["closed_form_residual"] <= 1e-8
+    for key in ("mu_bound_diffusion", "mu_bound_extra", "alpha_d", "alpha_e"):
+        assert 0 < report[key] < np.inf
+
+
+def test_analyze_decomposition_failure_is_config_error(tmp_path):
+    # highly repeated spectrum: a dense eigensolver of B loses the
+    # canonical left rows here, the closed form does not
+    report = analyze_report(tmp_path, {"graph": {"kind": "star", "n": 100},
+                                       "matrix": {"rule": "averaging"}})
+    assert report["closed_form_residual"] <= 1e-8
+    assert 0 < report["mu_bound_diffusion"] < np.inf
+    assert report["mu_bound_extra"] is None
+
+
+def test_analyze_bounds_do_not_depend_on_blas_threads(tmp_path):
+    """alpha_d of complete-100 Metropolis, whose spectrum is one repeated
+    eigenvalue, is the same at 1 and 2 BLAS threads."""
+    cfg = write_config(tmp_path, {"graph": {"kind": "complete", "n": 100},
                                   "matrix": {"rule": "metropolis"}})
-    assert run_cli(["analyze", "--config", cfg, "--out", tmp_path / "x"]) == 2
-    err = capsys.readouterr().err
-    assert "config error at matrix" in err and "dense cap" in err
-
-
-def test_analyze_decomposition_failure_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"graph": {"kind": "star", "n": 100},
-                                  "matrix": {"rule": "averaging"}})
-    assert run_cli(["analyze", "--config", cfg, "--out", tmp_path / "x"]) == 2
-    assert "config error at matrix" in capsys.readouterr().err
+    src = str(Path(decentopt.__file__).resolve().parents[1])
+    alphas = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "decentopt.cli", "analyze", "--config", cfg,
+                        "--out", str(out)], env=env, check=True)
+        alphas.append(json.loads((out / "analysis.json").read_text())["alpha_d"])
+    assert alphas[1] == pytest.approx(alphas[0], rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------------ two-agent

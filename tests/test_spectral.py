@@ -1,4 +1,4 @@
-"""Dual-metric matrix V, nullspace certificates, and the eigen helper."""
+"""Dual-metric matrix V and nullspace certificates."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from decentopt import (
     build_metropolis,
     certify_nullspace,
     compute_v,
-    general_eig,
     matrix_from_array,
     perron_vector,
     random_connected_graph,
@@ -92,42 +91,6 @@ def test_certify_nullspace_rejects_wrong_kernel():
     u = np.eye(2)
     fake2 = VMatrix(v=np.diag([0.0, 1.0]), u=u[:, ::-1], sigma=np.array([1.0, 0.0]))
     assert not certify_nullspace(fake2)
-
-
-# ------------------------------------------------------------- general_eig
-
-
-def test_general_eig_real_diagonal():
-    vals, x, y = general_eig(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(vals, [3.0, 2.0, 1.0])
-    assert np.abs(np.conj(y.T) @ x - np.eye(3)).max() <= 1e-12
-
-
-def test_general_eig_complex_sorted_by_imag_then_real():
-    vals, x, y = general_eig(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert np.allclose(vals, [1j, -1j])
-    m = np.array([[0.0, -1.0], [1.0, 0.0]])
-    for k in range(2):
-        assert np.abs(m @ x[:, k] - vals[k] * x[:, k]).max() <= 1e-12
-        assert np.abs(np.conj(y[:, k]) @ m - vals[k] * np.conj(y[:, k])).max() <= 1e-12
-
-
-def test_general_eig_left_right_residuals_random():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((8, 8))
-    vals, x, y = general_eig(m)
-    scale = np.abs(m).max()
-    for k in range(8):
-        assert np.abs(m @ x[:, k] - vals[k] * x[:, k]).max() <= 1e-8 * scale
-    # biorthogonality holds for simple spectra
-    assert np.abs(np.conj(y.T) @ x - np.eye(8)).max() <= 1e-8
-
-
-def test_general_eig_input_validation():
-    with pytest.raises(ValueError):
-        general_eig(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        general_eig(np.eye(201))
 
 
 # ------------------------------------------------------------- properties

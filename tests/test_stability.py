@@ -3,18 +3,23 @@ forms, adaptive mismatch decay, and grid scans."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from decentopt import (
     ErrorDynamics,
+    Graph,
     SpectralError,
     StepSizes,
     TraceRecord,
     b_spectrum_residual,
+    build_averaging,
     build_error_dynamics,
+    build_metropolis,
     compute_v,
     decompose_b,
     diffusion_step_bound,
     extra_step_bound,
+    hessian_bounds,
     least_squares_model,
     logistic_model,
     matrix_from_array,
@@ -495,11 +500,12 @@ def test_stability_scan_rejects_bad_grid():
 
 def test_one_spectral_setup_per_matrix(monkeypatch):
     """Every consumer of one matrix shares a single Perron power iteration,
-    a single eigendecomposition for V and a single decomposition of B."""
+    one symmetric eigendecomposition each for V and for P^-1/2 A P^1/2,
+    and a single decomposition of B."""
     matrix = random_metropolis(6, seed=3)
     model = random_quadratic(6, 2, seed=3)
-    calls = {"power": 0, "eigh": 0, "general_eig": 0}
-    power, eigh, general_eig = graphs._power_iteration, np.linalg.eigh, stability.general_eig
+    calls = {"power": 0, "eigh": 0, "decompose": 0}
+    power, eigh, closed_form = graphs._power_iteration, np.linalg.eigh, stability._closed_form_pair
 
     def counted_power(a):
         calls["power"] += 1
@@ -509,13 +515,13 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
         calls["eigh"] += 1
         return eigh(*args, **kwargs)
 
-    def counted_general_eig(m):
-        calls["general_eig"] += 1
-        return general_eig(m)
+    def counted_closed_form(*args):
+        calls["decompose"] += 1
+        return closed_form(*args)
 
     monkeypatch.setattr(graphs, "_power_iteration", counted_power)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(stability, "general_eig", counted_general_eig)
+    monkeypatch.setattr(stability, "_closed_form_pair", counted_closed_form)
     perron = perron_vector(matrix)
     run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, perron.p, 0.01),
         max_iters=20)
@@ -526,5 +532,111 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     extra_step_bound(matrix)
     norm_comparison(matrix)
     decompose_b(build_error_dynamics(matrix), c=2.0)
-    assert calls == {"power": 1, "eigh": 1, "general_eig": 1}
+    assert calls == {"power": 1, "eigh": 2, "decompose": 1}
     assert perron_vector(matrix) is perron_vector(matrix)
+
+
+# ------------------------------------------- closed-form decomposition of B
+
+
+def ring_graph(n):
+    return Graph(n, frozenset((k, (k + 1) % n) for k in range(n)))
+
+
+def star_graph(n):
+    return Graph(n, frozenset((0, k) for k in range(1, n)))
+
+
+def complete_graph(n):
+    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def relabel(graph, perm):
+    return Graph(graph.n, frozenset((int(perm[i]), int(perm[j])) for i, j in graph.edges))
+
+
+@pytest.mark.parametrize("graph, builder", [(ring_graph(20), build_metropolis),
+                                            (star_graph(10), build_averaging)])
+def test_alpha_does_not_depend_on_agent_labels(graph, builder):
+    # both spectra repeat eigenvalues, so the eigensolver's basis of an
+    # eigenspace changes with the labelling; the bounds must not
+    matrix = builder(graph)
+    perm = np.random.default_rng(5).permutation(graph.n)
+    relabelled = builder(relabel(graph, perm))
+    assert (diffusion_step_bound(relabelled).alpha
+            == pytest.approx(diffusion_step_bound(matrix).alpha, rel=1e-12, abs=0))
+    if matrix.is_symmetric_doubly_stochastic:
+        assert (extra_step_bound(relabelled).alpha
+                == pytest.approx(extra_step_bound(matrix).alpha, rel=1e-12, abs=0))
+
+
+@pytest.mark.parametrize("n", [8, 20])
+def test_alpha_d_of_complete_metropolis_is_sqrt_2n(n):
+    alpha = diffusion_step_bound(build_metropolis(complete_graph(n))).alpha
+    assert alpha == pytest.approx(np.sqrt(2 * n), rel=1e-12, abs=0)
+
+
+def lapack_alpha(dyn, t):
+    """alpha = ||X_L|| ||T|| ||X_R|| from a dense eigendecomposition of B:
+    the two eigenvalues nearest 1 pinned to [1; 0], [0; 1], X inverted
+    numerically, each column/inverse-row pair balanced to equal norm.
+    Unique for simple spectra only."""
+    n = dyn.matrix.n
+    vals, x = scipy.linalg.eig(dyn.b)
+    order = np.argsort(np.abs(vals - 1.0), kind="stable")
+    vals, x = vals[order], x[:, order]
+    x[:, 0] = np.concatenate([np.ones(n), np.zeros(n)])
+    x[:, 1] = np.concatenate([np.zeros(n), np.ones(n)])
+    x_inv = np.linalg.inv(x)
+    scale = np.sqrt(np.linalg.norm(x_inv, axis=1) / np.linalg.norm(x, axis=0))
+    x, x_inv = x * scale, x_inv / scale[:, np.newaxis]
+    return vals, np.linalg.norm(x_inv[2:], 2) * np.linalg.norm(t, 2) * np.linalg.norm(x[:, 2:], 2)
+
+
+def test_closed_form_decomposition_matches_dense_eig():
+    checked = 0
+    for n in range(3, 13):
+        for builder in (random_metropolis, random_averaging):
+            matrix = builder(n, seed=n)
+            root_p = np.sqrt(matrix.perron.p)
+            a_tilde = matrix.a * root_p / root_p[:, np.newaxis]
+            if np.diff(np.linalg.eigvalsh((a_tilde + a_tilde.T) / 2)).min() < 1e-6:
+                continue  # repeated eigenvalues: no unique reference
+            dyn = build_error_dynamics(matrix)
+            pair = decompose_b(dyn)
+            vals, alpha_d = lapack_alpha(dyn, dyn.t_d)
+            assert np.abs(np.sort_complex(pair.d) - np.sort_complex(vals)).max() <= 1e-9
+            assert np.abs(dyn.b @ pair.x - pair.x * pair.d).max() <= 1e-10
+            assert np.abs(pair.x_inv @ pair.x - np.eye(2 * n)).max() <= 1e-10
+            assert diffusion_step_bound(matrix).alpha == pytest.approx(alpha_d, rel=1e-9)
+            if matrix.is_symmetric_doubly_stochastic:
+                _, alpha_e = lapack_alpha(dyn, dyn.t_e)
+                assert extra_step_bound(matrix).alpha == pytest.approx(alpha_e, rel=1e-9)
+            checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("n", [8, 20, 40])
+@pytest.mark.parametrize("network, builder", [(complete_graph, build_metropolis),
+                                              (ring_graph, build_metropolis),
+                                              (star_graph, build_averaging)])
+def test_one_step_map_contracts_at_the_bound(network, builder, n):
+    """At mu_bound the one-step error map, less its dim invariant unit
+    eigenvalues (the dual consensus direction), has spectral radius < 1."""
+    graph = network(n)
+    matrix = builder(graph)
+    dim = 2
+    model = random_quadratic(graph.n, dim, seed=graph.n)
+    nu, delta, k_o = hessian_bounds(model)
+    dyn = build_error_dynamics(matrix, model=model)
+    ratio = model.q / matrix.perron.p
+    tau = ratio / ratio.max()
+    bounds = [("exact_diffusion", diffusion_step_bound(matrix, tau=tau, nu=nu, delta=delta,
+                                                       k_o=k_o).mu_bound * tau)]
+    if matrix.is_symmetric_doubly_stochastic:
+        bounds.append(("extra", extra_step_bound(matrix, nu, delta).mu_bound))
+    for engine, mu in bounds:
+        eigs = np.linalg.eigvals(one_step_matrix(dyn, engine, mu=mu))
+        unit = np.abs(eigs - 1.0) <= 1e-9
+        assert unit.sum() == dim
+        assert np.abs(eigs[~unit]).max() < 1.0
