@@ -2,7 +2,9 @@
 
 All iterate blocks are row-stacked: W has shape (N, M) with row k holding
 agent k's current estimate.  A combine step with the left-stochastic
-matrix A is therefore W <- A.T @ W.
+matrix A is therefore W <- A.T @ W.  The step functions also advance
+a stack of independent runs, shape (B, N, M), with step sizes of shape
+(B, N); the stability scans use that to classify many step sizes at once.
 
 Engines
 -------
@@ -112,14 +114,14 @@ class _EngineContext:
     model: CostModel
     a: np.ndarray
     abar: np.ndarray
-    steps: StepSizes
+    steps: StepSizes  # or, for a stacked run, mu of shape (B, N) and mu_o of shape (B, 1)
     v: np.ndarray | None = None
     pinv_v: np.ndarray | None = None  # diag(1/p) @ V
 
 
 def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext, mu=None):
     if mu is None:
-        mu = ctx.steps.mu[:, np.newaxis]
+        mu = ctx.steps.mu[..., np.newaxis]
     psi = state.w - mu * ctx.model.grad(state.w)
     phi = psi + state.w - state.psi_prev
     state.w = ctx.abar.T @ phi
@@ -127,20 +129,20 @@ def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext, mu=None):
 
 
 def _step_exact_diffusion_pd(state: AlgorithmState, ctx: _EngineContext):
-    mu = ctx.steps.mu[:, np.newaxis]
+    mu = ctx.steps.mu[..., np.newaxis]
     state.w = ctx.abar.T @ (state.w - mu * ctx.model.grad(state.w)) - ctx.pinv_v @ state.y
     state.y = state.y + ctx.v @ state.w
 
 
 def _step_extra(state: AlgorithmState, ctx: _EngineContext):
-    mu = ctx.steps.mu[:, np.newaxis]
+    mu = ctx.steps.mu[..., np.newaxis]
     n = ctx.model.n_agents
     state.w = ctx.abar @ state.w - mu * ctx.model.grad(state.w) - n * (ctx.v @ state.y)
     state.y = state.y + ctx.v @ state.w
 
 
 def _step_diging(state: AlgorithmState, ctx: _EngineContext):
-    mu = ctx.steps.mu[:, np.newaxis]
+    mu = ctx.steps.mu[..., np.newaxis]
     state.w = ctx.a.T @ state.w - mu * state.y
     g_new = ctx.model.grad(state.w)
     state.y = ctx.a.T @ state.y + g_new - state.g_prev
@@ -148,7 +150,7 @@ def _step_diging(state: AlgorithmState, ctx: _EngineContext):
 
 
 def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
-    mu = ctx.steps.mu[:, np.newaxis]
+    mu = ctx.steps.mu[..., np.newaxis]
     state.w = ctx.a.T @ (state.w - mu * state.y)
     g_new = ctx.model.grad(state.w)
     state.y = ctx.a.T @ (state.y + g_new - state.g_prev)
@@ -159,7 +161,7 @@ def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
     state.z = ctx.a.T @ state.z
     z_diag = np.diag(state.z).copy()
     state.z_diag_history.append(z_diag)
-    _step_exact_diffusion(state, ctx, (ctx.model.q * ctx.steps.mu_o / z_diag)[:, np.newaxis])
+    _step_exact_diffusion(state, ctx, (ctx.model.q * ctx.steps.mu_o / z_diag)[..., np.newaxis])
 
 
 def _seed_correction(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
@@ -263,6 +265,43 @@ def init_state(engine: str, model: CostModel, matrix: CombinationMatrix,
     return state
 
 
+def _checked_setup(engine: str, model: CostModel, matrix, steps_list, max_iters: int,
+                   ground_truth: GroundTruth | None):
+    """`run`'s input checks for one matrix and every StepSizes in
+    steps_list; returns the validated matrix and the engine's target."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if not isinstance(matrix, CombinationMatrix):
+        matrix = matrix_from_array(np.asarray(matrix, dtype=float))
+    if matrix.n != model.n_agents:
+        raise ValueError("combination matrix size does not match the agent count")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    _validate_combination(engine, matrix)
+    for steps in steps_list:
+        _validate_steps(engine, steps, model, matrix)
+
+    if ground_truth is None:
+        ground_truth = solve_centralized(model)
+    if ENGINE_SPECS[engine].weighted:
+        return matrix, ground_truth.w_star
+    if np.ptp(model.q) > 1e-12 * model.q.max():
+        raise ValueError(
+            f"{engine} solves the uniform aggregate; model weights q must be equal"
+        )
+    return matrix, ground_truth.w_o
+
+
+def _engine_context(engine: str, model: CostModel, matrix: CombinationMatrix,
+                   steps) -> _EngineContext:
+    """What the engine's step reads, with steps as in _EngineContext."""
+    ctx = _EngineContext(model=model, a=matrix.a, abar=matrix.abar, steps=steps)
+    if ENGINE_SPECS[engine].needs_v:
+        ctx.v = matrix.vmat.v
+        ctx.pinv_v = ctx.v / matrix.perron.p[:, np.newaxis]
+    return ctx
+
+
 def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         max_iters: int = 4000, stop: float = 1e-8, w0: np.ndarray = None,
         ground_truth: GroundTruth = None, keep_iterates: bool = False) -> RunResult:
@@ -284,30 +323,8 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         RunResult with one TraceRecord per iteration (row 0 is the seed)
         and status in {"converged", "exhausted", "diverged"}.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if not isinstance(matrix, CombinationMatrix):
-        matrix = matrix_from_array(np.asarray(matrix, dtype=float))
-    if matrix.n != model.n_agents:
-        raise ValueError("combination matrix size does not match the agent count")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-
+    matrix, target = _checked_setup(engine, model, matrix, (steps,), max_iters, ground_truth)
     spec = ENGINE_SPECS[engine]
-    _validate_combination(engine, matrix)
-    _validate_steps(engine, steps, model, matrix)
-
-    if ground_truth is None:
-        ground_truth = solve_centralized(model)
-    if spec.weighted:
-        target = ground_truth.w_star
-    else:
-        if np.ptp(model.q) > 1e-12 * model.q.max():
-            raise ValueError(
-                f"{engine} solves the uniform aggregate; model weights q must be equal"
-            )
-        target = ground_truth.w_o
-
     if w0 is None:
         w0 = np.zeros((model.n_agents, model.dim))
     else:
@@ -315,11 +332,7 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         if w0.shape != (model.n_agents, model.dim):
             raise ValueError(f"w0 shape {w0.shape} does not match {(model.n_agents, model.dim)}")
 
-    ctx = _EngineContext(model=model, a=matrix.a, abar=matrix.abar, steps=steps)
-    if spec.needs_v:
-        ctx.v = matrix.vmat.v
-        ctx.pinv_v = ctx.v / matrix.perron.p[:, np.newaxis]
-
+    ctx = _engine_context(engine, model, matrix, steps)
     state = init_state(engine, model, matrix, steps, w0)
     target_stack = np.broadcast_to(target, w0.shape)
     denom = float(np.sum((w0 - target_stack) ** 2))

@@ -287,8 +287,7 @@ def _cmd_scan(cfg: dict, outdir: Path, seed, jobs) -> int:
     model = _build_model(cfg, matrix.n, seed)
     grid = (np.geomspace if log_spacing else np.linspace)(mu_min, mu_max, points)
     with _failures_at("scan"):
-        result = stability_scan(engine, model, matrix, grid, max_iters=max_iters,
-                                stop=stop, jobs=max(1, jobs))
+        result = stability_scan(engine, model, matrix, grid, max_iters=max_iters, stop=stop)
     with open(outdir / "scan.csv", "w") as fh:
         fh.write("mu,algorithm,status\n")
         for mu, cls in zip(result.mus, result.classifications):
@@ -401,7 +400,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's top-level seed")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for grid scans")
+                       help="accepted for compatibility; outputs do not depend on it")
     args = parser.parse_args(argv)
     try:
         cfg = _load_json(args.config)

@@ -85,7 +85,7 @@ class QuadraticModel(CostModel):
         self.const = np.zeros(n) if const is None else np.asarray(const, dtype=float)
 
     def grad(self, w):
-        return (self.h @ w[:, :, np.newaxis])[:, :, 0] - self.b
+        return (self.h @ w[..., np.newaxis])[..., 0] - self.b
 
     def grad_at(self, x):
         return self.h @ x - self.b
@@ -180,9 +180,9 @@ class LogisticModel(CostModel):
         return self.labels * (self.features @ x)
 
     def grad(self, w):
-        z = self.labels * np.einsum("klm,km->kl", self.features, w)
+        z = self.labels * np.einsum("klm,...km->...kl", self.features, w)
         s = expit(-z)  # sigmoid(-gamma h^T w)
-        data = -np.einsum("klm,kl->km", self.features, self.labels * s) / self.n_samples
+        data = -np.einsum("klm,...kl->...km", self.features, self.labels * s) / self.n_samples
         return data + self.ridge * w
 
     def grad_at(self, x):

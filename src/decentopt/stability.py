@@ -16,29 +16,41 @@ bounds.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 
-from .algorithms import ENGINE_SPECS, StepSizes, _EngineContext, init_state, run
+from .algorithms import (
+    DIVERGENCE_CAP,
+    ENGINE_SPECS,
+    StepSizes,
+    _checked_setup,
+    _engine_context,
+    _EngineContext,
+    init_state,
+)
 from .costs import CostModel, QuadraticModel, solve_centralized
 from .graphs import CombinationMatrix, PerronData, SpectralError, matrix_from_array
 from .spectral import VMatrix
 
 UNIT_EIG_TOL = 1e-8
 EIGENPAIR_TOL = 1e-8
+# bisection levels a scan resolves per stacked run: its 2**3 - 1 members
+# are every midpoint the next three bisection steps can visit
+SPECULATION_DEPTH = 3
 
 
 @dataclass(frozen=True)
 class _Blocks:
     """Read-only B, T_d, T_e for one matrix, Perron vector p and V, plus
-    the unscaled closed-form decomposition of B (`_closed_form_pair`),
-    computed on first use.  It keeps the arrays A and V it needs for that,
-    but no reference to the matrix that caches it, so it makes no
-    reference cycle and is freed with the matrix."""
+    the unscaled closed-form decomposition of B (`_closed_form_pair`) and
+    the spectral norms of T_d and T_e, computed on first use.  It keeps
+    the arrays A and V it needs for that, but no reference to the matrix
+    that caches it, so it makes no reference cycle and is freed with the
+    matrix."""
 
     b: np.ndarray
     t_d: np.ndarray
@@ -50,6 +62,14 @@ class _Blocks:
     @cached_property
     def pair(self) -> SpectralPair:
         return _closed_form_pair(self.b, self.a, self.p, self.v)
+
+    @cached_property
+    def t_d_norm(self) -> float:
+        return float(np.linalg.norm(self.t_d, 2))
+
+    @cached_property
+    def t_e_norm(self) -> float:
+        return float(np.linalg.norm(self.t_e, 2))
 
 
 def _network_blocks(matrix: CombinationMatrix, perron: PerronData, vmat: VMatrix) -> _Blocks:
@@ -321,15 +341,18 @@ def b_spectrum_residual(dyn: ErrorDynamics) -> float:
     enough: repeated eigenvalues (for example Abar spectra like
     {1, 1/2, 1/2}) interleave their conjugate pairs differently once
     float fuzz enters the real parts."""
-    actual = list(np.linalg.eigvals(dyn.b))
+    actual = np.linalg.eigvals(dyn.b)
     predicted = predicted_b_spectrum(dyn.matrix)
     worst = 0.0
     for value in predicted:
-        gaps = [abs(value - other) for other in actual]
+        diff = actual - value
+        # hypot rounds as abs(complex) does; np.abs of complex values can
+        # differ from both in the last bit
+        gaps = np.hypot(diff.real, diff.imag)
         k = int(np.argmin(gaps))
-        worst = max(worst, gaps[k])
-        actual.pop(k)
-    return float(worst)
+        worst = max(worst, float(gaps[k]))
+        actual[k] = np.inf  # matched
+    return worst
 
 
 @dataclass(frozen=True)
@@ -369,7 +392,7 @@ def _assemble_bound(engine: str, matrix: CombinationMatrix, perron: PerronData,
     dec = decompose_b(dyn, perron)
     lam = float(np.sqrt((1.0 + perron.lambda2) / 2.0))
     p_max = float(perron.p.max())
-    t_norm = float(np.linalg.norm(getattr(dyn, ENGINE_SPECS[engine].error_map), 2))
+    t_norm = getattr(dyn._blocks, ENGINE_SPECS[engine].error_map + "_norm")
     norm_r, norm_l = dec.norm_r, dec.norm_l
     alpha = norm_l * t_norm * norm_r
     # at the optimal c the two cross couplings coincide:
@@ -454,10 +477,8 @@ def norm_comparison(matrix) -> tuple:
         return (1.0, 1.0, 1.0)
     if not matrix.is_symmetric_doubly_stochastic:
         raise ValueError("norm comparison needs a symmetric doubly stochastic matrix")
-    dyn = build_error_dynamics(matrix)
-    t_d = float(np.linalg.norm(dyn.t_d, 2))
-    t_e = float(np.linalg.norm(dyn.t_e, 2))
-    return (t_d, t_e, t_d / t_e)
+    blocks = build_error_dynamics(matrix)._blocks
+    return (blocks.t_d_norm, blocks.t_e_norm, blocks.t_d_norm / blocks.t_e_norm)
 
 
 @dataclass(frozen=True)
@@ -620,7 +641,10 @@ def classify_run(result, max_iters: int) -> str:
         return "unstable"
     if result.status == "converged":
         return "stable"
-    rels = [r.rel_error for r in result.records]
+    return _exhausted_verdict([r.rel_error for r in result.records], max_iters)
+
+
+def _exhausted_verdict(rels, max_iters: int) -> str:
     k = max(1, max_iters // 10)
     return "stable" if rels[-1] <= rels[max(0, len(rels) - 1 - k)] else "unstable"
 
@@ -651,6 +675,65 @@ def _steps_for(engine: str, model: CostModel, matrix: CombinationMatrix,
     return StepSizes.uniform(mu, model.n_agents)
 
 
+def _classify_stack(engine: str, model: CostModel, matrix: CombinationMatrix, mus: list,
+                    max_iters: int, stop: float, ground_truth) -> list:
+    """classify_run(run(...)) for every step size in mus, from one run of
+    the stacked iterates (len(mus), N, M) from zero.
+
+    The stack makes the same checks, floating-point operations and
+    verdicts as the separate runs.  It records only the squared relative
+    error; a member that diverges or converges leaves the stack.
+    """
+    steps = [_steps_for(engine, model, matrix, mu) for mu in mus]
+    matrix, target = _checked_setup(engine, model, matrix, steps, max_iters, ground_truth)
+    spec = ENGINE_SPECS[engine]
+    w0 = np.zeros((model.n_agents, model.dim))
+    target_stack = np.broadcast_to(target, w0.shape)
+    denom = float(np.sum((w0 - target_stack) ** 2))
+    members = SimpleNamespace(mu=np.stack([s.mu for s in steps]),
+                              mu_o=np.array([[s.mu_o] for s in steps]))
+    ctx = _engine_context(engine, model, matrix, members)
+    state = init_state(engine, model, matrix, members, np.zeros((len(mus),) + w0.shape))
+    verdicts = ["stable"] * len(mus)  # converged members keep theirs
+    if denom == 0.0:
+        return verdicts
+
+    rels = np.empty((max_iters + 1, len(mus)))
+    rels[0] = 1.0
+    alive = np.arange(len(mus))
+    for i in range(1, max_iters + 1):
+        spec.step(state, ctx)
+        rel = np.sum(((state.w - target_stack) ** 2).reshape(alive.size, -1), axis=1) / denom
+        rels[i, alive] = rel
+        diverged = ~np.isfinite(rel) | (rel > DIVERGENCE_CAP)
+        done = diverged | (rel <= stop)
+        if done.any():
+            for k in alive[diverged]:
+                verdicts[k] = "unstable"
+            keep = ~done
+            alive = alive[keep]
+            if alive.size == 0:
+                return verdicts
+            for name in ("w", "psi_prev", "y", "g_prev"):
+                block = getattr(state, name)
+                if block is not None:
+                    setattr(state, name, block[keep])
+            members.mu, members.mu_o = members.mu[keep], members.mu_o[keep]
+    for k in alive:
+        verdicts[k] = _exhausted_verdict(rels[:, k], max_iters)
+    return verdicts
+
+
+def _midpoints(lo: float, hi: float, rel_tol: float, depth: int) -> list:
+    """Every midpoint that `depth` steps of bisection from [lo, hi] can
+    visit, skipping brackets already narrower than rel_tol."""
+    if depth == 0 or not hi - lo > rel_tol * hi:
+        return []
+    mid = 0.5 * (lo + hi)
+    return ([mid] + _midpoints(lo, mid, rel_tol, depth - 1)
+            + _midpoints(mid, hi, rel_tol, depth - 1))
+
+
 def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
                    max_iters: int = 4000, stop: float = 1e-8,
                    ground_truth=None, jobs: int = 1, refine: bool = True,
@@ -659,9 +742,14 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     stable-to-unstable transition down to a relative width of rel_tol.
 
     Each grid value is the largest per-agent step size (see _steps_for),
-    so measured ranges are comparable across engines. Grid points run
-    with a shared precomputed ground truth; with jobs > 1 they are
-    classified in parallel threads.
+    so measured ranges are comparable across engines.  Every point is
+    classified as `classify_run` classifies a `run` from zero with a
+    shared precomputed ground truth, but the whole grid advances as one
+    stacked run.  Bisection is speculative: one stacked run classifies
+    every midpoint of the next SPECULATION_DEPTH levels, and the bracket
+    then follows the verdicts, so it visits the same midpoints and ends
+    at the same bracket as one-at-a-time bisection.  jobs is accepted
+    for compatibility and changes nothing.
     """
     if not isinstance(matrix, CombinationMatrix):
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
@@ -675,17 +763,10 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     if mus[0] <= 0 or not all(np.isfinite(mu) for mu in mus):
         raise ValueError("mu_grid entries must be positive and finite")
 
-    def classify(mu: float) -> str:
-        res = run(engine, model, matrix, _steps_for(engine, model, matrix, mu),
-                  max_iters=max_iters, stop=stop, ground_truth=ground_truth)
-        return classify_run(res, max_iters)
+    def classify(points: list) -> list:
+        return _classify_stack(engine, model, matrix, points, max_iters, stop, ground_truth)
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            classifications = list(pool.map(classify, mus))
-    else:
-        classifications = [classify(mu) for mu in mus]
-
+    classifications = classify(mus)
     result = ScanResult(engine=engine, mus=mus, classifications=classifications)
     transition = next(
         (i for i in range(len(mus) - 1)
@@ -702,11 +783,16 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     lo, hi = mus[transition], mus[transition + 1]
     if refine:
         while hi - lo > rel_tol * hi:
-            mid = 0.5 * (lo + hi)
-            if classify(mid) == "stable":
-                lo = mid
-            else:
-                hi = mid
+            mids = _midpoints(lo, hi, rel_tol, SPECULATION_DEPTH)
+            verdicts = dict(zip(mids, classify(mids)))
+            for _ in range(SPECULATION_DEPTH):
+                if not hi - lo > rel_tol * hi:
+                    break
+                mid = 0.5 * (lo + hi)
+                if verdicts[mid] == "stable":
+                    lo = mid
+                else:
+                    hi = mid
         result.refined = True
     result.mu_stable = lo
     result.mu_unstable = hi

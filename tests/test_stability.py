@@ -36,7 +36,7 @@ from decentopt import (
     two_agent_onset,
 )
 from decentopt import graphs, stability
-from decentopt.algorithms import run
+from decentopt.algorithms import ENGINES, run
 from decentopt.stability import classify_run
 
 from conftest import random_averaging, random_metropolis, random_quadratic
@@ -495,17 +495,111 @@ def test_stability_scan_rejects_bad_grid():
         stability_scan("exact_diffusion", model, matrix, [0.5, -0.2])
 
 
+# ------------------------------------------------- stacked classification
+
+
+def _verdicts_one_by_one(engine, model, matrix, mus, max_iters, stop, gt):
+    """(status, classify_run verdict) of a separate `run` per step size."""
+    out = []
+    for mu in mus:
+        res = run(engine, model, matrix, stability._steps_for(engine, model, matrix, mu),
+                  max_iters=max_iters, stop=stop, ground_truth=gt)
+        out.append((res.status, classify_run(res, max_iters)))
+    return out
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_stacked_verdicts_match_separate_runs(engine):
+    matrix = random_metropolis(5, seed=7)
+    model = random_quadratic(5, 2, seed=7)
+    gt = solve_centralized(model)
+    onset = stability_scan(engine, model, matrix, np.geomspace(1e-3, 3.0, 12), max_iters=300,
+                           stop=1e-10, ground_truth=gt).mu_stable
+    mus = [onset * f for f in (1e-3, 0.3, 0.5, 0.999, 1.003, 1.02, 3.0)]
+    expected = _verdicts_one_by_one(engine, model, matrix, mus, 300, 1e-10, gt)
+    stacked = stability._classify_stack(engine, model, matrix, mus, 300, 1e-10, gt)
+    assert stacked == [verdict for _, verdict in expected]
+    assert {("converged", "stable"), ("diverged", "unstable"), ("exhausted", "stable"),
+            ("exhausted", "unstable")} <= set(expected)
+
+
+def test_stacked_verdicts_match_separate_runs_logistic():
+    matrix = random_metropolis(5, seed=8)
+    model = logistic_model(8, 5, 2, 10, ridge=0.5)
+    gt = solve_centralized(model)
+    mus = list(np.geomspace(0.05, 8.0, 9))
+    for engine in ("exact_diffusion", "extra"):
+        expected = _verdicts_one_by_one(engine, model, matrix, mus, 400, 1e-10, gt)
+        stacked = stability._classify_stack(engine, model, matrix, mus, 400, 1e-10, gt)
+        assert stacked == [verdict for _, verdict in expected]
+        assert {"stable", "unstable"} <= set(stacked)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-2])
+@pytest.mark.parametrize("engine", ["exact_diffusion", "diging"])
+def test_speculative_bisection_matches_sequential_bisection(engine, rel_tol):
+    matrix = random_metropolis(5, seed=9)
+    model = random_quadratic(5, 2, seed=9)
+    gt = solve_centralized(model)
+    grid = np.geomspace(0.01, 2.0, 6)
+
+    def stable(mu):
+        return _verdicts_one_by_one(engine, model, matrix, [mu], 300, 1e-10, gt)[0][1] == "stable"
+
+    mus = sorted(grid)
+    i = next(i for i in range(len(mus) - 1) if stable(mus[i]) and not stable(mus[i + 1]))
+    lo, hi = mus[i], mus[i + 1]
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    scan = stability_scan(engine, model, matrix, grid, max_iters=300, stop=1e-10,
+                          ground_truth=gt, rel_tol=rel_tol)
+    assert scan.refined
+    assert (scan.mu_stable, scan.mu_unstable) == (lo, hi)
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+@pytest.mark.parametrize("engine", ["exact_diffusion", "extra"])
+def test_scan_bracket_straddles_the_spectral_onset(engine, seed):
+    """The empirical bracket agrees with the exact oracle: the one-step
+    map's spectral radius (which keeps its unit dual-consensus
+    eigenvalues) is at most 1 at mu_stable and above 1 at mu_unstable."""
+    n = 4 + seed % 3
+    matrix = build_metropolis(graphs.random_connected_graph(n, 0.5, seed))
+    model = least_squares_model(seed, n, 3, 8)
+    scan = stability_scan(engine, model, matrix, np.geomspace(0.01, 1.0, 8),
+                          max_iters=1000, stop=1e-10)
+    assert scan.refined
+    dyn = build_error_dynamics(matrix, model=model)
+
+    def radius(mu):
+        return float(np.abs(np.linalg.eigvals(one_step_matrix(dyn, engine, mu=mu))).max())
+
+    assert radius(scan.mu_stable) <= 1.0 + 1e-9
+    assert radius(scan.mu_unstable) > 1.0 + 1e-9
+
+
 # ------------------------------------------------------ shared spectral setup
 
 
 def test_one_spectral_setup_per_matrix(monkeypatch):
     """Every consumer of one matrix shares a single Perron power iteration,
     one symmetric eigendecomposition each for V and for P^-1/2 A P^1/2,
-    and a single decomposition of B."""
+    a single decomposition of B and one 2-norm of each T block."""
     matrix = random_metropolis(6, seed=3)
     model = random_quadratic(6, 2, seed=3)
     calls = {"power": 0, "eigh": 0, "decompose": 0}
+    two_normed = []
     power, eigh, closed_form = graphs._power_iteration, np.linalg.eigh, stability._closed_form_pair
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            two_normed.append(x)
+        return norm(x, ord, *args, **kwargs)
 
     def counted_power(a):
         calls["power"] += 1
@@ -522,6 +616,7 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     monkeypatch.setattr(graphs, "_power_iteration", counted_power)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(stability, "_closed_form_pair", counted_closed_form)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
     perron = perron_vector(matrix)
     run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, perron.p, 0.01),
         max_iters=20)
@@ -534,6 +629,9 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     decompose_b(build_error_dynamics(matrix), c=2.0)
     assert calls == {"power": 1, "eigh": 2, "decompose": 1}
     assert perron_vector(matrix) is perron_vector(matrix)
+    blocks = matrix._error_blocks
+    assert sum(x is blocks.t_d for x in two_normed) == 1
+    assert sum(x is blocks.t_e for x in two_normed) == 1
 
 
 # ------------------------------------------- closed-form decomposition of B
