@@ -4,7 +4,8 @@ All iterate blocks are row-stacked: W has shape (N, M) with row k holding
 agent k's current estimate.  A combine step with the left-stochastic
 matrix A is therefore W <- A.T @ W.  The step functions also advance
 a stack of independent runs, shape (B, N, M), with step sizes of shape
-(B, N); the stability scans use that to classify many step sizes at once.
+(B, N).  One loop drives them: `run` is a one-member stack, and the
+stability scans classify many step sizes at once in one stack.
 
 Engines
 -------
@@ -30,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -72,7 +74,8 @@ class StepSizes:
 
 @dataclass
 class AlgorithmState:
-    """Mutable per-run state; unused blocks stay None."""
+    """Mutable state of one run, or of a stack of runs with blocks of shape
+    (B, N, M) and a shared z; unused blocks stay None."""
 
     w: np.ndarray
     psi_prev: np.ndarray | None = None
@@ -80,7 +83,6 @@ class AlgorithmState:
     g_prev: np.ndarray | None = None
     z: np.ndarray | None = None
     z_diag_history: list = field(default_factory=list)
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -265,10 +267,45 @@ def init_state(engine: str, model: CostModel, matrix: CombinationMatrix,
     return state
 
 
-def _checked_setup(engine: str, model: CostModel, matrix, steps_list, max_iters: int,
-                   ground_truth: GroundTruth | None):
-    """`run`'s input checks for one matrix and every StepSizes in
-    steps_list; returns the validated matrix and the engine's target."""
+def _engine_context(engine: str, model: CostModel, matrix: CombinationMatrix,
+                   steps) -> _EngineContext:
+    """What the engine's step reads, with steps as in _EngineContext."""
+    ctx = _EngineContext(model=model, a=matrix.a, abar=matrix.abar, steps=steps)
+    if ENGINE_SPECS[engine].needs_v:
+        ctx.v = matrix.vmat.v
+        ctx.pinv_v = ctx.v / matrix.perron.p[:, np.newaxis]
+    return ctx
+
+
+def _lookback(max_iters: int) -> int:
+    """An exhausted run is stable when its error did not grow over this
+    many final iterations: a tenth of the budget, at least one."""
+    return max(1, max_iters // 10)
+
+
+def _exhausted_verdict(final: float, earlier: float) -> str:
+    return "stable" if final <= earlier else "unstable"
+
+
+def _take(state: AlgorithmState, index) -> None:
+    """Keep the members `index` selects in every stacked block."""
+    for name in ("w", "psi_prev", "y", "g_prev"):
+        if getattr(state, name) is not None:
+            setattr(state, name, getattr(state, name)[index])
+
+
+def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, stop: float,
+             ground_truth: GroundTruth | None, w0: np.ndarray = None, record=None):
+    """The one iteration loop of `run` and the stability scans: checks the
+    inputs as `run` documents, then advances one member per StepSizes in
+    steps_list, all seeded at w0, as a stack of shape (B, N, M) (the
+    adaptive engine's z is shared).  Diverged and converged members leave
+    the stack.  Memory is O(B) for any budget: an exhausted member keeps
+    only its error at iteration max_iters - _lookback(max_iters).
+    record(state, rel), if given, sees iteration 0 and every step.
+
+    Returns (state as the last members left it, target, statuses, verdicts).
+    """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if not isinstance(matrix, CombinationMatrix):
@@ -280,26 +317,52 @@ def _checked_setup(engine: str, model: CostModel, matrix, steps_list, max_iters:
     _validate_combination(engine, matrix)
     for steps in steps_list:
         _validate_steps(engine, steps, model, matrix)
-
     if ground_truth is None:
         ground_truth = solve_centralized(model)
-    if ENGINE_SPECS[engine].weighted:
-        return matrix, ground_truth.w_star
-    if np.ptp(model.q) > 1e-12 * model.q.max():
-        raise ValueError(
-            f"{engine} solves the uniform aggregate; model weights q must be equal"
-        )
-    return matrix, ground_truth.w_o
+    weighted = ENGINE_SPECS[engine].weighted
+    if not weighted and np.ptp(model.q) > 1e-12 * model.q.max():
+        raise ValueError(f"{engine} solves the uniform aggregate; model weights q must be equal")
+    target = ground_truth.w_star if weighted else ground_truth.w_o
+    shape = (model.n_agents, model.dim)
+    w0 = np.zeros(shape) if w0 is None else np.asarray(w0, dtype=float)
+    if w0.shape != shape:
+        raise ValueError(f"w0 shape {w0.shape} does not match {shape}")
+    size = len(steps_list)
+    members = SimpleNamespace(mu=np.stack([s.mu for s in steps_list]),
+                              mu_o=np.array([[s.mu_o] for s in steps_list]))
+    ctx = _engine_context(engine, model, matrix, members)
+    state = init_state(engine, model, matrix, members, np.broadcast_to(w0, (size,) + w0.shape))
+    target_stack = np.broadcast_to(target, w0.shape)
+    denom = float(np.sum((w0 - target_stack) ** 2))
+    statuses, verdicts = ["converged"] * size, ["stable"] * size
+    if record is not None:
+        record(state, np.full(size, 1.0 if denom > 0.0 else 0.0))
+    if denom == 0.0:
+        return state, target, statuses, verdicts
 
-
-def _engine_context(engine: str, model: CostModel, matrix: CombinationMatrix,
-                   steps) -> _EngineContext:
-    """What the engine's step reads, with steps as in _EngineContext."""
-    ctx = _EngineContext(model=model, a=matrix.a, abar=matrix.abar, steps=steps)
-    if ENGINE_SPECS[engine].needs_v:
-        ctx.v = matrix.vmat.v
-        ctx.pinv_v = ctx.v / matrix.perron.p[:, np.newaxis]
-    return ctx
+    step, snapshot_at = ENGINE_SPECS[engine].step, max_iters - _lookback(max_iters)
+    earlier, alive = np.ones(size), np.arange(size)
+    for i in range(1, max_iters + 1):
+        step(state, ctx)
+        rel = ((state.w - target_stack) ** 2).reshape(alive.size, -1).sum(axis=1) / denom
+        if record is not None:
+            record(state, rel)
+        if i == snapshot_at:
+            earlier[alive] = rel
+        diverged = ~(rel <= DIVERGENCE_CAP)  # also NaN and inf
+        done = diverged | (rel <= stop)
+        if done.any():
+            for k in alive[diverged]:
+                statuses[k], verdicts[k] = "diverged", "unstable"
+            keep = ~done
+            alive, rel = alive[keep], rel[keep]
+            if alive.size == 0:
+                return state, target, statuses, verdicts
+            _take(state, keep)
+            members.mu, members.mu_o = members.mu[keep], members.mu_o[keep]
+    for k, final in zip(alive, rel):
+        statuses[k], verdicts[k] = "exhausted", _exhausted_verdict(final, earlier[k])
+    return state, target, statuses, verdicts
 
 
 def run(engine: str, model: CostModel, matrix, steps: StepSizes,
@@ -307,12 +370,16 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         ground_truth: GroundTruth = None, keep_iterates: bool = False) -> RunResult:
     """Run an engine until the squared relative error crosses `stop`.
 
+    `run` is a one-member stack of the loop the stability scans use, so
+    both share one divergence cap, one stop rule and one exhausted rule.
+
     Args:
         engine: one of ENGINES.
         model: cost model supplying gradients and aggregate weights q.
         matrix: CombinationMatrix (or raw array, validated on the way in).
         steps: StepSizes; must match the engine's conventions.
-        max_iters: iteration budget.
+        max_iters: iteration budget; the trace grows only with the
+            iterations actually run.
         stop: threshold on ||W_i - W*||_F^2 / ||W_0 - W*||_F^2.
         w0: seed iterate (N, M); zeros when omitted.
         ground_truth: precomputed solutions; solved centrally when omitted.
@@ -323,55 +390,26 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         RunResult with one TraceRecord per iteration (row 0 is the seed)
         and status in {"converged", "exhausted", "diverged"}.
     """
-    matrix, target = _checked_setup(engine, model, matrix, (steps,), max_iters, ground_truth)
-    spec = ENGINE_SPECS[engine]
-    if w0 is None:
-        w0 = np.zeros((model.n_agents, model.dim))
-    else:
-        w0 = np.asarray(w0, dtype=float)
-        if w0.shape != (model.n_agents, model.dim):
-            raise ValueError(f"w0 shape {w0.shape} does not match {(model.n_agents, model.dim)}")
+    rels, grad_norms, iterates, duals = [], [], [], []
 
-    ctx = _engine_context(engine, model, matrix, steps)
-    state = init_state(engine, model, matrix, steps, w0)
-    target_stack = np.broadcast_to(target, w0.shape)
-    denom = float(np.sum((w0 - target_stack) ** 2))
-
-    def rel_error_of(w):
-        if denom == 0.0:
-            return 0.0
-        return float(np.sum((w - target_stack) ** 2)) / denom
-
-    def grad_norm_of(w):
-        w_bar = w.mean(axis=0)
-        return float(np.linalg.norm(model.weighted_grad(w_bar)))
-
-    records = [TraceRecord(0, 0, 1.0 if denom > 0.0 else 0.0, grad_norm_of(state.w))]
-    iterates = [state.w.copy()] if keep_iterates else None
-    duals = [state.y.copy()] if keep_iterates and state.y is not None else None
-    status = "exhausted"
-    if denom == 0.0:
-        return RunResult(records=records, status="converged", state=state,
-                         target=target, iterates=iterates, dual_iterates=duals)
-
-    for i in range(1, max_iters + 1):
-        spec.step(state, ctx)
-        state.iteration = i
-        rel = rel_error_of(state.w)
-        records.append(TraceRecord(i, i * spec.comm_units, rel, grad_norm_of(state.w)))
+    def record(state, rel):
+        w = state.w[0]
+        rels.append(float(rel[0]))
+        grad_norms.append(float(np.linalg.norm(model.weighted_grad(w.mean(axis=0)))))
         if keep_iterates:
-            iterates.append(state.w.copy())
-            if duals is not None:
-                duals.append(state.y.copy())
-        if not np.isfinite(rel) or rel > DIVERGENCE_CAP:
-            status = "diverged"
-            break
-        if rel <= stop:
-            status = "converged"
-            break
+            iterates.append(w.copy())
+            if state.y is not None:
+                duals.append(state.y[0].copy())
 
-    return RunResult(records=records, status=status, state=state,
-                     target=target, iterates=iterates, dual_iterates=duals)
+    state, target, (status,), _ = _iterate(engine, model, matrix, (steps,), max_iters, stop,
+                                           ground_truth, w0, record)
+    _take(state, 0)
+    comm_units = ENGINE_SPECS[engine].comm_units
+    records = [TraceRecord(i, i * comm_units, rel, g)
+               for i, (rel, g) in enumerate(zip(rels, grad_norms))]
+    return RunResult(records=records, status=status, state=state, target=target,
+                     iterates=iterates if keep_iterates else None,
+                     dual_iterates=duals or None)
 
 
 def write_trace_csv(path, records) -> None:

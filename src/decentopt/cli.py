@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -94,29 +95,51 @@ _KIND_CHECKS = {
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "bool": lambda v: isinstance(v, bool),
-    "list": lambda v: isinstance(v, list),
-    "dict": lambda v: isinstance(v, dict),
 }
 
 _MISSING = object()
 
 
 def _field(section: dict, path: str, key: str, kind: str, default=_MISSING):
+    where = f"{path}.{key}".lstrip(".")
     if key not in section:
         if default is _MISSING:
-            raise ConfigError(f"{path}.{key}", "required field is missing")
+            raise ConfigError(where, "required field is missing")
         return default
     value = section[key]
     if not _KIND_CHECKS[kind](value):
-        raise ConfigError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
+        raise ConfigError(where, f"expected {kind}, got {type(value).__name__}")
+    if kind == "number" and isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(where, "must be finite")
     return value
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
+def _seed_field(section: dict, path: str, key: str, default=_MISSING):
+    """A seed: a non-negative int, as numpy's generators take."""
+    seed = _field(section, path, key, "int", default)
+    if seed is not None and seed < 0:
+        raise ConfigError(f"{path}.{key}".lstrip("."), "must be non-negative")
+    return seed
+
+
+def _positive(section: dict, path: str, key: str, default=_MISSING) -> float:
+    value = _field(section, path, key, "number", default)
+    if value <= 0:
+        raise ConfigError(f"{path}.{key}", "must be positive")
+    return value
+
+
+def _budget(section: dict, path: str) -> tuple:
+    """(max_iters, stop) of a run or scan section."""
+    max_iters = _field(section, path, "max_iters", "int", default=4000)
+    if max_iters < 1:
+        raise ConfigError(f"{path}.max_iters", "must be at least 1")
+    return max_iters, _positive(section, path, "stop", default=1e-8)
+
+
+def _section(cfg: dict, name: str) -> dict:
     if name not in cfg:
-        if required:
-            raise ConfigError(name, "required section is missing")
-        return {}
+        raise ConfigError(name, "required section is missing")
     if not isinstance(cfg[name], dict):
         raise ConfigError(name, "must be a JSON object")
     return cfg[name]
@@ -140,7 +163,7 @@ def _build_graph(cfg: dict, default_seed) -> Graph:
     try:
         if kind == "random":
             prob = _field(section, "graph", "edge_probability", "number")
-            seed = _field(section, "graph", "seed", "int", default=default_seed)
+            seed = _seed_field(section, "graph", "seed", default=default_seed)
             if seed is None:
                 raise ConfigError("graph.seed", "required (no top-level seed to fall back on)")
             return random_connected_graph(n, prob, seed)
@@ -190,7 +213,9 @@ def _build_model(cfg: dict, n_agents: int, default_seed) -> CostModel:
     kind = _field(section, "model", "kind", "str")
     spec = dict(section)
     spec.setdefault("n_agents", n_agents)
-    if kind in ("least_squares", "logistic") and spec.get("seed") is None:
+    if spec.get("seed") is not None:
+        _seed_field(section, "model", "seed")
+    elif kind in ("least_squares", "logistic"):
         if default_seed is None:
             raise ConfigError("model.seed", "required (no top-level seed to fall back on)")
         spec["seed"] = default_seed
@@ -205,13 +230,6 @@ def _build_model(cfg: dict, n_agents: int, default_seed) -> CostModel:
     return model
 
 
-def _positive(run_cfg: dict, key: str) -> float:
-    value = _field(run_cfg, "run", key, "number")
-    if value <= 0:
-        raise ConfigError(f"run.{key}", "must be positive")
-    return value
-
-
 def _build_steps(run_cfg: dict, engine: str, model: CostModel,
                  matrix: CombinationMatrix) -> StepSizes:
     rule = ENGINE_SPECS[engine].step_rule
@@ -222,11 +240,11 @@ def _build_steps(run_cfg: dict, engine: str, model: CostModel,
     if rule == "perron" and has_mu and has_mu_o:
         raise ConfigError("run.mu", "give either mu or mu_o, not both")
     if rule in ("base", "perron") and has_mu_o:
-        return StepSizes.from_weights(model.q, matrix.perron.p, _positive(run_cfg, "mu_o"))
+        return StepSizes.from_weights(model.q, matrix.perron.p, _positive(run_cfg, "run", "mu_o"))
     if rule == "perron":
         if not has_mu:
             raise ConfigError("run.mu_o", "required field is missing")
-        mu = _positive(run_cfg, "mu")
+        mu = _positive(run_cfg, "run", "mu")
         ratio = model.q / matrix.perron.p
         if np.ptp(ratio) > 1e-9 * ratio.max():
             raise ConfigError(
@@ -238,10 +256,10 @@ def _build_steps(run_cfg: dict, engine: str, model: CostModel,
                          mu_o=float(mu / ratio[0]))
     if has_mu_o:
         raise ConfigError("run.mu_o", f"{engine} takes a plain uniform mu")
-    return StepSizes.uniform(_positive(run_cfg, "mu"), model.n_agents)
+    return StepSizes.uniform(_positive(run_cfg, "run", "mu"), model.n_agents)
 
 
-def _cmd_run(cfg: dict, outdir: Path, seed, jobs) -> int:
+def _cmd_run(cfg: dict, outdir: Path, seed) -> int:
     run_cfg = _section(cfg, "run")
     engine = _field(run_cfg, "run", "engine", "str")
     if engine not in ENGINES:
@@ -250,15 +268,10 @@ def _cmd_run(cfg: dict, outdir: Path, seed, jobs) -> int:
     model = _build_model(cfg, matrix.n, seed)
     with _failures_at("run"):
         steps = _build_steps(run_cfg, engine, model, matrix)
-    max_iters = _field(run_cfg, "run", "max_iters", "int", default=4000)
-    stop = _field(run_cfg, "run", "stop", "number", default=1e-8)
-    if max_iters < 1:
-        raise ConfigError("run.max_iters", "must be at least 1")
-    if stop <= 0:
-        raise ConfigError("run.stop", "must be positive")
+    max_iters, stop = _budget(run_cfg, "run")
     w0 = None
     if "w0_seed" in run_cfg:
-        w0_seed = _field(run_cfg, "run", "w0_seed", "int")
+        w0_seed = _seed_field(run_cfg, "run", "w0_seed")
         w0 = np.random.default_rng(w0_seed).standard_normal((model.n_agents, model.dim))
     with _failures_at("run"):
         result = run(engine, model, matrix, steps, max_iters=max_iters,
@@ -268,7 +281,7 @@ def _cmd_run(cfg: dict, outdir: Path, seed, jobs) -> int:
     return 0
 
 
-def _cmd_scan(cfg: dict, outdir: Path, seed, jobs) -> int:
+def _cmd_scan(cfg: dict, outdir: Path, seed) -> int:
     scan_cfg = _section(cfg, "scan")
     engine = _field(scan_cfg, "scan", "engine", "str")
     if engine not in ENGINES:
@@ -277,8 +290,7 @@ def _cmd_scan(cfg: dict, outdir: Path, seed, jobs) -> int:
     mu_max = _field(scan_cfg, "scan", "mu_max", "number")
     points = _field(scan_cfg, "scan", "points", "int", default=20)
     log_spacing = _field(scan_cfg, "scan", "log_spacing", "bool", default=False)
-    max_iters = _field(scan_cfg, "scan", "max_iters", "int", default=4000)
-    stop = _field(scan_cfg, "scan", "stop", "number", default=1e-8)
+    max_iters, stop = _budget(scan_cfg, "scan")
     if not 0 < mu_min < mu_max:
         raise ConfigError("scan.mu_min", "need 0 < mu_min < mu_max")
     if points < 2:
@@ -315,7 +327,7 @@ def _curvature(cfg: dict, matrix: CombinationMatrix, seed):
     return nu, delta, k_o, ratio / ratio.max()
 
 
-def _cmd_analyze(cfg: dict, outdir: Path, seed, jobs) -> int:
+def _cmd_analyze(cfg: dict, outdir: Path, seed) -> int:
     matrix = _build_matrix(cfg, seed)
     n = matrix.n
     with _failures_at("matrix"):
@@ -349,7 +361,7 @@ def _cmd_analyze(cfg: dict, outdir: Path, seed, jobs) -> int:
     return 0
 
 
-def _cmd_two_agent(cfg: dict, outdir: Path, seed, jobs) -> int:
+def _cmd_two_agent(cfg: dict, outdir: Path, seed) -> int:
     section = _section(cfg, "two_agent")
     a = _field(section, "two_agent", "a", "number")
     sigma2 = _field(section, "two_agent", "sigma2", "number")
@@ -404,12 +416,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_json(args.config)
-        seed = args.seed if args.seed is not None else cfg.get("seed")
-        if seed is not None and not _KIND_CHECKS["int"](seed):
-            raise ConfigError("seed", "must be an integer")
+        where, seed = ("--seed", args.seed) if args.seed is not None else ("seed", cfg.get("seed"))
+        seed = _seed_field({} if seed is None else {where: seed}, "", where, default=None)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, outdir, seed, args.jobs)
+        return _COMMANDS[args.command](cfg, outdir, seed)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2

@@ -18,18 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 
 from .algorithms import (
-    DIVERGENCE_CAP,
     ENGINE_SPECS,
     StepSizes,
-    _checked_setup,
     _engine_context,
-    _EngineContext,
+    _exhausted_verdict,
+    _iterate,
+    _lookback,
     init_state,
 )
 from .costs import CostModel, QuadraticModel, solve_centralized
@@ -178,6 +177,8 @@ def simulate_error_recursion(dyn: ErrorDynamics, model: QuadraticModel,
                              engine: str = "exact_diffusion_pd") -> np.ndarray:
     """Run the actual engine and return its stacked errors
     [W_i - W*; Y_i - Y*], shape (iters + 1, 2N, M) with row 0 the seed.
+    The engine reads the matrix's own Perron vector and V, as `run` does,
+    so dyn should carry them too (build_error_dynamics' defaults).
 
     Cross-check target: errors[i] must equal the one-step matrix applied
     i times to errors[0] when the costs are quadratic.
@@ -195,8 +196,7 @@ def simulate_error_recursion(dyn: ErrorDynamics, model: QuadraticModel,
         w_ref = gt.w_o
         y_ref = -(steps.mu[0] / n) * (pinv_v @ g)
 
-    ctx = _EngineContext(model=model, a=dyn.a, abar=dyn.abar, steps=steps, v=dyn.v,
-                         pinv_v=dyn.v / dyn.p[:, np.newaxis])
+    ctx = _engine_context(engine, model, dyn.matrix, steps)
     state = init_state(engine, model, dyn.matrix, steps, np.asarray(w0, dtype=float))
     step = ENGINE_SPECS[engine].step
     errors = np.empty((iters + 1, 2 * n, m))
@@ -641,12 +641,8 @@ def classify_run(result, max_iters: int) -> str:
         return "unstable"
     if result.status == "converged":
         return "stable"
-    return _exhausted_verdict([r.rel_error for r in result.records], max_iters)
-
-
-def _exhausted_verdict(rels, max_iters: int) -> str:
-    k = max(1, max_iters // 10)
-    return "stable" if rels[-1] <= rels[max(0, len(rels) - 1 - k)] else "unstable"
+    rels = [r.rel_error for r in result.records]
+    return _exhausted_verdict(rels[-1], rels[max(0, len(rels) - 1 - _lookback(max_iters))])
 
 
 @dataclass
@@ -675,55 +671,6 @@ def _steps_for(engine: str, model: CostModel, matrix: CombinationMatrix,
     return StepSizes.uniform(mu, model.n_agents)
 
 
-def _classify_stack(engine: str, model: CostModel, matrix: CombinationMatrix, mus: list,
-                    max_iters: int, stop: float, ground_truth) -> list:
-    """classify_run(run(...)) for every step size in mus, from one run of
-    the stacked iterates (len(mus), N, M) from zero.
-
-    The stack makes the same checks, floating-point operations and
-    verdicts as the separate runs.  It records only the squared relative
-    error; a member that diverges or converges leaves the stack.
-    """
-    steps = [_steps_for(engine, model, matrix, mu) for mu in mus]
-    matrix, target = _checked_setup(engine, model, matrix, steps, max_iters, ground_truth)
-    spec = ENGINE_SPECS[engine]
-    w0 = np.zeros((model.n_agents, model.dim))
-    target_stack = np.broadcast_to(target, w0.shape)
-    denom = float(np.sum((w0 - target_stack) ** 2))
-    members = SimpleNamespace(mu=np.stack([s.mu for s in steps]),
-                              mu_o=np.array([[s.mu_o] for s in steps]))
-    ctx = _engine_context(engine, model, matrix, members)
-    state = init_state(engine, model, matrix, members, np.zeros((len(mus),) + w0.shape))
-    verdicts = ["stable"] * len(mus)  # converged members keep theirs
-    if denom == 0.0:
-        return verdicts
-
-    rels = np.empty((max_iters + 1, len(mus)))
-    rels[0] = 1.0
-    alive = np.arange(len(mus))
-    for i in range(1, max_iters + 1):
-        spec.step(state, ctx)
-        rel = np.sum(((state.w - target_stack) ** 2).reshape(alive.size, -1), axis=1) / denom
-        rels[i, alive] = rel
-        diverged = ~np.isfinite(rel) | (rel > DIVERGENCE_CAP)
-        done = diverged | (rel <= stop)
-        if done.any():
-            for k in alive[diverged]:
-                verdicts[k] = "unstable"
-            keep = ~done
-            alive = alive[keep]
-            if alive.size == 0:
-                return verdicts
-            for name in ("w", "psi_prev", "y", "g_prev"):
-                block = getattr(state, name)
-                if block is not None:
-                    setattr(state, name, block[keep])
-            members.mu, members.mu_o = members.mu[keep], members.mu_o[keep]
-    for k in alive:
-        verdicts[k] = _exhausted_verdict(rels[:, k], max_iters)
-    return verdicts
-
-
 def _midpoints(lo: float, hi: float, rel_tol: float, depth: int) -> list:
     """Every midpoint that `depth` steps of bisection from [lo, hi] can
     visit, skipping brackets already narrower than rel_tol."""
@@ -745,11 +692,13 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     so measured ranges are comparable across engines.  Every point is
     classified as `classify_run` classifies a `run` from zero with a
     shared precomputed ground truth, but the whole grid advances as one
-    stacked run.  Bisection is speculative: one stacked run classifies
-    every midpoint of the next SPECULATION_DEPTH levels, and the bracket
-    then follows the verdicts, so it visits the same midpoints and ends
-    at the same bracket as one-at-a-time bisection.  jobs is accepted
-    for compatibility and changes nothing.
+    stacked run.  `run` and the scan share one iteration loop, with one
+    divergence cap, stop rule and exhausted rule; a scan's memory is
+    O(members) for any max_iters.  Bisection is speculative: one stacked
+    run classifies every midpoint of the next SPECULATION_DEPTH levels,
+    and the bracket then follows the verdicts, so it visits the same
+    midpoints and ends at the same bracket as one-at-a-time bisection.
+    jobs is accepted for compatibility and changes nothing.
     """
     if not isinstance(matrix, CombinationMatrix):
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
@@ -764,7 +713,8 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
         raise ValueError("mu_grid entries must be positive and finite")
 
     def classify(points: list) -> list:
-        return _classify_stack(engine, model, matrix, points, max_iters, stop, ground_truth)
+        steps = [_steps_for(engine, model, matrix, mu) for mu in points]
+        return _iterate(engine, model, matrix, steps, max_iters, stop, ground_truth)[3]
 
     classifications = classify(mus)
     result = ScanResult(engine=engine, mus=mus, classifications=classifications)

@@ -20,7 +20,15 @@ from decentopt import (
     write_status_json,
     write_trace_csv,
 )
-from decentopt.algorithms import ENGINE_SPECS, AlgorithmState, _EngineContext, init_state
+from decentopt.algorithms import (
+    DIVERGENCE_CAP,
+    ENGINE_SPECS,
+    AlgorithmState,
+    RunResult,
+    _engine_context,
+    _EngineContext,
+    init_state,
+)
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 
@@ -46,6 +54,103 @@ def test_step_sizes_construction():
     u = StepSizes.uniform(0.2, 3)
     assert u.is_uniform and np.all(u.mu == 0.2)
     assert not s.is_uniform or np.ptp(s.mu) == 0
+
+
+def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=None,
+                  ground_truth=None, keep_iterates=False):
+    """`run` as one unstacked loop with its own telemetry, as it was before
+    `run` became a one-member stack of the loop the scans share: an
+    independent oracle for that loop.  It trusts its inputs, which must
+    pass `run`'s checks."""
+    spec = ENGINE_SPECS[engine]
+    gt = solve_centralized(model) if ground_truth is None else ground_truth
+    target = gt.w_star if spec.weighted else gt.w_o
+    if w0 is None:
+        w0 = np.zeros((model.n_agents, model.dim))
+    ctx = _engine_context(engine, model, matrix, steps)
+    state = init_state(engine, model, matrix, steps, w0)
+    target_stack = np.broadcast_to(target, w0.shape)
+    denom = float(np.sum((w0 - target_stack) ** 2))
+
+    def rel_error_of(w):
+        if denom == 0.0:
+            return 0.0
+        return float(np.sum((w - target_stack) ** 2)) / denom
+
+    def grad_norm_of(w):
+        w_bar = w.mean(axis=0)
+        return float(np.linalg.norm(model.weighted_grad(w_bar)))
+
+    records = [TraceRecord(0, 0, 1.0 if denom > 0.0 else 0.0, grad_norm_of(state.w))]
+    iterates = [state.w.copy()] if keep_iterates else None
+    duals = [state.y.copy()] if keep_iterates and state.y is not None else None
+    status = "exhausted"
+    if denom == 0.0:
+        return RunResult(records=records, status="converged", state=state,
+                         target=target, iterates=iterates, dual_iterates=duals)
+
+    for i in range(1, max_iters + 1):
+        spec.step(state, ctx)
+        rel = rel_error_of(state.w)
+        records.append(TraceRecord(i, i * spec.comm_units, rel, grad_norm_of(state.w)))
+        if keep_iterates:
+            iterates.append(state.w.copy())
+            if duals is not None:
+                duals.append(state.y.copy())
+        if not np.isfinite(rel) or rel > DIVERGENCE_CAP:
+            status = "diverged"
+            break
+        if rel <= stop:
+            status = "converged"
+            break
+
+    return RunResult(records=records, status=status, state=state,
+                     target=target, iterates=iterates, dual_iterates=duals)
+
+
+def _same_arrays(xs, ys):
+    if xs is None or ys is None:
+        return xs is None and ys is None
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_run_matches_the_reference_loop(engine):
+    """run's one-member stack reproduces the unstacked loop bit for bit:
+    records, status, iterates, duals and final state, from a random w0,
+    for a converging, an exhausted and a diverging step size."""
+    matrix = random_averaging(6, seed=17)
+    model = random_quadratic(6, 3, seed=17)
+    if engine not in WEIGHTED:
+        matrix = random_metropolis(6, seed=17)
+    perron = perron_vector(matrix)
+    w0 = np.random.default_rng(17).standard_normal((6, 3))
+    gt = solve_centralized(model)
+    statuses = set()
+    for mu_max, max_iters in ((0.02, 20_000), (0.02, 40), (5.0, 3000)):
+        steps = steps_for(engine, model, perron, mu_max)
+        args = (engine, model, matrix, steps)
+        kwargs = dict(max_iters=max_iters, stop=1e-12, w0=w0, ground_truth=gt,
+                      keep_iterates=True)
+        got, want = run(*args, **kwargs), reference_run(*args, **kwargs)
+        assert got.status == want.status
+        assert got.records == want.records
+        assert _same_arrays(got.iterates, want.iterates)
+        assert _same_arrays(got.dual_iterates, want.dual_iterates)
+        for name in ("w", "psi_prev", "y", "g_prev", "z"):
+            assert _same_arrays([getattr(got.state, name)], [getattr(want.state, name)]), name
+        statuses.add(got.status)
+    assert statuses == {"converged", "exhausted", "diverged"}
+
+
+def test_run_with_a_huge_budget_stops_early():
+    matrix = random_metropolis(4, seed=18)
+    model = least_squares_model(21, 4, 2, 8)
+    steps = StepSizes.uniform(0.01, 4)
+    res = run("diging", model, matrix, steps, max_iters=2_000_000_000, stop=1e-10)
+    assert res.status == "converged"
+    assert res.records == run("diging", model, matrix, steps, max_iters=20_000,
+                              stop=1e-10).records
 
 
 # ---------------------------------------------------------- trace semantics

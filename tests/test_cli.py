@@ -399,6 +399,64 @@ def test_field_paths_in_errors(tmp_path, capsys):
         assert needle in err, (needle, err)
 
 
+def run_and_scan_config():
+    payload = base_run_config()
+    payload["scan"] = {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.1}
+    return payload
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("run", "run", "stop", float("nan")),
+    ("stability-scan", "scan", "mu_max", float("inf")),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, section, key, value):
+    payload = run_and_scan_config()
+    payload[section][key] = value
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"config error at {section}.{key}: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section", [("run", "run"), ("stability-scan", "scan")])
+@pytest.mark.parametrize("key, value", [("stop", -1), ("stop", 0), ("max_iters", 0)])
+def test_budget_is_checked_at_its_field(tmp_path, capsys, command, section, key, value):
+    payload = run_and_scan_config()
+    payload[section][key] = value
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"config error at {section}.{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["seed", "--seed", "graph.seed", "run.w0_seed", "model.seed"])
+def test_negative_seeds_are_config_errors(tmp_path, capsys, where):
+    payload = base_run_config()
+    args = []
+    if where == "--seed":
+        args = ["--seed", "-1"]
+    elif "." in where:
+        section, key = where.split(".")
+        payload[section][key] = -1
+    else:
+        payload["seed"] = -1
+    cfg = write_config(tmp_path, payload)
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "x", *args]) == 2
+    assert f"config error at {where}: must be non-negative" in capsys.readouterr().err
+
+
+def test_scan_with_a_huge_budget_matches_a_small_one(tmp_path):
+    # every grid point settles long before 3000 iterations, and no grid
+    # point is left for bisection, so the budget changes nothing
+    outs = []
+    for max_iters in (3000, 2_000_000_000):
+        payload = scan_config()
+        payload["scan"].update(mu_max=1.0, max_iters=max_iters)
+        cfg = write_config(tmp_path, payload, name=f"{max_iters}.json")
+        outs.append(tmp_path / str(max_iters))
+        assert run_cli(["stability-scan", "--config", cfg, "--out", outs[-1]]) == 0
+    for name in ("scan.csv", "scan.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_graph_seed_required_without_top_level_seed(tmp_path, capsys):
     payload = base_run_config()
     del payload["seed"]

@@ -1,6 +1,8 @@
 """Error dynamics, eigenstructure, step-size bounds, two-agent closed
 forms, adaptive mismatch decay, and grid scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,6 +42,7 @@ from decentopt.algorithms import ENGINES, run
 from decentopt.stability import classify_run
 
 from conftest import random_averaging, random_metropolis, random_quadratic
+from test_algorithms import reference_run
 
 
 def two_agent_matrix(a):
@@ -499,11 +502,14 @@ def test_stability_scan_rejects_bad_grid():
 
 
 def _verdicts_one_by_one(engine, model, matrix, mus, max_iters, stop, gt):
-    """(status, classify_run verdict) of a separate `run` per step size."""
+    """(status, classify_run verdict) of a separate unstacked reference run
+    per step size: an oracle independent of the loop `run` and the scans
+    share."""
     out = []
     for mu in mus:
-        res = run(engine, model, matrix, stability._steps_for(engine, model, matrix, mu),
-                  max_iters=max_iters, stop=stop, ground_truth=gt)
+        res = reference_run(engine, model, matrix,
+                            stability._steps_for(engine, model, matrix, mu),
+                            max_iters=max_iters, stop=stop, ground_truth=gt)
         out.append((res.status, classify_run(res, max_iters)))
     return out
 
@@ -517,7 +523,8 @@ def test_stacked_verdicts_match_separate_runs(engine):
                            stop=1e-10, ground_truth=gt).mu_stable
     mus = [onset * f for f in (1e-3, 0.3, 0.5, 0.999, 1.003, 1.02, 3.0)]
     expected = _verdicts_one_by_one(engine, model, matrix, mus, 300, 1e-10, gt)
-    stacked = stability._classify_stack(engine, model, matrix, mus, 300, 1e-10, gt)
+    stacked = stability_scan(engine, model, matrix, mus, max_iters=300, stop=1e-10,
+                             ground_truth=gt, refine=False).classifications
     assert stacked == [verdict for _, verdict in expected]
     assert {("converged", "stable"), ("diverged", "unstable"), ("exhausted", "stable"),
             ("exhausted", "unstable")} <= set(expected)
@@ -530,9 +537,51 @@ def test_stacked_verdicts_match_separate_runs_logistic():
     mus = list(np.geomspace(0.05, 8.0, 9))
     for engine in ("exact_diffusion", "extra"):
         expected = _verdicts_one_by_one(engine, model, matrix, mus, 400, 1e-10, gt)
-        stacked = stability._classify_stack(engine, model, matrix, mus, 400, 1e-10, gt)
+        stacked = stability_scan(engine, model, matrix, mus, max_iters=400, stop=1e-10,
+                                 ground_truth=gt, refine=False).classifications
         assert stacked == [verdict for _, verdict in expected]
         assert {"stable", "unstable"} <= set(stacked)
+
+
+@pytest.mark.parametrize("engine", ["exact_diffusion", "extra", "diging"])
+def test_exhausted_verdicts_match_separate_runs_at_every_small_budget(engine):
+    """With stop=0 no member converges, so every member that does not
+    diverge exhausts its budget, and its verdict rests on the error saved
+    one tenth of the budget before the end (iteration 0 for a budget of
+    1).  Small budgets put that iteration everywhere."""
+    matrix = random_metropolis(5, seed=10)
+    model = random_quadratic(5, 2, seed=10)
+    gt = solve_centralized(model)
+    mus = list(np.geomspace(0.01, 2.0, 9))
+    seen = set()
+    for max_iters in range(1, 41):
+        expected = _verdicts_one_by_one(engine, model, matrix, mus, max_iters, 0.0, gt)
+        stacked = stability_scan(engine, model, matrix, mus, max_iters=max_iters, stop=0.0,
+                                 ground_truth=gt, refine=False).classifications
+        assert stacked == [verdict for _, verdict in expected], max_iters
+        seen.update(expected)
+    assert {("exhausted", "stable"), ("exhausted", "unstable")} <= seen
+
+
+def test_scan_with_a_huge_budget_keeps_memory_bounded():
+    """Every member settles early, so a budget of 2e9 iterations gives the
+    verdicts of a 3000-iteration budget, in memory that does not grow
+    with the budget."""
+    matrix = two_agent_matrix(0.5)
+    model = mse_quadratic_model(2, 1, [[[1.0]], [[1.0]]], [[0.7], [-0.3]])
+    grid = [0.1, 0.5, 1.0, 1.5, 3.0, 5.0]
+    tracemalloc.start()
+    try:
+        huge = stability_scan("exact_diffusion", model, matrix, grid,
+                              max_iters=2_000_000_000, stop=1e-10, refine=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    small = stability_scan("exact_diffusion", model, matrix, grid, max_iters=3000,
+                           stop=1e-10, refine=False)
+    assert huge.classifications == small.classifications
+    assert set(huge.classifications) == {"stable", "unstable"}
 
 
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-2])
