@@ -82,7 +82,7 @@ class AlgorithmState:
     y: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     z: np.ndarray | None = None
-    z_diag_history: list = field(default_factory=list)
+    z_diag_history: list = field(default_factory=list)  # diag(z) after each step of `run`
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,8 @@ def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
 
 def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
     state.z = ctx.a.T @ state.z
-    z_diag = np.diag(state.z).copy()
-    state.z_diag_history.append(z_diag)
-    _step_exact_diffusion(state, ctx, (ctx.model.q * ctx.steps.mu_o / z_diag)[..., np.newaxis])
+    _step_exact_diffusion(state, ctx,
+                          (ctx.model.q * ctx.steps.mu_o / np.diag(state.z))[..., np.newaxis])
 
 
 def _seed_correction(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
@@ -394,6 +393,8 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
 
     def record(state, rel):
         w = state.w[0]
+        if rels and state.z is not None:  # one diagonal per step, none for the seed
+            state.z_diag_history.append(np.diag(state.z).copy())
         rels.append(float(rel[0]))
         grad_norms.append(float(np.linalg.norm(model.weighted_grad(w.mean(axis=0)))))
         if keep_iterates:

@@ -129,12 +129,17 @@ def _positive(section: dict, path: str, key: str, default=_MISSING) -> float:
     return value
 
 
+def _count(section: dict, path: str, key: str, default=_MISSING) -> int:
+    value = _field(section, path, key, "int", default)
+    if value < 1:
+        raise ConfigError(f"{path}.{key}", "must be at least 1")
+    return value
+
+
 def _budget(section: dict, path: str) -> tuple:
     """(max_iters, stop) of a run or scan section."""
-    max_iters = _field(section, path, "max_iters", "int", default=4000)
-    if max_iters < 1:
-        raise ConfigError(f"{path}.max_iters", "must be at least 1")
-    return max_iters, _positive(section, path, "stop", default=1e-8)
+    return (_count(section, path, "max_iters", default=4000),
+            _positive(section, path, "stop", default=1e-8))
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -157,9 +162,7 @@ def _build_graph(cfg: dict, default_seed) -> Graph:
             raise ConfigError("graph.path", f"file not found: {path}")
         except (json.JSONDecodeError, KeyError, TypeError, GraphError) as exc:
             raise ConfigError("graph.path", f"bad graph file: {exc}")
-    n = _field(section, "graph", "n", "int")
-    if n < 1:
-        raise ConfigError("graph.n", "must be a positive integer")
+    n = _count(section, "graph", "n")
     try:
         if kind == "random":
             prob = _field(section, "graph", "edge_probability", "number")
@@ -167,13 +170,9 @@ def _build_graph(cfg: dict, default_seed) -> Graph:
             if seed is None:
                 raise ConfigError("graph.seed", "required (no top-level seed to fall back on)")
             return random_connected_graph(n, prob, seed)
-        if kind == "path":
-            return Graph(n, frozenset((k, k + 1) for k in range(n - 1)))
-        if kind == "ring":
-            edges = {(k, k + 1) for k in range(n - 1)}
-            if n > 2:
-                edges.add((0, n - 1))
-            return Graph(n, frozenset(edges))
+        if kind in ("path", "ring"):
+            path = [(k, k + 1) for k in range(n - 1)]
+            return Graph(n, path + [(0, n - 1)] if kind == "ring" and n > 2 else path)
         if kind == "star":
             return Graph(n, frozenset((0, k) for k in range(1, n)))
         if kind == "complete":
@@ -212,7 +211,16 @@ def _build_model(cfg: dict, n_agents: int, default_seed) -> CostModel:
     section = _section(cfg, "model")
     kind = _field(section, "model", "kind", "str")
     spec = dict(section)
-    spec.setdefault("n_agents", n_agents)
+    spec["n_agents"] = _count(section, "model", "n_agents", default=n_agents)
+    _count(section, "model", "dim")
+    if kind in ("least_squares", "logistic"):
+        _count(section, "model", "samples_per_agent")
+    if kind == "logistic":
+        _positive(section, "model", "ridge")
+    q = section.get("q")
+    if q is not None and not (isinstance(q, list) and all(
+            _KIND_CHECKS["number"](v) and math.isfinite(v) and v > 0 for v in q)):
+        raise ConfigError("model.q", "must be a list of finite positive numbers")
     if spec.get("seed") is not None:
         _seed_field(section, "model", "seed")
     elif kind in ("least_squares", "logistic"):

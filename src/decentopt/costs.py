@@ -167,7 +167,7 @@ class LogisticModel(CostModel):
         n, n_samples, m = features.shape
         if labels.shape != (n, n_samples):
             raise ValueError("labels shape does not match features")
-        if ridge <= 0:
+        if not ridge > 0:
             raise ValueError("ridge must be positive")
         super().__init__(n, m, q=q)
         self.features = features
@@ -264,7 +264,8 @@ def _solve_logistic(model: LogisticModel, weights: np.ndarray,
     """Damped Newton on sum_k w_k J_k from x = 0 with the analytic Hessian
     sum_k w_k [(1/L) sum_l s(1-s) h h^T + rho I], s = expit(-margin).  The
     Armijo backtracking on f has a slack of 1e-15 |f|, so full steps pass
-    once f cannot resolve the decrease.  Returns (x, gradient norm)."""
+    once f cannot resolve the decrease; it gives up after 100 halvings
+    (a NaN objective, say).  Returns (x, gradient norm)."""
 
     def f(x):
         return float(weights @ model.value_at(x))
@@ -282,12 +283,14 @@ def _solve_logistic(model: LogisticModel, weights: np.ndarray,
         step = np.linalg.solve(feats.T @ (curv[:, np.newaxis] * feats) + ridge_hess, g)
         decrease = float(g @ step)
         t = 1.0
-        while True:
+        for _ in range(100):
             x_new = x - t * step
             fx_new = f(x_new)
             if fx_new <= fx - 1e-4 * t * decrease + 1e-15 * abs(fx):
                 break
             t *= 0.5
+        else:
+            raise ConvergenceError(f"logistic line search found no decrease at f = {fx:.3e}")
         x, fx = x_new, fx_new
     residual = float(np.linalg.norm(weights @ model.grad_at(x)))
     if residual > 1e-8:

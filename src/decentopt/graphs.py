@@ -40,60 +40,59 @@ class Graph:
 
     Edges are canonical (i, j) pairs with i < j; self-loops are not part
     of the edge set (self-weights live on the matrix diagonal instead).
+    The constructor takes any iterable of pairs and also keeps the edges
+    as a read-only (E, 2) array in lexicographic order.
     """
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
+    _ij: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise GraphError(f"agent count must be positive, got {self.n}")
-        canon = set()
-        for e in self.edges:
-            i, j = int(e[0]), int(e[1])
-            if i == j:
-                raise GraphError(f"self-loop ({i}, {j}) not allowed in edge set")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise GraphError(f"edge ({i}, {j}) out of range for n={self.n}")
-            canon.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(canon))
-        if not self._connected():
+        edges = list(self.edges)
+        try:
+            ij = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        except (TypeError, ValueError):
+            raise GraphError("edges must be (i, j) pairs of agent indices") from None
+        ij = np.sort(ij, axis=1)
+        bad = (ij[:, 0] == ij[:, 1]) | (ij[:, 0] < 0) | (ij[:, 1] >= self.n)
+        if bad.any():
+            raise GraphError(f"edge {tuple(ij[bad.argmax()].tolist())} is a self-loop "
+                             f"or out of range for n={self.n}")
+        ij = np.stack(np.divmod(np.unique(ij[:, 0] * self.n + ij[:, 1]), self.n), axis=1)
+        ij.flags.writeable = False
+        object.__setattr__(self, "edges", frozenset(zip(*ij.T.tolist())))
+        object.__setattr__(self, "_ij", ij)
+        if not _connected(self.n, ij):
             raise GraphError("graph is not connected")
-
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency()
-        ncomp, _ = scipy.sparse.csgraph.connected_components(
-            scipy.sparse.csr_matrix(adj), directed=False
-        )
-        return ncomp == 1
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix (no self-loops)."""
+        i, j = self._ij.T
         adj = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            adj[i, j] = adj[j, i] = 1.0
+        adj[i, j] = adj[j, i] = 1.0
         return adj
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def neighbors(self, k: int) -> list:
-        out = [j if i == k else i for (i, j) in self.edges if k in (i, j)]
-        return sorted(out)
+        return np.bincount(self._ij.ravel(), minlength=self.n)
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": sorted(map(list, self.edges))})
+        return json.dumps({"n": self.n, "edges": self._ij.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         doc = json.loads(text)
-        return cls(int(doc["n"]), frozenset(tuple(e) for e in doc["edges"]))
+        return cls(int(doc["n"]), doc["edges"])
+
+
+def _connected(n: int, ij: np.ndarray) -> bool:
+    """Whether the graph on n agents with edge rows (i, j), ascending in i, is connected."""
+    indptr = np.searchsorted(ij[:, 0], np.arange(n + 1))
+    adj = scipy.sparse.csr_matrix((np.ones(len(ij)), ij[:, 1], indptr), shape=(n, n))
+    ncomp, _ = scipy.sparse.csgraph.connected_components(adj, directed=False)
+    return ncomp == 1
 
 
 @dataclass(frozen=True)
@@ -130,18 +129,17 @@ class CombinationMatrix:
             raise ValueError("positive weight on a non-edge pair")
         if not np.any(np.diag(a) > 0):
             raise SpectralError("no agent has a positive self-weight")
-        if n > 1:
-            # directed support must be strongly connected, otherwise the
-            # Perron vector degenerates (zero entries) even when the
-            # eigenvalue tests below look fine
-            support = scipy.sparse.csr_matrix((a > 0).astype(int))
-            n_comp, _ = scipy.sparse.csgraph.connected_components(
-                support, directed=True, connection="strong")
-            if n_comp != 1:
-                raise SpectralError(
-                    "matrix support is not strongly connected; "
-                    "matrix is not primitive"
-                )
+        # directed support must be strongly connected, otherwise the
+        # Perron vector degenerates (zero entries) even when the
+        # eigenvalue tests below look fine
+        support = scipy.sparse.csr_matrix((a > 0).astype(int))
+        n_comp, _ = scipy.sparse.csgraph.connected_components(
+            support, directed=True, connection="strong")
+        if n_comp != 1:
+            raise SpectralError(
+                "matrix support is not strongly connected; "
+                "matrix is not primitive"
+            )
         vals = np.linalg.eigvals(a)
         near_one = np.abs(vals - 1.0) <= 1e-8
         if near_one.sum() != 1:
@@ -240,11 +238,10 @@ def build_metropolis(graph: Graph) -> CombinationMatrix:
     diagonal absorbing the remainder of each column.
     """
     n = graph.n
+    i, j = graph._ij.T
     deg = graph.degrees()
     a = np.zeros((n, n))
-    for i, j in graph.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        a[i, j] = a[j, i] = w
+    a[i, j] = a[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     a[np.diag_indices(n)] = 1.0 - a.sum(axis=0)
     return CombinationMatrix(a, graph)
 
@@ -253,12 +250,11 @@ def build_averaging(graph: Graph) -> CombinationMatrix:
     """Averaging rule: column k holds 1/|N_k| on the closed neighborhood
     of agent k.  Left-stochastic and balanced, with Perron entries
     proportional to the closed-neighborhood sizes."""
-    n = graph.n
-    a = np.zeros((n, n))
-    for k in range(n):
-        nbhd = graph.neighbors(k) + [k]
-        for l in nbhd:
-            a[l, k] = 1.0 / len(nbhd)
+    i, j = graph._ij.T
+    w = 1.0 / (1.0 + graph.degrees())
+    a = np.diag(w)
+    a[i, j] = w[j]
+    a[j, i] = w[i]
     return CombinationMatrix(a, graph)
 
 
@@ -317,8 +313,7 @@ def check_balanced(a: CombinationMatrix, p: PerronData):
     into the reported violation).
     """
     pv = np.asarray(p.p, dtype=float)
-    P = np.diag(pv)
-    residual = np.abs(P @ a.a.T - a.a @ P).max()
+    residual = np.abs(pv[:, np.newaxis] * a.a.T - a.a * pv).max()
     deficit = max(0.0, -float(pv.min()))
     balanced = bool(residual <= BALANCE_TOL and pv.min() > 0)
     return balanced, float(max(residual, deficit))
@@ -327,45 +322,37 @@ def check_balanced(a: CombinationMatrix, p: PerronData):
 def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
     """Erdos-Renyi draw conditioned on connectivity.
 
-    Rejection-samples up to a fixed budget, then falls back to the last
-    draw augmented with a random spanning chain.  Deterministic for a
-    fixed seed.
+    Rejection-samples up to a fixed budget, testing each draw's edge
+    array and building a Graph only for the one it returns; then falls
+    back to the last draw augmented with a random spanning chain.
+    Deterministic for a fixed seed.
     """
     if n < 1:
         raise GraphError("n must be positive")
     if not (0 < edge_probability <= 1):
         raise GraphError("edge_probability must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    if n == 1:
-        return Graph(1, frozenset())
-    iu = np.triu_indices(n, k=1)
-    edges = frozenset()
+    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
     for _ in range(200):
-        mask = rng.random(len(iu[0])) < edge_probability
-        edges = frozenset(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
-        try:
-            return Graph(n, edges)
-        except GraphError:
-            continue
+        # row indices select faster than a boolean mask over all n(n-1)/2 pairs
+        ij = pairs[np.flatnonzero(rng.random(len(pairs)) < edge_probability)]
+        if _connected(n, ij):
+            return Graph(n, ij)
     # connect the last draw with a random spanning chain
     perm = rng.permutation(n)
-    chain = {(min(perm[t - 1], perm[t]), max(perm[t - 1], perm[t])) for t in range(1, n)}
-    return Graph(n, edges | frozenset((int(i), int(j)) for i, j in chain))
+    chain = np.stack([perm[:-1], perm[1:]], axis=1)
+    return Graph(n, np.concatenate([ij, chain]))
 
 
 def matrix_from_array(a, graph: Graph | None = None) -> CombinationMatrix:
-    """Wrap a raw array as a CombinationMatrix, inferring the graph from
-    the off-diagonal sparsity pattern when none is given."""
+    """Wrap a raw square array as a CombinationMatrix, inferring the graph
+    from the off-diagonal sparsity pattern when none is given."""
     a = np.array(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"combination matrix must be square, got shape {a.shape}")
     if graph is None:
-        n = a.shape[0]
-        edges = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if a[i, j] > 0 or a[j, i] > 0
-        }
-        graph = Graph(n, frozenset(edges))
+        support = a > 0
+        graph = Graph(a.shape[0], np.argwhere(np.triu(support | support.T, k=1)))
     return CombinationMatrix(a, graph)
 
 

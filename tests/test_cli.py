@@ -417,6 +417,41 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, section
     assert f"config error at {section}.{key}: must be finite" in capsys.readouterr().err
 
 
+def logistic_run_config():
+    payload = base_run_config()
+    payload["model"] = {"kind": "logistic", "dim": 3, "samples_per_agent": 10, "ridge": 1.0}
+    return payload
+
+
+@pytest.mark.parametrize("key, value", [
+    ("q", [1.0, float("nan"), 1.0, 1.0, 1.0, 1.0]),
+    ("q", [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]),
+    ("q", "uniform"),
+    ("dim", 2.5),
+    ("dim", 0),
+    ("samples_per_agent", 0),
+    ("n_agents", True),
+    ("ridge", float("nan")),
+    ("ridge", 0.0),
+])
+def test_model_fields_are_checked_at_their_path(tmp_path, capsys, key, value):
+    payload = logistic_run_config()
+    payload["model"][key] = value
+    cfg = write_config(tmp_path, payload)
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"config error at model.{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["0.5,0.5\n0.5,0.5\n0,0\n", "0.5,0.5,0\n0.5,0.5,1\n"])
+def test_non_square_matrix_file_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    cfg = write_config(tmp_path, {"matrix": {"rule": "file", "path": str(path)}})
+    assert run_cli(["analyze", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "config error at matrix.path: bad combination matrix: combination matrix " \
+        "must be square" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, section", [("run", "run"), ("stability-scan", "scan")])
 @pytest.mark.parametrize("key, value", [("stop", -1), ("stop", 0), ("max_iters", 0)])
 def test_budget_is_checked_at_its_field(tmp_path, capsys, command, section, key, value):

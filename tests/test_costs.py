@@ -145,6 +145,16 @@ def test_logistic_weighted_solution_meets_tolerance():
     assert np.abs(gt.w_star - gt.w_o).max() > 1e-3  # w_o solved separately
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_logistic_solver_fails_on_a_nan_objective():
+    # the backtracking line search used to halve its step forever
+    model = logistic_model(3, 4, 2, 5, ridge=1.0)
+    features = model.features.copy()
+    features[1, 2, 0] = np.nan
+    with pytest.raises(ConvergenceError):
+        solve_centralized(LogisticModel(features, model.labels, 1.0))
+
+
 def test_logistic_hessian_bounds():
     model = logistic_model(4, 3, 4, 10, ridge=0.3)
     nu, delta, k_o = hessian_bounds(model)

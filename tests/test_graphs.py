@@ -1,7 +1,11 @@
 """Graphs, combination matrices, Perron data, and balance checks."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +28,77 @@ from decentopt import (
 from conftest import random_metropolis
 
 
+# ------------------------------------------------------------ references
+# The loop-based graph layer the array-backed one replaced, kept as the
+# oracle: the array code must return the same edges and the same bytes.
+
+
+def reference_connected(n, edges):
+    adj = np.zeros((n, n))
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1.0
+    ncomp, _ = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(adj), directed=False)
+    return ncomp == 1
+
+
+def reference_random_connected_graph(n, edge_probability, seed):
+    rng = np.random.default_rng(seed)
+    if n == 1:
+        return Graph(1, frozenset())
+    iu = np.triu_indices(n, k=1)
+    edges = frozenset()
+    for _ in range(200):
+        mask = rng.random(len(iu[0])) < edge_probability
+        edges = frozenset(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
+        if reference_connected(n, edges):
+            return Graph(n, edges)
+    perm = rng.permutation(n)
+    chain = {(min(perm[t - 1], perm[t]), max(perm[t - 1], perm[t])) for t in range(1, n)}
+    return Graph(n, edges | frozenset((int(i), int(j)) for i, j in chain))
+
+
+def reference_build_metropolis(graph):
+    n = graph.n
+    deg = np.zeros(n, dtype=int)
+    for i, j in graph.edges:
+        deg[i] += 1
+        deg[j] += 1
+    a = np.zeros((n, n))
+    for i, j in graph.edges:
+        w = 1.0 / (1.0 + max(deg[i], deg[j]))
+        a[i, j] = a[j, i] = w
+    a[np.diag_indices(n)] = 1.0 - a.sum(axis=0)
+    return a
+
+
+def reference_build_averaging(graph):
+    n = graph.n
+    nbhd = [[k] for k in range(n)]
+    for i, j in graph.edges:
+        nbhd[i].append(j)
+        nbhd[j].append(i)
+    a = np.zeros((n, n))
+    for k in range(n):
+        for l in nbhd[k]:
+            a[l, k] = 1.0 / len(nbhd[k])
+    return a
+
+
+def reference_matrix_from_array(a, graph=None):
+    a = np.array(a, dtype=float)
+    if graph is None:
+        n = a.shape[0]
+        edges = {
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if a[i, j] > 0 or a[j, i] > 0
+        }
+        graph = Graph(n, frozenset(edges))
+    return CombinationMatrix(a, graph)
+
+
 # ---------------------------------------------------------------- graphs
 
 
@@ -31,7 +106,6 @@ def test_graph_canonicalizes_edges():
     g = Graph(3, frozenset({(1, 0), (2, 1)}))
     assert sorted(g.edges) == [(0, 1), (1, 2)]
     assert list(g.degrees()) == [1, 2, 1]
-    assert g.neighbors(1) == [0, 2]
     adj = g.adjacency()
     assert adj[0, 1] == 1 and adj[1, 0] == 1 and adj[0, 2] == 0
 
@@ -72,6 +146,44 @@ def test_random_connected_graph_is_deterministic_and_connected():
     sparse = random_connected_graph(12, 0.01, seed=3)
     assert sparse.n == 12
     assert Graph(12, sparse.edges) == sparse  # construction re-validates connectivity
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 400])
+@pytest.mark.parametrize("prob", [0.006, 0.02, 0.5])
+def test_graph_layer_matches_the_loop_reference(n, prob):
+    for seed in (11, 12, 13):
+        g = random_connected_graph(n, prob, seed)
+        assert g.edges == reference_random_connected_graph(n, prob, seed).edges
+        assert g.to_json() == json.dumps({"n": n, "edges": sorted(map(list, g.edges))})
+        assert build_metropolis(g).a.tobytes() == reference_build_metropolis(g).tobytes()
+        averaging = build_averaging(g)
+        assert averaging.a.tobytes() == reference_build_averaging(g).tobytes()
+        inferred = matrix_from_array(averaging.a)
+        expect = reference_matrix_from_array(averaging.a)
+        assert inferred.graph.edges == expect.graph.edges == g.edges
+        assert inferred.a.tobytes() == expect.a.tobytes()
+
+
+@pytest.mark.parametrize("prob", [0.006, 0.02])
+def test_random_connected_graph_builds_one_graph(monkeypatch, prob):
+    calls = []
+    post_init = Graph.__post_init__
+
+    def counted(self):
+        calls.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    for seed in (11, 12, 13):
+        calls.clear()
+        random_connected_graph(400, prob, seed)
+        assert calls == [400]
+
+
+def test_malformed_edges_are_graph_errors():
+    for edges in ({(0, 1, 2)}, {("a", "b")}, {0, 1}):
+        with pytest.raises(GraphError):
+            Graph(3, frozenset(edges))
 
 
 # -------------------------------------------------- combination matrices
@@ -131,12 +243,21 @@ def test_matrix_primitivity_failures():
         matrix_from_array(np.array([[1.0, 0.5], [0.0, 0.5]]))
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4,), (2, 2, 2)])
+def test_matrix_from_array_rejects_non_square_arrays(shape):
+    with pytest.raises(ValueError, match="square"):
+        matrix_from_array(np.full(shape, 0.5))
+
+
 def test_matrix_from_array_infers_graph():
     a = np.array([[0.6, 0.2, 0.2], [0.2, 0.5, 0.3], [0.2, 0.3, 0.5]])
     m = matrix_from_array(a)
     assert sorted(m.graph.edges) == [(0, 1), (0, 2), (1, 2)]
     m2 = matrix_from_array(a, m.graph)
     assert np.array_equal(m2.a, a)
+    # each pair carries weight one way only; the graph still has the edge
+    cyclic = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    assert matrix_from_array(cyclic).graph == reference_matrix_from_array(cyclic).graph
 
 
 # ------------------------------------------------------------ perron data

@@ -584,6 +584,24 @@ def test_scan_with_a_huge_budget_keeps_memory_bounded():
     assert set(huge.classifications) == {"stable", "unstable"}
 
 
+def test_exhausted_adaptive_scan_keeps_memory_bounded():
+    """The adaptive engine's members keep no per-iteration history in a
+    scan: two members that use up a 20000-iteration budget stay under
+    1 MB."""
+    matrix = random_averaging(10, seed=4)
+    model = random_quadratic(10, 2, seed=4)
+    gt = solve_centralized(model)
+    tracemalloc.start()
+    try:
+        scan = stability_scan("adaptive_exact_diffusion", model, matrix, [1e-5, 2e-5],
+                              max_iters=20_000, stop=1e-10, ground_truth=gt, refine=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert scan.classifications == ["stable", "stable"]
+
+
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-2])
 @pytest.mark.parametrize("engine", ["exact_diffusion", "diging"])
 def test_speculative_bisection_matches_sequential_bisection(engine, rel_tol):
