@@ -95,6 +95,7 @@ _KIND_CHECKS = {
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "bool": lambda v: isinstance(v, bool),
+    "list": lambda v: isinstance(v, list),
 }
 
 _MISSING = object()
@@ -134,6 +135,17 @@ def _count(section: dict, path: str, key: str, default=_MISSING) -> int:
     if value < 1:
         raise ConfigError(f"{path}.{key}", "must be at least 1")
     return value
+
+
+def _number_array(section: dict, path: str, key: str) -> None:
+    """A required, regular nested list of finite numbers."""
+    value = _field(section, path, key, "list")
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ConfigError(f"{path}.{key}", "must be a regular array of finite numbers")
 
 
 def _budget(section: dict, path: str) -> tuple:
@@ -221,6 +233,9 @@ def _build_model(cfg: dict, n_agents: int, default_seed) -> CostModel:
     if q is not None and not (isinstance(q, list) and all(
             _KIND_CHECKS["number"](v) and math.isfinite(v) and v > 0 for v in q)):
         raise ConfigError("model.q", "must be a list of finite positive numbers")
+    if kind == "mse_quadratic":
+        _number_array(section, "model", "covariances")
+        _number_array(section, "model", "cross_vectors")
     if spec.get("seed") is not None:
         _seed_field(section, "model", "seed")
     elif kind in ("least_squares", "logistic"):

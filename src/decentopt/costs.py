@@ -251,7 +251,7 @@ def model_from_config(cfg: dict) -> CostModel:
 def _solve_quadratic(model: QuadraticModel, weights: np.ndarray) -> np.ndarray:
     h_sum = np.einsum("k,kij->ij", weights, model.h)
     eigs = np.linalg.eigvalsh(h_sum)
-    if eigs[0] <= PD_REL_TOL * abs(eigs[-1]):
+    if not eigs[0] > PD_REL_TOL * abs(eigs[-1]):  # NaN data fails too
         raise ConvergenceError(
             f"aggregate Hessian is not positive definite (smallest eigenvalue {eigs[0]:.3e}, "
             f"largest {eigs[-1]:.3e}), so the minimizer is not unique"
@@ -304,6 +304,8 @@ def solve_centralized(model: CostModel) -> GroundTruth:
     Quadratics are solved directly and must have a positive definite
     aggregate Hessian (smallest eigenvalue above 1e-10 times the largest);
     otherwise the minimizer is not unique and ConvergenceError is raised.
+    The direct solve must also leave a residual of at most 1e-10.  NaN
+    data fails one of these two checks, so it raises too.
     Logistic models run damped Newton from zero down to gradient norm
     1e-12, with a hard failure above 1e-8.
     """
@@ -315,7 +317,7 @@ def solve_centralized(model: CostModel) -> GroundTruth:
             float(np.linalg.norm(model.weighted_grad(w_star))),
             float(np.linalg.norm(ones @ model.grad_at(w_o))),
         )
-        if residual > 1e-10:
+        if not residual <= 1e-10:
             raise ConvergenceError(f"direct solve residual {residual:.3e}")
         return GroundTruth(w_star=w_star, w_o=w_o, solver_residual=residual)
     if isinstance(model, LogisticModel):

@@ -16,7 +16,7 @@ bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,29 +46,41 @@ SPECULATION_DEPTH = 3
 class _Blocks:
     """Read-only B, T_d, T_e for one matrix, Perron vector p and V, plus
     the unscaled closed-form decomposition of B (`_closed_form_pair`) and
-    the spectral norms of T_d and T_e, computed on first use.  It keeps
-    the arrays A and V it needs for that, but no reference to the matrix
-    that caches it, so it makes no reference cycle and is freed with the
-    matrix."""
+    the spectral norms of T_d and T_e, computed on first use from N x N
+    pieces only.  It keeps the arrays A and p and the `VMatrix` it needs
+    for that, but no reference to the matrix that caches it, so it makes
+    no reference cycle and is freed with the matrix."""
 
     b: np.ndarray
     t_d: np.ndarray
     t_e: np.ndarray
     a: np.ndarray
     p: np.ndarray
-    v: np.ndarray
+    vmat: VMatrix
 
     @cached_property
     def pair(self) -> SpectralPair:
-        return _closed_form_pair(self.b, self.a, self.p, self.v)
+        return _closed_form_pair(self.b, self.a, self.p, self.vmat.v)
 
     @cached_property
     def t_d_norm(self) -> float:
-        return float(np.linalg.norm(self.t_d, 2))
+        """||T_d|| = ||(I + V^2)^{1/2} Abar^T||: with V^2 = U diag(sigma) U^T
+        that is the largest singular value of Abar U diag(sqrt(1 + sigma))."""
+        abar = (np.eye(self.p.size) + self.a) / 2.0
+        return _two_norm(abar @ (self.vmat.u * np.sqrt(1.0 + self.vmat.sigma)))
 
     @cached_property
     def t_e_norm(self) -> float:
-        return float(np.linalg.norm(self.t_e, 2))
+        """||T_e||^2 = ||I + V^2|| = 1 + sigma_max."""
+        return float(np.sqrt(1.0 + self.vmat.sigma[0]))
+
+
+def _two_norm(m: np.ndarray) -> float:
+    """Largest singular value of a real matrix, from the largest
+    eigenvalue of its Gram matrix (0.0 for an empty one)."""
+    if m.size == 0:
+        return 0.0
+    return float(np.sqrt(max(np.linalg.eigvalsh(m @ m.T)[-1], 0.0)))
 
 
 def _network_blocks(matrix: CombinationMatrix, perron: PerronData, vmat: VMatrix) -> _Blocks:
@@ -82,7 +94,7 @@ def _network_blocks(matrix: CombinationMatrix, perron: PerronData, vmat: VMatrix
     t_e = np.block([[eye, np.zeros((n, n))], [v, np.zeros((n, n))]])
     for block in (b, t_d, t_e):
         block.flags.writeable = False
-    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=perron.p, v=v)
+    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=perron.p, vmat=vmat)
 
 
 @dataclass
@@ -212,11 +224,51 @@ class SpectralPair:
     """Eigendecomposition of B with the unit pair pinned to canonical
     vectors: right columns [1; 0], [0; 1] and inverse rows [p^T, 0],
     [0, 1^T/N].  d[0] = d[1] = 1 exactly; the rest come in conjugate
-    pairs with |d| = sqrt(lambda_k(Abar)) < 1."""
+    pairs with |d| = sqrt(lambda_k(Abar)) < 1.
+
+    The k-th conjugate pair has the right columns
+    [x_top[:, k]; -+ i r_right[k] r[:, k]] and the inverse rows
+    [y_top[:, k]; +- i r_left[k] r[:, k]], with r's columns orthonormal;
+    c divides X_R and multiplies X_L.  These read-only N-row pieces give
+    ||X_R|| and ||X_L|| in closed form; the dense complex X and X^{-1}
+    are built, read-only, only when read.
+    """
 
     d: np.ndarray
-    x: np.ndarray
-    x_inv: np.ndarray
+    p: np.ndarray
+    x_top: np.ndarray
+    y_top: np.ndarray
+    r: np.ndarray
+    r_right: np.ndarray
+    r_left: np.ndarray
+    c: float = 1.0
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Right eigenvectors as columns, shape (2N, 2N)."""
+        n = self.p.size
+        x = np.zeros((2 * n, 2 * n), dtype=complex)
+        x[:n, 0] = x[n:, 1] = 1.0
+        for first, sign in ((2, 1.0), (3, -1.0)):
+            x[:n, first::2] = self.x_top
+            x[n:, first::2] = -sign * 1j * self.r_right * self.r
+        x[:, 2:] /= self.c
+        x.flags.writeable = False
+        return x
+
+    @cached_property
+    def x_inv(self) -> np.ndarray:
+        """Inverse of x, shape (2N, 2N)."""
+        n = self.p.size
+        x_inv = np.zeros((2 * n, 2 * n), dtype=complex)
+        x_inv[0, :n] = self.p
+        x_inv[1, n:] = 1.0 / n
+        for first, sign in ((2, 1.0), (3, -1.0)):
+            x_inv[first::2, :n] = self.y_top.T
+            x_inv[first::2, n:] = (sign * 1j * self.r_left * self.r).T
+        x_inv[2:, :] *= self.c
+        x_inv.flags.writeable = False
+        return x_inv
 
     @property
     def x_r(self) -> np.ndarray:
@@ -230,11 +282,19 @@ class SpectralPair:
 
     @cached_property
     def norm_r(self) -> float:
-        return float(np.linalg.norm(self.x_r, 2)) if self.x_r.size else 0.0
+        """||X_R||.  Mixing each conjugate column pair (a, b) into
+        (a +- b)/sqrt(2), a unitary change, makes X_R block-diagonal with
+        blocks sqrt(2) x_top and sqrt(2) r diag(r_right), and the first
+        block is the larger: column k of x_top is P^{-1/2} u_k scale_k,
+        whose norm is at least scale_k / sqrt(p_max) > sqrt(lbar_k) scale_k
+        = r_right[k]."""
+        return float(np.sqrt(2.0) * _two_norm(self.x_top) / self.c)
 
     @cached_property
     def norm_l(self) -> float:
-        return float(np.linalg.norm(self.x_l, 2)) if self.x_l.size else 0.0
+        """||X_L||, block-diagonal after the same mixing of row pairs."""
+        dual = self.r_left.max(initial=0.0)
+        return float(np.sqrt(2.0) * max(_two_norm(self.y_top), dual) * self.c)
 
 
 def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) -> SpectralPair:
@@ -252,6 +312,8 @@ def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) 
     equal norm, which keeps ||X_R|| ||X_L|| small.  Within an eigenspace
     of At on which p is constant these norms do not depend on the basis
     the eigensolver picks, so neither do the bounds built from them.
+    ||X_R|| and ||X_L|| come from N x N pieces (see `SpectralPair`); the
+    dense 2N x 2N X and X^{-1} are built only when a caller reads them.
 
     c, when given, additionally scales X_R by 1/c and X_L by c; products
     such as ||X_L|| ||T|| ||X_R|| are invariant to it.
@@ -271,14 +333,19 @@ def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) 
         return pair
     if c <= 0:
         raise ValueError("c must be positive")
-    x, x_inv = pair.x.copy(), pair.x_inv.copy()
-    x[:, 2:] /= c
-    x_inv[2:, :] *= c
-    return SpectralPair(d=pair.d, x=x, x_inv=x_inv)
+    return replace(pair, c=c)
 
 
 def _closed_form_pair(b: np.ndarray, a: np.ndarray, p: np.ndarray,
                       v: np.ndarray) -> SpectralPair:
+    """The unscaled pair of `decompose_b` from one N x N `eigh` of At.
+
+    The eigenpair check max |B X - X D| runs on the blocks of b with
+    real N x N products: for the column pair [x; -+ i sqrt(lb) r] at
+    lb +- i sqrt(lb) s, B X - X D has the real part
+    B[:, :N] x - lb [x; s r] and the imaginary part
+    -+ sqrt(lb) (B[:, N:] r + [s x; -lb r]), both times the balancing
+    scale, so both columns of a pair share one modulus."""
     n = p.size
     root_p = np.sqrt(p)
     a_tilde = a * root_p[np.newaxis, :] / root_p[:, np.newaxis]
@@ -291,31 +358,29 @@ def _closed_form_pair(b: np.ndarray, a: np.ndarray, p: np.ndarray,
     # descending, as the eigenvalues of B are listed
     lam, u = lam[~unit][::-1], u[:, ~unit][:, ::-1]
     lbar = (1.0 + lam) / 2.0
-    root_lbar = np.sqrt(lbar)
+    root_lbar, s = np.sqrt(lbar), np.sqrt(1.0 - lbar)
     x = u / root_p[:, np.newaxis]
     y = u * root_p[:, np.newaxis] / 2.0
-    r = (v @ x) / np.sqrt(1.0 - lbar)
+    r = (v @ x) / s
     # balance each column/inverse-row pair to equal norm
     scale = np.sqrt(np.sqrt((y * y).sum(axis=0) + 1.0 / (4.0 * lbar))
                     / np.sqrt((x * x).sum(axis=0) + lbar))
     d = np.ones(2 * n, dtype=complex)
-    x_full = np.zeros((2 * n, 2 * n), dtype=complex)
-    x_inv = np.zeros((2 * n, 2 * n), dtype=complex)
-    x_full[:n, 0] = x_full[n:, 1] = 1.0
-    x_inv[0, :n] = p
-    x_inv[1, n:] = 1.0 / n
     for first, sign in ((2, 1.0), (3, -1.0)):
         d[first::2] = lbar + sign * 1j * np.sqrt(lbar - lbar ** 2)
-        x_full[:n, first::2] = x * scale
-        x_full[n:, first::2] = -sign * 1j * root_lbar * scale * r
-        x_inv[first::2, :n] = (y / scale).T
-        x_inv[first::2, n:] = (sign * 1j / (2.0 * root_lbar * scale) * r).T
-    residual = float(np.abs(b @ x_full - x_full * d[np.newaxis, :]).max())
+    real = b[:, :n] @ x - lbar * np.vstack([x, s * r])
+    imag = root_lbar * (b[:, n:] @ r + np.vstack([s * x, -lbar * r]))
+    unit_cols = np.concatenate([b[:, :n].sum(axis=1) - np.repeat([1.0, 0.0], n),
+                                b[:, n:].sum(axis=1) - np.repeat([0.0, 1.0], n)])
+    residual = max(float((scale * np.hypot(real, imag)).max(initial=0.0)),
+                   float(np.abs(unit_cols).max()))
     if residual > EIGENPAIR_TOL:
         raise SpectralError(f"eigenpair residual {residual:.3e} above tolerance")
-    for block in (d, x_full, x_inv):
-        block.flags.writeable = False
-    return SpectralPair(d=d, x=x_full, x_inv=x_inv)
+    pieces = dict(x_top=x * scale, y_top=y / scale, r=r, r_right=root_lbar * scale,
+                  r_left=1.0 / (2.0 * root_lbar * scale))
+    for piece in (d, *pieces.values()):
+        piece.flags.writeable = False
+    return SpectralPair(d=d, p=p, **pieces)
 
 
 def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:

@@ -442,6 +442,37 @@ def test_model_fields_are_checked_at_their_path(tmp_path, capsys, key, value):
     assert f"config error at model.{key}:" in capsys.readouterr().err
 
 
+def mse_config():
+    return {
+        "graph": {"kind": "complete", "n": 2},
+        "matrix": {"rule": "metropolis"},
+        "model": {"kind": "mse_quadratic", "dim": 1,
+                  "covariances": [[[1.0]], [[1.0]]], "cross_vectors": [[0.7], [-0.3]]},
+        "run": {"engine": "extra", "mu": 0.5},
+        "scan": {"engine": "extra", "mu_min": 0.1, "mu_max": 2.4, "points": 4},
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "stability-scan", "analyze"])
+@pytest.mark.parametrize("key, value", [
+    ("covariances", [[[float("nan")]], [[1.0]]]),
+    ("covariances", [[[1.0]], [[float("inf")]]]),
+    ("covariances", [[[1.0]], [[1.0, 2.0]]]),
+    ("covariances", [[["1.0"]], [[1.0]]]),
+    ("covariances", [[[True]], [[False]]]),
+    ("cross_vectors", [[float("nan")], [-0.3]]),
+    ("cross_vectors", "zeros"),
+])
+def test_quadratic_data_is_checked_at_its_path(tmp_path, capsys, command, key, value):
+    # NaN data used to run to a NaN ground truth and exit 0
+    payload = mse_config()
+    payload["model"][key] = value
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"config error at model.{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
+
+
 @pytest.mark.parametrize("text", ["0.5,0.5\n0.5,0.5\n0,0\n", "0.5,0.5,0\n0.5,0.5,1\n"])
 def test_non_square_matrix_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "a.csv"

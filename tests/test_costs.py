@@ -219,6 +219,18 @@ def test_rank_deficient_quadratic_is_rejected():
     assert np.allclose(solve_centralized(tiny).w_star, [0.5, 0.25])
 
 
+@pytest.mark.parametrize("covariances, cross_vectors", [
+    ([[[np.nan]], [[1.0]]], [[0.7], [-0.3]]),
+    ([[[1.0]], [[1.0]]], [[np.nan], [-0.3]]),
+])
+def test_quadratic_solver_fails_on_nan_data(covariances, cross_vectors):
+    # every comparison with NaN is false, so a NaN ground truth used to
+    # pass both the definiteness and the residual check
+    model = mse_quadratic_model(2, 1, covariances, cross_vectors)
+    with pytest.raises(ConvergenceError):
+        solve_centralized(model)
+
+
 def test_mse_quadratic_weighted_solution():
     # minimizer of sum q_k (0.5 w R_k w - r_k w) is (sum q R)^{-1} sum q r
     model = mse_quadratic_model(2, 1, [[[1.0]], [[3.0]]], [[1.0], [0.0]],

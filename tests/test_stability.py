@@ -31,6 +31,7 @@ from decentopt import (
     one_step_matrix,
     perron_vector,
     predicted_b_spectrum,
+    random_connected_graph,
     simulate_error_recursion,
     solve_centralized,
     stability_scan,
@@ -155,6 +156,30 @@ def test_decompose_rejects_extra_unit_eigenvalues():
                          b=np.eye(4), t_d=np.zeros((4, 4)), t_e=np.zeros((4, 4)))
     with pytest.raises(SpectralError):
         decompose_b(fake, perron)
+
+
+@pytest.mark.parametrize("rows, cols, kind", [(0, 0, "random"), (0, 1, "random"),
+                                              (1, 0, "random"), (1, 1, "random"),
+                                              (0, 0, "unit columns")])
+def test_eigenpair_check_reads_every_block_of_b(rows, cols, kind):
+    # a 1e-6 error in any N x N block of B must fail the block-by-block
+    # check.  The random errors have zero row sums, so only the conjugate
+    # pairs see them; the "unit columns" error is a multiple of 1^T, which
+    # only the pinned unit columns see (every other x has 1^T x = 0 here)
+    n = 6
+    matrix = random_metropolis(n, seed=2)
+    dyn = build_error_dynamics(matrix)
+    b = dyn.b.copy()
+    if kind == "random":
+        error = np.random.default_rng(0).standard_normal((n, n))
+        error -= error.mean(axis=1, keepdims=True)
+    else:
+        error = np.outer(np.eye(n)[0], np.ones(n))
+    b[rows * n:(rows + 1) * n, cols * n:(cols + 1) * n] += 1e-6 * error
+    fake = ErrorDynamics(matrix=matrix, perron=dyn.perron, vmat=dyn.vmat,
+                         b=b, t_d=dyn.t_d, t_e=dyn.t_e)
+    with pytest.raises(SpectralError, match="eigenpair residual"):
+        decompose_b(fake)
 
 
 def test_single_agent_degenerates_cleanly():
@@ -655,18 +680,29 @@ def test_scan_bracket_straddles_the_spectral_onset(engine, seed):
 def test_one_spectral_setup_per_matrix(monkeypatch):
     """Every consumer of one matrix shares a single Perron power iteration,
     one symmetric eigendecomposition each for V and for P^-1/2 A P^1/2,
-    a single decomposition of B and one 2-norm of each T block."""
-    matrix = random_metropolis(6, seed=3)
-    model = random_quadratic(6, 2, seed=3)
+    and a single decomposition of B.  No 2N x 2N array is 2-normed or
+    SVD'd, and neither the bounds nor the norm comparison build the dense
+    eigenvector matrices of B."""
+    n = 6
+    matrix = random_metropolis(n, seed=3)
+    model = random_quadratic(n, 2, seed=3)
     calls = {"power": 0, "eigh": 0, "decompose": 0}
-    two_normed = []
+    factored = []
     power, eigh, closed_form = graphs._power_iteration, np.linalg.eigh, stability._closed_form_pair
-    norm = np.linalg.norm
+    norm, svd, scipy_svd = np.linalg.norm, np.linalg.svd, scipy.linalg.svd
 
     def counted_norm(x, ord=None, *args, **kwargs):
         if ord == 2:
-            two_normed.append(x)
+            factored.append(np.shape(x))
         return norm(x, ord, *args, **kwargs)
+
+    def counted_svd(x, *args, **kwargs):
+        factored.append(np.shape(x))
+        return svd(x, *args, **kwargs)
+
+    def counted_scipy_svd(x, *args, **kwargs):
+        factored.append(np.shape(x))
+        return scipy_svd(x, *args, **kwargs)
 
     def counted_power(a):
         calls["power"] += 1
@@ -684,21 +720,25 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(stability, "_closed_form_pair", counted_closed_form)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", counted_scipy_svd)
     perron = perron_vector(matrix)
     run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, perron.p, 0.01),
         max_iters=20)
-    run("extra", model, matrix, StepSizes.uniform(0.05, 6), max_iters=20)
+    run("extra", model, matrix, StepSizes.uniform(0.05, n), max_iters=20)
     stability_scan("exact_diffusion", model, matrix, [0.01, 0.05], max_iters=20)
     build_error_dynamics(matrix)
     diffusion_step_bound(matrix)
     extra_step_bound(matrix)
     norm_comparison(matrix)
-    decompose_b(build_error_dynamics(matrix), c=2.0)
+    scaled = decompose_b(build_error_dynamics(matrix), c=2.0)
+    assert scaled.norm_r > 0.0
     assert calls == {"power": 1, "eigh": 2, "decompose": 1}
     assert perron_vector(matrix) is perron_vector(matrix)
-    blocks = matrix._error_blocks
-    assert sum(x is blocks.t_d for x in two_normed) == 1
-    assert sum(x is blocks.t_e for x in two_normed) == 1
+    assert not [shape for shape in factored if 2 * n in shape]
+    # the dense X and X^-1 are cached properties, built only when read
+    for pair in (matrix._error_blocks.pair, scaled):
+        assert "x" not in vars(pair) and "x_inv" not in vars(pair)
 
 
 # ------------------------------------------- closed-form decomposition of B
@@ -779,6 +819,45 @@ def test_closed_form_decomposition_matches_dense_eig():
                 assert extra_step_bound(matrix).alpha == pytest.approx(alpha_e, rel=1e-9)
             checked += 1
     assert checked >= 12
+
+
+def path_graph(n):
+    return Graph(n, frozenset((k, k + 1) for k in range(n - 1)))
+
+
+def random_graph(n):
+    return random_connected_graph(n, 0.3, seed=n)
+
+
+@pytest.mark.parametrize("builder", [build_metropolis, build_averaging])
+@pytest.mark.parametrize("network, sizes", [(ring_graph, (3, 4, 9, 60)),
+                                            (star_graph, (2, 3, 10, 60)),
+                                            (path_graph, (2, 5, 17, 60)),
+                                            (complete_graph, (2, 3, 8, 40)),
+                                            (random_graph, (2, 6, 23, 60))])
+def test_closed_form_norms_match_the_dense_oracle(network, sizes, builder):
+    """||X_R||, ||X_L||, ||T_d|| and ||T_e|| from N-row pieces equal the
+    2-norms of the dense 2N matrices.  Rings, stars and complete graphs
+    repeat eigenvalues, so the eigensolver's basis of an eigenspace is
+    arbitrary; the dense X it gives must still diagonalize B."""
+    def rel(closed, dense):
+        return abs(closed - dense) / dense
+
+    for n in sizes:
+        matrix = builder(network(n))
+        dyn = build_error_dynamics(matrix)
+        blocks = dyn._blocks
+        assert rel(blocks.t_d_norm, np.linalg.norm(dyn.t_d, 2)) <= 1e-12
+        assert rel(blocks.t_e_norm, np.linalg.norm(dyn.t_e, 2)) <= 1e-12
+        for pair in (decompose_b(dyn), decompose_b(dyn, c=3.7)):
+            assert rel(pair.norm_r, np.linalg.norm(pair.x_r, 2)) <= 1e-12
+            assert rel(pair.norm_l, np.linalg.norm(pair.x_l, 2)) <= 1e-12
+            assert not pair.x.flags.writeable and not pair.x_inv.flags.writeable
+            assert np.abs(dyn.b @ pair.x - pair.x * pair.d).max() <= 1e-10
+            assert np.abs(pair.x_inv @ pair.x - np.eye(2 * n)).max() <= 1e-10
+        base, scaled = decompose_b(dyn), decompose_b(dyn, c=3.7)
+        assert np.array_equal(scaled.x[:, 2:], base.x[:, 2:] / 3.7)
+        assert np.array_equal(scaled.x_inv[2:], base.x_inv[2:] * 3.7)
 
 
 @pytest.mark.parametrize("n", [8, 20, 40])
