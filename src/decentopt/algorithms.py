@@ -258,7 +258,7 @@ def _validate_steps(engine: str, steps: StepSizes, model: CostModel, matrix: Com
 
 
 def init_state(engine: str, model: CostModel, matrix: CombinationMatrix,
-               steps: StepSizes, w0: np.ndarray) -> AlgorithmState:
+               w0: np.ndarray) -> AlgorithmState:
     """Seed state for an engine; w0 plays the role of the pre-iteration
     iterate, so the first recorded step already includes one combine."""
     state = AlgorithmState(w=w0.copy())
@@ -330,7 +330,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     members = SimpleNamespace(mu=np.stack([s.mu for s in steps_list]),
                               mu_o=np.array([[s.mu_o] for s in steps_list]))
     ctx = _engine_context(engine, model, matrix, members)
-    state = init_state(engine, model, matrix, members, np.broadcast_to(w0, (size,) + w0.shape))
+    state = init_state(engine, model, matrix, np.broadcast_to(w0, (size,) + w0.shape))
     target_stack = np.broadcast_to(target, w0.shape)
     denom = float(np.sum((w0 - target_stack) ** 2))
     statuses, verdicts = ["converged"] * size, ["stable"] * size

@@ -136,7 +136,9 @@ class MSEQuadraticModel(QuadraticModel):
         r_cov = np.asarray(covariances, dtype=float)
         r_vec = np.asarray(cross_vectors, dtype=float)
         for k, rk in enumerate(r_cov):
-            if np.abs(rk - rk.T).max() > 1e-10:
+            # NaN-safe on the off-diagonal pairs; a NaN diagonal is left to
+            # solve_centralized, which raises ConvergenceError on it
+            if not np.abs(np.triu(rk, 1) - np.tril(rk, -1).T).max() <= 1e-10:
                 raise ValueError(f"covariance R_{k} is not symmetric")
         super().__init__(r_cov, r_vec, q=q)
         self.r_cov = r_cov
@@ -345,7 +347,7 @@ def hessian_bounds(model: CostModel):
         delta = float(lam_max.max())
         k_o = int(np.argmax(lam_min))
         nu = float(lam_min[k_o])
-        if nu <= 0:
+        if not nu > 0:
             raise ValueError("no agent has a strongly convex cost (nu <= 0)")
         return nu, delta, k_o
     if isinstance(model, LogisticModel):

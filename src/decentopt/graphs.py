@@ -215,7 +215,7 @@ class CombinationMatrix:
         decomposition of B, computed on first use (`stability._Blocks`)."""
         from .stability import _network_blocks
 
-        return _network_blocks(self, self.perron, self.vmat)
+        return _network_blocks(self)
 
 
 @dataclass(frozen=True)

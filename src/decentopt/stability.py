@@ -83,35 +83,44 @@ def _two_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(m @ m.T)[-1], 0.0)))
 
 
-def _network_blocks(matrix: CombinationMatrix, perron: PerronData, vmat: VMatrix) -> _Blocks:
+def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
+    """The blocks of `CombinationMatrix._error_blocks`, from the matrix's
+    own Perron vector and V."""
     n = matrix.n
     abar_t = matrix.abar.T
+    p, vmat = matrix.perron.p, matrix.vmat
     v = vmat.v
-    pinv_v = v / perron.p[:, np.newaxis]
+    pinv_v = v / p[:, np.newaxis]
     eye = np.eye(n)
     b = np.block([[abar_t, -pinv_v], [v @ abar_t, eye - v @ pinv_v]])
     t_d = np.block([[abar_t, np.zeros((n, n))], [v @ abar_t, np.zeros((n, n))]])
     t_e = np.block([[eye, np.zeros((n, n))], [v, np.zeros((n, n))]])
     for block in (b, t_d, t_e):
         block.flags.writeable = False
-    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=perron.p, vmat=vmat)
+    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=p, vmat=vmat)
 
 
 @dataclass
 class ErrorDynamics:
     """Network-level (dimension-free) blocks of the error recursion,
-    optionally carrying per-agent Hessians and step sizes.  The blocks
-    are read-only: every dynamics of one matrix shares them."""
+    optionally carrying per-agent Hessians and step sizes.  The Perron
+    data, V and the read-only blocks are the matrix's cached spectral
+    setup, so every dynamics of one matrix shares them."""
 
     matrix: CombinationMatrix
-    perron: PerronData
-    vmat: VMatrix
-    b: np.ndarray
-    t_d: np.ndarray
-    t_e: np.ndarray
     h: np.ndarray | None = None
     mu: np.ndarray | None = None
-    _blocks: _Blocks | None = field(default=None, repr=False, compare=False)
+    perron: PerronData = field(init=False)
+    vmat: VMatrix = field(init=False)
+    b: np.ndarray = field(init=False)
+    t_d: np.ndarray = field(init=False)
+    t_e: np.ndarray = field(init=False)
+    _blocks: _Blocks = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        blocks = self._blocks = self.matrix._error_blocks
+        self.perron, self.vmat = self.matrix.perron, self.matrix.vmat
+        self.b, self.t_d, self.t_e = blocks.b, blocks.t_d, blocks.t_e
 
     @property
     def a(self) -> np.ndarray:
@@ -130,24 +139,16 @@ class ErrorDynamics:
         return self.vmat.v
 
 
-def build_error_dynamics(matrix, perron: PerronData = None, vmat: VMatrix = None,
-                         model: CostModel = None, steps: StepSizes = None) -> ErrorDynamics:
+def build_error_dynamics(matrix, model: CostModel = None,
+                         steps: StepSizes = None) -> ErrorDynamics:
     """Assemble B, T_d, T_e for a balanced combination matrix.
 
-    perron/vmat default to the matrix's cached spectral data; with both
-    defaults the blocks, and the decomposition of B, are computed once
-    per matrix and shared.
-    model/steps are optional; they are only needed later by
+    The blocks, and the decomposition of B, are computed once per matrix
+    and shared.  model/steps are optional; they are only needed later by
     one_step_matrix, which requires constant Hessians (quadratic costs).
     """
     if not isinstance(matrix, CombinationMatrix):
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
-    if (perron is None or perron is matrix.perron) and vmat is None:
-        perron, vmat, blocks = matrix.perron, matrix.vmat, matrix._error_blocks
-    else:
-        perron = matrix.perron if perron is None else perron
-        vmat = matrix.vmat if vmat is None else vmat
-        blocks = _network_blocks(matrix, perron, vmat)
     h = None
     if model is not None:
         if not isinstance(model, QuadraticModel):
@@ -156,8 +157,7 @@ def build_error_dynamics(matrix, perron: PerronData = None, vmat: VMatrix = None
             raise ValueError("model size does not match the combination matrix")
         h = model.hessians()
     mu = None if steps is None else steps.mu
-    return ErrorDynamics(matrix=matrix, perron=perron, vmat=vmat, b=blocks.b,
-                         t_d=blocks.t_d, t_e=blocks.t_e, h=h, mu=mu, _blocks=blocks)
+    return ErrorDynamics(matrix=matrix, h=h, mu=mu)
 
 
 def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
@@ -189,8 +189,6 @@ def simulate_error_recursion(dyn: ErrorDynamics, model: QuadraticModel,
                              engine: str = "exact_diffusion_pd") -> np.ndarray:
     """Run the actual engine and return its stacked errors
     [W_i - W*; Y_i - Y*], shape (iters + 1, 2N, M) with row 0 the seed.
-    The engine reads the matrix's own Perron vector and V, as `run` does,
-    so dyn should carry them too (build_error_dynamics' defaults).
 
     Cross-check target: errors[i] must equal the one-step matrix applied
     i times to errors[0] when the costs are quadratic.
@@ -209,7 +207,7 @@ def simulate_error_recursion(dyn: ErrorDynamics, model: QuadraticModel,
         y_ref = -(steps.mu[0] / n) * (pinv_v @ g)
 
     ctx = _engine_context(engine, model, dyn.matrix, steps)
-    state = init_state(engine, model, dyn.matrix, steps, np.asarray(w0, dtype=float))
+    state = init_state(engine, model, dyn.matrix, np.asarray(w0, dtype=float))
     step = ENGINE_SPECS[engine].step
     errors = np.empty((iters + 1, 2 * n, m))
     errors[0] = np.vstack([state.w - w_ref, state.y - y_ref])
@@ -270,16 +268,6 @@ class SpectralPair:
         x_inv.flags.writeable = False
         return x_inv
 
-    @property
-    def x_r(self) -> np.ndarray:
-        """Right eigenvector columns away from the unit pair."""
-        return self.x[:, 2:]
-
-    @property
-    def x_l(self) -> np.ndarray:
-        """Inverse rows away from the unit pair."""
-        return self.x_inv[2:, :]
-
     @cached_property
     def norm_r(self) -> float:
         """||X_R||.  Mixing each conjugate column pair (a, b) into
@@ -297,7 +285,7 @@ class SpectralPair:
         return float(np.sqrt(2.0) * max(_two_norm(self.y_top), dual) * self.c)
 
 
-def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) -> SpectralPair:
+def decompose_b(dyn: ErrorDynamics, c: float = None) -> SpectralPair:
     """Diagonalize B = X D X^{-1} in closed form, with the unit pair pinned.
 
     With At = P^{-1/2} A P^{1/2} (symmetric for a balanced A), every
@@ -319,16 +307,10 @@ def decompose_b(dyn: ErrorDynamics, perron: PerronData = None, c: float = None) 
     such as ||X_L|| ||T|| ||X_R|| are invariant to it.
 
     Raises SpectralError when At does not have exactly one eigenvalue at
-    1 or when max |B X - X D| exceeds 1e-8.  Against the dynamics' own
-    Perron data and shared blocks, the unscaled pair is computed once and
-    shared (read-only).
+    1 or when max |B X - X D| exceeds 1e-8.  The unscaled pair is
+    computed once per matrix and shared (read-only).
     """
-    p = (dyn.perron if perron is None else perron).p
-    blocks = dyn._blocks
-    if blocks is not None and blocks.b is dyn.b and blocks.p is p:
-        pair = blocks.pair
-    else:
-        pair = _closed_form_pair(dyn.b, dyn.a, p, dyn.v)
+    pair = dyn._blocks.pair
     if c is None:
         return pair
     if c <= 0:
@@ -389,15 +371,10 @@ def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:
     conjugate pair of modulus sqrt(lam))."""
     if not isinstance(matrix, CombinationMatrix):
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
-    lams = np.linalg.eigvals(matrix.abar)
-    drop = int(np.argmin(np.abs(lams - 1.0)))
-    out = [1.0 + 0.0j, 1.0 + 0.0j]
-    for k, lam in enumerate(lams):
-        if k == drop:
-            continue
-        root = np.sqrt(complex(lam * lam - lam))
-        out.extend([lam + root, lam - root])
-    return np.sort_complex(np.asarray(out))
+    lams = (1.0 + matrix._eigvals) / 2.0  # the eigenvalues of Abar
+    lams = np.delete(lams, np.argmin(np.abs(lams - 1.0))).astype(complex)
+    root = np.sqrt(lams * lams - lams)
+    return np.sort_complex(np.concatenate([[1.0, 1.0], lams + root, lams - root]))
 
 
 def b_spectrum_residual(dyn: ErrorDynamics) -> float:
@@ -451,10 +428,11 @@ class StabilityBound:
         return max(branch1, branch2)
 
 
-def _assemble_bound(engine: str, matrix: CombinationMatrix, perron: PerronData,
-                    sigma11: float, nu: float, delta: float) -> StabilityBound:
-    dyn = build_error_dynamics(matrix, perron)
-    dec = decompose_b(dyn, perron)
+def _assemble_bound(engine: str, matrix: CombinationMatrix, sigma11: float,
+                    nu: float, delta: float) -> StabilityBound:
+    perron = matrix.perron
+    dyn = build_error_dynamics(matrix)
+    dec = decompose_b(dyn)
     lam = float(np.sqrt((1.0 + perron.lambda2) / 2.0))
     p_max = float(perron.p.max())
     t_norm = getattr(dyn._blocks, ENGINE_SPECS[engine].error_map + "_norm")
@@ -475,14 +453,12 @@ def _assemble_bound(engine: str, matrix: CombinationMatrix, perron: PerronData,
                           t_norm=float(t_norm), c_opt=c_opt)
 
 
-def diffusion_step_bound(matrix, perron: PerronData = None, tau=None,
-                         nu: float = 1.0, delta: float = 1.0,
+def diffusion_step_bound(matrix, tau=None, nu: float = 1.0, delta: float = 1.0,
                          k_o: int = 0) -> StabilityBound:
     """Step-size stability bound for the correction-term engine.
 
     Args:
         matrix: balanced combination matrix.
-        perron: its Perron data (computed when omitted).
         tau: per-agent step ratios mu_k / max_j mu_j (all ones when
             omitted); normalized internally so max(tau) = 1.
         nu: lower curvature bound at the strongly convex agent k_o.
@@ -498,19 +474,17 @@ def diffusion_step_bound(matrix, perron: PerronData = None, tau=None,
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))
     if matrix.n < 2:
         raise ValueError("stability bounds need at least two agents")
-    if perron is None:
-        perron = matrix.perron
     n = matrix.n
     tau = np.ones(n) if tau is None else np.asarray(tau, dtype=float)
     if tau.shape != (n,) or tau.min() <= 0:
         raise ValueError("tau must be a positive length-N vector")
     tau = tau / tau.max()
-    if nu <= 0 or delta < nu:
+    if not 0 < nu <= delta:
         raise ValueError("need 0 < nu <= delta")
     if not 0 <= k_o < n:
         raise ValueError("k_o out of range")
-    return _assemble_bound("exact_diffusion", matrix, perron,
-                           float(perron.p[k_o] * tau[k_o] * nu), nu, delta)
+    return _assemble_bound("exact_diffusion", matrix,
+                           float(matrix.perron.p[k_o] * tau[k_o] * nu), nu, delta)
 
 
 def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBound:
@@ -526,9 +500,9 @@ def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBo
         raise ValueError("stability bounds need at least two agents")
     if not matrix.is_symmetric_doubly_stochastic:
         raise ValueError("this bound needs a symmetric doubly stochastic matrix")
-    if nu <= 0 or delta < nu:
+    if not 0 < nu <= delta:
         raise ValueError("need 0 < nu <= delta")
-    return _assemble_bound("extra", matrix, matrix.perron, float(nu / matrix.n), nu, delta)
+    return _assemble_bound("extra", matrix, float(nu / matrix.n), nu, delta)
 
 
 def norm_comparison(matrix) -> tuple:
@@ -551,9 +525,8 @@ class TwoAgentCase:
     """Closed-form two-agent quadratic case over A = [[a, 1-a], [1-a, a]]
     with identical scalar Hessians sigma2.
 
-    e_d / e_e are the reduced 3x3 error maps (the trivial unit eigenvalue
-    removed); q_d / q_e are the full 4x4 maps from the generic builder,
-    whose spectra must equal {1} plus the reduced ones."""
+    e_d / e_e are the reduced 3x3 error maps: the 4x4 maps of
+    `one_step_matrix` less their trivial unit eigenvalue."""
 
     a: float
     sigma2: float
@@ -561,8 +534,6 @@ class TwoAgentCase:
     mu_e: float
     e_d: np.ndarray
     e_e: np.ndarray
-    q_d: np.ndarray
-    q_e: np.ndarray
     roots_d: np.ndarray
     roots_e: np.ndarray
     specrad_d: float
@@ -588,30 +559,29 @@ def two_agent_case(a: float, sigma2: float, mu_d: float, mu_e: float = None) -> 
         theta^2 - (2 - m) a theta + (1 - m) a = 0
         theta^2 - (2a - me) theta + (a - me) = 0.
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError("self-weight a must lie in (0, 1)")
-    if sigma2 <= 0 or mu_d <= 0:
-        raise ValueError("sigma2 and mu_d must be positive")
+    _check_two_agent(a, sigma2)
     if mu_e is None:
         mu_e = mu_d
-    if mu_e <= 0:
-        raise ValueError("mu_e must be positive")
+    if not (0 < mu_d < np.inf and 0 < mu_e < np.inf):
+        raise ValueError("mu_d and mu_e must be positive and finite")
     e_d = _two_agent_map(a, mu_d * sigma2, "exact_diffusion")
     e_e = _two_agent_map(a, mu_e * sigma2, "extra")
-    matrix = matrix_from_array(np.array([[a, 1.0 - a], [1.0 - a, a]]))
-    dyn = build_error_dynamics(matrix, model=QuadraticModel(
-        h=np.full((2, 1, 1), sigma2), b=np.zeros((2, 1))))
-    q_d = one_step_matrix(dyn, "exact_diffusion", mu=mu_d)
-    q_e = one_step_matrix(dyn, "extra", mu=mu_e)
     roots_d = np.linalg.eigvals(e_d[1:, 1:])
     roots_e = np.linalg.eigvals(e_e[1:, 1:])
     specrad_d = float(np.abs(np.linalg.eigvals(e_d)).max())
     specrad_e = float(np.abs(np.linalg.eigvals(e_e)).max())
     return TwoAgentCase(a=a, sigma2=sigma2, mu_d=float(mu_d), mu_e=float(mu_e),
-                        e_d=e_d, e_e=e_e, q_d=q_d, q_e=q_e,
+                        e_d=e_d, e_e=e_e,
                         roots_d=roots_d, roots_e=roots_e,
                         specrad_d=specrad_d, specrad_e=specrad_e,
                         stable_d=specrad_d < 1.0, stable_e=specrad_e < 1.0)
+
+
+def _check_two_agent(a: float, sigma2: float) -> None:
+    if not 0.0 < a < 1.0:
+        raise ValueError("self-weight a must lie in (0, 1)")
+    if not 0 < sigma2 < np.inf:
+        raise ValueError("sigma2 must be positive and finite")
 
 
 def _two_agent_map(a: float, m: float, algorithm: str) -> np.ndarray:
@@ -628,42 +598,17 @@ def _two_agent_map(a: float, m: float, algorithm: str) -> np.ndarray:
     ])
 
 
-def two_agent_onset(a: float, sigma2: float, algorithm: str = "extra",
-                    hi: float = None, tol: float = 1e-6) -> float:
+def two_agent_onset(a: float, sigma2: float, algorithm: str = "extra") -> float:
     """Smallest step size at which the chosen two-agent map stops being a
-    contraction (spectral radius reaches 1), located by grid scan plus
-    bisection on the closed-form matrices."""
+    contraction.  The Jury conditions on the characteristic pairs of
+    `two_agent_case` (and |1 - m| < 1) give mu sigma2 < 2 for exact
+    diffusion and mu sigma2 < (1 + 3a)/2 for extra, for every a in (0, 1)."""
     if algorithm not in ("extra", "exact_diffusion"):
         raise ValueError("algorithm must be 'extra' or 'exact_diffusion'")
-    if hi is None:
-        hi = (2.5 + 2.0 * a) / sigma2
-
-    def unstable(mu):
-        e = _two_agent_map(a, mu * sigma2, algorithm)
-        return float(np.abs(np.linalg.eigvals(e)).max()) >= 1.0
-
-    grid = np.linspace(hi / 400.0, hi, 400)
-    lo = None
-    first_bad = None
-    for mu in grid:
-        if unstable(mu):
-            first_bad = mu
-            break
-        lo = mu
-    if first_bad is None:
-        raise ValueError(f"no instability found below {hi:.3g}; raise hi")
-    if lo is None:
-        lo = hi / 4000.0
-        if unstable(lo):
-            raise ValueError("unstable already at the smallest probed step")
-    hi = first_bad
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if unstable(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    _check_two_agent(a, sigma2)
+    if algorithm == "exact_diffusion":
+        return 2.0 / sigma2
+    return (1.0 + 3.0 * a) / (2.0 * sigma2)
 
 
 def mismatch_decay_check(history, p, rho_a: float, slack: float = 0.02):
@@ -748,7 +693,7 @@ def _midpoints(lo: float, hi: float, rel_tol: float, depth: int) -> list:
 
 def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
                    max_iters: int = 4000, stop: float = 1e-8,
-                   ground_truth=None, jobs: int = 1, refine: bool = True,
+                   ground_truth=None, refine: bool = True,
                    rel_tol: float = 1e-3) -> ScanResult:
     """Classify each step size on a grid, then bisect the first
     stable-to-unstable transition down to a relative width of rel_tol.
@@ -763,7 +708,6 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     run classifies every midpoint of the next SPECULATION_DEPTH levels,
     and the bracket then follows the verdicts, so it visits the same
     midpoints and ends at the same bracket as one-at-a-time bisection.
-    jobs is accepted for compatibility and changes nothing.
     """
     if not isinstance(matrix, CombinationMatrix):
         matrix = matrix_from_array(np.asarray(matrix, dtype=float))

@@ -61,7 +61,7 @@ def test_criterion_1_exact_linear_convergence():
     model = least_squares_model(20, 20, 5, 40)
     gt = solve_centralized(model)
     nu, delta, k_o = hessian_bounds(model)
-    bound = diffusion_step_bound(matrix, perron, None, nu, delta, k_o)
+    bound = diffusion_step_bound(matrix, tau=None, nu=nu, delta=delta, k_o=k_o)
     steps = _steps("exact_diffusion", model, perron, bound.mu_bound / 2.0)
     res = run("exact_diffusion", model, matrix, steps, max_iters=150_000,
               stop=1e-10, ground_truth=gt)
@@ -147,9 +147,9 @@ def test_criterion_5_eigenstructure():
         builder = build_metropolis if seed % 2 == 0 else build_averaging
         matrix = builder(random_connected_graph(n, 0.5, seed))
         perron = perron_vector(matrix)
-        dyn = build_error_dynamics(matrix, perron)
+        dyn = build_error_dynamics(matrix)
         worst_spec = max(worst_spec, b_spectrum_residual_of(dyn))
-        pair = decompose_b(dyn, perron)
+        pair = decompose_b(dyn)
         r1 = np.concatenate([np.ones(n), np.zeros(n)])
         r2 = np.concatenate([np.zeros(n), np.ones(n)])
         l1 = np.concatenate([perron.p, np.zeros(n)])
@@ -300,11 +300,9 @@ def test_criterion_10_measured_stability_ranges():
         grid = np.linspace(0.05 / delta, 6.0 / delta, 10)
         gt = solve_centralized(model)
         scan_d = stability_scan("exact_diffusion", model, matrix, grid,
-                                max_iters=500, stop=1e-9, ground_truth=gt,
-                                jobs=2)
+                                max_iters=500, stop=1e-9, ground_truth=gt)
         scan_e = stability_scan("extra", model, matrix, grid,
-                                max_iters=500, stop=1e-9, ground_truth=gt,
-                                jobs=2)
+                                max_iters=500, stop=1e-9, ground_truth=gt)
         if not (scan_d.refined and scan_e.refined
                 and scan_d.mu_stable >= scan_e.mu_stable):
             violations += 1

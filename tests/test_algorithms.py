@@ -68,7 +68,7 @@ def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=No
     if w0 is None:
         w0 = np.zeros((model.n_agents, model.dim))
     ctx = _engine_context(engine, model, matrix, steps)
-    state = init_state(engine, model, matrix, steps, w0)
+    state = init_state(engine, model, matrix, w0)
     target_stack = np.broadcast_to(target, w0.shape)
     denom = float(np.sum((w0 - target_stack) ** 2))
 

@@ -360,6 +360,26 @@ def test_two_agent_validates_inputs(tmp_path, capsys):
     assert "two_agent" in capsys.readouterr().err
 
 
+def test_two_agent_onsets_are_the_closed_forms(tmp_path):
+    # (1 + 3a) / (2 sigma2) = 1 at a = 0.8, sigma2 = 1.7; a grid scan plus
+    # bisection would stop near 1 + 2.4e-7
+    cfg = write_config(tmp_path, {"two_agent": {"a": 0.8, "sigma2": 1.7, "mu": 0.5}})
+    out = tmp_path / "out"
+    assert run_cli(["two-agent", "--config", cfg, "--out", out]) == 0
+    payload = json.loads((out / "two_agent.json").read_text())
+    assert payload["onset_extra"] == pytest.approx(1.0, rel=1e-15, abs=0)
+    assert payload["onset_diffusion"] == two_agent_onset(0.8, 1.7, "exact_diffusion") == 2.0 / 1.7
+
+
+def test_two_agent_builds_no_combination_matrix(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("two-agent built a CombinationMatrix")
+
+    monkeypatch.setattr(decentopt.CombinationMatrix, "__post_init__", refuse)
+    cfg = write_config(tmp_path, {"two_agent": {"a": 0.3, "sigma2": 2.0, "mu": 0.4}})
+    assert run_cli(["two-agent", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+
 # ----------------------------------------------------------- error paths
 
 

@@ -8,8 +8,9 @@ import pytest
 import scipy.linalg
 
 from decentopt import (
-    ErrorDynamics,
     Graph,
+    MSEQuadraticModel,
+    QuadraticModel,
     SpectralError,
     StepSizes,
     TraceRecord,
@@ -57,7 +58,7 @@ def test_b_matrix_block_structure():
     matrix = random_averaging(5, seed=0)
     perron = perron_vector(matrix)
     vm = compute_v(matrix, perron)
-    dyn = build_error_dynamics(matrix, perron, vm)
+    dyn = build_error_dynamics(matrix)
     n = 5
     abar = (np.eye(n) + matrix.a) / 2.0
     pinv_v = vm.v / perron.p[:, None]
@@ -113,8 +114,8 @@ def test_decompose_canonical_vectors_and_reconstruction():
     for seed, builder in ((0, random_metropolis), (1, random_averaging)):
         matrix = builder(5, seed)
         perron = perron_vector(matrix)
-        dyn = build_error_dynamics(matrix, perron)
-        pair = decompose_b(dyn, perron)
+        dyn = build_error_dynamics(matrix)
+        pair = decompose_b(dyn)
         n = 5
         r1 = np.concatenate([np.ones(n), np.zeros(n)])
         r2 = np.concatenate([np.zeros(n), np.ones(n)])
@@ -138,9 +139,9 @@ def test_decompose_canonical_vectors_and_reconstruction():
 def test_decompose_scaling_keeps_alpha_invariant():
     matrix = random_metropolis(5, seed=7)
     perron = perron_vector(matrix)
-    dyn = build_error_dynamics(matrix, perron)
-    base = decompose_b(dyn, perron)
-    scaled = decompose_b(dyn, perron, c=2.0)
+    dyn = build_error_dynamics(matrix)
+    base = decompose_b(dyn)
+    scaled = decompose_b(dyn, c=2.0)
     t_norm = np.linalg.norm(dyn.t_d, 2)
     alpha_base = base.norm_l * t_norm * base.norm_r
     alpha_scaled = scaled.norm_l * t_norm * scaled.norm_r
@@ -152,10 +153,8 @@ def test_decompose_rejects_extra_unit_eigenvalues():
     matrix = random_metropolis(2, seed=0)
     perron = perron_vector(matrix)
     vm = compute_v(matrix, perron)
-    fake = ErrorDynamics(matrix=matrix, perron=perron, vmat=vm,
-                         b=np.eye(4), t_d=np.zeros((4, 4)), t_e=np.zeros((4, 4)))
     with pytest.raises(SpectralError):
-        decompose_b(fake, perron)
+        stability._closed_form_pair(np.eye(4), matrix.a, perron.p, vm.v)
 
 
 @pytest.mark.parametrize("rows, cols, kind", [(0, 0, "random"), (0, 1, "random"),
@@ -176,10 +175,8 @@ def test_eigenpair_check_reads_every_block_of_b(rows, cols, kind):
     else:
         error = np.outer(np.eye(n)[0], np.ones(n))
     b[rows * n:(rows + 1) * n, cols * n:(cols + 1) * n] += 1e-6 * error
-    fake = ErrorDynamics(matrix=matrix, perron=dyn.perron, vmat=dyn.vmat,
-                         b=b, t_d=dyn.t_d, t_e=dyn.t_e)
     with pytest.raises(SpectralError, match="eigenpair residual"):
-        decompose_b(fake)
+        stability._closed_form_pair(b, matrix.a, matrix.perron.p, matrix.vmat.v)
 
 
 def test_single_agent_degenerates_cleanly():
@@ -260,7 +257,7 @@ def test_bound_rate_is_one_exactly_at_the_bound():
 def test_bound_constants_satisfy_stated_relations():
     matrix = random_metropolis(6, seed=9)
     perron = perron_vector(matrix)
-    d = diffusion_step_bound(matrix, perron)
+    d = diffusion_step_bound(matrix)
     e = extra_step_bound(matrix)
     for b in (d, e):
         assert b.sigma12 == pytest.approx(b.sigma21, rel=1e-12)
@@ -305,7 +302,7 @@ def test_norm_comparison_closed_forms():
         assert t_e ** 2 == pytest.approx(
             np.linalg.eigvalsh(np.eye(n) + vm.v @ vm.v).max(), abs=1e-12)
         # dual route: the closed forms equal the actual operator norms
-        dyn = build_error_dynamics(matrix, perron, vm)
+        dyn = build_error_dynamics(matrix)
         assert t_d == pytest.approx(np.linalg.norm(dyn.t_d, 2), abs=1e-12)
         assert t_e == pytest.approx(np.linalg.norm(dyn.t_e, 2), abs=1e-12)
         assert t_d < t_e
@@ -353,14 +350,18 @@ def test_two_agent_characteristic_polynomials():
         r_e = np.sort_complex(np.roots([1.0, -(2 * a - me), a - me]))
         assert np.abs(np.sort_complex(case.roots_d) - r_d).max() <= 1e-10
         assert np.abs(np.sort_complex(case.roots_e) - r_e).max() <= 1e-10
-        # eigs(E) = {1 - m} union roots; eigs(Q) = {1} union eigs(E)
+        # eigs(E) = {1 - m} union roots; eigs(Q) = {1} union eigs(E) for
+        # the 4x4 map Q of the generic builder
         e_d_eigs = np.sort_complex(np.linalg.eigvals(case.e_d))
         expect = np.sort_complex(np.concatenate([[1 - m], r_d]))
         assert np.abs(e_d_eigs - expect).max() <= 1e-10
-        q_d_eigs = np.sort_complex(np.linalg.eigvals(case.q_d))
+        dyn = build_error_dynamics(two_agent_matrix(a), model=QuadraticModel(
+            h=np.full((2, 1, 1), sigma2), b=np.zeros((2, 1))))
+        q_d_eigs = np.sort_complex(np.linalg.eigvals(
+            one_step_matrix(dyn, "exact_diffusion", mu=mu_d)))
         expect_q = np.sort_complex(np.concatenate([[1.0, 1 - m], r_d]))
         assert np.abs(q_d_eigs - expect_q).max() <= 1e-10
-        q_e_eigs = np.sort_complex(np.linalg.eigvals(case.q_e))
+        q_e_eigs = np.sort_complex(np.linalg.eigvals(one_step_matrix(dyn, "extra", mu=mu_e)))
         expect_qe = np.sort_complex(np.concatenate([[1.0, 1 - me], r_e]))
         assert np.abs(q_e_eigs - expect_qe).max() <= 1e-10
 
@@ -374,7 +375,7 @@ def test_two_agent_lifted_matrix_oracle():
     vm = compute_v(matrix, perron)
     model = mse_quadratic_model(2, 1, [[[1.0]], [[1.0]]], [[0.3], [-0.4]])
     steps = StepSizes.uniform(0.8, 2)
-    dyn = build_error_dynamics(matrix, perron, vm, model=model, steps=steps)
+    dyn = build_error_dynamics(matrix, model=model, steps=steps)
     q = one_step_matrix(dyn, "exact_diffusion")
     abar = (np.eye(2) + matrix.a) / 2.0
     v = vm.v
@@ -413,6 +414,46 @@ def test_two_agent_onsets():
         assert onset_e == pytest.approx((3 * a + 1) / 2.0, abs=1e-3)
     with pytest.raises(ValueError):
         two_agent_onset(0.5, 1.0, "diging")
+
+
+@pytest.mark.parametrize("sigma2", [0.3, 1.0, 2.7])
+@pytest.mark.parametrize("algorithm", ["exact_diffusion", "extra"])
+def test_two_agent_onsets_are_exact(algorithm, sigma2):
+    # the closed-form onset is where the reduced map's spectral radius
+    # crosses 1: just below it the map contracts, just above it does not
+    def radius(a, mu):
+        return float(np.abs(np.linalg.eigvals(
+            stability._two_agent_map(a, mu * sigma2, algorithm))).max())
+
+    for a in np.linspace(0.02, 0.98, 25):
+        onset = two_agent_onset(a, sigma2, algorithm)
+        assert radius(a, onset * (1 - 1e-9)) < 1.0, a
+        assert radius(a, onset * (1 + 1e-9)) > 1.0, a
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: diffusion_step_bound(m, nu=NAN),
+    lambda m: diffusion_step_bound(m, delta=NAN),
+    lambda m: extra_step_bound(m, nu=NAN),
+    lambda m: extra_step_bound(m, delta=NAN),
+    lambda m: hessian_bounds(QuadraticModel(h=np.full((2, 1, 1), NAN), b=np.zeros((2, 1)))),
+    lambda m: MSEQuadraticModel([[[1.0, NAN], [NAN, 1.0]]], [[0.0, 0.0]]),
+    lambda m: two_agent_case(0.5, NAN, 1.0),
+    lambda m: two_agent_case(0.5, 1.0, NAN),
+    lambda m: two_agent_case(0.5, 1.0, 1.0, NAN),
+    lambda m: two_agent_case(NAN, 1.0, 1.0),
+    lambda m: two_agent_onset(0.5, NAN, "exact_diffusion"),
+    lambda m: two_agent_onset(NAN, 1.0, "extra"),
+], ids=["bound-nu", "bound-delta", "extra-nu", "extra-delta", "hessian-bounds",
+        "mse-symmetry", "case-sigma2", "case-mu-d", "case-mu-e", "case-a",
+        "onset-sigma2", "onset-a"])
+def test_nan_inputs_are_rejected(call):
+    with pytest.raises(ValueError) as info:
+        call(random_metropolis(4, seed=1))
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 # ------------------------------------------------------- adaptive mismatch
@@ -500,18 +541,6 @@ def test_stability_scan_grid_without_transition():
     assert all_unstable.mu_unstable == pytest.approx(5.0)
     assert not all_unstable.refined
     assert all(c == "unstable" for c in all_unstable.classifications)
-
-
-def test_stability_scan_jobs_parity():
-    matrix = random_metropolis(4, seed=21)
-    model = random_quadratic(4, 2, seed=21)
-    grid = np.linspace(0.01, 0.6, 8)
-    a = stability_scan("extra", model, matrix, grid, max_iters=400, jobs=1)
-    b = stability_scan("extra", model, matrix, grid, max_iters=400, jobs=4)
-    assert a.mus == b.mus
-    assert a.classifications == b.classifications
-    assert a.mu_stable == b.mu_stable
-    assert a.mu_unstable == b.mu_unstable
 
 
 def test_stability_scan_rejects_bad_grid():
@@ -687,8 +716,9 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     matrix = random_metropolis(n, seed=3)
     model = random_quadratic(n, 2, seed=3)
     calls = {"power": 0, "eigh": 0, "decompose": 0}
-    factored = []
+    factored, dense_eig = [], []
     power, eigh, closed_form = graphs._power_iteration, np.linalg.eigh, stability._closed_form_pair
+    eigvals = np.linalg.eigvals
     norm, svd, scipy_svd = np.linalg.norm, np.linalg.svd, scipy.linalg.svd
 
     def counted_norm(x, ord=None, *args, **kwargs):
@@ -716,6 +746,10 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
         calls["decompose"] += 1
         return closed_form(*args)
 
+    def counted_eigvals(x):
+        dense_eig.append(np.shape(x))
+        return eigvals(x)
+
     monkeypatch.setattr(graphs, "_power_iteration", counted_power)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(stability, "_closed_form_pair", counted_closed_form)
@@ -739,6 +773,11 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     # the dense X and X^-1 are cached properties, built only when read
     for pair in (matrix._error_blocks.pair, scaled):
         assert "x" not in vars(pair) and "x_inv" not in vars(pair)
+    # the predicted spectrum reuses the matrix's eigenvalues: the one dense
+    # eigensolve is the independent eigvals(B) it is checked against
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    b_spectrum_residual(build_error_dynamics(matrix))
+    assert dense_eig == [(2 * n, 2 * n)]
 
 
 # ------------------------------------------- closed-form decomposition of B
@@ -850,8 +889,8 @@ def test_closed_form_norms_match_the_dense_oracle(network, sizes, builder):
         assert rel(blocks.t_d_norm, np.linalg.norm(dyn.t_d, 2)) <= 1e-12
         assert rel(blocks.t_e_norm, np.linalg.norm(dyn.t_e, 2)) <= 1e-12
         for pair in (decompose_b(dyn), decompose_b(dyn, c=3.7)):
-            assert rel(pair.norm_r, np.linalg.norm(pair.x_r, 2)) <= 1e-12
-            assert rel(pair.norm_l, np.linalg.norm(pair.x_l, 2)) <= 1e-12
+            assert rel(pair.norm_r, np.linalg.norm(pair.x[:, 2:], 2)) <= 1e-12
+            assert rel(pair.norm_l, np.linalg.norm(pair.x_inv[2:], 2)) <= 1e-12
             assert not pair.x.flags.writeable and not pair.x_inv.flags.writeable
             assert np.abs(dyn.b @ pair.x - pair.x * pair.d).max() <= 1e-10
             assert np.abs(pair.x_inv @ pair.x - np.eye(2 * n)).max() <= 1e-10
