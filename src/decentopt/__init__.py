@@ -3,7 +3,6 @@ optimization: correction-term diffusion engines, gradient tracking,
 their error dynamics, and closed-form step-size stability ranges."""
 
 from .algorithms import (
-    COMM_UNITS,
     ENGINES,
     AlgorithmState,
     RunResult,
@@ -40,7 +39,6 @@ from .graphs import (
     check_balanced,
     load_matrix_csv,
     matrix_from_array,
-    perron_vector,
     random_connected_graph,
     save_matrix_csv,
 )

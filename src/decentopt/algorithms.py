@@ -221,14 +221,11 @@ ENGINE_SPECS = {
 
 ENGINES = tuple(ENGINE_SPECS)
 
-#: combines (and hence transmitted vectors per agent per link) per iteration
-COMM_UNITS = {name: spec.comm_units for name, spec in ENGINE_SPECS.items()}
-
 
 def _validate_combination(engine: str, matrix: CombinationMatrix):
     spec = ENGINE_SPECS[engine]
     if spec.weighted:
-        balanced, violation = check_balanced(matrix, matrix.perron)
+        balanced, violation = check_balanced(matrix)
         if not balanced:
             raise ValueError(
                 f"{engine} requires a locally balanced combination matrix "
@@ -307,8 +304,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if not isinstance(matrix, CombinationMatrix):
-        matrix = matrix_from_array(np.asarray(matrix, dtype=float))
+    matrix = matrix_from_array(matrix)
     if matrix.n != model.n_agents:
         raise ValueError("combination matrix size does not match the agent count")
     if max_iters < 1:

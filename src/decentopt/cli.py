@@ -34,7 +34,6 @@ from .graphs import (
     SpectralError,
     build_averaging,
     build_metropolis,
-    check_balanced,
     load_matrix_csv,
     matrix_from_array,
     random_connected_graph,
@@ -44,7 +43,6 @@ from .stability import (
     build_error_dynamics,
     diffusion_step_bound,
     extra_step_bound,
-    norm_comparison,
     stability_scan,
     two_agent_case,
     two_agent_onset,
@@ -137,8 +135,8 @@ def _count(section: dict, path: str, key: str, default=_MISSING) -> int:
     return value
 
 
-def _number_array(section: dict, path: str, key: str) -> None:
-    """A required, regular nested list of finite numbers."""
+def _number_array(section: dict, path: str, key: str) -> np.ndarray:
+    """A required, regular nested list of finite numbers, as an array."""
     value = _field(section, path, key, "list")
     try:
         array = np.asarray(value)
@@ -146,6 +144,7 @@ def _number_array(section: dict, path: str, key: str) -> None:
         array = None
     if array is None or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
         raise ConfigError(f"{path}.{key}", "must be a regular array of finite numbers")
+    return array
 
 
 def _budget(section: dict, path: str) -> tuple:
@@ -175,7 +174,7 @@ def _build_graph(cfg: dict, default_seed) -> Graph:
         except (json.JSONDecodeError, KeyError, TypeError, GraphError) as exc:
             raise ConfigError("graph.path", f"bad graph file: {exc}")
     n = _count(section, "graph", "n")
-    try:
+    with _failures_at("graph"):
         if kind == "random":
             prob = _field(section, "graph", "edge_probability", "number")
             seed = _seed_field(section, "graph", "seed", default=default_seed)
@@ -189,8 +188,6 @@ def _build_graph(cfg: dict, default_seed) -> Graph:
             return Graph(n, frozenset((0, k) for k in range(1, n)))
         if kind == "complete":
             return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
-    except GraphError as exc:
-        raise ConfigError("graph", str(exc))
     raise ConfigError("graph.kind", f"unknown kind {kind!r}")
 
 
@@ -209,13 +206,11 @@ def _build_matrix(cfg: dict, default_seed) -> CombinationMatrix:
         except (GraphError, ValueError, SpectralError) as exc:
             raise ConfigError("matrix.path", f"bad combination matrix: {exc}")
     graph = _build_graph(cfg, default_seed)
-    try:
+    with _failures_at("matrix"):
         if rule == "metropolis":
             return build_metropolis(graph)
         if rule == "averaging":
             return build_averaging(graph)
-    except (GraphError, ValueError, SpectralError) as exc:
-        raise ConfigError("matrix", str(exc))
     raise ConfigError("matrix.rule", f"unknown rule {rule!r}")
 
 
@@ -234,8 +229,13 @@ def _build_model(cfg: dict, n_agents: int, default_seed) -> CostModel:
             _KIND_CHECKS["number"](v) and math.isfinite(v) and v > 0 for v in q)):
         raise ConfigError("model.q", "must be a list of finite positive numbers")
     if kind == "mse_quadratic":
-        _number_array(section, "model", "covariances")
+        cov = _number_array(section, "model", "covariances")
         _number_array(section, "model", "cross_vectors")
+        if cov.ndim == 3:
+            for key, size in (("n_agents", cov.shape[0]), ("dim", cov.shape[2])):
+                if spec[key] != size:
+                    raise ConfigError(f"model.{key}", f"is {spec[key]}, but the covariance "
+                                                      f"data have {key} {size}")
     if spec.get("seed") is not None:
         _seed_field(section, "model", "seed")
     elif kind in ("least_squares", "logistic"):
@@ -365,11 +365,6 @@ def _cmd_analyze(cfg: dict, outdir: Path, seed) -> int:
                              "closed_form_residual", "nu", "delta", "t_d_norm", "t_e_norm"]),
         }
         if n >= 2:
-            balanced, violation = check_balanced(matrix, perron)
-            if not balanced:
-                raise ConfigError(
-                    "matrix", f"analysis needs a balanced matrix (violation {violation:.3e})"
-                )
             nu, delta, k_o, tau = _curvature(cfg, matrix, seed)
             residual = b_spectrum_residual(build_error_dynamics(matrix))
             d_bound = diffusion_step_bound(matrix, tau=tau, nu=nu, delta=delta, k_o=k_o)
@@ -377,9 +372,8 @@ def _cmd_analyze(cfg: dict, outdir: Path, seed) -> int:
                           alpha_d=d_bound.alpha, mu_bound_diffusion=d_bound.mu_bound)
             if matrix.is_symmetric_doubly_stochastic:
                 e_bound = extra_step_bound(matrix, nu, delta)
-                t_d, t_e, _ = norm_comparison(matrix)
                 report.update(alpha_e=e_bound.alpha, mu_bound_extra=e_bound.mu_bound,
-                              t_d_norm=t_d, t_e_norm=t_e)
+                              t_d_norm=d_bound.t_norm, t_e_norm=e_bound.t_norm)
     _write_json(outdir / "analysis.json", report)
     return 0
 
@@ -390,12 +384,10 @@ def _cmd_two_agent(cfg: dict, outdir: Path, seed) -> int:
     sigma2 = _field(section, "two_agent", "sigma2", "number")
     mu = _field(section, "two_agent", "mu", "number")
     mu_e = _field(section, "two_agent", "mu_e", "number", default=mu)
-    try:
+    with _failures_at("two_agent"):
         case = two_agent_case(a, sigma2, mu, mu_e)
         onset_d = two_agent_onset(a, sigma2, "exact_diffusion")
         onset_e = two_agent_onset(a, sigma2, "extra")
-    except ValueError as exc:
-        raise ConfigError("two_agent", str(exc))
     payload = {
         "a": float(a),
         "sigma2": float(sigma2),

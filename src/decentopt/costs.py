@@ -64,9 +64,6 @@ class CostModel:
         """Gradient of sum_k q_k J_k at x."""
         return self.q @ self.grad_at(x)
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 class QuadraticModel(CostModel):
     """J_k(w) = 0.5 w^T H_k w - b_k^T w + c_k with constant Hessians."""
@@ -103,8 +100,7 @@ class LeastSquaresModel(QuadraticModel):
 
     kind = "least_squares"
 
-    def __init__(self, u: np.ndarray, d: np.ndarray, q=None, seed=None,
-                 samples_per_agent=None):
+    def __init__(self, u: np.ndarray, d: np.ndarray, q=None):
         u = np.asarray(u, dtype=float)
         d = np.asarray(d, dtype=float)
         h = np.einsum("ksi,ksj->kij", u, u)
@@ -113,18 +109,6 @@ class LeastSquaresModel(QuadraticModel):
         super().__init__(h, b, const=const, q=q)
         self.u = u
         self.d = d
-        self.seed = seed
-        self.samples_per_agent = u.shape[1] if samples_per_agent is None else samples_per_agent
-
-    def to_config(self):
-        return {
-            "kind": "least_squares",
-            "seed": self.seed,
-            "n_agents": self.n_agents,
-            "dim": self.dim,
-            "samples_per_agent": self.samples_per_agent,
-            "q": self.q.tolist(),
-        }
 
 
 class MSEQuadraticModel(QuadraticModel):
@@ -133,26 +117,13 @@ class MSEQuadraticModel(QuadraticModel):
     kind = "mse_quadratic"
 
     def __init__(self, covariances, cross_vectors, q=None):
-        r_cov = np.asarray(covariances, dtype=float)
-        r_vec = np.asarray(cross_vectors, dtype=float)
-        for k, rk in enumerate(r_cov):
+        covariances = np.asarray(covariances, dtype=float)
+        for k, rk in enumerate(covariances):
             # NaN-safe on the off-diagonal pairs; a NaN diagonal is left to
             # solve_centralized, which raises ConvergenceError on it
             if not np.abs(np.triu(rk, 1) - np.tril(rk, -1).T).max() <= 1e-10:
                 raise ValueError(f"covariance R_{k} is not symmetric")
-        super().__init__(r_cov, r_vec, q=q)
-        self.r_cov = r_cov
-        self.r_vec = r_vec
-
-    def to_config(self):
-        return {
-            "kind": "mse_quadratic",
-            "n_agents": self.n_agents,
-            "dim": self.dim,
-            "covariances": self.r_cov.tolist(),
-            "cross_vectors": self.r_vec.tolist(),
-            "q": self.q.tolist(),
-        }
+        super().__init__(covariances, cross_vectors, q=q)
 
 
 class LogisticModel(CostModel):
@@ -162,8 +133,7 @@ class LogisticModel(CostModel):
 
     kind = "logistic"
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float,
-                 q=None, seed=None):
+    def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float, q=None):
         features = np.asarray(features, dtype=float)  # (N, L, M)
         labels = np.asarray(labels, dtype=float)      # (N, L) in {-1, +1}
         n, n_samples, m = features.shape
@@ -176,7 +146,6 @@ class LogisticModel(CostModel):
         self.labels = labels
         self.ridge = float(ridge)
         self.n_samples = n_samples
-        self.seed = seed
 
     def _margins_at(self, x):
         return self.labels * (self.features @ x)
@@ -196,17 +165,6 @@ class LogisticModel(CostModel):
         losses = np.logaddexp(0.0, -self._margins_at(x)).mean(axis=1)
         return losses + 0.5 * self.ridge * float(x @ x)
 
-    def to_config(self):
-        return {
-            "kind": "logistic",
-            "seed": self.seed,
-            "n_agents": self.n_agents,
-            "dim": self.dim,
-            "samples_per_agent": self.n_samples,
-            "ridge": self.ridge,
-            "q": self.q.tolist(),
-        }
-
 
 def least_squares_model(seed: int, n_agents: int, dim: int,
                         samples_per_agent: int, q=None) -> LeastSquaresModel:
@@ -214,7 +172,7 @@ def least_squares_model(seed: int, n_agents: int, dim: int,
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((n_agents, samples_per_agent, dim))
     d = rng.standard_normal((n_agents, samples_per_agent))
-    return LeastSquaresModel(u, d, q=q, seed=seed, samples_per_agent=samples_per_agent)
+    return LeastSquaresModel(u, d, q=q)
 
 
 def logistic_model(seed: int, n_agents: int, dim: int, samples_per_agent: int,
@@ -226,16 +184,23 @@ def logistic_model(seed: int, n_agents: int, dim: int, samples_per_agent: int,
     w_plant = rng.standard_normal(dim)
     noise = 0.5 * rng.standard_normal((n_agents, samples_per_agent))
     labels = np.where(features @ w_plant + noise >= 0, 1.0, -1.0)
-    return LogisticModel(features, labels, ridge, q=q, seed=seed)
+    return LogisticModel(features, labels, ridge, q=q)
 
 
 def mse_quadratic_model(n_agents: int, dim: int, covariances, cross_vectors,
                         q=None) -> MSEQuadraticModel:
-    return MSEQuadraticModel(covariances, cross_vectors, q=q)
+    """Model over given covariance data; raises ValueError when n_agents
+    or dim contradicts the data's shape."""
+    model = MSEQuadraticModel(covariances, cross_vectors, q=q)
+    if (model.n_agents, model.dim) != (n_agents, dim):
+        raise ValueError(f"covariance data hold {model.n_agents} agents of dimension "
+                         f"{model.dim}, not {n_agents} of dimension {dim}")
+    return model
 
 
 def model_from_config(cfg: dict) -> CostModel:
-    """Rebuild a model from its JSON-friendly config dict."""
+    """Build a model from a JSON-friendly config dict, such as the CLI's
+    `model` section."""
     kind = cfg.get("kind")
     q = cfg.get("q")
     if kind == "least_squares":

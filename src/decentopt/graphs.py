@@ -170,7 +170,15 @@ class CombinationMatrix:
 
     @cached_property
     def perron(self) -> PerronData:
-        """Perron data of A, computed on first use; see `perron_vector`."""
+        """Perron data of A, computed once per matrix, on first use.
+
+        The vector comes from power iteration; when the spectral gap is
+        small (|1 - rhoA| < 1e-3) or the iteration stalls, the eigenvector
+        is taken from the full eigendecomposition instead.  The spectrum
+        summary reuses the constructor's eigenvalues.  Raises SpectralError
+        when the vector is not entrywise positive or misses the residual
+        tolerance.
+        """
         a = self.a
         lambda2, lambdaN, rhoA = _spectrum_summary(self._eigvals)
         p = None
@@ -200,7 +208,7 @@ class CombinationMatrix:
         """`spectral.compute_v` of a balanced matrix, computed on first use."""
         from .spectral import compute_v
 
-        return compute_v(self, self.perron)
+        return compute_v(self)
 
     @cached_property
     def abar(self) -> np.ndarray:
@@ -292,31 +300,16 @@ def _power_iteration(a: np.ndarray):
     return best, best_res
 
 
-def perron_vector(a: CombinationMatrix) -> PerronData:
-    """The Perron data of a combination matrix, computed once per matrix.
-
-    The vector comes from power iteration; when the spectral gap is small
-    (|1 - rhoA| < 1e-3) or the iteration stalls, the eigenvector is taken
-    from the full eigendecomposition instead.  The spectrum summary reuses
-    the constructor's eigenvalues.  Raises SpectralError when the vector
-    is not entrywise positive or misses the residual tolerance.
-    """
-    return a.perron
-
-
-def check_balanced(a: CombinationMatrix, p: PerronData):
-    """Balance predicate: P A^T == A P with P = diag(p).
+def check_balanced(matrix: CombinationMatrix):
+    """Balance predicate: P A^T == A P with P = diag(p), p the matrix's own
+    Perron vector.
 
     Returns (balanced, violation) where violation is the largest residual
-    entry.  A Perron vector that is not entrywise positive fails the
-    predicate regardless of the residual (the positivity deficit is folded
-    into the reported violation).
+    entry.
     """
-    pv = np.asarray(p.p, dtype=float)
-    residual = np.abs(pv[:, np.newaxis] * a.a.T - a.a * pv).max()
-    deficit = max(0.0, -float(pv.min()))
-    balanced = bool(residual <= BALANCE_TOL and pv.min() > 0)
-    return balanced, float(max(residual, deficit))
+    pv = matrix.perron.p
+    residual = float(np.abs(pv[:, np.newaxis] * matrix.a.T - matrix.a * pv).max())
+    return residual <= BALANCE_TOL, residual
 
 
 def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
@@ -346,7 +339,11 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
 
 def matrix_from_array(a, graph: Graph | None = None) -> CombinationMatrix:
     """Wrap a raw square array as a CombinationMatrix, inferring the graph
-    from the off-diagonal sparsity pattern when none is given."""
+    from the off-diagonal sparsity pattern when none is given.  A
+    CombinationMatrix with no graph given is returned as it is, so every
+    entry point that takes either form coerces with this one call."""
+    if isinstance(a, CombinationMatrix) and graph is None:
+        return a
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"combination matrix must be square, got shape {a.shape}")

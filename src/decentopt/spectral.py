@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CombinationMatrix, PerronData, SpectralError, check_balanced
+from .graphs import CombinationMatrix, SpectralError, check_balanced
 
 CLIP_TOL = 1e-12
 PSD_TOL = -1e-8
@@ -35,21 +35,21 @@ class VMatrix:
     sigma: np.ndarray
 
 
-def compute_v(a: CombinationMatrix, p: PerronData) -> VMatrix:
+def compute_v(matrix: CombinationMatrix) -> VMatrix:
     """Build V = U sqrt(Sigma) U^T from the eigendecomposition of
-    (P - A P)/2.
+    (P - A P)/2, with p the matrix's own Perron vector.
 
     Requires a balanced matrix (otherwise (P - A P)/2 need not be
     symmetric PSD).  Eigenvalues below 1e-12 are clipped to exactly zero
     before the square root; anything below -1e-8 is a PSD violation.
     """
-    balanced, violation = check_balanced(a, p)
+    balanced, violation = check_balanced(matrix)
     if not balanced:
         raise ValueError(
             f"combination matrix is not balanced (violation {violation:.3e})"
         )
-    pv = np.asarray(p.p, dtype=float)
-    s = (np.diag(pv) - a.a * pv[np.newaxis, :]) / 2.0
+    pv = matrix.perron.p
+    s = (np.diag(pv) - matrix.a * pv[np.newaxis, :]) / 2.0
     s = (s + s.T) / 2.0  # balance makes this symmetric; kill rounding skew
     w, u = np.linalg.eigh(s)
     if w.min() < PSD_TOL:

@@ -147,8 +147,7 @@ def build_error_dynamics(matrix, model: CostModel = None,
     and shared.  model/steps are optional; they are only needed later by
     one_step_matrix, which requires constant Hessians (quadratic costs).
     """
-    if not isinstance(matrix, CombinationMatrix):
-        matrix = matrix_from_array(np.asarray(matrix, dtype=float))
+    matrix = matrix_from_array(matrix)
     h = None
     if model is not None:
         if not isinstance(model, QuadraticModel):
@@ -369,8 +368,7 @@ def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:
     """Closed-form eigenvalues of B: {1, 1} plus, for every non-Perron
     eigenvalue lam of Abar, the roots of d^2 - 2 lam d + lam = 0 (a
     conjugate pair of modulus sqrt(lam))."""
-    if not isinstance(matrix, CombinationMatrix):
-        matrix = matrix_from_array(np.asarray(matrix, dtype=float))
+    matrix = matrix_from_array(matrix)
     lams = (1.0 + matrix._eigvals) / 2.0  # the eigenvalues of Abar
     lams = np.delete(lams, np.argmin(np.abs(lams - 1.0))).astype(complex)
     root = np.sqrt(lams * lams - lams)
@@ -470,8 +468,7 @@ def diffusion_step_bound(matrix, tau=None, nu: float = 1.0, delta: float = 1.0,
         mu_bound = sigma11 (1 - lam) / (2 sigma21^2) at the optimal
         eigenvector scaling.
     """
-    if not isinstance(matrix, CombinationMatrix):
-        matrix = matrix_from_array(np.asarray(matrix, dtype=float))
+    matrix = matrix_from_array(matrix)
     if matrix.n < 2:
         raise ValueError("stability bounds need at least two agents")
     n = matrix.n
@@ -494,8 +491,7 @@ def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBo
     sigma11 = nu / N here, and the bound reads
     mu_bound = nu (1 - lam) / (2 sqrt(N) alpha_e delta^2).
     """
-    if not isinstance(matrix, CombinationMatrix):
-        matrix = matrix_from_array(np.asarray(matrix, dtype=float))
+    matrix = matrix_from_array(matrix)
     if matrix.n < 2:
         raise ValueError("stability bounds need at least two agents")
     if not matrix.is_symmetric_doubly_stochastic:
@@ -510,8 +506,7 @@ def norm_comparison(matrix) -> tuple:
     doubly stochastic matrix.  The combined route is never louder:
     ||T_d|| < ||T_e|| strictly for N >= 2 (equality only in the trivial
     single-agent case, which returns (1.0, 1.0, 1.0))."""
-    if not isinstance(matrix, CombinationMatrix):
-        matrix = matrix_from_array(np.asarray(matrix, dtype=float))
+    matrix = matrix_from_array(matrix)
     if matrix.n == 1:
         return (1.0, 1.0, 1.0)
     if not matrix.is_symmetric_doubly_stochastic:
@@ -709,8 +704,7 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     and the bracket then follows the verdicts, so it visits the same
     midpoints and ends at the same bracket as one-at-a-time bisection.
     """
-    if not isinstance(matrix, CombinationMatrix):
-        matrix = matrix_from_array(np.asarray(matrix, dtype=float))
+    matrix = matrix_from_array(matrix)
     if engine not in ENGINE_SPECS:
         raise ValueError(f"unknown engine {engine!r}; expected one of {tuple(ENGINE_SPECS)}")
     if ground_truth is None:

@@ -23,7 +23,6 @@ from decentopt import (
     mse_quadratic_model,
     norm_comparison,
     one_step_matrix,
-    perron_vector,
     random_connected_graph,
     run,
     simulate_error_recursion,
@@ -57,7 +56,7 @@ def test_criterion_1_exact_linear_convergence():
     t0 = time.perf_counter()
     graph = random_connected_graph(20, 0.5, seed=20)
     matrix = build_metropolis(graph)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     model = least_squares_model(20, 20, 5, 40)
     gt = solve_centralized(model)
     nu, delta, k_o = hessian_bounds(model)
@@ -111,8 +110,8 @@ def _hundred_instances():
 def test_criterion_3_dual_norm_closed_form():
     worst = 0.0
     for n, matrix in _hundred_instances():
-        perron = perron_vector(matrix)
-        vm = compute_v(matrix, perron)
+        perron = matrix.perron
+        vm = compute_v(matrix)
         lam_max = np.linalg.eigvalsh(np.eye(n) + vm.v @ vm.v).max()
         closed = (2 * n + 1 - perron.lambdaN) / (2 * n)
         worst = max(worst, abs(lam_max - closed))
@@ -146,7 +145,7 @@ def test_criterion_5_eigenstructure():
         n = 3 + seed % 6
         builder = build_metropolis if seed % 2 == 0 else build_averaging
         matrix = builder(random_connected_graph(n, 0.5, seed))
-        perron = perron_vector(matrix)
+        perron = matrix.perron
         dyn = build_error_dynamics(matrix)
         worst_spec = max(worst_spec, b_spectrum_residual_of(dyn))
         pair = decompose_b(dyn)
@@ -191,7 +190,7 @@ def test_criterion_6_error_recursion_equivalence():
         _, delta, _ = hessian_bounds(model)
         mu = 0.4 / delta
         steps = (StepSizes.uniform(mu, n) if engine == "extra"
-                 else _steps(engine, model, perron_vector(matrix), mu))
+                 else _steps(engine, model, matrix.perron, mu))
         dyn = build_error_dynamics(matrix, model=model, steps=steps)
         lift = one_step_matrix(
             dyn, "extra" if engine == "extra" else "exact_diffusion")
@@ -224,7 +223,7 @@ def test_criterion_7_dual_consensus_invariant():
                       least_squares_model(520 + i, n, 2, 8)))
     for engine, matrix, model in cases:
         n = matrix.n
-        perron = perron_vector(matrix)
+        perron = matrix.perron
         mu = 0.3 / hessian_bounds(model)[1]
         res = run(engine, model, matrix, _steps(engine, model, perron, mu),
                   max_iters=400, stop=0.0, keep_iterates=True,
@@ -256,7 +255,7 @@ def test_criterion_8_terminal_gradient_stationarity():
     worst = 0.0
     statuses = []
     for engine, matrix, model in cases:
-        perron = perron_vector(matrix)
+        perron = matrix.perron
         mu = 0.3 / hessian_bounds(model)[1]
         res = run(engine, model, matrix, _steps(engine, model, perron, mu),
                   max_iters=60_000, stop=1e-22)
@@ -271,7 +270,7 @@ def test_criterion_8_terminal_gradient_stationarity():
 
 def test_criterion_9_adaptive_tuning():
     matrix = random_averaging(5, seed=42)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     rng = np.random.default_rng(9)
     model = least_squares_model(900, 5, 2, 10, q=(0.5 + rng.random(5)).tolist())
     _, delta, _ = hessian_bounds(model)

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from decentopt import (
-    COMM_UNITS,
     ENGINES,
     StepSizes,
     TraceRecord,
     compute_v,
     least_squares_model,
     matrix_from_array,
-    perron_vector,
     read_trace_csv,
     run,
     solve_centralized,
@@ -123,7 +121,7 @@ def test_run_matches_the_reference_loop(engine):
     model = random_quadratic(6, 3, seed=17)
     if engine not in WEIGHTED:
         matrix = random_metropolis(6, seed=17)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     w0 = np.random.default_rng(17).standard_normal((6, 3))
     gt = solve_centralized(model)
     statuses = set()
@@ -159,7 +157,7 @@ def test_run_with_a_huge_budget_stops_early():
 def test_trace_starts_at_seed_and_counts_communications():
     matrix = random_metropolis(5, seed=1)
     model = least_squares_model(4, 5, 2, 8)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     for engine in ENGINES:
         res = run(engine, model, matrix, steps_for(engine, model, perron, 0.01),
                   max_iters=7, stop=0.0)
@@ -169,7 +167,7 @@ def test_trace_starts_at_seed_and_counts_communications():
         assert (first.iteration, first.comm_units, first.rel_error) == (0, 0, 1.0)
         for i, rec in enumerate(res.records):
             assert rec.iteration == i
-            assert rec.comm_units == i * COMM_UNITS[engine]
+            assert rec.comm_units == i * ENGINE_SPECS[engine].comm_units
             assert rec.grad_norm >= 0.0
 
 
@@ -179,7 +177,7 @@ def test_run_converges_immediately_from_the_solution():
     gt = solve_centralized(model)
     w0 = np.tile(gt.w_star, (4, 1))
     res = run("exact_diffusion", model, matrix,
-              steps_for("exact_diffusion", model, perron_vector(matrix), 0.01),
+              steps_for("exact_diffusion", model, matrix.perron, 0.01),
               w0=w0)
     assert res.status == "converged"
     assert len(res.records) == 1
@@ -189,7 +187,7 @@ def test_run_converges_immediately_from_the_solution():
 def test_engines_converge_and_reach_consensus():
     matrix = random_metropolis(5, seed=3)
     model = least_squares_model(6, 5, 2, 10)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     gt = solve_centralized(model)
     for engine in ENGINES:
         res = run(engine, model, matrix, steps_for(engine, model, perron, 0.02),
@@ -225,7 +223,7 @@ def test_max_iters_one_is_exhausted():
 def test_keep_iterates_and_duals():
     matrix = random_metropolis(4, seed=6)
     model = least_squares_model(9, 4, 2, 8)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     res = run("exact_diffusion_pd", model, matrix,
               steps_for("exact_diffusion_pd", model, perron, 0.01),
               max_iters=12, stop=0.0, keep_iterates=True)
@@ -246,7 +244,7 @@ def test_keep_iterates_and_duals():
 def test_exact_diffusion_equals_its_primal_dual_form():
     matrix = random_averaging(6, seed=7)
     model = least_squares_model(10, 6, 3, 9, q=[1.0, 2.0, 0.5, 1.0, 1.5, 1.0])
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     steps = StepSizes.from_weights(model.q, perron.p, 0.002)
     a = run("exact_diffusion", model, matrix, steps, max_iters=300, stop=0.0,
             keep_iterates=True)
@@ -259,7 +257,7 @@ def test_exact_diffusion_equals_its_primal_dual_form():
 def test_first_step_is_combine_of_gradient_step():
     matrix = random_metropolis(5, seed=8)
     model = least_squares_model(11, 5, 2, 8)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     steps = steps_for("exact_diffusion", model, perron, 0.05)
     rng = np.random.default_rng(0)
     w0 = rng.standard_normal((5, 2))
@@ -276,7 +274,7 @@ def test_first_step_is_combine_of_gradient_step():
 def test_adaptive_first_step_uses_self_weights():
     matrix = random_averaging(5, seed=9)
     model = least_squares_model(12, 5, 2, 8)
-    perron9 = perron_vector(matrix)
+    perron9 = matrix.perron
     steps = StepSizes.from_weights(model.q, perron9.p, 0.003)
     res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=2,
               stop=0.0)
@@ -284,7 +282,7 @@ def test_adaptive_first_step_uses_self_weights():
     # is q_k mu_o / a_kk on the first iteration
     hist = res.state.z_diag_history
     assert np.abs(hist[0] - np.diag(matrix.a)).max() <= 1e-15
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     assert np.abs(hist[-1] - perron.p).max() < np.abs(hist[0] - perron.p).max()
 
 
@@ -292,11 +290,11 @@ def test_adaptive_first_step_uses_self_weights():
 
 
 def build_ctx(engine, model, matrix, steps):
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     ctx = _EngineContext(model=model, a=matrix.a,
                          abar=(np.eye(matrix.n) + matrix.a) / 2.0, steps=steps)
     if engine in ("exact_diffusion_pd", "extra"):
-        vm = compute_v(matrix, perron)
+        vm = compute_v(matrix)
         ctx.v = vm.v
         ctx.pinv_v = vm.v / perron.p[:, np.newaxis]
     return ctx
@@ -305,7 +303,7 @@ def build_ctx(engine, model, matrix, steps):
 def test_fixed_point_residency_all_engines():
     matrix = random_metropolis(5, seed=10)
     model = random_quadratic(5, 2, seed=10)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     gt = solve_centralized(model)
     w_star = np.tile(gt.w_star, (5, 1))
     w_o = np.tile(gt.w_o, (5, 1))
@@ -313,7 +311,7 @@ def test_fixed_point_residency_all_engines():
     g_o = model.grad(w_o)
     steps = StepSizes.from_weights(model.q, perron.p, 0.01 / 5)
     uni = StepSizes.uniform(0.01, 5)
-    vm = compute_v(matrix, perron)
+    vm = compute_v(matrix)
     pinv_v = np.linalg.pinv(vm.v)
     abar = (np.eye(5) + matrix.a) / 2.0
 
@@ -373,7 +371,7 @@ def test_asymmetric_doubly_stochastic_matrix_rules():
     a = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
     matrix = matrix_from_array(a)
     model = least_squares_model(15, 3, 2, 8)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     with pytest.raises(ValueError):
         run("extra", model, matrix, StepSizes.uniform(0.01, 3))
     with pytest.raises(ValueError):

@@ -493,6 +493,18 @@ def test_quadratic_data_is_checked_at_its_path(tmp_path, capsys, command, key, v
     assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
 
 
+@pytest.mark.parametrize("command", ["run", "stability-scan", "analyze"])
+@pytest.mark.parametrize("key, value", [("dim", 7), ("n_agents", 3)])
+def test_quadratic_sizes_are_checked_against_the_data(tmp_path, capsys, command, key, value):
+    # both fields used to be ignored, so "dim": 7 on 1-D data exited 0
+    payload = mse_config()
+    payload["model"][key] = value
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"config error at model.{key}: is {value}, but the covariance data have {key} " \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["0.5,0.5\n0.5,0.5\n0,0\n", "0.5,0.5,0\n0.5,0.5,1\n"])
 def test_non_square_matrix_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "a.csv"

@@ -68,6 +68,14 @@ def test_mse_quadratic_requires_symmetry():
         MSEQuadraticModel(bad, [[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("n_agents, dim", [(9, 4), (3, 1), (2, 4)])
+def test_mse_quadratic_sizes_must_match_the_data(n_agents, dim):
+    # both sizes used to be ignored: (9, 4) on 2-agent, 1-D data gave a
+    # 2-agent, 1-D model
+    with pytest.raises(ValueError, match="covariance data hold 2 agents of dimension 1"):
+        mse_quadratic_model(n_agents, dim, [[[1.0]], [[1.0]]], [[0.7], [-0.3]])
+
+
 def test_hessian_bounds_quadratic_oracle():
     # agent 0 spectrum {1, 2}, agent 1 spectrum {3, 1/2}: nu is the best
     # per-agent floor (agent 0, value 1) and delta the global ceiling 3

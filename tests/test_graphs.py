@@ -13,14 +13,12 @@ from decentopt import (
     CombinationMatrix,
     Graph,
     GraphError,
-    PerronData,
     SpectralError,
     build_averaging,
     build_metropolis,
     check_balanced,
     load_matrix_csv,
     matrix_from_array,
-    perron_vector,
     random_connected_graph,
     save_matrix_csv,
 )
@@ -207,14 +205,14 @@ def test_averaging_star_oracle():
         [[1 / 3, 1 / 2, 1 / 2], [1 / 3, 1 / 2, 0.0], [1 / 3, 0.0, 1 / 2]]
     )
     assert np.abs(a - expect).max() <= 1e-15
-    p = perron_vector(build_averaging(g)).p
+    p = build_averaging(g).perron.p
     assert np.abs(p - np.array([3 / 7, 2 / 7, 2 / 7])).max() <= 1e-12
 
 
 def test_averaging_perron_follows_degrees():
     g = random_connected_graph(9, 0.35, seed=11)
     m = build_averaging(g)
-    p = perron_vector(m).p
+    p = m.perron.p
     weights = 1.0 + np.asarray(g.degrees(), dtype=float)
     assert np.abs(p - weights / weights.sum()).max() <= 1e-12
 
@@ -265,19 +263,19 @@ def test_matrix_from_array_infers_graph():
 
 def test_perron_uniform_for_doubly_stochastic():
     m = random_metropolis(7, seed=5)
-    perron = perron_vector(m)
+    perron = m.perron
     assert np.abs(perron.p - 1 / 7).max() <= 1e-12
     assert perron.rhoA < 1.0
     assert -1.0 < perron.lambdaN < 1.0
     assert perron.lambda2 < 1.0
-    balanced, violation = check_balanced(m, perron)
+    balanced, violation = check_balanced(m)
     assert balanced is True
     assert violation <= 1e-12
 
 
 def test_perron_single_agent_conventions():
     m = matrix_from_array(np.array([[1.0]]))
-    perron = perron_vector(m)
+    perron = m.perron
     assert perron.p.tolist() == [1.0]
     assert np.isnan(perron.lambda2)
     assert perron.lambdaN == 1.0
@@ -288,7 +286,7 @@ def test_perron_residual_is_tiny():
     for seed in (0, 1, 2):
         for build in (build_metropolis, build_averaging):
             m = build(random_connected_graph(6, 0.5, seed))
-            p = perron_vector(m).p
+            p = m.perron.p
             assert np.abs(m.a @ p - p).max() <= 1e-12
             assert abs(p.sum() - 1.0) <= 1e-14
 
@@ -301,27 +299,20 @@ def test_combination_matrix_is_read_only():
     with pytest.raises(ValueError):
         m.a[0, 0] = 0.5
     with pytest.raises(ValueError):
-        perron_vector(m).p[0] = 1.0
+        m.perron.p[0] = 1.0
 
 
 def test_check_balanced_flags_asymmetric_column_stochastic():
     a = np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]])
     assert np.abs(a.sum(axis=0) - 1.0).max() <= 1e-15  # column stochastic...
     m = matrix_from_array(a)
-    perron = perron_vector(m)
-    balanced, violation = check_balanced(m, perron)
+    perron = m.perron
+    balanced, violation = check_balanced(m)
     # ...but A diag(p) is not symmetric, so it is unbalanced
     pa = a @ np.diag(perron.p)
     assert np.abs(pa - pa.T).max() > 1e-3
     assert balanced is False
     assert violation > 1e-3
-
-
-def test_check_balanced_rejects_degenerate_perron_vector():
-    m = matrix_from_array(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    fake = PerronData(p=np.array([1.0, 0.0]), lambda2=0.0, lambdaN=0.0, rhoA=0.0)
-    balanced, violation = check_balanced(m, fake)
-    assert balanced is False and violation > 0
 
 
 # ---------------------------------------------------------------- file io
@@ -344,8 +335,7 @@ def test_metropolis_is_symmetric_doubly_stochastic(n, seed):
     m = build_metropolis(random_connected_graph(n, 0.5, seed))
     assert np.abs(m.a - m.a.T).max() <= 1e-15
     assert np.abs(m.a.sum(axis=0) - 1.0).max() <= 1e-12
-    p = perron_vector(m)
-    assert check_balanced(m, p)[0]
+    assert check_balanced(m)[0]
 
 
 @settings(max_examples=20, deadline=None)
@@ -353,6 +343,6 @@ def test_metropolis_is_symmetric_doubly_stochastic(n, seed):
 def test_averaging_is_balanced_column_stochastic(n, seed):
     m = build_averaging(random_connected_graph(n, 0.5, seed))
     assert np.abs(m.a.sum(axis=0) - 1.0).max() <= 1e-12
-    p = perron_vector(m)
+    p = m.perron
     assert p.p.min() > 0
-    assert check_balanced(m, p)[0]
+    assert check_balanced(m)[0]

@@ -13,7 +13,6 @@ from decentopt import (
     certify_nullspace,
     compute_v,
     matrix_from_array,
-    perron_vector,
     random_connected_graph,
 )
 
@@ -32,7 +31,7 @@ def test_v_two_agent_oracle():
     # projector 0.25 [[1, -1], [-1, 1]] with squared singular values
     # {1/4, 0}
     m = two_agent(0.5)
-    vm = compute_v(m, perron_vector(m))
+    vm = compute_v(m)
     expect = 0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert np.abs(vm.v - expect).max() <= 1e-12
     assert np.abs(vm.sigma - np.array([0.25, 0.0])).max() <= 1e-12
@@ -43,7 +42,7 @@ def test_v_annihilates_consensus_direction():
     for seed in range(4):
         for builder in (random_metropolis, random_averaging):
             m = builder(6, seed)
-            vm = compute_v(m, perron_vector(m))
+            vm = compute_v(m)
             ones = np.ones(6)
             assert np.abs(vm.v @ ones).max() <= 1e-12
             # V is symmetric PSD by construction
@@ -57,8 +56,8 @@ def test_v_plus_rank_one_is_invertible():
     # the nullspace of V is exactly span{1}, so adding 1 p^T restores
     # full rank
     m = random_averaging(5, seed=2)
-    perron = perron_vector(m)
-    vm = compute_v(m, perron)
+    perron = m.perron
+    vm = compute_v(m)
     patched = vm.v + np.outer(np.ones(5), perron.p)
     assert np.linalg.matrix_rank(patched) == 5
     assert np.linalg.matrix_rank(vm.v) == 4
@@ -67,8 +66,8 @@ def test_v_plus_rank_one_is_invertible():
 def test_v_squared_matches_defining_matrix():
     # V^2 = P - (P Abar^T + Abar P)/2, symmetrized product with P = diag(p)
     m = random_averaging(6, seed=7)
-    perron = perron_vector(m)
-    vm = compute_v(m, perron)
+    perron = m.perron
+    vm = compute_v(m)
     p = np.diag(perron.p)
     abar = (m.a + np.eye(6)) / 2.0
     target = p - (p @ abar.T + abar @ p) / 2.0
@@ -79,7 +78,7 @@ def test_compute_v_rejects_unbalanced():
     a = np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]])
     m = matrix_from_array(a)
     with pytest.raises(ValueError):
-        compute_v(m, perron_vector(m))
+        compute_v(m)
 
 
 def test_certify_nullspace_rejects_wrong_kernel():
@@ -102,6 +101,6 @@ def test_certify_nullspace_rejects_wrong_kernel():
 def test_v_certified_for_balanced_policies(n, seed, rule):
     g = random_connected_graph(n, 0.5, seed)
     m = build_metropolis(g) if rule == "metropolis" else build_averaging(g)
-    vm = compute_v(m, perron_vector(m))
+    vm = compute_v(m)
     assert certify_nullspace(vm)
     assert np.abs(vm.v @ np.ones(n)).max() <= 1e-10

@@ -30,7 +30,6 @@ from decentopt import (
     mse_quadratic_model,
     norm_comparison,
     one_step_matrix,
-    perron_vector,
     predicted_b_spectrum,
     random_connected_graph,
     simulate_error_recursion,
@@ -56,8 +55,8 @@ def two_agent_matrix(a):
 
 def test_b_matrix_block_structure():
     matrix = random_averaging(5, seed=0)
-    perron = perron_vector(matrix)
-    vm = compute_v(matrix, perron)
+    perron = matrix.perron
+    vm = compute_v(matrix)
     dyn = build_error_dynamics(matrix)
     n = 5
     abar = (np.eye(n) + matrix.a) / 2.0
@@ -113,7 +112,7 @@ def test_eigenvalue_pairs_have_sqrt_magnitude():
 def test_decompose_canonical_vectors_and_reconstruction():
     for seed, builder in ((0, random_metropolis), (1, random_averaging)):
         matrix = builder(5, seed)
-        perron = perron_vector(matrix)
+        perron = matrix.perron
         dyn = build_error_dynamics(matrix)
         pair = decompose_b(dyn)
         n = 5
@@ -138,7 +137,6 @@ def test_decompose_canonical_vectors_and_reconstruction():
 
 def test_decompose_scaling_keeps_alpha_invariant():
     matrix = random_metropolis(5, seed=7)
-    perron = perron_vector(matrix)
     dyn = build_error_dynamics(matrix)
     base = decompose_b(dyn)
     scaled = decompose_b(dyn, c=2.0)
@@ -151,8 +149,8 @@ def test_decompose_scaling_keeps_alpha_invariant():
 
 def test_decompose_rejects_extra_unit_eigenvalues():
     matrix = random_metropolis(2, seed=0)
-    perron = perron_vector(matrix)
-    vm = compute_v(matrix, perron)
+    perron = matrix.perron
+    vm = compute_v(matrix)
     with pytest.raises(SpectralError):
         stability._closed_form_pair(np.eye(4), matrix.a, perron.p, vm.v)
 
@@ -192,13 +190,38 @@ def test_single_agent_degenerates_cleanly():
     assert norm_comparison(m1) == (1.0, 1.0, 1.0)
 
 
+ENTRY_POINTS = {
+    "run": lambda m: run("extra", least_squares_model(3, 5, 2, 6), m,
+                         StepSizes.uniform(0.05, 5), max_iters=300).records,
+    "build_error_dynamics": lambda m: build_error_dynamics(m).b,
+    "predicted_b_spectrum": predicted_b_spectrum,
+    "diffusion_step_bound": diffusion_step_bound,
+    "extra_step_bound": extra_step_bound,
+    "norm_comparison": norm_comparison,
+    "stability_scan": lambda m: stability_scan("extra", least_squares_model(3, 5, 2, 6), m,
+                                               [0.05, 0.4, 1.6], max_iters=300),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_raw_arrays_coerce_like_combination_matrices(entry):
+    matrix = random_metropolis(5, seed=4)
+    assert matrix_from_array(matrix) is matrix
+    from_matrix = ENTRY_POINTS[entry](matrix)
+    from_array = ENTRY_POINTS[entry](matrix.a.copy())
+    if isinstance(from_matrix, np.ndarray):
+        assert np.array_equal(from_matrix, from_array)
+    else:
+        assert from_matrix == from_array
+
+
 # ------------------------------------------------- one-step lift vs engine
 
 
 def test_lifted_matrix_matches_engine_exact_diffusion():
     matrix = random_averaging(4, seed=5)
     model = random_quadratic(4, 2, seed=5, q=[1.0, 2.0, 0.5, 1.0])
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     steps = StepSizes.from_weights(model.q, perron.p, 0.01)
     dyn = build_error_dynamics(matrix, model=model, steps=steps)
     q = one_step_matrix(dyn, "exact_diffusion")
@@ -256,7 +279,7 @@ def test_bound_rate_is_one_exactly_at_the_bound():
 
 def test_bound_constants_satisfy_stated_relations():
     matrix = random_metropolis(6, seed=9)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     d = diffusion_step_bound(matrix)
     e = extra_step_bound(matrix)
     for b in (d, e):
@@ -294,8 +317,8 @@ def test_extra_bound_requires_symmetric_doubly_stochastic():
 def test_norm_comparison_closed_forms():
     for n in range(2, 9):
         matrix = random_metropolis(n, seed=n)
-        perron = perron_vector(matrix)
-        vm = compute_v(matrix, perron)
+        perron = matrix.perron
+        vm = compute_v(matrix)
         t_d, t_e, ratio = norm_comparison(matrix)
         lam_n = perron.lambdaN
         assert t_e ** 2 == pytest.approx((2 * n + 1 - lam_n) / (2 * n), abs=1e-10)
@@ -371,8 +394,7 @@ def test_two_agent_lifted_matrix_oracle():
     # [[(1-m) Abar, -2V], [(1-m) V Abar, Abar]] because I - 2 V^2 = Abar
     a_val = 0.5
     matrix = two_agent_matrix(a_val)
-    perron = perron_vector(matrix)
-    vm = compute_v(matrix, perron)
+    vm = compute_v(matrix)
     model = mse_quadratic_model(2, 1, [[[1.0]], [[1.0]]], [[0.3], [-0.4]])
     steps = StepSizes.uniform(0.8, 2)
     dyn = build_error_dynamics(matrix, model=model, steps=steps)
@@ -756,7 +778,7 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(scipy.linalg, "svd", counted_scipy_svd)
-    perron = perron_vector(matrix)
+    perron = matrix.perron
     run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, perron.p, 0.01),
         max_iters=20)
     run("extra", model, matrix, StepSizes.uniform(0.05, n), max_iters=20)
@@ -768,7 +790,7 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     scaled = decompose_b(build_error_dynamics(matrix), c=2.0)
     assert scaled.norm_r > 0.0
     assert calls == {"power": 1, "eigh": 2, "decompose": 1}
-    assert perron_vector(matrix) is perron_vector(matrix)
+    assert matrix.perron is matrix.perron
     assert not [shape for shape in factored if 2 * n in shape]
     # the dense X and X^-1 are cached properties, built only when read
     for pair in (matrix._error_blocks.pair, scaled):
