@@ -56,7 +56,6 @@ from .stability import (
     diffusion_step_bound,
     extra_step_bound,
     mismatch_decay_check,
-    norm_comparison,
     one_step_matrix,
     predicted_b_spectrum,
     simulate_error_recursion,

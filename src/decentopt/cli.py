@@ -135,8 +135,8 @@ def _count(section: dict, path: str, key: str, default=_MISSING) -> int:
     return value
 
 
-def _number_array(section: dict, path: str, key: str) -> np.ndarray:
-    """A required, regular nested list of finite numbers, as an array."""
+def _number_array(section: dict, path: str, key: str, ndim: int) -> np.ndarray:
+    """A required, regular ndim-deep nested list of finite numbers, as an array."""
     value = _field(section, path, key, "list")
     try:
         array = np.asarray(value)
@@ -144,6 +144,8 @@ def _number_array(section: dict, path: str, key: str) -> np.ndarray:
         array = None
     if array is None or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
         raise ConfigError(f"{path}.{key}", "must be a regular array of finite numbers")
+    if array.ndim != ndim:
+        raise ConfigError(f"{path}.{key}", f"must be a {ndim}-D array, got {array.ndim}-D")
     return array
 
 
@@ -229,13 +231,12 @@ def _build_model(cfg: dict, n_agents: int, default_seed) -> CostModel:
             _KIND_CHECKS["number"](v) and math.isfinite(v) and v > 0 for v in q)):
         raise ConfigError("model.q", "must be a list of finite positive numbers")
     if kind == "mse_quadratic":
-        cov = _number_array(section, "model", "covariances")
-        _number_array(section, "model", "cross_vectors")
-        if cov.ndim == 3:
-            for key, size in (("n_agents", cov.shape[0]), ("dim", cov.shape[2])):
-                if spec[key] != size:
-                    raise ConfigError(f"model.{key}", f"is {spec[key]}, but the covariance "
-                                                      f"data have {key} {size}")
+        cov = _number_array(section, "model", "covariances", 3)
+        _number_array(section, "model", "cross_vectors", 2)
+        for key, size in (("n_agents", cov.shape[0]), ("dim", cov.shape[2])):
+            if spec[key] != size:
+                raise ConfigError(f"model.{key}", f"is {spec[key]}, but the covariance "
+                                                  f"data have {key} {size}")
     if spec.get("seed") is not None:
         _seed_field(section, "model", "seed")
     elif kind in ("least_squares", "logistic"):

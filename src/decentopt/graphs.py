@@ -4,10 +4,13 @@ Agents are the nodes of an undirected connected graph.  A combination
 matrix A is nonnegative and left-stochastic (columns sum to one); entry
 a[l, k] is the weight agent k applies to data arriving from agent l.
 
-A CombinationMatrix is immutable and computes its spectral data once, on
-first use: the Perron vector p with the spectrum summary (lambda2,
-lambdaN, rhoA) in `perron`, the dual factor V in `vmat`, and (I + A)/2
-in `abar`.  `stability` caches its error-recursion blocks here too.
+A CombinationMatrix is immutable and computes its spectral setup once,
+at construction: the Perron vector p from one bordered linear solve, the
+balance residual, and the eigenvalues of A, from one symmetric `eigh` of
+P^{-1/2} A P^{1/2} (kept with its eigenvectors) when A is balanced.  The
+spectrum summary (lambda2, lambdaN, rhoA) sits with p in `perron`.  The
+dual factor V in `vmat`, (I + A)/2 in `abar`, and the error-recursion
+blocks of `stability` are computed from that setup on first use.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import scipy.sparse.csgraph
 COLUMN_SUM_TOL = 1e-12
 PERRON_RESIDUAL_TOL = 1e-10
 BALANCE_TOL = 1e-10
+UNIT_EIG_TOL = 1e-8
 STOCHASTIC_TOL = 1e-10
 
 
@@ -101,13 +105,23 @@ class CombinationMatrix:
 
     Validated at construction: nonnegativity, column sums, sparsity that
     respects the graph, and primitivity (a single eigenvalue on the unit
-    circle, located at 1, with at least one positive self-weight).
-    `a` is a read-only copy, so the cached spectral data cannot go stale.
+    circle, located at 1, with at least one positive self-weight).  The
+    spectral setup is computed there too, once: `perron` (see
+    `_perron_vector`), the balance residual that `check_balanced` reports,
+    and the eigenvalues of A.  A balanced A is similar to the symmetric
+    At = P^{-1/2} A P^{1/2}, so its eigenvalues come, ascending and with
+    the unit one last, from one `eigh` of At, whose eigenvectors are kept
+    for `stability`; an unbalanced A (only a raw array can be one) gets
+    a nonsymmetric `eigvals` and no eigenvectors.  `a` is a read-only
+    copy, so the cached spectral data cannot go stale.
     """
 
     a: np.ndarray
     graph: Graph
+    perron: PerronData = field(init=False, repr=False, compare=False)
+    _balance: float = field(init=False, repr=False, compare=False)
     _eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    _eigvecs: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
@@ -116,6 +130,8 @@ class CombinationMatrix:
         n = self.graph.n
         if a.shape != (n, n):
             raise ValueError(f"matrix shape {a.shape} does not match n={n}")
+        if not np.isfinite(a).all():
+            raise ValueError("combination matrix has non-finite entries")
         if a.min() < 0:
             raise ValueError("combination matrix has negative entries")
         colsum = a.sum(axis=0)
@@ -140,8 +156,17 @@ class CombinationMatrix:
                 "matrix support is not strongly connected; "
                 "matrix is not primitive"
             )
-        vals = np.linalg.eigvals(a)
-        near_one = np.abs(vals - 1.0) <= 1e-8
+        p = _perron_vector(a)
+        balance = float(np.abs(p[:, np.newaxis] * a.T - a * p).max())
+        vecs = None
+        if balance <= BALANCE_TOL:
+            root_p = np.sqrt(p)
+            a_tilde = a * root_p[np.newaxis, :] / root_p[:, np.newaxis]
+            vals, vecs = np.linalg.eigh((a_tilde + a_tilde.T) / 2.0)
+            vecs.flags.writeable = False
+        else:
+            vals = np.linalg.eigvals(a)
+        near_one = np.abs(vals - 1.0) <= UNIT_EIG_TOL
         if near_one.sum() != 1:
             raise SpectralError(
                 f"matrix is not primitive: {int(near_one.sum())} eigenvalues at 1"
@@ -151,7 +176,12 @@ class CombinationMatrix:
             raise SpectralError(
                 "matrix is not primitive: non-unit eigenvalue on the unit circle"
             )
+        vals.flags.writeable = False
+        lambda2, lambdaN, rhoA = _spectrum_summary(vals)
+        object.__setattr__(self, "perron", PerronData(p, lambda2, lambdaN, rhoA))
+        object.__setattr__(self, "_balance", balance)
         object.__setattr__(self, "_eigvals", vals)
+        object.__setattr__(self, "_eigvecs", vecs)
 
     @property
     def n(self) -> int:
@@ -167,41 +197,6 @@ class CombinationMatrix:
         """Symmetric within 1e-10 as well as doubly stochastic."""
         a = self.a
         return self.is_doubly_stochastic and bool(np.abs(a - a.T).max() <= STOCHASTIC_TOL)
-
-    @cached_property
-    def perron(self) -> PerronData:
-        """Perron data of A, computed once per matrix, on first use.
-
-        The vector comes from power iteration; when the spectral gap is
-        small (|1 - rhoA| < 1e-3) or the iteration stalls, the eigenvector
-        is taken from the full eigendecomposition instead.  The spectrum
-        summary reuses the constructor's eigenvalues.  Raises SpectralError
-        when the vector is not entrywise positive or misses the residual
-        tolerance.
-        """
-        a = self.a
-        lambda2, lambdaN, rhoA = _spectrum_summary(self._eigvals)
-        p = None
-        if self.n == 1:
-            p = np.array([1.0])
-        elif abs(1.0 - rhoA) >= 1e-3:
-            x, residual = _power_iteration(a)
-            if residual <= PERRON_RESIDUAL_TOL:
-                p = x
-        if p is None:
-            # slow mixing (or stalled): read the eigenvector off the full solve
-            w, v = np.linalg.eig(a)
-            vec = np.real(v[:, np.argmin(np.abs(w - 1.0))])
-            if vec.sum() < 0:
-                vec = -vec
-            p = vec / vec.sum()
-        if p.min() <= 0:
-            raise SpectralError("Perron vector is not entrywise positive")
-        residual = np.abs(a @ p - p).max()
-        if residual > PERRON_RESIDUAL_TOL:
-            raise SpectralError(f"Perron residual {residual:.3e} above tolerance")
-        p.flags.writeable = False
-        return PerronData(p=p, lambda2=lambda2, lambdaN=lambdaN, rhoA=rhoA)
 
     @cached_property
     def vmat(self):
@@ -279,25 +274,25 @@ def _spectrum_summary(vals: np.ndarray):
     return lambda2, lambdaN, rhoA
 
 
-def _power_iteration(a: np.ndarray):
-    """x <- Ax with sum-one renormalization, iterated down to the
-    numerical floor: stop once the residual no longer improves, so
-    downstream consumers see the vector at full precision rather than an
-    early-exit approximation.  Returns the best iterate and its residual."""
+def _perron_vector(a: np.ndarray) -> np.ndarray:
+    """Perron vector (Ap = p, sum 1) of an irreducible left-stochastic A,
+    read-only, from one bordered solve: (I - A) p = 0 with its last row
+    replaced by 1^T p = 1.  The rows of I - A sum to zero and span a space
+    of dimension N - 1, so any N - 1 of them are independent and the
+    bordered system is nonsingular (for N = 1 it is 1 p = 1).  Raises
+    SpectralError when p is not entrywise positive or misses the residual
+    tolerance."""
     n = a.shape[0]
-    x = np.full(n, 1.0 / n)
-    best, best_res, stall = x, np.inf, 0
-    for _ in range(100_000):
-        x = a @ x
-        x /= x.sum()
-        res = np.abs(a @ x - x).max()
-        if res < best_res:
-            best, best_res, stall = x, res, 0
-        else:
-            stall += 1
-        if res <= 5e-16 or stall >= 50:
-            break
-    return best, best_res
+    bordered = np.eye(n) - a
+    bordered[-1] = 1.0
+    p = np.linalg.solve(bordered, np.eye(n)[-1])
+    if not p.min() > 0:
+        raise SpectralError("Perron vector is not entrywise positive")
+    residual = np.abs(a @ p - p).max()
+    if not residual <= PERRON_RESIDUAL_TOL:
+        raise SpectralError(f"Perron residual {residual:.3e} above tolerance")
+    p.flags.writeable = False
+    return p
 
 
 def check_balanced(matrix: CombinationMatrix):
@@ -305,11 +300,9 @@ def check_balanced(matrix: CombinationMatrix):
     Perron vector.
 
     Returns (balanced, violation) where violation is the largest residual
-    entry.
+    entry, as the constructor measured it.
     """
-    pv = matrix.perron.p
-    residual = float(np.abs(pv[:, np.newaxis] * matrix.a.T - matrix.a * pv).max())
-    return residual <= BALANCE_TOL, residual
+    return matrix._balance <= BALANCE_TOL, matrix._balance
 
 
 def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
@@ -341,8 +334,12 @@ def matrix_from_array(a, graph: Graph | None = None) -> CombinationMatrix:
     """Wrap a raw square array as a CombinationMatrix, inferring the graph
     from the off-diagonal sparsity pattern when none is given.  A
     CombinationMatrix with no graph given is returned as it is, so every
-    entry point that takes either form coerces with this one call."""
-    if isinstance(a, CombinationMatrix) and graph is None:
+    entry point that takes either form coerces with this one call; with a
+    graph as well, it is a ValueError (the matrix carries its own graph)."""
+    if isinstance(a, CombinationMatrix):
+        if graph is not None:
+            raise ValueError("got a CombinationMatrix and a graph; "
+                             "a CombinationMatrix already carries its own graph")
         return a
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -35,7 +35,6 @@ from .costs import CostModel, QuadraticModel, solve_centralized
 from .graphs import CombinationMatrix, PerronData, SpectralError, matrix_from_array
 from .spectral import VMatrix
 
-UNIT_EIG_TOL = 1e-8
 EIGENPAIR_TOL = 1e-8
 # bisection levels a scan resolves per stacked run: its 2**3 - 1 members
 # are every midpoint the next three bisection steps can visit
@@ -47,7 +46,8 @@ class _Blocks:
     """Read-only B, T_d, T_e for one matrix, Perron vector p and V, plus
     the unscaled closed-form decomposition of B (`_closed_form_pair`) and
     the spectral norms of T_d and T_e, computed on first use from N x N
-    pieces only.  It keeps the arrays A and p and the `VMatrix` it needs
+    pieces only.  It keeps the arrays A and p, the matrix's cached
+    eigenpairs (lam, u) of P^{-1/2} A P^{1/2} and the `VMatrix` it needs
     for that, but no reference to the matrix that caches it, so it makes
     no reference cycle and is freed with the matrix."""
 
@@ -56,11 +56,13 @@ class _Blocks:
     t_e: np.ndarray
     a: np.ndarray
     p: np.ndarray
+    lam: np.ndarray
+    u: np.ndarray
     vmat: VMatrix
 
     @cached_property
     def pair(self) -> SpectralPair:
-        return _closed_form_pair(self.b, self.a, self.p, self.vmat.v)
+        return _closed_form_pair(self.b, self.lam, self.u, self.p, self.vmat.v)
 
     @cached_property
     def t_d_norm(self) -> float:
@@ -97,7 +99,8 @@ def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     t_e = np.block([[eye, np.zeros((n, n))], [v, np.zeros((n, n))]])
     for block in (b, t_d, t_e):
         block.flags.writeable = False
-    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=p, vmat=vmat)
+    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=p, lam=matrix._eigvals,
+                   u=matrix._eigvecs, vmat=vmat)
 
 
 @dataclass
@@ -305,9 +308,10 @@ def decompose_b(dyn: ErrorDynamics, c: float = None) -> SpectralPair:
     c, when given, additionally scales X_R by 1/c and X_L by c; products
     such as ||X_L|| ||T|| ||X_R|| are invariant to it.
 
-    Raises SpectralError when At does not have exactly one eigenvalue at
-    1 or when max |B X - X D| exceeds 1e-8.  The unscaled pair is
-    computed once per matrix and shared (read-only).
+    (lam, u) are the eigenpairs of At that the matrix computed, and
+    checked to have exactly one unit eigenvalue, at construction.  Raises
+    SpectralError when max |B X - X D| exceeds 1e-8.  The unscaled pair
+    is computed once per matrix and shared (read-only).
     """
     pair = dyn._blocks.pair
     if c is None:
@@ -317,9 +321,11 @@ def decompose_b(dyn: ErrorDynamics, c: float = None) -> SpectralPair:
     return replace(pair, c=c)
 
 
-def _closed_form_pair(b: np.ndarray, a: np.ndarray, p: np.ndarray,
+def _closed_form_pair(b: np.ndarray, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
                       v: np.ndarray) -> SpectralPair:
-    """The unscaled pair of `decompose_b` from one N x N `eigh` of At.
+    """The unscaled pair of `decompose_b` from the eigenpairs (lam, u) of
+    At, ascending with the unit eigenvalue last, as
+    `CombinationMatrix` caches them.
 
     The eigenpair check max |B X - X D| runs on the blocks of b with
     real N x N products: for the column pair [x; -+ i sqrt(lb) r] at
@@ -329,15 +335,8 @@ def _closed_form_pair(b: np.ndarray, a: np.ndarray, p: np.ndarray,
     scale, so both columns of a pair share one modulus."""
     n = p.size
     root_p = np.sqrt(p)
-    a_tilde = a * root_p[np.newaxis, :] / root_p[:, np.newaxis]
-    lam, u = np.linalg.eigh((a_tilde + a_tilde.T) / 2.0)
-    unit = np.abs(lam - 1.0) <= UNIT_EIG_TOL
-    if int(unit.sum()) != 1:
-        raise SpectralError(
-            f"expected exactly one unit eigenvalue of P^-1/2 A P^1/2, found {int(unit.sum())}"
-        )
-    # descending, as the eigenvalues of B are listed
-    lam, u = lam[~unit][::-1], u[:, ~unit][:, ::-1]
+    # the non-unit pairs, descending, as the eigenvalues of B are listed
+    lam, u = lam[-2::-1], u[:, -2::-1]
     lbar = (1.0 + lam) / 2.0
     root_lbar, s = np.sqrt(lbar), np.sqrt(1.0 - lbar)
     x = u / root_p[:, np.newaxis]
@@ -499,20 +498,6 @@ def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBo
     if not 0 < nu <= delta:
         raise ValueError("need 0 < nu <= delta")
     return _assemble_bound("extra", matrix, float(nu / matrix.n), nu, delta)
-
-
-def norm_comparison(matrix) -> tuple:
-    """Spectral norms (||T_d||, ||T_e||, ratio) over the same symmetric
-    doubly stochastic matrix.  The combined route is never louder:
-    ||T_d|| < ||T_e|| strictly for N >= 2 (equality only in the trivial
-    single-agent case, which returns (1.0, 1.0, 1.0))."""
-    matrix = matrix_from_array(matrix)
-    if matrix.n == 1:
-        return (1.0, 1.0, 1.0)
-    if not matrix.is_symmetric_doubly_stochastic:
-        raise ValueError("norm comparison needs a symmetric doubly stochastic matrix")
-    blocks = build_error_dynamics(matrix)._blocks
-    return (blocks.t_d_norm, blocks.t_e_norm, blocks.t_d_norm / blocks.t_e_norm)
 
 
 @dataclass(frozen=True)

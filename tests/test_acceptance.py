@@ -21,7 +21,6 @@ from decentopt import (
     matrix_from_array,
     mismatch_decay_check,
     mse_quadratic_model,
-    norm_comparison,
     one_step_matrix,
     random_connected_graph,
     run,
@@ -125,9 +124,9 @@ def test_criterion_4_coupling_norm_ordering():
     violations = 0
     checked = 0
     for n, matrix in _hundred_instances():
-        t_d, t_e, _ = norm_comparison(matrix)
         d = diffusion_step_bound(matrix)
         e = extra_step_bound(matrix)
+        t_d, t_e = d.t_norm, e.t_norm
         checked += 1
         if not (t_d ** 2 < t_e ** 2 and d.alpha < e.alpha
                 and d.mu_bound > e.mu_bound):

@@ -493,6 +493,19 @@ def test_quadratic_data_is_checked_at_its_path(tmp_path, capsys, command, key, v
     assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
 
 
+@pytest.mark.parametrize("key, value, ndim", [("covariances", [1.0, 1.0], 3),
+                                              ("cross_vectors", [0.7, -0.3], 2)])
+def test_quadratic_data_needs_its_array_rank(tmp_path, capsys, key, value, ndim):
+    # a flat covariance list used to exit at `model` with numpy's
+    # "tri() missing 1 required positional argument"
+    payload = mse_config()
+    payload["model"][key] = value
+    cfg = write_config(tmp_path, payload)
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"config error at model.{key}: must be a {ndim}-D array, got 1-D" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "stability-scan", "analyze"])
 @pytest.mark.parametrize("key, value", [("dim", 7), ("n_agents", 3)])
 def test_quadratic_sizes_are_checked_against_the_data(tmp_path, capsys, command, key, value):
@@ -591,12 +604,39 @@ def test_ground_truth_nonconvergence_is_config_error(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("command", ["run", "stability-scan"])
 def test_perron_failure_is_config_error(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(decentopt.graphs, "_power_iteration", _raise(SpectralError))
+    monkeypatch.setattr(decentopt.graphs, "_perron_vector", _raise(SpectralError))
     payload = base_run_config()
     payload["scan"] = {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.1}
     cfg = write_config(tmp_path, payload)
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
     assert "config error at matrix: injected failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("rule, where", [("metropolis", "matrix"),
+                                         ("file", "matrix.path: bad combination matrix")])
+@pytest.mark.parametrize("failure, message", [("perron", "injected failure"),
+                                              ("primitivity", "matrix is not primitive")])
+def test_spectral_setup_failures_surface_at_the_matrix(tmp_path, capsys, monkeypatch, command,
+                                                       rule, where, failure, message):
+    # the constructor computes the whole spectral setup, so its failures
+    # surface where the matrix is built: at `matrix` for a built-in rule
+    # and at `matrix.path` for a matrix file
+    payload = base_run_config()
+    if rule == "file":
+        path = tmp_path / "a.csv"
+        graph = decentopt.random_connected_graph(6, 0.6, seed=7)
+        save_matrix_csv(path, decentopt.build_metropolis(graph).a)
+        payload["matrix"] = {"rule": "file", "path": str(path)}
+        del payload["graph"]
+    if failure == "perron":
+        monkeypatch.setattr(decentopt.graphs, "_perron_vector", _raise(SpectralError))
+    else:
+        # every eigenvalue then counts as one at 1
+        monkeypatch.setattr(decentopt.graphs, "UNIT_EIG_TOL", 2.0)
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"config error at {where}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "stability-scan"])

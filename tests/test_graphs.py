@@ -22,6 +22,7 @@ from decentopt import (
     random_connected_graph,
     save_matrix_csv,
 )
+from decentopt.graphs import PERRON_RESIDUAL_TOL
 
 from conftest import random_metropolis
 
@@ -95,6 +96,50 @@ def reference_matrix_from_array(a, graph=None):
         }
         graph = Graph(n, frozenset(edges))
     return CombinationMatrix(a, graph)
+
+
+# The Perron computation the bordered solve replaced: power iteration down
+# to its numerical floor, with the full nonsymmetric eigendecomposition
+# taking over when the spectral gap is small or the iteration stalls.
+
+
+def reference_spectrum_summary(vals):
+    vals = vals[np.lexsort((-vals.imag, -vals.real))]
+    if vals.size == 1:
+        return float("nan"), 1.0, 0.0
+    rest = np.delete(vals, int(np.argmin(np.abs(vals - 1.0))))
+    return float(vals[1].real), float(vals[-1].real), float(np.abs(rest).max())
+
+
+def reference_power_iteration(a):
+    x = np.full(a.shape[0], 1.0 / a.shape[0])
+    best, best_res, stall = x, np.inf, 0
+    for _ in range(100_000):
+        x = a @ x
+        x /= x.sum()
+        res = np.abs(a @ x - x).max()
+        if res < best_res:
+            best, best_res, stall = x, res, 0
+        else:
+            stall += 1
+        if res <= 5e-16 or stall >= 50:
+            break
+    return best, best_res
+
+
+def reference_perron(a):
+    """(p, (lambda2, lambdaN, rhoA)) as the power-iteration code computed them."""
+    summary = reference_spectrum_summary(np.linalg.eigvals(a))
+    if a.shape[0] == 1:
+        return np.array([1.0]), summary
+    if abs(1.0 - summary[2]) >= 1e-3:
+        x, residual = reference_power_iteration(a)
+        if residual <= PERRON_RESIDUAL_TOL:
+            return x, summary
+    w, v = np.linalg.eig(a)
+    vec = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+    vec = -vec if vec.sum() < 0 else vec
+    return vec / vec.sum(), summary
 
 
 # ---------------------------------------------------------------- graphs
@@ -231,6 +276,14 @@ def test_matrix_validation_failures():
         CombinationMatrix(np.eye(3), k2)  # shape mismatch
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matrix_rejects_non_finite_entries(bad):
+    # NaN passes every comparison-based check and used to surface as a
+    # numpy eigensolver message; now it is named before any solve
+    with pytest.raises(ValueError, match="non-finite"):
+        matrix_from_array(np.array([[bad, 0.5], [0.5, 0.5]]))
+
+
 def test_matrix_primitivity_failures():
     k2 = Graph(2, frozenset({(0, 1)}))
     with pytest.raises(SpectralError):
@@ -239,6 +292,12 @@ def test_matrix_primitivity_failures():
     # never listens to agent 1: support is not strongly connected
     with pytest.raises(SpectralError):
         matrix_from_array(np.array([[1.0, 0.5], [0.0, 0.5]]))
+
+
+def test_matrix_from_array_rejects_a_matrix_with_a_graph():
+    m = random_metropolis(3, seed=0)
+    with pytest.raises(ValueError, match="already carries its own graph"):
+        matrix_from_array(m, m.graph)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4,), (2, 2, 2)])
@@ -289,6 +348,32 @@ def test_perron_residual_is_tiny():
             p = m.perron.p
             assert np.abs(m.a @ p - p).max() <= 1e-12
             assert abs(p.sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [10, 100, 400])
+@pytest.mark.parametrize("kind", ["ring", "path"])
+@pytest.mark.parametrize("build", [build_metropolis, build_averaging])
+def test_bordered_perron_matches_the_power_iteration_reference(n, kind, build):
+    # long paths and rings mix slowly: the larger ones have spectral gaps
+    # below 1e-3, where the reference switched to the full eigensolve
+    edges = [(k, k + 1) for k in range(n - 1)] + ([(0, n - 1)] if kind == "ring" else [])
+    m = build(Graph(n, edges))
+    p_ref, summary_ref = reference_perron(m.a)
+    p = m.perron.p
+    assert np.abs(m.a @ p - p).max() <= PERRON_RESIDUAL_TOL
+    assert np.abs(p - p_ref).max() <= 1e-12
+    summary = (m.perron.lambda2, m.perron.lambdaN, m.perron.rhoA)
+    assert summary == pytest.approx(summary_ref, rel=0, abs=1e-12)
+
+
+def test_unbalanced_file_matrix_keeps_the_eigvals_spectrum(tmp_path):
+    path = tmp_path / "a.csv"
+    save_matrix_csv(path, np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]]))
+    m = matrix_from_array(load_matrix_csv(path))
+    assert not check_balanced(m)[0]
+    p_ref, summary_ref = reference_perron(m.a)
+    assert (m.perron.lambda2, m.perron.lambdaN, m.perron.rhoA) == summary_ref
+    assert np.abs(m.perron.p - p_ref).max() <= 1e-12
 
 
 def test_combination_matrix_is_read_only():

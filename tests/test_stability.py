@@ -28,7 +28,6 @@ from decentopt import (
     matrix_from_array,
     mismatch_decay_check,
     mse_quadratic_model,
-    norm_comparison,
     one_step_matrix,
     predicted_b_spectrum,
     random_connected_graph,
@@ -152,7 +151,8 @@ def test_decompose_rejects_extra_unit_eigenvalues():
     perron = matrix.perron
     vm = compute_v(matrix)
     with pytest.raises(SpectralError):
-        stability._closed_form_pair(np.eye(4), matrix.a, perron.p, vm.v)
+        stability._closed_form_pair(np.eye(4), matrix._eigvals, matrix._eigvecs,
+                                    perron.p, vm.v)
 
 
 @pytest.mark.parametrize("rows, cols, kind", [(0, 0, "random"), (0, 1, "random"),
@@ -174,7 +174,8 @@ def test_eigenpair_check_reads_every_block_of_b(rows, cols, kind):
         error = np.outer(np.eye(n)[0], np.ones(n))
     b[rows * n:(rows + 1) * n, cols * n:(cols + 1) * n] += 1e-6 * error
     with pytest.raises(SpectralError, match="eigenpair residual"):
-        stability._closed_form_pair(b, matrix.a, matrix.perron.p, matrix.vmat.v)
+        stability._closed_form_pair(b, matrix._eigvals, matrix._eigvecs, matrix.perron.p,
+                                    matrix.vmat.v)
 
 
 def test_single_agent_degenerates_cleanly():
@@ -187,7 +188,7 @@ def test_single_agent_degenerates_cleanly():
         diffusion_step_bound(m1)
     with pytest.raises(ValueError):
         extra_step_bound(m1)
-    assert norm_comparison(m1) == (1.0, 1.0, 1.0)
+    assert (dyn._blocks.t_d_norm, dyn._blocks.t_e_norm) == (1.0, 1.0)
 
 
 ENTRY_POINTS = {
@@ -197,7 +198,6 @@ ENTRY_POINTS = {
     "predicted_b_spectrum": predicted_b_spectrum,
     "diffusion_step_bound": diffusion_step_bound,
     "extra_step_bound": extra_step_bound,
-    "norm_comparison": norm_comparison,
     "stability_scan": lambda m: stability_scan("extra", least_squares_model(3, 5, 2, 6), m,
                                                [0.05, 0.4, 1.6], max_iters=300),
 }
@@ -319,7 +319,7 @@ def test_norm_comparison_closed_forms():
         matrix = random_metropolis(n, seed=n)
         perron = matrix.perron
         vm = compute_v(matrix)
-        t_d, t_e, ratio = norm_comparison(matrix)
+        t_d, t_e = diffusion_step_bound(matrix).t_norm, extra_step_bound(matrix).t_norm
         lam_n = perron.lambdaN
         assert t_e ** 2 == pytest.approx((2 * n + 1 - lam_n) / (2 * n), abs=1e-10)
         assert t_e ** 2 == pytest.approx(
@@ -329,13 +329,21 @@ def test_norm_comparison_closed_forms():
         assert t_d == pytest.approx(np.linalg.norm(dyn.t_d, 2), abs=1e-12)
         assert t_e == pytest.approx(np.linalg.norm(dyn.t_e, 2), abs=1e-12)
         assert t_d < t_e
-        assert ratio == pytest.approx(t_d / t_e, rel=1e-12)
 
 
 def test_norm_comparison_rejects_asymmetric():
+    # ||T_e|| is reported only for a symmetric doubly stochastic matrix:
+    # not for this unbalanced one, nor for a balanced averaging matrix,
+    # which still has ||T_d||
     a = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
-    with pytest.raises(ValueError):
-        norm_comparison(matrix_from_array(a))
+    for bound in (diffusion_step_bound, extra_step_bound):
+        with pytest.raises(ValueError):
+            bound(matrix_from_array(a))
+    averaging = random_averaging(6, seed=1)
+    assert not averaging.is_symmetric_doubly_stochastic
+    assert diffusion_step_bound(averaging).t_norm > 1.0
+    with pytest.raises(ValueError, match="symmetric doubly stochastic"):
+        extra_step_bound(averaging)
 
 
 # ----------------------------------------------------- two-agent closed forms
@@ -729,36 +737,28 @@ def test_scan_bracket_straddles_the_spectral_onset(engine, seed):
 
 
 def test_one_spectral_setup_per_matrix(monkeypatch):
-    """Every consumer of one matrix shares a single Perron power iteration,
-    one symmetric eigendecomposition each for V and for P^-1/2 A P^1/2,
-    and a single decomposition of B.  No 2N x 2N array is 2-normed or
-    SVD'd, and neither the bounds nor the norm comparison build the dense
-    eigenvector matrices of B."""
+    """Every consumer of one balanced matrix shares the setup its
+    constructor computes: one bordered solve for p, one symmetric
+    eigendecomposition of P^-1/2 A P^1/2, one more for V, and a single
+    decomposition of B.  No N x N array goes through a nonsymmetric
+    eigensolver, no 2N x 2N array is 2-normed or SVD'd, and neither bound
+    builds the dense eigenvector matrices of B."""
     n = 6
-    matrix = random_metropolis(n, seed=3)
-    model = random_quadratic(n, 2, seed=3)
-    calls = {"power": 0, "eigh": 0, "decompose": 0}
-    factored, dense_eig = [], []
-    power, eigh, closed_form = graphs._power_iteration, np.linalg.eigh, stability._closed_form_pair
-    eigvals = np.linalg.eigvals
+    calls = {"eigh": 0, "decompose": 0}
+    factored, solved, dense_eig = [], [], []
+    eigh, closed_form = np.linalg.eigh, stability._closed_form_pair
     norm, svd, scipy_svd = np.linalg.norm, np.linalg.svd, scipy.linalg.svd
+
+    def recorded(fn, shapes):
+        def call(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return fn(x, *args, **kwargs)
+        return call
 
     def counted_norm(x, ord=None, *args, **kwargs):
         if ord == 2:
             factored.append(np.shape(x))
         return norm(x, ord, *args, **kwargs)
-
-    def counted_svd(x, *args, **kwargs):
-        factored.append(np.shape(x))
-        return svd(x, *args, **kwargs)
-
-    def counted_scipy_svd(x, *args, **kwargs):
-        factored.append(np.shape(x))
-        return scipy_svd(x, *args, **kwargs)
-
-    def counted_power(a):
-        calls["power"] += 1
-        return power(a)
 
     def counted_eigh(*args, **kwargs):
         calls["eigh"] += 1
@@ -768,16 +768,17 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
         calls["decompose"] += 1
         return closed_form(*args)
 
-    def counted_eigvals(x):
-        dense_eig.append(np.shape(x))
-        return eigvals(x)
-
-    monkeypatch.setattr(graphs, "_power_iteration", counted_power)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(stability, "_closed_form_pair", counted_closed_form)
+    monkeypatch.setattr(np.linalg, "solve", recorded(np.linalg.solve, solved))
+    for module, name in ((np.linalg, "eig"), (np.linalg, "eigvals"),
+                         (scipy.linalg, "eig"), (scipy.linalg, "eigvals")):
+        monkeypatch.setattr(module, name, recorded(getattr(module, name), dense_eig))
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(scipy.linalg, "svd", counted_scipy_svd)
+    monkeypatch.setattr(np.linalg, "svd", recorded(svd, factored))
+    monkeypatch.setattr(scipy.linalg, "svd", recorded(scipy_svd, factored))
+    matrix = random_metropolis(n, seed=3)
+    model = random_quadratic(n, 2, seed=3)
     perron = matrix.perron
     run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, perron.p, 0.01),
         max_iters=20)
@@ -786,18 +787,18 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     build_error_dynamics(matrix)
     diffusion_step_bound(matrix)
     extra_step_bound(matrix)
-    norm_comparison(matrix)
     scaled = decompose_b(build_error_dynamics(matrix), c=2.0)
     assert scaled.norm_r > 0.0
-    assert calls == {"power": 1, "eigh": 2, "decompose": 1}
-    assert matrix.perron is matrix.perron
+    assert calls == {"eigh": 2, "decompose": 1}
+    assert solved.count((n, n)) == 1
+    assert dense_eig == []
+    assert matrix.perron is perron
     assert not [shape for shape in factored if 2 * n in shape]
     # the dense X and X^-1 are cached properties, built only when read
     for pair in (matrix._error_blocks.pair, scaled):
         assert "x" not in vars(pair) and "x_inv" not in vars(pair)
     # the predicted spectrum reuses the matrix's eigenvalues: the one dense
     # eigensolve is the independent eigvals(B) it is checked against
-    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     b_spectrum_residual(build_error_dynamics(matrix))
     assert dense_eig == [(2 * n, 2 * n)]
 
