@@ -2,7 +2,8 @@
 
 All iterate blocks are row-stacked: W has shape (N, M) with row k holding
 agent k's current estimate.  A combine step with the left-stochastic
-matrix A is therefore W <- A.T @ W.  The step functions also advance
+matrix A is therefore W <- A^T W, through the operator the matrix caches
+(a CSR form on a large sparse network).  The step functions also advance
 a stack of independent runs, shape (B, N, M), with step sizes of shape
 (B, N).  One loop drives them: `run` is a one-member stack, and the
 stability scans classify many step sizes at once in one stack.
@@ -114,8 +115,9 @@ class RunResult:
 @dataclass
 class _EngineContext:
     model: CostModel
-    a: np.ndarray
-    abar: np.ndarray
+    a_t: object  # A^T, Abar^T and Abar as combine operators, applied as op @ x
+    abar_t: object
+    abar: object
     steps: StepSizes  # or, for a stacked run, mu of shape (B, N) and mu_o of shape (B, 1)
     v: np.ndarray | None = None
     pinv_v: np.ndarray | None = None  # diag(1/p) @ V
@@ -126,13 +128,13 @@ def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext, mu=None):
         mu = ctx.steps.mu[..., np.newaxis]
     psi = state.w - mu * ctx.model.grad(state.w)
     phi = psi + state.w - state.psi_prev
-    state.w = ctx.abar.T @ phi
+    state.w = ctx.abar_t @ phi
     state.psi_prev = psi
 
 
 def _step_exact_diffusion_pd(state: AlgorithmState, ctx: _EngineContext):
     mu = ctx.steps.mu[..., np.newaxis]
-    state.w = ctx.abar.T @ (state.w - mu * ctx.model.grad(state.w)) - ctx.pinv_v @ state.y
+    state.w = ctx.abar_t @ (state.w - mu * ctx.model.grad(state.w)) - ctx.pinv_v @ state.y
     state.y = state.y + ctx.v @ state.w
 
 
@@ -145,22 +147,22 @@ def _step_extra(state: AlgorithmState, ctx: _EngineContext):
 
 def _step_diging(state: AlgorithmState, ctx: _EngineContext):
     mu = ctx.steps.mu[..., np.newaxis]
-    state.w = ctx.a.T @ state.w - mu * state.y
+    state.w = ctx.a_t @ state.w - mu * state.y
     g_new = ctx.model.grad(state.w)
-    state.y = ctx.a.T @ state.y + g_new - state.g_prev
+    state.y = ctx.a_t @ state.y + g_new - state.g_prev
     state.g_prev = g_new
 
 
 def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
     mu = ctx.steps.mu[..., np.newaxis]
-    state.w = ctx.a.T @ (state.w - mu * state.y)
+    state.w = ctx.a_t @ (state.w - mu * state.y)
     g_new = ctx.model.grad(state.w)
-    state.y = ctx.a.T @ (state.y + g_new - state.g_prev)
+    state.y = ctx.a_t @ (state.y + g_new - state.g_prev)
     state.g_prev = g_new
 
 
 def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
-    state.z = ctx.a.T @ state.z
+    state.z = ctx.a_t @ state.z
     _step_exact_diffusion(state, ctx,
                           (ctx.model.q * ctx.steps.mu_o / np.diag(state.z))[..., np.newaxis])
 
@@ -266,7 +268,7 @@ def init_state(engine: str, model: CostModel, matrix: CombinationMatrix,
 def _engine_context(engine: str, model: CostModel, matrix: CombinationMatrix,
                    steps) -> _EngineContext:
     """What the engine's step reads, with steps as in _EngineContext."""
-    ctx = _EngineContext(model=model, a=matrix.a, abar=matrix.abar, steps=steps)
+    ctx = _EngineContext(model, *matrix._combine_ops, steps)
     if ENGINE_SPECS[engine].needs_v:
         ctx.v = matrix.vmat.v
         ctx.pinv_v = ctx.v / matrix.perron.p[:, np.newaxis]

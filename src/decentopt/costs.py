@@ -80,6 +80,8 @@ class QuadraticModel(CostModel):
         self.h = h
         self.b = b
         self.const = np.zeros(n) if const is None else np.asarray(const, dtype=float)
+        self._h_q = np.einsum("k,kij->ij", self.q, h)  # sum_k q_k J_k's Hessian
+        self._b_q = self.q @ b  # and its linear term
 
     def grad(self, w):
         return (self.h @ w[..., np.newaxis])[..., 0] - self.b
@@ -89,6 +91,9 @@ class QuadraticModel(CostModel):
 
     def value_at(self, x):
         return 0.5 * (x @ self.h @ x) - self.b @ x + self.const
+
+    def weighted_grad(self, x):
+        return self._h_q @ x - self._b_q
 
     def hessians(self) -> np.ndarray:
         """Constant per-agent Hessians, shape (N, M, M)."""

@@ -9,8 +9,9 @@ at construction: the Perron vector p from one bordered linear solve, the
 balance residual, and the eigenvalues of A, from one symmetric `eigh` of
 P^{-1/2} A P^{1/2} (kept with its eigenvectors) when A is balanced.  The
 spectrum summary (lambda2, lambdaN, rhoA) sits with p in `perron`.  The
-dual factor V in `vmat`, (I + A)/2 in `abar`, and the error-recursion
-blocks of `stability` are computed from that setup on first use.
+dual factor V in `vmat`, (I + A)/2 in `abar`, the engines' combine
+operators (CSR on a large sparse network) in `_combine_ops`, and the
+error-recursion blocks of `stability` are computed on first use.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ PERRON_RESIDUAL_TOL = 1e-10
 BALANCE_TOL = 1e-10
 UNIT_EIG_TOL = 1e-8
 STOCHASTIC_TOL = 1e-10
+# Combines go through CSR operators when A has at least SPARSE_MIN_AGENTS agents and at
+# most SPARSE_MAX_DENSITY * N^2 nonzeros: per (N, 10) combine on one BLAS thread, CSR is
+# 1.5-5x slower than dense up to N = 150, ties at N = 200-300 and density 0.1, and is
+# 8-18x faster at N = 400-1000 and density 0.01-0.02.
+SPARSE_MIN_AGENTS = 200
+SPARSE_MAX_DENSITY = 0.1
 
 
 class GraphError(ValueError):
@@ -92,7 +99,10 @@ class Graph:
 
 
 def _connected(n: int, ij: np.ndarray) -> bool:
-    """Whether the graph on n agents with edge rows (i, j), ascending in i, is connected."""
+    """Whether the graph on n agents with edge rows (i, j), ascending in i, is connected.
+    A graph with an isolated agent is rejected before the component search."""
+    if n > 1 and np.bincount(ij.ravel(), minlength=n).min() == 0:
+        return False
     indptr = np.searchsorted(ij[:, 0], np.arange(n + 1))
     adj = scipy.sparse.csr_matrix((np.ones(len(ij)), ij[:, 1], indptr), shape=(n, n))
     ncomp, _ = scipy.sparse.csgraph.connected_components(adj, directed=False)
@@ -213,12 +223,36 @@ class CombinationMatrix:
         return abar
 
     @cached_property
+    def _combine_ops(self) -> tuple:
+        """(A^T, Abar^T, Abar) as the engines apply them, `op @ x`: in CSR
+        form on a large sparse network (see SPARSE_MIN_AGENTS), else dense."""
+        ops, n = (self.a.T, self.abar.T, self.abar), self.n
+        if n >= SPARSE_MIN_AGENTS and np.count_nonzero(self.a) <= SPARSE_MAX_DENSITY * n * n:
+            return tuple(map(_CSROperator, ops))
+        return ops
+
+    @cached_property
     def _error_blocks(self):
         """B, T_d, T_e of the error recursion of a balanced matrix, and the
         decomposition of B, computed on first use (`stability._Blocks`)."""
         from .stability import _network_blocks
 
         return _network_blocks(self)
+
+
+class _CSROperator:
+    """CSR form of an N x N operator, applied as `op @ x` to an (N, M) block
+    and to a stacked (B, N, M) block through its (N, B*M) view."""
+
+    def __init__(self, dense: np.ndarray):
+        self.csr = scipy.sparse.csr_array(dense)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 2:
+            return self.csr @ x
+        b, n, m = x.shape
+        y = self.csr @ x.transpose(1, 0, 2).reshape(n, b * m)
+        return y.reshape(n, b, m).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,15 @@ import pytest
 
 from decentopt import (
     ENGINES,
+    CombinationMatrix,
     StepSizes,
     TraceRecord,
+    build_averaging,
+    build_metropolis,
     compute_v,
     least_squares_model,
     matrix_from_array,
+    random_connected_graph,
     read_trace_csv,
     run,
     solve_centralized,
@@ -24,9 +28,11 @@ from decentopt.algorithms import (
     AlgorithmState,
     RunResult,
     _engine_context,
-    _EngineContext,
+    _iterate,
     init_state,
 )
+from decentopt import graphs
+from decentopt.graphs import _CSROperator
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 
@@ -289,17 +295,6 @@ def test_adaptive_first_step_uses_self_weights():
 # ------------------------------------------------------------ fixed points
 
 
-def build_ctx(engine, model, matrix, steps):
-    perron = matrix.perron
-    ctx = _EngineContext(model=model, a=matrix.a,
-                         abar=(np.eye(matrix.n) + matrix.a) / 2.0, steps=steps)
-    if engine in ("exact_diffusion_pd", "extra"):
-        vm = compute_v(matrix)
-        ctx.v = vm.v
-        ctx.pinv_v = vm.v / perron.p[:, np.newaxis]
-    return ctx
-
-
 def test_fixed_point_residency_all_engines():
     matrix = random_metropolis(5, seed=10)
     model = random_quadratic(5, 2, seed=10)
@@ -333,10 +328,90 @@ def test_fixed_point_residency_all_engines():
         s = steps if engine in WEIGHTED else uni
         if engine == "adaptive_exact_diffusion":
             s = StepSizes(mu=steps.mu, mu_o=steps.mu_o)
-        ctx = build_ctx(engine, model, matrix, s)
+        ctx = _engine_context(engine, model, matrix, s)
         w_ref = state.w.copy()
         ENGINE_SPECS[engine].step(state, ctx)
         assert np.abs(state.w - w_ref).max() <= 1e-12, engine
+
+
+# ---------------------------------------------------------- combine paths
+
+
+@pytest.mark.parametrize("n, prob, sparse", [(20, 0.6, False), (100, 0.1, False),
+                                             (400, 0.02, True), (400, 0.006, True)])
+def test_combine_path_follows_network_size_and_density(n, prob, sparse):
+    for build in (build_metropolis, build_averaging):
+        ops = build(random_connected_graph(n, prob, seed=3))._combine_ops
+        assert [isinstance(op, _CSROperator) for op in ops] == [sparse] * 3
+
+
+def _on_path(matrix, sparse, monkeypatch):
+    """A fresh copy of matrix whose combines take the CSR path (sparse)
+    or the dense one, whatever its size and density."""
+    monkeypatch.setattr(graphs, "SPARSE_MIN_AGENTS", 1 if sparse else matrix.n + 1)
+    monkeypatch.setattr(graphs, "SPARSE_MAX_DENSITY", 1.0)
+    copy = CombinationMatrix(matrix.a, matrix.graph)
+    assert isinstance(copy._combine_ops[0], _CSROperator) == sparse  # chosen while patched
+    return copy
+
+
+def _close(got, want):
+    """Two lists of arrays agree within 1e-12 of want's largest entry."""
+    scale = max(np.abs(y).max() for y in want)
+    return len(got) == len(want) and all(
+        x.shape == y.shape and np.abs(x - y).max() <= 1e-12 * scale for x, y in zip(got, want))
+
+
+def _combine_setup(engine, seed=21):
+    matrix = (random_averaging if engine in WEIGHTED else random_metropolis)(12, seed=seed)
+    model = random_quadratic(12, 3, seed=seed)
+    w0 = np.random.default_rng(seed).standard_normal((12, 3))
+    return matrix, model, solve_centralized(model), w0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_dense_and_csr_combines_agree(engine, monkeypatch):
+    """Both combine paths give the same statuses and iteration counts, for
+    a run and for every member of a stack, with states within 1e-12
+    relative at every iteration."""
+    matrix, model, gt, w0 = _combine_setup(engine)
+    paths = (_on_path(matrix, False, monkeypatch), _on_path(matrix, True, monkeypatch))
+    for mu_max, max_iters in ((0.02, 20_000), (0.02, 40)):
+        steps = steps_for(engine, model, matrix.perron, mu_max)
+        want, got = (run(engine, model, m, steps, max_iters=max_iters, stop=1e-12, w0=w0,
+                         ground_truth=gt, keep_iterates=True) for m in paths)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert _close(got.iterates, want.iterates)
+        if want.dual_iterates is not None:
+            assert _close(got.dual_iterates, want.dual_iterates)
+        for name in ("psi_prev", "g_prev", "z"):
+            if getattr(want.state, name) is not None:
+                assert _close([getattr(got.state, name)], [getattr(want.state, name)]), name
+
+    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.005, 0.02, 5.0)]
+    runs = []
+    for m in paths:
+        states = []
+        _, _, statuses, verdicts = _iterate(engine, model, m, steps_list, 300, 1e-10, gt, w0,
+                                            lambda state, rel: states.append(state.w.copy()))
+        runs.append((statuses, verdicts, states))
+    (want_statuses, want_verdicts, want), (got_statuses, got_verdicts, got) = runs
+    assert (got_statuses, got_verdicts) == (want_statuses, want_verdicts)
+    assert {"converged", "diverged"} <= set(got_statuses)
+    assert len(got) == len(want)
+    assert all(_close([x], [y]) for x, y in zip(got, want))  # members leave together
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
+    matrix, model, gt, w0 = _combine_setup(engine, seed=22)
+    csr = _on_path(matrix, True, monkeypatch)
+    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.005, 0.01, 0.02)]
+    state, _, statuses, _ = _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0)
+    for k, steps in enumerate(steps_list):
+        res = run(engine, model, csr, steps, max_iters=80, stop=0.0, w0=w0, ground_truth=gt)
+        assert res.status == statuses[k] == "exhausted"
+        assert np.array_equal(res.state.w, state.w[k])
 
 
 # -------------------------------------------------------------- validation

@@ -20,6 +20,7 @@ from decentopt import (
     two_agent_onset,
 )
 from decentopt.cli import main
+from decentopt.graphs import _CSROperator
 
 SCHEMA_PATH = Path(decentopt.__file__).parent / "schemas" / "analysis_report.schema.json"
 
@@ -70,6 +71,21 @@ def test_run_outputs_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert run_cli(["run", "--config", cfg, "--out", out1]) == 0
     assert run_cli(["run", "--config", cfg, "--out", out2]) == 0
+    for name in ("trace.csv", "trace.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_run_outputs_on_the_csr_path_are_byte_identical(tmp_path):
+    payload = base_run_config(engine="adaptive_exact_diffusion", mu_o=0.003 / 400,
+                              max_iters=300, stop=1e-6)
+    payload["graph"].update(n=400, edge_probability=0.02)
+    graph = decentopt.random_connected_graph(400, 0.02, payload["seed"])
+    assert isinstance(decentopt.build_metropolis(graph)._combine_ops[0], _CSROperator)
+    cfg = write_config(tmp_path, payload)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert run_cli(["run", "--config", cfg, "--out", out1]) == 0
+    assert run_cli(["run", "--config", cfg, "--out", out2]) == 0
+    assert json.loads((out1 / "trace.json").read_text())["status"] == "converged"
     for name in ("trace.csv", "trace.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

@@ -49,6 +49,15 @@ def test_least_squares_solution_solves_normal_equations():
     assert np.linalg.norm(grads.sum(axis=0)) <= 1e-8
 
 
+def test_weighted_grad_is_the_q_weighted_sum_of_agent_gradients():
+    model = least_squares_model(4, 6, 3, 10, q=[1.0, 2.0, 0.5, 1.5, 1.0, 3.0])
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        x = rng.standard_normal(3)
+        want = model.q @ model.grad_at(x)
+        assert np.abs(model.weighted_grad(x) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # -------------------------------------------------------------- quadratics
 
 

@@ -22,7 +22,7 @@ from decentopt import (
     random_connected_graph,
     save_matrix_csv,
 )
-from decentopt.graphs import PERRON_RESIDUAL_TOL
+from decentopt.graphs import PERRON_RESIDUAL_TOL, _connected
 
 from conftest import random_metropolis
 
@@ -221,6 +221,24 @@ def test_random_connected_graph_builds_one_graph(monkeypatch, prob):
         calls.clear()
         random_connected_graph(400, prob, seed)
         assert calls == [400]
+
+
+def test_connected_agrees_with_the_component_search():
+    """The isolated-agent shortcut never changes the answer: random edge
+    arrays, with and without isolated agents, and n = 1 and n = 2."""
+    seen = set()
+    for n in range(1, 11):
+        pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            ij = pairs[rng.random(len(pairs)) < rng.uniform(0.0, 0.7)]
+            isolated = n > 1 and np.bincount(ij.ravel(), minlength=n).min() == 0
+            connected = reference_connected(n, ij.tolist())
+            assert _connected(n, ij) == connected, (n, ij.tolist())
+            seen.add((n, isolated, connected))
+    assert {(1, False, True), (2, True, False), (2, False, True)} <= seen
+    assert {(isolated, connected) for _, isolated, connected in seen} == {
+        (True, False), (False, False), (False, True)}
 
 
 def test_malformed_edges_are_graph_errors():
