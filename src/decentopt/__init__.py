@@ -8,7 +8,6 @@ from .algorithms import (
     RunResult,
     StepSizes,
     TraceRecord,
-    read_trace_csv,
     run,
     write_status_json,
     write_trace_csv,
@@ -42,7 +41,7 @@ from .graphs import (
     random_connected_graph,
     save_matrix_csv,
 )
-from .spectral import VMatrix, certify_nullspace, compute_v
+from .spectral import VMatrix, compute_v
 from .stability import (
     ErrorDynamics,
     ScanResult,
@@ -51,14 +50,11 @@ from .stability import (
     TwoAgentCase,
     b_spectrum_residual,
     build_error_dynamics,
-    classify_run,
     decompose_b,
     diffusion_step_bound,
     extra_step_bound,
-    mismatch_decay_check,
     one_step_matrix,
     predicted_b_spectrum,
-    simulate_error_recursion,
     stability_scan,
     two_agent_case,
     two_agent_onset,

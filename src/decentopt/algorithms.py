@@ -8,6 +8,11 @@ a stack of independent runs, shape (B, N, M), with step sizes of shape
 (B, N).  One loop drives them: `run` is a one-member stack, and the
 stability scans classify many step sizes at once in one stack.
 
+The two primal-dual engines use the dual factor V only through V y, so
+they carry z = V y as their dual block (`AlgorithmState.y`, seeded at
+zero) and advance it as z <- z + S w with S = V^2 = (P - A P)/2, which
+has A's sparsity: no square root of S is ever formed.
+
 Engines
 -------
 ENGINE_SPECS, at the end of the engine section, lists every engine with
@@ -17,7 +22,7 @@ state seeding and step-size rule:
 exact_diffusion           correction-term combine form, one combine/iter
 exact_diffusion_pd        equivalent primal-dual form driven by V
 extra                     symmetric doubly stochastic variant, gradient
-                          applied outside the combine
+                          applied outside the combine, driven by V
 diging                    gradient tracking, two combines/iter
 aug_dgm                   tracking with combines applied to both blocks,
                           supports per-agent step sizes
@@ -29,7 +34,6 @@ adaptive_exact_diffusion  exact diffusion with step sizes retuned each
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -76,7 +80,9 @@ class StepSizes:
 @dataclass
 class AlgorithmState:
     """Mutable state of one run, or of a stack of runs with blocks of shape
-    (B, N, M) and a shared z; unused blocks stay None."""
+    (B, N, M) and a shared z; unused blocks stay None.  y is the dual block:
+    V y for exact_diffusion_pd and extra, the tracked gradient for diging
+    and aug_dgm.  z is the adaptive engine's running power of A^T."""
 
     w: np.ndarray
     psi_prev: np.ndarray | None = None
@@ -119,8 +125,8 @@ class _EngineContext:
     abar_t: object
     abar: object
     steps: StepSizes  # or, for a stacked run, mu of shape (B, N) and mu_o of shape (B, 1)
-    v: np.ndarray | None = None
-    pinv_v: np.ndarray | None = None  # diag(1/p) @ V
+    s: object = None  # S = V^2 = (P - A P)/2 as an operator, for the primal-dual engines
+    p: np.ndarray | None = None  # the Perron vector as an (N, 1) column
 
 
 def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext, mu=None):
@@ -134,15 +140,15 @@ def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext, mu=None):
 
 def _step_exact_diffusion_pd(state: AlgorithmState, ctx: _EngineContext):
     mu = ctx.steps.mu[..., np.newaxis]
-    state.w = ctx.abar_t @ (state.w - mu * ctx.model.grad(state.w)) - ctx.pinv_v @ state.y
-    state.y = state.y + ctx.v @ state.w
+    state.w = ctx.abar_t @ (state.w - mu * ctx.model.grad(state.w)) - state.y / ctx.p
+    state.y = state.y + ctx.s @ state.w
 
 
 def _step_extra(state: AlgorithmState, ctx: _EngineContext):
     mu = ctx.steps.mu[..., np.newaxis]
     n = ctx.model.n_agents
-    state.w = ctx.abar @ state.w - mu * ctx.model.grad(state.w) - n * (ctx.v @ state.y)
-    state.y = state.y + ctx.v @ state.w
+    state.w = ctx.abar @ state.w - mu * ctx.model.grad(state.w) - n * state.y
+    state.y = state.y + ctx.s @ state.w
 
 
 def _step_diging(state: AlgorithmState, ctx: _EngineContext):
@@ -164,7 +170,7 @@ def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
 def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
     state.z = ctx.a_t @ state.z
     _step_exact_diffusion(state, ctx,
-                          (ctx.model.q * ctx.steps.mu_o / np.diag(state.z))[..., np.newaxis])
+                          (ctx.model.q * ctx.steps.mu_o / state.z.diagonal())[..., np.newaxis])
 
 
 def _seed_correction(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
@@ -204,7 +210,7 @@ class EngineSpec:
     #                         the uniform aggregate over a doubly stochastic one
     symmetric: bool = False  # the matrix must also be symmetric
     step_rule: str = "uniform"
-    needs_v: bool = False  # the step reads V and diag(1/p) V
+    primal_dual: bool = False  # the dual block is V y; the step reads S = V^2 and p
     error_map: str | None = None  # T block of the quadratic one-step map: "t_d" or "t_e"
 
 
@@ -212,8 +218,8 @@ ENGINE_SPECS = {
     "exact_diffusion": EngineSpec(_step_exact_diffusion, _seed_correction, 1, weighted=True,
                                   step_rule="perron", error_map="t_d"),
     "exact_diffusion_pd": EngineSpec(_step_exact_diffusion_pd, _seed_dual, 1, weighted=True,
-                                     step_rule="perron", needs_v=True, error_map="t_d"),
-    "extra": EngineSpec(_step_extra, _seed_dual, 1, symmetric=True, needs_v=True,
+                                     step_rule="perron", primal_dual=True, error_map="t_d"),
+    "extra": EngineSpec(_step_extra, _seed_dual, 1, symmetric=True, primal_dual=True,
                         error_map="t_e"),
     "diging": EngineSpec(_step_diging, _seed_tracking, 2),
     "aug_dgm": EngineSpec(_step_aug_dgm, _seed_tracking, 2, step_rule="free"),
@@ -269,9 +275,8 @@ def _engine_context(engine: str, model: CostModel, matrix: CombinationMatrix,
                    steps) -> _EngineContext:
     """What the engine's step reads, with steps as in _EngineContext."""
     ctx = _EngineContext(model, *matrix._combine_ops, steps)
-    if ENGINE_SPECS[engine].needs_v:
-        ctx.v = matrix.vmat.v
-        ctx.pinv_v = ctx.v / matrix.perron.p[:, np.newaxis]
+    if ENGINE_SPECS[engine].primal_dual:
+        ctx.s, ctx.p = matrix._dual_op, matrix.perron.p[:, np.newaxis]
     return ctx
 
 
@@ -346,6 +351,8 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
             record(state, rel)
         if i == snapshot_at:
             earlier[alive] = rel
+        if stop < rel.min() and rel.max() <= DIVERGENCE_CAP:  # a NaN fails both
+            continue
         diverged = ~(rel <= DIVERGENCE_CAP)  # also NaN and inf
         done = diverged | (rel <= stop)
         if done.any():
@@ -380,8 +387,9 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         stop: threshold on ||W_i - W*||_F^2 / ||W_0 - W*||_F^2.
         w0: seed iterate (N, M); zeros when omitted.
         ground_truth: precomputed solutions; solved centrally when omitted.
-        keep_iterates: also store a copy of W (and the dual block Y, for
-            engines that carry one) at every iteration.
+        keep_iterates: also store a copy of W (and of the dual block y, for
+            engines that carry one: V y for exact_diffusion_pd and extra)
+            at every iteration.
 
     Returns:
         RunResult with one TraceRecord per iteration (row 0 is the seed)
@@ -418,20 +426,6 @@ def write_trace_csv(path, records) -> None:
         fh.write("iter,comm_units,rel_error,grad_norm\n")
         for r in records:
             fh.write(f"{r.iteration},{r.comm_units},{r.rel_error:.17g},{r.grad_norm:.17g}\n")
-
-
-def read_trace_csv(path) -> list:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(TraceRecord(
-                iteration=int(row["iter"]),
-                comm_units=int(row["comm_units"]),
-                rel_error=float(row["rel_error"]),
-                grad_norm=float(row["grad_norm"]),
-            ))
-    return records
 
 
 def write_status_json(path, result: RunResult) -> None:

@@ -82,9 +82,15 @@ class QuadraticModel(CostModel):
         self.const = np.zeros(n) if const is None else np.asarray(const, dtype=float)
         self._h_q = np.einsum("k,kij->ij", self.q, h)  # sum_k q_k J_k's Hessian
         self._b_q = self.q @ b  # and its linear term
+        self._h_t = np.ascontiguousarray(h.transpose(0, 2, 1))
 
     def grad(self, w):
-        return (self.h @ w[..., np.newaxis])[..., 0] - self.b
+        """Per-agent gradients H_k w_k - b_k of an (N, M) block or a (B, N, M)
+        stack, with one (B, M) x (M, M) product per agent: row k of every
+        member times H_k^T."""
+        stack = w.reshape((-1,) + self.b.shape)
+        hw = np.matmul(stack, self._h_t, axes=[(0, 2), (1, 2), (0, 2)])
+        return hw.reshape(w.shape) - self.b
 
     def grad_at(self, x):
         return self.h @ x - self.b

@@ -9,9 +9,10 @@ at construction: the Perron vector p from one bordered linear solve, the
 balance residual, and the eigenvalues of A, from one symmetric `eigh` of
 P^{-1/2} A P^{1/2} (kept with its eigenvectors) when A is balanced.  The
 spectrum summary (lambda2, lambdaN, rhoA) sits with p in `perron`.  The
-dual factor V in `vmat`, (I + A)/2 in `abar`, the engines' combine
-operators (CSR on a large sparse network) in `_combine_ops`, and the
-error-recursion blocks of `stability` are computed on first use.
+dual factor V in `vmat`, its square (P - A P)/2 in `v_squared`, (I + A)/2
+in `abar`, the engines' operators (CSR on a large sparse network) in
+`_combine_ops` and `_dual_op`, and the error-recursion blocks of
+`stability` are computed on first use.
 """
 
 from __future__ import annotations
@@ -216,6 +217,17 @@ class CombinationMatrix:
         return compute_v(self)
 
     @cached_property
+    def v_squared(self) -> np.ndarray:
+        """V^2 = (P - A P)/2 of a balanced matrix, read-only, computed on
+        first use.  Balance makes it symmetric; it is symmetrized to drop
+        the rounding skew.  It has A's sparsity, plus the diagonal."""
+        p = self.perron.p
+        s = (np.diag(p) - self.a * p[np.newaxis, :]) / 2.0
+        s = (s + s.T) / 2.0
+        s.flags.writeable = False
+        return s
+
+    @cached_property
     def abar(self) -> np.ndarray:
         """(I + A)/2, read-only, computed on first use."""
         abar = (np.eye(self.n) + self.a) / 2.0
@@ -223,13 +235,26 @@ class CombinationMatrix:
         return abar
 
     @cached_property
+    def _sparse(self) -> bool:
+        """Whether the engines' operators take CSR form: on a large sparse
+        network (see SPARSE_MIN_AGENTS)."""
+        n = self.n
+        return n >= SPARSE_MIN_AGENTS and np.count_nonzero(self.a) <= SPARSE_MAX_DENSITY * n * n
+
+    def _operator(self, dense: np.ndarray):
+        return _CSROperator(dense) if self._sparse else dense
+
+    @cached_property
     def _combine_ops(self) -> tuple:
         """(A^T, Abar^T, Abar) as the engines apply them, `op @ x`: in CSR
-        form on a large sparse network (see SPARSE_MIN_AGENTS), else dense."""
-        ops, n = (self.a.T, self.abar.T, self.abar), self.n
-        if n >= SPARSE_MIN_AGENTS and np.count_nonzero(self.a) <= SPARSE_MAX_DENSITY * n * n:
-            return tuple(map(_CSROperator, ops))
-        return ops
+        form on a large sparse network, else dense."""
+        return tuple(map(self._operator, (self.a.T, self.abar.T, self.abar)))
+
+    @cached_property
+    def _dual_op(self):
+        """`v_squared` as the primal-dual engines apply it, on the same path
+        as `_combine_ops`."""
+        return self._operator(self.v_squared)
 
     @cached_property
     def _error_blocks(self):

@@ -1,10 +1,11 @@
-"""The consensus square-root matrix V and its nullspace certificate.
+"""The consensus square-root matrix V.
 
 V is the symmetric PSD square root of (P - A P)/2, where P = diag(p) and
 A is a balanced left-stochastic combination matrix, built from one
-symmetric eigendecomposition.  Its nullspace is the consensus line
-span{1}, which is what couples the primal and dual blocks of the error
-dynamics.  The eigensystem of the lifted error map B is derived from
+symmetric eigendecomposition of the matrix's cached `v_squared`.  The
+engines need only V^2, so only the error dynamics build V.  Its
+nullspace is the consensus line span{1}, which is what couples the
+primal and dual blocks of the error dynamics.  The eigensystem of the lifted error map B is derived from
 these pieces in closed form (`stability.decompose_b`), so no dense
 nonsymmetric eigensolver is needed.
 """
@@ -36,8 +37,9 @@ class VMatrix:
 
 
 def compute_v(matrix: CombinationMatrix) -> VMatrix:
-    """Build V = U sqrt(Sigma) U^T from the eigendecomposition of
-    (P - A P)/2, with p the matrix's own Perron vector.
+    """Build V = U sqrt(Sigma) U^T from the eigendecomposition of the
+    matrix's cached `v_squared`, (P - A P)/2 with p the matrix's own Perron
+    vector, so V^2 is that matrix up to the clipping below.
 
     Requires a balanced matrix (otherwise (P - A P)/2 need not be
     symmetric PSD).  Eigenvalues below 1e-12 are clipped to exactly zero
@@ -48,10 +50,7 @@ def compute_v(matrix: CombinationMatrix) -> VMatrix:
         raise ValueError(
             f"combination matrix is not balanced (violation {violation:.3e})"
         )
-    pv = matrix.perron.p
-    s = (np.diag(pv) - matrix.a * pv[np.newaxis, :]) / 2.0
-    s = (s + s.T) / 2.0  # balance makes this symmetric; kill rounding skew
-    w, u = np.linalg.eigh(s)
+    w, u = np.linalg.eigh(matrix.v_squared)
     if w.min() < PSD_TOL:
         raise SpectralError(f"(P - AP)/2 has eigenvalue {w.min():.3e} < {PSD_TOL:g}")
     w = w[::-1].copy()
@@ -60,16 +59,3 @@ def compute_v(matrix: CombinationMatrix) -> VMatrix:
     v = (u * np.sqrt(w)[np.newaxis, :]) @ u.T
     v = (v + v.T) / 2.0
     return VMatrix(v=v, u=u, sigma=w)
-
-
-def certify_nullspace(v: VMatrix) -> bool:
-    """True iff null(V) = span{1}: exactly one eigenvalue of V at (or
-    below) 1e-10 whose eigenvector is parallel to the ones vector."""
-    eigs = np.sqrt(v.sigma)
-    null_mask = eigs <= 1e-10
-    if null_mask.sum() != 1:
-        return False
-    n = v.u.shape[0]
-    u_null = v.u[:, int(np.argmax(null_mask))]
-    inner = abs(float(u_null @ np.ones(n))) / np.sqrt(n)
-    return inner >= 1.0 - 1e-8

@@ -22,15 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .algorithms import (
-    ENGINE_SPECS,
-    StepSizes,
-    _engine_context,
-    _exhausted_verdict,
-    _iterate,
-    _lookback,
-    init_state,
-)
+from .algorithms import ENGINE_SPECS, StepSizes, _iterate
 from .costs import CostModel, QuadraticModel, solve_centralized
 from .graphs import CombinationMatrix, PerronData, SpectralError, matrix_from_array
 from .spectral import VMatrix
@@ -184,39 +176,6 @@ def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
     big = np.kron(dyn.b, np.eye(m))
     big[:, : n * m] -= np.kron(t, np.eye(m))[:, : n * m] @ mh
     return big
-
-
-def simulate_error_recursion(dyn: ErrorDynamics, model: QuadraticModel,
-                             steps: StepSizes, w0: np.ndarray, iters: int,
-                             engine: str = "exact_diffusion_pd") -> np.ndarray:
-    """Run the actual engine and return its stacked errors
-    [W_i - W*; Y_i - Y*], shape (iters + 1, 2N, M) with row 0 the seed.
-
-    Cross-check target: errors[i] must equal the one-step matrix applied
-    i times to errors[0] when the costs are quadratic.
-    """
-    if engine not in ("exact_diffusion_pd", "extra"):
-        raise ValueError("error recursion is defined for exact_diffusion_pd and extra")
-    n, m = model.n_agents, model.dim
-    gt = solve_centralized(model)
-    g = model.grad_at(gt.w_star if engine == "exact_diffusion_pd" else gt.w_o)
-    pinv_v = np.linalg.pinv(dyn.v)
-    if engine == "exact_diffusion_pd":
-        w_ref = gt.w_star
-        y_ref = -pinv_v @ (dyn.p[:, np.newaxis] * (dyn.abar.T @ (steps.mu[:, np.newaxis] * g)))
-    else:
-        w_ref = gt.w_o
-        y_ref = -(steps.mu[0] / n) * (pinv_v @ g)
-
-    ctx = _engine_context(engine, model, dyn.matrix, steps)
-    state = init_state(engine, model, dyn.matrix, np.asarray(w0, dtype=float))
-    step = ENGINE_SPECS[engine].step
-    errors = np.empty((iters + 1, 2 * n, m))
-    errors[0] = np.vstack([state.w - w_ref, state.y - y_ref])
-    for i in range(1, iters + 1):
-        step(state, ctx)
-        errors[i] = np.vstack([state.w - w_ref, state.y - y_ref])
-    return errors
 
 
 @dataclass
@@ -591,50 +550,6 @@ def two_agent_onset(a: float, sigma2: float, algorithm: str = "extra") -> float:
     return (1.0 + 3.0 * a) / (2.0 * sigma2)
 
 
-def mismatch_decay_check(history, p, rho_a: float, slack: float = 0.02):
-    """Verify the adaptive tuner's Perron estimates against the geometric
-    envelope |z_i[k] - p_k| <= sqrt(N) rho_a^{i+1}, floored at 1e-12 to
-    absorb the floating-point error floor once the signal underflows it.
-
-    Args:
-        history: per-iteration diagonal estimates, shape (T, N) (row i
-            holds the estimates after i + 1 combine steps).
-        p: true Perron vector.
-        rho_a: second-largest eigenvalue magnitude of the matrix.
-
-    Returns:
-        (ok, fitted_rate): ok requires the envelope to hold everywhere
-        and the rate fitted on the pre-floor prefix to be at most
-        rho_a + slack.
-    """
-    hist = np.atleast_2d(np.asarray(history, dtype=float))
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    errs = np.abs(hist - p[np.newaxis, :]).max(axis=1)
-    steps = np.arange(1, errs.size + 1)
-    envelope = np.maximum(np.sqrt(n) * rho_a ** steps * (1.0 + 1e-6), 1e-12)
-    ok_env = bool(np.all(errs <= envelope))
-    above = errs > 1e-12
-    cut = int(np.argmin(above)) if not above.all() else errs.size
-    fitted = 0.0
-    if cut >= 2:
-        slope = np.polyfit(np.arange(cut), np.log(errs[:cut]), 1)[0]
-        fitted = float(np.exp(slope))
-    return ok_env and fitted <= rho_a + slack, fitted
-
-
-def classify_run(result, max_iters: int) -> str:
-    """Map a run outcome to stable/unstable.  Budget-exhausted runs count
-    as stable only when the error did not grow over the last tenth of the
-    budget."""
-    if result.status == "diverged":
-        return "unstable"
-    if result.status == "converged":
-        return "stable"
-    rels = [r.rel_error for r in result.records]
-    return _exhausted_verdict(rels[-1], rels[max(0, len(rels) - 1 - _lookback(max_iters))])
-
-
 @dataclass
 class ScanResult:
     """Grid classification plus the refined stable/unstable bracket
@@ -679,10 +594,9 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     stable-to-unstable transition down to a relative width of rel_tol.
 
     Each grid value is the largest per-agent step size (see _steps_for),
-    so measured ranges are comparable across engines.  Every point is
-    classified as `classify_run` classifies a `run` from zero with a
-    shared precomputed ground truth, but the whole grid advances as one
-    stacked run.  `run` and the scan share one iteration loop, with one
+    so measured ranges are comparable across engines.  Every point gets
+    the verdict a `run` from zero with a shared precomputed ground truth
+    would get, but the whole grid advances as one stacked run.  `run` and the scan share one iteration loop, with one
     divergence cap, stop rule and exhausted rule; a scan's memory is
     O(members) for any max_iters.  Bisection is speculative: one stacked
     run classifies every midpoint of the next SPECULATION_DEPTH levels,

@@ -1,0 +1,116 @@
+"""Test oracles: independent re-derivations the suite checks the program
+against.  None of them is part of the library."""
+
+import csv
+
+import numpy as np
+
+from decentopt import StepSizes, TraceRecord, solve_centralized
+from decentopt.algorithms import (
+    ENGINE_SPECS,
+    _engine_context,
+    _exhausted_verdict,
+    _lookback,
+    init_state,
+)
+
+
+def read_trace_csv(path) -> list:
+    """The TraceRecords of a trace.csv written by `write_trace_csv`."""
+    with open(path, newline="") as fh:
+        return [TraceRecord(iteration=int(row["iter"]), comm_units=int(row["comm_units"]),
+                            rel_error=float(row["rel_error"]),
+                            grad_norm=float(row["grad_norm"]))
+                for row in csv.DictReader(fh)]
+
+
+def classify_run(result, max_iters: int) -> str:
+    """Map a run outcome to stable/unstable from its trace records alone.
+    Budget-exhausted runs count as stable only when the error did not grow
+    over the last tenth of the budget."""
+    if result.status == "diverged":
+        return "unstable"
+    if result.status == "converged":
+        return "stable"
+    rels = [r.rel_error for r in result.records]
+    return _exhausted_verdict(rels[-1], rels[max(0, len(rels) - 1 - _lookback(max_iters))])
+
+
+def certify_nullspace(v) -> bool:
+    """True iff null(V) = span{1} for a `VMatrix` v: exactly one eigenvalue
+    of V at (or below) 1e-10 whose eigenvector is parallel to the ones
+    vector."""
+    eigs = np.sqrt(v.sigma)
+    null_mask = eigs <= 1e-10
+    if null_mask.sum() != 1:
+        return False
+    n = v.u.shape[0]
+    u_null = v.u[:, int(np.argmax(null_mask))]
+    inner = abs(float(u_null @ np.ones(n))) / np.sqrt(n)
+    return inner >= 1.0 - 1e-8
+
+
+def mismatch_decay_check(history, p, rho_a: float, slack: float = 0.02):
+    """Verify the adaptive tuner's Perron estimates against the geometric
+    envelope |z_i[k] - p_k| <= sqrt(N) rho_a^{i+1}, floored at 1e-12 to
+    absorb the floating-point error floor once the signal underflows it.
+
+    Args:
+        history: per-iteration diagonal estimates, shape (T, N) (row i
+            holds the estimates after i + 1 combine steps).
+        p: true Perron vector.
+        rho_a: second-largest eigenvalue magnitude of the matrix.
+
+    Returns:
+        (ok, fitted_rate): ok requires the envelope to hold everywhere
+        and the rate fitted on the pre-floor prefix to be at most
+        rho_a + slack.
+    """
+    hist = np.atleast_2d(np.asarray(history, dtype=float))
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    errs = np.abs(hist - p[np.newaxis, :]).max(axis=1)
+    steps = np.arange(1, errs.size + 1)
+    envelope = np.maximum(np.sqrt(n) * rho_a ** steps * (1.0 + 1e-6), 1e-12)
+    ok_env = bool(np.all(errs <= envelope))
+    above = errs > 1e-12
+    cut = int(np.argmin(above)) if not above.all() else errs.size
+    fitted = 0.0
+    if cut >= 2:
+        slope = np.polyfit(np.arange(cut), np.log(errs[:cut]), 1)[0]
+        fitted = float(np.exp(slope))
+    return ok_env and fitted <= rho_a + slack, fitted
+
+
+def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters: int,
+                             engine: str = "exact_diffusion_pd") -> np.ndarray:
+    """Run the actual engine and return its stacked errors
+    [W_i - W*; Y_i - Y*], shape (iters + 1, 2N, M) with row 0 the seed.
+
+    The engine carries z = V y, which lies in the range of V, so
+    Y_i = pinv(V) z_i.  Cross-check target: errors[i] must equal the
+    one-step matrix applied i times to errors[0] when the costs are
+    quadratic.
+    """
+    if engine not in ("exact_diffusion_pd", "extra"):
+        raise ValueError("error recursion is defined for exact_diffusion_pd and extra")
+    n, m = model.n_agents, model.dim
+    gt = solve_centralized(model)
+    g = model.grad_at(gt.w_star if engine == "exact_diffusion_pd" else gt.w_o)
+    pinv_v = np.linalg.pinv(dyn.v)
+    if engine == "exact_diffusion_pd":
+        w_ref = gt.w_star
+        y_ref = -pinv_v @ (dyn.p[:, np.newaxis] * (dyn.abar.T @ (steps.mu[:, np.newaxis] * g)))
+    else:
+        w_ref = gt.w_o
+        y_ref = -(steps.mu[0] / n) * (pinv_v @ g)
+
+    ctx = _engine_context(engine, model, dyn.matrix, steps)
+    state = init_state(engine, model, dyn.matrix, np.asarray(w0, dtype=float))
+    step = ENGINE_SPECS[engine].step
+    errors = np.empty((iters + 1, 2 * n, m))
+    errors[0] = np.vstack([state.w - w_ref, pinv_v @ state.y - y_ref])
+    for i in range(1, iters + 1):
+        step(state, ctx)
+        errors[i] = np.vstack([state.w - w_ref, pinv_v @ state.y - y_ref])
+    return errors

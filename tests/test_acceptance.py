@@ -19,18 +19,17 @@ from decentopt import (
     least_squares_model,
     logistic_model,
     matrix_from_array,
-    mismatch_decay_check,
     mse_quadratic_model,
     one_step_matrix,
     random_connected_graph,
     run,
-    simulate_error_recursion,
     solve_centralized,
     stability_scan,
     two_agent_onset,
 )
 
 from conftest import random_averaging, random_metropolis, random_quadratic
+from oracles import mismatch_decay_check, simulate_error_recursion
 
 
 def _report(criterion, ok, message):
@@ -232,7 +231,7 @@ def test_criterion_7_dual_consensus_invariant():
         runs += 1
     ok = worst <= 1e-10
     _report(7, ok,
-            f"max |1^T y_i|/N = {worst:.2e} (<=1e-10) across {runs} "
+            f"max |1^T V y_i|/N = {worst:.2e} (<=1e-10) across {runs} "
             f"primal-dual runs started from y = 0, every iteration checked")
 
 

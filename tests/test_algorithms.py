@@ -16,7 +16,6 @@ from decentopt import (
     least_squares_model,
     matrix_from_array,
     random_connected_graph,
-    read_trace_csv,
     run,
     solve_centralized,
     write_status_json,
@@ -35,6 +34,7 @@ from decentopt import graphs
 from decentopt.graphs import _CSROperator
 
 from conftest import random_averaging, random_metropolis, random_quadratic
+from oracles import read_trace_csv
 
 WEIGHTED = ("exact_diffusion", "exact_diffusion_pd", "adaptive_exact_diffusion")
 
@@ -313,11 +313,12 @@ def test_fixed_point_residency_all_engines():
     states = {
         "exact_diffusion": AlgorithmState(
             w=w_star.copy(), psi_prev=w_star - steps.mu[:, None] * g_star),
+        # the primal-dual engines carry z = V y: seed z* = V y*
         "exact_diffusion_pd": AlgorithmState(
             w=w_star.copy(),
-            y=-pinv_v @ (perron.p[:, None] * (abar.T @ (steps.mu[:, None] * g_star)))),
+            y=vm.v @ (-pinv_v @ (perron.p[:, None] * (abar.T @ (steps.mu[:, None] * g_star))))),
         "extra": AlgorithmState(
-            w=w_o.copy(), y=-(uni.mu[0] / 5.0) * (pinv_v @ g_o)),
+            w=w_o.copy(), y=vm.v @ (-(uni.mu[0] / 5.0) * (pinv_v @ g_o))),
         "diging": AlgorithmState(w=w_o.copy(), y=np.zeros((5, 2)), g_prev=g_o),
         "aug_dgm": AlgorithmState(w=w_o.copy(), y=np.zeros((5, 2)), g_prev=g_o),
         "adaptive_exact_diffusion": AlgorithmState(
@@ -341,8 +342,9 @@ def test_fixed_point_residency_all_engines():
                                              (400, 0.02, True), (400, 0.006, True)])
 def test_combine_path_follows_network_size_and_density(n, prob, sparse):
     for build in (build_metropolis, build_averaging):
-        ops = build(random_connected_graph(n, prob, seed=3))._combine_ops
-        assert [isinstance(op, _CSROperator) for op in ops] == [sparse] * 3
+        matrix = build(random_connected_graph(n, prob, seed=3))
+        ops = (*matrix._combine_ops, matrix._dual_op)
+        assert [isinstance(op, _CSROperator) for op in ops] == [sparse] * 4
 
 
 def _on_path(matrix, sparse, monkeypatch):
@@ -412,6 +414,119 @@ def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
         res = run(engine, model, csr, steps, max_iters=80, stop=0.0, w0=w0, ground_truth=gt)
         assert res.status == statuses[k] == "exhausted"
         assert np.array_equal(res.state.w, state.w[k])
+
+
+# ------------------------------------------------------- primal-dual steps
+
+
+def _dense_v_step(engine, state, ctx, v, p):
+    """One step of exact_diffusion_pd or extra with an explicit dual y and
+    the dense factor V, as the paper writes them."""
+    mu = ctx.steps.mu[:, np.newaxis]
+    if engine == "exact_diffusion_pd":
+        state.w = ctx.abar_t @ (state.w - mu * ctx.model.grad(state.w)) - (v / p) @ state.y
+    else:
+        n = ctx.model.n_agents
+        state.w = ctx.abar @ state.w - mu * ctx.model.grad(state.w) - n * (v @ state.y)
+    state.y = state.y + v @ state.w
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("engine", ["exact_diffusion_pd", "extra"])
+def test_v_free_steps_match_the_dense_v_step(engine, sparse, monkeypatch):
+    """Carrying z = V y through S = V^2 reproduces the dense-V step on both
+    operator paths: over 50 iterations from a random (w, y), w and z agree
+    with the reference's w and V y within 1e-12 of the trajectory's scale."""
+    matrix, model, gt, w0 = _combine_setup(engine, seed=23)
+    matrix = _on_path(matrix, sparse, monkeypatch)
+    assert isinstance(matrix._dual_op, _CSROperator) == sparse
+    steps = steps_for(engine, model, matrix.perron, 0.02)
+    ctx = _engine_context(engine, model, matrix, steps)
+    p = matrix.perron.p[:, np.newaxis]
+    half = (np.diag(p[:, 0]) - matrix.a * p.T) / 2.0  # (P - A P)/2, built here from A and p
+    sigma, u = np.linalg.eigh((half + half.T) / 2.0)
+    v = (u * np.sqrt(np.clip(sigma, 0.0, None))) @ u.T
+    y0 = np.random.default_rng(23).standard_normal(w0.shape)
+    ours, ref = AlgorithmState(w=w0.copy(), y=v @ y0), AlgorithmState(w=w0.copy(), y=y0)
+    got_w, got_z, want_w, want_z = [], [], [], []
+    for _ in range(50):
+        ENGINE_SPECS[engine].step(ours, ctx)
+        _dense_v_step(engine, ref, ctx, v, p)
+        got_w.append(ours.w.copy())
+        got_z.append(ours.y.copy())
+        want_w.append(ref.w.copy())
+        want_z.append(v @ ref.y)
+    assert _close(got_w, want_w)
+    assert _close(got_z, want_z)
+
+
+@pytest.mark.parametrize("engine", ["exact_diffusion_pd", "extra"])
+def test_primal_dual_runs_never_build_v(engine):
+    matrix, model, gt, w0 = _combine_setup(engine, seed=24)
+    steps = steps_for(engine, model, matrix.perron, 0.02)
+    run(engine, model, matrix, steps, max_iters=50, stop=0.0, w0=w0, ground_truth=gt)
+    _iterate(engine, model, matrix, [steps, steps], 50, 0.0, gt, w0)
+    assert "vmat" not in matrix.__dict__
+
+
+# ------------------------------------------------------------ stack exits
+
+
+def _separate_outcomes(engine, model, matrix, steps_list, max_iters, stop, gt, w0):
+    """(status, verdict) of a one-member `run` per step size."""
+    out = []
+    for steps in steps_list:
+        _, _, (status,), (verdict,) = _iterate(engine, model, matrix, [steps], max_iters,
+                                               stop, gt, w0)
+        assert run(engine, model, matrix, steps, max_iters=max_iters, stop=stop, w0=w0,
+                   ground_truth=gt).status == status
+        out.append((status, verdict))
+    return out
+
+
+@pytest.mark.parametrize("engine", ["exact_diffusion", "extra", "diging"])
+def test_stack_keeps_running_past_a_member_that_overflows(engine):
+    """Members whose error turns inf or NaN at once leave the stack as
+    diverged; the others run on to the verdicts separate runs give."""
+    matrix, model, gt, w0 = _combine_setup(engine, seed=25)
+    steps_list = [steps_for(engine, model, matrix.perron, mu)
+                  for mu in (0.005, 1e200, 0.02, 1e308, 5.0)]
+    trace = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt,
+                                            w0, lambda state, rel: trace.append(rel.copy()))
+        separate = _separate_outcomes(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
+    first = trace[1]
+    assert not np.isfinite(first[1]) and not np.isfinite(first[3])
+    assert np.isfinite(first[[0, 2, 4]]).all()
+    assert list(zip(statuses, verdicts)) == separate
+    assert statuses[1] == statuses[3] == "diverged"
+    assert "diverged" not in (statuses[0], statuses[2])
+
+
+def test_stack_handles_a_convergence_and_a_divergence_on_one_iteration():
+    """One member crosses `stop` on the very iteration another crosses the
+    divergence cap, while a third runs on: each gets the status and verdict
+    of its own run."""
+    engine = "diging"
+    matrix, model, gt, w0 = _combine_setup(engine, seed=26)
+    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.02, 0.2, 0.0005)]
+    trace = []
+    _iterate(engine, model, matrix, steps_list, 60, 0.0, gt, w0,
+             lambda state, rel: trace.append(rel.copy()))
+    # the iteration the fast member diverges on, and a stop the converging
+    # member first crosses on that same iteration
+    blowup = next(i for i, rel in enumerate(trace) if rel.size < 3 or rel[1] > DIVERGENCE_CAP)
+    assert trace[blowup].size == 3 and 2 <= blowup < len(trace) - 1
+    stop = trace[blowup][0]
+    assert all(rel[0] > stop for rel in trace[:blowup])
+    exits = []
+    _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 60, stop, gt, w0,
+                                        lambda state, rel: exits.append(rel.size))
+    assert statuses == ["converged", "diverged", "exhausted"]
+    assert exits[blowup] == 3 and exits[blowup + 1] == 1
+    separate = _separate_outcomes(engine, model, matrix, steps_list, 60, stop, gt, w0)
+    assert list(zip(statuses, verdicts)) == separate
 
 
 # -------------------------------------------------------------- validation

@@ -71,6 +71,23 @@ def test_quadratic_model_gradients_and_hessians():
     assert np.abs(model.hessians() - h).max() == 0.0
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (7,)])
+def test_quadratic_grad_on_a_block_and_on_a_stack(shape):
+    """grad of an (N, M) block and of a (B, N, M) stack is h[k] @ w[k] - b[k]
+    agent by agent, also for a Hessian that is not symmetric."""
+    rng = np.random.default_rng(5)
+    n, m = 6, 4
+    h = rng.standard_normal((n, m, m))
+    model = QuadraticModel(h, rng.standard_normal((n, m)))
+    w = rng.standard_normal(shape + (n, m))
+    got = model.grad(w)
+    assert got.shape == w.shape
+    for index in np.ndindex(shape):
+        for k in range(n):
+            want = h[k] @ w[index][k] - model.b[k]
+            assert np.abs(got[index][k] - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
+
+
 def test_mse_quadratic_requires_symmetry():
     bad = [[[1.0, 0.2], [0.0, 1.0]]]
     with pytest.raises(ValueError):

@@ -10,13 +10,13 @@ from decentopt import (
     VMatrix,
     build_averaging,
     build_metropolis,
-    certify_nullspace,
     compute_v,
     matrix_from_array,
     random_connected_graph,
 )
 
 from conftest import random_averaging, random_metropolis
+from oracles import certify_nullspace
 
 
 def two_agent(a):

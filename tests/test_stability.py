@@ -26,12 +26,10 @@ from decentopt import (
     least_squares_model,
     logistic_model,
     matrix_from_array,
-    mismatch_decay_check,
     mse_quadratic_model,
     one_step_matrix,
     predicted_b_spectrum,
     random_connected_graph,
-    simulate_error_recursion,
     solve_centralized,
     stability_scan,
     two_agent_case,
@@ -39,9 +37,9 @@ from decentopt import (
 )
 from decentopt import graphs, stability
 from decentopt.algorithms import ENGINES, run
-from decentopt.stability import classify_run
 
 from conftest import random_averaging, random_metropolis, random_quadratic
+from oracles import classify_run, mismatch_decay_check, simulate_error_recursion
 from test_algorithms import reference_run
 
 
