@@ -183,13 +183,14 @@ def _build_graph(cfg: dict, default_seed) -> Graph:
             if seed is None:
                 raise ConfigError("graph.seed", "required (no top-level seed to fall back on)")
             return random_connected_graph(n, prob, seed)
+        k = np.arange(1, n)
         if kind in ("path", "ring"):
-            path = [(k, k + 1) for k in range(n - 1)]
-            return Graph(n, path + [(0, n - 1)] if kind == "ring" and n > 2 else path)
+            path = np.stack([k - 1, k], axis=1)
+            return Graph(n, np.vstack([path, [(0, n - 1)]]) if kind == "ring" and n > 2 else path)
         if kind == "star":
-            return Graph(n, frozenset((0, k) for k in range(1, n)))
+            return Graph(n, np.stack([np.zeros_like(k), k], axis=1))
         if kind == "complete":
-            return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+            return Graph(n, np.stack(np.triu_indices(n, k=1), axis=1))
     raise ConfigError("graph.kind", f"unknown kind {kind!r}")
 
 

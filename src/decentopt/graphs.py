@@ -6,13 +6,13 @@ a[l, k] is the weight agent k applies to data arriving from agent l.
 
 A CombinationMatrix is immutable and computes its spectral setup once,
 at construction: the Perron vector p from one bordered linear solve, the
-balance residual, and the eigenvalues of A, from one symmetric `eigh` of
-P^{-1/2} A P^{1/2} (kept with its eigenvectors) when A is balanced.  The
-spectrum summary (lambda2, lambdaN, rhoA) sits with p in `perron`.  The
-dual factor V in `vmat`, its square (P - A P)/2 in `v_squared`, (I + A)/2
-in `abar`, the engines' operators (CSR on a large sparse network) in
-`_combine_ops` and `_dual_op`, and the error-recursion blocks of
-`stability` are computed on first use.
+balance residual, and the eigenvalues of A, from one `eigvalsh` of
+P^{-1/2} A P^{1/2} when A is balanced.  The spectrum summary (lambda2,
+lambdaN, rhoA) sits with p in `perron`.  The eigenpairs in `_eigh`, V in
+`vmat`, (P - A P)/2 in `v_squared`, (I + A)/2 in `abar`, the engines'
+operators (CSR on a large sparse network) in `_combine_ops` and
+`_dual_op`, and the error-recursion blocks of `stability` are computed
+on first use.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class Graph:
 
     Edges are canonical (i, j) pairs with i < j; self-loops are not part
     of the edge set (self-weights live on the matrix diagonal instead).
-    The constructor takes any iterable of pairs and also keeps the edges
-    as a read-only (E, 2) array in lexicographic order.
+    The constructor takes an (E, 2) array or any iterable of pairs and
+    keeps them as a read-only (E, 2) array in lexicographic order.
     """
 
     n: int
@@ -63,9 +63,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphError(f"agent count must be positive, got {self.n}")
-        edges = list(self.edges)
+        edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
         try:
-            ij = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+            ij = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
         except (TypeError, ValueError):
             raise GraphError("edges must be (i, j) pairs of agent indices") from None
         ij = np.sort(ij, axis=1)
@@ -121,10 +121,11 @@ class CombinationMatrix:
     `_perron_vector`), the balance residual that `check_balanced` reports,
     and the eigenvalues of A.  A balanced A is similar to the symmetric
     At = P^{-1/2} A P^{1/2}, so its eigenvalues come, ascending and with
-    the unit one last, from one `eigh` of At, whose eigenvectors are kept
-    for `stability`; an unbalanced A (only a raw array can be one) gets
-    a nonsymmetric `eigvals` and no eigenvectors.  `a` is a read-only
-    copy, so the cached spectral data cannot go stale.
+    the unit one last, from one values-only `eigvalsh` of At; `stability`
+    alone needs its eigenvectors, from `_eigh` on first use.  An
+    unbalanced A (only a raw array can be one) gets a nonsymmetric
+    `eigvals` and no eigenvectors.  `a` is a read-only copy, so the
+    cached spectral data cannot go stale.
     """
 
     a: np.ndarray
@@ -132,7 +133,6 @@ class CombinationMatrix:
     perron: PerronData = field(init=False, repr=False, compare=False)
     _balance: float = field(init=False, repr=False, compare=False)
     _eigvals: np.ndarray = field(init=False, repr=False, compare=False)
-    _eigvecs: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
@@ -169,12 +169,8 @@ class CombinationMatrix:
             )
         p = _perron_vector(a)
         balance = float(np.abs(p[:, np.newaxis] * a.T - a * p).max())
-        vecs = None
         if balance <= BALANCE_TOL:
-            root_p = np.sqrt(p)
-            a_tilde = a * root_p[np.newaxis, :] / root_p[:, np.newaxis]
-            vals, vecs = np.linalg.eigh((a_tilde + a_tilde.T) / 2.0)
-            vecs.flags.writeable = False
+            vals = np.linalg.eigvalsh(_symmetrized(a, p))
         else:
             vals = np.linalg.eigvals(a)
         near_one = np.abs(vals - 1.0) <= UNIT_EIG_TOL
@@ -192,7 +188,6 @@ class CombinationMatrix:
         object.__setattr__(self, "perron", PerronData(p, lambda2, lambdaN, rhoA))
         object.__setattr__(self, "_balance", balance)
         object.__setattr__(self, "_eigvals", vals)
-        object.__setattr__(self, "_eigvecs", vecs)
 
     @property
     def n(self) -> int:
@@ -208,6 +203,13 @@ class CombinationMatrix:
         """Symmetric within 1e-10 as well as doubly stochastic."""
         a = self.a
         return self.is_doubly_stochastic and bool(np.abs(a - a.T).max() <= STOCHASTIC_TOL)
+
+    @cached_property
+    def _eigh(self) -> tuple:
+        """Read-only eigenpairs (lam, u) of a balanced matrix's At, ascending."""
+        lam, u = np.linalg.eigh(_symmetrized(self.a, self.perron.p))
+        lam.flags.writeable = u.flags.writeable = False
+        return lam, u
 
     @cached_property
     def vmat(self):
@@ -331,6 +333,12 @@ def _spectrum_summary(vals: np.ndarray):
     rest = np.delete(vals, perron_idx)
     rhoA = float(np.abs(rest).max())
     return lambda2, lambdaN, rhoA
+
+
+def _symmetrized(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """At = P^{-1/2} A P^{1/2} of a balanced A, without its rounding skew."""
+    a_tilde = a * np.sqrt(p) / np.sqrt(p)[:, np.newaxis]
+    return (a_tilde + a_tilde.T) / 2.0
 
 
 def _perron_vector(a: np.ndarray) -> np.ndarray:

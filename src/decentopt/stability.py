@@ -85,14 +85,14 @@ def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     p, vmat = matrix.perron.p, matrix.vmat
     v = vmat.v
     pinv_v = v / p[:, np.newaxis]
-    eye = np.eye(n)
-    b = np.block([[abar_t, -pinv_v], [v @ abar_t, eye - v @ pinv_v]])
-    t_d = np.block([[abar_t, np.zeros((n, n))], [v @ abar_t, np.zeros((n, n))]])
-    t_e = np.block([[eye, np.zeros((n, n))], [v, np.zeros((n, n))]])
+    b = np.block([[abar_t, -pinv_v], [v @ abar_t, np.eye(n) - v @ pinv_v]])
+    # T_d shares B's first N columns; T_e is [[I, 0], [V, 0]]
+    t_d = np.hstack([b[:, :n], np.zeros((2 * n, n))])
+    t_e = np.hstack([np.vstack([np.eye(n), v]), np.zeros((2 * n, n))])
     for block in (b, t_d, t_e):
         block.flags.writeable = False
-    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=p, lam=matrix._eigvals,
-                   u=matrix._eigvecs, vmat=vmat)
+    lam, u = matrix._eigh
+    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=p, lam=lam, u=u, vmat=vmat)
 
 
 @dataclass
@@ -189,8 +189,8 @@ class SpectralPair:
     [x_top[:, k]; -+ i r_right[k] r[:, k]] and the inverse rows
     [y_top[:, k]; +- i r_left[k] r[:, k]], with r's columns orthonormal;
     c divides X_R and multiplies X_L.  These read-only N-row pieces give
-    ||X_R|| and ||X_L|| in closed form; the dense complex X and X^{-1}
-    are built, read-only, only when read.
+    ||X_R||, ||X_L|| and `b_spectrum_residual` in closed form.  residual
+    bounds ||B X - X D||_F at c = 1, rounding included.
     """
 
     d: np.ndarray
@@ -200,34 +200,8 @@ class SpectralPair:
     r: np.ndarray
     r_right: np.ndarray
     r_left: np.ndarray
+    residual: float
     c: float = 1.0
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        """Right eigenvectors as columns, shape (2N, 2N)."""
-        n = self.p.size
-        x = np.zeros((2 * n, 2 * n), dtype=complex)
-        x[:n, 0] = x[n:, 1] = 1.0
-        for first, sign in ((2, 1.0), (3, -1.0)):
-            x[:n, first::2] = self.x_top
-            x[n:, first::2] = -sign * 1j * self.r_right * self.r
-        x[:, 2:] /= self.c
-        x.flags.writeable = False
-        return x
-
-    @cached_property
-    def x_inv(self) -> np.ndarray:
-        """Inverse of x, shape (2N, 2N)."""
-        n = self.p.size
-        x_inv = np.zeros((2 * n, 2 * n), dtype=complex)
-        x_inv[0, :n] = self.p
-        x_inv[1, n:] = 1.0 / n
-        for first, sign in ((2, 1.0), (3, -1.0)):
-            x_inv[first::2, :n] = self.y_top.T
-            x_inv[first::2, n:] = (sign * 1j * self.r_left * self.r).T
-        x_inv[2:, :] *= self.c
-        x_inv.flags.writeable = False
-        return x_inv
 
     @cached_property
     def norm_r(self) -> float:
@@ -261,8 +235,7 @@ def decompose_b(dyn: ErrorDynamics, c: float = None) -> SpectralPair:
     equal norm, which keeps ||X_R|| ||X_L|| small.  Within an eigenspace
     of At on which p is constant these norms do not depend on the basis
     the eigensolver picks, so neither do the bounds built from them.
-    ||X_R|| and ||X_L|| come from N x N pieces (see `SpectralPair`); the
-    dense 2N x 2N X and X^{-1} are built only when a caller reads them.
+    ||X_R|| and ||X_L|| come from N x N pieces (see `SpectralPair`).
 
     c, when given, additionally scales X_R by 1/c and X_L by c; products
     such as ||X_L|| ||T|| ||X_R|| are invariant to it.
@@ -291,7 +264,12 @@ def _closed_form_pair(b: np.ndarray, lam: np.ndarray, u: np.ndarray, p: np.ndarr
     lb +- i sqrt(lb) s, B X - X D has the real part
     B[:, :N] x - lb [x; s r] and the imaginary part
     -+ sqrt(lb) (B[:, N:] r + [s x; -lb r]), both times the balancing
-    scale, so both columns of a pair share one modulus."""
+    scale, so both columns of a pair share one modulus.
+
+    `residual` adds to the computed ||B X - X D||_F the rounding allowance
+    (N + 8) u (|| |B| |X| ||_F + ||X||_F), u = 2^-53 (Higham's gamma_N for
+    the N-term products, 8 u for the scaling, X D and d), with |B| |X| at
+    most |B|'s row sums per column half times |X|'s column maxima."""
     n = p.size
     root_p = np.sqrt(p)
     # the non-unit pairs, descending, as the eigenvalues of B are listed
@@ -311,15 +289,23 @@ def _closed_form_pair(b: np.ndarray, lam: np.ndarray, u: np.ndarray, p: np.ndarr
     imag = root_lbar * (b[:, n:] @ r + np.vstack([s * x, -lbar * r]))
     unit_cols = np.concatenate([b[:, :n].sum(axis=1) - np.repeat([1.0, 0.0], n),
                                 b[:, n:].sum(axis=1) - np.repeat([0.0, 1.0], n)])
-    residual = max(float((scale * np.hypot(real, imag)).max(initial=0.0)),
-                   float(np.abs(unit_cols).max()))
-    if residual > EIGENPAIR_TOL:
-        raise SpectralError(f"eigenpair residual {residual:.3e} above tolerance")
+    modulus = scale * np.hypot(real, imag)
+    worst = max(float(modulus.max(initial=0.0)), float(np.abs(unit_cols).max()))
+    if worst > EIGENPAIR_TOL:
+        raise SpectralError(f"eigenpair residual {worst:.3e} above tolerance")
     pieces = dict(x_top=x * scale, y_top=y / scale, r=r, r_right=root_lbar * scale,
                   r_left=1.0 / (2.0 * root_lbar * scale))
+    # the halves of |X| per conjugate-pair column, and |B| times the unit columns
+    halves = [np.abs(pieces["x_top"]), pieces["r_right"] * np.abs(r)]
+    rows = np.abs(b).reshape(2 * n, 2, n).sum(axis=2)
+    abs_bx = np.hypot(np.sqrt(2.0) * np.linalg.norm(rows @ [h.max(axis=0) for h in halves]),
+                      np.linalg.norm(rows))
+    norm_x = np.sqrt(2.0 * (n + sum(np.linalg.norm(h) ** 2 for h in halves)))
+    residual = float(np.hypot(np.sqrt(2.0) * np.linalg.norm(modulus), np.linalg.norm(unit_cols))
+                     + (n + 8) * 2.0 ** -53 * (abs_bx + norm_x))
     for piece in (d, *pieces.values()):
         piece.flags.writeable = False
-    return SpectralPair(d=d, p=p, **pieces)
+    return SpectralPair(d=d, p=p, residual=residual, **pieces)
 
 
 def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:
@@ -334,23 +320,28 @@ def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:
 
 
 def b_spectrum_residual(dyn: ErrorDynamics) -> float:
-    """Largest gap between the computed spectrum of B and the closed-form
-    prediction, under greedy multiset matching.  Sorting both lists is not
-    enough: repeated eigenvalues (for example Abar spectra like
-    {1, 1/2, 1/2}) interleave their conjugate pairs differently once
-    float fuzz enters the real parts."""
-    actual = np.linalg.eigvals(dyn.b)
-    predicted = predicted_b_spectrum(dyn.matrix)
-    worst = 0.0
-    for value in predicted:
-        diff = actual - value
-        # hypot rounds as abs(complex) does; np.abs of complex values can
-        # differ from both in the last bit
-        gaps = np.hypot(diff.real, diff.imag)
-        k = int(np.argmin(gaps))
-        worst = max(worst, float(gaps[k]))
-        actual[k] = np.inf  # matched
-    return worst
+    """Certified radius around the closed-form spectrum d of B, with no
+    eigensolve of B.  With R = B X - X D (`SpectralPair.residual`) and Y
+    the closed-form inverse of X, eta = ||Y X - I||_F < 1/2 (else
+    SpectralError) bounds ||X^{-1}|| by ||Y|| / (1 - eta).  Bauer-Fike on
+    X^{-1} B X = D + X^{-1} R, with continuity along D + t X^{-1} R, puts
+    every eigenvalue of B, with multiplicity, in the disks of radius
+    ||Y|| ||R||_F / (1 - eta) around d.  Y X - I is G1 +- G2 (- I) between
+    pair rows and columns (G1 = y_top^T x_top, G2 = (r_left r_right^T) o
+    (r^T r)), plus p^T x_top, 1^T r, y_top^T 1 and p^T 1 - 1;
+    ||Y||^2 <= max(||p||^2, 1/N) + norm_l^2 (1 + ||r^T r - I||_F)."""
+    pair = dyn._blocks.pair
+    p, x, y, r = pair.p, pair.x_top, pair.y_top, pair.r
+    n, eye, ones_r = p.size, np.eye(p.size - 1), r.sum(axis=0)
+    g1, gram_r = y.T @ x, r.T @ r
+    g2 = np.outer(pair.r_left, pair.r_right) * gram_r
+    off = [g1 + g2 - eye, g1 - g2, p @ x, pair.r_right * ones_r / n, y.sum(axis=0),
+           pair.r_left * ones_r]
+    eta = np.sqrt(2.0 * sum(np.linalg.norm(part) ** 2 for part in off) + (p.sum() - 1.0) ** 2)
+    if not eta < 0.5:
+        raise SpectralError(f"closed-form inverse of X is off by {eta:.3e}")
+    norm_y = np.sqrt(max(p @ p, 1.0 / n) + pair.norm_l ** 2 * (1.0 + np.linalg.norm(gram_r - eye)))
+    return float(norm_y * pair.residual / (1.0 - eta))
 
 
 @dataclass(frozen=True)

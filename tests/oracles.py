@@ -5,7 +5,7 @@ import csv
 
 import numpy as np
 
-from decentopt import StepSizes, TraceRecord, solve_centralized
+from decentopt import StepSizes, TraceRecord, predicted_b_spectrum, solve_centralized
 from decentopt.algorithms import (
     ENGINE_SPECS,
     _engine_context,
@@ -114,3 +114,49 @@ def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters
         step(state, ctx)
         errors[i] = np.vstack([state.w - w_ref, pinv_v @ state.y - y_ref])
     return errors
+
+
+def dense_x(pair) -> np.ndarray:
+    """The right eigenvectors of B as columns, shape (2N, 2N), built from
+    the N-row pieces of a `SpectralPair`."""
+    n = pair.p.size
+    x = np.zeros((2 * n, 2 * n), dtype=complex)
+    x[:n, 0] = x[n:, 1] = 1.0
+    for first, sign in ((2, 1.0), (3, -1.0)):
+        x[:n, first::2] = pair.x_top
+        x[n:, first::2] = -sign * 1j * pair.r_right * pair.r
+    x[:, 2:] /= pair.c
+    return x
+
+
+def dense_x_inv(pair) -> np.ndarray:
+    """The closed-form inverse of `dense_x(pair)`, shape (2N, 2N)."""
+    n = pair.p.size
+    x_inv = np.zeros((2 * n, 2 * n), dtype=complex)
+    x_inv[0, :n] = pair.p
+    x_inv[1, n:] = 1.0 / n
+    for first, sign in ((2, 1.0), (3, -1.0)):
+        x_inv[first::2, :n] = pair.y_top.T
+        x_inv[first::2, n:] = (sign * 1j * pair.r_left * pair.r).T
+    x_inv[2:, :] *= pair.c
+    return x_inv
+
+
+def greedy_spectrum_gap(dyn, b=None) -> float:
+    """Largest gap between the dense `eigvals` of B (or of b, when given)
+    and the closed-form prediction, under greedy multiset matching.
+    Sorting both lists is not enough: repeated eigenvalues (for example
+    Abar spectra like {1, 1/2, 1/2}) interleave their conjugate pairs
+    differently once float fuzz enters the real parts.  A small-N oracle:
+    it takes a 2N x 2N nonsymmetric eigensolve."""
+    actual = np.linalg.eigvals(dyn.b if b is None else b)
+    worst = 0.0
+    for value in predicted_b_spectrum(dyn.matrix):
+        diff = actual - value
+        # hypot rounds as abs(complex) does; np.abs of complex values can
+        # differ from both in the last bit
+        gaps = np.hypot(diff.real, diff.imag)
+        k = int(np.argmin(gaps))
+        worst = max(worst, float(gaps[k]))
+        actual[k] = np.inf  # matched
+    return worst

@@ -14,12 +14,13 @@ import pytest
 import decentopt
 from decentopt import (
     ConvergenceError,
+    Graph,
     SpectralError,
     save_matrix_csv,
     two_agent_case,
     two_agent_onset,
 )
-from decentopt.cli import main
+from decentopt.cli import _build_graph, main
 from decentopt.graphs import _CSROperator
 
 SCHEMA_PATH = Path(decentopt.__file__).parent / "schemas" / "analysis_report.schema.json"
@@ -328,6 +329,52 @@ def test_analyze_decomposition_failure_is_config_error(tmp_path):
     assert report["closed_form_residual"] <= 1e-8
     assert 0 < report["mu_bound_diffusion"] < np.inf
     assert report["mu_bound_extra"] is None
+
+
+def test_analyze_certifies_the_b_spectrum_at_n1000(tmp_path):
+    # no 2N eigensolve: the certified radius, rounding allowance
+    # included, stays inside the eigenpair tolerance at N = 1000
+    report = analyze_report(tmp_path, {
+        "seed": 3, "graph": {"kind": "random", "n": 1000, "edge_probability": 0.1},
+        "matrix": {"rule": "metropolis"}})
+    assert report["n_agents"] == 1000
+    assert 0 < report["closed_form_residual"] <= 1e-8
+
+
+def test_only_analyze_computes_eigenvectors(tmp_path, monkeypatch):
+    """run and stability-scan read the matrix's values-only spectrum;
+    the eigenvectors of P^-1/2 A P^1/2 (and of (P - AP)/2, for V) are
+    computed only for the error dynamics of analyze."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    cfg = base_run_config("exact_diffusion_pd")
+    cfg["scan"] = {"engine": "extra", "mu_min": 0.01, "mu_max": 0.5, "points": 4,
+                   "max_iters": 300}
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "stability-scan"):
+        assert run_cli([command, "--config", path, "--out", tmp_path / command]) == 0
+    assert shapes == []
+    assert run_cli(["analyze", "--config", path, "--out", tmp_path / "analyze"]) == 0
+    assert shapes == [(6, 6), (6, 6)]
+
+
+@pytest.mark.parametrize("kind", ["path", "ring", "star", "complete"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_fixed_topologies_match_their_edge_lists(kind, n):
+    path = [(k, k + 1) for k in range(n - 1)]
+    edges = {
+        "path": path,
+        "ring": path + [(0, n - 1)] if n > 2 else path,
+        "star": [(0, k) for k in range(1, n)],
+        "complete": [(i, j) for i in range(n) for j in range(i + 1, n)],
+    }[kind]
+    assert _build_graph({"graph": {"kind": kind, "n": n}}, None) == Graph(n, frozenset(edges))
 
 
 def test_analyze_bounds_do_not_depend_on_blas_threads(tmp_path):

@@ -153,6 +153,15 @@ def test_graph_canonicalizes_edges():
     assert adj[0, 1] == 1 and adj[1, 0] == 1 and adj[0, 2] == 0
 
 
+def test_graph_takes_an_edge_array():
+    pairs = [(2, 1), (0, 1), (1, 2), (3, 0)]
+    for edges in (np.array(pairs), np.array(pairs, dtype=np.int32), pairs, iter(pairs)):
+        g = Graph(4, edges)
+        assert g == Graph(4, frozenset(pairs))
+        assert g._ij.tolist() == [[0, 1], [0, 3], [1, 2]]
+    assert Graph(1, np.zeros((0, 2), dtype=int)) == Graph(1, frozenset())
+
+
 def test_graph_rejects_self_loops_and_bad_vertices():
     with pytest.raises(GraphError):
         Graph(3, frozenset({(0, 1), (1, 1), (1, 2)}))

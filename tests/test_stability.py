@@ -2,6 +2,8 @@
 forms, adaptive mismatch decay, and grid scans."""
 
 import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +41,8 @@ from decentopt import graphs, stability
 from decentopt.algorithms import ENGINES, run
 
 from conftest import random_averaging, random_metropolis, random_quadratic
-from oracles import classify_run, mismatch_decay_check, simulate_error_recursion
+from oracles import (classify_run, dense_x, dense_x_inv, greedy_spectrum_gap,
+                     mismatch_decay_check, simulate_error_recursion)
 from test_algorithms import reference_run
 
 
@@ -76,7 +79,8 @@ def test_closed_form_spectrum_matches_b():
         for builder in (random_metropolis, random_averaging):
             matrix = builder(4 + seed % 3, seed)
             dyn = build_error_dynamics(matrix)
-            assert b_spectrum_residual(dyn) <= 1e-8
+            radius = b_spectrum_residual(dyn)
+            assert greedy_spectrum_gap(dyn) <= radius <= 1e-8
             # magnitudes agree as sorted multisets too
             predicted = np.sort(np.abs(predicted_b_spectrum(matrix)))
             actual = np.sort(np.abs(np.linalg.eigvals(dyn.b)))
@@ -84,13 +88,75 @@ def test_closed_form_spectrum_matches_b():
 
 
 def test_spectrum_residual_handles_repeated_eigenvalues():
-    # star graphs give Abar spectra with high multiplicity; the matcher
-    # must not trip over conjugate-pair orderings
-    from decentopt import Graph, build_averaging as _avg
-
+    # star graphs give Abar spectra with high multiplicity; the oracle's
+    # matcher must not trip over conjugate-pair orderings
     star = Graph(4, frozenset((0, k) for k in range(1, 4)))
-    dyn = build_error_dynamics(_avg(star))
-    assert b_spectrum_residual(dyn) <= 1e-8
+    dyn = build_error_dynamics(build_averaging(star))
+    assert greedy_spectrum_gap(dyn) <= b_spectrum_residual(dyn) <= 1e-8
+
+
+def _criterion_10_ensemble():
+    return [random_metropolis(3 + i % 4, seed=1000 + i) for i in range(20)]
+
+
+def _fixed_topologies():
+    return [builder(network(n)) for network in (ring_graph, path_graph, complete_graph)
+            for n in (3, 10, 50) for builder in (build_metropolis, build_averaging)]
+
+
+@pytest.mark.parametrize("ensemble", [_criterion_10_ensemble, _fixed_topologies])
+def test_certified_radius_covers_the_dense_spectrum(ensemble):
+    """The certificate's radius is at least the greedy gap between the
+    dense eigvals(B) and the closed form, on random networks and on
+    rings, paths and complete graphs, whose spectra repeat eigenvalues."""
+    for matrix in ensemble():
+        dyn = build_error_dynamics(matrix)
+        radius = b_spectrum_residual(dyn)
+        assert greedy_spectrum_gap(dyn) <= radius <= 1e-8
+
+
+def test_certificate_bounds_its_dense_pieces():
+    """The pair's residual is at least ||B X - X D||_F and the radius at
+    least ||X^{-1}||_2 times it, with X and X^{-1} built densely."""
+    for matrix in _fixed_topologies()[::3] + _criterion_10_ensemble()[:4]:
+        dyn = build_error_dynamics(matrix)
+        pair = decompose_b(dyn)
+        x, x_inv = dense_x(pair), dense_x_inv(pair)
+        assert np.linalg.norm(dyn.b @ x - x * pair.d) <= pair.residual
+        assert np.linalg.norm(x_inv, 2) * pair.residual <= b_spectrum_residual(dyn)
+
+
+def _certificate(matrix, b, v):
+    """b_spectrum_residual of the closed form of `matrix` checked against b
+    in place of B, with v in place of V."""
+    blocks = replace(matrix._error_blocks, b=b, vmat=replace(matrix.vmat, v=v))
+    return b_spectrum_residual(SimpleNamespace(_blocks=blocks))
+
+
+@pytest.mark.parametrize("kind", ["perturbed V", "perturbed B"])
+def test_certificate_rejects_a_wrong_b(kind):
+    """B built from a perturbed V, or B + 1e-6 E, has a different
+    spectrum from the closed form: the certificate raises or exceeds
+    1e-8.  At 1e-10 E the radius still covers the dense gap."""
+    matrix = random_metropolis(8, seed=4)
+    v, n = matrix.vmat.v, matrix.n
+    error = np.random.default_rng(1).standard_normal((2 * n, 2 * n))
+    if kind == "perturbed V":
+        v = v * (1.0 + 1e-6)
+        abar_t, pinv_v = matrix.abar.T, v / matrix.perron.p[:, np.newaxis]
+        b = np.block([[abar_t, -pinv_v], [v @ abar_t, np.eye(n) - v @ pinv_v]])
+    else:
+        b = matrix._error_blocks.b + 1e-6 * error
+    try:
+        assert _certificate(matrix, b, v) > 1e-8
+    except SpectralError:
+        pass
+    b = matrix._error_blocks.b + 1e-10 * error
+    dyn = build_error_dynamics(matrix)
+    assert greedy_spectrum_gap(dyn, b) <= _certificate(matrix, b, matrix.vmat.v)
+    pair = replace(matrix._error_blocks, b=b).pair
+    x = dense_x(pair)
+    assert np.linalg.norm(b @ x - x * pair.d) <= pair.residual
 
 
 def test_eigenvalue_pairs_have_sqrt_magnitude():
@@ -117,17 +183,18 @@ def test_decompose_canonical_vectors_and_reconstruction():
         r2 = np.concatenate([np.zeros(n), np.ones(n)])
         l1 = np.concatenate([perron.p, np.zeros(n)])
         l2 = np.concatenate([np.zeros(n), np.full(n, 1.0 / n)])
-        assert np.abs(pair.x[:, 0] - r1).max() <= 1e-12
-        assert np.abs(pair.x[:, 1] - r2).max() <= 1e-12
-        assert np.abs(pair.x_inv[0] - l1).max() <= 1e-12
-        assert np.abs(pair.x_inv[1] - l2).max() <= 1e-12
+        x, x_inv = dense_x(pair), dense_x_inv(pair)
+        assert np.abs(x[:, 0] - r1).max() <= 1e-12
+        assert np.abs(x[:, 1] - r2).max() <= 1e-12
+        assert np.abs(x_inv[0] - l1).max() <= 1e-12
+        assert np.abs(x_inv[1] - l2).max() <= 1e-12
         # the pinned vectors really are eigenvectors of B at 1
         assert np.abs(dyn.b @ r1 - r1).max() <= 1e-10
         assert np.abs(dyn.b @ r2 - r2).max() <= 1e-10
         assert np.abs(l1 @ dyn.b - l1).max() <= 1e-10
         assert np.abs(l2 @ dyn.b - l2).max() <= 1e-10
-        assert np.abs(pair.x_inv @ pair.x - np.eye(2 * n)).max() <= 1e-10
-        recon = pair.x @ np.diag(pair.d) @ pair.x_inv
+        assert np.abs(x_inv @ x - np.eye(2 * n)).max() <= 1e-10
+        recon = x @ np.diag(pair.d) @ x_inv
         assert np.abs(recon - dyn.b).max() <= 1e-9
         assert np.abs(pair.d[0] - 1) <= 1e-12 and np.abs(pair.d[1] - 1) <= 1e-12
 
@@ -149,7 +216,7 @@ def test_decompose_rejects_extra_unit_eigenvalues():
     perron = matrix.perron
     vm = compute_v(matrix)
     with pytest.raises(SpectralError):
-        stability._closed_form_pair(np.eye(4), matrix._eigvals, matrix._eigvecs,
+        stability._closed_form_pair(np.eye(4), *matrix._eigh,
                                     perron.p, vm.v)
 
 
@@ -172,7 +239,7 @@ def test_eigenpair_check_reads_every_block_of_b(rows, cols, kind):
         error = np.outer(np.eye(n)[0], np.ones(n))
     b[rows * n:(rows + 1) * n, cols * n:(cols + 1) * n] += 1e-6 * error
     with pytest.raises(SpectralError, match="eigenpair residual"):
-        stability._closed_form_pair(b, matrix._eigvals, matrix._eigvecs, matrix.perron.p,
+        stability._closed_form_pair(b, *matrix._eigh, matrix.perron.p,
                                     matrix.vmat.v)
 
 
@@ -181,7 +248,7 @@ def test_single_agent_degenerates_cleanly():
     dyn = build_error_dynamics(m1)
     pair = decompose_b(dyn)
     assert np.allclose(pair.d, [1.0, 1.0])
-    assert np.allclose(pair.x, np.eye(2))
+    assert np.allclose(dense_x(pair), np.eye(2))
     with pytest.raises(ValueError):
         diffusion_step_bound(m1)
     with pytest.raises(ValueError):
@@ -735,12 +802,11 @@ def test_scan_bracket_straddles_the_spectral_onset(engine, seed):
 
 
 def test_one_spectral_setup_per_matrix(monkeypatch):
-    """Every consumer of one balanced matrix shares the setup its
-    constructor computes: one bordered solve for p, one symmetric
-    eigendecomposition of P^-1/2 A P^1/2, one more for V, and a single
-    decomposition of B.  No N x N array goes through a nonsymmetric
-    eigensolver, no 2N x 2N array is 2-normed or SVD'd, and neither bound
-    builds the dense eigenvector matrices of B."""
+    """Every consumer of one balanced matrix shares its spectral setup:
+    one bordered solve for p, one symmetric eigendecomposition of
+    P^-1/2 A P^1/2, one more for V, and a single decomposition of B.  No
+    array goes through a nonsymmetric eigensolver, and no 2N x 2N array
+    is 2-normed or SVD'd."""
     n = 6
     calls = {"eigh": 0, "decompose": 0}
     factored, solved, dense_eig = [], [], []
@@ -787,18 +853,14 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     extra_step_bound(matrix)
     scaled = decompose_b(build_error_dynamics(matrix), c=2.0)
     assert scaled.norm_r > 0.0
+    # the certificate of B's spectrum reuses the decomposition: no 2N
+    # eigensolve, no second eigh
+    assert b_spectrum_residual(build_error_dynamics(matrix)) <= 1e-8
     assert calls == {"eigh": 2, "decompose": 1}
     assert solved.count((n, n)) == 1
     assert dense_eig == []
     assert matrix.perron is perron
     assert not [shape for shape in factored if 2 * n in shape]
-    # the dense X and X^-1 are cached properties, built only when read
-    for pair in (matrix._error_blocks.pair, scaled):
-        assert "x" not in vars(pair) and "x_inv" not in vars(pair)
-    # the predicted spectrum reuses the matrix's eigenvalues: the one dense
-    # eigensolve is the independent eigvals(B) it is checked against
-    b_spectrum_residual(build_error_dynamics(matrix))
-    assert dense_eig == [(2 * n, 2 * n)]
 
 
 # ------------------------------------------- closed-form decomposition of B
@@ -871,8 +933,9 @@ def test_closed_form_decomposition_matches_dense_eig():
             pair = decompose_b(dyn)
             vals, alpha_d = lapack_alpha(dyn, dyn.t_d)
             assert np.abs(np.sort_complex(pair.d) - np.sort_complex(vals)).max() <= 1e-9
-            assert np.abs(dyn.b @ pair.x - pair.x * pair.d).max() <= 1e-10
-            assert np.abs(pair.x_inv @ pair.x - np.eye(2 * n)).max() <= 1e-10
+            x, x_inv = dense_x(pair), dense_x_inv(pair)
+            assert np.abs(dyn.b @ x - x * pair.d).max() <= 1e-10
+            assert np.abs(x_inv @ x - np.eye(2 * n)).max() <= 1e-10
             assert diffusion_step_bound(matrix).alpha == pytest.approx(alpha_d, rel=1e-9)
             if matrix.is_symmetric_doubly_stochastic:
                 _, alpha_e = lapack_alpha(dyn, dyn.t_e)
@@ -910,14 +973,14 @@ def test_closed_form_norms_match_the_dense_oracle(network, sizes, builder):
         assert rel(blocks.t_d_norm, np.linalg.norm(dyn.t_d, 2)) <= 1e-12
         assert rel(blocks.t_e_norm, np.linalg.norm(dyn.t_e, 2)) <= 1e-12
         for pair in (decompose_b(dyn), decompose_b(dyn, c=3.7)):
-            assert rel(pair.norm_r, np.linalg.norm(pair.x[:, 2:], 2)) <= 1e-12
-            assert rel(pair.norm_l, np.linalg.norm(pair.x_inv[2:], 2)) <= 1e-12
-            assert not pair.x.flags.writeable and not pair.x_inv.flags.writeable
-            assert np.abs(dyn.b @ pair.x - pair.x * pair.d).max() <= 1e-10
-            assert np.abs(pair.x_inv @ pair.x - np.eye(2 * n)).max() <= 1e-10
+            x, x_inv = dense_x(pair), dense_x_inv(pair)
+            assert rel(pair.norm_r, np.linalg.norm(x[:, 2:], 2)) <= 1e-12
+            assert rel(pair.norm_l, np.linalg.norm(x_inv[2:], 2)) <= 1e-12
+            assert np.abs(dyn.b @ x - x * pair.d).max() <= 1e-10
+            assert np.abs(x_inv @ x - np.eye(2 * n)).max() <= 1e-10
         base, scaled = decompose_b(dyn), decompose_b(dyn, c=3.7)
-        assert np.array_equal(scaled.x[:, 2:], base.x[:, 2:] / 3.7)
-        assert np.array_equal(scaled.x_inv[2:], base.x_inv[2:] * 3.7)
+        assert np.array_equal(dense_x(scaled)[:, 2:], dense_x(base)[:, 2:] / 3.7)
+        assert np.array_equal(dense_x_inv(scaled)[2:], dense_x_inv(base)[2:] * 3.7)
 
 
 @pytest.mark.parametrize("n", [8, 20, 40])
