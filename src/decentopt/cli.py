@@ -416,7 +416,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decentopt",
         description="Simulate and analyze decentralized optimization engines.",
@@ -430,7 +430,15 @@ def main(argv=None) -> int:
                        help="override the config's top-level seed")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; outputs do not depend on it")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once per process: parsing leaves the parser unchanged
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load_json(args.config)
         where, seed = ("--seed", args.seed) if args.seed is not None else ("seed", cfg.get("seed"))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 
 # a quadratic aggregate Hessian is positive definite when its smallest
@@ -153,6 +152,10 @@ class LogisticModel(CostModel):
         if not ridge > 0:
             raise ValueError("ridge must be positive")
         super().__init__(n, m, q=q)
+        # imported here, not with the package: only logistic models call expit
+        from scipy.special import expit
+
+        self._expit = expit
         self.features = features
         self.labels = labels
         self.ridge = float(ridge)
@@ -163,12 +166,12 @@ class LogisticModel(CostModel):
 
     def grad(self, w):
         z = self.labels * np.einsum("klm,...km->...kl", self.features, w)
-        s = expit(-z)  # sigmoid(-gamma h^T w)
+        s = self._expit(-z)  # sigmoid(-gamma h^T w)
         data = -np.einsum("klm,...kl->...km", self.features, self.labels * s) / self.n_samples
         return data + self.ridge * w
 
     def grad_at(self, x):
-        s = expit(-self._margins_at(x))
+        s = self._expit(-self._margins_at(x))
         data = -np.einsum("klm,kl->km", self.features, self.labels * s) / self.n_samples
         return data + self.ridge * x
 
@@ -256,7 +259,7 @@ def _solve_logistic(model: LogisticModel, weights: np.ndarray,
         g = weights @ model.grad_at(x)
         if np.linalg.norm(g) <= tol:
             break
-        s = expit(-model._margins_at(x))
+        s = model._expit(-model._margins_at(x))
         curv = (weights[:, np.newaxis] * s * (1.0 - s)).reshape(-1) / model.n_samples
         step = np.linalg.solve(feats.T @ (curv[:, np.newaxis] * feats) + ridge_hess, g)
         decrease = float(g @ step)

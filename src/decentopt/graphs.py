@@ -8,11 +8,10 @@ A CombinationMatrix is immutable and computes its spectral setup once,
 at construction: the Perron vector p from one bordered linear solve, the
 balance residual, and the eigenvalues of A, from one `eigvalsh` of
 P^{-1/2} A P^{1/2} when A is balanced.  The spectrum summary (lambda2,
-lambdaN, rhoA) sits with p in `perron`.  The eigenpairs in `_eigh`, V in
-`vmat`, (P - A P)/2 in `v_squared`, (I + A)/2 in `abar`, the engines'
-operators (CSR on a large sparse network) in `_combine_ops` and
-`_dual_op`, and the error-recursion blocks of `stability` are computed
-on first use.
+lambdaN, rhoA) sits with p in `perron`.  V in `vmat`, (P - A P)/2 in
+`v_squared`, (I + A)/2 in `abar`, the engines' operators (CSR on a large
+sparse network) in `_combine_ops` and `_dual_op`, and the error-recursion
+blocks of `stability` are computed on first use.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ class CombinationMatrix:
     and the eigenvalues of A.  A balanced A is similar to the symmetric
     At = P^{-1/2} A P^{1/2}, so its eigenvalues come, ascending and with
     the unit one last, from one values-only `eigvalsh` of At; `stability`
-    alone needs its eigenvectors, from `_eigh` on first use.  An
+    alone needs its eigenvectors, from one `eigh` in `_error_blocks`.  An
     unbalanced A (only a raw array can be one) gets a nonsymmetric
     `eigvals` and no eigenvectors.  `a` is a read-only copy, so the
     cached spectral data cannot go stale.
@@ -205,13 +204,6 @@ class CombinationMatrix:
         return self.is_doubly_stochastic and bool(np.abs(a - a.T).max() <= STOCHASTIC_TOL)
 
     @cached_property
-    def _eigh(self) -> tuple:
-        """Read-only eigenpairs (lam, u) of a balanced matrix's At, ascending."""
-        lam, u = np.linalg.eigh(_symmetrized(self.a, self.perron.p))
-        lam.flags.writeable = u.flags.writeable = False
-        return lam, u
-
-    @cached_property
     def vmat(self):
         """`spectral.compute_v` of a balanced matrix, computed on first use."""
         from .spectral import compute_v
@@ -260,8 +252,9 @@ class CombinationMatrix:
 
     @cached_property
     def _error_blocks(self):
-        """B, T_d, T_e of the error recursion of a balanced matrix, and the
-        decomposition of B, computed on first use (`stability._Blocks`)."""
+        """B of the error recursion of a balanced matrix, its decomposition
+        and the norms of T_d and T_e, computed on first use in one pass
+        (`stability._Blocks`)."""
         from .stability import _network_blocks
 
         return _network_blocks(self)

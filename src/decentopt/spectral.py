@@ -5,9 +5,10 @@ A is a balanced left-stochastic combination matrix, built from one
 symmetric eigendecomposition of the matrix's cached `v_squared`.  The
 engines need only V^2, so only the error dynamics build V.  Its
 nullspace is the consensus line span{1}, which is what couples the
-primal and dual blocks of the error dynamics.  The eigensystem of the lifted error map B is derived from
-these pieces in closed form (`stability.decompose_b`), so no dense
-nonsymmetric eigensolver is needed.
+primal and dual blocks of the error dynamics.  The eigensystem of the
+lifted error map B is derived from these pieces in closed form
+(`stability.decompose_b`), so no dense nonsymmetric eigensolver is
+needed.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,8 +24,7 @@ import scipy.linalg
 
 from .algorithms import ENGINE_SPECS, StepSizes, _iterate
 from .costs import CostModel, QuadraticModel, solve_centralized
-from .graphs import CombinationMatrix, PerronData, SpectralError, matrix_from_array
-from .spectral import VMatrix
+from .graphs import CombinationMatrix, SpectralError, _symmetrized, matrix_from_array
 
 EIGENPAIR_TOL = 1e-8
 # bisection levels a scan resolves per stacked run: its 2**3 - 1 members
@@ -35,38 +34,16 @@ SPECULATION_DEPTH = 3
 
 @dataclass(frozen=True)
 class _Blocks:
-    """Read-only B, T_d, T_e for one matrix, Perron vector p and V, plus
-    the unscaled closed-form decomposition of B (`_closed_form_pair`) and
-    the spectral norms of T_d and T_e, computed on first use from N x N
-    pieces only.  It keeps the arrays A and p, the matrix's cached
-    eigenpairs (lam, u) of P^{-1/2} A P^{1/2} and the `VMatrix` it needs
-    for that, but no reference to the matrix that caches it, so it makes
-    no reference cycle and is freed with the matrix."""
+    """B for one matrix, the closed-form decomposition of B
+    (`_closed_form_pair`) and the spectral norms of T_d and T_e, all
+    computed in one pass by `_network_blocks`.  It holds results only,
+    with no reference to the matrix that caches it, so it makes no
+    reference cycle and is freed with the matrix."""
 
     b: np.ndarray
-    t_d: np.ndarray
-    t_e: np.ndarray
-    a: np.ndarray
-    p: np.ndarray
-    lam: np.ndarray
-    u: np.ndarray
-    vmat: VMatrix
-
-    @cached_property
-    def pair(self) -> SpectralPair:
-        return _closed_form_pair(self.b, self.lam, self.u, self.p, self.vmat.v)
-
-    @cached_property
-    def t_d_norm(self) -> float:
-        """||T_d|| = ||(I + V^2)^{1/2} Abar^T||: with V^2 = U diag(sigma) U^T
-        that is the largest singular value of Abar U diag(sqrt(1 + sigma))."""
-        abar = (np.eye(self.p.size) + self.a) / 2.0
-        return _two_norm(abar @ (self.vmat.u * np.sqrt(1.0 + self.vmat.sigma)))
-
-    @cached_property
-    def t_e_norm(self) -> float:
-        """||T_e||^2 = ||I + V^2|| = 1 + sigma_max."""
-        return float(np.sqrt(1.0 + self.vmat.sigma[0]))
+    pair: SpectralPair
+    t_d_norm: float
+    t_e_norm: float
 
 
 def _two_norm(m: np.ndarray) -> float:
@@ -79,68 +56,59 @@ def _two_norm(m: np.ndarray) -> float:
 
 def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     """The blocks of `CombinationMatrix._error_blocks`, from the matrix's
-    own Perron vector and V."""
+    own Perron vector, V = U diag(sqrt(sigma)) U^T and the eigenpairs of
+    P^{-1/2} A P^{1/2}, from N x N pieces only: ||T_d|| =
+    ||(I + V^2)^{1/2} Abar^T|| is the largest singular value of
+    Abar U diag(sqrt(1 + sigma)), and ||T_e||^2 = ||I + V^2|| = 1 + sigma_max."""
     n = matrix.n
     abar_t = matrix.abar.T
     p, vmat = matrix.perron.p, matrix.vmat
     v = vmat.v
     pinv_v = v / p[:, np.newaxis]
     b = np.block([[abar_t, -pinv_v], [v @ abar_t, np.eye(n) - v @ pinv_v]])
-    # T_d shares B's first N columns; T_e is [[I, 0], [V, 0]]
-    t_d = np.hstack([b[:, :n], np.zeros((2 * n, n))])
-    t_e = np.hstack([np.vstack([np.eye(n), v]), np.zeros((2 * n, n))])
-    for block in (b, t_d, t_e):
-        block.flags.writeable = False
-    lam, u = matrix._eigh
-    return _Blocks(b=b, t_d=t_d, t_e=t_e, a=matrix.a, p=p, lam=lam, u=u, vmat=vmat)
+    b.flags.writeable = False
+    lam, u = np.linalg.eigh(_symmetrized(matrix.a, p))
+    return _Blocks(b=b, pair=_closed_form_pair(b, lam, u, p, v),
+                   t_d_norm=_two_norm(matrix.abar @ (vmat.u * np.sqrt(1.0 + vmat.sigma))),
+                   t_e_norm=float(np.sqrt(1.0 + vmat.sigma[0])))
 
 
 @dataclass
 class ErrorDynamics:
-    """Network-level (dimension-free) blocks of the error recursion,
-    optionally carrying per-agent Hessians and step sizes.  The Perron
-    data, V and the read-only blocks are the matrix's cached spectral
-    setup, so every dynamics of one matrix shares them."""
+    """The error recursion of a balanced matrix, optionally carrying
+    per-agent Hessians and step sizes.  B is read from the matrix's cached
+    `_error_blocks`, so every dynamics of one matrix shares it; T_d and
+    T_e, which only `one_step_matrix` reads, are built on read."""
 
     matrix: CombinationMatrix
     h: np.ndarray | None = None
     mu: np.ndarray | None = None
-    perron: PerronData = field(init=False)
-    vmat: VMatrix = field(init=False)
-    b: np.ndarray = field(init=False)
-    t_d: np.ndarray = field(init=False)
-    t_e: np.ndarray = field(init=False)
-    _blocks: _Blocks = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        blocks = self._blocks = self.matrix._error_blocks
-        self.perron, self.vmat = self.matrix.perron, self.matrix.vmat
-        self.b, self.t_d, self.t_e = blocks.b, blocks.t_d, blocks.t_e
 
     @property
-    def a(self) -> np.ndarray:
-        return self.matrix.a
+    def b(self) -> np.ndarray:
+        return self.matrix._error_blocks.b
 
     @property
-    def abar(self) -> np.ndarray:
-        return self.matrix.abar
+    def t_d(self) -> np.ndarray:
+        """[B[:, :N], 0]: T_d shares B's first N columns."""
+        n = self.matrix.n
+        return np.hstack([self.b[:, :n], np.zeros((2 * n, n))])
 
     @property
-    def p(self) -> np.ndarray:
-        return self.perron.p
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.vmat.v
+    def t_e(self) -> np.ndarray:
+        """[[I; V], 0]."""
+        n = self.matrix.n
+        return np.hstack([np.vstack([np.eye(n), self.matrix.vmat.v]), np.zeros((2 * n, n))])
 
 
 def build_error_dynamics(matrix, model: CostModel = None,
                          steps: StepSizes = None) -> ErrorDynamics:
-    """Assemble B, T_d, T_e for a balanced combination matrix.
+    """Assemble the error dynamics of a balanced combination matrix.
 
-    The blocks, and the decomposition of B, are computed once per matrix
-    and shared.  model/steps are optional; they are only needed later by
-    one_step_matrix, which requires constant Hessians (quadratic costs).
+    B, its decomposition and the norms of T_d and T_e are computed here,
+    once per matrix, and shared.  model/steps are optional; they are only
+    needed later by one_step_matrix, which requires constant Hessians
+    (quadratic costs).
     """
     matrix = matrix_from_array(matrix)
     h = None
@@ -150,8 +118,8 @@ def build_error_dynamics(matrix, model: CostModel = None,
         if model.n_agents != matrix.n:
             raise ValueError("model size does not match the combination matrix")
         h = model.hessians()
-    mu = None if steps is None else steps.mu
-    return ErrorDynamics(matrix=matrix, h=h, mu=mu)
+    matrix._error_blocks  # computed, or raising for an unbalanced matrix, here
+    return ErrorDynamics(matrix=matrix, h=h, mu=None if steps is None else steps.mu)
 
 
 def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
@@ -187,10 +155,10 @@ class SpectralPair:
 
     The k-th conjugate pair has the right columns
     [x_top[:, k]; -+ i r_right[k] r[:, k]] and the inverse rows
-    [y_top[:, k]; +- i r_left[k] r[:, k]], with r's columns orthonormal;
-    c divides X_R and multiplies X_L.  These read-only N-row pieces give
-    ||X_R||, ||X_L|| and `b_spectrum_residual` in closed form.  residual
-    bounds ||B X - X D||_F at c = 1, rounding included.
+    [y_top[:, k]; +- i r_left[k] r[:, k]], with r's columns orthonormal.
+    These read-only N-row pieces give ||X_R||, ||X_L|| and
+    `b_spectrum_residual` in closed form.  residual bounds
+    ||B X - X D||_F, rounding included.
     """
 
     d: np.ndarray
@@ -201,7 +169,6 @@ class SpectralPair:
     r_right: np.ndarray
     r_left: np.ndarray
     residual: float
-    c: float = 1.0
 
     @cached_property
     def norm_r(self) -> float:
@@ -211,16 +178,16 @@ class SpectralPair:
         block is the larger: column k of x_top is P^{-1/2} u_k scale_k,
         whose norm is at least scale_k / sqrt(p_max) > sqrt(lbar_k) scale_k
         = r_right[k]."""
-        return float(np.sqrt(2.0) * _two_norm(self.x_top) / self.c)
+        return float(np.sqrt(2.0) * _two_norm(self.x_top))
 
     @cached_property
     def norm_l(self) -> float:
         """||X_L||, block-diagonal after the same mixing of row pairs."""
         dual = self.r_left.max(initial=0.0)
-        return float(np.sqrt(2.0) * max(_two_norm(self.y_top), dual) * self.c)
+        return float(np.sqrt(2.0) * max(_two_norm(self.y_top), dual))
 
 
-def decompose_b(dyn: ErrorDynamics, c: float = None) -> SpectralPair:
+def decompose_b(dyn: ErrorDynamics) -> SpectralPair:
     """Diagonalize B = X D X^{-1} in closed form, with the unit pair pinned.
 
     With At = P^{-1/2} A P^{1/2} (symmetric for a balanced A), every
@@ -237,27 +204,18 @@ def decompose_b(dyn: ErrorDynamics, c: float = None) -> SpectralPair:
     the eigensolver picks, so neither do the bounds built from them.
     ||X_R|| and ||X_L|| come from N x N pieces (see `SpectralPair`).
 
-    c, when given, additionally scales X_R by 1/c and X_L by c; products
-    such as ||X_L|| ||T|| ||X_R|| are invariant to it.
-
-    (lam, u) are the eigenpairs of At that the matrix computed, and
-    checked to have exactly one unit eigenvalue, at construction.  Raises
-    SpectralError when max |B X - X D| exceeds 1e-8.  The unscaled pair
-    is computed once per matrix and shared (read-only).
+    The matrix checked at construction that At has exactly one unit
+    eigenvalue.  `build_error_dynamics` raises SpectralError when
+    max |B X - X D| exceeds 1e-8.  The pair is computed once per matrix
+    and shared (read-only).
     """
-    pair = dyn._blocks.pair
-    if c is None:
-        return pair
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return replace(pair, c=c)
+    return dyn.matrix._error_blocks.pair
 
 
 def _closed_form_pair(b: np.ndarray, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
                       v: np.ndarray) -> SpectralPair:
-    """The unscaled pair of `decompose_b` from the eigenpairs (lam, u) of
-    At, ascending with the unit eigenvalue last, as
-    `CombinationMatrix` caches them.
+    """The pair of `decompose_b` from the eigenpairs (lam, u) of At,
+    ascending with the unit eigenvalue last, as `eigh` returns them.
 
     The eigenpair check max |B X - X D| runs on the blocks of b with
     real N x N products: for the column pair [x; -+ i sqrt(lb) r] at
@@ -330,7 +288,7 @@ def b_spectrum_residual(dyn: ErrorDynamics) -> float:
     pair rows and columns (G1 = y_top^T x_top, G2 = (r_left r_right^T) o
     (r^T r)), plus p^T x_top, 1^T r, y_top^T 1 and p^T 1 - 1;
     ||Y||^2 <= max(||p||^2, 1/N) + norm_l^2 (1 + ||r^T r - I||_F)."""
-    pair = dyn._blocks.pair
+    pair = dyn.matrix._error_blocks.pair
     p, x, y, r = pair.p, pair.x_top, pair.y_top, pair.r
     n, eye, ones_r = p.size, np.eye(p.size - 1), r.sum(axis=0)
     g1, gram_r = y.T @ x, r.T @ r
@@ -363,7 +321,6 @@ class StabilityBound:
     norm_r: float
     norm_l: float
     t_norm: float
-    c_opt: float
 
     def rho_at(self, mu: float) -> float:
         """Contraction factor of the two-branch recursion at step size mu
@@ -377,13 +334,15 @@ class StabilityBound:
 
 def _assemble_bound(engine: str, matrix: CombinationMatrix, sigma11: float,
                     nu: float, delta: float) -> StabilityBound:
-    perron = matrix.perron
-    dyn = build_error_dynamics(matrix)
-    dec = decompose_b(dyn)
+    if matrix.n < 2:
+        raise ValueError("stability bounds need at least two agents")
+    if not 0 < nu <= delta:
+        raise ValueError("need 0 < nu <= delta")
+    perron, blocks = matrix.perron, matrix._error_blocks
     lam = float(np.sqrt((1.0 + perron.lambda2) / 2.0))
     p_max = float(perron.p.max())
-    t_norm = getattr(dyn._blocks, ENGINE_SPECS[engine].error_map + "_norm")
-    norm_r, norm_l = dec.norm_r, dec.norm_l
+    t_norm = getattr(blocks, ENGINE_SPECS[engine].error_map + "_norm")
+    norm_r, norm_l = blocks.pair.norm_r, blocks.pair.norm_l
     alpha = norm_l * t_norm * norm_r
     # at the optimal c the two cross couplings coincide:
     # sigma12^2 = sigma21^2 = sqrt(p_max) * alpha * delta^2
@@ -391,13 +350,12 @@ def _assemble_bound(engine: str, matrix: CombinationMatrix, sigma11: float,
     sigma_cross = float(np.sqrt(cross_sq))
     sigma22 = alpha * delta
     mu_bound = sigma11 * (1.0 - lam) / (2.0 * cross_sq)
-    c_opt = float(np.sqrt(np.sqrt(p_max) * norm_r / (norm_l * t_norm)))
     return StabilityBound(engine=engine, mu_bound=float(mu_bound), lam=float(lam),
                           alpha=float(alpha), sigma11=float(sigma11),
                           sigma12=sigma_cross, sigma21=sigma_cross,
                           sigma22=float(sigma22), nu=float(nu), delta=float(delta),
                           p_max=float(p_max), norm_r=norm_r, norm_l=norm_l,
-                          t_norm=float(t_norm), c_opt=c_opt)
+                          t_norm=float(t_norm))
 
 
 def diffusion_step_bound(matrix, tau=None, nu: float = 1.0, delta: float = 1.0,
@@ -418,15 +376,11 @@ def diffusion_step_bound(matrix, tau=None, nu: float = 1.0, delta: float = 1.0,
         eigenvector scaling.
     """
     matrix = matrix_from_array(matrix)
-    if matrix.n < 2:
-        raise ValueError("stability bounds need at least two agents")
     n = matrix.n
     tau = np.ones(n) if tau is None else np.asarray(tau, dtype=float)
     if tau.shape != (n,) or tau.min() <= 0:
         raise ValueError("tau must be a positive length-N vector")
     tau = tau / tau.max()
-    if not 0 < nu <= delta:
-        raise ValueError("need 0 < nu <= delta")
     if not 0 <= k_o < n:
         raise ValueError("k_o out of range")
     return _assemble_bound("exact_diffusion", matrix,
@@ -441,12 +395,8 @@ def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBo
     mu_bound = nu (1 - lam) / (2 sqrt(N) alpha_e delta^2).
     """
     matrix = matrix_from_array(matrix)
-    if matrix.n < 2:
-        raise ValueError("stability bounds need at least two agents")
     if not matrix.is_symmetric_doubly_stochastic:
         raise ValueError("this bound needs a symmetric doubly stochastic matrix")
-    if not 0 < nu <= delta:
-        raise ValueError("need 0 < nu <= delta")
     return _assemble_bound("extra", matrix, float(nu / matrix.n), nu, delta)
 
 
@@ -587,8 +537,9 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     Each grid value is the largest per-agent step size (see _steps_for),
     so measured ranges are comparable across engines.  Every point gets
     the verdict a `run` from zero with a shared precomputed ground truth
-    would get, but the whole grid advances as one stacked run.  `run` and the scan share one iteration loop, with one
-    divergence cap, stop rule and exhausted rule; a scan's memory is
+    would get, but the whole grid advances as one stacked run.  `run` and
+    the scan share one iteration loop, with one divergence cap, stop rule
+    and exhausted rule; a scan's memory is
     O(members) for any max_iters.  Bisection is speculative: one stacked
     run classifies every midpoint of the next SPECULATION_DEPTH levels,
     and the bracket then follows the verdicts, so it visits the same

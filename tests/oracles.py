@@ -97,16 +97,18 @@ def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters
     n, m = model.n_agents, model.dim
     gt = solve_centralized(model)
     g = model.grad_at(gt.w_star if engine == "exact_diffusion_pd" else gt.w_o)
-    pinv_v = np.linalg.pinv(dyn.v)
+    matrix = dyn.matrix
+    pinv_v = np.linalg.pinv(matrix.vmat.v)
     if engine == "exact_diffusion_pd":
         w_ref = gt.w_star
-        y_ref = -pinv_v @ (dyn.p[:, np.newaxis] * (dyn.abar.T @ (steps.mu[:, np.newaxis] * g)))
+        y_ref = -pinv_v @ (matrix.perron.p[:, np.newaxis]
+                           * (matrix.abar.T @ (steps.mu[:, np.newaxis] * g)))
     else:
         w_ref = gt.w_o
         y_ref = -(steps.mu[0] / n) * (pinv_v @ g)
 
-    ctx = _engine_context(engine, model, dyn.matrix, steps)
-    state = init_state(engine, model, dyn.matrix, np.asarray(w0, dtype=float))
+    ctx = _engine_context(engine, model, matrix, steps)
+    state = init_state(engine, model, matrix, np.asarray(w0, dtype=float))
     step = ENGINE_SPECS[engine].step
     errors = np.empty((iters + 1, 2 * n, m))
     errors[0] = np.vstack([state.w - w_ref, pinv_v @ state.y - y_ref])
@@ -125,7 +127,6 @@ def dense_x(pair) -> np.ndarray:
     for first, sign in ((2, 1.0), (3, -1.0)):
         x[:n, first::2] = pair.x_top
         x[n:, first::2] = -sign * 1j * pair.r_right * pair.r
-    x[:, 2:] /= pair.c
     return x
 
 
@@ -138,7 +139,6 @@ def dense_x_inv(pair) -> np.ndarray:
     for first, sign in ((2, 1.0), (3, -1.0)):
         x_inv[first::2, :n] = pair.y_top.T
         x_inv[first::2, n:] = (sign * 1j * pair.r_left * pair.r).T
-    x_inv[2:, :] *= pair.c
     return x_inv
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line flows: configs in, deterministic artifacts out."""
 
+import argparse
 import csv
 import json
 import os
@@ -728,3 +729,33 @@ def test_logistic_run_on_hard_instance_converges(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["run", "--config", cfg, "--out", out]) == 0
     assert json.loads((out / "trace.json").read_text())["status"] == "converged"
+
+
+# ------------------------------------------------------------- start-up
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    """The parser is built once, at import: two main calls construct no
+    ArgumentParser (subcommand parsers included)."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cfg = write_config(tmp_path, {"two_agent": {"a": 0.3, "sigma2": 2.0, "mu": 0.4}})
+    for out in ("first", "second"):
+        assert run_cli(["two-agent", "--config", cfg, "--out", tmp_path / out]) == 0
+    assert built == []
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """scipy.special is imported with the first logistic model, not with
+    the package."""
+    src = str(Path(decentopt.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, decentopt.cli; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

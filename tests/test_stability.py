@@ -2,7 +2,6 @@
 forms, adaptive mismatch decay, and grid scans."""
 
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,11 +125,21 @@ def test_certificate_bounds_its_dense_pieces():
         assert np.linalg.norm(x_inv, 2) * pair.residual <= b_spectrum_residual(dyn)
 
 
+def _eigh(matrix):
+    """The eigenpairs of P^{-1/2} A P^{1/2} that `_network_blocks` takes."""
+    return np.linalg.eigh(graphs._symmetrized(matrix.a, matrix.perron.p))
+
+
+def _pair(matrix, b, v):
+    """The closed-form pair of `matrix` checked against b in place of B,
+    with v in place of V."""
+    return stability._closed_form_pair(b, *_eigh(matrix), matrix.perron.p, v)
+
+
 def _certificate(matrix, b, v):
-    """b_spectrum_residual of the closed form of `matrix` checked against b
-    in place of B, with v in place of V."""
-    blocks = replace(matrix._error_blocks, b=b, vmat=replace(matrix.vmat, v=v))
-    return b_spectrum_residual(SimpleNamespace(_blocks=blocks))
+    """b_spectrum_residual of `_pair(matrix, b, v)`."""
+    blocks = SimpleNamespace(pair=_pair(matrix, b, v))
+    return b_spectrum_residual(SimpleNamespace(matrix=SimpleNamespace(_error_blocks=blocks)))
 
 
 @pytest.mark.parametrize("kind", ["perturbed V", "perturbed B"])
@@ -154,7 +163,7 @@ def test_certificate_rejects_a_wrong_b(kind):
     b = matrix._error_blocks.b + 1e-10 * error
     dyn = build_error_dynamics(matrix)
     assert greedy_spectrum_gap(dyn, b) <= _certificate(matrix, b, matrix.vmat.v)
-    pair = replace(matrix._error_blocks, b=b).pair
+    pair = _pair(matrix, b, matrix.vmat.v)
     x = dense_x(pair)
     assert np.linalg.norm(b @ x - x * pair.d) <= pair.residual
 
@@ -199,25 +208,12 @@ def test_decompose_canonical_vectors_and_reconstruction():
         assert np.abs(pair.d[0] - 1) <= 1e-12 and np.abs(pair.d[1] - 1) <= 1e-12
 
 
-def test_decompose_scaling_keeps_alpha_invariant():
-    matrix = random_metropolis(5, seed=7)
-    dyn = build_error_dynamics(matrix)
-    base = decompose_b(dyn)
-    scaled = decompose_b(dyn, c=2.0)
-    t_norm = np.linalg.norm(dyn.t_d, 2)
-    alpha_base = base.norm_l * t_norm * base.norm_r
-    alpha_scaled = scaled.norm_l * t_norm * scaled.norm_r
-    assert abs(alpha_base - alpha_scaled) <= 1e-10 * alpha_base
-    assert scaled.norm_r != pytest.approx(base.norm_r, rel=1e-3)
-
-
 def test_decompose_rejects_extra_unit_eigenvalues():
     matrix = random_metropolis(2, seed=0)
     perron = matrix.perron
     vm = compute_v(matrix)
     with pytest.raises(SpectralError):
-        stability._closed_form_pair(np.eye(4), *matrix._eigh,
-                                    perron.p, vm.v)
+        stability._closed_form_pair(np.eye(4), *_eigh(matrix), perron.p, vm.v)
 
 
 @pytest.mark.parametrize("rows, cols, kind", [(0, 0, "random"), (0, 1, "random"),
@@ -239,8 +235,7 @@ def test_eigenpair_check_reads_every_block_of_b(rows, cols, kind):
         error = np.outer(np.eye(n)[0], np.ones(n))
     b[rows * n:(rows + 1) * n, cols * n:(cols + 1) * n] += 1e-6 * error
     with pytest.raises(SpectralError, match="eigenpair residual"):
-        stability._closed_form_pair(b, *matrix._eigh, matrix.perron.p,
-                                    matrix.vmat.v)
+        _pair(matrix, b, matrix.vmat.v)
 
 
 def test_single_agent_degenerates_cleanly():
@@ -253,7 +248,8 @@ def test_single_agent_degenerates_cleanly():
         diffusion_step_bound(m1)
     with pytest.raises(ValueError):
         extra_step_bound(m1)
-    assert (dyn._blocks.t_d_norm, dyn._blocks.t_e_norm) == (1.0, 1.0)
+    blocks = m1._error_blocks
+    assert (blocks.t_d_norm, blocks.t_e_norm) == (1.0, 1.0)
 
 
 ENTRY_POINTS = {
@@ -805,11 +801,11 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     """Every consumer of one balanced matrix shares its spectral setup:
     one bordered solve for p, one symmetric eigendecomposition of
     P^-1/2 A P^1/2, one more for V, and a single decomposition of B.  No
-    array goes through a nonsymmetric eigensolver, and no 2N x 2N array
-    is 2-normed or SVD'd."""
+    array goes through a nonsymmetric eigensolver, no 2N x 2N array is
+    2-normed or SVD'd, and the cached blocks keep B as their only array."""
     n = 6
-    calls = {"eigh": 0, "decompose": 0}
-    factored, solved, dense_eig = [], [], []
+    calls = {"decompose": 0}
+    factored, solved, dense_eig, eigh_args = [], [], [], []
     eigh, closed_form = np.linalg.eigh, stability._closed_form_pair
     norm, svd, scipy_svd = np.linalg.norm, np.linalg.svd, scipy.linalg.svd
 
@@ -824,9 +820,9 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
             factored.append(np.shape(x))
         return norm(x, ord, *args, **kwargs)
 
-    def counted_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
+    def counted_eigh(x, *args, **kwargs):
+        eigh_args.append(np.array(x))
+        return eigh(x, *args, **kwargs)
 
     def counted_closed_form(*args):
         calls["decompose"] += 1
@@ -851,16 +847,40 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     build_error_dynamics(matrix)
     diffusion_step_bound(matrix)
     extra_step_bound(matrix)
-    scaled = decompose_b(build_error_dynamics(matrix), c=2.0)
-    assert scaled.norm_r > 0.0
+    assert decompose_b(build_error_dynamics(matrix)).norm_r > 0.0
     # the certificate of B's spectrum reuses the decomposition: no 2N
     # eigensolve, no second eigh
     assert b_spectrum_residual(build_error_dynamics(matrix)) <= 1e-8
-    assert calls == {"eigh": 2, "decompose": 1}
+    assert calls == {"decompose": 1}
+    a_tilde = graphs._symmetrized(matrix.a, perron.p)
+    assert len(eigh_args) == 2
+    assert sum(np.array_equal(x, a_tilde) for x in eigh_args) == 1
+    assert sum(np.array_equal(x, matrix.v_squared) for x in eigh_args) == 1
+    blocks = matrix._error_blocks
+    assert [k for k, v in vars(blocks).items() if isinstance(v, np.ndarray)] == ["b"]
+    assert not any(hasattr(blocks, name) for name in ("t_d", "t_e", "u", "vmat"))
     assert solved.count((n, n)) == 1
     assert dense_eig == []
     assert matrix.perron is perron
     assert not [shape for shape in factored if 2 * n in shape]
+
+
+def test_error_blocks_keep_b_and_n_by_n_pieces_only():
+    """The certificate and both bounds at N = 200 retain B and N x N
+    pieces only, and build no 2N x 2N T: in units of one (2N)^2 float
+    array, at most 3 retained and 7.5 at the peak."""
+    matrix = random_metropolis(200, seed=1, prob=0.1)
+    unit = 8 * (2 * matrix.n) ** 2
+    tracemalloc.start()
+    try:
+        b_spectrum_residual(build_error_dynamics(matrix))
+        diffusion_step_bound(matrix)
+        extra_step_bound(matrix)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 3 * unit
+    assert peak <= 7.5 * unit
 
 
 # ------------------------------------------- closed-form decomposition of B
@@ -969,18 +989,15 @@ def test_closed_form_norms_match_the_dense_oracle(network, sizes, builder):
     for n in sizes:
         matrix = builder(network(n))
         dyn = build_error_dynamics(matrix)
-        blocks = dyn._blocks
+        blocks = matrix._error_blocks
         assert rel(blocks.t_d_norm, np.linalg.norm(dyn.t_d, 2)) <= 1e-12
         assert rel(blocks.t_e_norm, np.linalg.norm(dyn.t_e, 2)) <= 1e-12
-        for pair in (decompose_b(dyn), decompose_b(dyn, c=3.7)):
-            x, x_inv = dense_x(pair), dense_x_inv(pair)
-            assert rel(pair.norm_r, np.linalg.norm(x[:, 2:], 2)) <= 1e-12
-            assert rel(pair.norm_l, np.linalg.norm(x_inv[2:], 2)) <= 1e-12
-            assert np.abs(dyn.b @ x - x * pair.d).max() <= 1e-10
-            assert np.abs(x_inv @ x - np.eye(2 * n)).max() <= 1e-10
-        base, scaled = decompose_b(dyn), decompose_b(dyn, c=3.7)
-        assert np.array_equal(dense_x(scaled)[:, 2:], dense_x(base)[:, 2:] / 3.7)
-        assert np.array_equal(dense_x_inv(scaled)[2:], dense_x_inv(base)[2:] * 3.7)
+        pair = decompose_b(dyn)
+        x, x_inv = dense_x(pair), dense_x_inv(pair)
+        assert rel(pair.norm_r, np.linalg.norm(x[:, 2:], 2)) <= 1e-12
+        assert rel(pair.norm_l, np.linalg.norm(x_inv[2:], 2)) <= 1e-12
+        assert np.abs(dyn.b @ x - x * pair.d).max() <= 1e-10
+        assert np.abs(x_inv @ x - np.eye(2 * n)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [8, 20, 40])
