@@ -27,9 +27,15 @@ diging                    gradient tracking, two combines/iter
 aug_dgm                   tracking with combines applied to both blocks,
                           supports per-agent step sizes
 adaptive_exact_diffusion  exact diffusion with step sizes retuned each
-                          iteration from a running power-iteration
-                          estimate of the combination matrix's left
-                          Perron vector
+                          iteration from the power-iteration estimate
+                          diag((A^T)^i) of the Perron vector
+
+The adaptive engine never forms (A^T)^i.  A balanced A is diagonally
+similar to the symmetric At = P^{-1/2} A P^{1/2}, so with At = U diag(lam)
+U^T the estimate is diag((A^T)^i) = diag(At^i) = (U o U) lam^i.  One
+symmetric eigendecomposition per loop gives lam and U o U; the state
+carries the powers z = lam^i, and each step costs z <- z o lam and one
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -40,9 +46,10 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .costs import CostModel, GroundTruth, solve_centralized
-from .graphs import CombinationMatrix, check_balanced, matrix_from_array
+from .graphs import CombinationMatrix, _symmetrized, check_balanced, matrix_from_array
 
 DIVERGENCE_CAP = 1e12
 
@@ -82,14 +89,17 @@ class AlgorithmState:
     """Mutable state of one run, or of a stack of runs with blocks of shape
     (B, N, M) and a shared z; unused blocks stay None.  y is the dual block:
     V y for exact_diffusion_pd and extra, the tracked gradient for diging
-    and aug_dgm.  z is the adaptive engine's running power of A^T."""
+    and aug_dgm.  z is the adaptive engine's power vector lam^i, length N,
+    over the eigenvalues lam of At = P^{-1/2} A P^{1/2} (see the module
+    docstring)."""
 
     w: np.ndarray
     psi_prev: np.ndarray | None = None
     y: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     z: np.ndarray | None = None
-    z_diag_history: list = field(default_factory=list)  # diag(z) after each step of `run`
+    # the Perron estimate diag((A^T)^i) after each step of `run` with keep_iterates
+    z_diag_history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,8 @@ class _EngineContext:
     steps: StepSizes  # or, for a stacked run, mu of shape (B, N) and mu_o of shape (B, 1)
     s: object = None  # S = V^2 = (P - A P)/2 as an operator, for the primal-dual engines
     p: np.ndarray | None = None  # the Perron vector as an (N, 1) column
+    lam: np.ndarray | None = None  # the adaptive engine's (lam, U o U): see `_perron_modes`
+    uu: np.ndarray | None = None
 
 
 def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext, mu=None):
@@ -168,9 +180,9 @@ def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
 
 
 def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
-    state.z = ctx.a_t @ state.z
+    state.z = state.z * ctx.lam
     _step_exact_diffusion(state, ctx,
-                          (ctx.model.q * ctx.steps.mu_o / state.z.diagonal())[..., np.newaxis])
+                          (ctx.model.q * ctx.steps.mu_o / (ctx.uu @ state.z))[..., np.newaxis])
 
 
 def _seed_correction(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
@@ -191,7 +203,7 @@ def _seed_adaptive(state: AlgorithmState, model: CostModel, matrix: CombinationM
     if np.diag(matrix.a).min() <= 0:
         raise ValueError("adaptive step-size tuning needs positive self-weights on every agent")
     _seed_correction(state, model, matrix)
-    state.z = np.eye(model.n_agents)
+    state.z = np.ones(model.n_agents)
 
 
 @dataclass(frozen=True)
@@ -277,7 +289,24 @@ def _engine_context(engine: str, model: CostModel, matrix: CombinationMatrix,
     ctx = _EngineContext(model, *matrix._combine_ops, steps)
     if ENGINE_SPECS[engine].primal_dual:
         ctx.s, ctx.p = matrix._dual_op, matrix.perron.p[:, np.newaxis]
+    if engine == "adaptive_exact_diffusion":
+        ctx.lam, ctx.uu = _perron_modes(matrix)
     return ctx
+
+
+def _perron_modes(matrix: CombinationMatrix):
+    """(lam, U o U) of At = P^{-1/2} A P^{1/2} = U diag(lam) U^T for a balanced
+    A, so that diag((A^T)^i) = (U o U) lam^i.  The unit mode, last in
+    ascending order, is set to exactly lam = 1 with column p, so the
+    estimate tends to p exactly.  LAPACK's `syev` overwrites At (its own
+    transpose, so F-ordered) with U, which is squared in place: the
+    eigensolve adds no N x N array."""
+    p = matrix.perron.p
+    lam, uu = scipy.linalg.eigh(_symmetrized(matrix.a, p).T, overwrite_a=True,
+                                check_finite=False, driver="ev")
+    np.square(uu, out=uu)
+    lam[-1], uu[:, -1] = 1.0, p
+    return lam, uu
 
 
 def _lookback(max_iters: int) -> int:
@@ -305,7 +334,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     adaptive engine's z is shared).  Diverged and converged members leave
     the stack.  Memory is O(B) for any budget: an exhausted member keeps
     only its error at iteration max_iters - _lookback(max_iters).
-    record(state, rel), if given, sees iteration 0 and every step.
+    record(state, rel, ctx), if given, sees iteration 0 and every step.
 
     Returns (state as the last members left it, target, statuses, verdicts).
     """
@@ -338,7 +367,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     denom = float(np.sum((w0 - target_stack) ** 2))
     statuses, verdicts = ["converged"] * size, ["stable"] * size
     if record is not None:
-        record(state, np.full(size, 1.0 if denom > 0.0 else 0.0))
+        record(state, np.full(size, 1.0 if denom > 0.0 else 0.0), ctx)
     if denom == 0.0:
         return state, target, statuses, verdicts
 
@@ -348,7 +377,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
         step(state, ctx)
         rel = ((state.w - target_stack) ** 2).reshape(alive.size, -1).sum(axis=1) / denom
         if record is not None:
-            record(state, rel)
+            record(state, rel, ctx)
         if i == snapshot_at:
             earlier[alive] = rel
         if stop < rel.min() and rel.max() <= DIVERGENCE_CAP:  # a NaN fails both
@@ -389,7 +418,8 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         ground_truth: precomputed solutions; solved centrally when omitted.
         keep_iterates: also store a copy of W (and of the dual block y, for
             engines that carry one: V y for exact_diffusion_pd and extra)
-            at every iteration.
+            at every iteration, and the adaptive engine's Perron estimate
+            after every step in `state.z_diag_history`.
 
     Returns:
         RunResult with one TraceRecord per iteration (row 0 is the seed)
@@ -397,16 +427,16 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
     """
     rels, grad_norms, iterates, duals = [], [], [], []
 
-    def record(state, rel):
+    def record(state, rel, ctx):
         w = state.w[0]
-        if rels and state.z is not None:  # one diagonal per step, none for the seed
-            state.z_diag_history.append(np.diag(state.z).copy())
-        rels.append(float(rel[0]))
-        grad_norms.append(float(np.linalg.norm(model.weighted_grad(w.mean(axis=0)))))
         if keep_iterates:
+            if rels and state.z is not None:  # one estimate per step, none for the seed
+                state.z_diag_history.append(ctx.uu @ state.z)
             iterates.append(w.copy())
             if state.y is not None:
                 duals.append(state.y[0].copy())
+        rels.append(float(rel[0]))
+        grad_norms.append(float(np.linalg.norm(model.weighted_grad(w.mean(axis=0)))))
 
     state, target, (status,), _ = _iterate(engine, model, matrix, (steps,), max_iters, stop,
                                            ground_truth, w0, record)

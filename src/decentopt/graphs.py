@@ -368,10 +368,16 @@ def check_balanced(matrix: CombinationMatrix):
 def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
     """Erdos-Renyi draw conditioned on connectivity.
 
-    Rejection-samples up to a fixed budget, testing each draw's edge
-    array and building a Graph only for the one it returns; then falls
-    back to the last draw augmented with a random spanning chain.
-    Deterministic for a fixed seed.
+    Rejection-samples up to a fixed budget of 200 draws, testing each
+    draw's edge array and building a Graph only for the one it returns;
+    then falls back to the last draw augmented with a random spanning
+    chain.  A draw takes one uniform per agent pair, in `triu_indices`
+    order.  The pairs of the first ceil(n/8) rows hold every edge of those
+    agents, so they are drawn first: when one of those agents has no
+    edge, the draw is rejected and the generator skips the rest of its
+    uniforms (one 64-bit output each) without drawing them.  The graph
+    returned is the one a whole-draw loop returns.  Deterministic for a
+    fixed seed.
     """
     if n < 1:
         raise GraphError("n must be positive")
@@ -379,9 +385,18 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
         raise GraphError("edge_probability must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     pairs = np.stack(np.triu_indices(n, k=1), axis=1)
-    for _ in range(200):
-        # row indices select faster than a boolean mask over all n(n-1)/2 pairs
-        ij = pairs[np.flatnonzero(rng.random(len(pairs)) < edge_probability)]
+    head_rows = -(-n // 8)
+    head = int(np.searchsorted(pairs[:, 0], head_rows))  # pairs in the first head_rows rows
+    # row indices select faster than a boolean mask over the pairs
+    for draw in range(200):
+        u = rng.random(head)
+        if n > 1 and draw < 199:  # the fallback reads the last draw whole
+            hit = pairs[np.flatnonzero(u < edge_probability)]
+            if np.bincount(hit.ravel(), minlength=head_rows)[:head_rows].min() == 0:
+                rng.bit_generator.advance(len(pairs) - head)
+                continue
+        u = np.concatenate([u, rng.random(len(pairs) - head)])
+        ij = pairs[np.flatnonzero(u < edge_probability)]
         if _connected(n, ij):
             return Graph(n, ij)
     # connect the last draw with a random spanning chain

@@ -4,6 +4,7 @@ against.  None of them is part of the library."""
 import csv
 
 import numpy as np
+import scipy.sparse
 
 from decentopt import StepSizes, TraceRecord, predicted_b_spectrum, solve_centralized
 from decentopt.algorithms import (
@@ -160,3 +161,18 @@ def greedy_spectrum_gap(dyn, b=None) -> float:
         worst = max(worst, float(gaps[k]))
         actual[k] = np.inf  # matched
     return worst
+
+
+def power_iteration_diagonals(a, steps: int) -> np.ndarray:
+    """The adaptive engine's Perron estimates diag((A^T)^i) for i = 1..steps,
+    shape (steps, N), from the power iteration Z <- A^T Z seeded at I that
+    forms every N x N power.  A^T is applied in scipy's CSR form, which keeps
+    N = 400 affordable and shares no code with the engines' operators."""
+    a = np.asarray(a, dtype=float)
+    a_t = scipy.sparse.csr_array(a.T)
+    z = np.eye(a.shape[0])
+    out = np.empty((steps, a.shape[0]))
+    for i in range(steps):
+        z = a_t @ z
+        out[i] = z.diagonal()
+    return out

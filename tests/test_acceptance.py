@@ -278,7 +278,7 @@ def test_criterion_9_adaptive_tuning():
     steps = StepSizes.from_weights(model.q, perron.p,
                                    (0.4 / delta) / ratio.max())
     res = run("adaptive_exact_diffusion", model, matrix, steps,
-              max_iters=60_000, stop=1e-8)
+              max_iters=60_000, stop=1e-8, keep_iterates=True)
     ok_run = res.status == "converged" and res.final_rel_error <= 1e-8
     ok_env, fitted = mismatch_decay_check(res.state.z_diag_history, perron.p,
                                           perron.rhoA)

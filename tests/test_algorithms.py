@@ -34,7 +34,7 @@ from decentopt import graphs
 from decentopt.graphs import _CSROperator
 
 from conftest import random_averaging, random_metropolis, random_quadratic
-from oracles import read_trace_csv
+from oracles import power_iteration_diagonals, read_trace_csv
 
 WEIGHTED = ("exact_diffusion", "exact_diffusion_pd", "adaptive_exact_diffusion")
 
@@ -283,13 +283,40 @@ def test_adaptive_first_step_uses_self_weights():
     perron9 = matrix.perron
     steps = StepSizes.from_weights(model.q, perron9.p, 0.003)
     res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=2,
-              stop=0.0)
+              stop=0.0, keep_iterates=True)
     # after one combine the mixing estimate is diag(A), so the tuned step
     # is q_k mu_o / a_kk on the first iteration
     hist = res.state.z_diag_history
     assert np.abs(hist[0] - np.diag(matrix.a)).max() <= 1e-15
     perron = matrix.perron
     assert np.abs(hist[-1] - perron.p).max() < np.abs(hist[0] - perron.p).max()
+
+
+@pytest.mark.parametrize("build", [build_metropolis, build_averaging])
+@pytest.mark.parametrize("n, prob", [(5, 0.6), (60, 0.6), (400, 0.02), (400, 0.006)])
+def test_adaptive_estimates_match_the_power_iteration(build, n, prob):
+    """The estimates (U o U) lam^i from one eigendecomposition match the
+    power iteration diag((A^T)^i) within 1e-13 over 500 steps, on the dense
+    path (N = 5, 60) and the CSR path (N = 400)."""
+    matrix = build(random_connected_graph(n, prob, seed=4))
+    assert isinstance(matrix._combine_ops[0], _CSROperator) == (n == 400)
+    model = random_quadratic(n, 2, seed=4)
+    steps = StepSizes.from_weights(model.q, matrix.perron.p, 1e-4)
+    res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=500, stop=0.0,
+              keep_iterates=True)
+    assert res.status == "exhausted"
+    want = power_iteration_diagonals(matrix.a, 500)
+    assert np.abs(np.array(res.state.z_diag_history) - want).max() <= 1e-13
+
+
+def test_adaptive_history_is_kept_only_with_iterates():
+    matrix = random_averaging(5, seed=9)
+    model = random_quadratic(5, 2, seed=9)
+    steps = StepSizes.from_weights(model.q, matrix.perron.p, 0.003)
+    for keep, length in ((False, 0), (True, 7)):
+        res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=7, stop=0.0,
+                  keep_iterates=keep)
+        assert len(res.state.z_diag_history) == length
 
 
 # ------------------------------------------------------------ fixed points
@@ -323,7 +350,7 @@ def test_fixed_point_residency_all_engines():
         "aug_dgm": AlgorithmState(w=w_o.copy(), y=np.zeros((5, 2)), g_prev=g_o),
         "adaptive_exact_diffusion": AlgorithmState(
             w=w_star.copy(), psi_prev=w_star - steps.mu[:, None] * g_star,
-            z=np.outer(np.ones(5), perron.p)),
+            z=np.eye(5)[-1]),  # converged powers lam^i = e_N: only the unit mode is left
     }
     for engine, state in states.items():
         s = steps if engine in WEIGHTED else uni
@@ -394,8 +421,9 @@ def test_dense_and_csr_combines_agree(engine, monkeypatch):
     runs = []
     for m in paths:
         states = []
-        _, _, statuses, verdicts = _iterate(engine, model, m, steps_list, 300, 1e-10, gt, w0,
-                                            lambda state, rel: states.append(state.w.copy()))
+        _, _, statuses, verdicts = _iterate(
+            engine, model, m, steps_list, 300, 1e-10, gt, w0,
+            lambda state, rel, ctx: states.append(state.w.copy()))
         runs.append((statuses, verdicts, states))
     (want_statuses, want_verdicts, want), (got_statuses, got_verdicts, got) = runs
     assert (got_statuses, got_verdicts) == (want_statuses, want_verdicts)
@@ -494,7 +522,7 @@ def test_stack_keeps_running_past_a_member_that_overflows(engine):
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt,
-                                            w0, lambda state, rel: trace.append(rel.copy()))
+                                            w0, lambda state, rel, ctx: trace.append(rel.copy()))
         separate = _separate_outcomes(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
     first = trace[1]
     assert not np.isfinite(first[1]) and not np.isfinite(first[3])
@@ -502,6 +530,26 @@ def test_stack_keeps_running_past_a_member_that_overflows(engine):
     assert list(zip(statuses, verdicts)) == separate
     assert statuses[1] == statuses[3] == "diverged"
     assert "diverged" not in (statuses[0], statuses[2])
+
+
+def test_adaptive_stack_matches_separate_runs():
+    """Three adaptive members share one power vector z: each still gets the
+    status, verdict and exit iteration of its own run."""
+    engine = "adaptive_exact_diffusion"
+    matrix, model, gt, w0 = _combine_setup(engine, seed=27)
+    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.002, 0.02, 5.0)]
+    sizes = []
+    _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0,
+                                        lambda state, rel, ctx: sizes.append(rel.size))
+    assert list(zip(statuses, verdicts)) == _separate_outcomes(
+        engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
+    assert set(statuses) == {"converged", "exhausted", "diverged"}
+    # members alive on iteration i and gone on i + 1 exited on iteration i
+    exits = [i for i in range(1, len(sizes))
+             for _ in range(sizes[i] - (sizes[i + 1] if i + 1 < len(sizes) else 0))]
+    runs = [run(engine, model, matrix, steps, max_iters=300, stop=1e-10, w0=w0,
+                ground_truth=gt) for steps in steps_list]
+    assert exits == sorted(r.iterations for r in runs)
 
 
 def test_stack_handles_a_convergence_and_a_divergence_on_one_iteration():
@@ -513,7 +561,7 @@ def test_stack_handles_a_convergence_and_a_divergence_on_one_iteration():
     steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.02, 0.2, 0.0005)]
     trace = []
     _iterate(engine, model, matrix, steps_list, 60, 0.0, gt, w0,
-             lambda state, rel: trace.append(rel.copy()))
+             lambda state, rel, ctx: trace.append(rel.copy()))
     # the iteration the fast member diverges on, and a stop the converging
     # member first crosses on that same iteration
     blowup = next(i for i, rel in enumerate(trace) if rel.size < 3 or rel[1] > DIVERGENCE_CAP)
@@ -522,7 +570,7 @@ def test_stack_handles_a_convergence_and_a_divergence_on_one_iteration():
     assert all(rel[0] > stop for rel in trace[:blowup])
     exits = []
     _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 60, stop, gt, w0,
-                                        lambda state, rel: exits.append(rel.size))
+                                        lambda state, rel, ctx: exits.append(rel.size))
     assert statuses == ["converged", "diverged", "exhausted"]
     assert exits[blowup] == 3 and exits[blowup + 1] == 1
     separate = _separate_outcomes(engine, model, matrix, steps_list, 60, stop, gt, w0)

@@ -200,7 +200,7 @@ def test_random_connected_graph_is_deterministic_and_connected():
     assert Graph(12, sparse.edges) == sparse  # construction re-validates connectivity
 
 
-@pytest.mark.parametrize("n", [1, 2, 12, 400])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 40, 400])
 @pytest.mark.parametrize("prob", [0.006, 0.02, 0.5])
 def test_graph_layer_matches_the_loop_reference(n, prob):
     for seed in (11, 12, 13):
@@ -214,6 +214,20 @@ def test_graph_layer_matches_the_loop_reference(n, prob):
         expect = reference_matrix_from_array(averaging.a)
         assert inferred.graph.edges == expect.graph.edges == g.edges
         assert inferred.a.tobytes() == expect.a.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 50])
+def test_advance_leaves_the_generator_where_a_whole_draw_does(k):
+    """random_connected_graph skips a rejected draw's tail with `advance`:
+    after random(k), advance(n - k) must leave the generator exactly where
+    random(n) leaves it, one 64-bit output per uniform."""
+    n = 50
+    whole, parted = np.random.default_rng(5), np.random.default_rng(5)
+    want = whole.random(n)
+    assert np.array_equal(parted.random(k), want[:k])
+    parted.bit_generator.advance(n - k)
+    assert parted.bit_generator.state == whole.bit_generator.state
+    assert np.array_equal(parted.random(20), whole.random(20))
 
 
 @pytest.mark.parametrize("prob", [0.006, 0.02])
