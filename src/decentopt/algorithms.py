@@ -46,7 +46,6 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .costs import CostModel, GroundTruth, solve_centralized
 from .graphs import CombinationMatrix, _symmetrized, check_balanced, matrix_from_array
@@ -300,7 +299,11 @@ def _perron_modes(matrix: CombinationMatrix):
     ascending order, is set to exactly lam = 1 with column p, so the
     estimate tends to p exactly.  LAPACK's `syev` overwrites At (its own
     transpose, so F-ordered) with U, which is squared in place: the
-    eigensolve adds no N x N array."""
+    eigensolve adds no N x N array.  numpy has no in-place `syev`, so
+    `scipy.linalg` is imported here, with the first adaptive run or scan,
+    and not with the package."""
+    import scipy.linalg
+
     p = matrix.perron.p
     lam, uu = scipy.linalg.eigh(_symmetrized(matrix.a, p).T, overwrite_a=True,
                                 check_finite=False, driver="ev")

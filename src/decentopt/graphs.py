@@ -12,6 +12,13 @@ lambdaN, rhoA) sits with p in `perron`.  V in `vmat`, (P - A P)/2 in
 `v_squared`, (I + A)/2 in `abar`, the engines' operators (CSR on a large
 sparse network) in `_combine_ops` and `_dual_op`, and the error-recursion
 blocks of `stability` are computed on first use.
+
+Connectivity is tested with numpy alone: a graph's by a component search
+over its edge array (`_components`), and the strong connectivity of a
+matrix's directed support by the same search when the support is
+symmetric, else by reachability from agent 0 along the arcs and against
+them (`_strongly_connected`).  Only the CSR operators need scipy, and
+`scipy.sparse` is imported when the first one is built.
 """
 
 from __future__ import annotations
@@ -21,8 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 COLUMN_SUM_TOL = 1e-12
 PERRON_RESIDUAL_TOL = 1e-10
@@ -53,11 +58,14 @@ class Graph:
     of the edge set (self-weights live on the matrix diagonal instead).
     The constructor takes an (E, 2) array or any iterable of pairs and
     keeps them as a read-only (E, 2) array in lexicographic order.
+    `_searched` is private: `random_connected_graph` sets it for a draw it
+    has already found connected, so the component search runs once.
     """
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
     _ij: np.ndarray = field(init=False, repr=False, compare=False)
+    _searched: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -76,7 +84,7 @@ class Graph:
         ij.flags.writeable = False
         object.__setattr__(self, "edges", frozenset(zip(*ij.T.tolist())))
         object.__setattr__(self, "_ij", ij)
-        if not _connected(self.n, ij):
+        if not (self._searched or _connected(self.n, ij)):
             raise GraphError("graph is not connected")
 
     def adjacency(self) -> np.ndarray:
@@ -99,14 +107,69 @@ class Graph:
 
 
 def _connected(n: int, ij: np.ndarray) -> bool:
-    """Whether the graph on n agents with edge rows (i, j), ascending in i, is connected.
-    A graph with an isolated agent is rejected before the component search."""
+    """Whether the graph on n agents with edge rows (i, j) is connected.  A
+    graph with an isolated agent is rejected before the component search."""
     if n > 1 and np.bincount(ij.ravel(), minlength=n).min() == 0:
         return False
-    indptr = np.searchsorted(ij[:, 0], np.arange(n + 1))
-    adj = scipy.sparse.csr_matrix((np.ones(len(ij)), ij[:, 1], indptr), shape=(n, n))
-    ncomp, _ = scipy.sparse.csgraph.connected_components(adj, directed=False)
-    return ncomp == 1
+    return not _components(n, ij).any()
+
+
+def _components(n: int, ij: np.ndarray) -> np.ndarray:
+    """Each agent's component label, the smallest agent in its component, by
+    label propagation with pointer jumping over the edge rows (i, j).
+
+    Every agent points at a smaller or equal agent, and each pointer chain
+    ends at a root that points at itself.  A round hooks, for every edge
+    whose ends have different roots, the larger root onto the smaller one
+    (the smallest offered, when a root is offered several), then jumps
+    pointers until each agent points at its root.  A round that hooks
+    nothing leaves one root per component.  Pointers only decrease, so no
+    hook closes a cycle, and each round that hooks merges two trees at
+    least: the search ends after at most n rounds, in practice a few."""
+    root = np.arange(n)
+    i, j = ij[:, 0], ij[:, 1]
+    while True:
+        ri, rj = root[i], root[j]
+        cross = ri != rj
+        if not cross.any():
+            return root
+        ri, rj = ri[cross], rj[cross]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
+def _strongly_connected(a: np.ndarray, ij: np.ndarray) -> bool:
+    """Whether the directed support of A (an arc l -> k where a[l, k] > 0) is
+    strongly connected, for an A that is positive only on the diagonal and
+    on the graph edges ij.  A symmetric support is strongly connected when
+    it is connected; otherwise every agent must be reached from agent 0
+    along the arcs, and reach agent 0 (see `_reaches_all`)."""
+    i, j = ij[:, 0], ij[:, 1]
+    fwd, bwd = a[i, j] > 0, a[j, i] > 0
+    if np.array_equal(fwd, bwd):
+        return _connected(a.shape[0], ij[fwd])
+    src = np.concatenate([i[fwd], j[bwd]])
+    dst = np.concatenate([j[fwd], i[bwd]])
+    return _reaches_all(a.shape[0], src, dst) and _reaches_all(a.shape[0], dst, src)
+
+
+def _reaches_all(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether every agent is reached from agent 0 along the arcs src -> dst.
+    Each sweep follows the arcs that leave reached agents and drops them, so
+    every arc is followed once."""
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    while src.size:
+        out = seen[src]
+        if not out.any():
+            break
+        seen[dst[out]] = True
+        src, dst = src[~out], dst[~out]
+    return bool(seen.all())
 
 
 @dataclass(frozen=True)
@@ -158,10 +221,7 @@ class CombinationMatrix:
         # directed support must be strongly connected, otherwise the
         # Perron vector degenerates (zero entries) even when the
         # eigenvalue tests below look fine
-        support = scipy.sparse.csr_matrix((a > 0).astype(int))
-        n_comp, _ = scipy.sparse.csgraph.connected_components(
-            support, directed=True, connection="strong")
-        if n_comp != 1:
+        if not _strongly_connected(a, self.graph._ij):
             raise SpectralError(
                 "matrix support is not strongly connected; "
                 "matrix is not primitive"
@@ -265,6 +325,8 @@ class _CSROperator:
     and to a stacked (B, N, M) block through its (N, B*M) view."""
 
     def __init__(self, dense: np.ndarray):
+        import scipy.sparse  # loaded by the first large sparse network only
+
         self.csr = scipy.sparse.csr_array(dense)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -398,7 +460,7 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
         u = np.concatenate([u, rng.random(len(pairs) - head)])
         ij = pairs[np.flatnonzero(u < edge_probability)]
         if _connected(n, ij):
-            return Graph(n, ij)
+            return Graph(n, ij, _searched=True)
     # connect the last draw with a random spanning chain
     perm = rng.permutation(n)
     chain = np.stack([perm[:-1], perm[1:]], axis=1)

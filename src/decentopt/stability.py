@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .algorithms import ENGINE_SPECS, StepSizes, _iterate
 from .costs import CostModel, QuadraticModel, solve_centralized
@@ -140,7 +139,9 @@ def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
         raise ValueError(f"no analytic error map for engine {engine!r}")
     t = getattr(dyn, spec.error_map)
     m = dyn.h.shape[-1]
-    mh = scipy.linalg.block_diag(*(mu[k] * dyn.h[k] for k in range(n)))
+    mh = np.zeros((n * m, n * m))
+    agents = np.arange(n)
+    mh.reshape(n, m, n, m)[agents, :, agents, :] = mu[:, np.newaxis, np.newaxis] * dyn.h
     big = np.kron(dyn.b, np.eye(m))
     big[:, : n * m] -= np.kron(t, np.eye(m))[:, : n * m] @ mh
     return big

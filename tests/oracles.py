@@ -5,6 +5,7 @@ import csv
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from decentopt import StepSizes, TraceRecord, predicted_b_spectrum, solve_centralized
 from decentopt.algorithms import (
@@ -176,3 +177,30 @@ def power_iteration_diagonals(a, steps: int) -> np.ndarray:
         z = a_t @ z
         out[i] = z.diagonal()
     return out
+
+
+def component_labels_oracle(n: int, edges) -> np.ndarray:
+    """Each agent's component label as the smallest agent in its component,
+    for the undirected graph on n agents with the (i, j) pairs `edges`, from
+    scipy's component search."""
+    ij = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    adj = scipy.sparse.coo_array((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
+    _, labels = scipy.sparse.csgraph.connected_components(adj, directed=False)
+    smallest = np.full(labels.max() + 1, n)
+    np.minimum.at(smallest, labels, np.arange(n))
+    return smallest[labels]
+
+
+def connected_oracle(n: int, edges) -> bool:
+    """Whether the undirected graph on n agents with the (i, j) pairs `edges`
+    is connected, from scipy's component search."""
+    return not component_labels_oracle(n, edges).any()
+
+
+def strongly_connected_oracle(a) -> bool:
+    """Whether the directed support of A (an arc l -> k where a[l, k] > 0) is
+    strongly connected, from scipy's strong-component search."""
+    support = scipy.sparse.csr_array(np.asarray(a) > 0)
+    ncomp, _ = scipy.sparse.csgraph.connected_components(
+        support, directed=True, connection="strong")
+    return ncomp == 1

@@ -751,11 +751,91 @@ def test_main_builds_no_parser(tmp_path, monkeypatch):
     assert built == []
 
 
-def test_import_leaves_scipy_special_unloaded():
-    """scipy.special is imported with the first logistic model, not with
-    the package."""
+# Runs in a fresh interpreter: imports decentopt.cli, runs `main` on each
+# argv list of sys.argv[1] (JSON), and prints a JSON report of the scipy
+# modules loaded after the import and after each command, with the number of
+# CSR operators built so far.
+SCIPY_PROBE = """
+import json, sys
+import decentopt.cli
+from decentopt import graphs
+
+built = []
+init = graphs._CSROperator.__init__
+
+
+def counted(self, dense):
+    built.append(dense.shape[0])
+    init(self, dense)
+
+
+graphs._CSROperator.__init__ = counted
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+report = [{"scipy": scipy_modules(),
+           "decentopt": sorted(m for m in sys.modules if m.startswith("decentopt."))}]
+for argv in json.loads(sys.argv[1]):
+    report.append({"exit": decentopt.cli.main(argv), "scipy": scipy_modules(),
+                   "csr": len(built)})
+print(json.dumps(report))
+"""
+SCIPY_FEATURES = ("scipy.sparse", "scipy.linalg", "scipy.special")
+
+
+def scipy_probe(tmp_path, commands) -> list:
+    """SCIPY_PROBE's report for (command, config payload) pairs."""
+    argvs = [[command, "--config", write_config(tmp_path, payload, name=f"c{i}.json"),
+              "--out", str(tmp_path / f"out{i}")]
+             for i, (command, payload) in enumerate(commands)]
     src = str(Path(decentopt.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, decentopt.cli; sys.exit('scipy.special' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded_features(step) -> set:
+    return set(SCIPY_FEATURES) & set(step["scipy"])
+
+
+def test_import_and_light_commands_leave_scipy_unloaded(tmp_path):
+    """No module of the package imports scipy at module level: after
+    `import decentopt.cli`, which imports every module, no scipy module is
+    loaded.  An analyze at N=100 and a dense non-adaptive run and scan at
+    N=20 load none of scipy.sparse, scipy.linalg and scipy.special."""
+    run_cfg = base_run_config(max_iters=2000)
+    run_cfg["graph"].update(n=20, edge_probability=0.3)
+    scan_cfg = {"seed": 4, "graph": {"kind": "random", "n": 20, "edge_probability": 0.6},
+                "matrix": {"rule": "metropolis"},
+                "model": {"kind": "least_squares", "dim": 3, "samples_per_agent": 10},
+                "scan": {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.2,
+                         "points": 4, "max_iters": 500, "stop": 1e-10}}
+    analyze_cfg = {"seed": 3, "graph": {"kind": "random", "n": 100, "edge_probability": 0.1},
+                   "matrix": {"rule": "metropolis"}}
+    report = scipy_probe(tmp_path, [("analyze", analyze_cfg), ("run", run_cfg),
+                                    ("stability-scan", scan_cfg)])
+    modules = {p.stem for p in Path(decentopt.__file__).parent.glob("*.py")} - {"__init__"}
+    assert {f"decentopt.{m}" for m in modules} <= set(report[0]["decentopt"])
+    assert report[0]["scipy"] == []
+    for step in report[1:]:
+        assert step["exit"] == 0 and step["csr"] == 0
+        assert loaded_features(step) == set()
+
+
+def test_csr_and_adaptive_paths_load_scipy_on_first_use(tmp_path):
+    """A sparse run at N=200 takes the CSR path and loads scipy.sparse alone;
+    an adaptive run then loads scipy.linalg for its eigensolve."""
+    sparse_cfg = base_run_config(max_iters=100)
+    sparse_cfg["graph"].update(n=200, edge_probability=0.05)
+    adaptive_cfg = base_run_config(engine="adaptive_exact_diffusion", max_iters=200)
+    adaptive_cfg["graph"].update(n=20, edge_probability=0.3)
+    _, sparse, adaptive = scipy_probe(tmp_path, [("run", sparse_cfg), ("run", adaptive_cfg)])
+    assert sparse["exit"] == 0 and sparse["csr"] > 0
+    assert loaded_features(sparse) == {"scipy.sparse"}
+    assert adaptive["exit"] == 0 and adaptive["csr"] == sparse["csr"]
+    assert loaded_features(adaptive) == {"scipy.sparse", "scipy.linalg"}

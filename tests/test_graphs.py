@@ -4,8 +4,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,23 +20,17 @@ from decentopt import (
     random_connected_graph,
     save_matrix_csv,
 )
-from decentopt.graphs import PERRON_RESIDUAL_TOL, _connected
+from decentopt import graphs
+from decentopt.graphs import (PERRON_RESIDUAL_TOL, _components, _connected,
+                              _strongly_connected)
 
 from conftest import random_metropolis
+from oracles import component_labels_oracle, connected_oracle, strongly_connected_oracle
 
 
 # ------------------------------------------------------------ references
 # The loop-based graph layer the array-backed one replaced, kept as the
 # oracle: the array code must return the same edges and the same bytes.
-
-
-def reference_connected(n, edges):
-    adj = np.zeros((n, n))
-    for i, j in edges:
-        adj[i, j] = adj[j, i] = 1.0
-    ncomp, _ = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(adj), directed=False)
-    return ncomp == 1
 
 
 def reference_random_connected_graph(n, edge_probability, seed):
@@ -50,7 +42,7 @@ def reference_random_connected_graph(n, edge_probability, seed):
     for _ in range(200):
         mask = rng.random(len(iu[0])) < edge_probability
         edges = frozenset(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
-        if reference_connected(n, edges):
+        if connected_oracle(n, edges):
             return Graph(n, edges)
     perm = rng.permutation(n)
     chain = {(min(perm[t - 1], perm[t]), max(perm[t - 1], perm[t])) for t in range(1, n)}
@@ -256,12 +248,106 @@ def test_connected_agrees_with_the_component_search():
             rng = np.random.default_rng(seed)
             ij = pairs[rng.random(len(pairs)) < rng.uniform(0.0, 0.7)]
             isolated = n > 1 and np.bincount(ij.ravel(), minlength=n).min() == 0
-            connected = reference_connected(n, ij.tolist())
+            connected = connected_oracle(n, ij.tolist())
             assert _connected(n, ij) == connected, (n, ij.tolist())
             seen.add((n, isolated, connected))
     assert {(1, False, True), (2, True, False), (2, False, True)} <= seen
     assert {(isolated, connected) for _, isolated, connected in seen} == {
         (True, False), (False, False), (False, True)}
+
+
+def test_connectivity_matches_the_scipy_oracle_on_random_graphs():
+    """The component search, `_connected` and the strong-connectivity test
+    against scipy's component searches, on seeded random graphs with
+    n in [1, 60] and p in [0, 0.3]: each undirected draw, and directed
+    supports on its edges (an arc kept in each direction with probability
+    q, or kept both ways)."""
+    seen = set()
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 61))
+        pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+        ij = pairs[rng.random(len(pairs)) < rng.uniform(0.0, 0.3)]
+        labels = component_labels_oracle(n, ij)
+        assert np.array_equal(_components(n, ij), labels), (n, ij.tolist())
+        assert _connected(n, ij) == (not labels.any())
+        q = rng.uniform(0.5, 1.0)
+        fwd = rng.random(len(ij)) < q
+        bwd = fwd if seed % 4 == 0 else rng.random(len(ij)) < q
+        a = np.eye(n)
+        a[ij[fwd, 0], ij[fwd, 1]] = 1.0
+        a[ij[bwd, 1], ij[bwd, 0]] = 1.0
+        strong = strongly_connected_oracle(a)
+        assert _strongly_connected(a, ij) == strong, (n, ij.tolist(), fwd, bwd)
+        seen.add((not labels.any(), strong))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_connectivity_on_paths_rings_and_stars_at_n2000():
+    n = 2000
+    line = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    shapes = {
+        "path": line,
+        "ring": np.vstack([line, [(n - 1, 0)]]),
+        "star": np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1),
+    }
+    for name, ij in shapes.items():
+        for cut in (None, n // 2):
+            edges = ij if cut is None else np.delete(ij, cut, axis=0)
+            labels = component_labels_oracle(n, edges)
+            assert np.array_equal(_components(n, edges), labels), (name, cut)
+            assert _connected(n, edges) == (not labels.any())
+            # arcs along the edges one way only: strongly connected only as a ring
+            support = np.eye(n, dtype=bool)
+            support[edges[:, 0], edges[:, 1]] = True
+            assert _strongly_connected(support, edges) == strongly_connected_oracle(support)
+            assert _strongly_connected(support, edges) == (name == "ring" and cut is None)
+    assert Graph(n, shapes["path"]).n == n
+    with pytest.raises(GraphError, match="not connected"):
+        Graph(n, shapes["star"][1:])
+
+
+def test_unilateral_supports_are_not_strongly_connected():
+    """Raw arrays whose undirected graph is connected but whose arcs all run
+    forward in a random order of the agents: no arc returns, so the support
+    is not strongly connected, and the constructor names that."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        g = random_connected_graph(n, rng.uniform(0.2, 0.8), seed)
+        rank = rng.permutation(n)
+        i, j = g._ij.T
+        src, dst = np.where(rank[i] < rank[j], i, j), np.where(rank[i] < rank[j], j, i)
+        a = np.diag(rng.uniform(0.2, 1.0, n))
+        a[src, dst] = rng.uniform(0.2, 1.0, len(src))
+        a /= a.sum(axis=0)
+        assert not strongly_connected_oracle(a)
+        assert connected_oracle(n, np.argwhere(np.triu((a > 0) | (a > 0).T, k=1)))
+        with pytest.raises(SpectralError, match="^matrix support is not strongly connected; "
+                                                "matrix is not primitive$"):
+            matrix_from_array(a)
+
+
+@pytest.mark.parametrize("n, prob", [(1, 0.5), (12, 0.01), (40, 0.5), (400, 0.006),
+                                     (400, 0.02)])
+def test_random_connected_graph_searches_the_accepted_draw_once(monkeypatch, n, prob):
+    """Every draw that reaches the component search is searched once, and the
+    Graph built from the accepted one is not searched again: exactly one
+    search, the last, finds a connected graph.  (12, 0.01) and (400, 0.006)
+    end in the spanning-chain fallback, which the Graph constructor
+    searches."""
+    found = []
+    connected = graphs._connected
+
+    def counted(n, ij):
+        found.append(connected(n, ij))
+        return found[-1]
+
+    monkeypatch.setattr(graphs, "_connected", counted)
+    for seed in (11, 12, 13):
+        found.clear()
+        random_connected_graph(n, prob, seed)
+        assert found.count(True) == 1 and found[-1], found
 
 
 def test_malformed_edges_are_graph_errors():

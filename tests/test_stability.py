@@ -311,6 +311,24 @@ def test_lifted_matrix_matches_engine_extra():
         assert np.abs(e.reshape(8, 2) - sim[i + 1]).max() <= 1e-9
 
 
+@pytest.mark.parametrize("engine", ["exact_diffusion", "extra"])
+@pytest.mark.parametrize("per_agent", [False, True])
+def test_one_step_matrix_matches_the_block_diag_construction(engine, per_agent):
+    """The numpy block diagonal places the same mu_k H_k blocks as
+    `scipy.linalg.block_diag`: the lifted map is equal bit for bit."""
+    n, m = 5, 3
+    matrix = random_metropolis(n, seed=8)
+    model = random_quadratic(n, m, seed=8)
+    mu = np.linspace(0.01, 0.03, n) if per_agent else np.full(n, 0.02)
+    dyn = build_error_dynamics(matrix, model=model, steps=StepSizes(mu))
+    t = getattr(dyn, stability.ENGINE_SPECS[engine].error_map)
+    mh = scipy.linalg.block_diag(*(mu[k] * dyn.h[k] for k in range(n)))
+    expect = np.kron(dyn.b, np.eye(m))
+    expect[:, : n * m] -= np.kron(t, np.eye(m))[:, : n * m] @ mh
+    assert np.array_equal(one_step_matrix(dyn, engine), expect)
+    assert np.array_equal(one_step_matrix(dyn, engine, mu=mu if per_agent else 0.02), expect)
+
+
 def test_one_step_matrix_validation():
     matrix = random_metropolis(4, seed=0)
     bare = build_error_dynamics(matrix)
