@@ -41,7 +41,6 @@ from .graphs import (
     random_connected_graph,
     save_matrix_csv,
 )
-from .spectral import VMatrix, compute_v
 from .stability import (
     ErrorDynamics,
     ScanResult,

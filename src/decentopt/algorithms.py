@@ -10,8 +10,8 @@ stability scans classify many step sizes at once in one stack.
 
 The two primal-dual engines use the dual factor V only through V y, so
 they carry z = V y as their dual block (`AlgorithmState.y`, seeded at
-zero) and advance it as z <- z + S w with S = V^2 = (P - A P)/2, which
-has A's sparsity: no square root of S is ever formed.
+zero) and advance it as z <- z + S w with S = V V^T = (P - A P)/2, which
+has A's sparsity: no factor of S is ever formed.
 
 Engines
 -------
@@ -20,9 +20,9 @@ its step function, communication cost, target, matrix requirement,
 state seeding and step-size rule:
 
 exact_diffusion           correction-term combine form, one combine/iter
-exact_diffusion_pd        equivalent primal-dual form driven by V
+exact_diffusion_pd        equivalent primal-dual form, dual advanced by S
 extra                     symmetric doubly stochastic variant, gradient
-                          applied outside the combine, driven by V
+                          applied outside the combine, dual advanced by S
 diging                    gradient tracking, two combines/iter
 aug_dgm                   tracking with combines applied to both blocks,
                           supports per-agent step sizes
@@ -134,7 +134,7 @@ class _EngineContext:
     abar_t: object
     abar: object
     steps: StepSizes  # or, for a stacked run, mu of shape (B, N) and mu_o of shape (B, 1)
-    s: object = None  # S = V^2 = (P - A P)/2 as an operator, for the primal-dual engines
+    s: object = None  # S = V V^T = (P - A P)/2 as an operator, for the primal-dual engines
     p: np.ndarray | None = None  # the Perron vector as an (N, 1) column
     lam: np.ndarray | None = None  # the adaptive engine's (lam, U o U): see `_perron_modes`
     uu: np.ndarray | None = None
@@ -221,7 +221,7 @@ class EngineSpec:
     #                         the uniform aggregate over a doubly stochastic one
     symmetric: bool = False  # the matrix must also be symmetric
     step_rule: str = "uniform"
-    primal_dual: bool = False  # the dual block is V y; the step reads S = V^2 and p
+    primal_dual: bool = False  # the dual block is V y; the step reads S = V V^T and p
     error_map: str | None = None  # T block of the quadratic one-step map: "t_d" or "t_e"
 
 

@@ -8,10 +8,11 @@ A CombinationMatrix is immutable and computes its spectral setup once,
 at construction: the Perron vector p from one bordered linear solve, the
 balance residual, and the eigenvalues of A, from one `eigvalsh` of
 P^{-1/2} A P^{1/2} when A is balanced.  The spectrum summary (lambda2,
-lambdaN, rhoA) sits with p in `perron`.  V in `vmat`, (P - A P)/2 in
-`v_squared`, (I + A)/2 in `abar`, the engines' operators (CSR on a large
-sparse network) in `_combine_ops` and `_dual_op`, and the error-recursion
-blocks of `stability` are computed on first use.
+lambdaN, rhoA) sits with p in `perron`.  S = (P - A P)/2 in `v_squared`,
+(I + A)/2 in `abar`, the engines' operators (CSR on a large sparse
+network) in `_combine_ops` and `_dual_op`, and the error-recursion blocks
+of `stability`, with its dual factor V (V V^T = S), are computed on first
+use.
 
 Connectivity is tested with numpy alone: a graph's by a component search
 over its edge array (`_components`), and the strong connectivity of a
@@ -264,17 +265,11 @@ class CombinationMatrix:
         return self.is_doubly_stochastic and bool(np.abs(a - a.T).max() <= STOCHASTIC_TOL)
 
     @cached_property
-    def vmat(self):
-        """`spectral.compute_v` of a balanced matrix, computed on first use."""
-        from .spectral import compute_v
-
-        return compute_v(self)
-
-    @cached_property
     def v_squared(self) -> np.ndarray:
-        """V^2 = (P - A P)/2 of a balanced matrix, read-only, computed on
-        first use.  Balance makes it symmetric; it is symmetrized to drop
-        the rounding skew.  It has A's sparsity, plus the diagonal."""
+        """S = V V^T = (P - A P)/2 of a balanced matrix, read-only,
+        computed on first use.  Balance makes it symmetric; it is
+        symmetrized to drop the rounding skew.  It has A's sparsity, plus
+        the diagonal."""
         p = self.perron.p
         s = (np.diag(p) - self.a * p[np.newaxis, :]) / 2.0
         s = (s + s.T) / 2.0

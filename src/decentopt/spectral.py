@@ -1,62 +1,38 @@
-"""The consensus square-root matrix V.
+"""The dual factor V of the error dynamics.
 
-V is the symmetric PSD square root of (P - A P)/2, where P = diag(p) and
-A is a balanced left-stochastic combination matrix, built from one
-symmetric eigendecomposition of the matrix's cached `v_squared`.  The
-engines need only V^2, so only the error dynamics build V.  Its
-nullspace is the consensus line span{1}, which is what couples the
-primal and dual blocks of the error dynamics.  The eigensystem of the
-lifted error map B is derived from these pieces in closed form
-(`stability.decompose_b`), so no dense nonsymmetric eigensolver is
-needed.
+For a balanced left-stochastic combination matrix A with Perron vector p
+and P = diag(p), the lifted error map B is built from an N x N factor V
+of S = (P - A P)/2 with V V^T = S and V 1 = 0, so null(V) = span{1}.
+B's spectrum and every step-size bound depend on V only through those
+two facts, and the engines only through S.  The factor here comes from
+the eigenpairs of At = P^{-1/2} A P^{1/2} that the error dynamics
+already take, with no eigensolve of its own; for a doubly stochastic A
+it is the symmetric square root of S.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graphs import CombinationMatrix, SpectralError, check_balanced
 
-CLIP_TOL = 1e-12
-PSD_TOL = -1e-8
+def dual_factor(lam: np.ndarray, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, H U) from the eigenpairs (lam, u) of At, ascending with the unit
+    eigenvalue last as `eigh` returns them, and the Perron vector p.
 
-
-@dataclass(frozen=True)
-class VMatrix:
-    """Symmetric PSD square root of (P - A P)/2.
-
-    Fields: the matrix v itself, the orthogonal eigenvector matrix u, and
-    sigma, the eigenvalues of (P - A P)/2 in descending order (entries
-    below the clipping threshold are exactly zero).
-    """
-
-    v: np.ndarray
-    u: np.ndarray
-    sigma: np.ndarray
-
-
-def compute_v(matrix: CombinationMatrix) -> VMatrix:
-    """Build V = U sqrt(Sigma) U^T from the eigendecomposition of the
-    matrix's cached `v_squared`, (P - A P)/2 with p the matrix's own Perron
-    vector, so V^2 is that matrix up to the clipping below.
-
-    Requires a balanced matrix (otherwise (P - A P)/2 need not be
-    symmetric PSD).  Eigenvalues below 1e-12 are clipped to exactly zero
-    before the square root; anything below -1e-8 is a PSD violation.
-    """
-    balanced, violation = check_balanced(matrix)
-    if not balanced:
-        raise ValueError(
-            f"combination matrix is not balanced (violation {violation:.3e})"
-        )
-    w, u = np.linalg.eigh(matrix.v_squared)
-    if w.min() < PSD_TOL:
-        raise SpectralError(f"(P - AP)/2 has eigenvalue {w.min():.3e} < {PSD_TOL:g}")
-    w = w[::-1].copy()
-    u = u[:, ::-1].copy()
-    w[w < CLIP_TOL] = 0.0
-    v = (u * np.sqrt(w)[np.newaxis, :]) @ u.T
-    v = (v + v.T) / 2.0
-    return VMatrix(v=v, u=u, sigma=w)
+    P^{-1/2} S P^{-1/2} = (I - At)/2 = U Sigma U^T with Sigma = (1 - lam)/2,
+    the unit mode's entry set to exactly 0, so V = P^{1/2} U sqrt(Sigma)
+    (H U)^T has V V^T = S for any orthogonal H.  H is the Householder
+    reflection that sends sqrt(p) to -1/sqrt(N), along
+    h = sqrt(p) + 1/sqrt(N) (positive entries, so no cancellation): the
+    unit eigenvector +-sqrt(p) of At then maps to a multiple of 1, which
+    makes V 1 = 0, and with p = 1/N, H = I - 2 1 1^T/N leaves
+    U sqrt(Sigma) U^T, the symmetric root, unchanged.  V^T P^{-1/2} u_k =
+    sqrt(Sigma_k) (H U)[:, k], so H U's columns are the unit dual vectors
+    of B's closed-form eigenpairs."""
+    sigma = (1.0 - lam) / 2.0
+    sigma[-1] = 0.0
+    root_p = np.sqrt(p)
+    h = root_p + 1.0 / np.sqrt(p.size)
+    hu = u - np.outer(h, (2.0 / (h @ h)) * (h @ u))
+    v = (root_p[:, np.newaxis] * u * np.sqrt(sigma)) @ hu.T
+    return v, hu

@@ -1,17 +1,20 @@
 """Error dynamics, eigenstructure, and step-size stability ranges.
 
 For a balanced combination matrix A with Perron vector p and dual factor
-V (so that null(V) = span{1}), the distance-to-solution recursion of the
-correction-term engine is driven by
+V (`spectral.dual_factor`: V V^T = (P - A P)/2 and null(V) = span{1}),
+the distance-to-solution recursion of the correction-term engine is
+driven by
 
-    B   = [[Abar^T, -P^{-1} V], [V Abar^T, I - V P^{-1} V]]
-    T_d = [[Abar^T, 0], [V Abar^T, 0]]          (gradient enters combined)
-    T_e = [[I, 0], [V, 0]]                      (gradient enters raw)
+    B   = [[Abar^T, -P^{-1} V], [V^T Abar^T, I - V^T P^{-1} V]]
+    T_d = [[Abar^T, 0], [V^T Abar^T, 0]]        (gradient enters combined)
+    T_e = [[I, 0], [V^T, 0]]                    (gradient enters raw)
 
-with Abar = (I + A)/2 and P = diag(p).  For quadratic costs the exact
-one-step error map is B - T diag(mu_k H_k, 0) lifted agent-wise, which
-this module builds, decomposes, and turns into closed-form step-size
-bounds.
+with Abar = (I + A)/2 and P = diag(p).  The engines carry z = V y, whose
+map depends on V only through V V^T, so any such factor gives the same
+B up to an orthogonal change of the dual block.  For quadratic costs the
+exact one-step error map is B - T diag(mu_k H_k, 0) lifted agent-wise,
+which this module builds, decomposes, and turns into closed-form
+step-size bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ import numpy as np
 
 from .algorithms import ENGINE_SPECS, StepSizes, _iterate
 from .costs import CostModel, QuadraticModel, solve_centralized
-from .graphs import CombinationMatrix, SpectralError, _symmetrized, matrix_from_array
+from .graphs import (CombinationMatrix, SpectralError, _symmetrized, check_balanced,
+                     matrix_from_array)
+from .spectral import dual_factor
 
 EIGENPAIR_TOL = 1e-8
 # bisection levels a scan resolves per stacked run: its 2**3 - 1 members
@@ -54,22 +59,26 @@ def _two_norm(m: np.ndarray) -> float:
 
 
 def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
-    """The blocks of `CombinationMatrix._error_blocks`, from the matrix's
-    own Perron vector, V = U diag(sqrt(sigma)) U^T and the eigenpairs of
-    P^{-1/2} A P^{1/2}, from N x N pieces only: ||T_d|| =
-    ||(I + V^2)^{1/2} Abar^T|| is the largest singular value of
-    Abar U diag(sqrt(1 + sigma)), and ||T_e||^2 = ||I + V^2|| = 1 + sigma_max."""
+    """The blocks of `CombinationMatrix._error_blocks` of a balanced matrix
+    (else ValueError), from its own Perron vector and one `eigh` of
+    At = P^{-1/2} A P^{1/2}, whose eigenpairs give V (`dual_factor`) and the
+    closed-form pair, from N x N pieces only: ||T_d|| is the largest
+    singular value of B's first N columns, and ||T_e||^2 = ||I + V V^T|| =
+    1 + lambda_max(S)."""
+    balanced, violation = check_balanced(matrix)
+    if not balanced:
+        raise ValueError(f"combination matrix is not balanced (violation {violation:.3e})")
     n = matrix.n
     abar_t = matrix.abar.T
-    p, vmat = matrix.perron.p, matrix.vmat
-    v = vmat.v
-    pinv_v = v / p[:, np.newaxis]
-    b = np.block([[abar_t, -pinv_v], [v @ abar_t, np.eye(n) - v @ pinv_v]])
-    b.flags.writeable = False
+    p = matrix.perron.p
     lam, u = np.linalg.eigh(_symmetrized(matrix.a, p))
-    return _Blocks(b=b, pair=_closed_form_pair(b, lam, u, p, v),
-                   t_d_norm=_two_norm(matrix.abar @ (vmat.u * np.sqrt(1.0 + vmat.sigma))),
-                   t_e_norm=float(np.sqrt(1.0 + vmat.sigma[0])))
+    v, hu = dual_factor(lam, u, p)
+    pinv_v = v / p[:, np.newaxis]
+    b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
+    b.flags.writeable = False
+    return _Blocks(b=b, pair=_closed_form_pair(b, lam, u, p, hu),
+                   t_d_norm=_two_norm(b[:, :n].T),
+                   t_e_norm=float(np.sqrt(1.0 + np.linalg.eigvalsh(matrix.v_squared)[-1])))
 
 
 @dataclass
@@ -95,9 +104,10 @@ class ErrorDynamics:
 
     @property
     def t_e(self) -> np.ndarray:
-        """[[I; V], 0]."""
+        """[[I; V^T], 0], with V = -P B[:N, N:]."""
         n = self.matrix.n
-        return np.hstack([np.vstack([np.eye(n), self.matrix.vmat.v]), np.zeros((2 * n, n))])
+        v = -self.matrix.perron.p[:, np.newaxis] * self.b[:n, n:]
+        return np.hstack([np.vstack([np.eye(n), v.T]), np.zeros((2 * n, n))])
 
 
 def build_error_dynamics(matrix, model: CostModel = None,
@@ -156,7 +166,9 @@ class SpectralPair:
 
     The k-th conjugate pair has the right columns
     [x_top[:, k]; -+ i r_right[k] r[:, k]] and the inverse rows
-    [y_top[:, k]; +- i r_left[k] r[:, k]], with r's columns orthonormal.
+    [y_top[:, k]; +- i r_left[k] r[:, k]], with r's columns orthonormal:
+    r is H U of `spectral.dual_factor`, less its unit column, in the
+    descending order of d.
     These read-only N-row pieces give ||X_R||, ||X_L|| and
     `b_spectrum_residual` in closed form.  residual bounds
     ||B X - X D||_F, rounding included.
@@ -193,16 +205,17 @@ def decompose_b(dyn: ErrorDynamics) -> SpectralPair:
 
     With At = P^{-1/2} A P^{1/2} (symmetric for a balanced A), every
     non-Perron eigenpair (lam, u) of At gives x = P^{-1/2} u, an
-    eigenvector of A^T, and the unit vector r = V x / s with
-    s = sqrt((1 - lam)/2).  On span{[x; 0], [0; r]} B acts as
-    [[lb, -s], [s lb, lb]] with lb = (1 + lam)/2, whose eigenvalues
-    lb +- i sqrt(lb - lb^2) have right columns [x; -+ i sqrt(lb) r] and
-    inverse rows [(P^{1/2} u)^T / 2, +- i r^T / (2 sqrt(lb))].  The
-    Perron pair gives the canonical columns [1; 0], [0; 1] and rows
-    [p^T, 0], [0, 1^T/N].  Each column/inverse-row pair is rescaled to
-    equal norm, which keeps ||X_R|| ||X_L|| small.  Within an eigenspace
-    of At on which p is constant these norms do not depend on the basis
-    the eigensolver picks, so neither do the bounds built from them.
+    eigenvector of A^T, and the unit vector r = V^T x / s with
+    s = sqrt((1 - lam)/2), the matching column of H U (`dual_factor`).
+    On span{[x; 0], [0; r]} B acts as [[lb, -s], [s lb, lb]] with
+    lb = (1 + lam)/2, whose eigenvalues lb +- i sqrt(lb - lb^2) have
+    right columns [x; -+ i sqrt(lb) r] and inverse rows
+    [(P^{1/2} u)^T / 2, +- i r^T / (2 sqrt(lb))].  The Perron pair gives
+    the canonical columns [1; 0], [0; 1] and rows [p^T, 0], [0, 1^T/N].
+    Each column/inverse-row pair is rescaled to equal norm, which keeps
+    ||X_R|| ||X_L|| small.  Within an eigenspace of At on which p is
+    constant these norms do not depend on the basis the eigensolver
+    picks, so neither do the bounds built from them.
     ||X_R|| and ||X_L|| come from N x N pieces (see `SpectralPair`).
 
     The matrix checked at construction that At has exactly one unit
@@ -214,9 +227,10 @@ def decompose_b(dyn: ErrorDynamics) -> SpectralPair:
 
 
 def _closed_form_pair(b: np.ndarray, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
-                      v: np.ndarray) -> SpectralPair:
+                      hu: np.ndarray) -> SpectralPair:
     """The pair of `decompose_b` from the eigenpairs (lam, u) of At,
-    ascending with the unit eigenvalue last, as `eigh` returns them.
+    ascending with the unit eigenvalue last, as `eigh` returns them, and
+    the dual vectors H U of `dual_factor`.
 
     The eigenpair check max |B X - X D| runs on the blocks of b with
     real N x N products: for the column pair [x; -+ i sqrt(lb) r] at
@@ -232,12 +246,11 @@ def _closed_form_pair(b: np.ndarray, lam: np.ndarray, u: np.ndarray, p: np.ndarr
     n = p.size
     root_p = np.sqrt(p)
     # the non-unit pairs, descending, as the eigenvalues of B are listed
-    lam, u = lam[-2::-1], u[:, -2::-1]
+    lam, u, r = lam[-2::-1], u[:, -2::-1], np.ascontiguousarray(hu[:, -2::-1])
     lbar = (1.0 + lam) / 2.0
     root_lbar, s = np.sqrt(lbar), np.sqrt(1.0 - lbar)
     x = u / root_p[:, np.newaxis]
     y = u * root_p[:, np.newaxis] / 2.0
-    r = (v @ x) / s
     # balance each column/inverse-row pair to equal norm
     scale = np.sqrt(np.sqrt((y * y).sum(axis=0) + 1.0 / (4.0 * lbar))
                     / np.sqrt((x * x).sum(axis=0) + lbar))

@@ -38,17 +38,27 @@ def classify_run(result, max_iters: int) -> str:
     return _exhausted_verdict(rels[-1], rels[max(0, len(rels) - 1 - _lookback(max_iters))])
 
 
+def symmetric_root(matrix) -> np.ndarray:
+    """The symmetric PSD square root of S = (P - A P)/2 of a balanced
+    matrix, the paper's dual factor: U sqrt(Sigma) U^T from one `eigh` of
+    the matrix's `v_squared`, with eigenvalues below 1e-12 clipped to
+    exactly zero."""
+    w, u = np.linalg.eigh(matrix.v_squared)
+    w[w < 1e-12] = 0.0
+    v = (u * np.sqrt(w)) @ u.T
+    return (v + v.T) / 2.0
+
+
 def certify_nullspace(v) -> bool:
-    """True iff null(V) = span{1} for a `VMatrix` v: exactly one eigenvalue
-    of V at (or below) 1e-10 whose eigenvector is parallel to the ones
-    vector."""
-    eigs = np.sqrt(v.sigma)
-    null_mask = eigs <= 1e-10
+    """True iff null(V) = span{1} for a square factor array v: exactly one
+    singular value of v at (or below) 1e-10, whose right singular vector
+    is parallel to the ones vector."""
+    _, sv, vt = np.linalg.svd(v)
+    null_mask = sv <= 1e-10
     if null_mask.sum() != 1:
         return False
-    n = v.u.shape[0]
-    u_null = v.u[:, int(np.argmax(null_mask))]
-    inner = abs(float(u_null @ np.ones(n))) / np.sqrt(n)
+    n = v.shape[0]
+    inner = abs(float(vt[int(np.argmax(null_mask))] @ np.ones(n))) / np.sqrt(n)
     return inner >= 1.0 - 1e-8
 
 
@@ -90,9 +100,9 @@ def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters
     [W_i - W*; Y_i - Y*], shape (iters + 1, 2N, M) with row 0 the seed.
 
     The engine carries z = V y, which lies in the range of V, so
-    Y_i = pinv(V) z_i.  Cross-check target: errors[i] must equal the
-    one-step matrix applied i times to errors[0] when the costs are
-    quadratic.
+    Y_i = pinv(V) z_i, with V = -P B[:N, N:] the factor B is built from.
+    Cross-check target: errors[i] must equal the one-step matrix applied
+    i times to errors[0] when the costs are quadratic.
     """
     if engine not in ("exact_diffusion_pd", "extra"):
         raise ValueError("error recursion is defined for exact_diffusion_pd and extra")
@@ -100,7 +110,7 @@ def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters
     gt = solve_centralized(model)
     g = model.grad_at(gt.w_star if engine == "exact_diffusion_pd" else gt.w_o)
     matrix = dyn.matrix
-    pinv_v = np.linalg.pinv(matrix.vmat.v)
+    pinv_v = np.linalg.pinv(-matrix.perron.p[:, np.newaxis] * dyn.b[:n, n:])
     if engine == "exact_diffusion_pd":
         w_ref = gt.w_star
         y_ref = -pinv_v @ (matrix.perron.p[:, np.newaxis]

@@ -12,7 +12,6 @@ from decentopt import (
     TraceRecord,
     build_averaging,
     build_metropolis,
-    compute_v,
     least_squares_model,
     matrix_from_array,
     random_connected_graph,
@@ -34,7 +33,7 @@ from decentopt import graphs
 from decentopt.graphs import _CSROperator
 
 from conftest import random_averaging, random_metropolis, random_quadratic
-from oracles import power_iteration_diagonals, read_trace_csv
+from oracles import power_iteration_diagonals, read_trace_csv, symmetric_root
 
 WEIGHTED = ("exact_diffusion", "exact_diffusion_pd", "adaptive_exact_diffusion")
 
@@ -333,8 +332,8 @@ def test_fixed_point_residency_all_engines():
     g_o = model.grad(w_o)
     steps = StepSizes.from_weights(model.q, perron.p, 0.01 / 5)
     uni = StepSizes.uniform(0.01, 5)
-    vm = compute_v(matrix)
-    pinv_v = np.linalg.pinv(vm.v)
+    v = symmetric_root(matrix)
+    pinv_v = np.linalg.pinv(v)
     abar = (np.eye(5) + matrix.a) / 2.0
 
     states = {
@@ -343,9 +342,9 @@ def test_fixed_point_residency_all_engines():
         # the primal-dual engines carry z = V y: seed z* = V y*
         "exact_diffusion_pd": AlgorithmState(
             w=w_star.copy(),
-            y=vm.v @ (-pinv_v @ (perron.p[:, None] * (abar.T @ (steps.mu[:, None] * g_star))))),
+            y=v @ (-pinv_v @ (perron.p[:, None] * (abar.T @ (steps.mu[:, None] * g_star))))),
         "extra": AlgorithmState(
-            w=w_o.copy(), y=vm.v @ (-(uni.mu[0] / 5.0) * (pinv_v @ g_o))),
+            w=w_o.copy(), y=v @ (-(uni.mu[0] / 5.0) * (pinv_v @ g_o))),
         "diging": AlgorithmState(w=w_o.copy(), y=np.zeros((5, 2)), g_prev=g_o),
         "aug_dgm": AlgorithmState(w=w_o.copy(), y=np.zeros((5, 2)), g_prev=g_o),
         "adaptive_exact_diffusion": AlgorithmState(
@@ -490,11 +489,12 @@ def test_v_free_steps_match_the_dense_v_step(engine, sparse, monkeypatch):
 
 @pytest.mark.parametrize("engine", ["exact_diffusion_pd", "extra"])
 def test_primal_dual_runs_never_build_v(engine):
+    # V lives only in the error blocks, which no run or scan builds
     matrix, model, gt, w0 = _combine_setup(engine, seed=24)
     steps = steps_for(engine, model, matrix.perron, 0.02)
     run(engine, model, matrix, steps, max_iters=50, stop=0.0, w0=w0, ground_truth=gt)
     _iterate(engine, model, matrix, [steps, steps], 50, 0.0, gt, w0)
-    assert "vmat" not in matrix.__dict__
+    assert "_error_blocks" not in matrix.__dict__
 
 
 # ------------------------------------------------------------ stack exits

@@ -1,4 +1,4 @@
-"""Dual-metric matrix V and nullspace certificates."""
+"""The dual factor V of the error dynamics and nullspace certificates."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decentopt import (
-    SpectralError,
-    VMatrix,
     build_averaging,
+    build_error_dynamics,
     build_metropolis,
-    compute_v,
     matrix_from_array,
     random_connected_graph,
 )
+from decentopt.graphs import _symmetrized
+from decentopt.spectral import dual_factor
 
 from conftest import random_averaging, random_metropolis
 from oracles import certify_nullspace
@@ -23,73 +23,74 @@ def two_agent(a):
     return matrix_from_array(np.array([[a, 1 - a], [1 - a, a]]))
 
 
-# -------------------------------------------------------------- compute_v
+def factor(matrix):
+    """`dual_factor` on the eigenpairs of At, as the error dynamics take them."""
+    p = matrix.perron.p
+    return dual_factor(*np.linalg.eigh(_symmetrized(matrix.a, p)), p)
+
+
+# ------------------------------------------------------------ dual_factor
 
 
 def test_v_two_agent_oracle():
     # a = 1/2: P = I/2, Abar = (I + A)/2, and V comes out as the rank-one
     # projector 0.25 [[1, -1], [-1, 1]] with squared singular values
     # {1/4, 0}
-    m = two_agent(0.5)
-    vm = compute_v(m)
+    v, _ = factor(two_agent(0.5))
     expect = 0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.abs(vm.v - expect).max() <= 1e-12
-    assert np.abs(vm.sigma - np.array([0.25, 0.0])).max() <= 1e-12
-    assert certify_nullspace(vm)
+    assert np.abs(v - expect).max() <= 1e-12
+    assert np.abs(np.linalg.svd(v, compute_uv=False) ** 2 - [0.25, 0.0]).max() <= 1e-12
+    assert certify_nullspace(v)
 
 
 def test_v_annihilates_consensus_direction():
     for seed in range(4):
         for builder in (random_metropolis, random_averaging):
             m = builder(6, seed)
-            vm = compute_v(m)
+            v, hu = factor(m)
             ones = np.ones(6)
-            assert np.abs(vm.v @ ones).max() <= 1e-12
-            # V is symmetric PSD by construction
-            assert np.abs(vm.v - vm.v.T).max() <= 1e-12
-            assert np.linalg.eigvalsh(vm.v).min() >= -1e-10
-            assert vm.sigma.min() >= 0
-            assert np.all(np.diff(vm.sigma) <= 1e-15)  # descending
+            # V 1 = 0, and 1^T V = 0: V's columns sum to zero too
+            assert np.abs(v @ ones).max() <= 1e-12
+            assert np.abs(ones @ v).max() <= 1e-12
+            # V V^T = S is symmetric PSD, and H U is orthogonal
+            assert np.abs(v @ v.T - m.v_squared).max() <= 1e-12
+            assert np.linalg.eigvalsh(v @ v.T).min() >= -1e-10
+            assert np.abs(hu.T @ hu - np.eye(6)).max() <= 1e-12
 
 
 def test_v_plus_rank_one_is_invertible():
-    # the nullspace of V is exactly span{1}, so adding 1 p^T restores
-    # full rank
+    # the nullspace of V is exactly span{1} and its range is 1^perp, so
+    # adding 1 p^T restores full rank
     m = random_averaging(5, seed=2)
-    perron = m.perron
-    vm = compute_v(m)
-    patched = vm.v + np.outer(np.ones(5), perron.p)
+    v, _ = factor(m)
+    patched = v + np.outer(np.ones(5), m.perron.p)
     assert np.linalg.matrix_rank(patched) == 5
-    assert np.linalg.matrix_rank(vm.v) == 4
+    assert np.linalg.matrix_rank(v) == 4
 
 
 def test_v_squared_matches_defining_matrix():
-    # V^2 = P - (P Abar^T + Abar P)/2, symmetrized product with P = diag(p)
+    # V V^T = P - (P Abar^T + Abar P)/2, symmetrized product with P = diag(p)
     m = random_averaging(6, seed=7)
-    perron = m.perron
-    vm = compute_v(m)
-    p = np.diag(perron.p)
+    v, _ = factor(m)
+    p = np.diag(m.perron.p)
     abar = (m.a + np.eye(6)) / 2.0
     target = p - (p @ abar.T + abar @ p) / 2.0
-    assert np.abs(vm.v @ vm.v - target).max() <= 1e-12
+    assert np.abs(v @ v.T - target).max() <= 1e-12
 
 
-def test_compute_v_rejects_unbalanced():
+def test_error_dynamics_reject_unbalanced():
     a = np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]])
     m = matrix_from_array(a)
-    with pytest.raises(ValueError):
-        compute_v(m)
+    with pytest.raises(ValueError, match=r"combination matrix is not balanced \(violation "):
+        build_error_dynamics(m)
 
 
 def test_certify_nullspace_rejects_wrong_kernel():
     # two zero singular values: the kernel is too big to certify
-    fake = VMatrix(v=np.zeros((2, 2)), u=np.eye(2), sigma=np.zeros(2))
-    assert not certify_nullspace(fake)
+    assert not certify_nullspace(np.zeros((2, 2)))
     # single zero singular value but kernel direction far from the
     # consensus vector
-    u = np.eye(2)
-    fake2 = VMatrix(v=np.diag([0.0, 1.0]), u=u[:, ::-1], sigma=np.array([1.0, 0.0]))
-    assert not certify_nullspace(fake2)
+    assert not certify_nullspace(np.diag([0.0, 1.0]))
 
 
 # ------------------------------------------------------------- properties
@@ -101,6 +102,6 @@ def test_certify_nullspace_rejects_wrong_kernel():
 def test_v_certified_for_balanced_policies(n, seed, rule):
     g = random_connected_graph(n, 0.5, seed)
     m = build_metropolis(g) if rule == "metropolis" else build_averaging(g)
-    vm = compute_v(m)
-    assert certify_nullspace(vm)
-    assert np.abs(vm.v @ np.ones(n)).max() <= 1e-10
+    v, _ = factor(m)
+    assert certify_nullspace(v)
+    assert np.abs(v @ np.ones(n)).max() <= 1e-10

@@ -19,7 +19,6 @@ from decentopt import (
     build_averaging,
     build_error_dynamics,
     build_metropolis,
-    compute_v,
     decompose_b,
     diffusion_step_bound,
     extra_step_bound,
@@ -37,11 +36,12 @@ from decentopt import (
     two_agent_onset,
 )
 from decentopt import graphs, stability
+from decentopt.spectral import dual_factor
 from decentopt.algorithms import ENGINES, run
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 from oracles import (classify_run, dense_x, dense_x_inv, greedy_spectrum_gap,
-                     mismatch_decay_check, simulate_error_recursion)
+                     mismatch_decay_check, simulate_error_recursion, symmetric_root)
 from test_algorithms import reference_run
 
 
@@ -53,22 +53,24 @@ def two_agent_matrix(a):
 
 
 def test_b_matrix_block_structure():
+    # the averaging rule's factor is not symmetric, so V^T and V differ
     matrix = random_averaging(5, seed=0)
     perron = matrix.perron
-    vm = compute_v(matrix)
+    v = _factor(matrix)
+    assert np.abs(v - v.T).max() > 1e-3
     dyn = build_error_dynamics(matrix)
     n = 5
     abar = (np.eye(n) + matrix.a) / 2.0
-    pinv_v = vm.v / perron.p[:, None]
+    pinv_v = v / perron.p[:, None]
     expect = np.block([
         [abar.T, -pinv_v],
-        [vm.v @ abar.T, np.eye(n) - vm.v @ pinv_v],
+        [v.T @ abar.T, np.eye(n) - v.T @ pinv_v],
     ])
     assert np.abs(dyn.b - expect).max() <= 1e-14
     expect_td = np.block([[abar.T, np.zeros((n, n))],
-                          [vm.v @ abar.T, np.zeros((n, n))]])
+                          [v.T @ abar.T, np.zeros((n, n))]])
     expect_te = np.block([[np.eye(n), np.zeros((n, n))],
-                          [vm.v, np.zeros((n, n))]])
+                          [v.T, np.zeros((n, n))]])
     assert np.abs(dyn.t_d - expect_td).max() <= 1e-14
     assert np.abs(dyn.t_e - expect_te).max() <= 1e-14
 
@@ -125,20 +127,74 @@ def test_certificate_bounds_its_dense_pieces():
         assert np.linalg.norm(x_inv, 2) * pair.residual <= b_spectrum_residual(dyn)
 
 
+def _root_dynamics(dyn):
+    """`dyn` rebuilt on the paper's symmetric root V of S
+    (`oracles.symmetric_root`) in place of the library's factor: B, T_d and
+    T_e as `one_step_matrix` reads them."""
+    matrix = dyn.matrix
+    n, v = matrix.n, symmetric_root(matrix)
+    abar_t, pinv_v = matrix.abar.T, v / matrix.perron.p[:, np.newaxis]
+    b = np.block([[abar_t, -pinv_v], [v @ abar_t, np.eye(n) - v @ pinv_v]])
+    zeros = np.zeros((2 * n, n))
+    return SimpleNamespace(matrix=matrix, h=dyn.h, mu=None, b=b,
+                           t_d=np.hstack([b[:, :n], zeros]),
+                           t_e=np.hstack([np.vstack([np.eye(n), v]), zeros]))
+
+
+def _spectral_radius(dyn, engine, mu):
+    return float(np.abs(np.linalg.eigvals(one_step_matrix(dyn, engine, mu=mu))).max())
+
+
+def test_dual_factor_matches_the_symmetric_root():
+    """The factor B is built from, read back as V = -P B[:N, N:], has
+    V V^T = S and V 1 = 0, and is the symmetric root on doubly stochastic
+    matrices.  B and the root's B have one spectrum within the certified
+    radius, the same T norms, and one-step maps of the same spectral
+    radius, on random networks and on rings, paths and stars."""
+    networks = (_criterion_10_ensemble() + [random_averaging(n, seed=n) for n in (2, 10, 50)]
+                + [builder(network(n)) for network in (ring_graph, path_graph, star_graph)
+                   for n in (2, 10, 50) for builder in (build_metropolis, build_averaging)])
+    for matrix in networks:
+        n = matrix.n
+        dyn = build_error_dynamics(matrix, model=random_quadratic(n, 2, seed=n))
+        root = _root_dynamics(dyn)
+        v = -matrix.perron.p[:, np.newaxis] * dyn.b[:n, n:]
+        assert np.abs(v @ v.T - matrix.v_squared).max() <= 1e-14
+        assert np.linalg.norm(v @ np.ones(n)) <= 1e-12
+        if matrix.is_doubly_stochastic:
+            assert np.abs(v - symmetric_root(matrix)).max() <= 1e-12
+        radius = b_spectrum_residual(dyn)
+        assert greedy_spectrum_gap(dyn) <= radius
+        assert greedy_spectrum_gap(dyn, root.b) <= radius
+        blocks = matrix._error_blocks
+        assert blocks.t_d_norm == pytest.approx(np.linalg.norm(root.t_d, 2), rel=1e-12)
+        assert blocks.t_e_norm == pytest.approx(np.linalg.norm(root.t_e, 2), rel=1e-12)
+        for engine in ("exact_diffusion", "extra"):
+            for mu in (0.05, 1.0, 3.0):
+                rho = _spectral_radius(dyn, engine, mu)
+                assert abs(rho - _spectral_radius(root, engine, mu)) <= 1e-12 * max(1.0, rho)
+
+
 def _eigh(matrix):
     """The eigenpairs of P^{-1/2} A P^{1/2} that `_network_blocks` takes."""
     return np.linalg.eigh(graphs._symmetrized(matrix.a, matrix.perron.p))
 
 
-def _pair(matrix, b, v):
-    """The closed-form pair of `matrix` checked against b in place of B,
-    with v in place of V."""
-    return stability._closed_form_pair(b, *_eigh(matrix), matrix.perron.p, v)
+def _factor(matrix):
+    """The dual factor V that `_network_blocks` builds B from."""
+    return dual_factor(*_eigh(matrix), matrix.perron.p)[0]
 
 
-def _certificate(matrix, b, v):
-    """b_spectrum_residual of `_pair(matrix, b, v)`."""
-    blocks = SimpleNamespace(pair=_pair(matrix, b, v))
+def _pair(matrix, b):
+    """The closed-form pair of `matrix` checked against b in place of B."""
+    lam, u = _eigh(matrix)
+    p = matrix.perron.p
+    return stability._closed_form_pair(b, lam, u, p, dual_factor(lam, u, p)[1])
+
+
+def _certificate(matrix, b):
+    """b_spectrum_residual of `_pair(matrix, b)`."""
+    blocks = SimpleNamespace(pair=_pair(matrix, b))
     return b_spectrum_residual(SimpleNamespace(matrix=SimpleNamespace(_error_blocks=blocks)))
 
 
@@ -148,22 +204,22 @@ def test_certificate_rejects_a_wrong_b(kind):
     spectrum from the closed form: the certificate raises or exceeds
     1e-8.  At 1e-10 E the radius still covers the dense gap."""
     matrix = random_metropolis(8, seed=4)
-    v, n = matrix.vmat.v, matrix.n
+    n = matrix.n
     error = np.random.default_rng(1).standard_normal((2 * n, 2 * n))
     if kind == "perturbed V":
-        v = v * (1.0 + 1e-6)
+        v = _factor(matrix) * (1.0 + 1e-6)
         abar_t, pinv_v = matrix.abar.T, v / matrix.perron.p[:, np.newaxis]
-        b = np.block([[abar_t, -pinv_v], [v @ abar_t, np.eye(n) - v @ pinv_v]])
+        b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
     else:
         b = matrix._error_blocks.b + 1e-6 * error
     try:
-        assert _certificate(matrix, b, v) > 1e-8
+        assert _certificate(matrix, b) > 1e-8
     except SpectralError:
         pass
     b = matrix._error_blocks.b + 1e-10 * error
     dyn = build_error_dynamics(matrix)
-    assert greedy_spectrum_gap(dyn, b) <= _certificate(matrix, b, matrix.vmat.v)
-    pair = _pair(matrix, b, matrix.vmat.v)
+    assert greedy_spectrum_gap(dyn, b) <= _certificate(matrix, b)
+    pair = _pair(matrix, b)
     x = dense_x(pair)
     assert np.linalg.norm(b @ x - x * pair.d) <= pair.residual
 
@@ -210,10 +266,8 @@ def test_decompose_canonical_vectors_and_reconstruction():
 
 def test_decompose_rejects_extra_unit_eigenvalues():
     matrix = random_metropolis(2, seed=0)
-    perron = matrix.perron
-    vm = compute_v(matrix)
     with pytest.raises(SpectralError):
-        stability._closed_form_pair(np.eye(4), *_eigh(matrix), perron.p, vm.v)
+        _pair(matrix, np.eye(4))
 
 
 @pytest.mark.parametrize("rows, cols, kind", [(0, 0, "random"), (0, 1, "random"),
@@ -235,7 +289,7 @@ def test_eigenpair_check_reads_every_block_of_b(rows, cols, kind):
         error = np.outer(np.eye(n)[0], np.ones(n))
     b[rows * n:(rows + 1) * n, cols * n:(cols + 1) * n] += 1e-6 * error
     with pytest.raises(SpectralError, match="eigenpair residual"):
-        _pair(matrix, b, matrix.vmat.v)
+        _pair(matrix, b)
 
 
 def test_single_agent_degenerates_cleanly():
@@ -397,12 +451,12 @@ def test_norm_comparison_closed_forms():
     for n in range(2, 9):
         matrix = random_metropolis(n, seed=n)
         perron = matrix.perron
-        vm = compute_v(matrix)
+        root = symmetric_root(matrix)
         t_d, t_e = diffusion_step_bound(matrix).t_norm, extra_step_bound(matrix).t_norm
         lam_n = perron.lambdaN
         assert t_e ** 2 == pytest.approx((2 * n + 1 - lam_n) / (2 * n), abs=1e-10)
         assert t_e ** 2 == pytest.approx(
-            np.linalg.eigvalsh(np.eye(n) + vm.v @ vm.v).max(), abs=1e-12)
+            np.linalg.eigvalsh(np.eye(n) + root @ root).max(), abs=1e-12)
         # dual route: the closed forms equal the actual operator norms
         dyn = build_error_dynamics(matrix)
         assert t_d == pytest.approx(np.linalg.norm(dyn.t_d, 2), abs=1e-12)
@@ -481,13 +535,12 @@ def test_two_agent_lifted_matrix_oracle():
     # [[(1-m) Abar, -2V], [(1-m) V Abar, Abar]] because I - 2 V^2 = Abar
     a_val = 0.5
     matrix = two_agent_matrix(a_val)
-    vm = compute_v(matrix)
     model = mse_quadratic_model(2, 1, [[[1.0]], [[1.0]]], [[0.3], [-0.4]])
     steps = StepSizes.uniform(0.8, 2)
     dyn = build_error_dynamics(matrix, model=model, steps=steps)
     q = one_step_matrix(dyn, "exact_diffusion")
     abar = (np.eye(2) + matrix.a) / 2.0
-    v = vm.v
+    v = symmetric_root(matrix)
     assert np.abs(np.eye(2) - 2 * (v @ v) - abar).max() <= 1e-12
     m = 0.8
     expect = np.block([
@@ -818,9 +871,10 @@ def test_scan_bracket_straddles_the_spectral_onset(engine, seed):
 def test_one_spectral_setup_per_matrix(monkeypatch):
     """Every consumer of one balanced matrix shares its spectral setup:
     one bordered solve for p, one symmetric eigendecomposition of
-    P^-1/2 A P^1/2, one more for V, and a single decomposition of B.  No
-    array goes through a nonsymmetric eigensolver, no 2N x 2N array is
-    2-normed or SVD'd, and the cached blocks keep B as their only array."""
+    P^-1/2 A P^1/2, from which V comes too (none of S), and a single
+    decomposition of B.  No array goes through a nonsymmetric
+    eigensolver, no 2N x 2N array is 2-normed or SVD'd, and the cached
+    blocks keep B as their only array."""
     n = 6
     calls = {"decompose": 0}
     factored, solved, dense_eig, eigh_args = [], [], [], []
@@ -871,12 +925,11 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     assert b_spectrum_residual(build_error_dynamics(matrix)) <= 1e-8
     assert calls == {"decompose": 1}
     a_tilde = graphs._symmetrized(matrix.a, perron.p)
-    assert len(eigh_args) == 2
-    assert sum(np.array_equal(x, a_tilde) for x in eigh_args) == 1
-    assert sum(np.array_equal(x, matrix.v_squared) for x in eigh_args) == 1
+    assert len(eigh_args) == 1
+    assert np.array_equal(eigh_args[0], a_tilde)
     blocks = matrix._error_blocks
     assert [k for k, v in vars(blocks).items() if isinstance(v, np.ndarray)] == ["b"]
-    assert not any(hasattr(blocks, name) for name in ("t_d", "t_e", "u", "vmat"))
+    assert not any(hasattr(blocks, name) for name in ("t_d", "t_e", "u", "v"))
     assert solved.count((n, n)) == 1
     assert dense_eig == []
     assert matrix.perron is perron
