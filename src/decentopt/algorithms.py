@@ -32,10 +32,10 @@ adaptive_exact_diffusion  exact diffusion with step sizes retuned each
 
 The adaptive engine never forms (A^T)^i.  A balanced A is diagonally
 similar to the symmetric At = P^{-1/2} A P^{1/2}, so with At = U diag(lam)
-U^T the estimate is diag((A^T)^i) = diag(At^i) = (U o U) lam^i.  One
-symmetric eigendecomposition per loop gives lam and U o U; the state
-carries the powers z = lam^i, and each step costs z <- z o lam and one
-matrix-vector product.
+U^T the estimate is diag((A^T)^i) = diag(At^i) = (U o U) lam^i.  The
+matrix caches lam and U (`_eigh`), for every run and scan over it and its
+error dynamics; the state carries the powers z = lam^i, and each step
+costs z <- z o lam and one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .costs import CostModel, GroundTruth, solve_centralized
-from .graphs import CombinationMatrix, _symmetrized, check_balanced, matrix_from_array
+from .graphs import CombinationMatrix, check_balanced, matrix_from_array
 
 DIVERGENCE_CAP = 1e12
 
@@ -294,21 +294,12 @@ def _engine_context(engine: str, model: CostModel, matrix: CombinationMatrix,
 
 
 def _perron_modes(matrix: CombinationMatrix):
-    """(lam, U o U) of At = P^{-1/2} A P^{1/2} = U diag(lam) U^T for a balanced
-    A, so that diag((A^T)^i) = (U o U) lam^i.  The unit mode, last in
-    ascending order, is set to exactly lam = 1 with column p, so the
-    estimate tends to p exactly.  LAPACK's `syev` overwrites At (its own
-    transpose, so F-ordered) with U, which is squared in place: the
-    eigensolve adds no N x N array.  numpy has no in-place `syev`, so
-    `scipy.linalg` is imported here, with the first adaptive run or scan,
-    and not with the package."""
-    import scipy.linalg
-
-    p = matrix.perron.p
-    lam, uu = scipy.linalg.eigh(_symmetrized(matrix.a, p).T, overwrite_a=True,
-                                check_finite=False, driver="ev")
-    np.square(uu, out=uu)
-    lam[-1], uu[:, -1] = 1.0, p
+    """(lam, U o U) from the matrix's cached At = U diag(lam) U^T (`_eigh`),
+    so that diag((A^T)^i) = (U o U) lam^i.  The unit mode, last, is set to
+    exactly lam = 1 with column p, so the estimate tends to p exactly."""
+    lam, u = matrix._eigh
+    lam, uu = lam.copy(), u * u
+    lam[-1], uu[:, -1] = 1.0, matrix.perron.p
     return lam, uu
 
 

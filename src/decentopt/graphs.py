@@ -7,12 +7,12 @@ a[l, k] is the weight agent k applies to data arriving from agent l.
 A CombinationMatrix is immutable and computes its spectral setup once,
 at construction: the Perron vector p from one bordered linear solve, the
 balance residual, and the eigenvalues of A, from one `eigvalsh` of
-P^{-1/2} A P^{1/2} when A is balanced.  The spectrum summary (lambda2,
+At = P^{-1/2} A P^{1/2} when A is balanced.  The spectrum summary (lambda2,
 lambdaN, rhoA) sits with p in `perron`.  S = (P - A P)/2 in `v_squared`,
 (I + A)/2 in `abar`, the engines' operators (CSR on a large sparse
-network) in `_combine_ops` and `_dual_op`, and the error-recursion blocks
-of `stability`, with its dual factor V (V V^T = S), are computed on first
-use.
+network) in `_combine_ops` and `_dual_op`, the eigenpairs of At in `_eigh`
+(shared by the adaptive engine and `stability`), and the error-recursion
+blocks, with their dual factor V (V V^T = S), are computed on first use.
 
 Connectivity is tested with numpy alone: a graph's by a component search
 over its edge array (`_components`), and the strong connectivity of a
@@ -104,7 +104,9 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         doc = json.loads(text)
-        return cls(int(doc["n"]), doc["edges"])
+        if type(doc["n"]) is not int:  # a float, a string or a bool is not
+            raise GraphError(f"n must be an integer, got {doc['n']!r}")
+        return cls(doc["n"], doc["edges"])
 
 
 def _connected(n: int, ij: np.ndarray) -> bool:
@@ -184,8 +186,9 @@ class CombinationMatrix:
     `_perron_vector`), the balance residual that `check_balanced` reports,
     and the eigenvalues of A.  A balanced A is similar to the symmetric
     At = P^{-1/2} A P^{1/2}, so its eigenvalues come, ascending and with
-    the unit one last, from one values-only `eigvalsh` of At; `stability`
-    alone needs its eigenvectors, from one `eigh` in `_error_blocks`.  An
+    the unit one last, from one values-only `eigvalsh` of At; its
+    eigenvectors, which only the error blocks of `stability` and the
+    adaptive engine read, come from one cached `eigh` (`_eigh`).  An
     unbalanced A (only a raw array can be one) gets a nonsymmetric
     `eigvals` and no eigenvectors.  `a` is a read-only copy, so the
     cached spectral data cannot go stale.
@@ -304,6 +307,14 @@ class CombinationMatrix:
         """`v_squared` as the primal-dual engines apply it, on the same path
         as `_combine_ops`."""
         return self._operator(self.v_squared)
+
+    @cached_property
+    def _eigh(self) -> tuple:
+        """(lam, U) of a balanced matrix's At = U diag(lam) U^T, read-only,
+        ascending with the unit eigenvalue last, from one `eigh` on first use."""
+        lam, u = np.linalg.eigh(_symmetrized(self.a, self.perron.p))
+        lam.flags.writeable = u.flags.writeable = False
+        return lam, u
 
     @cached_property
     def _error_blocks(self):

@@ -26,8 +26,7 @@ import numpy as np
 
 from .algorithms import ENGINE_SPECS, StepSizes, _iterate
 from .costs import CostModel, QuadraticModel, solve_centralized
-from .graphs import (CombinationMatrix, SpectralError, _symmetrized, check_balanced,
-                     matrix_from_array)
+from .graphs import CombinationMatrix, SpectralError, check_balanced, matrix_from_array
 from .spectral import dual_factor
 
 EIGENPAIR_TOL = 1e-8
@@ -39,15 +38,14 @@ SPECULATION_DEPTH = 3
 @dataclass(frozen=True)
 class _Blocks:
     """B for one matrix, the closed-form decomposition of B
-    (`_closed_form_pair`) and the spectral norms of T_d and T_e, all
-    computed in one pass by `_network_blocks`.  It holds results only,
-    with no reference to the matrix that caches it, so it makes no
-    reference cycle and is freed with the matrix."""
+    (`_closed_form_pair`) and the spectral norm of T_d, all computed in one
+    pass by `_network_blocks`.  It holds results only, with no reference to
+    the matrix that caches it, so it makes no reference cycle and is freed
+    with the matrix."""
 
     b: np.ndarray
     pair: SpectralPair
     t_d_norm: float
-    t_e_norm: float
 
 
 def _two_norm(m: np.ndarray) -> float:
@@ -60,25 +58,22 @@ def _two_norm(m: np.ndarray) -> float:
 
 def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     """The blocks of `CombinationMatrix._error_blocks` of a balanced matrix
-    (else ValueError), from its own Perron vector and one `eigh` of
-    At = P^{-1/2} A P^{1/2}, whose eigenpairs give V (`dual_factor`) and the
-    closed-form pair, from N x N pieces only: ||T_d|| is the largest
-    singular value of B's first N columns, and ||T_e||^2 = ||I + V V^T|| =
-    1 + lambda_max(S)."""
+    (else ValueError), from its Perron vector and its cached eigenpairs of
+    At = P^{-1/2} A P^{1/2} (`_eigh`), which give V (`dual_factor`) and the
+    closed-form pair; ||T_d|| is the largest singular value of B[:, :N]."""
     balanced, violation = check_balanced(matrix)
     if not balanced:
         raise ValueError(f"combination matrix is not balanced (violation {violation:.3e})")
     n = matrix.n
     abar_t = matrix.abar.T
     p = matrix.perron.p
-    lam, u = np.linalg.eigh(_symmetrized(matrix.a, p))
+    lam, u = matrix._eigh
     v, hu = dual_factor(lam, u, p)
     pinv_v = v / p[:, np.newaxis]
     b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
     b.flags.writeable = False
     return _Blocks(b=b, pair=_closed_form_pair(b, lam, u, p, hu),
-                   t_d_norm=_two_norm(b[:, :n].T),
-                   t_e_norm=float(np.sqrt(1.0 + np.linalg.eigvalsh(matrix.v_squared)[-1])))
+                   t_d_norm=_two_norm(b[:, :n].T))
 
 
 @dataclass
@@ -114,10 +109,10 @@ def build_error_dynamics(matrix, model: CostModel = None,
                          steps: StepSizes = None) -> ErrorDynamics:
     """Assemble the error dynamics of a balanced combination matrix.
 
-    B, its decomposition and the norms of T_d and T_e are computed here,
-    once per matrix, and shared.  model/steps are optional; they are only
-    needed later by one_step_matrix, which requires constant Hessians
-    (quadratic costs).
+    B, its decomposition and the norm of T_d are computed here, once per
+    matrix, and shared.  model/steps are optional; they are only needed
+    later by one_step_matrix, which requires constant Hessians (quadratic
+    costs).
     """
     matrix = matrix_from_array(matrix)
     h = None
@@ -347,7 +342,7 @@ class StabilityBound:
 
 
 def _assemble_bound(engine: str, matrix: CombinationMatrix, sigma11: float,
-                    nu: float, delta: float) -> StabilityBound:
+                    nu: float, delta: float, t_norm: float) -> StabilityBound:
     if matrix.n < 2:
         raise ValueError("stability bounds need at least two agents")
     if not 0 < nu <= delta:
@@ -355,7 +350,6 @@ def _assemble_bound(engine: str, matrix: CombinationMatrix, sigma11: float,
     perron, blocks = matrix.perron, matrix._error_blocks
     lam = float(np.sqrt((1.0 + perron.lambda2) / 2.0))
     p_max = float(perron.p.max())
-    t_norm = getattr(blocks, ENGINE_SPECS[engine].error_map + "_norm")
     norm_r, norm_l = blocks.pair.norm_r, blocks.pair.norm_l
     alpha = norm_l * t_norm * norm_r
     # at the optimal c the two cross couplings coincide:
@@ -398,7 +392,8 @@ def diffusion_step_bound(matrix, tau=None, nu: float = 1.0, delta: float = 1.0,
     if not 0 <= k_o < n:
         raise ValueError("k_o out of range")
     return _assemble_bound("exact_diffusion", matrix,
-                           float(matrix.perron.p[k_o] * tau[k_o] * nu), nu, delta)
+                           float(matrix.perron.p[k_o] * tau[k_o] * nu), nu, delta,
+                           matrix._error_blocks.t_d_norm)
 
 
 def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBound:
@@ -406,12 +401,14 @@ def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBo
     variant whose gradient enters outside the combine (T_e route).
 
     sigma11 = nu / N here, and the bound reads
-    mu_bound = nu (1 - lam) / (2 sqrt(N) alpha_e delta^2).
+    mu_bound = nu (1 - lam) / (2 sqrt(N) alpha_e delta^2).  Here S = (I - A)/(2N),
+    so ||T_e||^2 = ||I + V V^T|| = 1 + lambda_max(S) = 1 + (1 - lambda_N)/(2N).
     """
     matrix = matrix_from_array(matrix)
     if not matrix.is_symmetric_doubly_stochastic:
         raise ValueError("this bound needs a symmetric doubly stochastic matrix")
-    return _assemble_bound("extra", matrix, float(nu / matrix.n), nu, delta)
+    t_norm = np.sqrt(1.0 + (1.0 - matrix.perron.lambdaN) / (2.0 * matrix.n))
+    return _assemble_bound("extra", matrix, float(nu / matrix.n), nu, delta, t_norm)
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,22 @@ def test_graph_and_matrix_file_routes(tmp_path):
     assert (out / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n, edges", [("abc", [[0, 1], [1, 2]]), (3.7, [[0, 1], [1, 2]]),
+                                      (True, [])])
+def test_graph_file_agent_count_must_be_an_integer(tmp_path, capsys, n, edges):
+    # these used to exit 1 with a traceback, truncate to 3 agents, and
+    # read as 1 agent (with a report written), respectively
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps({"n": n, "edges": edges}))
+    cfg = write_config(tmp_path, {"graph": {"kind": "file", "path": str(gpath)},
+                                  "matrix": {"rule": "metropolis"}})
+    out = tmp_path / "x"
+    assert run_cli(["analyze", "--config", cfg, "--out", out]) == 2
+    assert (f"config error at graph.path: bad graph file: n must be an integer, got {n!r}"
+            in capsys.readouterr().err)
+    assert not (out / "analysis.json").exists()
+
+
 # ---------------------------------------------------------------- scan
 
 
@@ -806,19 +822,24 @@ def loaded_features(step) -> set:
 def test_import_and_light_commands_leave_scipy_unloaded(tmp_path):
     """No module of the package imports scipy at module level: after
     `import decentopt.cli`, which imports every module, no scipy module is
-    loaded.  An analyze at N=100 and a dense non-adaptive run and scan at
-    N=20 load none of scipy.sparse, scipy.linalg and scipy.special."""
+    loaded.  An analyze at N=100 and dense runs and scans at N=20, adaptive
+    ones included, load none of scipy.sparse, scipy.linalg and
+    scipy.special."""
     run_cfg = base_run_config(max_iters=2000)
     run_cfg["graph"].update(n=20, edge_probability=0.3)
-    scan_cfg = {"seed": 4, "graph": {"kind": "random", "n": 20, "edge_probability": 0.6},
-                "matrix": {"rule": "metropolis"},
-                "model": {"kind": "least_squares", "dim": 3, "samples_per_agent": 10},
-                "scan": {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.2,
-                         "points": 4, "max_iters": 500, "stop": 1e-10}}
+    adaptive_run_cfg = base_run_config(engine="adaptive_exact_diffusion", max_iters=200)
+    adaptive_run_cfg["graph"].update(n=20, edge_probability=0.3)
+    scan_cfgs = [{"seed": 4, "graph": {"kind": "random", "n": 20, "edge_probability": 0.6},
+                  "matrix": {"rule": "metropolis"},
+                  "model": {"kind": "least_squares", "dim": 3, "samples_per_agent": 10},
+                  "scan": {"engine": engine, "mu_min": 0.01, "mu_max": 0.2,
+                           "points": 4, "max_iters": 500, "stop": 1e-10}}
+                 for engine in ("exact_diffusion", "adaptive_exact_diffusion")]
     analyze_cfg = {"seed": 3, "graph": {"kind": "random", "n": 100, "edge_probability": 0.1},
                    "matrix": {"rule": "metropolis"}}
     report = scipy_probe(tmp_path, [("analyze", analyze_cfg), ("run", run_cfg),
-                                    ("stability-scan", scan_cfg)])
+                                    ("run", adaptive_run_cfg)]
+                         + [("stability-scan", cfg) for cfg in scan_cfgs])
     modules = {p.stem for p in Path(decentopt.__file__).parent.glob("*.py")} - {"__init__"}
     assert {f"decentopt.{m}" for m in modules} <= set(report[0]["decentopt"])
     assert report[0]["scipy"] == []
@@ -827,9 +848,10 @@ def test_import_and_light_commands_leave_scipy_unloaded(tmp_path):
         assert loaded_features(step) == set()
 
 
-def test_csr_and_adaptive_paths_load_scipy_on_first_use(tmp_path):
+def test_csr_path_loads_scipy_sparse_alone(tmp_path):
     """A sparse run at N=200 takes the CSR path and loads scipy.sparse alone;
-    an adaptive run then loads scipy.linalg for its eigensolve."""
+    an adaptive run then loads nothing more: its eigendecomposition is
+    numpy's."""
     sparse_cfg = base_run_config(max_iters=100)
     sparse_cfg["graph"].update(n=200, edge_probability=0.05)
     adaptive_cfg = base_run_config(engine="adaptive_exact_diffusion", max_iters=200)
@@ -838,4 +860,4 @@ def test_csr_and_adaptive_paths_load_scipy_on_first_use(tmp_path):
     assert sparse["exit"] == 0 and sparse["csr"] > 0
     assert loaded_features(sparse) == {"scipy.sparse"}
     assert adaptive["exit"] == 0 and adaptive["csr"] == sparse["csr"]
-    assert loaded_features(adaptive) == {"scipy.sparse", "scipy.linalg"}
+    assert loaded_features(adaptive) == {"scipy.sparse"}

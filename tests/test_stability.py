@@ -35,7 +35,7 @@ from decentopt import (
     two_agent_case,
     two_agent_onset,
 )
-from decentopt import graphs, stability
+from decentopt import algorithms, graphs, stability
 from decentopt.spectral import dual_factor
 from decentopt.algorithms import ENGINES, run
 
@@ -166,9 +166,13 @@ def test_dual_factor_matches_the_symmetric_root():
         radius = b_spectrum_residual(dyn)
         assert greedy_spectrum_gap(dyn) <= radius
         assert greedy_spectrum_gap(dyn, root.b) <= radius
-        blocks = matrix._error_blocks
-        assert blocks.t_d_norm == pytest.approx(np.linalg.norm(root.t_d, 2), rel=1e-12)
-        assert blocks.t_e_norm == pytest.approx(np.linalg.norm(root.t_e, 2), rel=1e-12)
+        t_d_norm = matrix._error_blocks.t_d_norm
+        assert t_d_norm == pytest.approx(np.linalg.norm(root.t_d, 2), rel=1e-12)
+        if matrix.is_symmetric_doubly_stochastic:
+            assert abs(t_d_norm - 1.0) <= 1e-14
+            t_e_norm = extra_step_bound(matrix).t_norm
+            for t_e in (dyn.t_e, root.t_e):
+                assert t_e_norm == pytest.approx(np.linalg.norm(t_e, 2), rel=1e-12)
         for engine in ("exact_diffusion", "extra"):
             for mu in (0.05, 1.0, 3.0):
                 rho = _spectral_radius(dyn, engine, mu)
@@ -302,8 +306,7 @@ def test_single_agent_degenerates_cleanly():
         diffusion_step_bound(m1)
     with pytest.raises(ValueError):
         extra_step_bound(m1)
-    blocks = m1._error_blocks
-    assert (blocks.t_d_norm, blocks.t_e_norm) == (1.0, 1.0)
+    assert (m1._error_blocks.t_d_norm, np.linalg.norm(dyn.t_e, 2)) == (1.0, 1.0)
 
 
 ENTRY_POINTS = {
@@ -871,14 +874,17 @@ def test_scan_bracket_straddles_the_spectral_onset(engine, seed):
 def test_one_spectral_setup_per_matrix(monkeypatch):
     """Every consumer of one balanced matrix shares its spectral setup:
     one bordered solve for p, one symmetric eigendecomposition of
-    P^-1/2 A P^1/2, from which V comes too (none of S), and a single
-    decomposition of B.  No array goes through a nonsymmetric
-    eigensolver, no 2N x 2N array is 2-normed or SVD'd, and the cached
-    blocks keep B as their only array."""
+    P^-1/2 A P^1/2, cached by the matrix, from which V, the closed-form
+    pair and the adaptive engine's Perron estimates all come (no eigh of
+    S, no eigvalsh of S for ||T_e||), and a single decomposition of B.  No
+    array goes through a nonsymmetric eigensolver, no 2N x 2N array is
+    2-normed or SVD'd, and the cached blocks keep B as their only array."""
     n = 6
     calls = {"decompose": 0}
-    factored, solved, dense_eig, eigh_args = [], [], [], []
+    factored, solved, dense_eig, eigh_args, eigvalsh_args = [], [], [], [], []
+    pair_args, modes = [], []
     eigh, closed_form = np.linalg.eigh, stability._closed_form_pair
+    eigvalsh, perron_modes = np.linalg.eigvalsh, algorithms._perron_modes
     norm, svd, scipy_svd = np.linalg.norm, np.linalg.svd, scipy.linalg.svd
 
     def recorded(fn, shapes):
@@ -896,11 +902,22 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
         eigh_args.append(np.array(x))
         return eigh(x, *args, **kwargs)
 
+    def counted_eigvalsh(x, *args, **kwargs):
+        eigvalsh_args.append(np.array(x))
+        return eigvalsh(x, *args, **kwargs)
+
     def counted_closed_form(*args):
         calls["decompose"] += 1
+        pair_args.append(args)
         return closed_form(*args)
 
+    def recorded_modes(matrix):
+        modes.append(perron_modes(matrix))
+        return modes[-1]
+
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(algorithms, "_perron_modes", recorded_modes)
     monkeypatch.setattr(stability, "_closed_form_pair", counted_closed_form)
     monkeypatch.setattr(np.linalg, "solve", recorded(np.linalg.solve, solved))
     for module, name in ((np.linalg, "eig"), (np.linalg, "eigvals"),
@@ -915,7 +932,10 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, perron.p, 0.01),
         max_iters=20)
     run("extra", model, matrix, StepSizes.uniform(0.05, n), max_iters=20)
+    run("adaptive_exact_diffusion", model, matrix,
+        StepSizes.from_weights(model.q, perron.p, 0.01), max_iters=20)
     stability_scan("exact_diffusion", model, matrix, [0.01, 0.05], max_iters=20)
+    stability_scan("adaptive_exact_diffusion", model, matrix, [0.01, 0.05], max_iters=20)
     build_error_dynamics(matrix)
     diffusion_step_bound(matrix)
     extra_step_bound(matrix)
@@ -927,7 +947,17 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     a_tilde = graphs._symmetrized(matrix.a, perron.p)
     assert len(eigh_args) == 1
     assert np.array_equal(eigh_args[0], a_tilde)
+    assert not any(np.array_equal(x, matrix.v_squared) for x in eigvalsh_args)
+    # the closed-form pair and both adaptive loops read the cached eigenpairs
+    lam, u = matrix._eigh
+    assert pair_args[0][1] is lam and pair_args[0][2] is u
+    assert len(modes) == 2
+    for lam_i, uu in modes:
+        assert np.array_equal(lam_i[:-1], lam[:-1]) and lam_i[-1] == 1.0
+        assert np.array_equal(uu[:, :-1], u[:, :-1] ** 2)
+        assert np.array_equal(uu[:, -1], perron.p)
     blocks = matrix._error_blocks
+    assert list(vars(blocks)) == ["b", "pair", "t_d_norm"]
     assert [k for k, v in vars(blocks).items() if isinstance(v, np.ndarray)] == ["b"]
     assert not any(hasattr(blocks, name) for name in ("t_d", "t_e", "u", "v"))
     assert solved.count((n, n)) == 1
@@ -1050,19 +1080,24 @@ def random_graph(n):
                                             (complete_graph, (2, 3, 8, 40)),
                                             (random_graph, (2, 6, 23, 60))])
 def test_closed_form_norms_match_the_dense_oracle(network, sizes, builder):
-    """||X_R||, ||X_L||, ||T_d|| and ||T_e|| from N-row pieces equal the
-    2-norms of the dense 2N matrices.  Rings, stars and complete graphs
-    repeat eigenvalues, so the eigensolver's basis of an eigenspace is
-    arbitrary; the dense X it gives must still diagonalize B."""
+    """||X_R||, ||X_L|| and ||T_d|| from N-row pieces, and the closed-form
+    ||T_e|| of a symmetric doubly stochastic matrix, equal the 2-norms of
+    the dense 2N matrices.  For such a matrix ||T_d|| = 1: its square is
+    max over the eigenvalues lam of A of ((1 + lam)/2)^2 (1 + (1 - lam)/(2N)),
+    which increases on [-1, 1].  Rings, stars and complete graphs repeat
+    eigenvalues, so the eigensolver's basis of an eigenspace is arbitrary;
+    the dense X it gives must still diagonalize B."""
     def rel(closed, dense):
         return abs(closed - dense) / dense
 
     for n in sizes:
         matrix = builder(network(n))
         dyn = build_error_dynamics(matrix)
-        blocks = matrix._error_blocks
-        assert rel(blocks.t_d_norm, np.linalg.norm(dyn.t_d, 2)) <= 1e-12
-        assert rel(blocks.t_e_norm, np.linalg.norm(dyn.t_e, 2)) <= 1e-12
+        t_d_norm = matrix._error_blocks.t_d_norm
+        assert rel(t_d_norm, np.linalg.norm(dyn.t_d, 2)) <= 1e-12
+        if matrix.is_symmetric_doubly_stochastic:
+            assert abs(t_d_norm - 1.0) <= 1e-14
+            assert rel(extra_step_bound(matrix).t_norm, np.linalg.norm(dyn.t_e, 2)) <= 1e-12
         pair = decompose_b(dyn)
         x, x_inv = dense_x(pair), dense_x_inv(pair)
         assert rel(pair.norm_r, np.linalg.norm(x[:, 2:], 2)) <= 1e-12
