@@ -30,12 +30,10 @@ adaptive_exact_diffusion  exact diffusion with step sizes retuned each
                           iteration from the power-iteration estimate
                           diag((A^T)^i) of the Perron vector
 
-The adaptive engine never forms (A^T)^i.  A balanced A is diagonally
-similar to the symmetric At = P^{-1/2} A P^{1/2}, so with At = U diag(lam)
-U^T the estimate is diag((A^T)^i) = diag(At^i) = (U o U) lam^i.  The
-matrix caches lam and U (`_eigh`), for every run and scan over it and its
-error dynamics; the state carries the powers z = lam^i, and each step
-costs z <- z o lam and one matrix-vector product.
+The adaptive engine never forms (A^T)^i: with the matrix's cached
+At = P^{-1/2} A P^{1/2} = U diag(lam) U^T the estimate is diag((A^T)^i) =
+(U o U) lam^i, so the state carries z = lam^i and a step costs z <- z o lam
+and one matrix-vector product.
 """
 
 from __future__ import annotations

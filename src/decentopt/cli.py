@@ -71,6 +71,12 @@ def _failures_at(path: str):
         raise ConfigError(path, str(exc))
 
 
+def _artifact(outdir: Path, name: str) -> Path:
+    """outdir / name, creating outdir with the first artifact written."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -301,8 +307,8 @@ def _cmd_run(cfg: dict, outdir: Path, seed) -> int:
     with _failures_at("run"):
         result = run(engine, model, matrix, steps, max_iters=max_iters,
                      stop=stop, w0=w0)
-    write_trace_csv(outdir / "trace.csv", result.records)
-    write_status_json(outdir / "trace.json", result)
+    write_trace_csv(_artifact(outdir, "trace.csv"), result.records)
+    write_status_json(_artifact(outdir, "trace.json"), result)
     return 0
 
 
@@ -325,11 +331,11 @@ def _cmd_scan(cfg: dict, outdir: Path, seed) -> int:
     grid = (np.geomspace if log_spacing else np.linspace)(mu_min, mu_max, points)
     with _failures_at("scan"):
         result = stability_scan(engine, model, matrix, grid, max_iters=max_iters, stop=stop)
-    with open(outdir / "scan.csv", "w") as fh:
+    with open(_artifact(outdir, "scan.csv"), "w") as fh:
         fh.write("mu,algorithm,status\n")
         for mu, cls in zip(result.mus, result.classifications):
             fh.write(f"{mu:.17g},{engine},{cls}\n")
-    _write_json(outdir / "scan.json", {
+    _write_json(_artifact(outdir, "scan.json"), {
         "engine": engine,
         "mu_stable": result.mu_stable,
         "mu_unstable": result.mu_unstable,
@@ -376,7 +382,7 @@ def _cmd_analyze(cfg: dict, outdir: Path, seed) -> int:
                 e_bound = extra_step_bound(matrix, nu, delta)
                 report.update(alpha_e=e_bound.alpha, mu_bound_extra=e_bound.mu_bound,
                               t_d_norm=d_bound.t_norm, t_e_norm=e_bound.t_norm)
-    _write_json(outdir / "analysis.json", report)
+    _write_json(_artifact(outdir, "analysis.json"), report)
     return 0
 
 
@@ -404,7 +410,7 @@ def _cmd_two_agent(cfg: dict, outdir: Path, seed) -> int:
         "onset_diffusion": onset_d,
         "onset_extra": onset_e,
     }
-    _write_json(outdir / "two_agent.json", payload)
+    _write_json(_artifact(outdir, "two_agent.json"), payload)
     return 0
 
 
@@ -443,9 +449,7 @@ def main(argv=None) -> int:
         cfg = _load_json(args.config)
         where, seed = ("--seed", args.seed) if args.seed is not None else ("seed", cfg.get("seed"))
         seed = _seed_field({} if seed is None else {where: seed}, "", where, default=None)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, outdir, seed)
+        return _COMMANDS[args.command](cfg, Path(args.out), seed)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2

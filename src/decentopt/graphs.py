@@ -4,15 +4,12 @@ Agents are the nodes of an undirected connected graph.  A combination
 matrix A is nonnegative and left-stochastic (columns sum to one); entry
 a[l, k] is the weight agent k applies to data arriving from agent l.
 
-A CombinationMatrix is immutable and computes its spectral setup once,
-at construction: the Perron vector p from one bordered linear solve, the
-balance residual, and the eigenvalues of A, from one `eigvalsh` of
-At = P^{-1/2} A P^{1/2} when A is balanced.  The spectrum summary (lambda2,
-lambdaN, rhoA) sits with p in `perron`.  S = (P - A P)/2 in `v_squared`,
-(I + A)/2 in `abar`, the engines' operators (CSR on a large sparse
-network) in `_combine_ops` and `_dual_op`, the eigenpairs of At in `_eigh`
-(shared by the adaptive engine and `stability`), and the error-recursion
-blocks, with their dual factor V (V V^T = S), are computed on first use.
+A CombinationMatrix is immutable and computes its spectral setup once, at
+construction (see the class).  S = (P - A P)/2 (`v_squared`), (I + A)/2
+(`abar`), the engines' operators, the eigenpairs of At = P^{-1/2} A P^{1/2}
+(`_eigh`), the error-recursion blocks, which read only Abar, p and those
+eigenpairs, and the dense B with its dual factor V (`_b`) are computed on
+first use.
 
 Connectivity is tested with numpy alone: a graph's by a component search
 over its edge array (`_components`), and the strong connectivity of a
@@ -72,8 +69,11 @@ class Graph:
         if self.n < 1:
             raise GraphError(f"agent count must be positive, got {self.n}")
         edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
-        try:
-            ij = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        try:  # integers only: no float, string or bool is truncated to an index
+            ij = np.asarray(edges)
+            if ij.size and ij.dtype.kind not in "iu":
+                raise TypeError
+            ij = ij.astype(np.int64, copy=False).reshape(len(edges), 2)
         except (TypeError, ValueError):
             raise GraphError("edges must be (i, j) pairs of agent indices") from None
         ij = np.sort(ij, axis=1)
@@ -181,17 +181,14 @@ class CombinationMatrix:
 
     Validated at construction: nonnegativity, column sums, sparsity that
     respects the graph, and primitivity (a single eigenvalue on the unit
-    circle, located at 1, with at least one positive self-weight).  The
-    spectral setup is computed there too, once: `perron` (see
-    `_perron_vector`), the balance residual that `check_balanced` reports,
-    and the eigenvalues of A.  A balanced A is similar to the symmetric
-    At = P^{-1/2} A P^{1/2}, so its eigenvalues come, ascending and with
-    the unit one last, from one values-only `eigvalsh` of At; its
-    eigenvectors, which only the error blocks of `stability` and the
-    adaptive engine read, come from one cached `eigh` (`_eigh`).  An
-    unbalanced A (only a raw array can be one) gets a nonsymmetric
-    `eigvals` and no eigenvectors.  `a` is a read-only copy, so the
-    cached spectral data cannot go stale.
+    circle, located at 1, with at least one positive self-weight).  So is
+    the spectral setup, once: `perron` (see `_perron_vector`), the balance
+    residual of `check_balanced`, and the eigenvalues of A, ascending with
+    the unit one last, from one `eigvalsh` of the symmetric
+    At = P^{-1/2} A P^{1/2} of a balanced A; its eigenvectors come from one
+    cached `eigh` (`_eigh`).  An unbalanced A (only a raw array can be one)
+    gets a nonsymmetric `eigvals`.  `a` is a read-only copy, so the cached
+    spectral data cannot go stale.
     """
 
     a: np.ndarray
@@ -318,12 +315,25 @@ class CombinationMatrix:
 
     @cached_property
     def _error_blocks(self):
-        """B of the error recursion of a balanced matrix, its decomposition
-        and the norms of T_d and T_e, computed on first use in one pass
-        (`stability._Blocks`)."""
+        """The closed-form decomposition of the error recursion's B of a
+        balanced matrix, its certified radius and the norm of T_d, computed
+        on first use in one pass with no B (`stability._Blocks`)."""
         from .stability import _network_blocks
 
         return _network_blocks(self)
+
+    @cached_property
+    def _b(self) -> np.ndarray:
+        """The dense B of a balanced matrix, read-only, with V from
+        `spectral.dual_factor`: only `stability.ErrorDynamics.b` reads it."""
+        from .spectral import dual_factor
+
+        n, abar_t, p = self.n, self.abar.T, self.perron.p
+        v = dual_factor(*self._eigh, p)[0]
+        pinv_v = v / p[:, np.newaxis]
+        b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
+        b.flags.writeable = False
+        return b
 
 
 class _CSROperator:

@@ -1,20 +1,19 @@
 """Error dynamics, eigenstructure, and step-size stability ranges.
 
 For a balanced combination matrix A with Perron vector p and dual factor
-V (`spectral.dual_factor`: V V^T = (P - A P)/2 and null(V) = span{1}),
-the distance-to-solution recursion of the correction-term engine is
-driven by
+V (V V^T = S = (P - A P)/2 and null(V) = span{1}), the distance-to-solution
+recursion of the correction-term engine is driven by
 
     B   = [[Abar^T, -P^{-1} V], [V^T Abar^T, I - V^T P^{-1} V]]
     T_d = [[Abar^T, 0], [V^T Abar^T, 0]]        (gradient enters combined)
     T_e = [[I, 0], [V^T, 0]]                    (gradient enters raw)
 
-with Abar = (I + A)/2 and P = diag(p).  The engines carry z = V y, whose
-map depends on V only through V V^T, so any such factor gives the same
-B up to an orthogonal change of the dual block.  For quadratic costs the
-exact one-step error map is B - T diag(mu_k H_k, 0) lifted agent-wise,
-which this module builds, decomposes, and turns into closed-form
-step-size bounds.
+with Abar = (I + A)/2 and P = diag(p).  Any such factor gives the same B
+up to an orthogonal change of the dual block.  B's closed-form spectrum,
+its certificate and every bound read only Abar, p and the cached
+eigenpairs of At = P^{-1/2} A P^{1/2}; V (`spectral.dual_factor`) and the
+dense B are built only when `ErrorDynamics.b` is read, for the exact
+one-step map B - T diag(mu_k H_k, 0) of quadratic costs.
 """
 
 from __future__ import annotations
@@ -27,9 +26,10 @@ import numpy as np
 from .algorithms import ENGINE_SPECS, StepSizes, _iterate
 from .costs import CostModel, QuadraticModel, solve_centralized
 from .graphs import CombinationMatrix, SpectralError, check_balanced, matrix_from_array
-from .spectral import dual_factor
+from .spectral import dual_vectors
 
 EIGENPAIR_TOL = 1e-8
+UNIT_ROUNDOFF = 2.0 ** -53
 # bisection levels a scan resolves per stacked run: its 2**3 - 1 members
 # are every midpoint the next three bisection steps can visit
 SPECULATION_DEPTH = 3
@@ -37,14 +37,11 @@ SPECULATION_DEPTH = 3
 
 @dataclass(frozen=True)
 class _Blocks:
-    """B for one matrix, the closed-form decomposition of B
-    (`_closed_form_pair`) and the spectral norm of T_d, all computed in one
-    pass by `_network_blocks`.  It holds results only, with no reference to
-    the matrix that caches it, so it makes no reference cycle and is freed
-    with the matrix."""
+    """The pair, radius and ||T_d|| of one `_network_blocks` pass: results
+    only, with no reference to the matrix that caches them (no cycle)."""
 
-    b: np.ndarray
     pair: SpectralPair
+    radius: float
     t_d_norm: float
 
 
@@ -56,32 +53,31 @@ def _two_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(m @ m.T)[-1], 0.0)))
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: the relative rounding of
+    a sum of k rounded products."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
 def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
-    """The blocks of `CombinationMatrix._error_blocks` of a balanced matrix
-    (else ValueError), from its Perron vector and its cached eigenpairs of
-    At = P^{-1/2} A P^{1/2} (`_eigh`), which give V (`dual_factor`) and the
-    closed-form pair; ||T_d|| is the largest singular value of B[:, :N]."""
+    """`CombinationMatrix._error_blocks` of a balanced matrix (else
+    ValueError) from Abar, p and At's cached eigenpairs; ||T_d||^2 is the
+    top eigenvalue of T_d^T T_d = Abar (I + S) Abar^T."""
     balanced, violation = check_balanced(matrix)
     if not balanced:
         raise ValueError(f"combination matrix is not balanced (violation {violation:.3e})")
-    n = matrix.n
-    abar_t = matrix.abar.T
-    p = matrix.perron.p
-    lam, u = matrix._eigh
-    v, hu = dual_factor(lam, u, p)
-    pinv_v = v / p[:, np.newaxis]
-    b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
-    b.flags.writeable = False
-    return _Blocks(b=b, pair=_closed_form_pair(b, lam, u, p, hu),
-                   t_d_norm=_two_norm(b[:, :n].T))
+    (_, abar_t, abar), dense_t = matrix._combine_ops, matrix.abar.T
+    k_max = int(np.count_nonzero(dense_t, axis=1).max())
+    pair, radius = _closed_form_pair(abar_t, *matrix._eigh, matrix.perron.p, k_max)
+    t_d = abar @ (dense_t + matrix._dual_op @ dense_t)
+    return _Blocks(pair=pair, radius=radius,
+                   t_d_norm=float(np.sqrt(max(np.linalg.eigvalsh(t_d)[-1], 0.0))))
 
 
 @dataclass
 class ErrorDynamics:
-    """The error recursion of a balanced matrix, optionally carrying
-    per-agent Hessians and step sizes.  B is read from the matrix's cached
-    `_error_blocks`, so every dynamics of one matrix shares it; T_d and
-    T_e, which only `one_step_matrix` reads, are built on read."""
+    """Error recursion of a balanced matrix, with optional per-agent Hessians
+    and steps.  B is the matrix's cached `_b`; T_d and T_e are built on read."""
 
     matrix: CombinationMatrix
     h: np.ndarray | None = None
@@ -89,7 +85,7 @@ class ErrorDynamics:
 
     @property
     def b(self) -> np.ndarray:
-        return self.matrix._error_blocks.b
+        return self.matrix._b
 
     @property
     def t_d(self) -> np.ndarray:
@@ -109,10 +105,9 @@ def build_error_dynamics(matrix, model: CostModel = None,
                          steps: StepSizes = None) -> ErrorDynamics:
     """Assemble the error dynamics of a balanced combination matrix.
 
-    B, its decomposition and the norm of T_d are computed here, once per
-    matrix, and shared.  model/steps are optional; they are only needed
-    later by one_step_matrix, which requires constant Hessians (quadratic
-    costs).
+    B's decomposition, its certificate and ||T_d|| are computed here, once
+    per matrix.  model/steps are optional, for one_step_matrix, which needs
+    constant Hessians (quadratic costs).
     """
     matrix = matrix_from_array(matrix)
     h = None
@@ -157,16 +152,11 @@ class SpectralPair:
     """Eigendecomposition of B with the unit pair pinned to canonical
     vectors: right columns [1; 0], [0; 1] and inverse rows [p^T, 0],
     [0, 1^T/N].  d[0] = d[1] = 1 exactly; the rest come in conjugate
-    pairs with |d| = sqrt(lambda_k(Abar)) < 1.
-
-    The k-th conjugate pair has the right columns
-    [x_top[:, k]; -+ i r_right[k] r[:, k]] and the inverse rows
-    [y_top[:, k]; +- i r_left[k] r[:, k]], with r's columns orthonormal:
-    r is H U of `spectral.dual_factor`, less its unit column, in the
-    descending order of d.
-    These read-only N-row pieces give ||X_R||, ||X_L|| and
-    `b_spectrum_residual` in closed form.  residual bounds
-    ||B X - X D||_F, rounding included.
+    pairs with |d| = sqrt(lambda_k(Abar)) < 1.  The k-th has the right
+    columns [x_top[:, k]; -+ i r_right[k] r[:, k]] and the inverse rows
+    [y_top[:, k]; +- i r_left[k] r[:, k]], r = H U (`dual_vectors`) less
+    its unit column, in the descending order of d.  These read-only N-row
+    pieces give ||X_R|| and ||X_L||; residual bounds ||B X - X D||_F.
     """
 
     d: np.ndarray
@@ -181,11 +171,9 @@ class SpectralPair:
     @cached_property
     def norm_r(self) -> float:
         """||X_R||.  Mixing each conjugate column pair (a, b) into
-        (a +- b)/sqrt(2), a unitary change, makes X_R block-diagonal with
-        blocks sqrt(2) x_top and sqrt(2) r diag(r_right), and the first
-        block is the larger: column k of x_top is P^{-1/2} u_k scale_k,
-        whose norm is at least scale_k / sqrt(p_max) > sqrt(lbar_k) scale_k
-        = r_right[k]."""
+        (a +- b)/sqrt(2) makes X_R block-diagonal, blocks sqrt(2) x_top and
+        sqrt(2) r diag(r_right), the first the larger: ||x_top[:, k]|| >=
+        scale_k / sqrt(p_max) > sqrt(lbar_k) scale_k = r_right[k]."""
         return float(np.sqrt(2.0) * _two_norm(self.x_top))
 
     @cached_property
@@ -198,81 +186,115 @@ class SpectralPair:
 def decompose_b(dyn: ErrorDynamics) -> SpectralPair:
     """Diagonalize B = X D X^{-1} in closed form, with the unit pair pinned.
 
-    With At = P^{-1/2} A P^{1/2} (symmetric for a balanced A), every
-    non-Perron eigenpair (lam, u) of At gives x = P^{-1/2} u, an
-    eigenvector of A^T, and the unit vector r = V^T x / s with
-    s = sqrt((1 - lam)/2), the matching column of H U (`dual_factor`).
-    On span{[x; 0], [0; r]} B acts as [[lb, -s], [s lb, lb]] with
-    lb = (1 + lam)/2, whose eigenvalues lb +- i sqrt(lb - lb^2) have
-    right columns [x; -+ i sqrt(lb) r] and inverse rows
-    [(P^{1/2} u)^T / 2, +- i r^T / (2 sqrt(lb))].  The Perron pair gives
-    the canonical columns [1; 0], [0; 1] and rows [p^T, 0], [0, 1^T/N].
-    Each column/inverse-row pair is rescaled to equal norm, which keeps
-    ||X_R|| ||X_L|| small.  Within an eigenspace of At on which p is
-    constant these norms do not depend on the basis the eigensolver
-    picks, so neither do the bounds built from them.
-    ||X_R|| and ||X_L|| come from N x N pieces (see `SpectralPair`).
-
-    The matrix checked at construction that At has exactly one unit
-    eigenvalue.  `build_error_dynamics` raises SpectralError when
-    max |B X - X D| exceeds 1e-8.  The pair is computed once per matrix
-    and shared (read-only).
+    Every non-Perron eigenpair (lam, u) of the symmetric At gives x =
+    P^{-1/2} u, an eigenvector of A^T, and the unit vector r = V^T x / s,
+    s = sqrt((1 - lam)/2), the matching column of H U (`dual_vectors`).  On
+    span{[x; 0], [0; r]} B acts as [[lb, -s], [s lb, lb]], lb = (1 + lam)/2,
+    whose eigenvalues lb +- i sqrt(lb) s have right columns
+    [x; -+ i sqrt(lb) r] and inverse rows [(P^{1/2} u)^T / 2,
+    +- i r^T / (2 sqrt(lb))], each pair rescaled to equal norm.  Within an
+    eigenspace of At on which p is constant ||X_R|| and ||X_L|| do not
+    depend on the eigensolver's basis, so neither do the bounds.
+    `build_error_dynamics` raises SpectralError when a column of
+    B X - X D may exceed 1e-8 in norm.  No step forms V or B.
     """
     return dyn.matrix._error_blocks.pair
 
 
-def _closed_form_pair(b: np.ndarray, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
-                      hu: np.ndarray) -> SpectralPair:
-    """The pair of `decompose_b` from the eigenpairs (lam, u) of At,
-    ascending with the unit eigenvalue last, as `eigh` returns them, and
-    the dual vectors H U of `dual_factor`.
+def _gram_error(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """E = U^T U - I for U with unit columns, and a bound on each entry's
+    rounding.  U = hi + lo exactly, hi's entries multiples of 2^-26, so
+    hi^T hi is exact in any summation order (52-bit products, partial sums
+    below 2); only the 2^-27 sqrt(N) cross terms round."""
+    hi = np.round(u * 2.0 ** 26) / 2.0 ** 26
+    lo = u - hi
+    cross = hi.T @ lo
+    gram = (hi.T @ hi - np.eye(u.shape[1])) + ((cross + cross.T) + lo.T @ lo)
+    norm_hi, norm_lo = (np.linalg.norm(part, axis=0).max(initial=0.0) for part in (hi, lo))
+    return gram, (_gamma(u.shape[0] + 4) * (2.0 * norm_hi + norm_lo) * norm_lo
+                  + 2.0 * UNIT_ROUNDOFF * np.abs(gram).max(initial=0.0))
 
-    The eigenpair check max |B X - X D| runs on the blocks of b with
-    real N x N products: for the column pair [x; -+ i sqrt(lb) r] at
-    lb +- i sqrt(lb) s, B X - X D has the real part
-    B[:, :N] x - lb [x; s r] and the imaginary part
-    -+ sqrt(lb) (B[:, N:] r + [s x; -lb r]), both times the balancing
-    scale, so both columns of a pair share one modulus.
 
-    `residual` adds to the computed ||B X - X D||_F the rounding allowance
-    (N + 8) u (|| |B| |X| ||_F + ||X||_F), u = 2^-53 (Higham's gamma_N for
-    the N-term products, 8 u for the scaling, X D and d), with |B| |X| at
-    most |B|'s row sums per column half times |X|'s column maxima."""
+def _closed_form_pair(abar_t, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
+                      k_max: int) -> tuple[SpectralPair, float]:
+    """The pair of `decompose_b` and the radius of `b_spectrum_residual`
+    from Abar^T (`op @ x`, at most k_max nonzeros a row) and the eigenpairs
+    (lam, u) of At, ascending with the unit eigenvalue last.
+
+    Both run on B's orthogonal similar diag(I, H) B diag(I, H), whose factor
+    is P^{1/2} U Sigma^{1/2} U^T, with dual halves U, not H U, and [0; 1] as
+    sqrt(N) [0; a], a = sqrt(p) / ||sqrt(p)||, U's unit column in
+    E = U^T U - I (`_gram_error`).  With e_k = Abar^T x_k - lb_k x_k and
+    F = Sigma^{1/2} E, B X - X D is, for pair k, [e_k; lb_k U F_k + V^T e_k]
+    + i sqrt(lb_k) [P^{-1/2} U F_k; U (s_k F_k + Sigma E_k + Sigma^{1/2} E F_k)
+    + (lb_k + Sigma_k - 1) u_k], and for the unit columns [Abar^T 1 - 1;
+    V^T Abar^T 1], V^T 1 = U F_N, and -sqrt(N) / ||a|| [P^{-1/2} U F_N;
+    U Sigma^{1/2} (I + E) F_N].  Their norms use
+    ||U||^2 <= 1 + ||E||_F and ||V|| <= sqrt(p_max Sigma_max) ||U||^2, e
+    the allowance gamma_{2 k_max + 4} (|Abar^T| |x| + lb |x|), and E
+    `_gram_error`'s; gamma_3 covers the stored pieces.  Y X - I is
+    G1 +- G2 (- I) between pair rows and columns, G1 = C^{-1} (I + E) C / 2
+    (C the scales) and G2 = (r_left r_right^T) o (I + E), plus p^T x_top,
+    y_top^T 1, p^T 1 - 1 and the dual unit vector's sqrt(N) E_N / ||a||
+    with the pairs; ||Y||^2 <= max(||p||^2, 1/N) + norm_l^2 (1 + ||E||_F)."""
     n = p.size
-    root_p = np.sqrt(p)
+    root_p, sigma = np.sqrt(p), (1.0 - lam) / 2.0
+    sigma[-1] = 0.0
+    gram, eps = _gram_error(np.column_stack([u[:, :-1], root_p]))
+    bound = np.abs(gram) + eps  # |E|, entrywise
+    big_e, s_max, p_min = np.linalg.norm(bound), sigma.max(), p.min()
+    norm_u, norm_v = np.sqrt(1.0 + big_e), np.sqrt(p.max() * s_max) * (1.0 + big_e)
+    f = np.linalg.norm(np.sqrt(sigma)[:, np.newaxis] * bound, axis=0)  # ||F_k||
     # the non-unit pairs, descending, as the eigenvalues of B are listed
-    lam, u, r = lam[-2::-1], u[:, -2::-1], np.ascontiguousarray(hu[:, -2::-1])
+    lam, u, s, f_pairs = lam[-2::-1], u[:, -2::-1], np.sqrt(sigma[-2::-1]), f[-2::-1]
     lbar = (1.0 + lam) / 2.0
-    root_lbar, s = np.sqrt(lbar), np.sqrt(1.0 - lbar)
-    x = u / root_p[:, np.newaxis]
-    y = u * root_p[:, np.newaxis] / 2.0
+    root_lbar = np.sqrt(lbar)
+    x, y = u / root_p[:, np.newaxis], u * root_p[:, np.newaxis] / 2.0
     # balance each column/inverse-row pair to equal norm
     scale = np.sqrt(np.sqrt((y * y).sum(axis=0) + 1.0 / (4.0 * lbar))
                     / np.sqrt((x * x).sum(axis=0) + lbar))
-    d = np.ones(2 * n, dtype=complex)
-    for first, sign in ((2, 1.0), (3, -1.0)):
-        d[first::2] = lbar + sign * 1j * np.sqrt(lbar - lbar ** 2)
-    real = b[:, :n] @ x - lbar * np.vstack([x, s * r])
-    imag = root_lbar * (b[:, n:] @ r + np.vstack([s * x, -lbar * r]))
-    unit_cols = np.concatenate([b[:, :n].sum(axis=1) - np.repeat([1.0, 0.0], n),
-                                b[:, n:].sum(axis=1) - np.repeat([0.0, 1.0], n)])
-    modulus = scale * np.hypot(real, imag)
-    worst = max(float(modulus.max(initial=0.0)), float(np.abs(unit_cols).max()))
+    d = np.concatenate([[1.0, 1.0], np.stack([lbar + 1j * root_lbar * s,
+                                              lbar - 1j * root_lbar * s], axis=1).ravel()])
+    abs_ax = abar_t @ np.abs(x)
+    e = (np.linalg.norm(abar_t @ x - lbar * x, axis=0)
+         + _gamma(2 * k_max + 4) * np.linalg.norm(abs_ax + lbar * np.abs(x), axis=0))
+    modulus = scale * np.hypot(np.hypot(e, lbar * norm_u * f_pairs + norm_v * e), root_lbar * (
+        np.hypot(f_pairs / np.sqrt(p_min), (s + np.sqrt(s_max) * (1.0 + big_e)) * f_pairs
+                 + UNIT_ROUNDOFF) * norm_u))
+    ones = abar_t @ np.ones((n, 1))
+    top = np.linalg.norm(ones - 1.0) + _gamma(k_max + 1) * np.linalg.norm(ones)
+    dual_one = np.sqrt(n / (1.0 + gram[-1, -1] - eps))  # sqrt(N) / ||a||
+    unit = np.hypot(np.hypot(top, norm_u * (f[-1] + UNIT_ROUNDOFF * norm_u ** 2) + norm_v * top),
+                    dual_one * norm_u * f[-1] * np.hypot(1.0 / np.sqrt(p_min),
+                                                         np.sqrt(s_max) * norm_u ** 2))
+    worst = max(float(modulus.max(initial=0.0)), float(unit))
     if worst > EIGENPAIR_TOL:
         raise SpectralError(f"eigenpair residual {worst:.3e} above tolerance")
-    pieces = dict(x_top=x * scale, y_top=y / scale, r=r, r_right=root_lbar * scale,
-                  r_left=1.0 / (2.0 * root_lbar * scale))
-    # the halves of |X| per conjugate-pair column, and |B| times the unit columns
-    halves = [np.abs(pieces["x_top"]), pieces["r_right"] * np.abs(r)]
-    rows = np.abs(b).reshape(2 * n, 2, n).sum(axis=2)
-    abs_bx = np.hypot(np.sqrt(2.0) * np.linalg.norm(rows @ [h.max(axis=0) for h in halves]),
-                      np.linalg.norm(rows))
-    norm_x = np.sqrt(2.0 * (n + sum(np.linalg.norm(h) ** 2 for h in halves)))
-    residual = float(np.hypot(np.sqrt(2.0) * np.linalg.norm(modulus), np.linalg.norm(unit_cols))
-                     + (n + 8) * 2.0 ** -53 * (abs_bx + norm_x))
-    for piece in (d, *pieces.values()):
+    x_top, y_top, r_right = x * scale, y / scale, root_lbar * scale
+    r_left = 1.0 / (2.0 * r_right)
+    norm_x = np.linalg.norm(np.hypot(np.linalg.norm(x_top, axis=0), r_right * norm_u))
+    norm_b = np.sqrt(s_max / p_min) * norm_u ** 2 + 1.0 + s_max * norm_u ** 4  # of B[:, N:]
+    residual = float(np.hypot(np.sqrt(2.0) * np.linalg.norm(modulus), unit) + _gamma(3)
+                     * np.sqrt(2.0) * ((1.0 + norm_v) * np.linalg.norm(abs_ax * scale)
+                                       + (norm_b + 2.0) * norm_x))
+    g1, g2 = scale / (2.0 * scale[:, np.newaxis]), np.outer(r_left, r_right)
+    ones_r = dual_one * bound[-1, -2::-1]  # |1^T H U| of the pairs
+    off = [(g1 + g2) * bound[-2::-1, -2::-1], np.abs(g1 - g2) * bound[-2::-1, -2::-1],
+           r_right * ones_r / n, r_left * ones_r,
+           np.abs(p @ x_top) + _gamma(n) * (p @ np.abs(x_top)),
+           np.abs(y_top.sum(axis=0)) + _gamma(n) * np.abs(y_top).sum(axis=0)]
+    eta = (np.sqrt(2.0 * sum(np.linalg.norm(part) ** 2 for part in off)
+                   + (abs(p.sum() - 1.0) + _gamma(n)) ** 2)
+           + _gamma(6) * (np.linalg.norm(x_top) * np.linalg.norm(y_top)
+                          + np.linalg.norm(g2) * norm_u ** 2))
+    if not eta < 0.5:
+        raise SpectralError(f"closed-form inverse of X is off by {eta:.3e}")
+    pair = SpectralPair(d=d, p=p, x_top=x_top, y_top=y_top, r=dual_vectors(u, p),
+                        r_right=r_right, r_left=r_left, residual=residual)
+    for piece in (d, x_top, y_top, pair.r, r_right, r_left):
         piece.flags.writeable = False
-    return SpectralPair(d=d, p=p, residual=residual, **pieces)
+    norm_y = np.sqrt(max(p @ p, 1.0 / n) + pair.norm_l ** 2 * norm_u ** 2)
+    return pair, float(norm_y * residual / (1.0 - eta))
 
 
 def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:
@@ -287,28 +309,14 @@ def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:
 
 
 def b_spectrum_residual(dyn: ErrorDynamics) -> float:
-    """Certified radius around the closed-form spectrum d of B, with no
-    eigensolve of B.  With R = B X - X D (`SpectralPair.residual`) and Y
-    the closed-form inverse of X, eta = ||Y X - I||_F < 1/2 (else
-    SpectralError) bounds ||X^{-1}|| by ||Y|| / (1 - eta).  Bauer-Fike on
-    X^{-1} B X = D + X^{-1} R, with continuity along D + t X^{-1} R, puts
-    every eigenvalue of B, with multiplicity, in the disks of radius
-    ||Y|| ||R||_F / (1 - eta) around d.  Y X - I is G1 +- G2 (- I) between
-    pair rows and columns (G1 = y_top^T x_top, G2 = (r_left r_right^T) o
-    (r^T r)), plus p^T x_top, 1^T r, y_top^T 1 and p^T 1 - 1;
-    ||Y||^2 <= max(||p||^2, 1/N) + norm_l^2 (1 + ||r^T r - I||_F)."""
-    pair = dyn.matrix._error_blocks.pair
-    p, x, y, r = pair.p, pair.x_top, pair.y_top, pair.r
-    n, eye, ones_r = p.size, np.eye(p.size - 1), r.sum(axis=0)
-    g1, gram_r = y.T @ x, r.T @ r
-    g2 = np.outer(pair.r_left, pair.r_right) * gram_r
-    off = [g1 + g2 - eye, g1 - g2, p @ x, pair.r_right * ones_r / n, y.sum(axis=0),
-           pair.r_left * ones_r]
-    eta = np.sqrt(2.0 * sum(np.linalg.norm(part) ** 2 for part in off) + (p.sum() - 1.0) ** 2)
-    if not eta < 0.5:
-        raise SpectralError(f"closed-form inverse of X is off by {eta:.3e}")
-    norm_y = np.sqrt(max(p @ p, 1.0 / n) + pair.norm_l ** 2 * (1.0 + np.linalg.norm(gram_r - eye)))
-    return float(norm_y * pair.residual / (1.0 - eta))
+    """Certified radius around the closed-form spectrum d of B, with no B.
+    With R = B X - X D (`SpectralPair.residual`) and Y the closed-form
+    inverse of X, eta = ||Y X - I||_F < 1/2 bounds ||X^{-1}|| by
+    ||Y|| / (1 - eta).  Bauer-Fike on X^{-1} B X = D + X^{-1} R, with
+    continuity along D + t X^{-1} R, puts every eigenvalue of B, with
+    multiplicity, within ||Y|| ||R||_F / (1 - eta) of d.  It is computed with
+    the pair: `build_error_dynamics` raises SpectralError when eta >= 1/2."""
+    return dyn.matrix._error_blocks.radius
 
 
 @dataclass(frozen=True)
@@ -359,29 +367,20 @@ def _assemble_bound(engine: str, matrix: CombinationMatrix, sigma11: float,
     sigma22 = alpha * delta
     mu_bound = sigma11 * (1.0 - lam) / (2.0 * cross_sq)
     return StabilityBound(engine=engine, mu_bound=float(mu_bound), lam=float(lam),
-                          alpha=float(alpha), sigma11=float(sigma11),
-                          sigma12=sigma_cross, sigma21=sigma_cross,
-                          sigma22=float(sigma22), nu=float(nu), delta=float(delta),
-                          p_max=float(p_max), norm_r=norm_r, norm_l=norm_l,
-                          t_norm=float(t_norm))
+                          alpha=float(alpha), sigma11=float(sigma11), sigma12=sigma_cross,
+                          sigma21=sigma_cross, sigma22=float(sigma22), nu=float(nu),
+                          delta=float(delta), p_max=float(p_max), norm_r=norm_r,
+                          norm_l=norm_l, t_norm=float(t_norm))
 
 
 def diffusion_step_bound(matrix, tau=None, nu: float = 1.0, delta: float = 1.0,
                          k_o: int = 0) -> StabilityBound:
-    """Step-size stability bound for the correction-term engine.
-
-    Args:
-        matrix: balanced combination matrix.
-        tau: per-agent step ratios mu_k / max_j mu_j (all ones when
-            omitted); normalized internally so max(tau) = 1.
-        nu: lower curvature bound at the strongly convex agent k_o.
-        delta: global upper curvature bound.
-        k_o: index of the agent realizing nu.
-
-    Returns:
-        StabilityBound on mu_max = max_k mu_k with
-        mu_bound = sigma11 (1 - lam) / (2 sigma21^2) at the optimal
-        eigenvector scaling.
+    """Step-size stability bound for the correction-term engine on a
+    balanced matrix: a StabilityBound on mu_max = max_k mu_k with
+    mu_bound = sigma11 (1 - lam) / (2 sigma21^2) at the optimal eigenvector
+    scaling.  tau holds the per-agent step ratios mu_k / max_j mu_j (all
+    ones when omitted; normalized so max(tau) = 1), nu the lower curvature
+    bound at the strongly convex agent k_o, delta the global upper one.
     """
     matrix = matrix_from_array(matrix)
     n = matrix.n
@@ -446,9 +445,8 @@ def two_agent_case(a: float, sigma2: float, mu_d: float, mu_e: float = None) -> 
                [0, a - me,               -sqrt(2 - 2a)],
                [0, (a - me) sqrt((1-a)/2),   a]]         me = mu_e sigma2
 
-    with characteristic pairs
-        theta^2 - (2 - m) a theta + (1 - m) a = 0
-        theta^2 - (2a - me) theta + (a - me) = 0.
+    with characteristic pairs theta^2 - (2 - m) a theta + (1 - m) a = 0 and
+    theta^2 - (2a - me) theta + (a - me) = 0.
     """
     _check_two_agent(a, sigma2)
     if mu_e is None:
@@ -517,10 +515,8 @@ class ScanResult:
 
 def _steps_for(engine: str, model: CostModel, matrix: CombinationMatrix,
                mu: float) -> StepSizes:
-    # The scan axis is the largest per-agent step size, for every engine.
-    # Heterogeneous engines keep their q/p profile but are rescaled so the
-    # biggest entry equals mu; uniform engines just use mu everywhere.
-    # That keeps measured ranges comparable across engines.
+    # The scan axis is the largest per-agent step size, for every engine:
+    # heterogeneous engines keep their q/p profile, rescaled to peak at mu.
     if ENGINE_SPECS[engine].weighted:
         p = matrix.perron.p
         ratio = np.asarray(model.q, dtype=float) / p
@@ -545,16 +541,13 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     """Classify each step size on a grid, then bisect the first
     stable-to-unstable transition down to a relative width of rel_tol.
 
-    Each grid value is the largest per-agent step size (see _steps_for),
-    so measured ranges are comparable across engines.  Every point gets
-    the verdict a `run` from zero with a shared precomputed ground truth
-    would get, but the whole grid advances as one stacked run.  `run` and
-    the scan share one iteration loop, with one divergence cap, stop rule
-    and exhausted rule; a scan's memory is
-    O(members) for any max_iters.  Bisection is speculative: one stacked
-    run classifies every midpoint of the next SPECULATION_DEPTH levels,
-    and the bracket then follows the verdicts, so it visits the same
-    midpoints and ends at the same bracket as one-at-a-time bisection.
+    Each grid value is the largest per-agent step size (see _steps_for).
+    Every point gets the verdict a `run` from zero with a shared ground
+    truth would get, but the grid advances as one stacked run through
+    `run`'s loop, in O(members) memory for any max_iters.  Bisection is
+    speculative: one stacked run classifies every midpoint of the next
+    SPECULATION_DEPTH levels, and the bracket follows the verdicts to the
+    bracket one-at-a-time bisection reaches.
     """
     matrix = matrix_from_array(matrix)
     if engine not in ENGINE_SPECS:
@@ -573,11 +566,8 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
 
     classifications = classify(mus)
     result = ScanResult(engine=engine, mus=mus, classifications=classifications)
-    transition = next(
-        (i for i in range(len(mus) - 1)
-         if classifications[i] == "stable" and classifications[i + 1] == "unstable"),
-        None,
-    )
+    transition = next((i for i in range(len(mus) - 1) if classifications[i] == "stable"
+                       and classifications[i + 1] == "unstable"), None)
     if transition is None:
         if classifications and classifications[0] == "unstable":
             result.mu_unstable = mus[0]

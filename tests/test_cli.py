@@ -21,8 +21,9 @@ from decentopt import (
     two_agent_case,
     two_agent_onset,
 )
+from decentopt import spectral
 from decentopt.cli import _build_graph, main
-from decentopt.graphs import _CSROperator
+from decentopt.graphs import CombinationMatrix, _CSROperator
 
 SCHEMA_PATH = Path(decentopt.__file__).parent / "schemas" / "analysis_report.schema.json"
 
@@ -179,6 +180,44 @@ def test_graph_file_agent_count_must_be_an_integer(tmp_path, capsys, n, edges):
     assert (f"config error at graph.path: bad graph file: n must be an integer, got {n!r}"
             in capsys.readouterr().err)
     assert not (out / "analysis.json").exists()
+
+
+@pytest.mark.parametrize("edges", [[[0.7, 1], [1, 2.9]], [["0", 1], [1, 2]],
+                                   [[True, 1], [1, 2]], [[1e300, 1], [1, 2]],
+                                   [[10 ** 30, 1], [1, 2]], [[0, 1, 2]], [0, 1], "01"])
+def test_graph_file_edges_must_be_integer_pairs(tmp_path, capsys, edges):
+    # these used to run on a truncated graph (exit 0), accept strings and
+    # bools as indices, or end in an OverflowError traceback
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps({"n": 3, "edges": edges}))
+    cfg = write_config(tmp_path, {"graph": {"kind": "file", "path": str(gpath)},
+                                  "matrix": {"rule": "metropolis"}})
+    out = tmp_path / "x"
+    assert run_cli(["analyze", "--config", cfg, "--out", out]) == 2
+    assert "config error at graph.path: bad graph file: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_graph_file_of_one_agent_has_no_edges(tmp_path):
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps({"n": 1, "edges": []}))
+    report = analyze_report(tmp_path, {"graph": {"kind": "file", "path": str(gpath)},
+                                       "matrix": {"rule": "metropolis"}})
+    assert report["n_agents"] == 1 and report["degenerate"]
+
+
+@pytest.mark.parametrize("command, missing", [("run", "run"), ("stability-scan", "scan"),
+                                              ("analyze", "matrix"),
+                                              ("two-agent", "two_agent")])
+def test_config_error_leaves_no_out_directory(tmp_path, capsys, command, missing):
+    cfg = base_run_config()
+    cfg["scan"] = scan_config()["scan"]
+    cfg["two_agent"] = {"a": 0.5, "sigma2": 1.0, "mu": 1.0}
+    del cfg[missing]
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", write_config(tmp_path, cfg), "--out", out]) == 2
+    assert f"config error at {missing}: required section is missing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- scan
@@ -379,6 +418,23 @@ def test_only_analyze_computes_eigenvectors(tmp_path, monkeypatch):
     assert shapes == []
     assert run_cli(["analyze", "--config", path, "--out", tmp_path / "analyze"]) == 0
     assert shapes == [(6, 6)]
+
+
+def test_analyze_builds_no_v_and_no_b(tmp_path, monkeypatch):
+    """analyze reads Abar, p and the eigenpairs of At alone: with the
+    builders of V and of the dense B raising, it writes the same
+    analysis.json byte for byte."""
+    path = write_config(tmp_path, analyze_config("averaging"))
+    assert run_cli(["analyze", "--config", path, "--out", tmp_path / "free"]) == 0
+
+    def refuse(*args):
+        raise AssertionError("V or B built")
+
+    monkeypatch.setattr(spectral, "dual_factor", refuse)
+    monkeypatch.setattr(CombinationMatrix, "_b", property(refuse))
+    assert run_cli(["analyze", "--config", path, "--out", tmp_path / "patched"]) == 0
+    assert ((tmp_path / "patched" / "analysis.json").read_bytes()
+            == (tmp_path / "free" / "analysis.json").read_bytes())
 
 
 @pytest.mark.parametrize("kind", ["path", "ring", "star", "complete"])

@@ -185,45 +185,84 @@ def _eigh(matrix):
 
 
 def _factor(matrix):
-    """The dual factor V that `_network_blocks` builds B from."""
+    """The dual factor V that `ErrorDynamics.b` builds B from."""
     return dual_factor(*_eigh(matrix), matrix.perron.p)[0]
 
 
-def _pair(matrix, b):
-    """The closed-form pair of `matrix` checked against b in place of B."""
+def _pair(matrix, lam=None, u=None, abar_t=None):
+    """`_closed_form_pair` of `matrix`, (pair, radius), with the eigenpairs
+    of At or Abar^T replaced where given."""
+    eig_lam, eig_u = _eigh(matrix)
+    abar_t = matrix.abar.T if abar_t is None else abar_t
+    return stability._closed_form_pair(abar_t, eig_lam if lam is None else lam,
+                                       eig_u if u is None else u, matrix.perron.p,
+                                       int(np.count_nonzero(abar_t, axis=1).max()))
+
+
+def _dense_b(matrix, lam, u):
+    """B as `ErrorDynamics.b` builds it, from the eigenpairs (lam, u)."""
+    n, p = matrix.n, matrix.perron.p
+    v = dual_factor(lam, u, p)[0]
+    abar_t, pinv_v = matrix.abar.T, v / p[:, np.newaxis]
+    return np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
+
+
+@pytest.mark.parametrize("builder", [random_metropolis, random_averaging])
+def test_residual_pieces_equal_the_dense_residual(builder):
+    """With U perturbed by 1e-6, B X - X D of the B built from that U equals
+    the closed-form pieces of `_closed_form_pair`, which read only
+    e = Abar^T x - lb x and E = U^T U - I (F = Sigma^{1/2} E, W = H U), and
+    the factor P^{1/2} U Sigma^{1/2} U^T takes sqrt(p) to P^{1/2} U F_N,
+    with sqrt(p) in place of U's unit column."""
+    matrix = builder(8, seed=5)
+    n, p = matrix.n, matrix.perron.p
     lam, u = _eigh(matrix)
-    p = matrix.perron.p
-    return stability._closed_form_pair(b, lam, u, p, dual_factor(lam, u, p)[1])
+    u = u + 1e-6 * np.random.default_rng(3).standard_normal(u.shape)
+    v, w = dual_factor(lam, u, p)
+    b = _dense_b(matrix, lam, u)
+    sigma = (1.0 - lam) / 2.0
+    sigma[-1] = 0.0
+    gram = u.T @ u - np.eye(n)
+    f = np.sqrt(sigma)[:, np.newaxis] * gram
+    for k in range(n - 1):
+        lb, s = (1.0 + lam[k]) / 2.0, np.sqrt(sigma[k])
+        x = u[:, k] / np.sqrt(p)
+        column = np.concatenate([x, -1j * np.sqrt(lb) * w[:, k]])
+        dense = b @ column - (lb + 1j * np.sqrt(lb) * s) * column
+        e = matrix.abar.T @ x - lb * x
+        real = np.concatenate([e, lb * w @ f[:, k] + v.T @ e])
+        imag = np.sqrt(lb) * np.concatenate([
+            u @ f[:, k] / np.sqrt(p),
+            w @ (s * f[:, k] + sigma * gram[:, k] + np.sqrt(sigma) * (gram @ f[:, k]))
+            + (lb + sigma[k] - 1.0) * w[:, k]])
+        assert np.linalg.norm(dense) > 1e-8
+        assert np.linalg.norm(dense - (real + 1j * imag)) <= 1e-9 * np.linalg.norm(dense)
+    pinned = u.copy()
+    pinned[:, -1] = np.sqrt(p)
+    f_n = np.sqrt(sigma) * (pinned.T @ pinned[:, -1])
+    v_root = (np.sqrt(p)[:, np.newaxis] * u * np.sqrt(sigma)) @ u.T
+    dense = v_root @ np.sqrt(p)
+    assert np.linalg.norm(dense) > 1e-8
+    assert np.linalg.norm(dense - np.sqrt(p) * (pinned @ f_n)) <= 1e-9 * np.linalg.norm(dense)
 
 
-def _certificate(matrix, b):
-    """b_spectrum_residual of `_pair(matrix, b)`."""
-    blocks = SimpleNamespace(pair=_pair(matrix, b))
-    return b_spectrum_residual(SimpleNamespace(matrix=SimpleNamespace(_error_blocks=blocks)))
-
-
-@pytest.mark.parametrize("kind", ["perturbed V", "perturbed B"])
-def test_certificate_rejects_a_wrong_b(kind):
-    """B built from a perturbed V, or B + 1e-6 E, has a different
-    spectrum from the closed form: the certificate raises or exceeds
-    1e-8.  At 1e-10 E the radius still covers the dense gap."""
-    matrix = random_metropolis(8, seed=4)
-    n = matrix.n
-    error = np.random.default_rng(1).standard_normal((2 * n, 2 * n))
-    if kind == "perturbed V":
-        v = _factor(matrix) * (1.0 + 1e-6)
-        abar_t, pinv_v = matrix.abar.T, v / matrix.perron.p[:, np.newaxis]
-        b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
-    else:
-        b = matrix._error_blocks.b + 1e-6 * error
+@pytest.mark.parametrize("builder", [random_metropolis, random_averaging])
+def test_certificate_rejects_wrong_eigenvectors(builder):
+    """A 1e-6 error in U, against the unperturbed A, is no eigenbasis of
+    At: the certificate raises or exceeds 1e-8.  At 1e-10 its radius still
+    covers the dense gap of the B built from that U, and its residual the
+    dense ||B X - X D||_F."""
+    matrix = builder(8, seed=4)
+    lam, u = _eigh(matrix)
+    error = np.random.default_rng(1).standard_normal(u.shape)
     try:
-        assert _certificate(matrix, b) > 1e-8
+        assert _pair(matrix, u=u + 1e-6 * error)[1] > 1e-8
     except SpectralError:
         pass
-    b = matrix._error_blocks.b + 1e-10 * error
-    dyn = build_error_dynamics(matrix)
-    assert greedy_spectrum_gap(dyn, b) <= _certificate(matrix, b)
-    pair = _pair(matrix, b)
+    u = u + 1e-10 * error
+    pair, radius = _pair(matrix, u=u)
+    b = _dense_b(matrix, lam, u)
+    assert greedy_spectrum_gap(build_error_dynamics(matrix), b) <= radius
     x = dense_x(pair)
     assert np.linalg.norm(b @ x - x * pair.d) <= pair.residual
 
@@ -269,31 +308,37 @@ def test_decompose_canonical_vectors_and_reconstruction():
 
 
 def test_decompose_rejects_extra_unit_eigenvalues():
+    """A second unit eigenvalue, or a 1e-6 error in the non-unit one, is no
+    eigenvalue of At for the unperturbed A."""
     matrix = random_metropolis(2, seed=0)
-    with pytest.raises(SpectralError):
-        _pair(matrix, np.eye(4))
+    lam, u = _eigh(matrix)
+    for wrong in (1.0, lam[0] + 1e-6):
+        with pytest.raises(SpectralError):
+            _pair(matrix, np.array([wrong, lam[1]]), u)
 
 
-@pytest.mark.parametrize("rows, cols, kind", [(0, 0, "random"), (0, 1, "random"),
-                                              (1, 0, "random"), (1, 1, "random"),
-                                              (0, 0, "unit columns")])
-def test_eigenpair_check_reads_every_block_of_b(rows, cols, kind):
-    # a 1e-6 error in any N x N block of B must fail the block-by-block
-    # check.  The random errors have zero row sums, so only the conjugate
-    # pairs see them; the "unit columns" error is a multiple of 1^T, which
-    # only the pinned unit columns see (every other x has 1^T x = 0 here)
+@pytest.mark.parametrize("kind", ["A", "A along 1", "U", "lambda"])
+def test_eigenpair_check_reads_every_input(kind):
+    # a 1e-6 error in anything the eigenpair check reads must fail it.  The
+    # random error in A has zero row sums in Abar^T, so only the conjugate
+    # pairs see it; the error along 1^T only the pinned unit column [1; 0]
+    # sees (every x has 1^T x = 0 here); U enters through E = U^T U - I
     n = 6
     matrix = random_metropolis(n, seed=2)
-    dyn = build_error_dynamics(matrix)
-    b = dyn.b.copy()
-    if kind == "random":
-        error = np.random.default_rng(0).standard_normal((n, n))
-        error -= error.mean(axis=1, keepdims=True)
+    lam, u = _eigh(matrix)
+    rng = np.random.default_rng(0)
+    abar_t = matrix.abar.T.copy()
+    if kind == "A":
+        error = rng.standard_normal((n, n))
+        abar_t += 1e-6 * (error - error.mean(axis=1, keepdims=True))
+    elif kind == "A along 1":
+        abar_t += 1e-6 * np.outer(np.eye(n)[0], np.ones(n))
+    elif kind == "U":
+        u = u + 1e-6 * rng.standard_normal((n, n))
     else:
-        error = np.outer(np.eye(n)[0], np.ones(n))
-    b[rows * n:(rows + 1) * n, cols * n:(cols + 1) * n] += 1e-6 * error
+        lam = lam + 1e-6 * np.eye(n)[0]
     with pytest.raises(SpectralError, match="eigenpair residual"):
-        _pair(matrix, b)
+        _pair(matrix, lam, u, abar_t)
 
 
 def test_single_agent_degenerates_cleanly():
@@ -878,7 +923,7 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     pair and the adaptive engine's Perron estimates all come (no eigh of
     S, no eigvalsh of S for ||T_e||), and a single decomposition of B.  No
     array goes through a nonsymmetric eigensolver, no 2N x 2N array is
-    2-normed or SVD'd, and the cached blocks keep B as their only array."""
+    2-normed or SVD'd, and the cached blocks keep no array."""
     n = 6
     calls = {"decompose": 0}
     factored, solved, dense_eig, eigh_args, eigvalsh_args = [], [], [], [], []
@@ -957,8 +1002,8 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
         assert np.array_equal(uu[:, :-1], u[:, :-1] ** 2)
         assert np.array_equal(uu[:, -1], perron.p)
     blocks = matrix._error_blocks
-    assert list(vars(blocks)) == ["b", "pair", "t_d_norm"]
-    assert [k for k, v in vars(blocks).items() if isinstance(v, np.ndarray)] == ["b"]
+    assert list(vars(blocks)) == ["pair", "radius", "t_d_norm"]
+    assert not [k for k, v in vars(blocks).items() if isinstance(v, np.ndarray)]
     assert not any(hasattr(blocks, name) for name in ("t_d", "t_e", "u", "v"))
     assert solved.count((n, n)) == 1
     assert dense_eig == []
@@ -966,10 +1011,11 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     assert not [shape for shape in factored if 2 * n in shape]
 
 
-def test_error_blocks_keep_b_and_n_by_n_pieces_only():
-    """The certificate and both bounds at N = 200 retain B and N x N
-    pieces only, and build no 2N x 2N T: in units of one (2N)^2 float
-    array, at most 3 retained and 7.5 at the peak."""
+def test_error_blocks_keep_n_by_n_pieces_only():
+    """The certificate and both bounds at N = 200 retain N x N pieces only,
+    and build no 2N x 2N B or T: in units of one (2N)^2 float array, at most
+    2 retained (B with the pair's pieces would be 2.25) and 7.5 at the
+    peak."""
     matrix = random_metropolis(200, seed=1, prob=0.1)
     unit = 8 * (2 * matrix.n) ** 2
     tracemalloc.start()
@@ -980,7 +1026,7 @@ def test_error_blocks_keep_b_and_n_by_n_pieces_only():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained <= 3 * unit
+    assert retained <= 2 * unit
     assert peak <= 7.5 * unit
 
 
