@@ -200,7 +200,11 @@ def _build_graph(cfg: dict, default_seed) -> Graph:
     raise ConfigError("graph.kind", f"unknown kind {kind!r}")
 
 
-def _build_matrix(cfg: dict, default_seed) -> CombinationMatrix:
+def _build_matrix(cfg: dict, default_seed, spectrum: bool = False) -> CombinationMatrix:
+    """The configured matrix.  With `spectrum` (for `analyze` and the
+    adaptive engine, the readers of A's eigenvalues), the eigenvalues, which
+    a matrix computes on first read, are read here too, so that a failure of
+    their check surfaces where the matrix is built."""
     section = _section(cfg, "matrix")
     rule = _field(section, "matrix", "rule", "str")
     if rule == "file":
@@ -211,16 +215,22 @@ def _build_matrix(cfg: dict, default_seed) -> CombinationMatrix:
             raise ConfigError("matrix.path", f"cannot read matrix file: {path}")
         graph = _build_graph(cfg, default_seed) if "graph" in cfg else None
         try:
-            return matrix_from_array(a, graph)
+            return _with_spectrum(matrix_from_array(a, graph), spectrum)
         except (GraphError, ValueError, SpectralError) as exc:
             raise ConfigError("matrix.path", f"bad combination matrix: {exc}")
     graph = _build_graph(cfg, default_seed)
     with _failures_at("matrix"):
         if rule == "metropolis":
-            return build_metropolis(graph)
+            return _with_spectrum(build_metropolis(graph), spectrum)
         if rule == "averaging":
-            return build_averaging(graph)
+            return _with_spectrum(build_averaging(graph), spectrum)
     raise ConfigError("matrix.rule", f"unknown rule {rule!r}")
+
+
+def _with_spectrum(matrix: CombinationMatrix, spectrum: bool) -> CombinationMatrix:
+    if spectrum:
+        matrix.perron.rhoA  # computes and checks the eigenvalues
+    return matrix
 
 
 def _build_model(cfg: dict, n_agents: int, default_seed) -> CostModel:
@@ -295,7 +305,7 @@ def _cmd_run(cfg: dict, outdir: Path, seed) -> int:
     engine = _field(run_cfg, "run", "engine", "str")
     if engine not in ENGINES:
         raise ConfigError("run.engine", f"unknown engine {engine!r}; choose from {list(ENGINES)}")
-    matrix = _build_matrix(cfg, seed)
+    matrix = _build_matrix(cfg, seed, spectrum=engine == "adaptive_exact_diffusion")
     model = _build_model(cfg, matrix.n, seed)
     with _failures_at("run"):
         steps = _build_steps(run_cfg, engine, model, matrix)
@@ -326,7 +336,7 @@ def _cmd_scan(cfg: dict, outdir: Path, seed) -> int:
         raise ConfigError("scan.mu_min", "need 0 < mu_min < mu_max")
     if points < 2:
         raise ConfigError("scan.points", "need at least two grid points")
-    matrix = _build_matrix(cfg, seed)
+    matrix = _build_matrix(cfg, seed, spectrum=engine == "adaptive_exact_diffusion")
     model = _build_model(cfg, matrix.n, seed)
     grid = (np.geomspace if log_spacing else np.linspace)(mu_min, mu_max, points)
     with _failures_at("scan"):
@@ -359,7 +369,7 @@ def _curvature(cfg: dict, matrix: CombinationMatrix, seed):
 
 
 def _cmd_analyze(cfg: dict, outdir: Path, seed) -> int:
-    matrix = _build_matrix(cfg, seed)
+    matrix = _build_matrix(cfg, seed, spectrum=True)
     n = matrix.n
     with _failures_at("matrix"):
         perron = matrix.perron

@@ -4,12 +4,13 @@ Agents are the nodes of an undirected connected graph.  A combination
 matrix A is nonnegative and left-stochastic (columns sum to one); entry
 a[l, k] is the weight agent k applies to data arriving from agent l.
 
-A CombinationMatrix is immutable and computes its spectral setup once, at
-construction (see the class).  S = (P - A P)/2 (`v_squared`), (I + A)/2
-(`abar`), the engines' operators, the eigenpairs of At = P^{-1/2} A P^{1/2}
-(`_eigh`), the error-recursion blocks, which read only Abar, p and those
-eigenpairs, and the dense B with its dual factor V (`_b`) are computed on
-first use.
+A CombinationMatrix is immutable.  Its constructor validates A and
+computes the Perron vector and the balance residual, with no eigensolve
+(see the class).  A's spectrum comes on first read (see `PerronData`), and
+so do S = (P - A P)/2 (`v_squared`), (I + A)/2 (`abar`), the engines'
+operators, the error-recursion blocks, which read only Abar, p and the
+eigenpairs of At = P^{-1/2} A P^{1/2} (`_eigh`), and the dense B with its
+dual factor V (`_b`).
 
 Connectivity is tested with numpy alone: a graph's by a component search
 over its edge array (`_components`), and the strong connectivity of a
@@ -180,22 +181,21 @@ class CombinationMatrix:
     """Left-stochastic nonnegative matrix tied to a graph.
 
     Validated at construction: nonnegativity, column sums, sparsity that
-    respects the graph, and primitivity (a single eigenvalue on the unit
-    circle, located at 1, with at least one positive self-weight).  So is
-    the spectral setup, once: `perron` (see `_perron_vector`), the balance
-    residual of `check_balanced`, and the eigenvalues of A, ascending with
-    the unit one last, from one `eigvalsh` of the symmetric
-    At = P^{-1/2} A P^{1/2} of a balanced A; its eigenvectors come from one
-    cached `eigh` (`_eigh`).  An unbalanced A (only a raw array can be one)
-    gets a nonsymmetric `eigvals`.  `a` is a read-only copy, so the cached
-    spectral data cannot go stale.
+    respects the graph, and structural primitivity: a strongly connected
+    support with at least one positive self-weight, which makes A
+    irreducible with a positive diagonal entry, hence primitive.  So are
+    `perron.p` (see `_perron_vector`) and the balance residual of
+    `check_balanced`.  No eigensolve runs at construction: A's eigenvalues,
+    and the eigenpairs of the symmetric At = P^{-1/2} A P^{1/2} of a
+    balanced A (`_eigh`), are computed on first read and checked then (see
+    `PerronData`).  `a` is a read-only copy, so the cached spectral data
+    cannot go stale.
     """
 
     a: np.ndarray
     graph: Graph
     perron: PerronData = field(init=False, repr=False, compare=False)
     _balance: float = field(init=False, repr=False, compare=False)
-    _eigvals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
@@ -220,8 +220,7 @@ class CombinationMatrix:
         if not np.any(np.diag(a) > 0):
             raise SpectralError("no agent has a positive self-weight")
         # directed support must be strongly connected, otherwise the
-        # Perron vector degenerates (zero entries) even when the
-        # eigenvalue tests below look fine
+        # Perron vector degenerates (zero entries)
         if not _strongly_connected(a, self.graph._ij):
             raise SpectralError(
                 "matrix support is not strongly connected; "
@@ -229,36 +228,19 @@ class CombinationMatrix:
             )
         p = _perron_vector(a)
         balance = float(np.abs(p[:, np.newaxis] * a.T - a * p).max())
-        if balance <= BALANCE_TOL:
-            vals = np.linalg.eigvalsh(_symmetrized(a, p))
-        else:
-            vals = np.linalg.eigvals(a)
-        near_one = np.abs(vals - 1.0) <= UNIT_EIG_TOL
-        if near_one.sum() != 1:
-            raise SpectralError(
-                f"matrix is not primitive: {int(near_one.sum())} eigenvalues at 1"
-            )
-        others = np.abs(vals[~near_one])
-        if others.size and others.max() >= 1.0 - 1e-10:
-            raise SpectralError(
-                "matrix is not primitive: non-unit eigenvalue on the unit circle"
-            )
-        vals.flags.writeable = False
-        lambda2, lambdaN, rhoA = _spectrum_summary(vals)
-        object.__setattr__(self, "perron", PerronData(p, lambda2, lambdaN, rhoA))
+        object.__setattr__(self, "perron", PerronData(p, a, balance <= BALANCE_TOL))
         object.__setattr__(self, "_balance", balance)
-        object.__setattr__(self, "_eigvals", vals)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    @property
+    @cached_property
     def is_doubly_stochastic(self) -> bool:
         """Rows sum to one within 1e-10 (columns always do)."""
         return bool(np.abs(self.a.sum(axis=1) - 1.0).max() <= STOCHASTIC_TOL)
 
-    @property
+    @cached_property
     def is_symmetric_doubly_stochastic(self) -> bool:
         """Symmetric within 1e-10 as well as doubly stochastic."""
         a = self.a
@@ -305,13 +287,16 @@ class CombinationMatrix:
         as `_combine_ops`."""
         return self._operator(self.v_squared)
 
-    @cached_property
+    @property
     def _eigh(self) -> tuple:
-        """(lam, U) of a balanced matrix's At = U diag(lam) U^T, read-only,
-        ascending with the unit eigenvalue last, from one `eigh` on first use."""
-        lam, u = np.linalg.eigh(_symmetrized(self.a, self.perron.p))
-        lam.flags.writeable = u.flags.writeable = False
-        return lam, u
+        """(lam, U) of a balanced matrix's At = U diag(lam) U^T (see
+        `PerronData._eigh`)."""
+        return self.perron._eigh
+
+    @property
+    def _eigvals(self) -> np.ndarray:
+        """A's eigenvalues (see `PerronData._eigvals`)."""
+        return self.perron._eigvals
 
     @cached_property
     def _error_blocks(self):
@@ -355,15 +340,57 @@ class _CSROperator:
 
 @dataclass(frozen=True)
 class PerronData:
-    """Perron vector p (Ap = p, sum 1, entrywise positive) plus the
-    spectral summary of A: second-largest eigenvalue (real for balanced
-    policies), smallest eigenvalue, and second-largest eigenvalue
-    magnitude rhoA."""
+    """Perron vector p (Ap = p, sum 1, entrywise positive) of a primitive
+    left-stochastic A, plus the spectral summary of A: second-largest
+    eigenvalue lambda2 (real for balanced policies), smallest eigenvalue
+    lambdaN, and second-largest eigenvalue magnitude rhoA.
+
+    p is computed with the matrix; the spectrum on first read.  A balanced
+    A's eigenvalues are those of one `eigh` of At (`_eigh`), which the
+    Perron data caches with its eigenvectors; an unbalanced A's come from
+    one `eigvals(A)`.  That first read checks them: exactly one within
+    UNIT_EIG_TOL of 1 and no other on the unit circle, else SpectralError.
+    A structurally primitive A passes unless rounding trips the check."""
 
     p: np.ndarray
-    lambda2: float
-    lambdaN: float
-    rhoA: float
+    _a: np.ndarray = field(repr=False, compare=False)
+    _balanced: bool = field(repr=False, compare=False)
+
+    @cached_property
+    def _eigh(self) -> tuple:
+        """(lam, U) of a balanced A's At = U diag(lam) U^T, read-only,
+        ascending with the unit eigenvalue last, from one `eigh` on first use."""
+        lam, u = np.linalg.eigh(_symmetrized(self._a, self.p))
+        _check_primitive(lam)
+        lam.flags.writeable = u.flags.writeable = False
+        return lam, u
+
+    @cached_property
+    def _eigvals(self) -> np.ndarray:
+        """A's eigenvalues, read-only: `_eigh`'s for a balanced A, else
+        `eigvals(A)`'s."""
+        if self._balanced:
+            return self._eigh[0]
+        vals = np.linalg.eigvals(self._a)
+        _check_primitive(vals)
+        vals.flags.writeable = False
+        return vals
+
+    @cached_property
+    def _summary(self) -> tuple:
+        return _spectrum_summary(self._eigvals)
+
+    @property
+    def lambda2(self) -> float:
+        return self._summary[0]
+
+    @property
+    def lambdaN(self) -> float:
+        return self._summary[1]
+
+    @property
+    def rhoA(self) -> float:
+        return self._summary[2]
 
 
 def build_metropolis(graph: Graph) -> CombinationMatrix:
@@ -391,6 +418,21 @@ def build_averaging(graph: Graph) -> CombinationMatrix:
     a[i, j] = w[j]
     a[j, i] = w[i]
     return CombinationMatrix(a, graph)
+
+
+def _check_primitive(vals: np.ndarray) -> None:
+    """SpectralError unless exactly one of A's eigenvalues lies within
+    UNIT_EIG_TOL of 1 and no other on the unit circle."""
+    near_one = np.abs(vals - 1.0) <= UNIT_EIG_TOL
+    if near_one.sum() != 1:
+        raise SpectralError(
+            f"matrix is not primitive: {int(near_one.sum())} eigenvalues at 1"
+        )
+    others = np.abs(vals[~near_one])
+    if others.size and others.max() >= 1.0 - 1e-10:
+        raise SpectralError(
+            "matrix is not primitive: non-unit eigenvalue on the unit circle"
+        )
 
 
 def _spectrum_summary(vals: np.ndarray):

@@ -19,7 +19,6 @@ one-step map B - T diag(mu_k H_k, 0) of quadratic costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,17 +60,50 @@ def _gamma(k: int) -> float:
 
 def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     """`CombinationMatrix._error_blocks` of a balanced matrix (else
-    ValueError) from Abar, p and At's cached eigenpairs; ||T_d||^2 is the
-    top eigenvalue of T_d^T T_d = Abar (I + S) Abar^T."""
+    ValueError) from Abar, p and At's cached eigenpairs.  The norms take one
+    of two paths.  For a symmetric doubly stochastic A, P = I/N, so ||X_R||,
+    ||X_L|| (see `_closed_form_pair`) and ||T_d|| (`_symmetric_t_d_norm`)
+    are closed-form in At's eigenvalues and N, with no Gram matrix.
+    Otherwise ||X_R|| and ||X_L|| are the 2-norms of the pair's N-row
+    pieces, and ||T_d||^2 is the top eigenvalue of T_d^T T_d =
+    Abar (I + S) Abar^T, each from a Gram `eigvalsh`."""
     balanced, violation = check_balanced(matrix)
     if not balanced:
         raise ValueError(f"combination matrix is not balanced (violation {violation:.3e})")
     (_, abar_t, abar), dense_t = matrix._combine_ops, matrix.abar.T
     k_max = int(np.count_nonzero(dense_t, axis=1).max())
-    pair, radius = _closed_form_pair(abar_t, *matrix._eigh, matrix.perron.p, k_max)
-    t_d = abar @ (dense_t + matrix._dual_op @ dense_t)
-    return _Blocks(pair=pair, radius=radius,
-                   t_d_norm=float(np.sqrt(max(np.linalg.eigvalsh(t_d)[-1], 0.0))))
+    uniform, p = matrix.is_symmetric_doubly_stochastic, matrix.perron.p
+    pair, radius = _closed_form_pair(abar_t, *matrix._eigh, p, k_max, uniform)
+    if uniform:
+        t_d_norm = _symmetric_t_d_norm(matrix.a, p)
+    else:
+        t_d = abar @ (dense_t + matrix._dual_op @ dense_t)
+        t_d_norm = float(np.sqrt(max(np.linalg.eigvalsh(t_d)[-1], 0.0)))
+    return _Blocks(pair=pair, radius=radius, t_d_norm=t_d_norm)
+
+
+def _symmetric_t_d_norm(a: np.ndarray, p: np.ndarray) -> float:
+    """An upper bound on ||T_d|| of a nearly symmetric doubly stochastic A,
+    from A's measured asymmetry and row and column sums, with no eigensolve.
+
+    With A_s = (A + A^T)/2 and S_0 = (I - A_s)/(2N), M_0 = Abar_s (I + S_0)
+    Abar_s has the eigenvalues lb^2 (1 + (1 - lb)/N), lb = (1 + lam)/2 over
+    A_s's eigenvalues lam, at most (1 + g/2)^2 for |lam| <= 1 + g, g the
+    largest deviation of a row or column sum from 1 (equal to 1 at g = 0).
+    ||T_d||^2 = ||M||, M = Abar (I + S) Abar^T, and with K = A - A^T,
+    Abar = Abar_s + K/4 and S - S_0 = (2 Pi - A_s Pi - Pi A_s)/4 -
+    (K P - P K)/8, Pi = P - I/N, Weyl's inequality gives ||M|| <= ||M_0||
+    + (1 + ||S_0||) (||K|| ||Abar_s|| / 2 + ||K||^2 / 16)
+    + ||Abar||^2 ||S - S_0||."""
+    n = p.size
+    sums = np.concatenate([a.sum(axis=0), a.sum(axis=1)])
+    g = float(np.abs(sums - 1.0).max() + _gamma(n - 1) * sums.max())
+    k = float(np.abs(a - a.T).sum(axis=0).max()) * (1.0 + _gamma(n))  # >= ||K||
+    abar_s = 1.0 + g / 2.0
+    abar_norm, s_0 = abar_s + k / 4.0, (2.0 + g) / (2.0 * n)
+    ds = np.abs(p - 1.0 / n).max() * (2.0 + g) / 2.0 + k * p.max() / 4.0  # >= ||S - S_0||
+    return float(np.sqrt(abar_s ** 2 + (1.0 + s_0) * (k * abar_s / 2.0 + k * k / 16.0)
+                         + abar_norm ** 2 * ds))
 
 
 @dataclass
@@ -156,7 +188,13 @@ class SpectralPair:
     columns [x_top[:, k]; -+ i r_right[k] r[:, k]] and the inverse rows
     [y_top[:, k]; +- i r_left[k] r[:, k]], r = H U (`dual_vectors`) less
     its unit column, in the descending order of d.  These read-only N-row
-    pieces give ||X_R|| and ||X_L||; residual bounds ||B X - X D||_F.
+    pieces give norm_r = ||X_R|| and norm_l = ||X_L||: mixing each
+    conjugate column pair (a, b) into (a +- b)/sqrt(2) makes X_R
+    block-diagonal, blocks sqrt(2) x_top and sqrt(2) r diag(r_right), the
+    first the larger (||x_top[:, k]|| >= scale_k / sqrt(p_max) >
+    sqrt(lbar_k) scale_k = r_right[k]), and X_L likewise, blocks
+    sqrt(2) y_top and sqrt(2) r diag(r_left).  residual bounds
+    ||B X - X D||_F.
     """
 
     d: np.ndarray
@@ -167,20 +205,8 @@ class SpectralPair:
     r_right: np.ndarray
     r_left: np.ndarray
     residual: float
-
-    @cached_property
-    def norm_r(self) -> float:
-        """||X_R||.  Mixing each conjugate column pair (a, b) into
-        (a +- b)/sqrt(2) makes X_R block-diagonal, blocks sqrt(2) x_top and
-        sqrt(2) r diag(r_right), the first the larger: ||x_top[:, k]|| >=
-        scale_k / sqrt(p_max) > sqrt(lbar_k) scale_k = r_right[k]."""
-        return float(np.sqrt(2.0) * _two_norm(self.x_top))
-
-    @cached_property
-    def norm_l(self) -> float:
-        """||X_L||, block-diagonal after the same mixing of row pairs."""
-        dual = self.r_left.max(initial=0.0)
-        return float(np.sqrt(2.0) * max(_two_norm(self.y_top), dual))
+    norm_r: float
+    norm_l: float
 
 
 def decompose_b(dyn: ErrorDynamics) -> SpectralPair:
@@ -216,10 +242,18 @@ def _gram_error(u: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _closed_form_pair(abar_t, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
-                      k_max: int) -> tuple[SpectralPair, float]:
+                      k_max: int, uniform: bool) -> tuple[SpectralPair, float]:
     """The pair of `decompose_b` and the radius of `b_spectrum_residual`
     from Abar^T (`op @ x`, at most k_max nonzeros a row) and the eigenpairs
     (lam, u) of At, ascending with the unit eigenvalue last.
+
+    With `uniform` (a symmetric doubly stochastic A, p = 1/N), the norms are
+    closed-form in the scales, which depend only on lbar and N, with
+    ||U|| <= sqrt(1 + ||E||_F): ||X_R|| <= sqrt(2 / p_min) max scale_k ||U||,
+    and ||X_L|| <= sqrt(2) max r_left[k] ||U||, since ||y_top|| <=
+    sqrt(p_max) max 1 / (2 scale_k) ||U|| and r_left[k] =
+    1 / (2 sqrt(lbar_k) scale_k) with p_max lbar_k < 1.  Otherwise each is
+    a 2-norm from a Gram `eigvalsh`.
 
     Both run on B's orthogonal similar diag(I, H) B diag(I, H), whose factor
     is P^{1/2} U Sigma^{1/2} U^T, with dual halves U, not H U, and [0; 1] as
@@ -272,6 +306,12 @@ def _closed_form_pair(abar_t, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
         raise SpectralError(f"eigenpair residual {worst:.3e} above tolerance")
     x_top, y_top, r_right = x * scale, y / scale, root_lbar * scale
     r_left = 1.0 / (2.0 * r_right)
+    if uniform:
+        norm_r = np.sqrt(2.0 / p_min) * norm_u * scale.max(initial=0.0)
+        norm_l = np.sqrt(2.0) * norm_u * r_left.max(initial=0.0)
+    else:
+        norm_r = np.sqrt(2.0) * _two_norm(x_top)
+        norm_l = np.sqrt(2.0) * max(_two_norm(y_top), r_left.max(initial=0.0))
     norm_x = np.linalg.norm(np.hypot(np.linalg.norm(x_top, axis=0), r_right * norm_u))
     norm_b = np.sqrt(s_max / p_min) * norm_u ** 2 + 1.0 + s_max * norm_u ** 4  # of B[:, N:]
     residual = float(np.hypot(np.sqrt(2.0) * np.linalg.norm(modulus), unit) + _gamma(3)
@@ -290,10 +330,11 @@ def _closed_form_pair(abar_t, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
     if not eta < 0.5:
         raise SpectralError(f"closed-form inverse of X is off by {eta:.3e}")
     pair = SpectralPair(d=d, p=p, x_top=x_top, y_top=y_top, r=dual_vectors(u, p),
-                        r_right=r_right, r_left=r_left, residual=residual)
+                        r_right=r_right, r_left=r_left, residual=residual,
+                        norm_r=float(norm_r), norm_l=float(norm_l))
     for piece in (d, x_top, y_top, pair.r, r_right, r_left):
         piece.flags.writeable = False
-    norm_y = np.sqrt(max(p @ p, 1.0 / n) + pair.norm_l ** 2 * norm_u ** 2)
+    norm_y = np.sqrt(max(p @ p, 1.0 / n) + norm_l ** 2 * norm_u ** 2)
     return pair, float(norm_y * residual / (1.0 - eta))
 
 

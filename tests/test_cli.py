@@ -748,17 +748,22 @@ def test_perron_failure_is_config_error(tmp_path, capsys, monkeypatch, command):
     assert "config error at matrix: injected failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("command, engine", [("run", "exact_diffusion"),
+                                             ("run", "adaptive_exact_diffusion"),
+                                             ("analyze", None)])
 @pytest.mark.parametrize("rule, where", [("metropolis", "matrix"),
                                          ("file", "matrix.path: bad combination matrix")])
 @pytest.mark.parametrize("failure, message", [("perron", "injected failure"),
                                               ("primitivity", "matrix is not primitive")])
 def test_spectral_setup_failures_surface_at_the_matrix(tmp_path, capsys, monkeypatch, command,
-                                                       rule, where, failure, message):
-    # the constructor computes the whole spectral setup, so its failures
-    # surface where the matrix is built: at `matrix` for a built-in rule
-    # and at `matrix.path` for a matrix file
-    payload = base_run_config()
+                                                       engine, rule, where, failure, message):
+    # the constructor computes p, so a failed Perron solve surfaces where
+    # the matrix is built: at `matrix` for a built-in rule and at
+    # `matrix.path` for a matrix file.  A's eigenvalues, and their
+    # primitivity check, come on first read: `analyze` and the adaptive
+    # engine read them where the matrix is built, so their failure surfaces
+    # there too, and a run of any other engine never computes them
+    payload = base_run_config(engine=engine or "exact_diffusion")
     if rule == "file":
         path = tmp_path / "a.csv"
         graph = decentopt.random_connected_graph(6, 0.6, seed=7)
@@ -771,6 +776,16 @@ def test_spectral_setup_failures_surface_at_the_matrix(tmp_path, capsys, monkeyp
         # every eigenvalue then counts as one at 1
         monkeypatch.setattr(decentopt.graphs, "UNIT_EIG_TOL", 2.0)
     cfg = write_config(tmp_path, payload)
+    if failure == "primitivity" and engine == "exact_diffusion":
+        shapes = []
+        for name in ("eigh", "eigvalsh", "eigvals"):
+            def recorded(x, *args, solver=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(x))
+                return solver(x, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 0
+        assert (6, 6) not in shapes  # the ground truth's 3 x 3 Hessian is no matrix's
+        return
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
     assert f"config error at {where}: {message}" in capsys.readouterr().err
 

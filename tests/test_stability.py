@@ -1,6 +1,7 @@
 """Error dynamics, eigenstructure, step-size bounds, two-agent closed
 forms, adaptive mismatch decay, and grid scans."""
 
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -38,6 +39,7 @@ from decentopt import (
 from decentopt import algorithms, graphs, stability
 from decentopt.spectral import dual_factor
 from decentopt.algorithms import ENGINES, run
+from decentopt.cli import main
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 from oracles import (classify_run, dense_x, dense_x_inv, greedy_spectrum_gap,
@@ -196,7 +198,8 @@ def _pair(matrix, lam=None, u=None, abar_t=None):
     abar_t = matrix.abar.T if abar_t is None else abar_t
     return stability._closed_form_pair(abar_t, eig_lam if lam is None else lam,
                                        eig_u if u is None else u, matrix.perron.p,
-                                       int(np.count_nonzero(abar_t, axis=1).max()))
+                                       int(np.count_nonzero(abar_t, axis=1).max()),
+                                       matrix.is_symmetric_doubly_stochastic)
 
 
 def _dense_b(matrix, lam, u):
@@ -1011,6 +1014,50 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     assert not [shape for shape in factored if 2 * n in shape]
 
 
+@pytest.mark.parametrize("case, expected", [
+    ("run", []),
+    ("scan", []),
+    ("adaptive run", ["eigh"]),
+    ("adaptive scan", ["eigh"]),
+    ("analyze metropolis", ["eigh"]),
+    ("analyze averaging", ["eigh", "eigvalsh", "eigvalsh", "eigvalsh"]),
+])
+def test_eigensolve_budget_per_command(tmp_path, monkeypatch, case, expected):
+    """The N x N eigensolves of each command on a fresh matrix.  No run or
+    scan of a non-adaptive engine computes A's spectrum; the adaptive
+    engine takes the one `eigh` of At.  `analyze` reads A's eigenvalues from
+    that `eigh` too, and for a symmetric doubly stochastic A its norms are
+    closed-form; an averaging matrix's non-uniform p keeps the Gram
+    `eigvalsh` of ||X_R||, ||X_L|| and ||T_d||."""
+    n, calls = 12, []
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        def counted(x, *args, solver=getattr(np.linalg, name), name=name, **kwargs):
+            if np.shape(x) == (n, n):
+                calls.append(name)
+            return solver(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rule = "averaging" if case.endswith("averaging") else "metropolis"
+    if case.startswith("analyze"):
+        config = tmp_path / "analyze.json"
+        config.write_text(json.dumps({
+            "seed": 3, "graph": {"kind": "random", "n": n, "edge_probability": 0.4},
+            "matrix": {"rule": rule},
+            "model": {"kind": "least_squares", "dim": 3, "samples_per_agent": 8}}))
+        assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    else:
+        matrix = random_metropolis(n, seed=3, prob=0.4)
+        model = random_quadratic(n, 3, seed=3)
+        adaptive = case.startswith("adaptive")
+        for engine in (["adaptive_exact_diffusion"] if adaptive else
+                       [e for e in ENGINES if e != "adaptive_exact_diffusion"]):
+            if case.endswith("run"):
+                run(engine, model, matrix, stability._steps_for(engine, model, matrix, 0.01),
+                    max_iters=20)
+            else:
+                stability_scan(engine, model, matrix, [0.01, 0.05], max_iters=20)
+    assert calls == expected
+
+
 def test_error_blocks_keep_n_by_n_pieces_only():
     """The certificate and both bounds at N = 200 retain N x N pieces only,
     and build no 2N x 2N B or T: in units of one (2N)^2 float array, at most
@@ -1176,3 +1223,35 @@ def test_one_step_map_contracts_at_the_bound(network, builder, n):
         unit = np.abs(eigs - 1.0) <= 1e-9
         assert unit.sum() == dim
         assert np.abs(eigs[~unit]).max() < 1.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_rate_is_within_the_bound_rate(seed):
+    """Below mu_bound the exact rate beats the bound's: rho(one_step_matrix)
+    <= rho_at(mu), less the dim structural unit eigenvalues, dropped by value.
+
+    rho_at is the largest column sum of Part II's 2 x 2 recursion on the
+    squared norms of the transformed error's two blocks,
+    ||e_i||^2 <= (1 - sigma11 mu) ||e_{i-1}||^2 + (sigma12^2 mu / sigma11)
+    ||e'_{i-1}||^2 and ||e'_i||^2 <= lam ||e'_{i-1}||^2 + 2 mu^2 / (1 - lam)
+    (sigma21^2 ||e_{i-1}||^2 + sigma22^2 ||e'_{i-1}||^2), so it contracts the
+    squared error norm and the paper gives rho^2 <= rho_at(mu).  The test
+    asserts the stronger rho <= rho_at(mu), which holds with 1 - rho many
+    times 1 - rho_at(mu) on these networks."""
+    n, dim = 10, 3
+    matrix = random_metropolis(n, seed=seed, prob=0.4)
+    model = least_squares_model(seed, n, dim, 8)
+    nu, delta, k_o = hessian_bounds(model)
+    dyn = build_error_dynamics(matrix, model=model)
+    ratio = model.q / matrix.perron.p
+    tau = ratio / ratio.max()
+    bounds = [("exact_diffusion", diffusion_step_bound(matrix, tau=tau, nu=nu, delta=delta,
+                                                       k_o=k_o), tau),
+              ("extra", extra_step_bound(matrix, nu, delta), np.ones(n))]
+    for engine, bound, profile in bounds:
+        for fraction in (0.25, 0.5, 0.9):
+            mu = fraction * bound.mu_bound
+            eigs = np.linalg.eigvals(one_step_matrix(dyn, engine, mu=mu * profile))
+            unit = np.abs(eigs - 1.0) <= 1e-9
+            assert unit.sum() == dim
+            assert np.abs(eigs[~unit]).max() <= bound.rho_at(mu) < 1.0
