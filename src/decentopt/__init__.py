@@ -53,7 +53,6 @@ from .stability import (
     diffusion_step_bound,
     extra_step_bound,
     one_step_matrix,
-    predicted_b_spectrum,
     stability_scan,
     two_agent_case,
     two_agent_onset,

@@ -220,7 +220,8 @@ class EngineSpec:
     symmetric: bool = False  # the matrix must also be symmetric
     step_rule: str = "uniform"
     primal_dual: bool = False  # the dual block is V y; the step reads S = V V^T and p
-    error_map: str | None = None  # T block of the quadratic one-step map: "t_d" or "t_e"
+    error_map: str | None = None  # the gradient's route in `one_step_matrix`: "t_d" where it
+    #                                enters combined (Abar^T mu grad), "t_e" where it enters raw
 
 
 ENGINE_SPECS = {

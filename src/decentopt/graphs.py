@@ -8,9 +8,9 @@ A CombinationMatrix is immutable.  Its constructor validates A and
 computes the Perron vector and the balance residual, with no eigensolve
 (see the class).  A's spectrum comes on first read (see `PerronData`), and
 so do S = (P - A P)/2 (`v_squared`), (I + A)/2 (`abar`), the engines'
-operators, the error-recursion blocks, which read only Abar, p and the
-eigenpairs of At = P^{-1/2} A P^{1/2} (`_eigh`), and the dense B with its
-dual factor V (`_b`).
+operators, and the error-recursion blocks, which read only Abar, p and the
+eigenpairs of At = P^{-1/2} A P^{1/2} (`_eigh`).  No dual factor V of S
+and no lifted 2N x 2N matrix is formed.
 
 Connectivity is tested with numpy alone: a graph's by a component search
 over its edge array (`_components`), and the strong connectivity of a
@@ -293,11 +293,6 @@ class CombinationMatrix:
         `PerronData._eigh`)."""
         return self.perron._eigh
 
-    @property
-    def _eigvals(self) -> np.ndarray:
-        """A's eigenvalues (see `PerronData._eigvals`)."""
-        return self.perron._eigvals
-
     @cached_property
     def _error_blocks(self):
         """The closed-form decomposition of the error recursion's B of a
@@ -306,19 +301,6 @@ class CombinationMatrix:
         from .stability import _network_blocks
 
         return _network_blocks(self)
-
-    @cached_property
-    def _b(self) -> np.ndarray:
-        """The dense B of a balanced matrix, read-only, with V from
-        `spectral.dual_factor`: only `stability.ErrorDynamics.b` reads it."""
-        from .spectral import dual_factor
-
-        n, abar_t, p = self.n, self.abar.T, self.perron.p
-        v = dual_factor(*self._eigh, p)[0]
-        pinv_v = v / p[:, np.newaxis]
-        b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
-        b.flags.writeable = False
-        return b
 
 
 class _CSROperator:

@@ -11,9 +11,10 @@ recursion of the correction-term engine is driven by
 with Abar = (I + A)/2 and P = diag(p).  Any such factor gives the same B
 up to an orthogonal change of the dual block.  B's closed-form spectrum,
 its certificate and every bound read only Abar, p and the cached
-eigenpairs of At = P^{-1/2} A P^{1/2}; V (`spectral.dual_factor`) and the
-dense B are built only when `ErrorDynamics.b` is read, for the exact
-one-step map B - T diag(mu_k H_k, 0) of quadratic costs.
+eigenpairs of At = P^{-1/2} A P^{1/2}.  The primal-dual engines carry
+z = V y and advance it with S, and the exact one-step map of quadratic
+costs (`one_step_matrix`) is taken in those (w, z) coordinates, from
+Abar, S and p.  No step of the library forms V or B.
 """
 
 from __future__ import annotations
@@ -109,28 +110,11 @@ def _symmetric_t_d_norm(a: np.ndarray, p: np.ndarray) -> float:
 @dataclass
 class ErrorDynamics:
     """Error recursion of a balanced matrix, with optional per-agent Hessians
-    and steps.  B is the matrix's cached `_b`; T_d and T_e are built on read."""
+    and steps."""
 
     matrix: CombinationMatrix
     h: np.ndarray | None = None
     mu: np.ndarray | None = None
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.matrix._b
-
-    @property
-    def t_d(self) -> np.ndarray:
-        """[B[:, :N], 0]: T_d shares B's first N columns."""
-        n = self.matrix.n
-        return np.hstack([self.b[:, :n], np.zeros((2 * n, n))])
-
-    @property
-    def t_e(self) -> np.ndarray:
-        """[[I; V^T], 0], with V = -P B[:N, N:]."""
-        n = self.matrix.n
-        v = -self.matrix.perron.p[:, np.newaxis] * self.b[:n, n:]
-        return np.hstack([np.vstack([np.eye(n), v.T]), np.zeros((2 * n, n))])
 
 
 def build_error_dynamics(matrix, model: CostModel = None,
@@ -156,7 +140,18 @@ def build_error_dynamics(matrix, model: CostModel = None,
 def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
                     mu=None) -> np.ndarray:
     """Exact one-step error map for quadratic costs, lifted to
-    (2 N M, 2 N M) with agent-major flattening: B - T diag(mu_k H_k, 0).
+    (2 N M, 2 N M) with agent-major flattening: B_z - T_z diag(mu_k H_k, 0).
+
+    It acts on the engines' own errors (W - W*, z - z*), z = V y the dual
+    block `exact_diffusion_pd` and `extra` carry, as their steps do: w <-
+    Abar^T w - P^{-1} z - G mu H w, then z <- z + S w, so B_z = [[Abar^T,
+    -P^{-1}], [S Abar^T, I - S P^{-1}]] and T_z = [[G, 0], [S G, 0]], G =
+    Abar^T where the gradient enters combined and I where it enters raw.
+    With L = diag(I, V) (x) I_M, the map times L is L times the V-form map
+    B - T diag(mu_k H_k, 0), so both have one spectrum, and its M unit
+    eigenvalues are those of the conserved 1^T z.  As mu -> 0 they merge
+    with the primal consensus modes into defective ones, which `eigvals`
+    may read about 1e-8 off 1.  No eigensolve runs and no V is built.
     """
     if dyn.h is None:
         raise ValueError("one_step_matrix needs Hessians; build with a quadratic model")
@@ -164,18 +159,21 @@ def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
         mu = dyn.mu
     if mu is None:
         raise ValueError("one_step_matrix needs step sizes")
-    n = dyn.matrix.n
+    matrix = dyn.matrix
+    n = matrix.n
     mu = np.broadcast_to(np.atleast_1d(np.asarray(mu, dtype=float)), (n,))
     spec = ENGINE_SPECS.get(engine)
     if spec is None or spec.error_map is None:
         raise ValueError(f"no analytic error map for engine {engine!r}")
-    t = getattr(dyn, spec.error_map)
+    abar_t, s, p = matrix.abar.T, matrix.v_squared, matrix.perron.p
+    g = abar_t if spec.error_map == "t_d" else np.eye(n)
+    b_z = np.block([[abar_t, -np.diag(1.0 / p)], [s @ abar_t, np.eye(n) - s / p]])
     m = dyn.h.shape[-1]
     mh = np.zeros((n * m, n * m))
     agents = np.arange(n)
     mh.reshape(n, m, n, m)[agents, :, agents, :] = mu[:, np.newaxis, np.newaxis] * dyn.h
-    big = np.kron(dyn.b, np.eye(m))
-    big[:, : n * m] -= np.kron(t, np.eye(m))[:, : n * m] @ mh
+    big = np.kron(b_z, np.eye(m))
+    big[:, : n * m] -= np.kron(np.vstack([g, s @ g]), np.eye(m)) @ mh
     return big
 
 
@@ -336,17 +334,6 @@ def _closed_form_pair(abar_t, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
         piece.flags.writeable = False
     norm_y = np.sqrt(max(p @ p, 1.0 / n) + norm_l ** 2 * norm_u ** 2)
     return pair, float(norm_y * residual / (1.0 - eta))
-
-
-def predicted_b_spectrum(matrix: CombinationMatrix) -> np.ndarray:
-    """Closed-form eigenvalues of B: {1, 1} plus, for every non-Perron
-    eigenvalue lam of Abar, the roots of d^2 - 2 lam d + lam = 0 (a
-    conjugate pair of modulus sqrt(lam))."""
-    matrix = matrix_from_array(matrix)
-    lams = (1.0 + matrix._eigvals) / 2.0  # the eigenvalues of Abar
-    lams = np.delete(lams, np.argmin(np.abs(lams - 1.0))).astype(complex)
-    root = np.sqrt(lams * lams - lams)
-    return np.sort_complex(np.concatenate([[1.0, 1.0], lams + root, lams - root]))
 
 
 def b_spectrum_residual(dyn: ErrorDynamics) -> float:

@@ -2,12 +2,14 @@
 against.  None of them is part of the library."""
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from decentopt import StepSizes, TraceRecord, predicted_b_spectrum, solve_centralized
+from decentopt import StepSizes, TraceRecord, matrix_from_array, solve_centralized
 from decentopt.algorithms import (
     ENGINE_SPECS,
     _engine_context,
@@ -15,6 +17,7 @@ from decentopt.algorithms import (
     _lookback,
     init_state,
 )
+from decentopt.spectral import dual_vectors
 
 
 def read_trace_csv(path) -> list:
@@ -97,10 +100,12 @@ def mismatch_decay_check(history, p, rho_a: float, slack: float = 0.02):
 def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters: int,
                              engine: str = "exact_diffusion_pd") -> np.ndarray:
     """Run the actual engine and return its stacked errors
-    [W_i - W*; Y_i - Y*], shape (iters + 1, 2N, M) with row 0 the seed.
+    [W_i - W*; z_i - z*], shape (iters + 1, 2N, M) with row 0 the seed,
+    in the engine's own coordinates: z = V y is the dual block it carries.
 
-    The engine carries z = V y, which lies in the range of V, so
-    Y_i = pinv(V) z_i, with V = -P B[:N, N:] the factor B is built from.
+    At the fixed point w* is consensus, Abar^T w* = w*, so the primal step
+    gives z* = -P Abar^T (mu o grad(w*)) for exact_diffusion_pd and
+    z* = -(mu / N) grad(w_o) for extra; both have 1^T z* = 0.
     Cross-check target: errors[i] must equal the one-step matrix applied
     i times to errors[0] when the costs are quadratic.
     """
@@ -110,24 +115,79 @@ def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters
     gt = solve_centralized(model)
     g = model.grad_at(gt.w_star if engine == "exact_diffusion_pd" else gt.w_o)
     matrix = dyn.matrix
-    pinv_v = np.linalg.pinv(-matrix.perron.p[:, np.newaxis] * dyn.b[:n, n:])
     if engine == "exact_diffusion_pd":
         w_ref = gt.w_star
-        y_ref = -pinv_v @ (matrix.perron.p[:, np.newaxis]
-                           * (matrix.abar.T @ (steps.mu[:, np.newaxis] * g)))
+        z_ref = -matrix.perron.p[:, np.newaxis] * (matrix.abar.T @ (steps.mu[:, np.newaxis] * g))
     else:
         w_ref = gt.w_o
-        y_ref = -(steps.mu[0] / n) * (pinv_v @ g)
+        z_ref = -(steps.mu[0] / n) * g
 
     ctx = _engine_context(engine, model, matrix, steps)
     state = init_state(engine, model, matrix, np.asarray(w0, dtype=float))
     step = ENGINE_SPECS[engine].step
     errors = np.empty((iters + 1, 2 * n, m))
-    errors[0] = np.vstack([state.w - w_ref, pinv_v @ state.y - y_ref])
+    errors[0] = np.vstack([state.w - w_ref, state.y - z_ref])
     for i in range(1, iters + 1):
         step(state, ctx)
-        errors[i] = np.vstack([state.w - w_ref, pinv_v @ state.y - y_ref])
+        errors[i] = np.vstack([state.w - w_ref, state.y - z_ref])
     return errors
+
+
+def dual_factor(lam: np.ndarray, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, H U) from the eigenpairs (lam, u) of At = P^{-1/2} A P^{1/2},
+    ascending with the unit eigenvalue last, and the Perron vector p.
+    P^{-1/2} S P^{-1/2} = (I - At)/2 = U Sigma U^T, Sigma = (1 - lam)/2 with
+    the unit entry exactly 0, so V = P^{1/2} U sqrt(Sigma) (H U)^T has
+    V V^T = S.  With H of `decentopt.spectral.dual_vectors`, H 1 is a
+    multiple of sqrt(p), so V 1 = 0, and with p = 1/N, V is the symmetric
+    root U sqrt(Sigma) U^T / sqrt(N)."""
+    sigma = (1.0 - lam) / 2.0
+    sigma[-1] = 0.0
+    hu = dual_vectors(u, p)
+    v = (np.sqrt(p)[:, np.newaxis] * u * np.sqrt(sigma)) @ hu.T
+    return v, hu
+
+
+def v_form(matrix, v=None) -> SimpleNamespace:
+    """The V form of the error recursion of a balanced matrix, dense:
+    v, B = [[Abar^T, -P^{-1} V], [V^T Abar^T, I - V^T P^{-1} V]],
+    T_d = [[Abar^T, 0], [V^T Abar^T, 0]] and T_e = [[I, 0], [V^T, 0]], for
+    the factor v (by default `dual_factor` of the matrix's cached
+    eigenpairs of At).  A small-N oracle for the engines' (w, z) form."""
+    n, p = matrix.n, matrix.perron.p
+    if v is None:
+        v = dual_factor(*matrix._eigh, p)[0]
+    abar_t, pinv_v = matrix.abar.T, v / p[:, np.newaxis]
+    b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
+    zeros = np.zeros((2 * n, n))
+    return SimpleNamespace(v=v, b=b, t_d=np.hstack([b[:, :n], zeros]),
+                           t_e=np.hstack([np.vstack([np.eye(n), v.T]), zeros]))
+
+
+def v_form_one_step(dyn, engine: str, mu, v=None) -> np.ndarray:
+    """The V-form one-step map B - T diag(mu_k H_k, 0) of quadratic costs,
+    (2 N M, 2 N M) with agent-major flattening, T = T_d or T_e as the
+    engine's `error_map` says, for the factor v (see `v_form`)."""
+    form = v_form(dyn.matrix, v)
+    n, m = dyn.matrix.n, dyn.h.shape[-1]
+    mu = np.broadcast_to(np.atleast_1d(np.asarray(mu, dtype=float)), (n,))
+    t = getattr(form, ENGINE_SPECS[engine].error_map)
+    mh = scipy.linalg.block_diag(*(mu[k] * dyn.h[k] for k in range(n)))
+    big = np.kron(form.b, np.eye(m))
+    big[:, : n * m] -= np.kron(t, np.eye(m))[:, : n * m] @ mh
+    return big
+
+
+def predicted_b_spectrum(matrix) -> np.ndarray:
+    """Closed-form eigenvalues of B: {1, 1} plus, for every non-Perron
+    eigenvalue lam of Abar, the roots of d^2 - 2 lam d + lam = 0 (a
+    conjugate pair of modulus sqrt(lam)), from A's cached eigenvalues and
+    the quadratic formula, independent of `decompose_b`."""
+    matrix = matrix_from_array(matrix)
+    lams = (1.0 + matrix.perron._eigvals) / 2.0  # the eigenvalues of Abar
+    lams = np.delete(lams, np.argmin(np.abs(lams - 1.0))).astype(complex)
+    root = np.sqrt(lams * lams - lams)
+    return np.sort_complex(np.concatenate([[1.0, 1.0], lams + root, lams - root]))
 
 
 def dense_x(pair) -> np.ndarray:
@@ -155,13 +215,14 @@ def dense_x_inv(pair) -> np.ndarray:
 
 
 def greedy_spectrum_gap(dyn, b=None) -> float:
-    """Largest gap between the dense `eigvals` of B (or of b, when given)
-    and the closed-form prediction, under greedy multiset matching.
+    """Largest gap between the dense `eigvals` of the V-form B (`v_form`,
+    or of b, when given) and the closed-form prediction, under greedy
+    multiset matching.
     Sorting both lists is not enough: repeated eigenvalues (for example
     Abar spectra like {1, 1/2, 1/2}) interleave their conjugate pairs
     differently once float fuzz enters the real parts.  A small-N oracle:
     it takes a 2N x 2N nonsymmetric eigensolve."""
-    actual = np.linalg.eigvals(dyn.b if b is None else b)
+    actual = np.linalg.eigvals(v_form(dyn.matrix).b if b is None else b)
     worst = 0.0
     for value in predicted_b_spectrum(dyn.matrix):
         diff = actual - value

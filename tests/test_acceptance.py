@@ -30,7 +30,7 @@ from decentopt import (
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 from oracles import (dense_x, dense_x_inv, greedy_spectrum_gap, mismatch_decay_check,
-                     simulate_error_recursion)
+                     simulate_error_recursion, v_form)
 
 
 def _report(criterion, ok, message):
@@ -110,8 +110,8 @@ def test_criterion_3_dual_norm_closed_form():
     worst = 0.0
     for n, matrix in _hundred_instances():
         perron = matrix.perron
-        # the factor B is built from, read back from B
-        v = -perron.p[:, np.newaxis] * build_error_dynamics(matrix).b[:n, n:]
+        # the dual factor of the V-form oracle
+        v = v_form(matrix).v
         lam_max = np.linalg.eigvalsh(np.eye(n) + v @ v.T).max()
         closed = (2 * n + 1 - perron.lambdaN) / (2 * n)
         worst = max(worst, abs(lam_max - closed))
@@ -157,17 +157,17 @@ def test_criterion_5_eigenstructure():
         r2 = np.concatenate([np.zeros(n), np.ones(n)])
         l1 = np.concatenate([perron.p, np.zeros(n)])
         l2 = np.concatenate([np.zeros(n), np.full(n, 1.0 / n)])
-        x, x_inv = dense_x(pair), dense_x_inv(pair)
+        x, x_inv, b = dense_x(pair), dense_x_inv(pair), v_form(matrix).b
         worst_vec = max(
             worst_vec,
             np.abs(x[:, 0] - r1).max(),
             np.abs(x[:, 1] - r2).max(),
             np.abs(x_inv[0] - l1).max(),
             np.abs(x_inv[1] - l2).max(),
-            np.abs(dyn.b @ r1 - r1).max(),
-            np.abs(dyn.b @ r2 - r2).max(),
-            np.abs(l1 @ dyn.b - l1).max(),
-            np.abs(l2 @ dyn.b - l2).max(),
+            np.abs(b @ r1 - r1).max(),
+            np.abs(b @ r2 - r2).max(),
+            np.abs(l1 @ b - l1).max(),
+            np.abs(l2 @ b - l2).max(),
             np.abs(x_inv @ x - np.eye(2 * n)).max(),
         )
     ok = worst_radius <= 1e-8 and uncovered == 0 and worst_vec <= 1e-10

@@ -21,9 +21,8 @@ from decentopt import (
     two_agent_case,
     two_agent_onset,
 )
-from decentopt import spectral
 from decentopt.cli import _build_graph, main
-from decentopt.graphs import CombinationMatrix, _CSROperator
+from decentopt.graphs import _CSROperator
 
 SCHEMA_PATH = Path(decentopt.__file__).parent / "schemas" / "analysis_report.schema.json"
 
@@ -418,23 +417,6 @@ def test_only_analyze_computes_eigenvectors(tmp_path, monkeypatch):
     assert shapes == []
     assert run_cli(["analyze", "--config", path, "--out", tmp_path / "analyze"]) == 0
     assert shapes == [(6, 6)]
-
-
-def test_analyze_builds_no_v_and_no_b(tmp_path, monkeypatch):
-    """analyze reads Abar, p and the eigenpairs of At alone: with the
-    builders of V and of the dense B raising, it writes the same
-    analysis.json byte for byte."""
-    path = write_config(tmp_path, analyze_config("averaging"))
-    assert run_cli(["analyze", "--config", path, "--out", tmp_path / "free"]) == 0
-
-    def refuse(*args):
-        raise AssertionError("V or B built")
-
-    monkeypatch.setattr(spectral, "dual_factor", refuse)
-    monkeypatch.setattr(CombinationMatrix, "_b", property(refuse))
-    assert run_cli(["analyze", "--config", path, "--out", tmp_path / "patched"]) == 0
-    assert ((tmp_path / "patched" / "analysis.json").read_bytes()
-            == (tmp_path / "free" / "analysis.json").read_bytes())
 
 
 @pytest.mark.parametrize("kind", ["path", "ring", "star", "complete"])

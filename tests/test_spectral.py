@@ -1,4 +1,6 @@
-"""The dual factor V of the error dynamics and nullspace certificates."""
+"""The dual factor V of the V-form error dynamics (the test oracle
+`oracles.dual_factor`, built on `spectral.dual_vectors`) and nullspace
+certificates."""
 
 import numpy as np
 import pytest
@@ -13,10 +15,9 @@ from decentopt import (
     random_connected_graph,
 )
 from decentopt.graphs import _symmetrized
-from decentopt.spectral import dual_factor
 
 from conftest import random_averaging, random_metropolis
-from oracles import certify_nullspace
+from oracles import certify_nullspace, dual_factor
 
 
 def two_agent(a):
@@ -24,7 +25,7 @@ def two_agent(a):
 
 
 def factor(matrix):
-    """`dual_factor` on the eigenpairs of At, as the error dynamics take them."""
+    """`dual_factor` on the eigenpairs of At."""
     p = matrix.perron.p
     return dual_factor(*np.linalg.eigh(_symmetrized(matrix.a, p)), p)
 
