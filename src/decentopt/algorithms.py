@@ -17,7 +17,7 @@ Engines
 -------
 ENGINE_SPECS, at the end of the engine section, lists every engine with
 its step function, communication cost, target, matrix requirement,
-state seeding and step-size rule:
+seeding of state and operators, and step-size rule:
 
 exact_diffusion           correction-term combine form, one combine/iter
 exact_diffusion_pd        equivalent primal-dual form, dual advanced by S
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -131,46 +130,41 @@ class _EngineContext:
     a_t: object  # A^T, Abar^T and Abar as combine operators, applied as op @ x
     abar_t: object
     abar: object
-    steps: StepSizes  # or, for a stacked run, mu of shape (B, N) and mu_o of shape (B, 1)
+    mu: np.ndarray  # this iteration's step sizes, as the (..., N, 1) column steps multiply by
+    mu_o: np.ndarray  # base step sizes, shape (..., 1); NaN where a StepSizes has none
     s: object = None  # S = V V^T = (P - A P)/2 as an operator, for the primal-dual engines
     p: np.ndarray | None = None  # the Perron vector as an (N, 1) column
     lam: np.ndarray | None = None  # the adaptive engine's (lam, U o U): see `_perron_modes`
     uu: np.ndarray | None = None
 
 
-def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext, mu=None):
-    if mu is None:
-        mu = ctx.steps.mu[..., np.newaxis]
-    psi = state.w - mu * ctx.model.grad(state.w)
+def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext):
+    psi = state.w - ctx.mu * ctx.model.grad(state.w)
     phi = psi + state.w - state.psi_prev
     state.w = ctx.abar_t @ phi
     state.psi_prev = psi
 
 
 def _step_exact_diffusion_pd(state: AlgorithmState, ctx: _EngineContext):
-    mu = ctx.steps.mu[..., np.newaxis]
-    state.w = ctx.abar_t @ (state.w - mu * ctx.model.grad(state.w)) - state.y / ctx.p
+    state.w = ctx.abar_t @ (state.w - ctx.mu * ctx.model.grad(state.w)) - state.y / ctx.p
     state.y = state.y + ctx.s @ state.w
 
 
 def _step_extra(state: AlgorithmState, ctx: _EngineContext):
-    mu = ctx.steps.mu[..., np.newaxis]
     n = ctx.model.n_agents
-    state.w = ctx.abar @ state.w - mu * ctx.model.grad(state.w) - n * state.y
+    state.w = ctx.abar @ state.w - ctx.mu * ctx.model.grad(state.w) - n * state.y
     state.y = state.y + ctx.s @ state.w
 
 
 def _step_diging(state: AlgorithmState, ctx: _EngineContext):
-    mu = ctx.steps.mu[..., np.newaxis]
-    state.w = ctx.a_t @ state.w - mu * state.y
+    state.w = ctx.a_t @ state.w - ctx.mu * state.y
     g_new = ctx.model.grad(state.w)
     state.y = ctx.a_t @ state.y + g_new - state.g_prev
     state.g_prev = g_new
 
 
 def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
-    mu = ctx.steps.mu[..., np.newaxis]
-    state.w = ctx.a_t @ (state.w - mu * state.y)
+    state.w = ctx.a_t @ (state.w - ctx.mu * state.y)
     g_new = ctx.model.grad(state.w)
     state.y = ctx.a_t @ (state.y + g_new - state.g_prev)
     state.g_prev = g_new
@@ -178,29 +172,31 @@ def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
 
 def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
     state.z = state.z * ctx.lam
-    _step_exact_diffusion(state, ctx,
-                          (ctx.model.q * ctx.steps.mu_o / (ctx.uu @ state.z))[..., np.newaxis])
+    ctx.mu = (ctx.model.q * ctx.mu_o / (ctx.uu @ state.z))[..., np.newaxis]
+    _step_exact_diffusion(state, ctx)
 
 
-def _seed_correction(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
+def _seed_correction(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
     state.psi_prev = state.w.copy()
 
 
-def _seed_dual(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
+def _seed_dual(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
     state.y = np.zeros_like(state.w)
+    ctx.s, ctx.p = matrix._dual_op, matrix.perron.p[:, np.newaxis]
 
 
-def _seed_tracking(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
-    g0 = model.grad(state.w)
+def _seed_tracking(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
+    g0 = ctx.model.grad(state.w)
     state.y = g0.copy()
     state.g_prev = g0
 
 
-def _seed_adaptive(state: AlgorithmState, model: CostModel, matrix: CombinationMatrix):
+def _seed_adaptive(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
     if np.diag(matrix.a).min() <= 0:
         raise ValueError("adaptive step-size tuning needs positive self-weights on every agent")
-    _seed_correction(state, model, matrix)
-    state.z = np.ones(model.n_agents)
+    _seed_correction(state, ctx, matrix)
+    state.z = np.ones(matrix.n)
+    ctx.lam, ctx.uu = _perron_modes(matrix)
 
 
 @dataclass(frozen=True)
@@ -213,13 +209,12 @@ class EngineSpec:
     """
 
     step: Callable  # one iteration: step(state, ctx)
-    seed: Callable  # adds the engine's extra state blocks: seed(state, model, matrix)
+    seed: Callable  # seed(state, ctx, matrix): the extra state blocks and ctx operators
     comm_units: int  # combines (transmitted vectors per agent per link) per iteration
     weighted: bool = False  # q-weighted aggregate over a balanced matrix, else
     #                         the uniform aggregate over a doubly stochastic one
     symmetric: bool = False  # the matrix must also be symmetric
     step_rule: str = "uniform"
-    primal_dual: bool = False  # the dual block is V y; the step reads S = V V^T and p
     error_map: str | None = None  # the gradient's route in `one_step_matrix`: "t_d" where it
     #                                enters combined (Abar^T mu grad), "t_e" where it enters raw
 
@@ -228,9 +223,8 @@ ENGINE_SPECS = {
     "exact_diffusion": EngineSpec(_step_exact_diffusion, _seed_correction, 1, weighted=True,
                                   step_rule="perron", error_map="t_d"),
     "exact_diffusion_pd": EngineSpec(_step_exact_diffusion_pd, _seed_dual, 1, weighted=True,
-                                     step_rule="perron", primal_dual=True, error_map="t_d"),
-    "extra": EngineSpec(_step_extra, _seed_dual, 1, symmetric=True, primal_dual=True,
-                        error_map="t_e"),
+                                     step_rule="perron", error_map="t_d"),
+    "extra": EngineSpec(_step_extra, _seed_dual, 1, symmetric=True, error_map="t_e"),
     "diging": EngineSpec(_step_diging, _seed_tracking, 2),
     "aug_dgm": EngineSpec(_step_aug_dgm, _seed_tracking, 2, step_rule="free"),
     "adaptive_exact_diffusion": EngineSpec(_step_adaptive, _seed_adaptive, 2, weighted=True,
@@ -265,31 +259,28 @@ def _validate_steps(engine: str, steps: StepSizes, model: CostModel, matrix: Com
         ratio = steps.mu * matrix.perron.p / model.q
         if np.ptp(ratio) > 1e-9 * ratio.max():
             raise ValueError(
-                "exact diffusion step sizes must satisfy mu_k = q_k * mu_o / p_k; "
-                "build them with StepSizes.from_weights"
+                "exact diffusion steps must satisfy mu_k = q_k * mu_o / p_k, so a uniform mu fits "
+                "only q proportional to the Perron vector p; set mu_o (StepSizes.from_weights)"
             )
     elif rule == "uniform" and not steps.is_uniform:
         raise ValueError(f"{engine} supports only a uniform step size")
 
 
-def init_state(engine: str, model: CostModel, matrix: CombinationMatrix,
-               w0: np.ndarray) -> AlgorithmState:
-    """Seed state for an engine; w0 plays the role of the pre-iteration
-    iterate, so the first recorded step already includes one combine."""
+def init_state(engine: str, model: CostModel, matrix: CombinationMatrix, w0: np.ndarray,
+               steps) -> tuple[AlgorithmState, _EngineContext]:
+    """(state, ctx) of a run from w0 with one StepSizes, or of a stack of
+    runs from w0, blocks (B, N, M), with a sequence of them.  w0 is the
+    pre-iteration iterate: the first step already includes one combine."""
+    if isinstance(steps, StepSizes):
+        mu, mu_o = steps.mu[:, np.newaxis], np.array([steps.mu_o], dtype=float)
+    else:
+        mu = np.stack([s.mu for s in steps])[..., np.newaxis]
+        mu_o = np.array([[s.mu_o] for s in steps], dtype=float)
+        w0 = np.broadcast_to(w0, (len(steps),) + w0.shape)
     state = AlgorithmState(w=w0.copy())
-    ENGINE_SPECS[engine].seed(state, model, matrix)
-    return state
-
-
-def _engine_context(engine: str, model: CostModel, matrix: CombinationMatrix,
-                   steps) -> _EngineContext:
-    """What the engine's step reads, with steps as in _EngineContext."""
-    ctx = _EngineContext(model, *matrix._combine_ops, steps)
-    if ENGINE_SPECS[engine].primal_dual:
-        ctx.s, ctx.p = matrix._dual_op, matrix.perron.p[:, np.newaxis]
-    if engine == "adaptive_exact_diffusion":
-        ctx.lam, ctx.uu = _perron_modes(matrix)
-    return ctx
+    ctx = _EngineContext(model, *matrix._combine_ops, mu, mu_o)
+    ENGINE_SPECS[engine].seed(state, ctx, matrix)
+    return state, ctx
 
 
 def _perron_modes(matrix: CombinationMatrix):
@@ -352,10 +343,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     if w0.shape != shape:
         raise ValueError(f"w0 shape {w0.shape} does not match {shape}")
     size = len(steps_list)
-    members = SimpleNamespace(mu=np.stack([s.mu for s in steps_list]),
-                              mu_o=np.array([[s.mu_o] for s in steps_list]))
-    ctx = _engine_context(engine, model, matrix, members)
-    state = init_state(engine, model, matrix, np.broadcast_to(w0, (size,) + w0.shape))
+    state, ctx = init_state(engine, model, matrix, w0, steps_list)
     target_stack = np.broadcast_to(target, w0.shape)
     denom = float(np.sum((w0 - target_stack) ** 2))
     statuses, verdicts = ["converged"] * size, ["stable"] * size
@@ -366,26 +354,28 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
 
     step, snapshot_at = ENGINE_SPECS[engine].step, max_iters - _lookback(max_iters)
     earlier, alive = np.ones(size), np.arange(size)
-    for i in range(1, max_iters + 1):
-        step(state, ctx)
-        rel = ((state.w - target_stack) ** 2).reshape(alive.size, -1).sum(axis=1) / denom
-        if record is not None:
-            record(state, rel, ctx)
-        if i == snapshot_at:
-            earlier[alive] = rel
-        if stop < rel.min() and rel.max() <= DIVERGENCE_CAP:  # a NaN fails both
-            continue
-        diverged = ~(rel <= DIVERGENCE_CAP)  # also NaN and inf
-        done = diverged | (rel <= stop)
-        if done.any():
-            for k in alive[diverged]:
-                statuses[k], verdicts[k] = "diverged", "unstable"
-            keep = ~done
-            alive, rel = alive[keep], rel[keep]
-            if alive.size == 0:
-                return state, target, statuses, verdicts
-            _take(state, keep)
-            members.mu, members.mu_o = members.mu[keep], members.mu_o[keep]
+    # an overflowing member turns inf or NaN, which the loop classifies as diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, max_iters + 1):
+            step(state, ctx)
+            rel = ((state.w - target_stack) ** 2).reshape(alive.size, -1).sum(axis=1) / denom
+            if record is not None:
+                record(state, rel, ctx)
+            if i == snapshot_at:
+                earlier[alive] = rel
+            if stop < rel.min() and rel.max() <= DIVERGENCE_CAP:  # a NaN fails both
+                continue
+            diverged = ~(rel <= DIVERGENCE_CAP)  # also NaN and inf
+            done = diverged | (rel <= stop)
+            if done.any():
+                for k in alive[diverged]:
+                    statuses[k], verdicts[k] = "diverged", "unstable"
+                keep = ~done
+                alive, rel = alive[keep], rel[keep]
+                if alive.size == 0:
+                    return state, target, statuses, verdicts
+                _take(state, keep)
+                ctx.mu, ctx.mu_o = ctx.mu[keep], ctx.mu_o[keep]
     for k, final in zip(alive, rel):
         statuses[k], verdicts[k] = "exhausted", _exhausted_verdict(final, earlier[k])
     return state, target, statuses, verdicts

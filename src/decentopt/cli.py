@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import (ENGINE_SPECS, ENGINES, StepSizes, run, write_status_json,
-                         write_trace_csv)
+from .algorithms import (ENGINE_SPECS, ENGINES, StepSizes, _validate_steps, run,
+                         write_status_json, write_trace_csv)
 from .costs import ConvergenceError, CostModel, hessian_bounds, model_from_config
 from .graphs import (
     CombinationMatrix,
@@ -282,19 +282,8 @@ def _build_steps(run_cfg: dict, engine: str, model: CostModel,
         raise ConfigError("run.mu", "give either mu or mu_o, not both")
     if rule in ("base", "perron") and has_mu_o:
         return StepSizes.from_weights(model.q, matrix.perron.p, _positive(run_cfg, "run", "mu_o"))
-    if rule == "perron":
-        if not has_mu:
-            raise ConfigError("run.mu_o", "required field is missing")
-        mu = _positive(run_cfg, "run", "mu")
-        ratio = model.q / matrix.perron.p
-        if np.ptp(ratio) > 1e-9 * ratio.max():
-            raise ConfigError(
-                "run.mu",
-                "a uniform step only matches this matrix when q is proportional "
-                "to its Perron vector; set run.mu_o instead",
-            )
-        return StepSizes(mu=np.full(model.n_agents, float(mu)),
-                         mu_o=float(mu / ratio[0]))
+    if rule == "perron" and not has_mu:
+        raise ConfigError("run.mu_o", "required field is missing")
     if has_mu_o:
         raise ConfigError("run.mu_o", f"{engine} takes a plain uniform mu")
     return StepSizes.uniform(_positive(run_cfg, "run", "mu"), model.n_agents)
@@ -309,6 +298,9 @@ def _cmd_run(cfg: dict, outdir: Path, seed) -> int:
     model = _build_model(cfg, matrix.n, seed)
     with _failures_at("run"):
         steps = _build_steps(run_cfg, engine, model, matrix)
+    if "mu" in run_cfg:  # on a perron engine, a uniform mu fits only a q proportional to p
+        with _failures_at("run.mu"):
+            _validate_steps(engine, steps, model, matrix)
     max_iters, stop = _budget(run_cfg, "run")
     w0 = None
     if "w0_seed" in run_cfg:

@@ -44,8 +44,8 @@ class CostModel:
         if self.n_agents < 1 or self.dim < 1:
             raise ValueError("n_agents and dim must be positive")
         self.q = np.ones(self.n_agents) if q is None else np.asarray(q, dtype=float)
-        if self.q.shape != (self.n_agents,) or self.q.min() <= 0:
-            raise ValueError("q must be a positive length-N vector")
+        if self.q.shape != (self.n_agents,) or not np.all((self.q > 0) & (self.q < np.inf)):
+            raise ValueError("q must be a positive finite length-N vector")
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         """Per-agent gradients at per-agent points; w and result are (N, M)."""

@@ -413,8 +413,8 @@ def diffusion_step_bound(matrix, tau=None, nu: float = 1.0, delta: float = 1.0,
     matrix = matrix_from_array(matrix)
     n = matrix.n
     tau = np.ones(n) if tau is None else np.asarray(tau, dtype=float)
-    if tau.shape != (n,) or tau.min() <= 0:
-        raise ValueError("tau must be a positive length-N vector")
+    if tau.shape != (n,) or not np.all((tau > 0) & (tau < np.inf)):
+        raise ValueError("tau must be a positive finite length-N vector")
     tau = tau / tau.max()
     if not 0 <= k_o < n:
         raise ValueError("k_o out of range")
@@ -481,6 +481,8 @@ def two_agent_case(a: float, sigma2: float, mu_d: float, mu_e: float = None) -> 
         mu_e = mu_d
     if not (0 < mu_d < np.inf and 0 < mu_e < np.inf):
         raise ValueError("mu_d and mu_e must be positive and finite")
+    if not float(max(mu_d, mu_e)) * float(sigma2) < np.inf:
+        raise ValueError("mu_d * sigma2 and mu_e * sigma2 must be finite")
     e_d = _two_agent_map(a, mu_d * sigma2, "exact_diffusion")
     e_e = _two_agent_map(a, mu_e * sigma2, "extra")
     roots_d = np.linalg.eigvals(e_d[1:, 1:])
@@ -499,6 +501,8 @@ def _check_two_agent(a: float, sigma2: float) -> None:
         raise ValueError("self-weight a must lie in (0, 1)")
     if not 0 < sigma2 < np.inf:
         raise ValueError("sigma2 must be positive and finite")
+    if not 2.0 / float(sigma2) < np.inf:  # the larger onset, exact diffusion's
+        raise ValueError("sigma2 is too small: the onset 2 / sigma2 overflows")
 
 
 def _two_agent_map(a: float, m: float, algorithm: str) -> np.ndarray:

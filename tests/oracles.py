@@ -12,7 +12,6 @@ import scipy.sparse.csgraph
 from decentopt import StepSizes, TraceRecord, matrix_from_array, solve_centralized
 from decentopt.algorithms import (
     ENGINE_SPECS,
-    _engine_context,
     _exhausted_verdict,
     _lookback,
     init_state,
@@ -122,8 +121,7 @@ def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters
         w_ref = gt.w_o
         z_ref = -(steps.mu[0] / n) * g
 
-    ctx = _engine_context(engine, model, matrix, steps)
-    state = init_state(engine, model, matrix, np.asarray(w0, dtype=float))
+    state, ctx = init_state(engine, model, matrix, np.asarray(w0, dtype=float), steps)
     step = ENGINE_SPECS[engine].step
     errors = np.empty((iters + 1, 2 * n, m))
     errors[0] = np.vstack([state.w - w_ref, state.y - z_ref])

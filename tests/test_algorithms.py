@@ -25,7 +25,6 @@ from decentopt.algorithms import (
     ENGINE_SPECS,
     AlgorithmState,
     RunResult,
-    _engine_context,
     _iterate,
     init_state,
 )
@@ -70,8 +69,7 @@ def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=No
     target = gt.w_star if spec.weighted else gt.w_o
     if w0 is None:
         w0 = np.zeros((model.n_agents, model.dim))
-    ctx = _engine_context(engine, model, matrix, steps)
-    state = init_state(engine, model, matrix, w0)
+    state, ctx = init_state(engine, model, matrix, w0, steps)
     target_stack = np.broadcast_to(target, w0.shape)
     denom = float(np.sum((w0 - target_stack) ** 2))
 
@@ -355,7 +353,7 @@ def test_fixed_point_residency_all_engines():
         s = steps if engine in WEIGHTED else uni
         if engine == "adaptive_exact_diffusion":
             s = StepSizes(mu=steps.mu, mu_o=steps.mu_o)
-        ctx = _engine_context(engine, model, matrix, s)
+        _, ctx = init_state(engine, model, matrix, state.w, s)
         w_ref = state.w.copy()
         ENGINE_SPECS[engine].step(state, ctx)
         assert np.abs(state.w - w_ref).max() <= 1e-12, engine
@@ -449,12 +447,11 @@ def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
 def _dense_v_step(engine, state, ctx, v, p):
     """One step of exact_diffusion_pd or extra with an explicit dual y and
     the dense factor V, as the paper writes them."""
-    mu = ctx.steps.mu[:, np.newaxis]
     if engine == "exact_diffusion_pd":
-        state.w = ctx.abar_t @ (state.w - mu * ctx.model.grad(state.w)) - (v / p) @ state.y
+        state.w = ctx.abar_t @ (state.w - ctx.mu * ctx.model.grad(state.w)) - (v / p) @ state.y
     else:
         n = ctx.model.n_agents
-        state.w = ctx.abar @ state.w - mu * ctx.model.grad(state.w) - n * (v @ state.y)
+        state.w = ctx.abar @ state.w - ctx.mu * ctx.model.grad(state.w) - n * (v @ state.y)
     state.y = state.y + v @ state.w
 
 
@@ -468,7 +465,7 @@ def test_v_free_steps_match_the_dense_v_step(engine, sparse, monkeypatch):
     matrix = _on_path(matrix, sparse, monkeypatch)
     assert isinstance(matrix._dual_op, _CSROperator) == sparse
     steps = steps_for(engine, model, matrix.perron, 0.02)
-    ctx = _engine_context(engine, model, matrix, steps)
+    _, ctx = init_state(engine, model, matrix, w0, steps)
     p = matrix.perron.p[:, np.newaxis]
     half = (np.diag(p[:, 0]) - matrix.a * p.T) / 2.0  # (P - A P)/2, built here from A and p
     sigma, u = np.linalg.eigh((half + half.T) / 2.0)
@@ -520,16 +517,26 @@ def test_stack_keeps_running_past_a_member_that_overflows(engine):
     steps_list = [steps_for(engine, model, matrix.perron, mu)
                   for mu in (0.005, 1e200, 0.02, 1e308, 5.0)]
     trace = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt,
-                                            w0, lambda state, rel, ctx: trace.append(rel.copy()))
-        separate = _separate_outcomes(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
+    _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt,
+                                        w0, lambda state, rel, ctx: trace.append(rel.copy()))
+    separate = _separate_outcomes(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
     first = trace[1]
     assert not np.isfinite(first[1]) and not np.isfinite(first[3])
     assert np.isfinite(first[[0, 2, 4]]).all()
     assert list(zip(statuses, verdicts)) == separate
     assert statuses[1] == statuses[3] == "diverged"
     assert "diverged" not in (statuses[0], statuses[2])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_run_that_overflows_is_diverged_without_warnings(engine):
+    # warnings are errors here: one overflowing step used to raise
+    # "RuntimeWarning: overflow encountered in square" instead of a verdict
+    matrix, model, gt, w0 = _combine_setup(engine, seed=25)
+    steps = steps_for(engine, model, matrix.perron, 1e200)
+    result = run(engine, model, matrix, steps, max_iters=50, w0=w0, ground_truth=gt)
+    assert result.status == "diverged"
+    assert not np.isfinite(result.final_rel_error)
 
 
 def test_adaptive_stack_matches_separate_runs():

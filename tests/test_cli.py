@@ -49,6 +49,15 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def two_agent_payload(out):
+    """out/two_agent.json, parsed strictly: NaN and Infinity are not JSON."""
+    return json.loads((out / "two_agent.json").read_text(), parse_constant=_reject_constant)
+
+
 # ----------------------------------------------------------------- run
 
 
@@ -263,6 +272,23 @@ def test_scan_outputs_identical_across_jobs(tmp_path):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
 
+def test_scan_that_overflows_writes_nothing_to_stderr(tmp_path):
+    # a grid up to 1e308 used to print five numpy RuntimeWarnings
+    payload = scan_config()
+    payload["scan"].update(mu_max=1e308, points=4, max_iters=200)
+    cfg = write_config(tmp_path, payload)
+    src = str(Path(decentopt.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "decentopt.cli", "stability-scan", "--config",
+                           cfg, "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    statuses = [line.split(",")[2] for line in
+                (tmp_path / "out" / "scan.csv").read_text().splitlines()[1:]]
+    assert statuses == ["stable", "unstable", "unstable", "unstable"]
+
+
 def test_scan_validates_grid(tmp_path):
     bad = scan_config()
     bad["scan"]["points"] = 1
@@ -457,7 +483,7 @@ def test_two_agent_payload_matches_closed_forms(tmp_path):
         "two_agent": {"a": 0.5, "sigma2": 1.0, "mu": 1.9, "mu_e": 1.5}})
     out = tmp_path / "out"
     assert run_cli(["two-agent", "--config", cfg, "--out", out]) == 0
-    payload = json.loads((out / "two_agent.json").read_text())
+    payload = two_agent_payload(out)
     case = two_agent_case(0.5, 1.0, 1.9, 1.5)
     assert payload["specrad_diffusion"] == pytest.approx(case.specrad_d, rel=1e-12)
     assert payload["specrad_extra"] == pytest.approx(case.specrad_e, rel=1e-12)
@@ -478,13 +504,25 @@ def test_two_agent_validates_inputs(tmp_path, capsys):
     assert "two_agent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma2, mu", [(1e-320, 0.5), (1e200, 1e200)])
+def test_two_agent_overflow_is_a_config_error(tmp_path, capsys, sigma2, mu):
+    # sigma2 = 1e-320 used to exit 0 with "onset_diffusion": Infinity, which
+    # is not JSON; an overflowing mu sigma2 reported numpy's "Array must not
+    # contain infs or NaNs"
+    cfg = write_config(tmp_path, {"two_agent": {"a": 0.5, "sigma2": sigma2, "mu": mu}})
+    assert run_cli(["two-agent", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at two_agent: ") and "sigma2" in err, err
+    assert not (tmp_path / "x").exists()
+
+
 def test_two_agent_onsets_are_the_closed_forms(tmp_path):
     # (1 + 3a) / (2 sigma2) = 1 at a = 0.8, sigma2 = 1.7; a grid scan plus
     # bisection would stop near 1 + 2.4e-7
     cfg = write_config(tmp_path, {"two_agent": {"a": 0.8, "sigma2": 1.7, "mu": 0.5}})
     out = tmp_path / "out"
     assert run_cli(["two-agent", "--config", cfg, "--out", out]) == 0
-    payload = json.loads((out / "two_agent.json").read_text())
+    payload = two_agent_payload(out)
     assert payload["onset_extra"] == pytest.approx(1.0, rel=1e-15, abs=0)
     assert payload["onset_diffusion"] == two_agent_onset(0.8, 1.7, "exact_diffusion") == 2.0 / 1.7
 
@@ -496,6 +534,7 @@ def test_two_agent_builds_no_combination_matrix(tmp_path, monkeypatch):
     monkeypatch.setattr(decentopt.CombinationMatrix, "__post_init__", refuse)
     cfg = write_config(tmp_path, {"two_agent": {"a": 0.3, "sigma2": 2.0, "mu": 0.4}})
     assert run_cli(["two-agent", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    two_agent_payload(tmp_path / "out")
 
 
 # ----------------------------------------------------------- error paths
@@ -523,9 +562,14 @@ def test_field_paths_in_errors(tmp_path, capsys):
         (dict(base_run_config(), run={"engine": "exact_diffusion", "mu_o": -0.1}),
          "run.mu_o"),
         (dict(base_run_config(),
-              run={"engine": "exact_diffusion", "mu": 0.1, "mu_o": 0.1}), "run.mu"),
+              run={"engine": "exact_diffusion", "mu": 0.1, "mu_o": 0.1}), "at run.mu: "),
         (dict(base_run_config(), run={"engine": "extra", "mu_o": 0.1}), "run.mu_o"),
         (dict(base_run_config(), run={"engine": "exact_diffusion"}), "run.mu_o"),
+        # averaging on a star: q = 1 is not proportional to p, so no uniform mu fits
+        (dict(base_run_config(), graph={"kind": "star", "n": 5}, matrix={"rule": "averaging"},
+              run={"engine": "exact_diffusion", "mu": 0.01}), "at run.mu: "),
+        (dict(base_run_config(), run={"engine": "adaptive_exact_diffusion", "mu": 0.01}),
+         "at run.mu_o: "),
         ({k: v for k, v in base_run_config().items() if k != "run"}, "at run:"),
         ({k: v for k, v in base_run_config().items() if k != "model"}, "at model:"),
     ]
@@ -817,6 +861,7 @@ def test_main_builds_no_parser(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"two_agent": {"a": 0.3, "sigma2": 2.0, "mu": 0.4}})
     for out in ("first", "second"):
         assert run_cli(["two-agent", "--config", cfg, "--out", tmp_path / out]) == 0
+        two_agent_payload(tmp_path / out)
     assert built == []
 
 

@@ -94,6 +94,14 @@ def test_mse_quadratic_requires_symmetry():
         MSEQuadraticModel(bad, [[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_weights_must_be_positive_and_finite(bad):
+    # q.min() <= 0 let NaN through: extra then failed with "aggregate
+    # Hessian is not positive definite (smallest eigenvalue nan)"
+    with pytest.raises(ValueError, match="q must be a positive finite"):
+        QuadraticModel(np.ones((4, 1, 1)), np.zeros((4, 1)), q=[bad, 1.0, 1.0, 1.0])
+
+
 @pytest.mark.parametrize("n_agents, dim", [(9, 4), (3, 1), (2, 4)])
 def test_mse_quadratic_sizes_must_match_the_data(n_agents, dim):
     # both sizes used to be ignored: (9, 4) on 2-agent, 1-D data gave a

@@ -642,6 +642,7 @@ NAN = float("nan")
 @pytest.mark.parametrize("call", [
     lambda m: diffusion_step_bound(m, nu=NAN),
     lambda m: diffusion_step_bound(m, delta=NAN),
+    lambda m: diffusion_step_bound(m, tau=[NAN, 1.0, 1.0, 1.0]),
     lambda m: extra_step_bound(m, nu=NAN),
     lambda m: extra_step_bound(m, delta=NAN),
     lambda m: hessian_bounds(QuadraticModel(h=np.full((2, 1, 1), NAN), b=np.zeros((2, 1)))),
@@ -652,7 +653,7 @@ NAN = float("nan")
     lambda m: two_agent_case(NAN, 1.0, 1.0),
     lambda m: two_agent_onset(0.5, NAN, "exact_diffusion"),
     lambda m: two_agent_onset(NAN, 1.0, "extra"),
-], ids=["bound-nu", "bound-delta", "extra-nu", "extra-delta", "hessian-bounds",
+], ids=["bound-nu", "bound-delta", "bound-tau", "extra-nu", "extra-delta", "hessian-bounds",
         "mse-symmetry", "case-sigma2", "case-mu-d", "case-mu-e", "case-a",
         "onset-sigma2", "onset-a"])
 def test_nan_inputs_are_rejected(call):
@@ -746,6 +747,30 @@ def test_stability_scan_grid_without_transition():
     assert all_unstable.mu_unstable == pytest.approx(5.0)
     assert not all_unstable.refined
     assert all(c == "unstable" for c in all_unstable.classifications)
+
+
+def test_scan_grid_that_overflows_is_unstable_without_warnings():
+    # warnings are errors here: a step that overflowed used to raise
+    # "RuntimeWarning: overflow encountered in square" out of the scan
+    matrix = two_agent_matrix(0.5)
+    model = mse_quadratic_model(2, 1, [[[1.0]], [[1.0]]], [[0.7], [-0.3]])
+    scan = stability_scan("exact_diffusion", model, matrix, [0.5, 1e150, 1e300],
+                          max_iters=200)
+    assert scan.classifications == ["stable", "unstable", "unstable"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: two_agent_case(0.5, 1e-320, 1.0),
+    lambda: two_agent_onset(0.5, 1e-320, "extra"),
+    lambda: two_agent_case(0.5, 1e200, 1e200),
+    lambda: two_agent_case(0.5, 1e200, 1e-200, 1e200),
+], ids=["case-onsets", "onset", "case-mu-d", "case-mu-e"])
+def test_two_agent_inputs_must_give_finite_onsets_and_maps(call):
+    # 2 / sigma2 and mu sigma2 used to overflow: to an onset of inf, and to
+    # numpy's "Array must not contain infs or NaNs"
+    with pytest.raises(ValueError, match="sigma2") as info:
+        call()
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_stability_scan_rejects_bad_grid():
