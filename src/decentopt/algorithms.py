@@ -66,10 +66,13 @@ class StepSizes:
     @classmethod
     def from_weights(cls, q, p, mu_o: float) -> "StepSizes":
         """mu_k = q_k * mu_o / p_k, matching aggregate weights q to the
-        combination matrix's Perron weights p."""
+        combination matrix's Perron weights p.  A step that overflows fails
+        the finiteness check with a ValueError, not a warning."""
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
-        return cls(mu=q * float(mu_o) / p, mu_o=float(mu_o))
+        with np.errstate(over="ignore"):
+            mu = q * float(mu_o) / p
+        return cls(mu=mu, mu_o=float(mu_o))
 
     @classmethod
     def uniform(cls, mu: float, n_agents: int) -> "StepSizes":

@@ -244,9 +244,10 @@ def _build_model(cfg: dict, n_agents: int, default_seed) -> CostModel:
     if kind == "logistic":
         _positive(section, "model", "ridge")
     q = section.get("q")
-    if q is not None and not (isinstance(q, list) and all(
+    if q is not None and not (isinstance(q, list) and len(q) == spec["n_agents"] and all(
             _KIND_CHECKS["number"](v) and math.isfinite(v) and v > 0 for v in q)):
-        raise ConfigError("model.q", "must be a list of finite positive numbers")
+        raise ConfigError("model.q", f"must be a list of {spec['n_agents']} finite "
+                                     "positive numbers")
     if kind == "mse_quadratic":
         cov = _number_array(section, "model", "covariances", 3)
         _number_array(section, "model", "cross_vectors", 2)
@@ -281,7 +282,9 @@ def _build_steps(run_cfg: dict, engine: str, model: CostModel,
     if rule == "perron" and has_mu and has_mu_o:
         raise ConfigError("run.mu", "give either mu or mu_o, not both")
     if rule in ("base", "perron") and has_mu_o:
-        return StepSizes.from_weights(model.q, matrix.perron.p, _positive(run_cfg, "run", "mu_o"))
+        mu_o = _positive(run_cfg, "run", "mu_o")
+        with _failures_at("run.mu_o"):
+            return StepSizes.from_weights(model.q, matrix.perron.p, mu_o)
     if rule == "perron" and not has_mu:
         raise ConfigError("run.mu_o", "required field is missing")
     if has_mu_o:

@@ -441,17 +441,13 @@ def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBo
 @dataclass(frozen=True)
 class TwoAgentCase:
     """Closed-form two-agent quadratic case over A = [[a, 1-a], [1-a, a]]
-    with identical scalar Hessians sigma2.
-
-    e_d / e_e are the reduced 3x3 error maps: the 4x4 maps of
-    `one_step_matrix` less their trivial unit eigenvalue."""
+    with identical scalar Hessians sigma2: each engine's roots of its
+    characteristic pair, and the spectral radius with the consensus mode."""
 
     a: float
     sigma2: float
     mu_d: float
     mu_e: float
-    e_d: np.ndarray
-    e_e: np.ndarray
     roots_d: np.ndarray
     roots_e: np.ndarray
     specrad_d: float
@@ -461,20 +457,14 @@ class TwoAgentCase:
 
 
 def two_agent_case(a: float, sigma2: float, mu_d: float, mu_e: float = None) -> TwoAgentCase:
-    """Build both engines' closed-form error maps for two agents.
+    """Both engines' two-agent error spectra, from the characteristic pairs
 
-    The reduced maps are
+        theta^2 - (2 - m) a theta + (1 - m) a = 0      m = mu_d sigma2
+        theta^2 - (2a - me) theta + (a - me) = 0       me = mu_e sigma2
 
-        E_d = [[1 - m, 0, 0],
-               [0, (1 - m) a,            -sqrt(2 - 2a)],
-               [0, (1 - m) a sqrt((1-a)/2),  a]]         m = mu_d sigma2
-
-        E_e = [[1 - me, 0, 0],
-               [0, a - me,               -sqrt(2 - 2a)],
-               [0, (a - me) sqrt((1-a)/2),   a]]         me = mu_e sigma2
-
-    with characteristic pairs theta^2 - (2 - m) a theta + (1 - m) a = 0 and
-    theta^2 - (2a - me) theta + (a - me) = 0.
+    of exact diffusion and extra.  With the consensus mode 1 - m they are
+    the spectrum of `one_step_matrix` on the 2-agent network, less its unit
+    eigenvalue, so the spectral radius is max(|1 - m|, max |theta|).
     """
     _check_two_agent(a, sigma2)
     if mu_e is None:
@@ -483,14 +473,12 @@ def two_agent_case(a: float, sigma2: float, mu_d: float, mu_e: float = None) -> 
         raise ValueError("mu_d and mu_e must be positive and finite")
     if not float(max(mu_d, mu_e)) * float(sigma2) < np.inf:
         raise ValueError("mu_d * sigma2 and mu_e * sigma2 must be finite")
-    e_d = _two_agent_map(a, mu_d * sigma2, "exact_diffusion")
-    e_e = _two_agent_map(a, mu_e * sigma2, "extra")
-    roots_d = np.linalg.eigvals(e_d[1:, 1:])
-    roots_e = np.linalg.eigvals(e_e[1:, 1:])
-    specrad_d = float(np.abs(np.linalg.eigvals(e_d)).max())
-    specrad_e = float(np.abs(np.linalg.eigvals(e_e)).max())
+    m, me = mu_d * sigma2, mu_e * sigma2
+    roots_d = np.roots([1.0, -(2.0 - m) * a, (1.0 - m) * a])
+    roots_e = np.roots([1.0, -(2.0 * a - me), a - me])
+    specrad_d = float(max(abs(1.0 - m), np.abs(roots_d).max()))
+    specrad_e = float(max(abs(1.0 - me), np.abs(roots_e).max()))
     return TwoAgentCase(a=a, sigma2=sigma2, mu_d=float(mu_d), mu_e=float(mu_e),
-                        e_d=e_d, e_e=e_e,
                         roots_d=roots_d, roots_e=roots_e,
                         specrad_d=specrad_d, specrad_e=specrad_e,
                         stable_d=specrad_d < 1.0, stable_e=specrad_e < 1.0)
@@ -503,20 +491,6 @@ def _check_two_agent(a: float, sigma2: float) -> None:
         raise ValueError("sigma2 must be positive and finite")
     if not 2.0 / float(sigma2) < np.inf:  # the larger onset, exact diffusion's
         raise ValueError("sigma2 is too small: the onset 2 / sigma2 overflows")
-
-
-def _two_agent_map(a: float, m: float, algorithm: str) -> np.ndarray:
-    """Reduced 3x3 two-agent error map (see `two_agent_case`) at
-    m = mu sigma2; the gradient enters combined for exact diffusion and
-    raw for extra."""
-    s = np.sqrt(2.0 - 2.0 * a)
-    t = np.sqrt((1.0 - a) / 2.0)
-    g = (1.0 - m) * a if algorithm == "exact_diffusion" else a - m
-    return np.array([
-        [1.0 - m, 0.0, 0.0],
-        [0.0, g, -s],
-        [0.0, g * t, a],
-    ])
 
 
 def two_agent_onset(a: float, sigma2: float, algorithm: str = "extra") -> float:

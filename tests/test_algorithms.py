@@ -1,6 +1,7 @@
 """Engine iterations: trace semantics, equivalences, fixed points, i/o."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_step_sizes_construction():
     u = StepSizes.uniform(0.2, 3)
     assert u.is_uniform and np.all(u.mu == 0.2)
     assert not s.is_uniform or np.ptp(s.mu) == 0
+
+
+def test_overflowing_weighted_steps_are_a_value_error():
+    # q mu_o / p used to overflow with numpy's "overflow encountered in
+    # divide" before the finiteness check raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            StepSizes.from_weights(np.ones(6), np.full(6, 1.0 / 6.0), 1e308)
 
 
 def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=None,

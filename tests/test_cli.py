@@ -516,6 +516,19 @@ def test_two_agent_overflow_is_a_config_error(tmp_path, capsys, sigma2, mu):
     assert not (tmp_path / "x").exists()
 
 
+def test_two_agent_very_large_finite_steps_stay_finite(tmp_path):
+    # mu sigma2 = 1e300 is finite, and so are the roots of both pairs
+    case = two_agent_case(0.5, 1e150, 1e150)
+    for roots, specrad in ((case.roots_d, case.specrad_d), (case.roots_e, case.specrad_e)):
+        assert np.isfinite(roots).all() and len(roots) == 2
+        assert specrad == pytest.approx(1e300, rel=1e-12)
+    cfg = write_config(tmp_path, {"two_agent": {"a": 0.5, "sigma2": 1e150, "mu": 1e150}})
+    out = tmp_path / "out"
+    assert run_cli(["two-agent", "--config", cfg, "--out", out]) == 0
+    payload = two_agent_payload(out)
+    assert payload["stable_diffusion"] is False and payload["stable_extra"] is False
+
+
 def test_two_agent_onsets_are_the_closed_forms(tmp_path):
     # (1 + 3a) / (2 sigma2) = 1 at a = 0.8, sigma2 = 1.7; a grid scan plus
     # bisection would stop near 1 + 2.4e-7
@@ -570,6 +583,14 @@ def test_field_paths_in_errors(tmp_path, capsys):
               run={"engine": "exact_diffusion", "mu": 0.01}), "at run.mu: "),
         (dict(base_run_config(), run={"engine": "adaptive_exact_diffusion", "mu": 0.01}),
          "at run.mu_o: "),
+        # q mu_o / p overflows: it used to warn, then fail at run
+        (dict(base_run_config(), run={"engine": "exact_diffusion", "mu_o": 1e308}),
+         "at run.mu_o: "),
+        (dict(base_run_config(), run={"engine": "adaptive_exact_diffusion", "mu_o": 1e308}),
+         "at run.mu_o: "),
+        # a q of the wrong length used to be reported at model
+        (dict(base_run_config(), model=dict(base_run_config()["model"], q=[1, 2, 3])),
+         "at model.q: "),
         ({k: v for k, v in base_run_config().items() if k != "run"}, "at run:"),
         ({k: v for k, v in base_run_config().items() if k != "model"}, "at model:"),
     ]

@@ -524,14 +524,27 @@ def test_norm_comparison_rejects_asymmetric():
 # ----------------------------------------------------- two-agent closed forms
 
 
+def two_agent_spectrum(a, sigma2, engine, mu):
+    """Eigenvalues of `one_step_matrix` on the 2-agent network with scalar
+    Hessians sigma2, less its structural unit eigenvalue, dropped by value."""
+    dyn = build_error_dynamics(two_agent_matrix(a), model=QuadraticModel(
+        h=np.full((2, 1, 1), sigma2), b=np.zeros((2, 1))))
+    eigs = np.linalg.eigvals(one_step_matrix(dyn, engine, mu=mu))
+    unit = np.abs(eigs - 1.0) <= 1e-9
+    assert unit.sum() == 1
+    return eigs[~unit]
+
+
 def test_two_agent_error_matrix_oracle():
     case = two_agent_case(0.5, 1.0, 1.5)
-    expect_e_d = np.array([
-        [-0.5, 0.0, 0.0],
-        [0.0, -0.25, -1.0],
-        [0.0, -0.125, 0.5],
-    ])
-    assert np.abs(case.e_d - expect_e_d).max() <= 1e-12
+    # frozen roots for the diffusion characteristic polynomial
+    # theta^2 - 0.25 theta - 0.25 at a = 1/2, mu sigma^2 = 3/2; with the
+    # consensus mode 1 - m = -0.5 they are the general map's spectrum
+    roots_d = np.array([-0.3903882032022076, 0.6403882032022076])
+    assert np.abs(np.sort(case.roots_d.real) - roots_d).max() <= 1e-12
+    assert case.specrad_d == pytest.approx(0.6403882032022076, abs=1e-12)
+    general = np.sort(two_agent_spectrum(0.5, 1.0, "exact_diffusion", 1.5).real)
+    assert np.abs(general - np.sort(np.append(roots_d, -0.5))).max() <= 1e-12
     # frozen roots for the EXTRA characteristic polynomial
     # theta^2 + 0.5 theta - 1 at a = 1/2, mu sigma^2 = 3/2
     roots = np.sort(case.roots_e.real)
@@ -556,20 +569,17 @@ def test_two_agent_characteristic_polynomials():
         r_e = np.sort_complex(np.roots([1.0, -(2 * a - me), a - me]))
         assert np.abs(np.sort_complex(case.roots_d) - r_d).max() <= 1e-10
         assert np.abs(np.sort_complex(case.roots_e) - r_e).max() <= 1e-10
-        # eigs(E) = {1 - m} union roots; eigs(Q) = {1} union eigs(E) for
-        # the 4x4 map Q of the generic builder
-        e_d_eigs = np.sort_complex(np.linalg.eigvals(case.e_d))
-        expect = np.sort_complex(np.concatenate([[1 - m], r_d]))
-        assert np.abs(e_d_eigs - expect).max() <= 1e-10
-        dyn = build_error_dynamics(two_agent_matrix(a), model=QuadraticModel(
-            h=np.full((2, 1, 1), sigma2), b=np.zeros((2, 1))))
-        q_d_eigs = np.sort_complex(np.linalg.eigvals(
-            one_step_matrix(dyn, "exact_diffusion", mu=mu_d)))
-        expect_q = np.sort_complex(np.concatenate([[1.0, 1 - m], r_d]))
-        assert np.abs(q_d_eigs - expect_q).max() <= 1e-10
-        q_e_eigs = np.sort_complex(np.linalg.eigvals(one_step_matrix(dyn, "extra", mu=mu_e)))
-        expect_qe = np.sort_complex(np.concatenate([[1.0, 1 - me], r_e]))
-        assert np.abs(q_e_eigs - expect_qe).max() <= 1e-10
+        # the 4x4 map of the generic builder has eigenvalues {1, 1 - m} and
+        # the roots; without its unit one, its radius is the case's
+        for engine, mu, mm, roots, specrad, stable in (
+                ("exact_diffusion", mu_d, m, r_d, case.specrad_d, case.stable_d),
+                ("extra", mu_e, me, r_e, case.specrad_e, case.stable_e)):
+            eigs = two_agent_spectrum(a, sigma2, engine, mu)
+            expect = np.sort_complex(np.concatenate([[1 - mm], roots]))
+            assert np.abs(np.sort_complex(eigs) - expect).max() <= 1e-10
+            radius = np.abs(eigs).max()
+            assert specrad == pytest.approx(radius, rel=1e-12, abs=0)
+            assert stable == (radius < 1.0)
 
 
 def test_two_agent_lifted_matrix_oracle():
@@ -624,11 +634,11 @@ def test_two_agent_onsets():
 @pytest.mark.parametrize("sigma2", [0.3, 1.0, 2.7])
 @pytest.mark.parametrize("algorithm", ["exact_diffusion", "extra"])
 def test_two_agent_onsets_are_exact(algorithm, sigma2):
-    # the closed-form onset is where the reduced map's spectral radius
-    # crosses 1: just below it the map contracts, just above it does not
+    # the closed-form onset is where the general map's spectral radius,
+    # less its unit eigenvalue, crosses 1: just below it the map contracts,
+    # just above it does not
     def radius(a, mu):
-        return float(np.abs(np.linalg.eigvals(
-            stability._two_agent_map(a, mu * sigma2, algorithm))).max())
+        return float(np.abs(two_agent_spectrum(a, sigma2, algorithm, mu)).max())
 
     for a in np.linspace(0.02, 0.98, 25):
         onset = two_agent_onset(a, sigma2, algorithm)
