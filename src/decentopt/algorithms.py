@@ -39,6 +39,7 @@ and one matrix-vector product.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,6 +49,8 @@ from .costs import CostModel, GroundTruth, solve_centralized
 from .graphs import CombinationMatrix, check_balanced, matrix_from_array
 
 DIVERGENCE_CAP = 1e12
+# iterations a record-free stack (a scan) steps between error checks
+CHECK_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ class EngineSpec:
     for every agent) or "free" (any positive vector).
     """
 
-    step: Callable  # one iteration: step(state, ctx)
+    step: Callable  # one iteration: step(state, ctx); rebinds state.w, never writes into it
     seed: Callable  # seed(state, ctx, matrix): the extra state blocks and ctx operators
     comm_units: int  # combines (transmitted vectors per agent per link) per iteration
     weighted: bool = False  # q-weighted aggregate over a balanced matrix, else
@@ -319,11 +322,15 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     inputs as `run` documents, then advances one member per StepSizes in
     steps_list, all seeded at w0, as a stack of shape (B, N, M) (the
     adaptive engine's z is shared).  Diverged and converged members leave
-    the stack.  Memory is O(B) for any budget: an exhausted member keeps
-    only its error at iteration max_iters - _lookback(max_iters).
-    record(state, rel, ctx), if given, sees iteration 0 and every step.
+    the stack.  record(state, rel, ctx), if given, sees iteration 0 and
+    every step.  Without it (the scans) the errors are checked once per
+    block of CHECK_BLOCK iterations, on the block's kept iterates; a member
+    that exits inside a block steps on to its end unseen, but takes the
+    status and verdict of its first crossing, so both stay exact.  Memory is
+    O(CHECK_BLOCK B) for any budget: an exhausted member keeps only its
+    error at iteration max_iters - _lookback(max_iters).
 
-    Returns (state as the last members left it, target, statuses, verdicts).
+    Returns (state at the last check, target, statuses, verdicts).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -332,6 +339,8 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
         raise ValueError("combination matrix size does not match the agent count")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if not 0.0 <= stop < np.inf:
+        raise ValueError("stop must be finite and at least 0")
     _validate_combination(engine, matrix)
     for steps in steps_list:
         _validate_steps(engine, steps, model, matrix)
@@ -356,30 +365,36 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
         return state, target, statuses, verdicts
 
     step, snapshot_at = ENGINE_SPECS[engine].step, max_iters - _lookback(max_iters)
-    earlier, alive = np.ones(size), np.arange(size)
+    earlier, alive, kept = np.ones(size), np.arange(size), []
+    block = 1 if record is not None else CHECK_BLOCK
     # an overflowing member turns inf or NaN, which the loop classifies as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, max_iters + 1):
             step(state, ctx)
-            rel = ((state.w - target_stack) ** 2).reshape(alive.size, -1).sum(axis=1) / denom
-            if record is not None:
-                record(state, rel, ctx)
-            if i == snapshot_at:
-                earlier[alive] = rel
-            if stop < rel.min() and rel.max() <= DIVERGENCE_CAP:  # a NaN fails both
+            kept.append(state.w)  # by reference: a step rebinds state.w
+            if i % block and i < max_iters:
                 continue
-            diverged = ~(rel <= DIVERGENCE_CAP)  # also NaN and inf
-            done = diverged | (rel <= stop)
-            if done.any():
-                for k in alive[diverged]:
-                    statuses[k], verdicts[k] = "diverged", "unstable"
-                keep = ~done
-                alive, rel = alive[keep], rel[keep]
-                if alive.size == 0:
-                    return state, target, statuses, verdicts
-                _take(state, keep)
-                ctx.mu, ctx.mu_o = ctx.mu[keep], ctx.mu_o[keep]
-    for k, final in zip(alive, rel):
+            rows = len(kept)  # iterations i - rows + 1 .. i
+            sq = ((np.array(kept) if rows > 1 else state.w) - target_stack) ** 2  # 1 row: no copy
+            rels = sq.reshape(rows, alive.size, -1).sum(axis=2) / denom
+            kept = []
+            if record is not None:
+                record(state, rels[0], ctx)
+            if i - rows < snapshot_at <= i:
+                earlier[alive] = rels[snapshot_at - i - 1]
+            if stop < rels.min() and rels.max() <= DIVERGENCE_CAP:  # a NaN fails both
+                continue
+            done = ~(rels <= DIVERGENCE_CAP) | (rels <= stop)  # ~ also catches NaN and inf
+            first = rels[done.argmax(axis=0), np.arange(alive.size)]  # rel at the first exit
+            for k in alive[~(first <= DIVERGENCE_CAP)]:
+                statuses[k], verdicts[k] = "diverged", "unstable"
+            keep = ~done.any(axis=0)
+            alive, rels = alive[keep], rels[:, keep]
+            if alive.size == 0:
+                return state, target, statuses, verdicts
+            _take(state, keep)
+            ctx.mu, ctx.mu_o = ctx.mu[keep], ctx.mu_o[keep]
+    for k, final in zip(alive, rels[-1]):
         statuses[k], verdicts[k] = "exhausted", _exhausted_verdict(final, earlier[k])
     return state, target, statuses, verdicts
 
@@ -422,7 +437,8 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
             if state.y is not None:
                 duals.append(state.y[0].copy())
         rels.append(float(rel[0]))
-        grad_norms.append(float(np.linalg.norm(model.weighted_grad(w.mean(axis=0)))))
+        g = model.weighted_grad(w.mean(axis=0))
+        grad_norms.append(math.sqrt(g.dot(g)))  # np.linalg.norm's own sum, without its wrapper
 
     state, target, (status,), _ = _iterate(engine, model, matrix, (steps,), max_iters, stop,
                                            ground_truth, w0, record)

@@ -565,6 +565,8 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
         raise ValueError("mu_grid needs at least two step sizes to bracket a transition")
     if mus[0] <= 0 or not all(np.isfinite(mu) for mu in mus):
         raise ValueError("mu_grid entries must be positive and finite")
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError("rel_tol must be positive and finite")
 
     def classify(points: list) -> list:
         steps = [_steps_for(engine, model, matrix, mu) for mu in points]

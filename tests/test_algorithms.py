@@ -22,11 +22,13 @@ from decentopt import (
     write_trace_csv,
 )
 from decentopt.algorithms import (
+    CHECK_BLOCK,
     DIVERGENCE_CAP,
     ENGINE_SPECS,
     AlgorithmState,
     RunResult,
     _iterate,
+    _lookback,
     init_state,
 )
 from decentopt import graphs
@@ -536,6 +538,8 @@ def test_stack_keeps_running_past_a_member_that_overflows(engine):
     assert list(zip(statuses, verdicts)) == separate
     assert statuses[1] == statuses[3] == "diverged"
     assert "diverged" not in (statuses[0], statuses[2])
+    assert _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)[2:] == (
+        statuses, verdicts)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -561,6 +565,8 @@ def test_adaptive_stack_matches_separate_runs():
     assert list(zip(statuses, verdicts)) == _separate_outcomes(
         engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
     assert set(statuses) == {"converged", "exhausted", "diverged"}
+    assert _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)[2:] == (
+        statuses, verdicts)
     # members alive on iteration i and gone on i + 1 exited on iteration i
     exits = [i for i in range(1, len(sizes))
              for _ in range(sizes[i] - (sizes[i + 1] if i + 1 < len(sizes) else 0))]
@@ -592,6 +598,81 @@ def test_stack_handles_a_convergence_and_a_divergence_on_one_iteration():
     assert exits[blowup] == 3 and exits[blowup + 1] == 1
     separate = _separate_outcomes(engine, model, matrix, steps_list, 60, stop, gt, w0)
     assert list(zip(statuses, verdicts)) == separate
+    assert blowup % CHECK_BLOCK  # inside a block of the record-free stack
+    assert _iterate(engine, model, matrix, steps_list, 60, stop, gt, w0)[2:] == (
+        statuses, verdicts)
+
+
+@pytest.mark.parametrize("max_iters", [37, 300])
+def test_record_free_stack_classifies_like_a_recorded_one(max_iters):
+    """Without a record the stack checks its errors once per CHECK_BLOCK
+    iterations, with a shortened last block and the lookback snapshot
+    inside a block.  A member that turns inf inside a block steps on to
+    its end while the others go on, and every member still gets the
+    status and verdict it gets when checked on every step, and the status
+    of its own run."""
+    engine = "extra"
+    matrix, model, gt, w0 = _combine_setup(engine, seed=26)
+    steps_list = [steps_for(engine, model, matrix.perron, mu)
+                  for mu in (0.0005, 0.02, 0.08, 0.15, 1e150)]
+    assert max_iters % CHECK_BLOCK and (max_iters - _lookback(max_iters)) % CHECK_BLOCK
+    state, ctx = init_state(engine, model, matrix, w0, steps_list[-1])
+    finite = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(CHECK_BLOCK):
+            ENGINE_SPECS[engine].step(state, ctx)
+            finite.append(bool(np.isfinite(state.w).all()))
+    assert finite[0] and not finite[-1]  # finite after one step, not after a block
+
+    blocked = _iterate(engine, model, matrix, steps_list, max_iters, 1e-10, gt, w0)[2:]
+    recorded = _iterate(engine, model, matrix, steps_list, max_iters, 1e-10, gt, w0,
+                        lambda state, rel, ctx: None)[2:]
+    assert blocked == recorded
+    runs = [run(engine, model, matrix, steps, max_iters=max_iters, stop=1e-10, w0=w0,
+                ground_truth=gt) for steps in steps_list]
+    assert blocked[0] == [r.status for r in runs] == {
+        37: ["exhausted", "exhausted", "exhausted", "diverged", "diverged"],
+        300: ["exhausted", "converged", "diverged", "diverged", "diverged"]}[max_iters]
+    # at 37 the third member is exhausted and unstable: its error grew since the snapshot
+    assert blocked[1] == ["stable", "stable", "unstable", "unstable", "unstable"]
+    # some members exit inside a block
+    assert any(r.status != "exhausted" and r.iterations % CHECK_BLOCK for r in runs)
+
+
+def test_record_free_stack_takes_each_status_at_the_first_exit():
+    """A member whose error crosses `stop` on the first step and the
+    divergence cap later in the same block is converged, as in its own run:
+    its status is read where it first exits, not at the block's end."""
+    engine = "diging"
+    matrix, model, gt, w0 = _combine_setup(engine, seed=26)
+    steps = [steps_for(engine, model, matrix.perron, 0.5)]
+    trace = []
+    _iterate(engine, model, matrix, steps, CHECK_BLOCK, 0.0, gt, w0,
+             lambda state, rel, ctx: trace.append(rel[0]))
+    assert len(trace) - 1 < CHECK_BLOCK and not trace[-1] <= DIVERGENCE_CAP
+    stop = trace[1]
+    assert run(engine, model, matrix, steps[0], max_iters=CHECK_BLOCK, stop=stop, w0=w0,
+               ground_truth=gt).status == "converged"
+    assert _iterate(engine, model, matrix, steps, CHECK_BLOCK, stop, gt, w0)[2:] == (
+        ["converged"], ["stable"])
+
+
+@pytest.mark.parametrize("engine, mu_growing", [("extra", 0.08),
+                                                ("adaptive_exact_diffusion", 0.22)])
+def test_record_free_stack_converges_on_the_exact_budget(engine, mu_growing):
+    """A member whose own run converges on iteration t, inside a block,
+    converges in a record-free stack with max_iters = t and is exhausted
+    with t - 1; beside it, a member whose error grows is exhausted and
+    unstable on its own final error."""
+    matrix, model, gt, w0 = _combine_setup(engine, seed=26)
+    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.05, mu_growing)]
+    first = run(engine, model, matrix, steps_list[0], max_iters=300, stop=1e-10, w0=w0,
+                ground_truth=gt)
+    t = first.iterations
+    assert first.status == "converged" and t % CHECK_BLOCK
+    for budget, status in ((t, "converged"), (t - 1, "exhausted")):
+        assert _iterate(engine, model, matrix, steps_list, budget, 1e-10, gt, w0)[2:] == (
+            [status, "exhausted"], ["stable", "unstable"])
 
 
 # -------------------------------------------------------------- validation
@@ -611,6 +692,19 @@ def test_engine_and_shape_validation():
         run("diging", model, matrix, steps, w0=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         run("diging", model, matrix, steps, max_iters=0)
+
+
+@pytest.mark.parametrize("stop", [np.nan, -1.0, np.inf])
+def test_stop_must_be_finite_and_nonnegative(stop):
+    # NaN and negative stops used to report exhausted runs that had converged
+    matrix = random_metropolis(4, seed=11)
+    model = least_squares_model(13, 4, 2, 8)
+    steps = StepSizes.uniform(0.01, 4)
+    with pytest.raises(ValueError, match="stop"):
+        run("diging", model, matrix, steps, stop=stop)
+    with pytest.raises(ValueError, match="stop"):
+        _iterate("diging", model, matrix, [steps, steps], 10, stop, None)
+    assert run("diging", model, matrix, steps, max_iters=5, stop=0.0).iterations == 5
 
 
 def test_uniform_aggregate_engines_reject_nonuniform_q():

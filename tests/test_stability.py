@@ -792,6 +792,17 @@ def test_stability_scan_rejects_bad_grid():
         stability_scan("exact_diffusion", model, matrix, [0.5, -0.2])
 
 
+@pytest.mark.parametrize("rel_tol", [-1.0, 0.0, np.nan, np.inf])
+def test_stability_scan_rel_tol_must_be_positive_and_finite(rel_tol):
+    # rel_tol = -1 used to bisect forever, and NaN returned the grid's
+    # bracket marked refined
+    matrix = random_metropolis(6, seed=5)
+    model = least_squares_model(5, 6, 2, 8)
+    with pytest.raises(ValueError, match="rel_tol"):
+        stability_scan("exact_diffusion", model, matrix, [0.01, 10.0], max_iters=50,
+                       rel_tol=rel_tol)
+
+
 # ------------------------------------------------- stacked classification
 
 
