@@ -4,9 +4,9 @@ All iterate blocks are row-stacked: W has shape (N, M) with row k holding
 agent k's current estimate.  A combine step with the left-stochastic
 matrix A is therefore W <- A^T W, through the operator the matrix caches
 (a CSR form on a large sparse network).  The step functions also advance
-a stack of independent runs, shape (B, N, M), with step sizes of shape
-(B, N).  One loop drives them: `run` is a one-member stack, and the
-stability scans classify many step sizes at once in one stack.
+an agent-major stack of B runs, shape (N, B, M), whose combine is one N x N
+product on its (N, B*M) view.  One loop drives them: `run` is the stack
+(N, 1, M), and the stability scans classify many step sizes in one stack.
 
 The two primal-dual engines use the dual factor V only through V y, so
 they carry z = V y as their dual block (`AlgorithmState.y`, seeded at
@@ -88,8 +88,8 @@ class StepSizes:
 
 @dataclass
 class AlgorithmState:
-    """Mutable state of one run, or of a stack of runs with blocks of shape
-    (B, N, M) and a shared z; unused blocks stay None.  y is the dual block:
+    """Mutable state of one run, or of a stack of runs with agent-major blocks
+    (N, B, M) and a shared z; unused blocks stay None.  y is the dual block:
     V y for exact_diffusion_pd and extra, the tracked gradient for diging
     and aug_dgm.  z is the adaptive engine's power vector lam^i, length N,
     over the eigenvalues lam of At = P^{-1/2} A P^{1/2} (see the module
@@ -136,37 +136,45 @@ class _EngineContext:
     a_t: object  # A^T, Abar^T and Abar as combine operators, applied as op @ x
     abar_t: object
     abar: object
-    mu: np.ndarray  # this iteration's step sizes, as the (..., N, 1) column steps multiply by
+    mu: np.ndarray  # this iteration's steps: the (N, ..., 1) column, or in full like w
     mu_o: np.ndarray  # base step sizes, shape (..., 1); NaN where a StepSizes has none
     s: object = None  # S = V V^T = (P - A P)/2 as an operator, for the primal-dual engines
-    p: np.ndarray | None = None  # the Perron vector as an (N, 1) column
+    p: np.ndarray | None = None  # the Perron vector as an (N, 1) or (N, 1, 1) column
     lam: np.ndarray | None = None  # the adaptive engine's (lam, U o U): see `_perron_modes`
     uu: np.ndarray | None = None
 
 
+def _descent(x: np.ndarray, state: AlgorithmState, ctx: _EngineContext) -> np.ndarray:
+    """x - mu grad(w), computed in place in the gradient, a fresh temporary."""
+    g = ctx.model.grad(state.w)
+    g *= ctx.mu
+    return np.subtract(x, g, out=g)
+
+
 def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext):
-    psi = state.w - ctx.mu * ctx.model.grad(state.w)
-    phi = psi + state.w - state.psi_prev
-    state.w = ctx.abar_t @ phi
-    state.psi_prev = psi
+    psi = _descent(state.w, state, ctx)
+    phi = psi + state.w
+    phi -= state.psi_prev
+    state.w, state.psi_prev = ctx.abar_t @ phi, psi
 
 
 def _step_exact_diffusion_pd(state: AlgorithmState, ctx: _EngineContext):
-    state.w = ctx.abar_t @ (state.w - ctx.mu * ctx.model.grad(state.w)) - state.y / ctx.p
-    state.y = state.y + ctx.s @ state.w
+    w = ctx.abar_t @ _descent(state.w, state, ctx)
+    w -= state.y / ctx.p
+    state.w, state.y = w, state.y + ctx.s @ w
 
 
 def _step_extra(state: AlgorithmState, ctx: _EngineContext):
-    n = ctx.model.n_agents
-    state.w = ctx.abar @ state.w - ctx.mu * ctx.model.grad(state.w) - n * state.y
-    state.y = state.y + ctx.s @ state.w
+    w = _descent(ctx.abar @ state.w, state, ctx)
+    w -= ctx.model.n_agents * state.y
+    state.w, state.y = w, state.y + ctx.s @ w
 
 
 def _step_diging(state: AlgorithmState, ctx: _EngineContext):
-    state.w = ctx.a_t @ state.w - ctx.mu * state.y
-    g_new = ctx.model.grad(state.w)
-    state.y = ctx.a_t @ state.y + g_new - state.g_prev
-    state.g_prev = g_new
+    w = ctx.a_t @ state.w
+    w -= ctx.mu * state.y
+    g_new = ctx.model.grad(w)
+    state.w, state.y, state.g_prev = w, ctx.a_t @ state.y + g_new - state.g_prev, g_new
 
 
 def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
@@ -178,7 +186,8 @@ def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
 
 def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
     state.z = state.z * ctx.lam
-    ctx.mu = (ctx.model.q * ctx.mu_o / (ctx.uu @ state.z))[..., np.newaxis]
+    # (B, N) steps for a stack, transposed to its agent-major (N, B, 1) column
+    ctx.mu = (ctx.model.q * ctx.mu_o / (ctx.uu @ state.z)).T[..., np.newaxis]
     _step_exact_diffusion(state, ctx)
 
 
@@ -188,7 +197,7 @@ def _seed_correction(state: AlgorithmState, ctx: _EngineContext, matrix: Combina
 
 def _seed_dual(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
     state.y = np.zeros_like(state.w)
-    ctx.s, ctx.p = matrix._dual_op, matrix.perron.p[:, np.newaxis]
+    ctx.s, ctx.p = matrix._dual_op, matrix.perron.p.reshape((-1,) + (1,) * (state.w.ndim - 1))
 
 
 def _seed_tracking(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
@@ -274,17 +283,19 @@ def _validate_steps(engine: str, steps: StepSizes, model: CostModel, matrix: Com
 
 def init_state(engine: str, model: CostModel, matrix: CombinationMatrix, w0: np.ndarray,
                steps) -> tuple[AlgorithmState, _EngineContext]:
-    """(state, ctx) of a run from w0 with one StepSizes, or of a stack of
-    runs from w0, blocks (B, N, M), with a sequence of them.  w0 is the
-    pre-iteration iterate: the first step already includes one combine."""
+    """(state, ctx) of a run from w0 with one StepSizes, blocks (N, M), or
+    of a stack of runs from w0 with a sequence of them, agent-major blocks
+    (N, B, M) with member b at [:, b].  w0 is the pre-iteration iterate: the
+    first step already includes one combine."""
     if isinstance(steps, StepSizes):
         mu, mu_o = steps.mu[:, np.newaxis], np.array([steps.mu_o], dtype=float)
     else:
-        mu = np.stack([s.mu for s in steps])[..., np.newaxis]
+        mu = np.stack([s.mu for s in steps], axis=1)[..., np.newaxis]
         mu_o = np.array([[s.mu_o] for s in steps], dtype=float)
-        w0 = np.broadcast_to(w0, (len(steps),) + w0.shape)
+        w0 = np.broadcast_to(w0[:, np.newaxis], (len(w0), len(steps)) + w0.shape[1:])
     state = AlgorithmState(w=w0.copy())
-    ctx = _EngineContext(model, *matrix._combine_ops, mu, mu_o)
+    # mu in full, one step per entry of w, so that `mu * x` needs no broadcasting
+    ctx = _EngineContext(model, *matrix._combine_ops, np.broadcast_to(mu, w0.shape).copy(), mu_o)
     ENGINE_SPECS[engine].seed(state, ctx, matrix)
     return state, ctx
 
@@ -310,17 +321,17 @@ def _exhausted_verdict(final: float, earlier: float) -> str:
 
 
 def _take(state: AlgorithmState, index) -> None:
-    """Keep the members `index` selects in every stacked block."""
+    """Keep the members `index` selects, on axis 1, in every stacked block."""
     for name in ("w", "psi_prev", "y", "g_prev"):
         if getattr(state, name) is not None:
-            setattr(state, name, getattr(state, name)[index])
+            setattr(state, name, getattr(state, name)[:, index])
 
 
 def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, stop: float,
              ground_truth: GroundTruth | None, w0: np.ndarray = None, record=None):
     """The one iteration loop of `run` and the stability scans: checks the
     inputs as `run` documents, then advances one member per StepSizes in
-    steps_list, all seeded at w0, as a stack of shape (B, N, M) (the
+    steps_list, all seeded at w0, as a stack of shape (N, B, M) (the
     adaptive engine's z is shared).  Diverged and converged members leave
     the stack.  record(state, rel, ctx), if given, sees iteration 0 and
     every step.  Without it (the scans) the errors are checked once per
@@ -356,8 +367,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
         raise ValueError(f"w0 shape {w0.shape} does not match {shape}")
     size = len(steps_list)
     state, ctx = init_state(engine, model, matrix, w0, steps_list)
-    target_stack = np.broadcast_to(target, w0.shape)
-    denom = float(np.sum((w0 - target_stack) ** 2))
+    denom = float(np.sum((w0 - target) ** 2))
     statuses, verdicts = ["converged"] * size, ["stable"] * size
     if record is not None:
         record(state, np.full(size, 1.0 if denom > 0.0 else 0.0), ctx)
@@ -371,12 +381,15 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, max_iters + 1):
             step(state, ctx)
-            kept.append(state.w)  # by reference: a step rebinds state.w
+            kept.append(state.w[np.newaxis])  # by reference: a step rebinds state.w
             if i % block and i < max_iters:
                 continue
             rows = len(kept)  # iterations i - rows + 1 .. i
-            sq = ((np.array(kept) if rows > 1 else state.w) - target_stack) ** 2  # 1 row: no copy
-            rels = sq.reshape(rows, alive.size, -1).sum(axis=2) / denom
+            # member-major, so each member sums its own N M entries in a row, as `run` does
+            sq = np.empty((rows, alive.size, model.n_agents, model.dim))
+            np.concatenate(kept, out=sq.transpose(0, 2, 1, 3))
+            sq -= target
+            rels = np.square(sq, out=sq).reshape(rows, alive.size, -1).sum(axis=2) / denom
             kept = []
             if record is not None:
                 record(state, rels[0], ctx)
@@ -393,7 +406,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
             if alive.size == 0:
                 return state, target, statuses, verdicts
             _take(state, keep)
-            ctx.mu, ctx.mu_o = ctx.mu[keep], ctx.mu_o[keep]
+            ctx.mu, ctx.mu_o = ctx.mu[:, keep], ctx.mu_o[keep]
     for k, final in zip(alive, rels[-1]):
         statuses[k], verdicts[k] = "exhausted", _exhausted_verdict(final, earlier[k])
     return state, target, statuses, verdicts
@@ -427,17 +440,18 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         and status in {"converged", "exhausted", "diverged"}.
     """
     rels, grad_norms, iterates, duals = [], [], [], []
+    n = model.n_agents
 
     def record(state, rel, ctx):
-        w = state.w[0]
+        w = state.w[:, 0]
         if keep_iterates:
             if rels and state.z is not None:  # one estimate per step, none for the seed
                 state.z_diag_history.append(ctx.uu @ state.z)
             iterates.append(w.copy())
             if state.y is not None:
-                duals.append(state.y[0].copy())
+                duals.append(state.y[:, 0].copy())
         rels.append(float(rel[0]))
-        g = model.weighted_grad(w.mean(axis=0))
+        g = model.weighted_grad(np.add.reduce(w, axis=0) / n)  # w.mean(axis=0) without wrapper
         grad_norms.append(math.sqrt(g.dot(g)))  # np.linalg.norm's own sum, without its wrapper
 
     state, target, (status,), _ = _iterate(engine, model, matrix, (steps,), max_iters, stop,

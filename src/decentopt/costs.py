@@ -48,7 +48,8 @@ class CostModel:
             raise ValueError("q must be a positive finite length-N vector")
 
     def grad(self, w: np.ndarray) -> np.ndarray:
-        """Per-agent gradients at per-agent points; w and result are (N, M)."""
+        """Per-agent gradients at per-agent points: w and the result are an
+        (N, M) block or an agent-major (N, B, M) stack of B of them."""
         raise NotImplementedError
 
     def grad_at(self, x: np.ndarray) -> np.ndarray:
@@ -82,14 +83,18 @@ class QuadraticModel(CostModel):
         self._h_q = np.einsum("k,kij->ij", self.q, h)  # sum_k q_k J_k's Hessian
         self._b_q = self.q @ b  # and its linear term
         self._h_t = np.ascontiguousarray(h.transpose(0, 2, 1))
+        self._b_stack = b[:, np.newaxis]  # b as an (N, B, M) stack, for the last B grad saw
 
     def grad(self, w):
-        """Per-agent gradients H_k w_k - b_k of an (N, M) block or a (B, N, M)
-        stack, with one (B, M) x (M, M) product per agent: row k of every
-        member times H_k^T."""
-        stack = w.reshape((-1,) + self.b.shape)
-        hw = np.matmul(stack, self._h_t, axes=[(0, 2), (1, 2), (0, 2)])
-        return hw.reshape(w.shape) - self.b
+        """Per-agent gradients H_k w_k - b_k of an (N, M) block or an
+        agent-major (N, B, M) stack: one (B, M) x (M, M) product per agent,
+        every member's row k times H_k^T."""
+        hw = np.matmul(w.reshape(self.n_agents, -1, self.dim), self._h_t)
+        b = self._b_stack
+        if b.shape != hw.shape:  # b in full, so that the subtraction needs no broadcasting
+            b = self._b_stack = np.repeat(self.b[:, np.newaxis], hw.shape[1], axis=1)
+        hw -= b
+        return hw.reshape(w.shape)
 
     def grad_at(self, x):
         return self.h @ x - self.b
@@ -165,9 +170,9 @@ class LogisticModel(CostModel):
         return self.labels * (self.features @ x)
 
     def grad(self, w):
-        z = self.labels * np.einsum("klm,...km->...kl", self.features, w)
+        z = self.labels * np.einsum("klm,k...m->...kl", self.features, w)  # member-major
         s = self._expit(-z)  # sigmoid(-gamma h^T w)
-        data = -np.einsum("klm,...kl->...km", self.features, self.labels * s) / self.n_samples
+        data = -np.einsum("klm,...kl->k...m", self.features, self.labels * s) / self.n_samples
         return data + self.ridge * w
 
     def grad_at(self, x):

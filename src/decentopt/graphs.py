@@ -273,12 +273,16 @@ class CombinationMatrix:
         return n >= SPARSE_MIN_AGENTS and np.count_nonzero(self.a) <= SPARSE_MAX_DENSITY * n * n
 
     def _operator(self, dense: np.ndarray):
-        return _CSROperator(dense) if self._sparse else dense
+        if self._sparse:
+            import scipy.sparse  # loaded by the first large sparse network only
+
+            dense = scipy.sparse.csr_array(dense)
+        return _Operator(dense)
 
     @cached_property
     def _combine_ops(self) -> tuple:
-        """(A^T, Abar^T, Abar) as the engines apply them, `op @ x`: in CSR
-        form on a large sparse network, else dense."""
+        """(A^T, Abar^T, Abar) as the engines apply them, `op @ x`
+        (`_Operator`): in CSR form on a large sparse network, else dense."""
         return tuple(map(self._operator, (self.a.T, self.abar.T, self.abar)))
 
     @cached_property
@@ -303,21 +307,18 @@ class CombinationMatrix:
         return _network_blocks(self)
 
 
-class _CSROperator:
-    """CSR form of an N x N operator, applied as `op @ x` to an (N, M) block
-    and to a stacked (B, N, M) block through its (N, B*M) view."""
+class _Operator:
+    """An N x N operator, dense or in CSR form, applied as `op @ x` to an
+    (N, M) block or an agent-major (N, B, M) stack in one product on its
+    (N, B*M) view."""
 
-    def __init__(self, dense: np.ndarray):
-        import scipy.sparse  # loaded by the first large sparse network only
+    __slots__ = ("matrix",)
 
-        self.csr = scipy.sparse.csr_array(dense)
+    def __init__(self, matrix):
+        self.matrix = matrix
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:
-            return self.csr @ x
-        b, n, m = x.shape
-        y = self.csr @ x.transpose(1, 0, 2).reshape(n, b * m)
-        return y.reshape(n, b, m).transpose(1, 0, 2)
+        return (self.matrix @ x.reshape(len(x), -1)).reshape(x.shape)
 
 
 @dataclass(frozen=True)

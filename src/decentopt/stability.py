@@ -30,9 +30,9 @@ from .spectral import dual_vectors
 
 EIGENPAIR_TOL = 1e-8
 UNIT_ROUNDOFF = 2.0 ** -53
-# bisection levels a scan resolves per stacked run: its 2**3 - 1 members
-# are every midpoint the next three bisection steps can visit
-SPECULATION_DEPTH = 3
+# bisection levels a scan resolves per stacked run: its 2**4 - 1 members
+# are every midpoint the next four bisection steps can visit
+SPECULATION_DEPTH = 4
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from decentopt.algorithms import (
     init_state,
 )
 from decentopt import graphs
-from decentopt.graphs import _CSROperator
+from decentopt.stability import _steps_for, stability_scan
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 from oracles import power_iteration_diagonals, read_trace_csv, symmetric_root
@@ -308,7 +308,7 @@ def test_adaptive_estimates_match_the_power_iteration(build, n, prob):
     power iteration diag((A^T)^i) within 1e-13 over 500 steps, on the dense
     path (N = 5, 60) and the CSR path (N = 400)."""
     matrix = build(random_connected_graph(n, prob, seed=4))
-    assert isinstance(matrix._combine_ops[0], _CSROperator) == (n == 400)
+    assert _is_csr(matrix._combine_ops[0]) == (n == 400)
     model = random_quadratic(n, 2, seed=4)
     steps = StepSizes.from_weights(model.q, matrix.perron.p, 1e-4)
     res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=500, stop=0.0,
@@ -374,13 +374,18 @@ def test_fixed_point_residency_all_engines():
 # ---------------------------------------------------------- combine paths
 
 
+def _is_csr(op):
+    """Whether a combine operator holds A's CSR form, not the dense array."""
+    return not isinstance(op.matrix, np.ndarray)
+
+
 @pytest.mark.parametrize("n, prob, sparse", [(20, 0.6, False), (100, 0.1, False),
                                              (400, 0.02, True), (400, 0.006, True)])
 def test_combine_path_follows_network_size_and_density(n, prob, sparse):
     for build in (build_metropolis, build_averaging):
         matrix = build(random_connected_graph(n, prob, seed=3))
         ops = (*matrix._combine_ops, matrix._dual_op)
-        assert [isinstance(op, _CSROperator) for op in ops] == [sparse] * 4
+        assert [_is_csr(op) for op in ops] == [sparse] * 4
 
 
 def _on_path(matrix, sparse, monkeypatch):
@@ -389,7 +394,7 @@ def _on_path(matrix, sparse, monkeypatch):
     monkeypatch.setattr(graphs, "SPARSE_MIN_AGENTS", 1 if sparse else matrix.n + 1)
     monkeypatch.setattr(graphs, "SPARSE_MAX_DENSITY", 1.0)
     copy = CombinationMatrix(matrix.a, matrix.graph)
-    assert isinstance(copy._combine_ops[0], _CSROperator) == sparse  # chosen while patched
+    assert _is_csr(copy._combine_ops[0]) == sparse  # chosen while patched
     return copy
 
 
@@ -447,10 +452,69 @@ def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
     csr = _on_path(matrix, True, monkeypatch)
     steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.005, 0.01, 0.02)]
     state, _, statuses, _ = _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0)
+    rels = []
+    _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0,
+             lambda state, rel, ctx: rels.append(rel.copy()))
     for k, steps in enumerate(steps_list):
         res = run(engine, model, csr, steps, max_iters=80, stop=0.0, w0=w0, ground_truth=gt)
         assert res.status == statuses[k] == "exhausted"
-        assert np.array_equal(res.state.w, state.w[k])
+        assert np.array_equal(res.state.w, state.w[:, k])
+        # a member's error sums its own N M entries in a row, as its run does
+        assert [r.rel_error for r in res.records] == [rel[k] for rel in rels]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_dense_scan_member_matches_its_one_member_run(engine):
+    """On the dense path one combine is one product over the whole stack,
+    which may round a member's entries in their last bits unlike its own
+    run's products: each member still has its run's status, and every
+    block of its state is within 1e-12 of the run's, relative."""
+    # N = 20 and M = 5, the scan benchmark's shape, where the wide product
+    # does round differently from the per-member ones
+    matrix = (random_averaging if engine in WEIGHTED else random_metropolis)(20, seed=22)
+    model = random_quadratic(20, 5, seed=22)
+    gt, w0 = solve_centralized(model), np.random.default_rng(22).standard_normal((20, 5))
+    assert not _is_csr(matrix._combine_ops[0])
+    mus = (0.002, 0.005, 0.01, 0.015, 0.02)
+    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in mus]
+    state, _, statuses, _ = _iterate(engine, model, matrix, steps_list, 80, 0.0, gt, w0)
+    for k, steps in enumerate(steps_list):
+        res = run(engine, model, matrix, steps, max_iters=80, stop=0.0, w0=w0, ground_truth=gt)
+        assert res.status == statuses[k] == "exhausted"
+        for name in ("w", "psi_prev", "y", "g_prev"):
+            want = getattr(res.state, name)
+            if want is not None:
+                got = getattr(state, name)[:, k]
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_member_near_the_onset_is_classified_alike_beside_any_stack_mates(engine):
+    """A step size just below (0.999x) and just above (1.003x) the scan's
+    onset gets the same status and verdict alone, in a two-member stack with
+    the other, and at two column positions of a 31-member stack."""
+    matrix, model, gt, _ = _combine_setup(engine, seed=28)
+    max_iters, stop = 1500, 1e-10
+    scan = stability_scan(engine, model, matrix, np.geomspace(0.001, 2.0, 12), max_iters, stop,
+                          ground_truth=gt, rel_tol=1e-4)
+    assert scan.refined
+    onset = 0.5 * (scan.mu_stable + scan.mu_unstable)
+    near = [_steps_for(engine, model, matrix, f * onset) for f in (0.999, 1.003)]
+    mates = [_steps_for(engine, model, matrix, mu)
+             for mu in np.geomspace(onset / 3.0, 3.0 * onset, 30)]
+
+    def outcomes(steps_list, columns):
+        _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, max_iters, stop,
+                                            gt)
+        return [(statuses[c], verdicts[c]) for c in columns]
+
+    alone = [outcomes([steps], [0])[0] for steps in near]
+    assert [verdict for _, verdict in alone] == ["stable", "unstable"]
+    assert outcomes(near, [0, 1]) == alone
+    for k, steps in enumerate(near):
+        for column in (3, 27):
+            stack = mates[:column] + [steps] + mates[column:]
+            assert outcomes(stack, [column]) == [alone[k]]
 
 
 # ------------------------------------------------------- primal-dual steps
@@ -475,7 +539,7 @@ def test_v_free_steps_match_the_dense_v_step(engine, sparse, monkeypatch):
     with the reference's w and V y within 1e-12 of the trajectory's scale."""
     matrix, model, gt, w0 = _combine_setup(engine, seed=23)
     matrix = _on_path(matrix, sparse, monkeypatch)
-    assert isinstance(matrix._dual_op, _CSROperator) == sparse
+    assert _is_csr(matrix._dual_op) == sparse
     steps = steps_for(engine, model, matrix.perron, 0.02)
     _, ctx = init_state(engine, model, matrix, w0, steps)
     p = matrix.perron.p[:, np.newaxis]

@@ -73,19 +73,36 @@ def test_quadratic_model_gradients_and_hessians():
 
 @pytest.mark.parametrize("shape", [(), (1,), (7,)])
 def test_quadratic_grad_on_a_block_and_on_a_stack(shape):
-    """grad of an (N, M) block and of a (B, N, M) stack is h[k] @ w[k] - b[k]
-    agent by agent, also for a Hessian that is not symmetric."""
+    """grad of an (N, M) block and of an agent-major (N, B, M) stack is
+    h[k] @ w[k] - b[k] agent by agent, also for a Hessian that is not
+    symmetric."""
     rng = np.random.default_rng(5)
     n, m = 6, 4
     h = rng.standard_normal((n, m, m))
     model = QuadraticModel(h, rng.standard_normal((n, m)))
-    w = rng.standard_normal(shape + (n, m))
+    w = rng.standard_normal((n,) + shape + (m,))
     got = model.grad(w)
     assert got.shape == w.shape
     for index in np.ndindex(shape):
         for k in range(n):
-            want = h[k] @ w[index][k] - model.b[k]
-            assert np.abs(got[index][k] - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
+            want = h[k] @ w[k][index] - model.b[k]
+            assert np.abs(got[k][index] - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,)])
+def test_logistic_grad_on_a_block_and_on_a_stack(shape):
+    """grad of an (N, M) block and of an agent-major (N, B, M) stack is
+    agent k's gradient at its own point w[k], member by member."""
+    rng = np.random.default_rng(6)
+    n, m = 5, 3
+    model = logistic_model(6, n, m, 8, 0.5)
+    w = rng.standard_normal((n,) + shape + (m,))
+    got = model.grad(w)
+    assert got.shape == w.shape
+    for index in np.ndindex(shape):
+        for k in range(n):
+            want = model.grad_at(w[k][index])[k]
+            assert np.abs(got[k][index] - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
 
 
 def test_mse_quadratic_requires_symmetry():
