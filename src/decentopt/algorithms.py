@@ -2,11 +2,11 @@
 
 All iterate blocks are row-stacked: W has shape (N, M) with row k holding
 agent k's current estimate.  A combine step with the left-stochastic
-matrix A is therefore W <- A^T W, through the operator the matrix caches
-(a CSR form on a large sparse network).  The step functions also advance
-an agent-major stack of B runs, shape (N, B, M), whose combine is one N x N
-product on its (N, B*M) view.  One loop drives them: `run` is the stack
-(N, 1, M), and the stability scans classify many step sizes in one stack.
+matrix A is therefore W <- A^T W, one `op @ W` with the matrix's cached
+dense or CSR operator.  The step functions also advance an agent-major
+stack of B runs, the (N, B*M) block with member b in columns b*M to
+(b+1)*M.  One loop drives them: `run` is the stack B = 1, the plain (N, M)
+block, and the stability scans classify many step sizes in one stack.
 
 The two primal-dual engines use the dual factor V only through V y, so
 they carry z = V y as their dual block (`AlgorithmState.y`, seeded at
@@ -63,7 +63,7 @@ class StepSizes:
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         object.__setattr__(self, "mu", mu)
-        if mu.ndim != 1 or mu.min() <= 0 or not np.all(np.isfinite(mu)):
+        if mu.ndim != 1 or mu.size == 0 or mu.min() <= 0 or not np.all(np.isfinite(mu)):
             raise ValueError("step sizes must be a positive finite vector")
 
     @classmethod
@@ -89,7 +89,7 @@ class StepSizes:
 @dataclass
 class AlgorithmState:
     """Mutable state of one run, or of a stack of runs with agent-major blocks
-    (N, B, M) and a shared z; unused blocks stay None.  y is the dual block:
+    (N, B*M) and a shared z; unused blocks stay None.  y is the dual block:
     V y for exact_diffusion_pd and extra, the tracked gradient for diging
     and aug_dgm.  z is the adaptive engine's power vector lam^i, length N,
     over the eigenvalues lam of At = P^{-1/2} A P^{1/2} (see the module
@@ -136,12 +136,13 @@ class _EngineContext:
     a_t: object  # A^T, Abar^T and Abar as combine operators, applied as op @ x
     abar_t: object
     abar: object
-    mu: np.ndarray  # this iteration's steps: the (N, ..., 1) column, or in full like w
-    mu_o: np.ndarray  # base step sizes, shape (..., 1); NaN where a StepSizes has none
+    mu: np.ndarray  # this iteration's steps, in full like w
+    mu_o: np.ndarray  # base step sizes, one per column of w; NaN where a StepSizes has none
     s: object = None  # S = V V^T = (P - A P)/2 as an operator, for the primal-dual engines
-    p: np.ndarray | None = None  # the Perron vector as an (N, 1) or (N, 1, 1) column
+    p: np.ndarray | None = None  # the Perron vector as an (N, 1) column
     lam: np.ndarray | None = None  # the adaptive engine's (lam, U o U): see `_perron_modes`
     uu: np.ndarray | None = None
+    qmu: np.ndarray | None = None  # the adaptive engine's q_k mu_o, in full like w
 
 
 def _descent(x: np.ndarray, state: AlgorithmState, ctx: _EngineContext) -> np.ndarray:
@@ -186,8 +187,7 @@ def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
 
 def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
     state.z = state.z * ctx.lam
-    # (B, N) steps for a stack, transposed to its agent-major (N, B, 1) column
-    ctx.mu = (ctx.model.q * ctx.mu_o / (ctx.uu @ state.z)).T[..., np.newaxis]
+    ctx.mu = ctx.qmu / (ctx.uu @ state.z)[:, np.newaxis]
     _step_exact_diffusion(state, ctx)
 
 
@@ -197,7 +197,7 @@ def _seed_correction(state: AlgorithmState, ctx: _EngineContext, matrix: Combina
 
 def _seed_dual(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
     state.y = np.zeros_like(state.w)
-    ctx.s, ctx.p = matrix._dual_op, matrix.perron.p.reshape((-1,) + (1,) * (state.w.ndim - 1))
+    ctx.s, ctx.p = matrix._dual_op, matrix.perron.p[:, np.newaxis]
 
 
 def _seed_tracking(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
@@ -212,6 +212,7 @@ def _seed_adaptive(state: AlgorithmState, ctx: _EngineContext, matrix: Combinati
     _seed_correction(state, ctx, matrix)
     state.z = np.ones(matrix.n)
     ctx.lam, ctx.uu = _perron_modes(matrix)
+    ctx.qmu = ctx.model.q[:, np.newaxis] * ctx.mu_o
 
 
 @dataclass(frozen=True)
@@ -283,19 +284,17 @@ def _validate_steps(engine: str, steps: StepSizes, model: CostModel, matrix: Com
 
 def init_state(engine: str, model: CostModel, matrix: CombinationMatrix, w0: np.ndarray,
                steps) -> tuple[AlgorithmState, _EngineContext]:
-    """(state, ctx) of a run from w0 with one StepSizes, blocks (N, M), or
-    of a stack of runs from w0 with a sequence of them, agent-major blocks
-    (N, B, M) with member b at [:, b].  w0 is the pre-iteration iterate: the
+    """(state, ctx) of a run from the (N, M) block w0 with one StepSizes, or
+    of a stack of runs from w0 with a sequence of B of them: agent-major
+    blocks (N, B*M) with member b in columns b*M to (b+1)*M, so a one-member
+    stack is the run's (N, M) block.  w0 is the pre-iteration iterate: the
     first step already includes one combine."""
-    if isinstance(steps, StepSizes):
-        mu, mu_o = steps.mu[:, np.newaxis], np.array([steps.mu_o], dtype=float)
-    else:
-        mu = np.stack([s.mu for s in steps], axis=1)[..., np.newaxis]
-        mu_o = np.array([[s.mu_o] for s in steps], dtype=float)
-        w0 = np.broadcast_to(w0[:, np.newaxis], (len(w0), len(steps)) + w0.shape[1:])
-    state = AlgorithmState(w=w0.copy())
+    steps = [steps] if isinstance(steps, StepSizes) else steps
     # mu in full, one step per entry of w, so that `mu * x` needs no broadcasting
-    ctx = _EngineContext(model, *matrix._combine_ops, np.broadcast_to(mu, w0.shape).copy(), mu_o)
+    mu = np.repeat(np.stack([s.mu for s in steps], axis=1), model.dim, axis=1)
+    mu_o = np.repeat(np.array([s.mu_o for s in steps], dtype=float), model.dim)
+    state = AlgorithmState(w=np.tile(w0, (1, len(steps))))
+    ctx = _EngineContext(model, *matrix._combine_ops, mu, mu_o)
     ENGINE_SPECS[engine].seed(state, ctx, matrix)
     return state, ctx
 
@@ -320,18 +319,20 @@ def _exhausted_verdict(final: float, earlier: float) -> str:
     return "stable" if final <= earlier else "unstable"
 
 
-def _take(state: AlgorithmState, index) -> None:
-    """Keep the members `index` selects, on axis 1, in every stacked block."""
-    for name in ("w", "psi_prev", "y", "g_prev"):
-        if getattr(state, name) is not None:
-            setattr(state, name, getattr(state, name)[:, index])
+def _take(state: AlgorithmState, ctx: _EngineContext, keep: np.ndarray) -> None:
+    """Keep the members the boolean `keep` selects in every stacked block."""
+    columns = np.repeat(keep, ctx.model.dim)
+    for obj, name in ((state, "w"), (state, "psi_prev"), (state, "y"), (state, "g_prev"),
+                      (ctx, "mu"), (ctx, "mu_o"), (ctx, "qmu")):
+        if getattr(obj, name) is not None:
+            setattr(obj, name, getattr(obj, name)[..., columns])
 
 
 def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, stop: float,
              ground_truth: GroundTruth | None, w0: np.ndarray = None, record=None):
     """The one iteration loop of `run` and the stability scans: checks the
     inputs as `run` documents, then advances one member per StepSizes in
-    steps_list, all seeded at w0, as a stack of shape (N, B, M) (the
+    steps_list, all seeded at w0, as a stack of shape (N, B*M) (the
     adaptive engine's z is shared).  Diverged and converged members leave
     the stack.  record(state, rel, ctx), if given, sees iteration 0 and
     every step.  Without it (the scans) the errors are checked once per
@@ -381,7 +382,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, max_iters + 1):
             step(state, ctx)
-            kept.append(state.w[np.newaxis])  # by reference: a step rebinds state.w
+            kept.append(state.w.reshape(1, shape[0], -1, shape[1]))  # a view: steps rebind w
             if i % block and i < max_iters:
                 continue
             rows = len(kept)  # iterations i - rows + 1 .. i
@@ -405,8 +406,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
             alive, rels = alive[keep], rels[:, keep]
             if alive.size == 0:
                 return state, target, statuses, verdicts
-            _take(state, keep)
-            ctx.mu, ctx.mu_o = ctx.mu[:, keep], ctx.mu_o[keep]
+            _take(state, ctx, keep)
     for k, final in zip(alive, rels[-1]):
         statuses[k], verdicts[k] = "exhausted", _exhausted_verdict(final, earlier[k])
     return state, target, statuses, verdicts
@@ -443,20 +443,18 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
     n = model.n_agents
 
     def record(state, rel, ctx):
-        w = state.w[:, 0]
         if keep_iterates:
             if rels and state.z is not None:  # one estimate per step, none for the seed
                 state.z_diag_history.append(ctx.uu @ state.z)
-            iterates.append(w.copy())
+            iterates.append(state.w.copy())
             if state.y is not None:
-                duals.append(state.y[:, 0].copy())
+                duals.append(state.y.copy())
         rels.append(float(rel[0]))
-        g = model.weighted_grad(np.add.reduce(w, axis=0) / n)  # w.mean(axis=0) without wrapper
+        g = model.weighted_grad(np.add.reduce(state.w, axis=0) / n)  # w.mean(axis=0), no wrapper
         grad_norms.append(math.sqrt(g.dot(g)))  # np.linalg.norm's own sum, without its wrapper
 
     state, target, (status,), _ = _iterate(engine, model, matrix, (steps,), max_iters, stop,
                                            ground_truth, w0, record)
-    _take(state, 0)
     comm_units = ENGINE_SPECS[engine].comm_units
     records = [TraceRecord(i, i * comm_units, rel, g)
                for i, (rel, g) in enumerate(zip(rels, grad_norms))]

@@ -137,7 +137,7 @@ def _positive(section: dict, path: str, key: str, default=_MISSING) -> float:
 def _count(section: dict, path: str, key: str, default=_MISSING) -> int:
     value = _field(section, path, key, "int", default)
     if value < 1:
-        raise ConfigError(f"{path}.{key}", "must be at least 1")
+        raise ConfigError(f"{path}.{key}".lstrip("."), "must be at least 1")
     return value
 
 
@@ -451,6 +451,7 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        _count({"--jobs": args.jobs}, "", "--jobs")
         cfg = _load_json(args.config)
         where, seed = ("--seed", args.seed) if args.seed is not None else ("seed", cfg.get("seed"))
         seed = _seed_field({} if seed is None else {where: seed}, "", where, default=None)

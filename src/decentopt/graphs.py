@@ -276,13 +276,14 @@ class CombinationMatrix:
         if self._sparse:
             import scipy.sparse  # loaded by the first large sparse network only
 
-            dense = scipy.sparse.csr_array(dense)
-        return _Operator(dense)
+            return scipy.sparse.csr_array(dense)
+        return dense
 
     @cached_property
     def _combine_ops(self) -> tuple:
-        """(A^T, Abar^T, Abar) as the engines apply them, `op @ x`
-        (`_Operator`): in CSR form on a large sparse network, else dense."""
+        """(A^T, Abar^T, Abar) as the engines apply them, `op @ x` on an
+        (N, M) block or an (N, B*M) stack: the `csr_array` on a large
+        sparse network, else the dense array."""
         return tuple(map(self._operator, (self.a.T, self.abar.T, self.abar)))
 
     @cached_property
@@ -305,20 +306,6 @@ class CombinationMatrix:
         from .stability import _network_blocks
 
         return _network_blocks(self)
-
-
-class _Operator:
-    """An N x N operator, dense or in CSR form, applied as `op @ x` to an
-    (N, M) block or an agent-major (N, B, M) stack in one product on its
-    (N, B*M) view."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return (self.matrix @ x.reshape(len(x), -1)).reshape(x.shape)
 
 
 @dataclass(frozen=True)

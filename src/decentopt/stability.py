@@ -31,7 +31,8 @@ from .spectral import dual_vectors
 EIGENPAIR_TOL = 1e-8
 UNIT_ROUNDOFF = 2.0 ** -53
 # bisection levels a scan resolves per stacked run: its 2**4 - 1 members
-# are every midpoint the next four bisection steps can visit
+# are every midpoint the next four bisection steps can visit (one level
+# more in a first run that would leave one over: see `_first_depth`)
 SPECULATION_DEPTH = 4
 
 
@@ -540,6 +541,15 @@ def _midpoints(lo: float, hi: float, rel_tol: float, depth: int) -> list:
             + _midpoints(mid, hi, rel_tol, depth - 1))
 
 
+def _first_depth(lo: float, hi: float, rel_tol: float) -> int:
+    """Levels the first refinement run of [lo, hi] settles: SPECULATION_DEPTH, plus one when
+    the levels it needs at worst (halvings of hi - lo to rel_tol * lo) are 5, 9, 13, ..."""
+    levels, width = 0, hi - lo
+    while width > rel_tol * lo:  # halving, not hi - lo over 2**L, which may overflow
+        levels, width = levels + 1, 0.5 * width
+    return SPECULATION_DEPTH + (levels > SPECULATION_DEPTH and levels % SPECULATION_DEPTH == 1)
+
+
 def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
                    max_iters: int = 4000, stop: float = 1e-8,
                    ground_truth=None, refine: bool = True,
@@ -552,8 +562,8 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     truth would get, but the grid advances as one stacked run through
     `run`'s loop, in O(members) memory for any max_iters.  Bisection is
     speculative: one stacked run classifies every midpoint of the next
-    SPECULATION_DEPTH levels, and the bracket follows the verdicts to the
-    bracket one-at-a-time bisection reaches.
+    SPECULATION_DEPTH levels (see `_first_depth`), and the bracket follows
+    the verdicts to the bracket one-at-a-time bisection reaches.
     """
     matrix = matrix_from_array(matrix)
     if engine not in ENGINE_SPECS:
@@ -585,10 +595,11 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
 
     lo, hi = mus[transition], mus[transition + 1]
     if refine:
+        depth = _first_depth(lo, hi, rel_tol)
         while hi - lo > rel_tol * hi:
-            mids = _midpoints(lo, hi, rel_tol, SPECULATION_DEPTH)
+            mids = _midpoints(lo, hi, rel_tol, depth)
             verdicts = dict(zip(mids, classify(mids)))
-            for _ in range(SPECULATION_DEPTH):
+            for _ in range(depth):
                 if not hi - lo > rel_tol * hi:
                     break
                 mid = 0.5 * (lo + hi)
@@ -596,6 +607,7 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
                     lo = mid
                 else:
                     hi = mid
+            depth = SPECULATION_DEPTH
         result.refined = True
     result.mu_stable = lo
     result.mu_unstable = hi

@@ -61,6 +61,14 @@ def test_step_sizes_construction():
     assert not s.is_uniform or np.ptp(s.mu) == 0
 
 
+@pytest.mark.parametrize("mu", [[], [[0.1, 0.2]], [0.1, 0.0], [0.1, np.nan]])
+def test_step_sizes_must_be_a_positive_finite_vector(mu):
+    # an empty vector used to raise numpy's "zero-size array to reduction
+    # operation minimum which has no identity"
+    with pytest.raises(ValueError, match="step sizes must be a positive finite vector"):
+        StepSizes(mu)
+
+
 def test_overflowing_weighted_steps_are_a_value_error():
     # q mu_o / p used to overflow with numpy's "overflow encountered in
     # divide" before the finiteness check raised
@@ -375,8 +383,8 @@ def test_fixed_point_residency_all_engines():
 
 
 def _is_csr(op):
-    """Whether a combine operator holds A's CSR form, not the dense array."""
-    return not isinstance(op.matrix, np.ndarray)
+    """Whether a combine operator is A's CSR form, not the dense array."""
+    return not isinstance(op, np.ndarray)
 
 
 @pytest.mark.parametrize("n, prob, sparse", [(20, 0.6, False), (100, 0.1, False),
@@ -446,6 +454,12 @@ def test_dense_and_csr_combines_agree(engine, monkeypatch):
     assert all(_close([x], [y]) for x, y in zip(got, want))  # members leave together
 
 
+def _member(block, k, dim):
+    """Member k's (N, M) block of an agent-major (N, B*M) stack: columns
+    k*M to (k+1)*M."""
+    return block[:, k * dim:(k + 1) * dim]
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
     matrix, model, gt, w0 = _combine_setup(engine, seed=22)
@@ -458,7 +472,7 @@ def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
     for k, steps in enumerate(steps_list):
         res = run(engine, model, csr, steps, max_iters=80, stop=0.0, w0=w0, ground_truth=gt)
         assert res.status == statuses[k] == "exhausted"
-        assert np.array_equal(res.state.w, state.w[:, k])
+        assert np.array_equal(res.state.w, _member(state.w, k, model.dim))
         # a member's error sums its own N M entries in a row, as its run does
         assert [r.rel_error for r in res.records] == [rel[k] for rel in rels]
 
@@ -484,7 +498,7 @@ def test_dense_scan_member_matches_its_one_member_run(engine):
         for name in ("w", "psi_prev", "y", "g_prev"):
             want = getattr(res.state, name)
             if want is not None:
-                got = getattr(state, name)[:, k]
+                got = _member(getattr(state, name), k, model.dim)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 

@@ -90,7 +90,7 @@ def test_run_outputs_on_the_csr_path_are_byte_identical(tmp_path):
                               max_iters=300, stop=1e-6)
     payload["graph"].update(n=400, edge_probability=0.02)
     graph = decentopt.random_connected_graph(400, 0.02, payload["seed"])
-    assert not isinstance(decentopt.build_metropolis(graph)._combine_ops[0].matrix, np.ndarray)
+    assert not isinstance(decentopt.build_metropolis(graph)._combine_ops[0], np.ndarray)
     cfg = write_config(tmp_path, payload)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert run_cli(["run", "--config", cfg, "--out", out1]) == 0
@@ -269,6 +269,16 @@ def test_scan_outputs_identical_across_jobs(tmp_path):
                     "--jobs", "4"]) == 0
     for name in ("scan.csv", "scan.json"):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["-4", "0"])
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
+    # --jobs -4 used to exit 0
+    cfg = write_config(tmp_path, scan_config())
+    out = tmp_path / "out"
+    assert run_cli(["stability-scan", "--config", cfg, "--out", out, "--jobs", jobs]) == 2
+    assert "config error at --jobs: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_that_overflows_writes_nothing_to_stderr(tmp_path):
@@ -895,16 +905,17 @@ import decentopt.cli
 from decentopt import graphs
 
 built = []
-init = graphs._Operator.__init__
+operator = graphs.CombinationMatrix._operator
 
 
-def counted(self, matrix):
-    if not isinstance(matrix, graphs.np.ndarray):  # a CSR form
-        built.append(matrix.shape[0])
-    init(self, matrix)
+def counted(self, dense):
+    op = operator(self, dense)
+    if not isinstance(op, graphs.np.ndarray):  # a CSR form
+        built.append(op.shape[0])
+    return op
 
 
-graphs._Operator.__init__ = counted
+graphs.CombinationMatrix._operator = counted
 
 
 def scipy_modules():

@@ -105,6 +105,32 @@ def test_logistic_grad_on_a_block_and_on_a_stack(shape):
             assert np.abs(got[k][index] - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_grad_keeps_the_shape_of_blocks_and_stacks(kind):
+    """grad returns its input's shape for an (N, M) block and for an (N, B, M)
+    or (N, B*M) stack; a one-member stack gives the block's gradient bit for
+    bit, and each member of a wider stack its own block's gradient within
+    1e-15 relative."""
+    rng = np.random.default_rng(7)
+    n, m = 6, 4
+    model = (QuadraticModel(rng.standard_normal((n, m, m)), rng.standard_normal((n, m)))
+             if kind == "quadratic" else logistic_model(7, n, m, 8, 0.5))
+    for b in (1, 5):
+        members = [rng.standard_normal((n, m)) for _ in range(b)]
+        want = [model.grad(w) for w in members]
+        assert all(g.shape == (n, m) for g in want)
+        stack = np.stack(members, axis=1)
+        for w in (stack, stack.reshape(n, b * m)):
+            got = model.grad(w)
+            assert got.shape == w.shape
+            got = got.reshape(n, b, m)
+            for k in range(b):
+                if b == 1:
+                    assert np.array_equal(got[:, k], want[k])
+                scale = np.abs(want[k]).max()
+                assert np.abs(got[:, k] - want[k]).max() <= 1e-15 * scale
+
+
 def test_mse_quadratic_requires_symmetry():
     bad = [[[1.0, 0.2], [0.0, 1.0]]]
     with pytest.raises(ValueError):

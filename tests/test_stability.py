@@ -933,6 +933,82 @@ def test_speculative_bisection_matches_sequential_bisection(engine, rel_tol):
     assert (scan.mu_stable, scan.mu_unstable) == (lo, hi)
 
 
+def _counted_scans(monkeypatch):
+    """The member count of each `_iterate` call the scans make from now on."""
+    calls, iterate = [], stability._iterate
+
+    def counted(engine, model, matrix, steps_list, *args):
+        calls.append(len(steps_list))
+        return iterate(engine, model, matrix, steps_list, *args)
+
+    monkeypatch.setattr(stability, "_iterate", counted)
+    return calls
+
+
+def _onset_case():
+    """(matrix, model, ground truth, onset) of exact diffusion on the
+    five-agent case above, the onset within 1e-7 relative."""
+    matrix = random_metropolis(5, seed=9)
+    model = random_quadratic(5, 2, seed=9)
+    gt = solve_centralized(model)
+    onset = stability_scan("exact_diffusion", model, matrix, np.geomspace(0.01, 2.0, 6), 300,
+                           1e-10, ground_truth=gt, rel_tol=1e-7).mu_stable
+    return matrix, model, gt, onset
+
+
+@pytest.mark.parametrize("levels", [5, 8, 9, 10, 13])
+def test_refinement_schedule_leaves_no_one_level_run(levels, monkeypatch):
+    """A grid bracket that needs `levels` bisection levels at worst is
+    settled by runs of SPECULATION_DEPTH levels, the first taking one more
+    when one level would be left over (5, 9, 13): no run is a one-level run
+    of a single member, and the bracket is the one one-at-a-time bisection
+    on `_iterate` verdicts reaches, bit for bit."""
+    engine, rel_tol, max_iters = "exact_diffusion", 1e-3, 300
+    matrix, model, gt, onset = _onset_case()
+    # width 0.75 * 2**levels * rel_tol * lo: `levels` halvings reach rel_tol * lo
+    width = 0.75 * 2.0 ** levels * rel_tol
+    lo = onset / (1.0 + 0.37 * width)
+    hi = lo * (1.0 + width)
+    depth = stability.SPECULATION_DEPTH
+    first = depth + 1 if levels % depth == 1 else depth
+    assert stability._first_depth(lo, hi, rel_tol) == first
+
+    def stable(mu):
+        steps = [stability._steps_for(engine, model, matrix, mu)]
+        return stability._iterate(engine, model, matrix, steps, max_iters, 1e-10,
+                                  gt)[3] == ["stable"]
+
+    assert stable(lo) and not stable(hi)
+    want_lo, want_hi = lo, hi
+    while want_hi - want_lo > rel_tol * want_hi:
+        mid = 0.5 * (want_lo + want_hi)
+        if stable(mid):
+            want_lo = mid
+        else:
+            want_hi = mid
+    calls = _counted_scans(monkeypatch)
+    scan = stability_scan(engine, model, matrix, [lo, hi], max_iters, 1e-10, ground_truth=gt,
+                          rel_tol=rel_tol)
+    assert scan.refined
+    assert (scan.mu_stable, scan.mu_unstable) == (want_lo, want_hi)
+    assert calls[:2] == [2, 2 ** first - 1]  # the grid, then the first refinement run
+    assert len(calls) == 1 + {5: 1, 8: 2, 9: 2, 10: 3, 13: 3}[levels]
+    assert min(calls[1:]) > 1 and max(calls[2:], default=0) <= 2 ** depth - 1
+
+
+def test_a_scan_shaped_like_the_benchmark_makes_three_runs(monkeypatch):
+    """Ten log-spaced points over [onset / 3, 3 onset] leave a bracket of
+    nine levels at rel_tol 1e-3: the grid run and two refinement runs, of
+    five levels and of four."""
+    matrix, model, gt, onset = _onset_case()
+    calls = _counted_scans(monkeypatch)
+    grid = np.geomspace(onset / 3.0, 3.0 * onset, 10)
+    scan = stability_scan("exact_diffusion", model, matrix, grid, 300, 1e-10, ground_truth=gt,
+                          rel_tol=1e-3)
+    assert scan.refined and scan.mu_stable <= onset < scan.mu_unstable
+    assert len(calls) <= 3
+
+
 @pytest.mark.parametrize("seed", [31, 32, 33])
 @pytest.mark.parametrize("engine", ["exact_diffusion", "extra"])
 def test_scan_bracket_straddles_the_spectral_onset(engine, seed):
