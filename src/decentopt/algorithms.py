@@ -369,17 +369,20 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     size = len(steps_list)
     state, ctx = init_state(engine, model, matrix, w0, steps_list)
     denom = float(np.sum((w0 - target) ** 2))
+    if denom == 0.0 and np.any(w0 != target):
+        raise ValueError("the squared distance from w0 (zeros unless given) to the target "
+                         "underflows to 0, so no relative error can be formed")
     statuses, verdicts = ["converged"] * size, ["stable"] * size
-    if record is not None:
-        record(state, np.full(size, 1.0 if denom > 0.0 else 0.0), ctx)
-    if denom == 0.0:
-        return state, target, statuses, verdicts
-
     step, snapshot_at = ENGINE_SPECS[engine].step, max_iters - _lookback(max_iters)
     earlier, alive, kept = np.ones(size), np.arange(size), []
     block = 1 if record is not None else CHECK_BLOCK
-    # an overflowing member turns inf or NaN, which the loop classifies as diverged
+    # an overflowing member, or seed gradient, turns inf or NaN, which the
+    # loop classifies as diverged
     with np.errstate(over="ignore", invalid="ignore"):
+        if record is not None:
+            record(state, np.full(size, 1.0 if denom > 0.0 else 0.0), ctx)
+        if denom == 0.0:  # w0 is the target
+            return state, target, statuses, verdicts
         for i in range(1, max_iters + 1):
             step(state, ctx)
             kept.append(state.w.reshape(1, shape[0], -1, shape[1]))  # a view: steps rebind w
@@ -437,7 +440,9 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
 
     Returns:
         RunResult with one TraceRecord per iteration (row 0 is the seed)
-        and status in {"converged", "exhausted", "diverged"}.
+        and status in {"converged", "exhausted", "diverged"}.  A w0 equal
+        to the target is converged at iteration 0; one whose squared
+        distance to it underflows to 0 raises ValueError.
     """
     rels, grad_norms, iterates, duals = [], [], [], []
     n = model.n_agents

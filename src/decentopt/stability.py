@@ -389,11 +389,16 @@ def _assemble_bound(engine: str, matrix: CombinationMatrix, sigma11: float,
     p_max = float(perron.p.max())
     norm_r, norm_l = blocks.pair.norm_r, blocks.pair.norm_l
     alpha = norm_l * t_norm * norm_r
+    # the bound and rho_at square delta and sigma22 = alpha delta, and squaring
+    # a float past 1.34e154 raises OverflowError
+    if not (delta < 1e154 and alpha * delta < 1e154):
+        raise ValueError(f"curvature bound delta = {delta:.3e} is too large: the "
+                         "bound's squared couplings overflow")
+    sigma22 = alpha * delta
     # at the optimal c the two cross couplings coincide:
     # sigma12^2 = sigma21^2 = sqrt(p_max) * alpha * delta^2
     cross_sq = np.sqrt(p_max) * alpha * delta ** 2
     sigma_cross = float(np.sqrt(cross_sq))
-    sigma22 = alpha * delta
     mu_bound = sigma11 * (1.0 - lam) / (2.0 * cross_sq)
     return StabilityBound(engine=engine, mu_bound=float(mu_bound), lam=float(lam),
                           alpha=float(alpha), sigma11=float(sigma11), sigma12=sigma_cross,

@@ -9,6 +9,7 @@ import pytest
 from decentopt import (
     ENGINES,
     CombinationMatrix,
+    QuadraticModel,
     StepSizes,
     TraceRecord,
     build_averaging,
@@ -205,6 +206,25 @@ def test_run_converges_immediately_from_the_solution():
     assert res.status == "converged"
     assert len(res.records) == 1
     assert res.records[0].rel_error == 0.0
+
+
+def test_a_start_whose_error_underflows_is_rejected():
+    """With w0 = 0 and a target of 1e-200, ||w0 - w*||^2 underflows to 0:
+    `run` used to call that start converged at iteration 0, and a scan every
+    step size stable.  Both raise ValueError now, and w0 = w* exactly still
+    converges at iteration 0."""
+    n, m = 4, 2
+    model = QuadraticModel(np.tile(np.eye(m), (n, 1, 1)), np.full((n, m), 1e-200))
+    matrix = random_metropolis(n, seed=2)
+    steps = steps_for("exact_diffusion", model, matrix.perron, 0.1)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        run("exact_diffusion", model, matrix, steps)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        stability_scan("exact_diffusion", model, matrix, [0.1, 1.0])
+    w_star = solve_centralized(model).w_star
+    assert 0.0 < np.abs(w_star).min()
+    res = run("exact_diffusion", model, matrix, steps, w0=np.tile(w_star, (n, 1)))
+    assert (res.status, res.iterations, res.final_rel_error) == ("converged", 0, 0.0)
 
 
 def test_engines_converge_and_reach_consensus():

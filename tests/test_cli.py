@@ -44,6 +44,21 @@ def base_run_config(engine="exact_diffusion", **run_extra):
     }
 
 
+def logistic_config(ridge=1.0, **run_extra):
+    """A logistic run on a 6-agent random network, as the benchmark's
+    logistic workload draws one."""
+    run_cfg = {"engine": "exact_diffusion", "mu_o": 0.5 / 6, "max_iters": 5000,
+               "stop": 1e-10}
+    run_cfg.update(run_extra)
+    return {
+        "graph": {"kind": "random", "n": 6, "edge_probability": 0.5, "seed": 78713325},
+        "matrix": {"rule": "metropolis"},
+        "model": {"kind": "logistic", "seed": 8, "dim": 3, "samples_per_agent": 10,
+                  "ridge": ridge},
+        "run": run_cfg,
+    }
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -140,6 +155,36 @@ def test_run_w0_seed_changes_trace(tmp_path):
     assert run_cli(["run", "--config", cfg_a, "--out", out_a]) == 0
     assert run_cli(["run", "--config", cfg_b, "--out", out_b]) == 0
     assert (out_a / "trace.csv").read_bytes() != (out_b / "trace.csv").read_bytes()
+
+
+def test_run_whose_seed_gradient_overflows_diverges_quietly(tmp_path, capsys):
+    # the seed's record ran outside the loop's errstate, so its gradient
+    # norm leaked "overflow encountered in dot" (an error under -W error)
+    cfg = write_config(tmp_path, logistic_config(ridge=1e300, w0_seed=999102781))
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "trace.json").read_text())["status"] == "diverged"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["run", "stability-scan"])
+def test_a_target_too_close_to_w0_is_a_config_error(tmp_path, capsys, command):
+    # with ridge 1e300 the target is about 3e-301, so ||0 - w*||^2 underflows:
+    # `run` used to write "converged" at iteration 0 with grad_norm 1.9, and
+    # `stability-scan` to call every grid point stable
+    payload = logistic_config(ridge=1e300)
+    section = "run"
+    if command == "stability-scan":
+        section = "scan"
+        payload["scan"] = {"engine": "exact_diffusion", "mu_min": 0.05, "mu_max": 60.0,
+                           "points": 10, "log_spacing": True, "max_iters": 3000}
+        del payload["run"]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 2
+    assert (f"config error at {section}: the squared distance from w0"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -409,6 +454,25 @@ def test_analyze_beyond_dense_cap_is_config_error(tmp_path):
     assert report["closed_form_residual"] <= 1e-8
     for key in ("mu_bound_diffusion", "mu_bound_extra", "alpha_d", "alpha_e"):
         assert 0 < report[key] < np.inf
+
+
+@pytest.mark.parametrize("model", [
+    logistic_config(ridge=1e300)["model"],
+    {"kind": "mse_quadratic", "dim": 1, "covariances": [[[1e200]], [[1e200]]],
+     "cross_vectors": [[1.0], [1.0]]},
+])
+def test_analyze_curvature_too_large_for_the_bounds_is_a_config_error(tmp_path, capsys,
+                                                                       model):
+    # squaring delta past 1.34e154 used to exit 1 with an OverflowError traceback
+    payload = logistic_config() if model["kind"] == "logistic" else {
+        "graph": {"kind": "complete", "n": 2}, "matrix": {"rule": "metropolis"}}
+    payload.pop("run", None)
+    payload["model"] = model
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run_cli(["analyze", "--config", cfg, "--out", out]) == 2
+    assert "config error at model: curvature bound delta" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_decomposition_failure_is_config_error(tmp_path):
@@ -976,6 +1040,21 @@ def test_import_and_light_commands_leave_scipy_unloaded(tmp_path):
     for step in report[1:]:
         assert step["exit"] == 0 and step["csr"] == 0
         assert loaded_features(step) == set()
+
+
+def test_logistic_commands_load_no_scipy(tmp_path):
+    """The logistic model's sigmoid is numpy's: a logistic run, scan and
+    analyze leave every scipy module unloaded."""
+    run_cfg = logistic_config(w0_seed=999102781)
+    scan_cfg = {key: run_cfg[key] for key in ("graph", "matrix", "model")}
+    scan_cfg["scan"] = {"engine": "exact_diffusion", "mu_min": 0.05, "mu_max": 5.0,
+                        "points": 4, "log_spacing": True, "max_iters": 500}
+    analyze_cfg = {key: run_cfg[key] for key in ("graph", "matrix", "model")}
+    report = scipy_probe(tmp_path, [("run", run_cfg), ("stability-scan", scan_cfg),
+                                    ("analyze", analyze_cfg)])
+    for step in report[1:]:
+        assert step["exit"] == 0
+        assert step["scipy"] == []
 
 
 def test_csr_path_loads_scipy_sparse_alone(tmp_path):

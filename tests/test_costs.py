@@ -1,5 +1,7 @@
 """Cost models, centralized solutions, and curvature bounds."""
 
+import decimal
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from decentopt import (
     mse_quadratic_model,
     solve_centralized,
 )
+from decentopt.costs import _sigmoid
 
 
 # ------------------------------------------------------------ least squares
@@ -238,6 +241,69 @@ def test_logistic_solver_fails_on_a_nan_objective():
     features[1, 2, 0] = np.nan
     with pytest.raises(ConvergenceError):
         solve_centralized(LogisticModel(features, model.labels, 1.0))
+
+
+def _sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)) in 40-digit decimal arithmetic, correctly rounded
+    to a double."""
+    ctx = decimal.Context(prec=40)
+    return np.array([float(ctx.divide(1, ctx.add(1, ctx.exp(decimal.Decimal(float(v))))))
+                     for v in z])
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_is_accurate_and_overflow_safe():
+    """Within 4 ulp of a 40-digit reference wherever the reference is a
+    normal double, and within 2.3e-308 absolutely below that, on a seeded
+    sample over |z| <= 745 plus +-709.8 (past exp's overflow) and +-1e4;
+    +inf gives a value below 2.3e-308, -inf gives 1 and NaN gives NaN, all
+    without a warning."""
+    rng = np.random.default_rng(28)
+    z = np.concatenate([rng.uniform(-745.0, 745.0, 3000), 5.0 * rng.standard_normal(1000),
+                        [709.8, -709.8, 1e4, -1e4, 0.0]])
+    ref = _sigmoid_reference(z)
+    got = _sigmoid(z.copy())
+    normal = ref >= np.finfo(float).tiny
+    assert normal.sum() > 3000 and (~normal).sum() > 50
+    # both positive, so the distance of their bit patterns counts ulps
+    ulps = np.abs(got[normal].view(np.int64) - ref[normal].view(np.int64))
+    assert ulps.max() <= 4
+    assert np.abs(got[~normal] - ref[~normal]).max() <= 2.3e-308
+    pos_inf, neg_inf, nan = _sigmoid(np.array([np.inf, -np.inf, np.nan]))
+    assert 0.0 <= pos_inf <= 2.3e-308
+    assert neg_inf == 1.0 and np.isnan(nan)
+
+
+def _grad_by_labels(model, w):
+    """grad as formed from the features and the labels apart, with the
+    negated sum, fed the same sigmoid; stacks are taken as (N, B, M)."""
+    ws = w if w.shape[-1] == model.dim else w.reshape(model.n_agents, -1, model.dim)
+    z = model.labels * np.einsum("klm,k...m->...kl", model.features, ws)
+    s = _sigmoid(z)  # expit(-z) = 1 / (1 + exp(z))
+    data = -np.einsum("klm,...kl->k...m", model.features, model.labels * s) / model.n_samples
+    return (data + model.ridge * ws).reshape(w.shape)
+
+
+def _grad_at_by_labels(model, x):
+    s = _sigmoid(model.labels * (model.features @ x))
+    data = -np.einsum("klm,kl->km", model.features, model.labels * s) / model.n_samples
+    return data + model.ridge * x
+
+
+@pytest.mark.parametrize("shape", ["block", "stack", "flat"])
+def test_logistic_grad_from_signed_features_is_exact(shape):
+    """The signed features gamma h give bit for bit the gradients formed from
+    h and gamma apart, for an (N, M) block, (N, B, M) and (N, B*M) stacks and
+    grad_at: gamma = +-1, so every product only changes sign."""
+    rng = np.random.default_rng(11)
+    n, m, b = 6, 3, 4
+    model = logistic_model(8, n, m, 10, 1.0)
+    for scale in (0.1, 3.0, 300.0):
+        w = scale * rng.standard_normal({"block": (n, m), "stack": (n, b, m),
+                                         "flat": (n, b * m)}[shape])
+        assert np.array_equal(model.grad(w), _grad_by_labels(model, w))
+        x = scale * rng.standard_normal(m)
+        assert np.array_equal(model.grad_at(x), _grad_at_by_labels(model, x))
 
 
 def test_logistic_hessian_bounds():

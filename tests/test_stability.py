@@ -486,6 +486,19 @@ def test_extra_bound_requires_symmetric_doubly_stochastic():
         extra_step_bound(matrix_from_array(a))
 
 
+@pytest.mark.parametrize("delta", [1e154, 1e200, np.inf])
+def test_bounds_reject_a_curvature_they_cannot_square(delta):
+    # delta ** 2 used to raise OverflowError past 1.34e154
+    matrix = random_metropolis(5, seed=2)
+    with pytest.raises(ValueError, match="too large"):
+        diffusion_step_bound(matrix, nu=1.0, delta=delta)
+    with pytest.raises(ValueError, match="too large"):
+        extra_step_bound(matrix, nu=1.0, delta=delta)
+    for bound in (diffusion_step_bound(matrix, delta=1e150),
+                  extra_step_bound(matrix, delta=1e150)):
+        assert 0.0 < bound.mu_bound and bound.rho_at(bound.mu_bound) == pytest.approx(1.0)
+
+
 # -------------------------------------------------------- norm comparison
 
 
