@@ -49,7 +49,7 @@ from .costs import CostModel, GroundTruth, solve_centralized
 from .graphs import CombinationMatrix, check_balanced, matrix_from_array
 
 DIVERGENCE_CAP = 1e12
-# iterations a record-free stack (a scan) steps between error checks
+# iterations a stack steps between error checks
 CHECK_BLOCK = 16
 
 
@@ -133,12 +133,13 @@ class RunResult:
 @dataclass
 class _EngineContext:
     model: CostModel
-    a_t: object  # A^T, Abar^T and Abar as combine operators, applied as op @ x
-    abar_t: object
-    abar: object
     mu: np.ndarray  # this iteration's steps, in full like w
     mu_o: np.ndarray  # base step sizes, one per column of w; NaN where a StepSizes has none
-    s: object = None  # S = V V^T = (P - A P)/2 as an operator, for the primal-dual engines
+    # the operators the engine's step applies, as op @ x; its seed hook sets them
+    a_t: object = None  # A^T
+    abar_t: object = None  # Abar^T
+    abar: object = None  # Abar
+    s: object = None  # S = V V^T = (P - A P)/2, for the primal-dual engines
     p: np.ndarray | None = None  # the Perron vector as an (N, 1) column
     lam: np.ndarray | None = None  # the adaptive engine's (lam, U o U): see `_perron_modes`
     uu: np.ndarray | None = None
@@ -193,6 +194,7 @@ def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
 
 def _seed_correction(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
     state.psi_prev = state.w.copy()
+    ctx.abar_t = matrix._abar_t_op
 
 
 def _seed_dual(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
@@ -200,7 +202,18 @@ def _seed_dual(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMa
     ctx.s, ctx.p = matrix._dual_op, matrix.perron.p[:, np.newaxis]
 
 
+def _seed_primal_dual(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
+    _seed_dual(state, ctx, matrix)
+    ctx.abar_t = matrix._abar_t_op
+
+
+def _seed_extra(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
+    _seed_dual(state, ctx, matrix)
+    ctx.abar = matrix._abar_op
+
+
 def _seed_tracking(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
+    ctx.a_t = matrix._a_t_op
     g0 = ctx.model.grad(state.w)
     state.y = g0.copy()
     state.g_prev = g0
@@ -224,8 +237,11 @@ class EngineSpec:
     for every agent) or "free" (any positive vector).
     """
 
-    step: Callable  # one iteration: step(state, ctx); rebinds state.w, never writes into it
-    seed: Callable  # seed(state, ctx, matrix): the extra state blocks and ctx operators
+    # one iteration: step(state, ctx).  It rebinds the state's blocks and never
+    # writes into them, so a checked block's iterates and states are kept by reference
+    step: Callable
+    seed: Callable  # seed(state, ctx, matrix): the extra state blocks and the ctx operators
+    #                 the step applies
     comm_units: int  # combines (transmitted vectors per agent per link) per iteration
     weighted: bool = False  # q-weighted aggregate over a balanced matrix, else
     #                         the uniform aggregate over a doubly stochastic one
@@ -238,9 +254,9 @@ class EngineSpec:
 ENGINE_SPECS = {
     "exact_diffusion": EngineSpec(_step_exact_diffusion, _seed_correction, 1, weighted=True,
                                   step_rule="perron", error_map="t_d"),
-    "exact_diffusion_pd": EngineSpec(_step_exact_diffusion_pd, _seed_dual, 1, weighted=True,
-                                     step_rule="perron", error_map="t_d"),
-    "extra": EngineSpec(_step_extra, _seed_dual, 1, symmetric=True, error_map="t_e"),
+    "exact_diffusion_pd": EngineSpec(_step_exact_diffusion_pd, _seed_primal_dual, 1,
+                                     weighted=True, step_rule="perron", error_map="t_d"),
+    "extra": EngineSpec(_step_extra, _seed_extra, 1, symmetric=True, error_map="t_e"),
     "diging": EngineSpec(_step_diging, _seed_tracking, 2),
     "aug_dgm": EngineSpec(_step_aug_dgm, _seed_tracking, 2, step_rule="free"),
     "adaptive_exact_diffusion": EngineSpec(_step_adaptive, _seed_adaptive, 2, weighted=True,
@@ -294,7 +310,7 @@ def init_state(engine: str, model: CostModel, matrix: CombinationMatrix, w0: np.
     mu = np.repeat(np.stack([s.mu for s in steps], axis=1), model.dim, axis=1)
     mu_o = np.repeat(np.array([s.mu_o for s in steps], dtype=float), model.dim)
     state = AlgorithmState(w=np.tile(w0, (1, len(steps))))
-    ctx = _EngineContext(model, *matrix._combine_ops, mu, mu_o)
+    ctx = _EngineContext(model, mu, mu_o)
     ENGINE_SPECS[engine].seed(state, ctx, matrix)
     return state, ctx
 
@@ -333,14 +349,21 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     """The one iteration loop of `run` and the stability scans: checks the
     inputs as `run` documents, then advances one member per StepSizes in
     steps_list, all seeded at w0, as a stack of shape (N, B*M) (the
-    adaptive engine's z is shared).  Diverged and converged members leave
-    the stack.  record(state, rel, ctx), if given, sees iteration 0 and
-    every step.  Without it (the scans) the errors are checked once per
-    block of CHECK_BLOCK iterations, on the block's kept iterates; a member
-    that exits inside a block steps on to its end unseen, but takes the
-    status and verdict of its first crossing, so both stay exact.  Memory is
-    O(CHECK_BLOCK B) for any budget: an exhausted member keeps only its
-    error at iteration max_iters - _lookback(max_iters).
+    adaptive engine's z is shared).  The errors are checked once per block
+    of CHECK_BLOCK iterations, the last block ending at max_iters, on the
+    block's kept iterates, and diverged and converged members leave the
+    stack there.  A member that exits inside a block steps on to its end
+    unseen, but takes the status and verdict of its first crossing, so both
+    stay exact.  Memory is O(CHECK_BLOCK B) for any budget: an exhausted
+    member keeps only its error at iteration max_iters - _lookback(max_iters).
+
+    record(rows, rels, ctx), if given, sees the seed and then each checked
+    block: `rows` holds one AlgorithmState per iteration (its blocks by
+    reference) and `rels` their (len(rows), B') relative errors, one
+    column per member alive at the block's start.  When the last members
+    exit, the block is cut at the last of their first crossings: the record
+    sees the rows up to it and that row's state is returned, so a
+    one-member stack (`run`) records and returns exactly up to its exit.
 
     Returns (state at the last check, target, statuses, verdicts).
     """
@@ -366,27 +389,33 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     w0 = np.zeros(shape) if w0 is None else np.asarray(w0, dtype=float)
     if w0.shape != shape:
         raise ValueError(f"w0 shape {w0.shape} does not match {shape}")
-    size = len(steps_list)
-    state, ctx = init_state(engine, model, matrix, w0, steps_list)
-    denom = float(np.sum((w0 - target) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(np.sum((w0 - target) ** 2))
+    if not np.isfinite(denom):
+        raise ValueError("the squared distance from w0 (zeros unless given) to the target "
+                         "overflows or is not finite, so no relative error can be formed")
     if denom == 0.0 and np.any(w0 != target):
         raise ValueError("the squared distance from w0 (zeros unless given) to the target "
                          "underflows to 0, so no relative error can be formed")
+    size = len(steps_list)
+    state, ctx = init_state(engine, model, matrix, w0, steps_list)
     statuses, verdicts = ["converged"] * size, ["stable"] * size
     step, snapshot_at = ENGINE_SPECS[engine].step, max_iters - _lookback(max_iters)
-    earlier, alive, kept = np.ones(size), np.arange(size), []
-    block = 1 if record is not None else CHECK_BLOCK
+    earlier, alive, kept, states = np.ones(size), np.arange(size), [], []
     # an overflowing member, or seed gradient, turns inf or NaN, which the
     # loop classifies as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         if record is not None:
-            record(state, np.full(size, 1.0 if denom > 0.0 else 0.0), ctx)
+            record([AlgorithmState(**vars(state))],
+                   np.full((1, size), 1.0 if denom > 0.0 else 0.0), ctx)
         if denom == 0.0:  # w0 is the target
             return state, target, statuses, verdicts
         for i in range(1, max_iters + 1):
             step(state, ctx)
             kept.append(state.w.reshape(1, shape[0], -1, shape[1]))  # a view: steps rebind w
-            if i % block and i < max_iters:
+            if record is not None:
+                states.append(AlgorithmState(**vars(state)))
+            if i % CHECK_BLOCK and i < max_iters:
                 continue
             rows = len(kept)  # iterations i - rows + 1 .. i
             # member-major, so each member sums its own N M entries in a row, as `run` does
@@ -395,17 +424,24 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
             sq -= target
             rels = np.square(sq, out=sq).reshape(rows, alive.size, -1).sum(axis=2) / denom
             kept = []
-            if record is not None:
-                record(state, rels[0], ctx)
             if i - rows < snapshot_at <= i:
                 earlier[alive] = rels[snapshot_at - i - 1]
-            if stop < rels.min() and rels.max() <= DIVERGENCE_CAP:  # a NaN fails both
+            keep = None
+            if not (stop < rels.min() and rels.max() <= DIVERGENCE_CAP):  # a NaN fails both
+                done = ~(rels <= DIVERGENCE_CAP) | (rels <= stop)  # ~ also catches NaN and inf
+                exits = done.argmax(axis=0)  # each member's first exit row
+                first = rels[exits, np.arange(alive.size)]  # rel at the first exit
+                for k in alive[~(first <= DIVERGENCE_CAP)]:
+                    statuses[k], verdicts[k] = "diverged", "unstable"
+                keep = ~done.any(axis=0)
+                if not keep.any():  # the stack ends at its last first exit
+                    rows = exits.max() + 1
+            if record is not None:
+                record(states[:rows], rels[:rows], ctx)
+                vars(state).update(vars(states[rows - 1]))  # the block's end, or its cut
+                states = []
+            if keep is None:
                 continue
-            done = ~(rels <= DIVERGENCE_CAP) | (rels <= stop)  # ~ also catches NaN and inf
-            first = rels[done.argmax(axis=0), np.arange(alive.size)]  # rel at the first exit
-            for k in alive[~(first <= DIVERGENCE_CAP)]:
-                statuses[k], verdicts[k] = "diverged", "unstable"
-            keep = ~done.any(axis=0)
             alive, rels = alive[keep], rels[:, keep]
             if alive.size == 0:
                 return state, target, statuses, verdicts
@@ -422,6 +458,8 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
 
     `run` is a one-member stack of the loop the stability scans use, so
     both share one divergence cap, one stop rule and one exhausted rule.
+    It checks its error once per CHECK_BLOCK iterations, and its trace and
+    final state end at the first iteration that crosses `stop` or the cap.
 
     Args:
         engine: one of ENGINES.
@@ -442,21 +480,25 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         RunResult with one TraceRecord per iteration (row 0 is the seed)
         and status in {"converged", "exhausted", "diverged"}.  A w0 equal
         to the target is converged at iteration 0; one whose squared
-        distance to it underflows to 0 raises ValueError.
+        distance to it underflows to 0, overflows or is not finite raises
+        ValueError.
     """
     rels, grad_norms, iterates, duals = [], [], [], []
     n = model.n_agents
 
-    def record(state, rel, ctx):
+    def record(rows, rel, ctx):
         if keep_iterates:
-            if rels and state.z is not None:  # one estimate per step, none for the seed
-                state.z_diag_history.append(ctx.uu @ state.z)
-            iterates.append(state.w.copy())
-            if state.y is not None:
-                duals.append(state.y.copy())
-        rels.append(float(rel[0]))
-        g = model.weighted_grad(np.add.reduce(state.w, axis=0) / n)  # w.mean(axis=0), no wrapper
-        grad_norms.append(math.sqrt(g.dot(g)))  # np.linalg.norm's own sum, without its wrapper
+            for row in rows:
+                if rels and row.z is not None:  # one estimate per step, none for the seed
+                    row.z_diag_history.append(ctx.uu @ row.z)
+                iterates.append(row.w.copy())
+                if row.y is not None:
+                    duals.append(row.y.copy())
+        rels.extend(rel[:, 0].tolist())
+        # each row's w.mean(axis=0), bit for bit, in one reduce over the block
+        for mean in np.add.reduce([row.w for row in rows], axis=1) / n:
+            g = model.weighted_grad(mean)
+            grad_norms.append(math.sqrt(g.dot(g)))  # np.linalg.norm's own sum, without its wrapper
 
     state, target, (status,), _ = _iterate(engine, model, matrix, (steps,), max_iters, stop,
                                            ground_truth, w0, record)
@@ -478,10 +520,13 @@ def write_trace_csv(path, records) -> None:
 
 
 def write_status_json(path, result: RunResult) -> None:
+    """Strict JSON: a non-finite final error, which only a diverged run
+    has, is written as null."""
+    rel = result.final_rel_error
     payload = {
         "status": result.status,
         "iterations": result.iterations,
-        "final_rel_error": result.final_rel_error,
+        "final_rel_error": rel if math.isfinite(rel) else None,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -227,7 +227,10 @@ class CombinationMatrix:
                 "matrix is not primitive"
             )
         p = _perron_vector(a)
-        balance = float(np.abs(p[:, np.newaxis] * a.T - a * p).max())
+        # |p_i a_ji - a_ij p_j| over the edges: the diagonal and off-edge
+        # terms of P A^T - A P are exactly 0, so this is its largest entry
+        i, j = self.graph._ij.T
+        balance = float(np.abs(p[i] * a[j, i] - a[i, j] * p[j]).max(initial=0.0))
         object.__setattr__(self, "perron", PerronData(p, a, balance <= BALANCE_TOL))
         object.__setattr__(self, "_balance", balance)
 
@@ -279,17 +282,29 @@ class CombinationMatrix:
             return scipy.sparse.csr_array(dense)
         return dense
 
+    # The engines' operators, each built on first read: `op @ x` on an (N, M)
+    # block or an (N, B*M) stack, with the `csr_array` on a large sparse
+    # network, else the dense array.  Each engine's seed hook reads only the
+    # ones its step applies.
+
     @cached_property
-    def _combine_ops(self) -> tuple:
-        """(A^T, Abar^T, Abar) as the engines apply them, `op @ x` on an
-        (N, M) block or an (N, B*M) stack: the `csr_array` on a large
-        sparse network, else the dense array."""
-        return tuple(map(self._operator, (self.a.T, self.abar.T, self.abar)))
+    def _a_t_op(self):
+        """A^T, the tracking engines' combine."""
+        return self._operator(self.a.T)
+
+    @cached_property
+    def _abar_t_op(self):
+        """Abar^T, the exact diffusion engines' combine."""
+        return self._operator(self.abar.T)
+
+    @cached_property
+    def _abar_op(self):
+        """Abar, extra's combine."""
+        return self._operator(self.abar)
 
     @cached_property
     def _dual_op(self):
-        """`v_squared` as the primal-dual engines apply it, on the same path
-        as `_combine_ops`."""
+        """`v_squared`, the primal-dual engines' dual step."""
         return self._operator(self.v_squared)
 
     @property
@@ -462,10 +477,11 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
     draw's edge array and building a Graph only for the one it returns;
     then falls back to the last draw augmented with a random spanning
     chain.  A draw takes one uniform per agent pair, in `triu_indices`
-    order.  The pairs of the first ceil(n/8) rows hold every edge of those
-    agents, so they are drawn first: when one of those agents has no
-    edge, the draw is rejected and the generator skips the rest of its
-    uniforms (one 64-bit output each) without drawing them.  The graph
+    order.  The pairs of the first r rows hold every edge of those agents,
+    so the head of the first ceil(n/8) rows is drawn first, in two stages:
+    the first 8 rows, then the rest of the head.  When an agent of a stage
+    has no edge, the draw is rejected and the generator skips the rest of
+    its uniforms (one 64-bit output each) without drawing them.  The graph
     returned is the one a whole-draw loop returns.  Deterministic for a
     fixed seed.
     """
@@ -475,17 +491,22 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
         raise GraphError("edge_probability must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     pairs = np.stack(np.triu_indices(n, k=1), axis=1)
-    head_rows = -(-n // 8)
-    head = int(np.searchsorted(pairs[:, 0], head_rows))  # pairs in the first head_rows rows
-    # row indices select faster than a boolean mask over the pairs
+    stages = sorted({min(8, -(-n // 8)), -(-n // 8)})  # rows tested after each stage
+    ends = np.searchsorted(pairs[:, 0], stages)  # pairs in those rows
     for draw in range(200):
-        u = rng.random(head)
+        u = np.empty(0)
         if n > 1 and draw < 199:  # the fallback reads the last draw whole
-            hit = pairs[np.flatnonzero(u < edge_probability)]
-            if np.bincount(hit.ravel(), minlength=head_rows)[:head_rows].min() == 0:
-                rng.bit_generator.advance(len(pairs) - head)
+            for rows, end in zip(stages, ends):
+                u = np.concatenate([u, rng.random(end - u.size)])
+                # row indices select faster than a boolean mask over the pairs
+                hit = pairs[np.flatnonzero(u < edge_probability)]
+                isolated = np.bincount(hit.ravel(), minlength=rows)[:rows].min() == 0
+                if isolated:
+                    break
+            if isolated:
+                rng.bit_generator.advance(len(pairs) - u.size)
                 continue
-        u = np.concatenate([u, rng.random(len(pairs) - head)])
+        u = np.concatenate([u, rng.random(len(pairs) - u.size)])
         ij = pairs[np.flatnonzero(u < edge_probability)]
         if _connected(n, ij):
             return Graph(n, ij, _searched=True)

@@ -72,14 +72,14 @@ def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     balanced, violation = check_balanced(matrix)
     if not balanced:
         raise ValueError(f"combination matrix is not balanced (violation {violation:.3e})")
-    (_, abar_t, abar), dense_t = matrix._combine_ops, matrix.abar.T
+    dense_t = matrix.abar.T
     k_max = int(np.count_nonzero(dense_t, axis=1).max())
     uniform, p = matrix.is_symmetric_doubly_stochastic, matrix.perron.p
-    pair, radius = _closed_form_pair(abar_t, *matrix._eigh, p, k_max, uniform)
+    pair, radius = _closed_form_pair(matrix._abar_t_op, *matrix._eigh, p, k_max, uniform)
     if uniform:
         t_d_norm = _symmetric_t_d_norm(matrix.a, p)
     else:
-        t_d = abar @ (dense_t + matrix._dual_op @ dense_t)
+        t_d = matrix._abar_op @ (dense_t + matrix._dual_op @ dense_t)
         t_d_norm = float(np.sqrt(max(np.linalg.eigvalsh(t_d)[-1], 0.0)))
     return _Blocks(pair=pair, radius=radius, t_d_norm=t_d_norm)
 

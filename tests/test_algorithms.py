@@ -116,6 +116,8 @@ def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=No
         rel = rel_error_of(state.w)
         records.append(TraceRecord(i, i * spec.comm_units, rel, grad_norm_of(state.w)))
         if keep_iterates:
+            if state.z is not None:
+                state.z_diag_history.append(ctx.uu @ state.z)
             iterates.append(state.w.copy())
             if duals is not None:
                 duals.append(state.y.copy())
@@ -138,9 +140,12 @@ def _same_arrays(xs, ys):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_run_matches_the_reference_loop(engine):
-    """run's one-member stack reproduces the unstacked loop bit for bit:
-    records, status, iterates, duals and final state, from a random w0,
-    for a converging, an exhausted and a diverging step size."""
+    """run's one-member stack, checked once per CHECK_BLOCK iterations,
+    reproduces the unstacked loop checked after every step bit for bit:
+    records, status, iterates, duals, the adaptive engine's Perron
+    estimates and final state, from a random w0, for a converging, an
+    exhausted and a diverging step size, for budgets of 1, 15, 16, 17 and
+    33, and for exits on the first and on the last row of a block."""
     matrix = random_averaging(6, seed=17)
     model = random_quadratic(6, 3, seed=17)
     if engine not in WEIGHTED:
@@ -148,21 +153,36 @@ def test_run_matches_the_reference_loop(engine):
     perron = matrix.perron
     w0 = np.random.default_rng(17).standard_normal((6, 3))
     gt = solve_centralized(model)
-    statuses = set()
-    for mu_max, max_iters in ((0.02, 20_000), (0.02, 40), (5.0, 3000)):
+    trace = [r.rel_error for r in reference_run(
+        engine, model, matrix, steps_for(engine, model, perron, 0.02), max_iters=40, stop=0.0,
+        w0=w0, ground_truth=gt).records]
+    # a stop first crossed on iteration t, for t on a block's first or last row
+    exits = [t for t in (1, 16, 17, 32) if trace[t] < min(trace[:t])]
+    assert {1, 16} <= set(exits)
+    cases = [(0.02, 20_000, 1e-12), (0.02, 40, 1e-12), (5.0, 3000, 1e-12)]
+    cases += [(0.02, budget, 1e-12) for budget in (1, 15, 16, 17, 33)]
+    cases += [(0.02, 40, trace[t]) for t in exits]
+    statuses, exited = set(), []
+    for mu_max, max_iters, stop in cases:
         steps = steps_for(engine, model, perron, mu_max)
         args = (engine, model, matrix, steps)
-        kwargs = dict(max_iters=max_iters, stop=1e-12, w0=w0, ground_truth=gt,
+        kwargs = dict(max_iters=max_iters, stop=stop, w0=w0, ground_truth=gt,
                       keep_iterates=True)
         got, want = run(*args, **kwargs), reference_run(*args, **kwargs)
         assert got.status == want.status
         assert got.records == want.records
         assert _same_arrays(got.iterates, want.iterates)
         assert _same_arrays(got.dual_iterates, want.dual_iterates)
+        assert _same_arrays(got.state.z_diag_history, want.state.z_diag_history)
+        assert len(got.state.z_diag_history) == (
+            got.iterations if engine == "adaptive_exact_diffusion" else 0)
         for name in ("w", "psi_prev", "y", "g_prev", "z"):
             assert _same_arrays([getattr(got.state, name)], [getattr(want.state, name)]), name
         statuses.add(got.status)
+        if stop > 1e-12:
+            exited.append((got.status, got.iterations))
     assert statuses == {"converged", "exhausted", "diverged"}
+    assert exited == [("converged", t) for t in exits]
 
 
 def test_run_with_a_huge_budget_stops_early():
@@ -225,6 +245,23 @@ def test_a_start_whose_error_underflows_is_rejected():
     assert 0.0 < np.abs(w_star).min()
     res = run("exact_diffusion", model, matrix, steps, w0=np.tile(w_star, (n, 1)))
     assert (res.status, res.iterations, res.final_rel_error) == ("converged", 0, 0.0)
+
+
+def test_a_start_whose_error_overflows_is_rejected():
+    """||w0 - w*||^2 past the largest double is inf: `run` from 1e160 used to
+    diverge at iteration 1, on a step that converges from 1e150.  It raises
+    ValueError now, with no warning, and so does a non-finite w0."""
+    matrix = random_metropolis(6, seed=3)
+    model = least_squares_model(6, 6, 2, 10)
+    steps = steps_for("exact_diffusion", model, matrix.perron, 0.02)
+    res = run("exact_diffusion", model, matrix, steps, max_iters=20_000,
+              w0=np.full((6, 2), 1e150))
+    assert res.status == "converged"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w0 in (np.full((6, 2), 1e160), np.full((6, 2), np.inf), np.full((6, 2), np.nan)):
+            with pytest.raises(ValueError, match="overflows or is not finite"):
+                run("exact_diffusion", model, matrix, steps, w0=w0)
 
 
 def test_engines_converge_and_reach_consensus():
@@ -336,7 +373,7 @@ def test_adaptive_estimates_match_the_power_iteration(build, n, prob):
     power iteration diag((A^T)^i) within 1e-13 over 500 steps, on the dense
     path (N = 5, 60) and the CSR path (N = 400)."""
     matrix = build(random_connected_graph(n, prob, seed=4))
-    assert _is_csr(matrix._combine_ops[0]) == (n == 400)
+    assert _is_csr(matrix._a_t_op) == (n == 400)
     model = random_quadratic(n, 2, seed=4)
     steps = StepSizes.from_weights(model.q, matrix.perron.p, 1e-4)
     res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=500, stop=0.0,
@@ -412,8 +449,34 @@ def _is_csr(op):
 def test_combine_path_follows_network_size_and_density(n, prob, sparse):
     for build in (build_metropolis, build_averaging):
         matrix = build(random_connected_graph(n, prob, seed=3))
-        ops = (*matrix._combine_ops, matrix._dual_op)
+        ops = (matrix._a_t_op, matrix._abar_t_op, matrix._abar_op, matrix._dual_op)
         assert [_is_csr(op) for op in ops] == [sparse] * 4
+
+
+def test_a_sparse_run_builds_only_the_operators_its_engine_applies(monkeypatch):
+    """On a 400-agent sparse network a run converts to CSR only what its
+    step applies: Abar^T (the exact diffusion engines), A^T (the tracking
+    engines), with S as well for the primal-dual engines, and Abar for extra."""
+    built = []
+    operator = CombinationMatrix._operator
+
+    def counted(self, dense):
+        op = operator(self, dense)
+        if _is_csr(op):
+            built.append(op)
+        return op
+
+    monkeypatch.setattr(CombinationMatrix, "_operator", counted)
+    graph = random_connected_graph(400, 0.02, seed=3)
+    model = least_squares_model(3, 400, 2, 4)
+    gt = solve_centralized(model)
+    want = {"exact_diffusion": 1, "adaptive_exact_diffusion": 1, "diging": 1, "aug_dgm": 1,
+            "exact_diffusion_pd": 2, "extra": 2}
+    for engine in ENGINES:
+        matrix, built[:] = build_metropolis(graph), []
+        steps = steps_for(engine, model, matrix.perron, 1e-3)
+        run(engine, model, matrix, steps, max_iters=5, stop=0.0, ground_truth=gt)
+        assert len(built) == want[engine], engine
 
 
 def _on_path(matrix, sparse, monkeypatch):
@@ -422,7 +485,7 @@ def _on_path(matrix, sparse, monkeypatch):
     monkeypatch.setattr(graphs, "SPARSE_MIN_AGENTS", 1 if sparse else matrix.n + 1)
     monkeypatch.setattr(graphs, "SPARSE_MAX_DENSITY", 1.0)
     copy = CombinationMatrix(matrix.a, matrix.graph)
-    assert _is_csr(copy._combine_ops[0]) == sparse  # chosen while patched
+    assert _is_csr(copy._a_t_op) == sparse  # chosen while patched
     return copy
 
 
@@ -465,7 +528,7 @@ def test_dense_and_csr_combines_agree(engine, monkeypatch):
         states = []
         _, _, statuses, verdicts = _iterate(
             engine, model, m, steps_list, 300, 1e-10, gt, w0,
-            lambda state, rel, ctx: states.append(state.w.copy()))
+            lambda rows, rels, ctx: states.extend(row.w.copy() for row in rows))
         runs.append((statuses, verdicts, states))
     (want_statuses, want_verdicts, want), (got_statuses, got_verdicts, got) = runs
     assert (got_statuses, got_verdicts) == (want_statuses, want_verdicts)
@@ -488,7 +551,7 @@ def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
     state, _, statuses, _ = _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0)
     rels = []
     _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0,
-             lambda state, rel, ctx: rels.append(rel.copy()))
+             lambda rows, block, ctx: rels.extend(block.copy()))
     for k, steps in enumerate(steps_list):
         res = run(engine, model, csr, steps, max_iters=80, stop=0.0, w0=w0, ground_truth=gt)
         assert res.status == statuses[k] == "exhausted"
@@ -508,7 +571,7 @@ def test_dense_scan_member_matches_its_one_member_run(engine):
     matrix = (random_averaging if engine in WEIGHTED else random_metropolis)(20, seed=22)
     model = random_quadratic(20, 5, seed=22)
     gt, w0 = solve_centralized(model), np.random.default_rng(22).standard_normal((20, 5))
-    assert not _is_csr(matrix._combine_ops[0])
+    assert not _is_csr(matrix._a_t_op)
     mus = (0.002, 0.005, 0.01, 0.015, 0.02)
     steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in mus]
     state, _, statuses, _ = _iterate(engine, model, matrix, steps_list, 80, 0.0, gt, w0)
@@ -607,6 +670,29 @@ def test_primal_dual_runs_never_build_v(engine):
 # ------------------------------------------------------------ stack exits
 
 
+def _per_step(stop, on_step):
+    """A block record for `_iterate` that calls on_step(rel) once per
+    iteration, seed included, with the errors of the members that have not
+    exited on an earlier iteration: what a stack checked after every step
+    would show."""
+    def record(rows, rels, ctx):
+        done = ~(rels <= DIVERGENCE_CAP) | (rels <= stop)
+        for rel, gone in zip(rels, np.cumsum(done, axis=0) - done > 0):
+            on_step(rel[~gone])
+    return record
+
+
+def _stepwise_outcome(engine, model, matrix, steps, max_iters, stop, gt, w0):
+    """(status, verdict) of the reference loop, which checks after every
+    step, with the exhausted rule applied to its trace."""
+    res = reference_run(engine, model, matrix, steps, max_iters=max_iters, stop=stop, w0=w0,
+                        ground_truth=gt)
+    if res.status == "exhausted":
+        earlier = res.records[max_iters - _lookback(max_iters)].rel_error
+        return res.status, "stable" if res.final_rel_error <= earlier else "unstable"
+    return res.status, "unstable" if res.status == "diverged" else "stable"
+
+
 def _separate_outcomes(engine, model, matrix, steps_list, max_iters, stop, gt, w0):
     """(status, verdict) of a one-member `run` per step size."""
     out = []
@@ -628,7 +714,7 @@ def test_stack_keeps_running_past_a_member_that_overflows(engine):
                   for mu in (0.005, 1e200, 0.02, 1e308, 5.0)]
     trace = []
     _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt,
-                                        w0, lambda state, rel, ctx: trace.append(rel.copy()))
+                                        w0, lambda rows, rels, ctx: trace.extend(rels.copy()))
     separate = _separate_outcomes(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
     first = trace[1]
     assert not np.isfinite(first[1]) and not np.isfinite(first[3])
@@ -659,7 +745,7 @@ def test_adaptive_stack_matches_separate_runs():
     steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.002, 0.02, 5.0)]
     sizes = []
     _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0,
-                                        lambda state, rel, ctx: sizes.append(rel.size))
+                                        _per_step(1e-10, lambda rel: sizes.append(rel.size)))
     assert list(zip(statuses, verdicts)) == _separate_outcomes(
         engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
     assert set(statuses) == {"converged", "exhausted", "diverged"}
@@ -682,7 +768,7 @@ def test_stack_handles_a_convergence_and_a_divergence_on_one_iteration():
     steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.02, 0.2, 0.0005)]
     trace = []
     _iterate(engine, model, matrix, steps_list, 60, 0.0, gt, w0,
-             lambda state, rel, ctx: trace.append(rel.copy()))
+             _per_step(0.0, lambda rel: trace.append(rel.copy())))
     # the iteration the fast member diverges on, and a stop the converging
     # member first crosses on that same iteration
     blowup = next(i for i, rel in enumerate(trace) if rel.size < 3 or rel[1] > DIVERGENCE_CAP)
@@ -691,24 +777,24 @@ def test_stack_handles_a_convergence_and_a_divergence_on_one_iteration():
     assert all(rel[0] > stop for rel in trace[:blowup])
     exits = []
     _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 60, stop, gt, w0,
-                                        lambda state, rel, ctx: exits.append(rel.size))
+                                        _per_step(stop, lambda rel: exits.append(rel.size)))
     assert statuses == ["converged", "diverged", "exhausted"]
     assert exits[blowup] == 3 and exits[blowup + 1] == 1
     separate = _separate_outcomes(engine, model, matrix, steps_list, 60, stop, gt, w0)
     assert list(zip(statuses, verdicts)) == separate
-    assert blowup % CHECK_BLOCK  # inside a block of the record-free stack
+    assert blowup % CHECK_BLOCK  # inside a checked block
     assert _iterate(engine, model, matrix, steps_list, 60, stop, gt, w0)[2:] == (
         statuses, verdicts)
 
 
 @pytest.mark.parametrize("max_iters", [37, 300])
 def test_record_free_stack_classifies_like_a_recorded_one(max_iters):
-    """Without a record the stack checks its errors once per CHECK_BLOCK
-    iterations, with a shortened last block and the lookback snapshot
-    inside a block.  A member that turns inf inside a block steps on to
-    its end while the others go on, and every member still gets the
-    status and verdict it gets when checked on every step, and the status
-    of its own run."""
+    """The stack checks its errors once per CHECK_BLOCK iterations, with a
+    shortened last block and the lookback snapshot inside a block, and a
+    record changes no outcome.  A member that turns inf inside a block
+    steps on to its end while the others go on, and every member still
+    gets the status and verdict the reference loop, checked on every step,
+    gives it, and the status of its own run."""
     engine = "extra"
     matrix, model, gt, w0 = _combine_setup(engine, seed=26)
     steps_list = [steps_for(engine, model, matrix.perron, mu)
@@ -724,8 +810,11 @@ def test_record_free_stack_classifies_like_a_recorded_one(max_iters):
 
     blocked = _iterate(engine, model, matrix, steps_list, max_iters, 1e-10, gt, w0)[2:]
     recorded = _iterate(engine, model, matrix, steps_list, max_iters, 1e-10, gt, w0,
-                        lambda state, rel, ctx: None)[2:]
+                        lambda rows, rels, ctx: None)[2:]
     assert blocked == recorded
+    stepwise = [_stepwise_outcome(engine, model, matrix, steps, max_iters, 1e-10, gt, w0)
+                for steps in steps_list]
+    assert list(zip(*blocked)) == stepwise
     runs = [run(engine, model, matrix, steps, max_iters=max_iters, stop=1e-10, w0=w0,
                 ground_truth=gt) for steps in steps_list]
     assert blocked[0] == [r.status for r in runs] == {
@@ -746,7 +835,7 @@ def test_record_free_stack_takes_each_status_at_the_first_exit():
     steps = [steps_for(engine, model, matrix.perron, 0.5)]
     trace = []
     _iterate(engine, model, matrix, steps, CHECK_BLOCK, 0.0, gt, w0,
-             lambda state, rel, ctx: trace.append(rel[0]))
+             _per_step(0.0, lambda rel: trace.append(rel[0])))
     assert len(trace) - 1 < CHECK_BLOCK and not trace[-1] <= DIVERGENCE_CAP
     stop = trace[1]
     assert run(engine, model, matrix, steps[0], max_iters=CHECK_BLOCK, stop=stop, w0=w0,

@@ -105,7 +105,7 @@ def test_run_outputs_on_the_csr_path_are_byte_identical(tmp_path):
                               max_iters=300, stop=1e-6)
     payload["graph"].update(n=400, edge_probability=0.02)
     graph = decentopt.random_connected_graph(400, 0.02, payload["seed"])
-    assert not isinstance(decentopt.build_metropolis(graph)._combine_ops[0], np.ndarray)
+    assert not isinstance(decentopt.build_metropolis(graph)._a_t_op, np.ndarray)
     cfg = write_config(tmp_path, payload)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert run_cli(["run", "--config", cfg, "--out", out1]) == 0
@@ -185,6 +185,39 @@ def test_a_target_too_close_to_w0_is_a_config_error(tmp_path, capsys, command):
     assert (f"config error at {section}: the squared distance from w0"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "stability-scan"])
+def test_a_target_too_far_from_w0_is_a_config_error(tmp_path, capsys, command):
+    # the minimizer is exactly 2^530, so ||0 - w*||^2 overflows: `run` used to
+    # warn "overflow encountered in square" and write a NaN `diverged` trace
+    # at iteration 1, and `stability-scan` to call every grid point unstable
+    payload = mse_config()
+    payload["graph"] = {"kind": "path", "n": 2}
+    payload["model"].update(covariances=[[[2.0 ** -500]], [[2.0 ** -500]]],
+                            cross_vectors=[[2.0 ** 30], [2.0 ** 30]])
+    section = "run" if command == "run" else "scan"
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error at {section}: the squared distance from w0 (zeros unless given) to "
+        "the target overflows or is not finite, so no relative error can be formed\n")
+    assert not out.exists()
+
+
+def test_an_overflowing_run_writes_strict_json(tmp_path, capsys):
+    # one step to an infinite error used to write "final_rel_error": Infinity
+    payload = base_run_config(mu_o=1e200, max_iters=50)
+    payload["graph"] = {"kind": "ring", "n": 4}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    status = json.loads((out / "trace.json").read_text(), parse_constant=_reject_constant)
+    assert status == {"status": "diverged", "iterations": 1, "final_rel_error": None}
+    rows = list(csv.DictReader((out / "trace.csv").read_text().splitlines()))
+    assert (rows[-1]["iter"], rows[-1]["rel_error"]) == ("1", "inf")
+    assert capsys.readouterr().err == ""
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -527,6 +527,48 @@ def test_check_balanced_flags_asymmetric_column_stochastic():
     assert violation > 1e-3
 
 
+def _dense_balance(m):
+    """The largest entry of |P A^T - A P|, the constructor's former dense
+    formula."""
+    p = m.perron.p
+    return float(np.abs(p[:, np.newaxis] * m.a.T - m.a * p).max())
+
+
+def _unbalanced_with_zero_weight_edges(seed):
+    """A column-stochastic, strongly connected A on a random 8-agent graph
+    with about a third of the arc weights set to 0, so that some graph
+    edges carry weight one way or none."""
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(8, 0.6, seed)
+    i, j = graph._ij.T
+    a = np.eye(8) * rng.uniform(0.1, 1.0, 8)
+    a[i, j] = rng.uniform(0.1, 1.0, i.size) * (rng.random(i.size) > 0.35)
+    a[j, i] = rng.uniform(0.1, 1.0, i.size) * (rng.random(i.size) > 0.35)
+    return matrix_from_array(a / a.sum(axis=0), graph)
+
+
+def test_balance_over_the_edges_is_the_dense_residual_bit_for_bit():
+    matrices = [build(random_connected_graph(n, 0.4, seed))
+                for build in (build_metropolis, build_averaging)
+                for n, seed in ((6, 1), (40, 2), (120, 3))]
+    unbalanced = []
+    for seed in range(40):
+        try:
+            m = _unbalanced_with_zero_weight_edges(seed)
+        except SpectralError:  # support not strongly connected
+            continue
+        i, j = m.graph._ij.T
+        if (m.a[i, j] * m.a[j, i] == 0).any():
+            unbalanced.append(m)
+    assert len(unbalanced) >= 5
+    assert not any(check_balanced(m)[0] for m in unbalanced)
+    for m in matrices + unbalanced:
+        assert m._balance == _dense_balance(m)
+        assert check_balanced(m) == (m._balance <= graphs.BALANCE_TOL, _dense_balance(m))
+    single = matrix_from_array(np.array([[1.0]]))
+    assert single._balance == 0.0 == _dense_balance(single)
+
+
 # ---------------------------------------------------------------- file io
 
 
