@@ -51,6 +51,7 @@ from .stability import (
     build_error_dynamics,
     decompose_b,
     diffusion_step_bound,
+    exact_radius,
     extra_step_bound,
     one_step_matrix,
     stability_scan,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ENGINE_SPECS, StepSizes, _iterate
+from .algorithms import ENGINE_SPECS, StepSizes, _iterate, _validate_combination
 from .costs import CostModel, QuadraticModel, solve_centralized
 from .graphs import CombinationMatrix, SpectralError, check_balanced, matrix_from_array
 from .spectral import dual_vectors
@@ -110,20 +110,17 @@ def _symmetric_t_d_norm(a: np.ndarray, p: np.ndarray) -> float:
 
 @dataclass
 class ErrorDynamics:
-    """Error recursion of a balanced matrix, with optional per-agent Hessians
-    and steps."""
+    """Error recursion of a balanced matrix, with optional per-agent Hessians."""
 
     matrix: CombinationMatrix
     h: np.ndarray | None = None
-    mu: np.ndarray | None = None
 
 
-def build_error_dynamics(matrix, model: CostModel = None,
-                         steps: StepSizes = None) -> ErrorDynamics:
+def build_error_dynamics(matrix, model: CostModel = None) -> ErrorDynamics:
     """Assemble the error dynamics of a balanced combination matrix.
 
     B's decomposition, its certificate and ||T_d|| are computed here, once
-    per matrix.  model/steps are optional, for one_step_matrix, which needs
+    per matrix.  model is optional, for one_step_matrix, which needs
     constant Hessians (quadratic costs).
     """
     matrix = matrix_from_array(matrix)
@@ -135,11 +132,10 @@ def build_error_dynamics(matrix, model: CostModel = None,
             raise ValueError("model size does not match the combination matrix")
         h = model.hessians()
     matrix._error_blocks  # computed, or raising for an unbalanced matrix, here
-    return ErrorDynamics(matrix=matrix, h=h, mu=None if steps is None else steps.mu)
+    return ErrorDynamics(matrix=matrix, h=h)
 
 
-def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
-                    mu=None) -> np.ndarray:
+def one_step_matrix(dyn: ErrorDynamics, engine: str, mu) -> np.ndarray:
     """Exact one-step error map for quadratic costs, lifted to
     (2 N M, 2 N M) with agent-major flattening: B_z - T_z diag(mu_k H_k, 0).
 
@@ -156,10 +152,6 @@ def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
     """
     if dyn.h is None:
         raise ValueError("one_step_matrix needs Hessians; build with a quadratic model")
-    if mu is None:
-        mu = dyn.mu
-    if mu is None:
-        raise ValueError("one_step_matrix needs step sizes")
     matrix = dyn.matrix
     n = matrix.n
     mu = np.broadcast_to(np.atleast_1d(np.asarray(mu, dtype=float)), (n,))
@@ -176,6 +168,23 @@ def one_step_matrix(dyn: ErrorDynamics, engine: str = "exact_diffusion",
     big = np.kron(b_z, np.eye(m))
     big[:, : n * m] -= np.kron(np.vstack([g, s @ g]), np.eye(m)) @ mh
     return big
+
+
+def exact_radius(engine: str, model: CostModel, matrix, mu: float) -> float:
+    """Spectral radius of `one_step_matrix` at the scan's step mu (the largest
+    per-agent step, see `_steps_for`), less the model.dim eigenvalues nearest 1:
+    the structural unit ones, dropped by value.  The engine must suit the
+    matrix as `run` requires (ValueError), and have an analytic map
+    (ValueError), and the costs must be quadratic (TypeError).  Below about
+    mu = 1e-6 the structural modes merge with the consensus modes within
+    `eigvals`' accuracy: at 1e-8 the next eigenvalue is no farther from 1
+    than the dropped ones, and the radius reads 1 - O(1e-8) either way."""
+    matrix = matrix_from_array(matrix)
+    dyn = build_error_dynamics(matrix, model=model)
+    _validate_combination(engine, matrix)
+    steps = _steps_for(engine, model, matrix, mu)
+    eigs = np.linalg.eigvals(one_step_matrix(dyn, engine, steps.mu))
+    return float(np.abs(eigs[np.argsort(np.abs(eigs - 1.0))[model.dim:]]).max())
 
 
 @dataclass

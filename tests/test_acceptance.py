@@ -191,9 +191,9 @@ def test_criterion_6_error_recursion_equivalence():
         mu = 0.4 / delta
         steps = (StepSizes.uniform(mu, n) if engine == "extra"
                  else _steps(engine, model, matrix.perron, mu))
-        dyn = build_error_dynamics(matrix, model=model, steps=steps)
+        dyn = build_error_dynamics(matrix, model=model)
         lift = one_step_matrix(
-            dyn, "extra" if engine == "extra" else "exact_diffusion")
+            dyn, "extra" if engine == "extra" else "exact_diffusion", steps.mu)
         w0 = rng.standard_normal((n, dim))
         sim = simulate_error_recursion(dyn, model, steps, w0, 100, engine=engine)
         e = sim[0].reshape(-1)

@@ -21,6 +21,7 @@ from decentopt import (
     build_metropolis,
     decompose_b,
     diffusion_step_bound,
+    exact_radius,
     extra_step_bound,
     hessian_bounds,
     least_squares_model,
@@ -376,8 +377,8 @@ def test_lifted_matrix_matches_engine_exact_diffusion():
     model = random_quadratic(4, 2, seed=5, q=[1.0, 2.0, 0.5, 1.0])
     perron = matrix.perron
     steps = StepSizes.from_weights(model.q, perron.p, 0.01)
-    dyn = build_error_dynamics(matrix, model=model, steps=steps)
-    q = one_step_matrix(dyn, "exact_diffusion")
+    dyn = build_error_dynamics(matrix, model=model)
+    q = one_step_matrix(dyn, "exact_diffusion", steps.mu)
     rng = np.random.default_rng(0)
     w0 = rng.standard_normal((4, 2))
     sim = simulate_error_recursion(dyn, model, steps, w0, 60,
@@ -392,8 +393,8 @@ def test_lifted_matrix_matches_engine_extra():
     matrix = random_metropolis(4, seed=6)
     model = random_quadratic(4, 2, seed=6)
     steps = StepSizes.uniform(0.02, 4)
-    dyn = build_error_dynamics(matrix, model=model, steps=steps)
-    q = one_step_matrix(dyn, "extra")
+    dyn = build_error_dynamics(matrix, model=model)
+    q = one_step_matrix(dyn, "extra", steps.mu)
     rng = np.random.default_rng(1)
     w0 = rng.standard_normal((4, 2))
     sim = simulate_error_recursion(dyn, model, steps, w0, 60, engine="extra")
@@ -414,14 +415,13 @@ def test_one_step_matrix_matches_the_block_diag_construction(engine, per_agent):
     matrix = random_metropolis(n, seed=8)
     model = random_quadratic(n, m, seed=8)
     mu = np.linspace(0.01, 0.03, n) if per_agent else np.full(n, 0.02)
-    dyn = build_error_dynamics(matrix, model=model, steps=StepSizes(mu))
+    dyn = build_error_dynamics(matrix, model=model)
     abar_t, s, p = matrix.abar.T, matrix.v_squared, matrix.perron.p
     g = abar_t if engine == "exact_diffusion" else np.eye(n)
     b_z = np.block([[abar_t, -np.diag(1.0 / p)], [s @ abar_t, np.eye(n) - s / p]])
     mh = scipy.linalg.block_diag(*(mu[k] * dyn.h[k] for k in range(n)))
     expect = np.kron(b_z, np.eye(m))
     expect[:, : n * m] -= np.kron(np.vstack([g, s @ g]), np.eye(m)) @ mh
-    assert np.array_equal(one_step_matrix(dyn, engine), expect)
     assert np.array_equal(one_step_matrix(dyn, engine, mu=mu if per_agent else 0.02), expect)
 
 
@@ -431,12 +431,43 @@ def test_one_step_matrix_validation():
     with pytest.raises(ValueError):
         one_step_matrix(bare, "exact_diffusion", mu=0.1)
     model = random_quadratic(4, 2, seed=0)
-    dyn = build_error_dynamics(matrix, model=model,
-                               steps=StepSizes.uniform(0.01, 4))
+    dyn = build_error_dynamics(matrix, model=model)
     with pytest.raises(ValueError):
-        one_step_matrix(dyn, "diging")
+        one_step_matrix(dyn, "diging", 0.01)
     with pytest.raises(TypeError):
         build_error_dynamics(matrix, model=logistic_model(0, 4, 2, 5, ridge=0.1))
+
+
+def test_structural_unit_eigenvalues_stand_apart_by_value():
+    """The premise of `exact_radius`'s drop rule: from mu = 1e-6 up, the dim
+    eigenvalues of the one-step map nearest 1 lie within 1e-9 of it (at most
+    1.1e-10 here), and the next is at least 1e3 times farther (1.09e4)."""
+    for matrix in _criterion_10_ensemble():
+        model = random_quadratic(matrix.n, 2, seed=matrix.n)
+        dyn = build_error_dynamics(matrix, model=model)
+        for engine in ("exact_diffusion", "exact_diffusion_pd", "extra",
+                       "adaptive_exact_diffusion"):
+            for mu in (1e-6, 1e-4, 0.1, 1.0, 3.0):
+                steps = stability._steps_for(engine, model, matrix, mu)
+                eigs = np.linalg.eigvals(one_step_matrix(dyn, engine, steps.mu))
+                gaps = np.sort(np.abs(eigs - 1.0))
+                assert gaps[model.dim - 1] <= 1e-9, (engine, mu)
+                assert gaps[model.dim] >= 1e3 * gaps[model.dim - 1], (engine, mu)
+
+
+def test_exact_radius_refuses_what_run_refuses():
+    """`exact_radius` checks the engine against the matrix as `run` does,
+    and needs quadratic costs and an engine with an analytic map."""
+    averaging, model = random_averaging(6, seed=1), random_quadratic(6, 2, seed=1)
+    for call in (lambda: exact_radius("extra", model, averaging, 0.1),
+                 lambda: run("extra", model, averaging, StepSizes.uniform(0.1, 6), 10, 1e-10)):
+        with pytest.raises(ValueError, match="doubly stochastic"):
+            call()
+    metropolis = random_metropolis(4, seed=0)
+    with pytest.raises(TypeError):
+        exact_radius("exact_diffusion", logistic_model(0, 4, 2, 5, ridge=0.1), metropolis, 0.1)
+    with pytest.raises(ValueError, match="no analytic error map"):
+        exact_radius("diging", random_quadratic(4, 2, seed=0), metropolis, 0.1)
 
 
 # ----------------------------------------------------------- step bounds
@@ -584,6 +615,7 @@ def test_two_agent_characteristic_polynomials():
         assert np.abs(np.sort_complex(case.roots_e) - r_e).max() <= 1e-10
         # the 4x4 map of the generic builder has eigenvalues {1, 1 - m} and
         # the roots; without its unit one, its radius is the case's
+        model = QuadraticModel(h=np.full((2, 1, 1), sigma2), b=np.zeros((2, 1)))
         for engine, mu, mm, roots, specrad, stable in (
                 ("exact_diffusion", mu_d, m, r_d, case.specrad_d, case.stable_d),
                 ("extra", mu_e, me, r_e, case.specrad_e, case.stable_e)):
@@ -592,6 +624,8 @@ def test_two_agent_characteristic_polynomials():
             assert np.abs(np.sort_complex(eigs) - expect).max() <= 1e-10
             radius = np.abs(eigs).max()
             assert specrad == pytest.approx(radius, rel=1e-12, abs=0)
+            assert exact_radius(engine, model, two_agent_matrix(a), mu) == pytest.approx(
+                specrad, rel=1e-12, abs=0)
             assert stable == (radius < 1.0)
 
 
@@ -602,9 +636,8 @@ def test_two_agent_lifted_matrix_oracle():
     a_val = 0.5
     matrix = two_agent_matrix(a_val)
     model = mse_quadratic_model(2, 1, [[[1.0]], [[1.0]]], [[0.3], [-0.4]])
-    steps = StepSizes.uniform(0.8, 2)
-    dyn = build_error_dynamics(matrix, model=model, steps=steps)
-    q = one_step_matrix(dyn, "exact_diffusion")
+    dyn = build_error_dynamics(matrix, model=model)
+    q = one_step_matrix(dyn, "exact_diffusion", 0.8)
     abar = (np.eye(2) + matrix.a) / 2.0
     s = matrix.v_squared
     assert np.abs(np.eye(2) - 2 * s - abar).max() <= 1e-12
@@ -647,16 +680,14 @@ def test_two_agent_onsets():
 @pytest.mark.parametrize("sigma2", [0.3, 1.0, 2.7])
 @pytest.mark.parametrize("algorithm", ["exact_diffusion", "extra"])
 def test_two_agent_onsets_are_exact(algorithm, sigma2):
-    # the closed-form onset is where the general map's spectral radius,
-    # less its unit eigenvalue, crosses 1: just below it the map contracts,
-    # just above it does not
-    def radius(a, mu):
-        return float(np.abs(two_agent_spectrum(a, sigma2, algorithm, mu)).max())
-
+    # the closed-form onset is where the exact radius crosses 1: just below
+    # it the map contracts, just above it does not
+    model = QuadraticModel(h=np.full((2, 1, 1), sigma2), b=np.zeros((2, 1)))
     for a in np.linspace(0.02, 0.98, 25):
         onset = two_agent_onset(a, sigma2, algorithm)
-        assert radius(a, onset * (1 - 1e-9)) < 1.0, a
-        assert radius(a, onset * (1 + 1e-9)) > 1.0, a
+        matrix = two_agent_matrix(a)
+        assert exact_radius(algorithm, model, matrix, onset * (1 - 1e-9)) < 1.0, a
+        assert exact_radius(algorithm, model, matrix, onset * (1 + 1e-9)) > 1.0, a
 
 
 NAN = float("nan")
@@ -1022,25 +1053,24 @@ def test_a_scan_shaped_like_the_benchmark_makes_three_runs(monkeypatch):
     assert len(calls) <= 3
 
 
-@pytest.mark.parametrize("seed", [31, 32, 33])
-@pytest.mark.parametrize("engine", ["exact_diffusion", "extra"])
-def test_scan_bracket_straddles_the_spectral_onset(engine, seed):
-    """The empirical bracket agrees with the exact oracle: the one-step
-    map's spectral radius (which keeps its unit dual-consensus
-    eigenvalues) is at most 1 at mu_stable and above 1 at mu_unstable."""
-    n = 4 + seed % 3
-    matrix = build_metropolis(graphs.random_connected_graph(n, 0.5, seed))
+@pytest.mark.parametrize("engine, builder, seed", [
+    *[(engine, build_metropolis, seed) for engine in ("exact_diffusion", "extra")
+      for seed in (31, 32, 33)],
+    *[("exact_diffusion_pd", build_metropolis, seed) for seed in range(31, 37)],
+    *[(engine, build_averaging, seed) for engine in ("exact_diffusion", "exact_diffusion_pd")
+      for seed in (1, 2, 3)]])
+def test_scan_bracket_straddles_the_spectral_onset(engine, builder, seed):
+    """The empirical bracket agrees with the exact oracle: the exact radius
+    is below 1 at mu_stable and above 1 at mu_unstable, on Metropolis and
+    averaging matrices."""
+    n = 4 + seed % 3 if builder is build_metropolis else 6
+    matrix = builder(graphs.random_connected_graph(n, 0.5, seed))
     model = least_squares_model(seed, n, 3, 8)
     scan = stability_scan(engine, model, matrix, np.geomspace(0.01, 1.0, 8),
                           max_iters=1000, stop=1e-10)
     assert scan.refined
-    dyn = build_error_dynamics(matrix, model=model)
-
-    def radius(mu):
-        return float(np.abs(np.linalg.eigvals(one_step_matrix(dyn, engine, mu=mu))).max())
-
-    assert radius(scan.mu_stable) <= 1.0 + 1e-9
-    assert radius(scan.mu_unstable) > 1.0 + 1e-9
+    assert (exact_radius(engine, model, matrix, scan.mu_stable) < 1.0
+            < exact_radius(engine, model, matrix, scan.mu_unstable))
 
 
 # ------------------------------------------------------ shared spectral setup
@@ -1339,32 +1369,28 @@ def test_closed_form_norms_match_the_dense_oracle(network, sizes, builder):
                                               (ring_graph, build_metropolis),
                                               (star_graph, build_averaging)])
 def test_one_step_map_contracts_at_the_bound(network, builder, n):
-    """At mu_bound the one-step error map, less its dim invariant unit
-    eigenvalues (the dual consensus direction), has spectral radius < 1."""
+    """At mu_bound the one-step error map contracts: its exact radius, less
+    the dim invariant unit eigenvalues (the dual consensus direction), is
+    below 1."""
     graph = network(n)
     matrix = builder(graph)
     dim = 2
     model = random_quadratic(graph.n, dim, seed=graph.n)
     nu, delta, k_o = hessian_bounds(model)
-    dyn = build_error_dynamics(matrix, model=model)
     ratio = model.q / matrix.perron.p
-    tau = ratio / ratio.max()
-    bounds = [("exact_diffusion", diffusion_step_bound(matrix, tau=tau, nu=nu, delta=delta,
-                                                       k_o=k_o).mu_bound * tau)]
+    bounds = [("exact_diffusion", diffusion_step_bound(matrix, tau=ratio / ratio.max(), nu=nu,
+                                                       delta=delta, k_o=k_o).mu_bound)]
     if matrix.is_symmetric_doubly_stochastic:
         bounds.append(("extra", extra_step_bound(matrix, nu, delta).mu_bound))
     for engine, mu in bounds:
-        eigs = np.linalg.eigvals(one_step_matrix(dyn, engine, mu=mu))
-        unit = np.abs(eigs - 1.0) <= 1e-9
-        assert unit.sum() == dim
-        assert np.abs(eigs[~unit]).max() < 1.0
+        assert exact_radius(engine, model, matrix, mu) < 1.0
 
 
 @pytest.mark.parametrize("network, seed", [("random-10", seed) for seed in range(5)]
                          + [("criterion-10", index) for index in range(20)])
 def test_exact_rate_is_within_the_bound_rate(network, seed):
-    """Below mu_bound the exact rate beats the bound's: rho(one_step_matrix)
-    <= rho_at(mu), less the dim structural unit eigenvalues, dropped by value.
+    """Below mu_bound the exact rate beats the bound's: `exact_radius` <=
+    rho_at(mu).
 
     rho_at is the largest column sum of Part II's 2 x 2 recursion on the
     squared norms of the transformed error's two blocks,
@@ -1381,16 +1407,10 @@ def test_exact_rate_is_within_the_bound_rate(network, seed):
     n = matrix.n
     model = least_squares_model(seed, n, dim, 8)
     nu, delta, k_o = hessian_bounds(model)
-    dyn = build_error_dynamics(matrix, model=model)
     ratio = model.q / matrix.perron.p
-    tau = ratio / ratio.max()
-    bounds = [("exact_diffusion", diffusion_step_bound(matrix, tau=tau, nu=nu, delta=delta,
-                                                       k_o=k_o), tau),
-              ("extra", extra_step_bound(matrix, nu, delta), np.ones(n))]
-    for engine, bound, profile in bounds:
+    bounds = [diffusion_step_bound(matrix, tau=ratio / ratio.max(), nu=nu, delta=delta, k_o=k_o),
+              extra_step_bound(matrix, nu, delta)]
+    for engine, bound in zip(("exact_diffusion", "extra"), bounds):
         for fraction in (0.25, 0.5, 0.9):
             mu = fraction * bound.mu_bound
-            eigs = np.linalg.eigvals(one_step_matrix(dyn, engine, mu=mu * profile))
-            unit = np.abs(eigs - 1.0) <= 1e-9
-            assert unit.sum() == dim
-            assert np.abs(eigs[~unit]).max() <= bound.rho_at(mu) < 1.0
+            assert exact_radius(engine, model, matrix, mu) <= bound.rho_at(mu) < 1.0
