@@ -266,8 +266,14 @@ ENGINE_SPECS = {
 ENGINES = tuple(ENGINE_SPECS)
 
 
+def _engine_spec(engine: str) -> EngineSpec:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return ENGINE_SPECS[engine]
+
+
 def _validate_combination(engine: str, matrix: CombinationMatrix):
-    spec = ENGINE_SPECS[engine]
+    spec = _engine_spec(engine)
     if spec.weighted:
         balanced, violation = check_balanced(matrix)
         if not balanced:
@@ -367,8 +373,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
 
     Returns (state at the last check, target, statuses, verdicts).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    spec = _engine_spec(engine)
     matrix = matrix_from_array(matrix)
     if matrix.n != model.n_agents:
         raise ValueError("combination matrix size does not match the agent count")
@@ -381,7 +386,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
         _validate_steps(engine, steps, model, matrix)
     if ground_truth is None:
         ground_truth = solve_centralized(model)
-    weighted = ENGINE_SPECS[engine].weighted
+    weighted = spec.weighted
     if not weighted and np.ptp(model.q) > 1e-12 * model.q.max():
         raise ValueError(f"{engine} solves the uniform aggregate; model weights q must be equal")
     target = ground_truth.w_star if weighted else ground_truth.w_o
@@ -400,7 +405,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     size = len(steps_list)
     state, ctx = init_state(engine, model, matrix, w0, steps_list)
     statuses, verdicts = ["converged"] * size, ["stable"] * size
-    step, snapshot_at = ENGINE_SPECS[engine].step, max_iters - _lookback(max_iters)
+    step, snapshot_at = spec.step, max_iters - _lookback(max_iters)
     earlier, alive, kept, states = np.ones(size), np.arange(size), [], []
     # an overflowing member, or seed gradient, turns inf or NaN, which the
     # loop classifies as diverged

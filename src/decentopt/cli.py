@@ -40,7 +40,6 @@ from .graphs import (
 )
 from .stability import (
     b_spectrum_residual,
-    build_error_dynamics,
     diffusion_step_bound,
     extra_step_bound,
     stability_scan,
@@ -279,7 +278,7 @@ def _build_steps(run_cfg: dict, engine: str, model: CostModel,
     has_mu_o = "mu_o" in run_cfg
     if rule == "base" and not has_mu_o:
         raise ConfigError("run.mu_o", f"{engine} tunes from mu_o; set it")
-    if rule == "perron" and has_mu and has_mu_o:
+    if rule in ("base", "perron") and has_mu and has_mu_o:
         raise ConfigError("run.mu", "give either mu or mu_o, not both")
     if rule in ("base", "perron") and has_mu_o:
         mu_o = _positive(run_cfg, "run", "mu_o")
@@ -379,7 +378,7 @@ def _cmd_analyze(cfg: dict, outdir: Path, seed) -> int:
         }
         if n >= 2:
             nu, delta, k_o, tau = _curvature(cfg, matrix, seed)
-            residual = b_spectrum_residual(build_error_dynamics(matrix))
+            residual = b_spectrum_residual(matrix)
             with _failures_at("model"):  # a curvature the bounds cannot square
                 d_bound = diffusion_step_bound(matrix, tau=tau, nu=nu, delta=delta, k_o=k_o)
                 report.update(nu=float(nu), delta=float(delta), closed_form_residual=residual,

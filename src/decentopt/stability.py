@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ENGINE_SPECS, StepSizes, _iterate, _validate_combination
+from .algorithms import ENGINE_SPECS, StepSizes, _engine_spec, _iterate, _validate_combination
 from .costs import CostModel, QuadraticModel, solve_centralized
 from .graphs import CombinationMatrix, SpectralError, check_balanced, matrix_from_array
 from .spectral import dual_vectors
@@ -69,9 +69,7 @@ def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     Otherwise ||X_R|| and ||X_L|| are the 2-norms of the pair's N-row
     pieces, and ||T_d||^2 is the top eigenvalue of T_d^T T_d =
     Abar (I + S) Abar^T, each from a Gram `eigvalsh`."""
-    balanced, violation = check_balanced(matrix)
-    if not balanced:
-        raise ValueError(f"combination matrix is not balanced (violation {violation:.3e})")
+    _require_balanced(matrix)
     dense_t = matrix.abar.T
     k_max = int(np.count_nonzero(dense_t, axis=1).max())
     uniform, p = matrix.is_symmetric_doubly_stochastic, matrix.perron.p
@@ -82,6 +80,12 @@ def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
         t_d = matrix._abar_op @ (dense_t + matrix._dual_op @ dense_t)
         t_d_norm = float(np.sqrt(max(np.linalg.eigvalsh(t_d)[-1], 0.0)))
     return _Blocks(pair=pair, radius=radius, t_d_norm=t_d_norm)
+
+
+def _require_balanced(matrix: CombinationMatrix) -> None:
+    balanced, violation = check_balanced(matrix)
+    if not balanced:
+        raise ValueError(f"combination matrix is not balanced (violation {violation:.3e})")
 
 
 def _symmetric_t_d_norm(a: np.ndarray, p: np.ndarray) -> float:
@@ -110,29 +114,22 @@ def _symmetric_t_d_norm(a: np.ndarray, p: np.ndarray) -> float:
 
 @dataclass
 class ErrorDynamics:
-    """Error recursion of a balanced matrix, with optional per-agent Hessians."""
+    """Error recursion of a balanced matrix with per-agent Hessians."""
 
     matrix: CombinationMatrix
-    h: np.ndarray | None = None
+    h: np.ndarray
 
 
-def build_error_dynamics(matrix, model: CostModel = None) -> ErrorDynamics:
-    """Assemble the error dynamics of a balanced combination matrix.
-
-    B's decomposition, its certificate and ||T_d|| are computed here, once
-    per matrix.  model is optional, for one_step_matrix, which needs
-    constant Hessians (quadratic costs).
-    """
+def build_error_dynamics(matrix, model: CostModel) -> ErrorDynamics:
+    """Pair a balanced combination matrix with the constant Hessians of quadratic
+    costs (TypeError for other costs) for `one_step_matrix`, with no eigensolve."""
     matrix = matrix_from_array(matrix)
-    h = None
-    if model is not None:
-        if not isinstance(model, QuadraticModel):
-            raise TypeError("error dynamics need constant Hessians (quadratic costs)")
-        if model.n_agents != matrix.n:
-            raise ValueError("model size does not match the combination matrix")
-        h = model.hessians()
-    matrix._error_blocks  # computed, or raising for an unbalanced matrix, here
-    return ErrorDynamics(matrix=matrix, h=h)
+    if not isinstance(model, QuadraticModel):
+        raise TypeError("error dynamics need constant Hessians (quadratic costs)")
+    if model.n_agents != matrix.n:
+        raise ValueError("model size does not match the combination matrix")
+    _require_balanced(matrix)
+    return ErrorDynamics(matrix=matrix, h=model.hessians())
 
 
 def one_step_matrix(dyn: ErrorDynamics, engine: str, mu) -> np.ndarray:
@@ -150,8 +147,6 @@ def one_step_matrix(dyn: ErrorDynamics, engine: str, mu) -> np.ndarray:
     with the primal consensus modes into defective ones, which `eigvals`
     may read about 1e-8 off 1.  No eigensolve runs and no V is built.
     """
-    if dyn.h is None:
-        raise ValueError("one_step_matrix needs Hessians; build with a quadratic model")
     matrix = dyn.matrix
     n = matrix.n
     mu = np.broadcast_to(np.atleast_1d(np.asarray(mu, dtype=float)), (n,))
@@ -174,16 +169,18 @@ def exact_radius(engine: str, model: CostModel, matrix, mu: float) -> float:
     """Spectral radius of `one_step_matrix` at the scan's step mu (the largest
     per-agent step, see `_steps_for`), less the model.dim eigenvalues nearest 1:
     the structural unit ones, dropped by value.  The engine must suit the
-    matrix as `run` requires (ValueError), and have an analytic map
-    (ValueError), and the costs must be quadratic (TypeError).  Below about
-    mu = 1e-6 the structural modes merge with the consensus modes within
+    matrix as `run` requires and have an analytic map, and the map must not
+    overflow (ValueError), and the costs must be quadratic (TypeError).  Below
+    about mu = 1e-6 the structural modes merge with the consensus modes within
     `eigvals`' accuracy: at 1e-8 the next eigenvalue is no farther from 1
     than the dropped ones, and the radius reads 1 - O(1e-8) either way."""
-    matrix = matrix_from_array(matrix)
     dyn = build_error_dynamics(matrix, model=model)
-    _validate_combination(engine, matrix)
-    steps = _steps_for(engine, model, matrix, mu)
-    eigs = np.linalg.eigvals(one_step_matrix(dyn, engine, steps.mu))
+    _validate_combination(engine, dyn.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = one_step_matrix(dyn, engine, _steps_for(engine, model, dyn.matrix, mu).mu)
+    if not np.isfinite(big).all():
+        raise ValueError(f"the one-step map at mu = {mu:.3e} is not finite")
+    eigs = np.linalg.eigvals(big)
     return float(np.abs(eigs[np.argsort(np.abs(eigs - 1.0))[model.dim:]]).max())
 
 
@@ -217,7 +214,7 @@ class SpectralPair:
     norm_l: float
 
 
-def decompose_b(dyn: ErrorDynamics) -> SpectralPair:
+def decompose_b(matrix) -> SpectralPair:
     """Diagonalize B = X D X^{-1} in closed form, with the unit pair pinned.
 
     Every non-Perron eigenpair (lam, u) of the symmetric At gives x =
@@ -228,11 +225,11 @@ def decompose_b(dyn: ErrorDynamics) -> SpectralPair:
     [x; -+ i sqrt(lb) r] and inverse rows [(P^{1/2} u)^T / 2,
     +- i r^T / (2 sqrt(lb))], each pair rescaled to equal norm.  Within an
     eigenspace of At on which p is constant ||X_R|| and ||X_L|| do not
-    depend on the eigensolver's basis, so neither do the bounds.
-    `build_error_dynamics` raises SpectralError when a column of
+    depend on the eigensolver's basis, so neither do the bounds.  It raises
+    ValueError for an unbalanced matrix, and SpectralError when a column of
     B X - X D may exceed 1e-8 in norm.  No step forms V or B.
     """
-    return dyn.matrix._error_blocks.pair
+    return matrix_from_array(matrix)._error_blocks.pair
 
 
 def _gram_error(u: np.ndarray) -> tuple[np.ndarray, float]:
@@ -346,15 +343,15 @@ def _closed_form_pair(abar_t, lam: np.ndarray, u: np.ndarray, p: np.ndarray,
     return pair, float(norm_y * residual / (1.0 - eta))
 
 
-def b_spectrum_residual(dyn: ErrorDynamics) -> float:
+def b_spectrum_residual(matrix) -> float:
     """Certified radius around the closed-form spectrum d of B, with no B.
     With R = B X - X D (`SpectralPair.residual`) and Y the closed-form
     inverse of X, eta = ||Y X - I||_F < 1/2 bounds ||X^{-1}|| by
     ||Y|| / (1 - eta).  Bauer-Fike on X^{-1} B X = D + X^{-1} R, with
     continuity along D + t X^{-1} R, puts every eigenvalue of B, with
     multiplicity, within ||Y|| ||R||_F / (1 - eta) of d.  It is computed with
-    the pair: `build_error_dynamics` raises SpectralError when eta >= 1/2."""
-    return dyn.matrix._error_blocks.radius
+    the pair and raises as `decompose_b` does, and SpectralError when eta >= 1/2."""
+    return matrix_from_array(matrix)._error_blocks.radius
 
 
 @dataclass(frozen=True)
@@ -580,8 +577,7 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     the verdicts to the bracket one-at-a-time bisection reaches.
     """
     matrix = matrix_from_array(matrix)
-    if engine not in ENGINE_SPECS:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {tuple(ENGINE_SPECS)}")
+    _engine_spec(engine)
     if ground_truth is None:
         ground_truth = solve_centralized(model)
     mus = sorted(float(mu) for mu in mu_grid)

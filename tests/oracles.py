@@ -96,7 +96,7 @@ def mismatch_decay_check(history, p, rho_a: float, slack: float = 0.02):
     return ok_env and fitted <= rho_a + slack, fitted
 
 
-def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters: int,
+def simulate_error_recursion(matrix, model, steps: StepSizes, w0: np.ndarray, iters: int,
                              engine: str = "exact_diffusion_pd") -> np.ndarray:
     """Run the actual engine and return its stacked errors
     [W_i - W*; z_i - z*], shape (iters + 1, 2N, M) with row 0 the seed,
@@ -113,7 +113,6 @@ def simulate_error_recursion(dyn, model, steps: StepSizes, w0: np.ndarray, iters
     n, m = model.n_agents, model.dim
     gt = solve_centralized(model)
     g = model.grad_at(gt.w_star if engine == "exact_diffusion_pd" else gt.w_o)
-    matrix = dyn.matrix
     if engine == "exact_diffusion_pd":
         w_ref = gt.w_star
         z_ref = -matrix.perron.p[:, np.newaxis] * (matrix.abar.T @ (steps.mu[:, np.newaxis] * g))
@@ -212,7 +211,7 @@ def dense_x_inv(pair) -> np.ndarray:
     return x_inv
 
 
-def greedy_spectrum_gap(dyn, b=None) -> float:
+def greedy_spectrum_gap(matrix, b=None) -> float:
     """Largest gap between the dense `eigvals` of the V-form B (`v_form`,
     or of b, when given) and the closed-form prediction, under greedy
     multiset matching.
@@ -220,9 +219,9 @@ def greedy_spectrum_gap(dyn, b=None) -> float:
     Abar spectra like {1, 1/2, 1/2}) interleave their conjugate pairs
     differently once float fuzz enters the real parts.  A small-N oracle:
     it takes a 2N x 2N nonsymmetric eigensolve."""
-    actual = np.linalg.eigvals(v_form(dyn.matrix).b if b is None else b)
+    actual = np.linalg.eigvals(v_form(matrix).b if b is None else b)
     worst = 0.0
-    for value in predicted_b_spectrum(dyn.matrix):
+    for value in predicted_b_spectrum(matrix):
         diff = actual - value
         # hypot rounds as abs(complex) does; np.abs of complex values can
         # differ from both in the last bit

@@ -148,11 +148,10 @@ def test_criterion_5_eigenstructure():
         builder = build_metropolis if seed % 2 == 0 else build_averaging
         matrix = builder(random_connected_graph(n, 0.5, seed))
         perron = matrix.perron
-        dyn = build_error_dynamics(matrix)
-        gap, radius = greedy_spectrum_gap(dyn), b_spectrum_residual(dyn)
+        gap, radius = greedy_spectrum_gap(matrix), b_spectrum_residual(matrix)
         worst_spec, worst_radius = max(worst_spec, gap), max(worst_radius, radius)
         uncovered += gap > radius
-        pair = decompose_b(dyn)
+        pair = decompose_b(matrix)
         r1 = np.concatenate([np.ones(n), np.zeros(n)])
         r2 = np.concatenate([np.zeros(n), np.ones(n)])
         l1 = np.concatenate([perron.p, np.zeros(n)])
@@ -195,7 +194,7 @@ def test_criterion_6_error_recursion_equivalence():
         lift = one_step_matrix(
             dyn, "extra" if engine == "extra" else "exact_diffusion", steps.mu)
         w0 = rng.standard_normal((n, dim))
-        sim = simulate_error_recursion(dyn, model, steps, w0, 100, engine=engine)
+        sim = simulate_error_recursion(matrix, model, steps, w0, 100, engine=engine)
         e = sim[0].reshape(-1)
         for k in range(100):
             e = lift @ e

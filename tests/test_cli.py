@@ -689,6 +689,8 @@ def test_field_paths_in_errors(tmp_path, capsys):
               run={"engine": "exact_diffusion", "mu": 0.01}), "at run.mu: "),
         (dict(base_run_config(), run={"engine": "adaptive_exact_diffusion", "mu": 0.01}),
          "at run.mu_o: "),
+        (dict(base_run_config(), run={"engine": "adaptive_exact_diffusion", "mu": 99.0,
+                                      "mu_o": 0.002}), "at run.mu: give either mu or mu_o"),
         # q mu_o / p overflows: it used to warn, then fail at run
         (dict(base_run_config(), run={"engine": "exact_diffusion", "mu_o": 1e308}),
          "at run.mu_o: "),

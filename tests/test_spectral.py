@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decentopt import (
+    b_spectrum_residual,
     build_averaging,
     build_error_dynamics,
     build_metropolis,
+    decompose_b,
     matrix_from_array,
     random_connected_graph,
 )
 from decentopt.graphs import _symmetrized
 
-from conftest import random_averaging, random_metropolis
+from conftest import random_averaging, random_metropolis, random_quadratic
 from oracles import certify_nullspace, dual_factor
 
 
@@ -81,9 +83,10 @@ def test_v_squared_matches_defining_matrix():
 
 def test_error_dynamics_reject_unbalanced():
     a = np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]])
-    m = matrix_from_array(a)
-    with pytest.raises(ValueError, match=r"combination matrix is not balanced \(violation "):
-        build_error_dynamics(m)
+    m, model = matrix_from_array(a), random_quadratic(3, 2, seed=0)
+    for entry in (decompose_b, b_spectrum_residual, lambda m: build_error_dynamics(m, model)):
+        with pytest.raises(ValueError, match=r"combination matrix is not balanced \(violation "):
+            entry(m)
 
 
 def test_certify_nullspace_rejects_wrong_kernel():

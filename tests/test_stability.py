@@ -81,9 +81,8 @@ def test_closed_form_spectrum_matches_b():
     for seed in range(5):
         for builder in (random_metropolis, random_averaging):
             matrix = builder(4 + seed % 3, seed)
-            dyn = build_error_dynamics(matrix)
-            radius = b_spectrum_residual(dyn)
-            assert greedy_spectrum_gap(dyn) <= radius <= 1e-8
+            radius = b_spectrum_residual(matrix)
+            assert greedy_spectrum_gap(matrix) <= radius <= 1e-8
             # magnitudes agree as sorted multisets too
             predicted = np.sort(np.abs(predicted_b_spectrum(matrix)))
             actual = np.sort(np.abs(np.linalg.eigvals(v_form(matrix).b)))
@@ -94,8 +93,8 @@ def test_spectrum_residual_handles_repeated_eigenvalues():
     # star graphs give Abar spectra with high multiplicity; the oracle's
     # matcher must not trip over conjugate-pair orderings
     star = Graph(4, frozenset((0, k) for k in range(1, 4)))
-    dyn = build_error_dynamics(build_averaging(star))
-    assert greedy_spectrum_gap(dyn) <= b_spectrum_residual(dyn) <= 1e-8
+    matrix = build_averaging(star)
+    assert greedy_spectrum_gap(matrix) <= b_spectrum_residual(matrix) <= 1e-8
 
 
 def _criterion_10_ensemble():
@@ -113,20 +112,18 @@ def test_certified_radius_covers_the_dense_spectrum(ensemble):
     dense eigvals(B) and the closed form, on random networks and on
     rings, paths and complete graphs, whose spectra repeat eigenvalues."""
     for matrix in ensemble():
-        dyn = build_error_dynamics(matrix)
-        radius = b_spectrum_residual(dyn)
-        assert greedy_spectrum_gap(dyn) <= radius <= 1e-8
+        radius = b_spectrum_residual(matrix)
+        assert greedy_spectrum_gap(matrix) <= radius <= 1e-8
 
 
 def test_certificate_bounds_its_dense_pieces():
     """The pair's residual is at least ||B X - X D||_F and the radius at
     least ||X^{-1}||_2 times it, with X and X^{-1} built densely."""
     for matrix in _fixed_topologies()[::3] + _criterion_10_ensemble()[:4]:
-        dyn = build_error_dynamics(matrix)
-        pair = decompose_b(dyn)
+        pair = decompose_b(matrix)
         x, x_inv = dense_x(pair), dense_x_inv(pair)
         assert np.linalg.norm(v_form(matrix).b @ x - x * pair.d) <= pair.residual
-        assert np.linalg.norm(x_inv, 2) * pair.residual <= b_spectrum_residual(dyn)
+        assert np.linalg.norm(x_inv, 2) * pair.residual <= b_spectrum_residual(matrix)
 
 
 def _spectral_radius(q):
@@ -153,9 +150,9 @@ def test_dual_factor_matches_the_symmetric_root():
         assert np.linalg.norm(v @ np.ones(n)) <= 1e-12
         if matrix.is_doubly_stochastic:
             assert np.abs(v - root.v).max() <= 1e-12
-        radius = b_spectrum_residual(dyn)
-        assert greedy_spectrum_gap(dyn) <= radius
-        assert greedy_spectrum_gap(dyn, root.b) <= radius
+        radius = b_spectrum_residual(matrix)
+        assert greedy_spectrum_gap(matrix) <= radius
+        assert greedy_spectrum_gap(matrix, root.b) <= radius
         t_d_norm = matrix._error_blocks.t_d_norm
         assert t_d_norm == pytest.approx(np.linalg.norm(root.t_d, 2), rel=1e-12)
         if matrix.is_symmetric_doubly_stochastic:
@@ -253,15 +250,14 @@ def test_certificate_rejects_wrong_eigenvectors(builder):
     u = u + 1e-10 * error
     pair, radius = _pair(matrix, u=u)
     b = _dense_b(matrix, lam, u)
-    assert greedy_spectrum_gap(build_error_dynamics(matrix), b) <= radius
+    assert greedy_spectrum_gap(matrix, b) <= radius
     x = dense_x(pair)
     assert np.linalg.norm(b @ x - x * pair.d) <= pair.residual
 
 
 def test_eigenvalue_pairs_have_sqrt_magnitude():
     matrix = random_metropolis(6, seed=3)
-    dyn = build_error_dynamics(matrix)
-    pair = decompose_b(dyn)
+    pair = decompose_b(matrix)
     abar_eigs = np.sort(np.linalg.eigvalsh((np.eye(6) + matrix.a) / 2.0))
     # drop the Perron eigenvalue 1; each remaining lambda spawns a
     # conjugate pair of magnitude sqrt(lambda)
@@ -275,8 +271,7 @@ def test_decompose_canonical_vectors_and_reconstruction():
     for seed, builder in ((0, random_metropolis), (1, random_averaging)):
         matrix = builder(5, seed)
         perron = matrix.perron
-        dyn = build_error_dynamics(matrix)
-        pair = decompose_b(dyn)
+        pair = decompose_b(matrix)
         n = 5
         r1 = np.concatenate([np.ones(n), np.zeros(n)])
         r2 = np.concatenate([np.zeros(n), np.ones(n)])
@@ -335,8 +330,7 @@ def test_eigenpair_check_reads_every_input(kind):
 
 def test_single_agent_degenerates_cleanly():
     m1 = matrix_from_array(np.array([[1.0]]))
-    dyn = build_error_dynamics(m1)
-    pair = decompose_b(dyn)
+    pair = decompose_b(m1)
     assert np.allclose(pair.d, [1.0, 1.0])
     assert np.allclose(dense_x(pair), np.eye(2))
     with pytest.raises(ValueError):
@@ -349,7 +343,8 @@ def test_single_agent_degenerates_cleanly():
 ENTRY_POINTS = {
     "run": lambda m: run("extra", least_squares_model(3, 5, 2, 6), m,
                          StepSizes.uniform(0.05, 5), max_iters=300).records,
-    "build_error_dynamics": lambda m: decompose_b(build_error_dynamics(m)).d,
+    "decompose_b": lambda m: decompose_b(m).d,
+    "b_spectrum_residual": b_spectrum_residual,
     "diffusion_step_bound": diffusion_step_bound,
     "extra_step_bound": extra_step_bound,
     "stability_scan": lambda m: stability_scan("extra", least_squares_model(3, 5, 2, 6), m,
@@ -381,7 +376,7 @@ def test_lifted_matrix_matches_engine_exact_diffusion():
     q = one_step_matrix(dyn, "exact_diffusion", steps.mu)
     rng = np.random.default_rng(0)
     w0 = rng.standard_normal((4, 2))
-    sim = simulate_error_recursion(dyn, model, steps, w0, 60,
+    sim = simulate_error_recursion(matrix, model, steps, w0, 60,
                                    engine="exact_diffusion_pd")
     e = sim[0].reshape(-1)
     for i in range(60):
@@ -397,7 +392,7 @@ def test_lifted_matrix_matches_engine_extra():
     q = one_step_matrix(dyn, "extra", steps.mu)
     rng = np.random.default_rng(1)
     w0 = rng.standard_normal((4, 2))
-    sim = simulate_error_recursion(dyn, model, steps, w0, 60, engine="extra")
+    sim = simulate_error_recursion(matrix, model, steps, w0, 60, engine="extra")
     e = sim[0].reshape(-1)
     for i in range(60):
         e = q @ e
@@ -427,9 +422,6 @@ def test_one_step_matrix_matches_the_block_diag_construction(engine, per_agent):
 
 def test_one_step_matrix_validation():
     matrix = random_metropolis(4, seed=0)
-    bare = build_error_dynamics(matrix)
-    with pytest.raises(ValueError):
-        one_step_matrix(bare, "exact_diffusion", mu=0.1)
     model = random_quadratic(4, 2, seed=0)
     dyn = build_error_dynamics(matrix, model=model)
     with pytest.raises(ValueError):
@@ -459,15 +451,27 @@ def test_exact_radius_refuses_what_run_refuses():
     """`exact_radius` checks the engine against the matrix as `run` does,
     and needs quadratic costs and an engine with an analytic map."""
     averaging, model = random_averaging(6, seed=1), random_quadratic(6, 2, seed=1)
-    for call in (lambda: exact_radius("extra", model, averaging, 0.1),
-                 lambda: run("extra", model, averaging, StepSizes.uniform(0.1, 6), 10, 1e-10)):
-        with pytest.raises(ValueError, match="doubly stochastic"):
-            call()
+    for engine, match in (("extra", "doubly stochastic"), ("foo", "unknown engine 'foo'")):
+        for call in (lambda: exact_radius(engine, model, averaging, 0.1), lambda: run(
+                engine, model, averaging, StepSizes.uniform(0.1, 6), 10, 1e-10)):
+            with pytest.raises(ValueError, match=match):
+                call()
     metropolis = random_metropolis(4, seed=0)
     with pytest.raises(TypeError):
         exact_radius("exact_diffusion", logistic_model(0, 4, 2, 5, ridge=0.1), metropolis, 0.1)
     with pytest.raises(ValueError, match="no analytic error map"):
         exact_radius("diging", random_quadratic(4, 2, seed=0), metropolis, 0.1)
+
+
+def test_exact_radius_refuses_an_overflowing_map():
+    """At mu = 1e308 the one-step map overflows, and `exact_radius` raises
+    ValueError with no warning; at 1e306 the map is finite, and so is its
+    radius."""
+    matrix, model = random_metropolis(6, seed=1), random_quadratic(6, 2, seed=1)
+    for engine in ("exact_diffusion", "extra"):
+        assert 1e306 < exact_radius(engine, model, matrix, 1e306) < np.inf
+        with pytest.raises(ValueError, match="not finite"):
+            exact_radius(engine, model, matrix, 1e308)
 
 
 # ----------------------------------------------------------- step bounds
@@ -1141,13 +1145,13 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
         StepSizes.from_weights(model.q, perron.p, 0.01), max_iters=20)
     stability_scan("exact_diffusion", model, matrix, [0.01, 0.05], max_iters=20)
     stability_scan("adaptive_exact_diffusion", model, matrix, [0.01, 0.05], max_iters=20)
-    build_error_dynamics(matrix)
+    build_error_dynamics(matrix, model)
     diffusion_step_bound(matrix)
     extra_step_bound(matrix)
-    assert decompose_b(build_error_dynamics(matrix)).norm_r > 0.0
+    assert decompose_b(matrix).norm_r > 0.0
     # the certificate of B's spectrum reuses the decomposition: no 2N
     # eigensolve, no second eigh
-    assert b_spectrum_residual(build_error_dynamics(matrix)) <= 1e-8
+    assert b_spectrum_residual(matrix) <= 1e-8
     assert calls == {"decompose": 1}
     a_tilde = graphs._symmetrized(matrix.a, perron.p)
     assert len(eigh_args) == 1
@@ -1178,7 +1182,8 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     ("adaptive scan", ["eigh"]),
     ("analyze metropolis", ["eigh"]),
     ("analyze averaging", ["eigh", "eigvalsh", "eigvalsh", "eigvalsh"]),
-    ("one_step_matrix", ["eigh"]),
+    ("one_step_matrix", []),
+    ("exact_radius", []),
 ])
 def test_eigensolve_budget_per_command(tmp_path, monkeypatch, case, expected):
     """The N x N eigensolves of each command on a fresh matrix.  No run or
@@ -1186,9 +1191,9 @@ def test_eigensolve_budget_per_command(tmp_path, monkeypatch, case, expected):
     engine takes the one `eigh` of At.  `analyze` reads A's eigenvalues from
     that `eigh` too, and for a symmetric doubly stochastic A its norms are
     closed-form; an averaging matrix's non-uniform p keeps the Gram
-    `eigvalsh` of ||X_R||, ||X_L|| and ||T_d||.  `build_error_dynamics`
-    takes the `eigh` for B's closed form, and the one-step maps of both
-    engines take none: they are built from Abar, S and p."""
+    `eigvalsh` of ||X_R||, ||X_L|| and ||T_d||.  The one-step maps of both
+    engines and their exact radii take none: the maps are built from Abar,
+    S and p, and the radii's eigensolves are 2NM x 2NM."""
     n, calls = 12, []
     for name in ("eigh", "eigvalsh", "eigvals"):
         def counted(x, *args, solver=getattr(np.linalg, name), name=name, **kwargs):
@@ -1204,11 +1209,13 @@ def test_eigensolve_budget_per_command(tmp_path, monkeypatch, case, expected):
             "matrix": {"rule": rule},
             "model": {"kind": "least_squares", "dim": 3, "samples_per_agent": 8}}))
         assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    elif case == "one_step_matrix":
-        dyn = build_error_dynamics(random_metropolis(n, seed=3, prob=0.4),
-                                   model=random_quadratic(n, 3, seed=3))
+    elif case in ("one_step_matrix", "exact_radius"):
+        matrix, model = random_metropolis(n, seed=3, prob=0.4), random_quadratic(n, 3, seed=3)
         for engine in ("exact_diffusion", "extra"):
-            one_step_matrix(dyn, engine, mu=0.01)
+            if case == "exact_radius":
+                exact_radius(engine, model, matrix, 0.01)
+            else:
+                one_step_matrix(build_error_dynamics(matrix, model), engine, mu=0.01)
     else:
         matrix = random_metropolis(n, seed=3, prob=0.4)
         model = random_quadratic(n, 3, seed=3)
@@ -1232,7 +1239,7 @@ def test_error_blocks_keep_n_by_n_pieces_only():
     unit = 8 * (2 * matrix.n) ** 2
     tracemalloc.start()
     try:
-        b_spectrum_residual(build_error_dynamics(matrix))
+        b_spectrum_residual(matrix)
         diffusion_step_bound(matrix)
         extra_step_bound(matrix)
         retained, peak = tracemalloc.get_traced_memory()
@@ -1308,8 +1315,7 @@ def test_closed_form_decomposition_matches_dense_eig():
             a_tilde = matrix.a * root_p / root_p[:, np.newaxis]
             if np.diff(np.linalg.eigvalsh((a_tilde + a_tilde.T) / 2)).min() < 1e-6:
                 continue  # repeated eigenvalues: no unique reference
-            dyn = build_error_dynamics(matrix)
-            pair, form = decompose_b(dyn), v_form(matrix)
+            pair, form = decompose_b(matrix), v_form(matrix)
             vals, alpha_d = lapack_alpha(form, form.t_d)
             assert np.abs(np.sort_complex(pair.d) - np.sort_complex(vals)).max() <= 1e-9
             x, x_inv = dense_x(pair), dense_x_inv(pair)
@@ -1350,13 +1356,13 @@ def test_closed_form_norms_match_the_dense_oracle(network, sizes, builder):
 
     for n in sizes:
         matrix = builder(network(n))
-        dyn, form = build_error_dynamics(matrix), v_form(matrix)
+        form = v_form(matrix)
         t_d_norm = matrix._error_blocks.t_d_norm
         assert rel(t_d_norm, np.linalg.norm(form.t_d, 2)) <= 1e-12
         if matrix.is_symmetric_doubly_stochastic:
             assert abs(t_d_norm - 1.0) <= 1e-14
             assert rel(extra_step_bound(matrix).t_norm, np.linalg.norm(form.t_e, 2)) <= 1e-12
-        pair = decompose_b(dyn)
+        pair = decompose_b(matrix)
         x, x_inv = dense_x(pair), dense_x_inv(pair)
         assert rel(pair.norm_r, np.linalg.norm(x[:, 2:], 2)) <= 1e-12
         assert rel(pair.norm_l, np.linalg.norm(x_inv[2:], 2)) <= 1e-12
