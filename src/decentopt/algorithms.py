@@ -17,7 +17,8 @@ Engines
 -------
 ENGINE_SPECS, at the end of the engine section, lists every engine with
 its step function, communication cost, target, matrix requirement,
-seeding of state and operators, and step-size rule:
+state seeding and step-size rule (a step reads its combine operators from
+the matrix, each built on first read):
 
 exact_diffusion           correction-term combine form, one combine/iter
 exact_diffusion_pd        equivalent primal-dual form, dual advanced by S
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -100,8 +101,6 @@ class AlgorithmState:
     y: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     z: np.ndarray | None = None
-    # the Perron estimate diag((A^T)^i) after each step of `run` with keep_iterates
-    z_diag_history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -120,6 +119,8 @@ class RunResult:
     target: np.ndarray
     iterates: list | None = None
     dual_iterates: list | None = None
+    # the adaptive engine's Perron estimate diag((A^T)^i) after each step, with keep_iterates
+    perron_estimates: list | None = None
 
     @property
     def final_rel_error(self) -> float:
@@ -134,13 +135,8 @@ class RunResult:
 class _EngineContext:
     model: CostModel
     mu: np.ndarray  # this iteration's steps, in full like w
-    mu_o: np.ndarray  # base step sizes, one per column of w; NaN where a StepSizes has none
-    # the operators the engine's step applies, as op @ x; its seed hook sets them
-    a_t: object = None  # A^T
-    abar_t: object = None  # Abar^T
-    abar: object = None  # Abar
-    s: object = None  # S = V V^T = (P - A P)/2, for the primal-dual engines
-    p: np.ndarray | None = None  # the Perron vector as an (N, 1) column
+    matrix: CombinationMatrix  # the steps apply its cached operators, built on first read
+    p: np.ndarray | None = None  # the dual engines' Perron vector as an (N, 1) column
     lam: np.ndarray | None = None  # the adaptive engine's (lam, U o U): see `_perron_modes`
     uu: np.ndarray | None = None
     qmu: np.ndarray | None = None  # the adaptive engine's q_k mu_o, in full like w
@@ -157,32 +153,34 @@ def _step_exact_diffusion(state: AlgorithmState, ctx: _EngineContext):
     psi = _descent(state.w, state, ctx)
     phi = psi + state.w
     phi -= state.psi_prev
-    state.w, state.psi_prev = ctx.abar_t @ phi, psi
+    state.w, state.psi_prev = ctx.matrix._abar_t_op @ phi, psi
 
 
 def _step_exact_diffusion_pd(state: AlgorithmState, ctx: _EngineContext):
-    w = ctx.abar_t @ _descent(state.w, state, ctx)
+    w = ctx.matrix._abar_t_op @ _descent(state.w, state, ctx)
     w -= state.y / ctx.p
-    state.w, state.y = w, state.y + ctx.s @ w
+    state.w, state.y = w, state.y + ctx.matrix._dual_op @ w
 
 
 def _step_extra(state: AlgorithmState, ctx: _EngineContext):
-    w = _descent(ctx.abar @ state.w, state, ctx)
+    w = _descent(ctx.matrix._abar_op @ state.w, state, ctx)
     w -= ctx.model.n_agents * state.y
-    state.w, state.y = w, state.y + ctx.s @ w
+    state.w, state.y = w, state.y + ctx.matrix._dual_op @ w
 
 
 def _step_diging(state: AlgorithmState, ctx: _EngineContext):
-    w = ctx.a_t @ state.w
+    a_t = ctx.matrix._a_t_op
+    w = a_t @ state.w
     w -= ctx.mu * state.y
     g_new = ctx.model.grad(w)
-    state.w, state.y, state.g_prev = w, ctx.a_t @ state.y + g_new - state.g_prev, g_new
+    state.w, state.y, state.g_prev = w, a_t @ state.y + g_new - state.g_prev, g_new
 
 
 def _step_aug_dgm(state: AlgorithmState, ctx: _EngineContext):
-    state.w = ctx.a_t @ (state.w - ctx.mu * state.y)
+    a_t = ctx.matrix._a_t_op
+    state.w = a_t @ (state.w - ctx.mu * state.y)
     g_new = ctx.model.grad(state.w)
-    state.y = ctx.a_t @ (state.y + g_new - state.g_prev)
+    state.y = a_t @ (state.y + g_new - state.g_prev)
     state.g_prev = g_new
 
 
@@ -192,40 +190,28 @@ def _step_adaptive(state: AlgorithmState, ctx: _EngineContext):
     _step_exact_diffusion(state, ctx)
 
 
-def _seed_correction(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
+def _seed_correction(state: AlgorithmState, ctx: _EngineContext, steps: list):
     state.psi_prev = state.w.copy()
-    ctx.abar_t = matrix._abar_t_op
 
 
-def _seed_dual(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
+def _seed_dual(state: AlgorithmState, ctx: _EngineContext, steps: list):
     state.y = np.zeros_like(state.w)
-    ctx.s, ctx.p = matrix._dual_op, matrix.perron.p[:, np.newaxis]
+    ctx.p = ctx.matrix.perron.p[:, np.newaxis]
 
 
-def _seed_primal_dual(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
-    _seed_dual(state, ctx, matrix)
-    ctx.abar_t = matrix._abar_t_op
-
-
-def _seed_extra(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
-    _seed_dual(state, ctx, matrix)
-    ctx.abar = matrix._abar_op
-
-
-def _seed_tracking(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
-    ctx.a_t = matrix._a_t_op
+def _seed_tracking(state: AlgorithmState, ctx: _EngineContext, steps: list):
     g0 = ctx.model.grad(state.w)
     state.y = g0.copy()
     state.g_prev = g0
 
 
-def _seed_adaptive(state: AlgorithmState, ctx: _EngineContext, matrix: CombinationMatrix):
-    if np.diag(matrix.a).min() <= 0:
+def _seed_adaptive(state: AlgorithmState, ctx: _EngineContext, steps: list):
+    if np.diag(ctx.matrix.a).min() <= 0:
         raise ValueError("adaptive step-size tuning needs positive self-weights on every agent")
-    _seed_correction(state, ctx, matrix)
-    state.z = np.ones(matrix.n)
-    ctx.lam, ctx.uu = _perron_modes(matrix)
-    ctx.qmu = ctx.model.q[:, np.newaxis] * ctx.mu_o
+    _seed_correction(state, ctx, steps)
+    state.z = np.ones(ctx.matrix.n)
+    ctx.lam, ctx.uu = _perron_modes(ctx.matrix)
+    ctx.qmu = ctx.model.q[:, np.newaxis] * np.repeat([s.mu_o for s in steps], ctx.model.dim)
 
 
 @dataclass(frozen=True)
@@ -240,8 +226,8 @@ class EngineSpec:
     # one iteration: step(state, ctx).  It rebinds the state's blocks and never
     # writes into them, so a checked block's iterates and states are kept by reference
     step: Callable
-    seed: Callable  # seed(state, ctx, matrix): the extra state blocks and the ctx operators
-    #                 the step applies
+    seed: Callable  # seed(state, ctx, steps): the extra state blocks and the ctx data
+    #                 the step reads besides the matrix's operators
     comm_units: int  # combines (transmitted vectors per agent per link) per iteration
     weighted: bool = False  # q-weighted aggregate over a balanced matrix, else
     #                         the uniform aggregate over a doubly stochastic one
@@ -254,9 +240,9 @@ class EngineSpec:
 ENGINE_SPECS = {
     "exact_diffusion": EngineSpec(_step_exact_diffusion, _seed_correction, 1, weighted=True,
                                   step_rule="perron", error_map="t_d"),
-    "exact_diffusion_pd": EngineSpec(_step_exact_diffusion_pd, _seed_primal_dual, 1,
+    "exact_diffusion_pd": EngineSpec(_step_exact_diffusion_pd, _seed_dual, 1,
                                      weighted=True, step_rule="perron", error_map="t_d"),
-    "extra": EngineSpec(_step_extra, _seed_extra, 1, symmetric=True, error_map="t_e"),
+    "extra": EngineSpec(_step_extra, _seed_dual, 1, symmetric=True, error_map="t_e"),
     "diging": EngineSpec(_step_diging, _seed_tracking, 2),
     "aug_dgm": EngineSpec(_step_aug_dgm, _seed_tracking, 2, step_rule="free"),
     "adaptive_exact_diffusion": EngineSpec(_step_adaptive, _seed_adaptive, 2, weighted=True,
@@ -314,10 +300,9 @@ def init_state(engine: str, model: CostModel, matrix: CombinationMatrix, w0: np.
     steps = [steps] if isinstance(steps, StepSizes) else steps
     # mu in full, one step per entry of w, so that `mu * x` needs no broadcasting
     mu = np.repeat(np.stack([s.mu for s in steps], axis=1), model.dim, axis=1)
-    mu_o = np.repeat(np.array([s.mu_o for s in steps], dtype=float), model.dim)
     state = AlgorithmState(w=np.tile(w0, (1, len(steps))))
-    ctx = _EngineContext(model, mu, mu_o)
-    ENGINE_SPECS[engine].seed(state, ctx, matrix)
+    ctx = _EngineContext(model, mu, matrix)
+    ENGINE_SPECS[engine].seed(state, ctx, steps)
     return state, ctx
 
 
@@ -345,7 +330,7 @@ def _take(state: AlgorithmState, ctx: _EngineContext, keep: np.ndarray) -> None:
     """Keep the members the boolean `keep` selects in every stacked block."""
     columns = np.repeat(keep, ctx.model.dim)
     for obj, name in ((state, "w"), (state, "psi_prev"), (state, "y"), (state, "g_prev"),
-                      (ctx, "mu"), (ctx, "mu_o"), (ctx, "qmu")):
+                      (ctx, "mu"), (ctx, "qmu")):
         if getattr(obj, name) is not None:
             setattr(obj, name, getattr(obj, name)[..., columns])
 
@@ -479,7 +464,7 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         keep_iterates: also store a copy of W (and of the dual block y, for
             engines that carry one: V y for exact_diffusion_pd and extra)
             at every iteration, and the adaptive engine's Perron estimate
-            after every step in `state.z_diag_history`.
+            after every step in `perron_estimates`.
 
     Returns:
         RunResult with one TraceRecord per iteration (row 0 is the seed)
@@ -488,14 +473,14 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         distance to it underflows to 0, overflows or is not finite raises
         ValueError.
     """
-    rels, grad_norms, iterates, duals = [], [], [], []
+    rels, grad_norms, iterates, duals, estimates = [], [], [], [], []
     n = model.n_agents
 
     def record(rows, rel, ctx):
         if keep_iterates:
             for row in rows:
                 if rels and row.z is not None:  # one estimate per step, none for the seed
-                    row.z_diag_history.append(ctx.uu @ row.z)
+                    estimates.append(ctx.uu @ row.z)
                 iterates.append(row.w.copy())
                 if row.y is not None:
                     duals.append(row.y.copy())
@@ -512,7 +497,7 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
                for i, (rel, g) in enumerate(zip(rels, grad_norms))]
     return RunResult(records=records, status=status, state=state, target=target,
                      iterates=iterates if keep_iterates else None,
-                     dual_iterates=duals or None)
+                     dual_iterates=duals or None, perron_estimates=estimates)
 
 
 def write_trace_csv(path, records) -> None:

@@ -288,7 +288,10 @@ def _build_steps(run_cfg: dict, engine: str, model: CostModel,
         raise ConfigError("run.mu_o", "required field is missing")
     if has_mu_o:
         raise ConfigError("run.mu_o", f"{engine} takes a plain uniform mu")
-    return StepSizes.uniform(_positive(run_cfg, "run", "mu"), model.n_agents)
+    steps = StepSizes.uniform(_positive(run_cfg, "run", "mu"), model.n_agents)
+    with _failures_at("run.mu"):  # a perron engine's uniform mu fits only a q proportional to p
+        _validate_steps(engine, steps, model, matrix)
+    return steps
 
 
 def _cmd_run(cfg: dict, outdir: Path, seed) -> int:
@@ -300,9 +303,6 @@ def _cmd_run(cfg: dict, outdir: Path, seed) -> int:
     model = _build_model(cfg, matrix.n, seed)
     with _failures_at("run"):
         steps = _build_steps(run_cfg, engine, model, matrix)
-    if "mu" in run_cfg:  # on a perron engine, a uniform mu fits only a q proportional to p
-        with _failures_at("run.mu"):
-            _validate_steps(engine, steps, model, matrix)
     max_iters, stop = _budget(run_cfg, "run")
     w0 = None
     if "w0_seed" in run_cfg:

@@ -284,8 +284,8 @@ class CombinationMatrix:
 
     # The engines' operators, each built on first read: `op @ x` on an (N, M)
     # block or an (N, B*M) stack, with the `csr_array` on a large sparse
-    # network, else the dense array.  Each engine's seed hook reads only the
-    # ones its step applies.
+    # network, else the dense array.  Each engine's step reads only the ones
+    # it applies.
 
     @cached_property
     def _a_t_op(self):

@@ -279,7 +279,7 @@ def test_criterion_9_adaptive_tuning():
     res = run("adaptive_exact_diffusion", model, matrix, steps,
               max_iters=60_000, stop=1e-8, keep_iterates=True)
     ok_run = res.status == "converged" and res.final_rel_error <= 1e-8
-    ok_env, fitted = mismatch_decay_check(res.state.z_diag_history, perron.p,
+    ok_env, fitted = mismatch_decay_check(res.perron_estimates, perron.p,
                                           perron.rhoA)
     ok = ok_run and ok_env
     _report(9, ok,

@@ -106,10 +106,12 @@ def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=No
     records = [TraceRecord(0, 0, 1.0 if denom > 0.0 else 0.0, grad_norm_of(state.w))]
     iterates = [state.w.copy()] if keep_iterates else None
     duals = [state.y.copy()] if keep_iterates and state.y is not None else None
+    estimates = []
     status = "exhausted"
     if denom == 0.0:
         return RunResult(records=records, status="converged", state=state,
-                         target=target, iterates=iterates, dual_iterates=duals)
+                         target=target, iterates=iterates, dual_iterates=duals,
+                         perron_estimates=estimates)
 
     for i in range(1, max_iters + 1):
         spec.step(state, ctx)
@@ -117,7 +119,7 @@ def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=No
         records.append(TraceRecord(i, i * spec.comm_units, rel, grad_norm_of(state.w)))
         if keep_iterates:
             if state.z is not None:
-                state.z_diag_history.append(ctx.uu @ state.z)
+                estimates.append(ctx.uu @ state.z)
             iterates.append(state.w.copy())
             if duals is not None:
                 duals.append(state.y.copy())
@@ -129,7 +131,8 @@ def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=No
             break
 
     return RunResult(records=records, status=status, state=state,
-                     target=target, iterates=iterates, dual_iterates=duals)
+                     target=target, iterates=iterates, dual_iterates=duals,
+                     perron_estimates=estimates)
 
 
 def _same_arrays(xs, ys):
@@ -173,8 +176,8 @@ def test_run_matches_the_reference_loop(engine):
         assert got.records == want.records
         assert _same_arrays(got.iterates, want.iterates)
         assert _same_arrays(got.dual_iterates, want.dual_iterates)
-        assert _same_arrays(got.state.z_diag_history, want.state.z_diag_history)
-        assert len(got.state.z_diag_history) == (
+        assert _same_arrays(got.perron_estimates, want.perron_estimates)
+        assert len(got.perron_estimates) == (
             got.iterations if engine == "adaptive_exact_diffusion" else 0)
         for name in ("w", "psi_prev", "y", "g_prev", "z"):
             assert _same_arrays([getattr(got.state, name)], [getattr(want.state, name)]), name
@@ -360,7 +363,7 @@ def test_adaptive_first_step_uses_self_weights():
               stop=0.0, keep_iterates=True)
     # after one combine the mixing estimate is diag(A), so the tuned step
     # is q_k mu_o / a_kk on the first iteration
-    hist = res.state.z_diag_history
+    hist = res.perron_estimates
     assert np.abs(hist[0] - np.diag(matrix.a)).max() <= 1e-15
     perron = matrix.perron
     assert np.abs(hist[-1] - perron.p).max() < np.abs(hist[0] - perron.p).max()
@@ -380,7 +383,7 @@ def test_adaptive_estimates_match_the_power_iteration(build, n, prob):
               keep_iterates=True)
     assert res.status == "exhausted"
     want = power_iteration_diagonals(matrix.a, 500)
-    assert np.abs(np.array(res.state.z_diag_history) - want).max() <= 1e-13
+    assert np.abs(np.array(res.perron_estimates) - want).max() <= 1e-13
 
 
 def test_adaptive_history_is_kept_only_with_iterates():
@@ -390,7 +393,7 @@ def test_adaptive_history_is_kept_only_with_iterates():
     for keep, length in ((False, 0), (True, 7)):
         res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=7, stop=0.0,
                   keep_iterates=keep)
-        assert len(res.state.z_diag_history) == length
+        assert len(res.perron_estimates) == length
 
 
 # ------------------------------------------------------------ fixed points
@@ -454,9 +457,10 @@ def test_combine_path_follows_network_size_and_density(n, prob, sparse):
 
 
 def test_a_sparse_run_builds_only_the_operators_its_engine_applies(monkeypatch):
-    """On a 400-agent sparse network a run converts to CSR only what its
-    step applies: Abar^T (the exact diffusion engines), A^T (the tracking
-    engines), with S as well for the primal-dual engines, and Abar for extra."""
+    """On a 400-agent sparse network a run, and a stacked scan, converts to
+    CSR only what its step applies: Abar^T (the exact diffusion engines),
+    A^T (the tracking engines), with S as well for the primal-dual engines,
+    and Abar for extra."""
     built = []
     operator = CombinationMatrix._operator
 
@@ -476,6 +480,10 @@ def test_a_sparse_run_builds_only_the_operators_its_engine_applies(monkeypatch):
         matrix, built[:] = build_metropolis(graph), []
         steps = steps_for(engine, model, matrix.perron, 1e-3)
         run(engine, model, matrix, steps, max_iters=5, stop=0.0, ground_truth=gt)
+        assert len(built) == want[engine], engine
+        matrix, built[:] = build_metropolis(graph), []
+        stability_scan(engine, model, matrix, [1e-4, 1e-3], max_iters=5, ground_truth=gt,
+                       refine=False)
         assert len(built) == want[engine], engine
 
 
@@ -621,10 +629,12 @@ def _dense_v_step(engine, state, ctx, v, p):
     """One step of exact_diffusion_pd or extra with an explicit dual y and
     the dense factor V, as the paper writes them."""
     if engine == "exact_diffusion_pd":
-        state.w = ctx.abar_t @ (state.w - ctx.mu * ctx.model.grad(state.w)) - (v / p) @ state.y
+        state.w = (ctx.matrix._abar_t_op @ (state.w - ctx.mu * ctx.model.grad(state.w))
+                   - (v / p) @ state.y)
     else:
         n = ctx.model.n_agents
-        state.w = ctx.abar @ state.w - ctx.mu * ctx.model.grad(state.w) - n * (v @ state.y)
+        state.w = (ctx.matrix._abar_op @ state.w - ctx.mu * ctx.model.grad(state.w)
+                   - n * (v @ state.y))
     state.y = state.y + v @ state.w
 
 
