@@ -70,11 +70,12 @@ class StepSizes:
     @classmethod
     def from_weights(cls, q, p, mu_o: float) -> "StepSizes":
         """mu_k = q_k * mu_o / p_k, matching aggregate weights q to the
-        combination matrix's Perron weights p.  A step that overflows fails
-        the finiteness check with a ValueError, not a warning."""
+        combination matrix's Perron weights p.  A step that overflows or
+        divides by zero fails the finiteness check with a ValueError, not a
+        warning."""
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             mu = q * float(mu_o) / p
         return cls(mu=mu, mu_o=float(mu_o))
 
@@ -206,8 +207,6 @@ def _seed_tracking(state: AlgorithmState, ctx: _EngineContext, steps: list):
 
 
 def _seed_adaptive(state: AlgorithmState, ctx: _EngineContext, steps: list):
-    if np.diag(ctx.matrix.a).min() <= 0:
-        raise ValueError("adaptive step-size tuning needs positive self-weights on every agent")
     _seed_correction(state, ctx, steps)
     state.z = np.ones(ctx.matrix.n)
     ctx.lam, ctx.uu = _perron_modes(ctx.matrix)
@@ -252,25 +251,29 @@ ENGINE_SPECS = {
 ENGINES = tuple(ENGINE_SPECS)
 
 
-def _engine_spec(engine: str) -> EngineSpec:
+def _check_engine(engine: str, model: CostModel, matrix) -> tuple[EngineSpec, CombinationMatrix]:
+    """Every requirement the engine puts on the model and the matrix (a raw
+    array is wrapped), checked as `run`, the scans and `exact_radius` refuse
+    them: ValueError.  Returns the engine's spec and the wrapped matrix."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return ENGINE_SPECS[engine]
-
-
-def _validate_combination(engine: str, matrix: CombinationMatrix):
-    spec = _engine_spec(engine)
+    spec, matrix = ENGINE_SPECS[engine], matrix_from_array(matrix)
+    if matrix.n != model.n_agents:
+        raise ValueError("combination matrix size does not match the agent count")
     if spec.weighted:
         balanced, violation = check_balanced(matrix)
         if not balanced:
-            raise ValueError(
-                f"{engine} requires a locally balanced combination matrix "
-                f"(violation {violation:.3e})"
-            )
+            raise ValueError(f"{engine} requires a locally balanced combination matrix "
+                             f"(violation {violation:.3e})")
     elif not matrix.is_doubly_stochastic:
         raise ValueError(f"{engine} requires a doubly stochastic combination matrix")
     elif spec.symmetric and not matrix.is_symmetric_doubly_stochastic:
         raise ValueError(f"{engine} requires a symmetric combination matrix")
+    if not spec.weighted and np.ptp(model.q) > 1e-12 * model.q.max():
+        raise ValueError(f"{engine} solves the uniform aggregate; model weights q must be equal")
+    if spec.step_rule == "base" and np.diag(matrix.a).min() <= 0:  # keeps diag((A^T)^i) > 0
+        raise ValueError("adaptive step-size tuning needs positive self-weights on every agent")
+    return spec, matrix
 
 
 def _validate_steps(engine: str, steps: StepSizes, model: CostModel, matrix: CombinationMatrix):
@@ -358,23 +361,16 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
 
     Returns (state at the last check, target, statuses, verdicts).
     """
-    spec = _engine_spec(engine)
-    matrix = matrix_from_array(matrix)
-    if matrix.n != model.n_agents:
-        raise ValueError("combination matrix size does not match the agent count")
+    spec, matrix = _check_engine(engine, model, matrix)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if not 0.0 <= stop < np.inf:
         raise ValueError("stop must be finite and at least 0")
-    _validate_combination(engine, matrix)
     for steps in steps_list:
         _validate_steps(engine, steps, model, matrix)
     if ground_truth is None:
         ground_truth = solve_centralized(model)
-    weighted = spec.weighted
-    if not weighted and np.ptp(model.q) > 1e-12 * model.q.max():
-        raise ValueError(f"{engine} solves the uniform aggregate; model weights q must be equal")
-    target = ground_truth.w_star if weighted else ground_truth.w_o
+    target = ground_truth.w_star if spec.weighted else ground_truth.w_o
     shape = (model.n_agents, model.dim)
     w0 = np.zeros(shape) if w0 is None else np.asarray(w0, dtype=float)
     if w0.shape != shape:
@@ -468,10 +464,15 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
 
     Returns:
         RunResult with one TraceRecord per iteration (row 0 is the seed)
-        and status in {"converged", "exhausted", "diverged"}.  A w0 equal
-        to the target is converged at iteration 0; one whose squared
-        distance to it underflows to 0, overflows or is not finite raises
-        ValueError.
+        and status in {"converged", "exhausted", "diverged"}; a w0 equal to
+        the target is converged at iteration 0.
+
+    Raises ValueError for an unknown engine, a matrix of the wrong size or
+    kind (ENGINE_SPECS), unequal q for an engine of the uniform aggregate, or
+    a self-weight <= 0 for the adaptive one, as the scans and `exact_radius`
+    do (`_check_engine`); and for steps off the engine's rule, max_iters < 1,
+    a negative or infinite stop, or a w0 of the wrong shape or too near or
+    far from the target for a relative error.  `init_state` checks none.
     """
     rels, grad_norms, iterates, duals, estimates = [], [], [], [], []
     n = model.n_agents

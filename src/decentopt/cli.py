@@ -210,8 +210,8 @@ def _build_matrix(cfg: dict, default_seed, spectrum: bool = False) -> Combinatio
         path = _field(section, "matrix", "path", "str")
         try:
             a = load_matrix_csv(path)
-        except OSError:
-            raise ConfigError("matrix.path", f"cannot read matrix file: {path}")
+        except (OSError, ValueError) as exc:  # unreadable, or not a numeric table
+            raise ConfigError("matrix.path", f"cannot read matrix file {path}: {exc}")
         graph = _build_graph(cfg, default_seed) if "graph" in cfg else None
         try:
             return _with_spectrum(matrix_from_array(a, graph), spectrum)

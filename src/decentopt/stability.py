@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ENGINE_SPECS, StepSizes, _engine_spec, _iterate, _validate_combination
+from .algorithms import ENGINE_SPECS, StepSizes, _check_engine, _iterate
 from .costs import CostModel, QuadraticModel, solve_centralized
 from .graphs import CombinationMatrix, SpectralError, check_balanced, matrix_from_array
 from .spectral import dual_vectors
@@ -168,14 +168,14 @@ def one_step_matrix(dyn: ErrorDynamics, engine: str, mu) -> np.ndarray:
 def exact_radius(engine: str, model: CostModel, matrix, mu: float) -> float:
     """Spectral radius of `one_step_matrix` at the scan's step mu (the largest
     per-agent step, see `_steps_for`), less the model.dim eigenvalues nearest 1:
-    the structural unit ones, dropped by value.  The engine must suit the
-    matrix as `run` requires and have an analytic map, and the map must not
-    overflow (ValueError), and the costs must be quadratic (TypeError).  Below
-    about mu = 1e-6 the structural modes merge with the consensus modes within
-    `eigvals`' accuracy: at 1e-8 the next eigenvalue is no farther from 1
-    than the dropped ones, and the radius reads 1 - O(1e-8) either way."""
+    the structural unit ones, dropped by value.  It refuses the engine, model
+    and matrix that `run` refuses (`_check_engine`), an engine with no analytic
+    map and a map that overflows (ValueError), and non-quadratic costs
+    (TypeError).  Below about mu = 1e-6 the structural modes merge with the
+    consensus modes within `eigvals`' accuracy: at 1e-8 the next eigenvalue is
+    no farther from 1 than the dropped ones, so the radius reads 1 - O(1e-8)."""
     dyn = build_error_dynamics(matrix, model=model)
-    _validate_combination(engine, dyn.matrix)
+    _check_engine(engine, model, dyn.matrix)
     with np.errstate(over="ignore", invalid="ignore"):
         big = one_step_matrix(dyn, engine, _steps_for(engine, model, dyn.matrix, mu).mu)
     if not np.isfinite(big).all():
@@ -576,10 +576,7 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
     SPECULATION_DEPTH levels (see `_first_depth`), and the bracket follows
     the verdicts to the bracket one-at-a-time bisection reaches.
     """
-    matrix = matrix_from_array(matrix)
-    _engine_spec(engine)
-    if ground_truth is None:
-        ground_truth = solve_centralized(model)
+    _, matrix = _check_engine(engine, model, matrix)
     mus = sorted(float(mu) for mu in mu_grid)
     if len(mus) < 2:
         raise ValueError("mu_grid needs at least two step sizes to bracket a transition")
@@ -587,6 +584,8 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
         raise ValueError("mu_grid entries must be positive and finite")
     if not 0.0 < rel_tol < np.inf:
         raise ValueError("rel_tol must be positive and finite")
+    if ground_truth is None:
+        ground_truth = solve_centralized(model)
 
     def classify(points: list) -> list:
         steps = [_steps_for(engine, model, matrix, mu) for mu in points]

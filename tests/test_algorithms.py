@@ -79,6 +79,16 @@ def test_overflowing_weighted_steps_are_a_value_error():
             StepSizes.from_weights(np.ones(6), np.full(6, 1.0 / 6.0), 1e308)
 
 
+@pytest.mark.parametrize("q, p", [([1, 1], [0.5, 0.0]), ([0, 1], [0, 1])])
+def test_weighted_steps_over_a_zero_weight_are_a_value_error(q, p):
+    # q / 0 and 0 / 0 used to warn "divide by zero" and "invalid value"
+    # before the finiteness check raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            StepSizes.from_weights(q, p, 0.1)
+
+
 def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=None,
                   ground_truth=None, keep_iterates=False):
     """`run` as one unstacked loop with its own telemetry, as it was before

@@ -819,6 +819,20 @@ def test_non_square_matrix_file_is_config_error(tmp_path, capsys, text):
         "must be square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "run", "stability-scan"])
+@pytest.mark.parametrize("text", ["1,0\n0\n", "a,b\nc,d\n"])
+def test_unparsable_matrix_file_is_config_error(tmp_path, capsys, command, text):
+    # a ragged or non-numeric file used to end in numpy's ValueError traceback
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    payload = run_and_scan_config()
+    payload["matrix"] = {"rule": "file", "path": str(path)}
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"config error at matrix.path: cannot read matrix file {path}: " \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, section", [("run", "run"), ("stability-scan", "scan")])
 @pytest.mark.parametrize("key, value", [("stop", -1), ("stop", 0), ("max_iters", 0)])
 def test_budget_is_checked_at_its_field(tmp_path, capsys, command, section, key, value):

@@ -447,15 +447,39 @@ def test_structural_unit_eigenvalues_stand_apart_by_value():
                 assert gaps[model.dim] >= 1e3 * gaps[model.dim - 1], (engine, mu)
 
 
-def test_exact_radius_refuses_what_run_refuses():
-    """`exact_radius` checks the engine against the matrix as `run` does,
-    and needs quadratic costs and an engine with an analytic map."""
-    averaging, model = random_averaging(6, seed=1), random_quadratic(6, 2, seed=1)
-    for engine, match in (("extra", "doubly stochastic"), ("foo", "unknown engine 'foo'")):
-        for call in (lambda: exact_radius(engine, model, averaging, 0.1), lambda: run(
-                engine, model, averaging, StepSizes.uniform(0.1, 6), 10, 1e-10)):
-            with pytest.raises(ValueError, match=match):
-                call()
+def _no_solve(model):
+    raise AssertionError("solved before the inputs were checked")
+
+
+# a balanced symmetric doubly stochastic matrix with a zero self-weight
+_ZERO_SELF_WEIGHT = np.array([[0.2, 0.4, 0.4], [0.4, 0.0, 0.6], [0.4, 0.6, 0.0]])
+
+
+@pytest.mark.parametrize("engine, model, matrix, match", [
+    ("extra", random_quadratic(6, 2, seed=1), random_averaging(6, seed=1), "doubly stochastic"),
+    ("foo", random_quadratic(6, 2, seed=1), random_averaging(6, seed=1), "unknown engine 'foo'"),
+    ("extra", least_squares_model(1, 6, 2, 8, q=np.linspace(1, 2, 6)),
+     random_metropolis(6, seed=1, prob=0.5), "model weights q must be equal"),
+    ("adaptive_exact_diffusion", random_quadratic(3, 2, seed=0), _ZERO_SELF_WEIGHT,
+     "positive self-weights"),
+    ("exact_diffusion", random_quadratic(5, 2, seed=0), random_metropolis(6, seed=1),
+     "size does not match"),
+], ids=["averaging", "unknown", "unequal-q", "zero-self-weight", "size"])
+def test_exact_radius_refuses_what_run_refuses(monkeypatch, engine, model, matrix, match):
+    """`exact_radius`, `run` and `stability_scan` refuse the same engine,
+    model and matrix (`algorithms._check_engine`), and refuse them before
+    any ground-truth solve."""
+    monkeypatch.setattr(stability, "solve_centralized", _no_solve)
+    monkeypatch.setattr(algorithms, "solve_centralized", _no_solve)
+    steps = StepSizes.uniform(0.1, model.n_agents)
+    for call in (lambda: exact_radius(engine, model, matrix, 0.1),
+                 lambda: run(engine, model, matrix, steps, 10, 1e-10),
+                 lambda: stability_scan(engine, model, matrix, [0.01, 0.1], max_iters=10)):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_exact_radius_needs_quadratic_costs_and_an_analytic_map():
     metropolis = random_metropolis(4, seed=0)
     with pytest.raises(TypeError):
         exact_radius("exact_diffusion", logistic_model(0, 4, 2, 5, ridge=0.1), metropolis, 0.1)
@@ -831,7 +855,9 @@ def test_two_agent_inputs_must_give_finite_onsets_and_maps(call):
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
-def test_stability_scan_rejects_bad_grid():
+def test_stability_scan_rejects_bad_grid(monkeypatch):
+    # both grids used to be refused only after the ground-truth solve
+    monkeypatch.setattr(stability, "solve_centralized", _no_solve)
     matrix = two_agent_matrix(0.5)
     model = mse_quadratic_model(2, 1, [[[1.0]], [[1.0]]], [[0.7], [-0.3]])
     with pytest.raises(ValueError):
@@ -841,9 +867,10 @@ def test_stability_scan_rejects_bad_grid():
 
 
 @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, np.nan, np.inf])
-def test_stability_scan_rel_tol_must_be_positive_and_finite(rel_tol):
+def test_stability_scan_rel_tol_must_be_positive_and_finite(monkeypatch, rel_tol):
     # rel_tol = -1 used to bisect forever, and NaN returned the grid's
-    # bracket marked refined
+    # bracket marked refined; it is refused before the ground-truth solve
+    monkeypatch.setattr(stability, "solve_centralized", _no_solve)
     matrix = random_metropolis(6, seed=5)
     model = least_squares_model(5, 6, 2, 8)
     with pytest.raises(ValueError, match="rel_tol"):
