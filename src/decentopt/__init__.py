@@ -9,8 +9,6 @@ from .algorithms import (
     StepSizes,
     TraceRecord,
     run,
-    write_status_json,
-    write_trace_csv,
 )
 from .costs import (
     ConvergenceError,

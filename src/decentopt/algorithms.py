@@ -39,7 +39,6 @@ and one matrix-vector product.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -500,25 +499,3 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
                      iterates=iterates if keep_iterates else None,
                      dual_iterates=duals or None, perron_estimates=estimates)
 
-
-def write_trace_csv(path, records) -> None:
-    """Trace CSV: header iter,comm_units,rel_error,grad_norm; floats carry
-    17 significant digits so reruns are byte-identical."""
-    with open(path, "w", newline="") as fh:
-        fh.write("iter,comm_units,rel_error,grad_norm\n")
-        for r in records:
-            fh.write(f"{r.iteration},{r.comm_units},{r.rel_error:.17g},{r.grad_norm:.17g}\n")
-
-
-def write_status_json(path, result: RunResult) -> None:
-    """Strict JSON: a non-finite final error, which only a diverged run
-    has, is written as null."""
-    rel = result.final_rel_error
-    payload = {
-        "status": result.status,
-        "iterations": result.iterations,
-        "final_rel_error": rel if math.isfinite(rel) else None,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

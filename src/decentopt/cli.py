@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import (ENGINE_SPECS, ENGINES, StepSizes, _validate_steps, run,
-                         write_status_json, write_trace_csv)
+from .algorithms import ENGINE_SPECS, ENGINES, StepSizes, _validate_steps, run
 from .costs import ConvergenceError, CostModel, hessian_bounds, model_from_config
 from .graphs import (
     CombinationMatrix,
@@ -70,14 +69,20 @@ def _failures_at(path: str):
         raise ConfigError(path, str(exc))
 
 
-def _artifact(outdir: Path, name: str) -> Path:
-    """outdir / name, creating outdir with the first artifact written."""
+def _write_artifacts(outdir: Path, artifacts: dict) -> None:
+    """Create outdir and write a command's {name: content} there: a .json
+    dict, or a .csv (header, rows) streamed a line per row, floats to 17 digits."""
     outdir.mkdir(parents=True, exist_ok=True)
-    return outdir / name
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    for name, content in artifacts.items():
+        with open(outdir / name, "w", newline="") as fh:
+            if name.endswith(".json"):
+                fh.write(json.dumps(content, indent=2, sort_keys=True) + "\n")
+                continue
+            header, rows = content
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                                  for v in row) + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -294,7 +299,7 @@ def _build_steps(run_cfg: dict, engine: str, model: CostModel,
     return steps
 
 
-def _cmd_run(cfg: dict, outdir: Path, seed) -> int:
+def _cmd_run(cfg: dict, seed) -> dict:
     run_cfg = _section(cfg, "run")
     engine = _field(run_cfg, "run", "engine", "str")
     if engine not in ENGINES:
@@ -311,12 +316,16 @@ def _cmd_run(cfg: dict, outdir: Path, seed) -> int:
     with _failures_at("run"):
         result = run(engine, model, matrix, steps, max_iters=max_iters,
                      stop=stop, w0=w0)
-    write_trace_csv(_artifact(outdir, "trace.csv"), result.records)
-    write_status_json(_artifact(outdir, "trace.json"), result)
-    return 0
+    rows = ((r.iteration, r.comm_units, r.rel_error, r.grad_norm) for r in result.records)
+    # a non-finite final error, which only a diverged run has, is written as
+    # null so the file stays strict JSON
+    rel = result.final_rel_error
+    return {"trace.csv": (("iter", "comm_units", "rel_error", "grad_norm"), rows),
+            "trace.json": {"status": result.status, "iterations": result.iterations,
+                           "final_rel_error": rel if math.isfinite(rel) else None}}
 
 
-def _cmd_scan(cfg: dict, outdir: Path, seed) -> int:
+def _cmd_scan(cfg: dict, seed) -> dict:
     scan_cfg = _section(cfg, "scan")
     engine = _field(scan_cfg, "scan", "engine", "str")
     if engine not in ENGINES:
@@ -335,17 +344,10 @@ def _cmd_scan(cfg: dict, outdir: Path, seed) -> int:
     grid = (np.geomspace if log_spacing else np.linspace)(mu_min, mu_max, points)
     with _failures_at("scan"):
         result = stability_scan(engine, model, matrix, grid, max_iters=max_iters, stop=stop)
-    with open(_artifact(outdir, "scan.csv"), "w") as fh:
-        fh.write("mu,algorithm,status\n")
-        for mu, cls in zip(result.mus, result.classifications):
-            fh.write(f"{mu:.17g},{engine},{cls}\n")
-    _write_json(_artifact(outdir, "scan.json"), {
-        "engine": engine,
-        "mu_stable": result.mu_stable,
-        "mu_unstable": result.mu_unstable,
-        "refined": result.refined,
-    })
-    return 0
+    rows = ((mu, engine, cls) for mu, cls in zip(result.mus, result.classifications))
+    return {"scan.csv": (("mu", "algorithm", "status"), rows),
+            "scan.json": {"engine": engine, "mu_stable": result.mu_stable,
+                          "mu_unstable": result.mu_unstable, "refined": result.refined}}
 
 
 def _curvature(cfg: dict, matrix: CombinationMatrix, seed):
@@ -362,7 +364,7 @@ def _curvature(cfg: dict, matrix: CombinationMatrix, seed):
     return nu, delta, k_o, ratio / ratio.max()
 
 
-def _cmd_analyze(cfg: dict, outdir: Path, seed) -> int:
+def _cmd_analyze(cfg: dict, seed) -> dict:
     matrix = _build_matrix(cfg, seed, spectrum=True)
     n = matrix.n
     with _failures_at("matrix"):
@@ -387,11 +389,10 @@ def _cmd_analyze(cfg: dict, outdir: Path, seed) -> int:
                     e_bound = extra_step_bound(matrix, nu, delta)
                     report.update(alpha_e=e_bound.alpha, mu_bound_extra=e_bound.mu_bound,
                                   t_d_norm=d_bound.t_norm, t_e_norm=e_bound.t_norm)
-    _write_json(_artifact(outdir, "analysis.json"), report)
-    return 0
+    return {"analysis.json": report}
 
 
-def _cmd_two_agent(cfg: dict, outdir: Path, seed) -> int:
+def _cmd_two_agent(cfg: dict, seed) -> dict:
     section = _section(cfg, "two_agent")
     a = _field(section, "two_agent", "a", "number")
     sigma2 = _field(section, "two_agent", "sigma2", "number")
@@ -401,7 +402,7 @@ def _cmd_two_agent(cfg: dict, outdir: Path, seed) -> int:
         case = two_agent_case(a, sigma2, mu, mu_e)
         onset_d = two_agent_onset(a, sigma2, "exact_diffusion")
         onset_e = two_agent_onset(a, sigma2, "extra")
-    payload = {
+    return {"two_agent.json": {
         "a": float(a),
         "sigma2": float(sigma2),
         "mu_d": case.mu_d,
@@ -414,9 +415,7 @@ def _cmd_two_agent(cfg: dict, outdir: Path, seed) -> int:
         "roots_extra": [[float(r.real), float(r.imag)] for r in case.roots_e],
         "onset_diffusion": onset_d,
         "onset_extra": onset_e,
-    }
-    _write_json(_artifact(outdir, "two_agent.json"), payload)
-    return 0
+    }}
 
 
 _COMMANDS = {
@@ -455,7 +454,8 @@ def main(argv=None) -> int:
         cfg = _load_json(args.config)
         where, seed = ("--seed", args.seed) if args.seed is not None else ("seed", cfg.get("seed"))
         seed = _seed_field({} if seed is None else {where: seed}, "", where, default=None)
-        return _COMMANDS[args.command](cfg, Path(args.out), seed)
+        _write_artifacts(Path(args.out), _COMMANDS[args.command](cfg, seed))
+        return 0
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2

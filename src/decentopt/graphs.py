@@ -542,4 +542,9 @@ def save_matrix_csv(path, a: np.ndarray) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
+    """A CSV file's matrix ("#" starts a comment); ValueError for no numbers or no table."""
+    with open(path) as fh:
+        lines = [line for line in fh if line.split("#")[0].strip()]
+    if not lines:
+        raise ValueError("it holds no numbers")
+    return np.atleast_2d(np.loadtxt(lines, delimiter=","))

@@ -174,8 +174,8 @@ def exact_radius(engine: str, model: CostModel, matrix, mu: float) -> float:
     (TypeError).  Below about mu = 1e-6 the structural modes merge with the
     consensus modes within `eigvals`' accuracy: at 1e-8 the next eigenvalue is
     no farther from 1 than the dropped ones, so the radius reads 1 - O(1e-8)."""
-    dyn = build_error_dynamics(matrix, model=model)
-    _check_engine(engine, model, dyn.matrix)
+    _, matrix = _check_engine(engine, model, matrix)
+    dyn = build_error_dynamics(matrix, model=model)  # refuses non-quadratic costs
     with np.errstate(over="ignore", invalid="ignore"):
         big = one_step_matrix(dyn, engine, _steps_for(engine, model, dyn.matrix, mu).mu)
     if not np.isfinite(big).all():

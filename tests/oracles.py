@@ -20,7 +20,7 @@ from decentopt.spectral import dual_vectors
 
 
 def read_trace_csv(path) -> list:
-    """The TraceRecords of a trace.csv written by `write_trace_csv`."""
+    """The TraceRecords of a trace.csv that `decentopt run` wrote."""
     with open(path, newline="") as fh:
         return [TraceRecord(iteration=int(row["iter"]), comm_units=int(row["comm_units"]),
                             rel_error=float(row["rel_error"]),

@@ -1,6 +1,5 @@
-"""Engine iterations: trace semantics, equivalences, fixed points, i/o."""
+"""Engine iterations: trace semantics, equivalences, fixed points."""
 
-import json
 import warnings
 
 import numpy as np
@@ -19,8 +18,6 @@ from decentopt import (
     random_connected_graph,
     run,
     solve_centralized,
-    write_status_json,
-    write_trace_csv,
 )
 from decentopt.algorithms import (
     CHECK_BLOCK,
@@ -36,7 +33,7 @@ from decentopt import graphs
 from decentopt.stability import _steps_for, stability_scan
 
 from conftest import random_averaging, random_metropolis, random_quadratic
-from oracles import power_iteration_diagonals, read_trace_csv, symmetric_root
+from oracles import power_iteration_diagonals, symmetric_root
 
 WEIGHTED = ("exact_diffusion", "exact_diffusion_pd", "adaptive_exact_diffusion")
 
@@ -976,34 +973,3 @@ def test_raw_array_matrix_is_accepted():
               stop=1e-10)
     assert res.status == "converged"
 
-
-# --------------------------------------------------------------------- io
-
-
-def test_trace_csv_round_trip(tmp_path):
-    records = [
-        TraceRecord(0, 0, 1.0, 0.123456789123456789),
-        TraceRecord(1, 2, 0.5, 9.87e-13),
-        TraceRecord(2, 4, 1.0 / 3.0, np.pi),
-    ]
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, records)
-    text = path.read_text().splitlines()
-    assert text[0] == "iter,comm_units,rel_error,grad_norm"
-    back = read_trace_csv(path)
-    assert back == records  # %.17g round-trips doubles exactly
-
-
-def test_status_json(tmp_path):
-    matrix = random_metropolis(4, seed=16)
-    model = least_squares_model(20, 4, 2, 8)
-    res = run("extra", model, matrix, StepSizes.uniform(0.01, 4),
-              max_iters=20_000, stop=1e-10)
-    path = tmp_path / "trace.json"
-    write_status_json(path, res)
-    payload = json.loads(path.read_text())
-    assert payload == {
-        "status": "converged",
-        "iterations": res.iterations,
-        "final_rel_error": res.final_rel_error,
-    }

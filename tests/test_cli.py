@@ -23,6 +23,8 @@ from decentopt import (
 )
 from decentopt.cli import _build_graph, main
 
+from oracles import read_trace_csv
+
 SCHEMA_PATH = Path(decentopt.__file__).parent / "schemas" / "analysis_report.schema.json"
 
 
@@ -98,6 +100,24 @@ def test_run_outputs_are_byte_identical(tmp_path):
     assert run_cli(["run", "--config", cfg, "--out", out2]) == 0
     for name in ("trace.csv", "trace.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_run_artifacts_hold_the_library_run(tmp_path):
+    """trace.csv holds the in-process run's records exactly (17 significant
+    digits round-trip every double), and trace.json its status, as sorted,
+    two-space JSON."""
+    cfg = write_config(tmp_path, base_run_config())
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    matrix = decentopt.build_metropolis(decentopt.random_connected_graph(6, 0.6, 7))
+    model = decentopt.least_squares_model(seed=7, n_agents=6, dim=3, samples_per_agent=10)
+    steps = decentopt.StepSizes.from_weights(model.q, matrix.perron.p, 0.004)
+    res = decentopt.run("exact_diffusion", model, matrix, steps, max_iters=6000, stop=1e-10)
+    assert read_trace_csv(out / "trace.csv") == res.records
+    text = (out / "trace.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert json.loads(text) == {"status": "converged", "iterations": res.iterations,
+                                "final_rel_error": res.final_rel_error}
 
 
 def test_run_outputs_on_the_csr_path_are_byte_identical(tmp_path):
@@ -831,6 +851,22 @@ def test_unparsable_matrix_file_is_config_error(tmp_path, capsys, command, text)
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
     assert f"config error at matrix.path: cannot read matrix file {path}: " \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "run", "stability-scan"])
+@pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n"],
+                         ids=["empty", "blank-lines", "comment"])
+def test_empty_matrix_file_is_config_error(tmp_path, capsys, command, text):
+    # numpy used to warn on stderr, and the matrix then failed as shape (1, 0)
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    payload = run_and_scan_config()
+    payload["matrix"] = {"rule": "file", "path": str(path)}
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error at matrix.path: cannot read matrix file {path}: it holds no numbers\n")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command, section", [("run", "run"), ("stability-scan", "scan")])

@@ -58,3 +58,35 @@ def test_readme_configs_run(tmp_path, capsys, command, text):
         payload = json.loads((out / "two_agent.json").read_text())
         assert payload["stable_diffusion"] is True
         assert payload["stable_extra"] is False
+
+
+ARTIFACTS = {"run": ["trace.csv", "trace.json"], "stability-scan": ["scan.csv", "scan.json"],
+             "analyze": ["analysis.json"], "two-agent": ["two_agent.json"]}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command, text", CONFIGS, ids=[command for command, _ in CONFIGS])
+def test_readme_artifacts_share_one_format(tmp_path, command, text):
+    """Each command writes its own files in the one format: strict JSON with
+    sorted keys, a two-space indent and a final newline, and CSV with "\\n"
+    line ends and a row per trace record or grid point."""
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    files = {path.name: path.read_bytes().decode() for path in out.iterdir()}
+    assert sorted(files) == ARTIFACTS[command]
+    for name, content in files.items():
+        if name.endswith(".json"):
+            payload = json.loads(content, parse_constant=_reject_constant)
+            assert content == json.dumps(payload, indent=2, sort_keys=True) + "\n", name
+        else:
+            assert "\r" not in content and content.endswith("\n") and not content.endswith("\n\n")
+            rows = content.count("\n") - 1
+            if name == "trace.csv":  # row 0 is the seed state
+                assert rows == json.loads(files["trace.json"])["iterations"] + 1
+            else:
+                assert rows == json.loads(text)["scan"]["points"]

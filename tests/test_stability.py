@@ -453,6 +453,8 @@ def _no_solve(model):
 
 # a balanced symmetric doubly stochastic matrix with a zero self-weight
 _ZERO_SELF_WEIGHT = np.array([[0.2, 0.4, 0.4], [0.4, 0.0, 0.6], [0.4, 0.6, 0.0]])
+# column-stochastic, but neither balanced nor doubly stochastic
+_UNBALANCED = np.array([[0.5, 0.2, 0.3], [0.3, 0.5, 0.3], [0.2, 0.3, 0.4]])
 
 
 @pytest.mark.parametrize("engine, model, matrix, match", [
@@ -463,8 +465,13 @@ _ZERO_SELF_WEIGHT = np.array([[0.2, 0.4, 0.4], [0.4, 0.0, 0.6], [0.4, 0.6, 0.0]]
     ("adaptive_exact_diffusion", random_quadratic(3, 2, seed=0), _ZERO_SELF_WEIGHT,
      "positive self-weights"),
     ("exact_diffusion", random_quadratic(5, 2, seed=0), random_metropolis(6, seed=1),
-     "size does not match"),
-], ids=["averaging", "unknown", "unequal-q", "zero-self-weight", "size"])
+     "combination matrix size does not match"),
+    ("exact_diffusion", random_quadratic(3, 2, seed=0), _UNBALANCED,
+     r"exact_diffusion requires a locally balanced combination matrix \(violation 2.344e-02\)"),
+    ("extra", random_quadratic(3, 2, seed=0), _UNBALANCED,
+     "extra requires a doubly stochastic combination matrix"),
+], ids=["averaging", "unknown", "unequal-q", "zero-self-weight", "size", "unbalanced",
+        "unbalanced-extra"])
 def test_exact_radius_refuses_what_run_refuses(monkeypatch, engine, model, matrix, match):
     """`exact_radius`, `run` and `stability_scan` refuse the same engine,
     model and matrix (`algorithms._check_engine`), and refuse them before
