@@ -270,7 +270,7 @@ def _check_engine(engine: str, model: CostModel, matrix) -> tuple[EngineSpec, Co
         raise ValueError(f"{engine} requires a symmetric combination matrix")
     if not spec.weighted and np.ptp(model.q) > 1e-12 * model.q.max():
         raise ValueError(f"{engine} solves the uniform aggregate; model weights q must be equal")
-    if spec.step_rule == "base" and np.diag(matrix.a).min() <= 0:  # keeps diag((A^T)^i) > 0
+    if spec.step_rule == "base" and matrix._form.diag.min() <= 0:  # keeps diag((A^T)^i) > 0
         raise ValueError("adaptive step-size tuning needs positive self-weights on every agent")
     return spec, matrix
 

@@ -4,13 +4,15 @@ Agents are the nodes of an undirected connected graph.  A combination
 matrix A is nonnegative and left-stochastic (columns sum to one); entry
 a[l, k] is the weight agent k applies to data arriving from agent l.
 
-A CombinationMatrix is immutable.  Its constructor validates A and
-computes the Perron vector and the balance residual, with no eigensolve
-(see the class).  A's spectrum comes on first read (see `PerronData`), and
-so do S = (P - A P)/2 (`v_squared`), (I + A)/2 (`abar`), the engines'
-operators, and the error-recursion blocks, which read only Abar, p and the
-eigenpairs of At = P^{-1/2} A P^{1/2} (`_eigh`).  No dual factor V of S
-and no lifted 2N x 2N matrix is formed.
+A CombinationMatrix is immutable and held in edge form, its diagonal and
+one weight per arc.  Its constructor validates A and computes the Perron
+vector and the balance residual in O(N + E), with no eigensolve (see the
+class).  The dense A, its spectrum (see `PerronData`), S = (P - A P)/2
+(`v_squared`), (I + A)/2 (`abar`), the engines' operators (CSR arrays
+built from the arcs on a large sparse network), and the error-recursion
+blocks, which read only Abar, p and the eigenpairs of
+At = P^{-1/2} A P^{1/2} (`_eigh`), come on first read.  No dual factor V
+of S and no lifted 2N x 2N matrix is formed.
 
 Connectivity is tested with numpy alone: a graph's by a component search
 over its edge array (`_components`), and the strong connectivity of a
@@ -146,19 +148,19 @@ def _components(n: int, ij: np.ndarray) -> np.ndarray:
             root = jumped
 
 
-def _strongly_connected(a: np.ndarray, ij: np.ndarray) -> bool:
+def _strongly_connected(n: int, ij: np.ndarray, fwd: np.ndarray, bwd: np.ndarray) -> bool:
     """Whether the directed support of A (an arc l -> k where a[l, k] > 0) is
     strongly connected, for an A that is positive only on the diagonal and
-    on the graph edges ij.  A symmetric support is strongly connected when
-    it is connected; otherwise every agent must be reached from agent 0
-    along the arcs, and reach agent 0 (see `_reaches_all`)."""
-    i, j = ij[:, 0], ij[:, 1]
-    fwd, bwd = a[i, j] > 0, a[j, i] > 0
+    on the graph edges ij, with fwd and bwd flagging a[i, j] > 0 and
+    a[j, i] > 0.  A symmetric support is strongly connected when it is
+    connected; otherwise every agent must be reached from agent 0 along the
+    arcs, and reach agent 0 (see `_reaches_all`)."""
     if np.array_equal(fwd, bwd):
-        return _connected(a.shape[0], ij[fwd])
+        return _connected(n, ij[fwd])
+    i, j = ij[:, 0], ij[:, 1]
     src = np.concatenate([i[fwd], j[bwd]])
     dst = np.concatenate([j[fwd], i[bwd]])
-    return _reaches_all(a.shape[0], src, dst) and _reaches_all(a.shape[0], dst, src)
+    return _reaches_all(n, src, dst) and _reaches_all(n, dst, src)
 
 
 def _reaches_all(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
@@ -177,77 +179,148 @@ def _reaches_all(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
+class _EdgeForm:
+    """A held by its edges: the diagonal `diag` and, over the graph's edge
+    rows (i, j), a[i, j] (`upper`) and a[j, i] (`lower`), read-only.  A
+    matrix and its Perron data share it, and with it the dense A it builds
+    on first read; Perron data that held the matrix would make a reference
+    cycle, whose arrays only the garbage collector frees."""
+
+    graph: Graph
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+    def __post_init__(self):
+        for w in (self.diag, self.upper, self.lower):
+            w.flags.writeable = False
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The dense N x N A, read-only, built on first read."""
+        n, (i, j) = self.graph.n, self.graph._ij.T
+        a = np.zeros((n, n))
+        a[i, j], a[j, i] = self.upper, self.lower
+        a[np.diag_indices(n)] = self.diag
+        a.flags.writeable = False
+        return a
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x."""
+        n, (i, j) = self.graph.n, self.graph._ij.T
+        return (self.diag * x + np.bincount(i, self.upper * x[j], n)
+                + np.bincount(j, self.lower * x[i], n))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class CombinationMatrix:
     """Left-stochastic nonnegative matrix tied to a graph.
 
-    Validated at construction: nonnegativity, column sums, sparsity that
-    respects the graph, and structural primitivity: a strongly connected
-    support with at least one positive self-weight, which makes A
-    irreducible with a positive diagonal entry, hence primitive.  So are
-    `perron.p` (see `_perron_vector`) and the balance residual of
-    `check_balanced`.  No eigensolve runs at construction: A's eigenvalues,
-    and the eigenpairs of the symmetric At = P^{-1/2} A P^{1/2} of a
-    balanced A (`_eigh`), are computed on first read and checked then (see
-    `PerronData`).  `a` is a read-only copy, so the cached spectral data
-    cannot go stale.
+    Held in edge form (`_EdgeForm`), which the rules build directly
+    (`_from_weights`) and the constructor reads from a dense array that is
+    zero off the graph.  Validated in O(N + E): finite nonnegative entries,
+    column sums, and structural primitivity: a strongly connected support
+    with at least one positive self-weight, which makes A irreducible with
+    a positive diagonal entry, hence primitive.  So are `perron.p`, read off
+    the edges by local balance (`_perron_from_balance`) or, where that
+    fails its checks, solved densely (`_perron_vector`), and the balance
+    residual of `check_balanced`.  No eigensolve runs at construction: A's
+    eigenvalues, and the eigenpairs of the symmetric At = P^{-1/2} A P^{1/2}
+    of a balanced A (`_eigh`), are computed on first read and checked then
+    (see `PerronData`).  The dense `a` is built on first read and
+    read-only, so the cached spectral data cannot go stale.
     """
 
-    a: np.ndarray
     graph: Graph
-    perron: PerronData = field(init=False, repr=False, compare=False)
-    _balance: float = field(init=False, repr=False, compare=False)
+    _form: _EdgeForm = field(repr=False)
+    perron: PerronData = field(repr=False)
+    _balance: float = field(repr=False)
 
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float)
+    def __init__(self, a, graph: Graph):
+        a = np.array(a, dtype=float)
         a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        n = self.graph.n
+        n = graph.n
         if a.shape != (n, n):
             raise ValueError(f"matrix shape {a.shape} does not match n={n}")
         if not np.isfinite(a).all():
             raise ValueError("combination matrix has non-finite entries")
         if a.min() < 0:
             raise ValueError("combination matrix has negative entries")
-        colsum = a.sum(axis=0)
-        if np.abs(colsum - 1.0).max() > COLUMN_SUM_TOL:
-            raise ValueError(
-                f"columns must sum to 1 within {COLUMN_SUM_TOL:g}; "
-                f"max deviation {np.abs(colsum - 1.0).max():.3e}"
-            )
-        allowed = self.graph.adjacency().astype(bool) | np.eye(n, dtype=bool)
+        allowed = graph.adjacency().astype(bool) | np.eye(n, dtype=bool)
         if np.any((a > 0) & ~allowed):
             raise ValueError("positive weight on a non-edge pair")
-        if not np.any(np.diag(a) > 0):
+        i, j = graph._ij.T
+        form = _EdgeForm(graph, np.diag(a), a[i, j], a[j, i])
+        object.__setattr__(form, "dense", a)  # the dense form is given: keep it
+        self.__post_init__(form)
+
+    @classmethod
+    def _from_weights(cls, graph: Graph, diag, upper, lower) -> CombinationMatrix:
+        """The matrix with diagonal `diag` and weights a[i, j] = upper and
+        a[j, i] = lower over the graph's edge rows (i, j): no N x N array."""
+        matrix = cls.__new__(cls)
+        matrix.__post_init__(_EdgeForm(graph, diag, upper, lower))
+        return matrix
+
+    def __post_init__(self, form: _EdgeForm):
+        """Validates the edge form in O(N + E), then computes p and the
+        balance residual."""
+        object.__setattr__(self, "graph", form.graph)
+        object.__setattr__(self, "_form", form)
+        weights = np.concatenate([form.diag, form.upper, form.lower])
+        if not np.isfinite(weights).all():
+            raise ValueError("combination matrix has non-finite entries")
+        if weights.min() < 0:
+            raise ValueError("combination matrix has negative entries")
+        deviation = np.abs(_column_sums(form.graph._ij, form.diag, form.upper, form.lower)
+                           - 1.0).max()
+        if deviation > COLUMN_SUM_TOL:
+            raise ValueError(
+                f"columns must sum to 1 within {COLUMN_SUM_TOL:g}; "
+                f"max deviation {deviation:.3e}"
+            )
+        if not np.any(form.diag > 0):
             raise SpectralError("no agent has a positive self-weight")
         # directed support must be strongly connected, otherwise the
         # Perron vector degenerates (zero entries)
-        if not _strongly_connected(a, self.graph._ij):
+        if not _strongly_connected(self.n, form.graph._ij, form.upper > 0, form.lower > 0):
             raise SpectralError(
                 "matrix support is not strongly connected; "
                 "matrix is not primitive"
             )
-        p = _perron_vector(a)
-        # |p_i a_ji - a_ij p_j| over the edges: the diagonal and off-edge
-        # terms of P A^T - A P are exactly 0, so this is its largest entry
-        i, j = self.graph._ij.T
-        balance = float(np.abs(p[i] * a[j, i] - a[i, j] * p[j]).max(initial=0.0))
-        object.__setattr__(self, "perron", PerronData(p, a, balance <= BALANCE_TOL))
+        try:
+            p = _perron_from_balance(form)
+            balance = _check_perron(form, p)
+        except SpectralError:
+            balance = np.inf
+        if not balance <= BALANCE_TOL:  # p by local balance fails: the dense solve
+            p = _perron_vector(form.dense)
+            balance = _check_perron(form, p)
+        p.flags.writeable = False
+        object.__setattr__(self, "perron", PerronData(p, form, balance <= BALANCE_TOL))
         object.__setattr__(self, "_balance", balance)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
+    @property
+    def a(self) -> np.ndarray:
+        """The dense N x N A, read-only, built on first read (a matrix
+        given as a dense array keeps a copy of it)."""
+        return self._form.dense
+
     @cached_property
     def is_doubly_stochastic(self) -> bool:
         """Rows sum to one within 1e-10 (columns always do)."""
-        return bool(np.abs(self.a.sum(axis=1) - 1.0).max() <= STOCHASTIC_TOL)
+        return bool(np.abs(self._form.apply(np.ones(self.n)) - 1.0).max() <= STOCHASTIC_TOL)
 
     @cached_property
     def is_symmetric_doubly_stochastic(self) -> bool:
         """Symmetric within 1e-10 as well as doubly stochastic."""
-        a = self.a
-        return self.is_doubly_stochastic and bool(np.abs(a - a.T).max() <= STOCHASTIC_TOL)
+        form = self._form
+        return self.is_doubly_stochastic and bool(
+            np.abs(form.upper - form.lower).max(initial=0.0) <= STOCHASTIC_TOL)
 
     @cached_property
     def v_squared(self) -> np.ndarray:
@@ -273,14 +346,29 @@ class CombinationMatrix:
         """Whether the engines' operators take CSR form: on a large sparse
         network (see SPARSE_MIN_AGENTS)."""
         n = self.n
-        return n >= SPARSE_MIN_AGENTS and np.count_nonzero(self.a) <= SPARSE_MAX_DENSITY * n * n
+        form = self._form
+        nonzeros = sum(np.count_nonzero(w) for w in (form.diag, form.upper, form.lower))
+        return n >= SPARSE_MIN_AGENTS and nonzeros <= SPARSE_MAX_DENSITY * n * n
 
-    def _operator(self, dense: np.ndarray):
-        if self._sparse:
-            import scipy.sparse  # loaded by the first large sparse network only
-
-            return scipy.sparse.csr_array(dense)
-        return dense
+    def _operator(self, op: str):
+        """The operator `op`, one of "a.T", "abar.T", "abar" and
+        "v_squared": on a large sparse network the `csr_array` assembled from
+        the edge form, entry for entry what `csr_array` makes of the dense
+        form, else the dense form itself."""
+        name = op.removesuffix(".T")
+        if not self._sparse:
+            dense = getattr(self, name)
+            return dense if name == op else dense.T
+        d, up, lo = self._form.diag, self._form.upper, self._form.lower
+        if name == "abar":  # (I + A)/2, as the dense sum computes it
+            d, up, lo = (1.0 + d) / 2.0, (0.0 + up) / 2.0, (0.0 + lo) / 2.0
+        elif name == "v_squared":  # S's entries, as `v_squared` computes them
+            p, (i, j) = self.perron.p, self.graph._ij.T
+            d = (p - d * p) / 2.0
+            up = lo = ((0.0 - up * p[j]) / 2.0 + (0.0 - lo * p[i]) / 2.0) / 2.0
+        if name != op:  # a transpose swaps each edge's two weights
+            up, lo = lo, up
+        return _csr(self.graph._ij, d, up, lo)
 
     # The engines' operators, each built on first read: `op @ x` on an (N, M)
     # block or an (N, B*M) stack, with the `csr_array` on a large sparse
@@ -290,22 +378,22 @@ class CombinationMatrix:
     @cached_property
     def _a_t_op(self):
         """A^T, the tracking engines' combine."""
-        return self._operator(self.a.T)
+        return self._operator("a.T")
 
     @cached_property
     def _abar_t_op(self):
         """Abar^T, the exact diffusion engines' combine."""
-        return self._operator(self.abar.T)
+        return self._operator("abar.T")
 
     @cached_property
     def _abar_op(self):
         """Abar, extra's combine."""
-        return self._operator(self.abar)
+        return self._operator("abar")
 
     @cached_property
     def _dual_op(self):
         """`v_squared`, the primal-dual engines' dual step."""
-        return self._operator(self.v_squared)
+        return self._operator("v_squared")
 
     @property
     def _eigh(self) -> tuple:
@@ -323,6 +411,33 @@ class CombinationMatrix:
         return _network_blocks(self)
 
 
+def _column_sums(ij: np.ndarray, diag, upper, lower) -> np.ndarray:
+    """The column sums of the edge form (see `CombinationMatrix`), each
+    column's entries added in row order, as numpy sums a dense A along axis
+    0: column k takes the upper weights of edges (l, k), then a[k, k], then
+    the lower weights of edges (k, l), each in ascending l."""
+    n = diag.size
+    return np.bincount(np.concatenate([ij[:, 1], np.arange(n), ij[:, 0]]),
+                       np.concatenate([upper, diag, lower]), n)
+
+
+def _csr(ij: np.ndarray, diag, upper, lower):
+    """The `csr_array` with diagonal `diag`, upper at the edge rows (i, j)
+    and lower at (j, i): zeros dropped and each row's columns ascending, with
+    int32 indices, as `csr_array` stores a dense array."""
+    import scipy.sparse  # loaded by the first large sparse network only
+
+    n = diag.size
+    rows, cols = (np.concatenate([np.arange(n), ij[:, k], ij[:, 1 - k]]) for k in (0, 1))
+    data = np.concatenate([diag, upper, lower])
+    kept = np.flatnonzero(data)
+    kept = kept[np.argsort(rows[kept] * n + cols[kept])]  # row-major order
+    index = np.int32 if kept.size < 2**31 else np.int64
+    indptr = np.searchsorted(rows[kept], np.arange(n + 1))
+    return scipy.sparse.csr_array((data[kept], cols[kept].astype(index), indptr.astype(index)),
+                                  shape=(n, n))
+
+
 @dataclass(frozen=True)
 class PerronData:
     """Perron vector p (Ap = p, sum 1, entrywise positive) of a primitive
@@ -338,14 +453,14 @@ class PerronData:
     A structurally primitive A passes unless rounding trips the check."""
 
     p: np.ndarray
-    _a: np.ndarray = field(repr=False, compare=False)
+    _form: _EdgeForm = field(repr=False, compare=False)
     _balanced: bool = field(repr=False, compare=False)
 
     @cached_property
     def _eigh(self) -> tuple:
         """(lam, U) of a balanced A's At = U diag(lam) U^T, read-only,
         ascending with the unit eigenvalue last, from one `eigh` on first use."""
-        lam, u = np.linalg.eigh(_symmetrized(self._a, self.p))
+        lam, u = np.linalg.eigh(_symmetrized(self._form.dense, self.p))
         _check_primitive(lam)
         lam.flags.writeable = u.flags.writeable = False
         return lam, u
@@ -356,7 +471,7 @@ class PerronData:
         `eigvals(A)`'s."""
         if self._balanced:
             return self._eigh[0]
-        vals = np.linalg.eigvals(self._a)
+        vals = np.linalg.eigvals(self._form.dense)
         _check_primitive(vals)
         vals.flags.writeable = False
         return vals
@@ -384,13 +499,11 @@ def build_metropolis(graph: Graph) -> CombinationMatrix:
     Off-diagonal weight 1/(1 + max(deg_i, deg_j)) on every edge, with the
     diagonal absorbing the remainder of each column.
     """
-    n = graph.n
     i, j = graph._ij.T
     deg = graph.degrees()
-    a = np.zeros((n, n))
-    a[i, j] = a[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    a[np.diag_indices(n)] = 1.0 - a.sum(axis=0)
-    return CombinationMatrix(a, graph)
+    w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    diag = 1.0 - _column_sums(graph._ij, np.zeros(graph.n), w, w)
+    return CombinationMatrix._from_weights(graph, diag, w, w)
 
 
 def build_averaging(graph: Graph) -> CombinationMatrix:
@@ -399,10 +512,7 @@ def build_averaging(graph: Graph) -> CombinationMatrix:
     proportional to the closed-neighborhood sizes."""
     i, j = graph._ij.T
     w = 1.0 / (1.0 + graph.degrees())
-    a = np.diag(w)
-    a[i, j] = w[j]
-    a[j, i] = w[i]
-    return CombinationMatrix(a, graph)
+    return CombinationMatrix._from_weights(graph, w, w[j], w[i])
 
 
 def _check_primitive(vals: np.ndarray) -> None:
@@ -439,25 +549,63 @@ def _symmetrized(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (a_tilde + a_tilde.T) / 2.0
 
 
+def _perron_from_balance(form: _EdgeForm) -> np.ndarray:
+    """The candidate Perron vector of a balanced A, read off its edges by
+    local balance, p_j / p_i = a[j, i] / a[i, j] on each edge weighted both
+    ways, and normalized.  The edges are joined into trees as in
+    `_components`, each agent holding x = p / p_r for the root r of its
+    pointer chain: a hook sets the hooked root's x from its edge, and a
+    jump multiplies x along the chain.  SpectralError when those edges do
+    not connect the agents, so A cannot be balanced."""
+    both = (form.upper > 0) & (form.lower > 0)
+    (i, j), ratio = form.graph._ij[both].T, form.lower[both] / form.upper[both]
+    root, x = np.arange(form.graph.n), np.ones(form.graph.n)
+    while True:
+        ri, rj = root[i], root[j]
+        cross = ri != rj
+        if not cross.any():
+            break
+        up = (ratio * x[i] / x[j])[cross]  # p_rj / p_ri
+        ri, rj = ri[cross], rj[cross]
+        hi, lo = np.maximum(ri, rj), np.minimum(ri, rj)
+        np.minimum.at(root, hi, lo)
+        won = root[hi] == lo
+        x[hi[won]] = np.where(ri > rj, 1.0 / up, up)[won]  # p_hi / p_lo
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            x, root = x * x[root], jumped
+    if root.any():
+        raise SpectralError("the edges weighted both ways do not connect the agents")
+    return x / x.sum()
+
+
 def _perron_vector(a: np.ndarray) -> np.ndarray:
-    """Perron vector (Ap = p, sum 1) of an irreducible left-stochastic A,
-    read-only, from one bordered solve: (I - A) p = 0 with its last row
-    replaced by 1^T p = 1.  The rows of I - A sum to zero and span a space
-    of dimension N - 1, so any N - 1 of them are independent and the
-    bordered system is nonsingular (for N = 1 it is 1 p = 1).  Raises
-    SpectralError when p is not entrywise positive or misses the residual
-    tolerance."""
+    """Perron vector (Ap = p, sum 1) of an irreducible left-stochastic A
+    from one bordered solve: (I - A) p = 0 with its last row replaced by
+    1^T p = 1.  The rows of I - A sum to zero and span a space of dimension
+    N - 1, so any N - 1 of them are independent and the bordered system is
+    nonsingular (for N = 1 it is 1 p = 1)."""
     n = a.shape[0]
     bordered = np.eye(n) - a
     bordered[-1] = 1.0
-    p = np.linalg.solve(bordered, np.eye(n)[-1])
+    return np.linalg.solve(bordered, np.eye(n)[-1])
+
+
+def _check_perron(form: _EdgeForm, p: np.ndarray) -> float:
+    """The balance residual of a Perron vector p of A, the largest
+    |p_i a[j, i] - a[i, j] p_j| over the edges (the diagonal and off-edge
+    terms of P A^T - A P are exactly 0), once p has passed its checks:
+    SpectralError when p is not entrywise positive or misses the residual
+    tolerance."""
     if not p.min() > 0:
         raise SpectralError("Perron vector is not entrywise positive")
-    residual = np.abs(a @ p - p).max()
+    residual = np.abs(form.apply(p) - p).max()
     if not residual <= PERRON_RESIDUAL_TOL:
         raise SpectralError(f"Perron residual {residual:.3e} above tolerance")
-    p.flags.writeable = False
-    return p
+    i, j = form.graph._ij.T
+    return float(np.abs(p[i] * form.lower - form.upper * p[j]).max(initial=0.0))
 
 
 def check_balanced(matrix: CombinationMatrix):
@@ -490,30 +638,39 @@ def random_connected_graph(n: int, edge_probability: float, seed: int) -> Graph:
     if not (0 < edge_probability <= 1):
         raise GraphError("edge_probability must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+    total, k = n * (n - 1) // 2, np.arange(n)
+    starts = k * n - k * (k + 1) // 2  # row k's pairs start at this uniform of a draw
     stages = sorted({min(8, -(-n // 8)), -(-n // 8)})  # rows tested after each stage
-    ends = np.searchsorted(pairs[:, 0], stages)  # pairs in those rows
+    u = np.empty(total)
     for draw in range(200):
-        u = np.empty(0)
+        drawn = 0
         if n > 1 and draw < 199:  # the fallback reads the last draw whole
-            for rows, end in zip(stages, ends):
-                u = np.concatenate([u, rng.random(end - u.size)])
-                # row indices select faster than a boolean mask over the pairs
-                hit = pairs[np.flatnonzero(u < edge_probability)]
+            for rows in stages:
+                end = rows * n - rows * (rows + 1) // 2  # pairs in those rows
+                rng.random(out=u[drawn:end])
+                drawn = end
+                hit = _pairs(starts, np.flatnonzero(u[:end] < edge_probability))
                 isolated = np.bincount(hit.ravel(), minlength=rows)[:rows].min() == 0
                 if isolated:
                     break
             if isolated:
-                rng.bit_generator.advance(len(pairs) - u.size)
+                rng.bit_generator.advance(total - drawn)
                 continue
-        u = np.concatenate([u, rng.random(len(pairs) - u.size)])
-        ij = pairs[np.flatnonzero(u < edge_probability)]
+        rng.random(out=u[drawn:])
+        ij = _pairs(starts, np.flatnonzero(u < edge_probability))
         if _connected(n, ij):
             return Graph(n, ij, _searched=True)
     # connect the last draw with a random spanning chain
     perm = rng.permutation(n)
     chain = np.stack([perm[:-1], perm[1:]], axis=1)
     return Graph(n, np.concatenate([ij, chain]))
+
+
+def _pairs(starts: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The (i, j) rows of the agent pairs at the given indices of the
+    `triu_indices` order, whose row k starts at index starts[k]."""
+    i = np.searchsorted(starts, flat, side="right") - 1
+    return np.stack([i, flat - starts[i] + i + 1], axis=1)
 
 
 def matrix_from_array(a, graph: Graph | None = None) -> CombinationMatrix:

@@ -272,3 +272,68 @@ def strongly_connected_oracle(a) -> bool:
     ncomp, _ = scipy.sparse.csgraph.connected_components(
         support, directed=True, connection="strong")
     return ncomp == 1
+
+
+# The dense construction the edge form replaced: each rule's N x N array,
+# the bordered Perron solve, and the arrays and checks derived from A.
+
+
+def dense_metropolis(graph) -> np.ndarray:
+    """The Metropolis A as the dense builder formed it."""
+    n = graph.n
+    i, j = graph._ij.T
+    deg = graph.degrees()
+    a = np.zeros((n, n))
+    a[i, j] = a[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    a[np.diag_indices(n)] = 1.0 - a.sum(axis=0)
+    return a
+
+
+def dense_averaging(graph) -> np.ndarray:
+    """The averaging A as the dense builder formed it."""
+    i, j = graph._ij.T
+    w = 1.0 / (1.0 + graph.degrees())
+    a = np.diag(w)
+    a[i, j] = w[j]
+    a[j, i] = w[i]
+    return a
+
+
+def bordered_perron(a) -> np.ndarray:
+    """p from the bordered solve: (I - A) p = 0 with its last row replaced
+    by 1^T p = 1."""
+    n = a.shape[0]
+    bordered = np.eye(n) - a
+    bordered[-1] = 1.0
+    return np.linalg.solve(bordered, np.eye(n)[-1])
+
+
+def dense_abar(a) -> np.ndarray:
+    return (np.eye(a.shape[0]) + a) / 2.0
+
+
+def dense_v_squared(a, p) -> np.ndarray:
+    """S = (P - A P)/2, symmetrized, as formed from the dense A."""
+    s = (np.diag(p) - a * p[np.newaxis, :]) / 2.0
+    return (s + s.T) / 2.0
+
+
+def dense_operators(a, p) -> dict:
+    """Each engine operator's dense form, by the matrix attribute it fills."""
+    abar = dense_abar(a)
+    return {"_a_t_op": a.T, "_abar_t_op": abar.T, "_abar_op": abar,
+            "_dual_op": dense_v_squared(a, p)}
+
+
+def dense_checks(a, p, sparse_min_agents: int, sparse_max_density: float) -> dict:
+    """The matrix's predicates as the dense code computed them: the balance
+    residual, double and symmetric double stochasticity (within 1e-10) and
+    whether its operators take CSR form."""
+    n = a.shape[0]
+    doubly = bool(np.abs(a.sum(axis=1) - 1.0).max() <= 1e-10)
+    return {
+        "balance": float(np.abs(p[:, np.newaxis] * a.T - a * p).max()),
+        "doubly": doubly,
+        "symmetric": doubly and bool(np.abs(a - a.T).max() <= 1e-10),
+        "sparse": n >= sparse_min_agents and np.count_nonzero(a) <= sparse_max_density * n * n,
+    }

@@ -1,5 +1,7 @@
 """Engine iterations: trace semantics, equivalences, fixed points."""
 
+import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +32,8 @@ from decentopt.algorithms import (
     init_state,
 )
 from decentopt import graphs
-from decentopt.stability import _steps_for, stability_scan
+from decentopt.stability import (_steps_for, b_spectrum_residual, diffusion_step_bound,
+                                  extra_step_bound, stability_scan)
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 from oracles import power_iteration_diagonals, symmetric_root
@@ -492,6 +495,44 @@ def test_a_sparse_run_builds_only_the_operators_its_engine_applies(monkeypatch):
         stability_scan(engine, model, matrix, [1e-4, 1e-3], max_iters=5, ground_truth=gt,
                        refine=False)
         assert len(built) == want[engine], engine
+
+
+def test_the_sparse_run_path_holds_no_dense_array(monkeypatch):
+    """At N = 2000 a Metropolis matrix, its CSR Abar^T and 32 exact
+    diffusion iterations stay below the memory of one dense N x N array; the
+    adaptive engine and the analysis then build the dense A once, and share it."""
+    n = 2000
+    graph = random_connected_graph(n, 0.005, seed=11)
+    model = least_squares_model(3, n, 2, 4)
+    gt = solve_centralized(model)
+    built = []
+    dense = graphs._EdgeForm.dense.func
+
+    def counted(self):
+        built.append(self.graph.n)
+        return dense(self)
+
+    cached = functools.cached_property(counted)
+    cached.__set_name__(graphs._EdgeForm, "dense")
+    monkeypatch.setattr(graphs._EdgeForm, "dense", cached)
+    tracemalloc.start()
+    try:
+        matrix = build_metropolis(graph)
+        assert _is_csr(matrix._abar_t_op)
+        steps = steps_for("exact_diffusion", model, matrix.perron, 1e-3)
+        result = run("exact_diffusion", model, matrix, steps, max_iters=32, stop=0.0,
+                     ground_truth=gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 32 and built == []
+    assert peak < np.dtype(float).itemsize * n * n
+    run("adaptive_exact_diffusion", model, matrix, steps, max_iters=2, ground_truth=gt)
+    matrix.perron.rhoA
+    diffusion_step_bound(matrix)
+    extra_step_bound(matrix)
+    b_spectrum_residual(matrix)
+    assert built == [n]
 
 
 def _on_path(matrix, sparse, monkeypatch):

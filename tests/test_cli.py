@@ -945,7 +945,7 @@ def test_ground_truth_nonconvergence_is_config_error(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("command", ["run", "stability-scan"])
 def test_perron_failure_is_config_error(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(decentopt.graphs, "_perron_vector", _raise(SpectralError))
+    monkeypatch.setattr(decentopt.graphs, "_check_perron", _raise(SpectralError))
     payload = base_run_config()
     payload["scan"] = {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.1}
     cfg = write_config(tmp_path, payload)
@@ -962,9 +962,10 @@ def test_perron_failure_is_config_error(tmp_path, capsys, monkeypatch, command):
                                               ("primitivity", "matrix is not primitive")])
 def test_spectral_setup_failures_surface_at_the_matrix(tmp_path, capsys, monkeypatch, command,
                                                        engine, rule, where, failure, message):
-    # the constructor computes p, so a failed Perron solve surfaces where
-    # the matrix is built: at `matrix` for a built-in rule and at
-    # `matrix.path` for a matrix file.  A's eigenvalues, and their
+    # the constructor computes p, so a failed Perron check (the one both the
+    # edge-ratio p and the solved p pass) surfaces where the matrix is
+    # built: at `matrix` for a built-in rule and at `matrix.path` for a
+    # matrix file.  A's eigenvalues, and their
     # primitivity check, come on first read: `analyze` and the adaptive
     # engine read them where the matrix is built, so their failure surfaces
     # there too, and a run of any other engine never computes them
@@ -976,7 +977,7 @@ def test_spectral_setup_failures_surface_at_the_matrix(tmp_path, capsys, monkeyp
         payload["matrix"] = {"rule": "file", "path": str(path)}
         del payload["graph"]
     if failure == "perron":
-        monkeypatch.setattr(decentopt.graphs, "_perron_vector", _raise(SpectralError))
+        monkeypatch.setattr(decentopt.graphs, "_check_perron", _raise(SpectralError))
     else:
         # every eigenvalue then counts as one at 1
         monkeypatch.setattr(decentopt.graphs, "UNIT_EIG_TOL", 2.0)
@@ -993,6 +994,31 @@ def test_spectral_setup_failures_surface_at_the_matrix(tmp_path, capsys, monkeyp
         return
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
     assert f"config error at {where}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+def test_only_an_unbalanced_file_matrix_reaches_the_perron_solve(tmp_path, capsys, monkeypatch,
+                                                                 balanced):
+    # a balanced matrix takes p from local balance over its edges, so a
+    # failing bordered solve surfaces only for an unbalanced file matrix
+    monkeypatch.setattr(decentopt.graphs, "_perron_vector", _raise(SpectralError))
+    path = tmp_path / "a.csv"
+    if balanced:
+        save_matrix_csv(path, decentopt.build_averaging(
+            decentopt.random_connected_graph(6, 0.6, seed=7)).a)
+    else:
+        save_matrix_csv(path, np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]]))
+    payload = base_run_config()
+    payload["matrix"] = {"rule": "file", "path": str(path)}
+    del payload["graph"]
+    cfg = write_config(tmp_path, payload)
+    code = run_cli(["analyze", "--config", cfg, "--out", tmp_path / "x"])
+    if balanced:
+        assert code == 0
+    else:
+        assert code == 2
+        assert ("config error at matrix.path: bad combination matrix: injected failure"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["run", "stability-scan"])

@@ -1,9 +1,12 @@
 """Graphs, combination matrices, Perron data, and balance checks."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,9 @@ from decentopt.graphs import (PERRON_RESIDUAL_TOL, _components, _connected,
                               _strongly_connected)
 
 from conftest import random_metropolis
-from oracles import component_labels_oracle, connected_oracle, strongly_connected_oracle
+from oracles import (bordered_perron, component_labels_oracle, connected_oracle, dense_abar,
+                     dense_averaging, dense_checks, dense_metropolis, dense_operators,
+                     dense_v_squared, strongly_connected_oracle)
 
 
 # ------------------------------------------------------------ references
@@ -256,6 +261,11 @@ def test_connected_agrees_with_the_component_search():
         (True, False), (False, False), (False, True)}
 
 
+def _strong(a, ij):
+    """`_strongly_connected` of the support of a dense array on the edge rows ij."""
+    return _strongly_connected(len(a), ij, a[ij[:, 0], ij[:, 1]] > 0, a[ij[:, 1], ij[:, 0]] > 0)
+
+
 def test_connectivity_matches_the_scipy_oracle_on_random_graphs():
     """The component search, `_connected` and the strong-connectivity test
     against scipy's component searches, on seeded random graphs with
@@ -278,7 +288,7 @@ def test_connectivity_matches_the_scipy_oracle_on_random_graphs():
         a[ij[fwd, 0], ij[fwd, 1]] = 1.0
         a[ij[bwd, 1], ij[bwd, 0]] = 1.0
         strong = strongly_connected_oracle(a)
-        assert _strongly_connected(a, ij) == strong, (n, ij.tolist(), fwd, bwd)
+        assert _strong(a, ij) == strong, (n, ij.tolist(), fwd, bwd)
         seen.add((not labels.any(), strong))
     assert seen == {(False, False), (True, False), (True, True)}
 
@@ -300,8 +310,8 @@ def test_connectivity_on_paths_rings_and_stars_at_n2000():
             # arcs along the edges one way only: strongly connected only as a ring
             support = np.eye(n, dtype=bool)
             support[edges[:, 0], edges[:, 1]] = True
-            assert _strongly_connected(support, edges) == strongly_connected_oracle(support)
-            assert _strongly_connected(support, edges) == (name == "ring" and cut is None)
+            assert _strong(support, edges) == strongly_connected_oracle(support)
+            assert _strong(support, edges) == (name == "ring" and cut is None)
     assert Graph(n, shapes["path"]).n == n
     with pytest.raises(GraphError, match="not connected"):
         Graph(n, shapes["star"][1:])
@@ -567,6 +577,105 @@ def test_balance_over_the_edges_is_the_dense_residual_bit_for_bit():
         assert check_balanced(m) == (m._balance <= graphs.BALANCE_TOL, _dense_balance(m))
     single = matrix_from_array(np.array([[1.0]]))
     assert single._balance == 0.0 == _dense_balance(single)
+
+
+# -------------------------------------------------------------- edge form
+# The rules build A from the graph's edges, and the CSR operators from the
+# arcs; the dense construction they replaced (tests/oracles.py) is the oracle.
+
+
+def _shape(kind, n):
+    if kind.startswith("random"):  # both sides of SPARSE_MAX_DENSITY at n = 250
+        return random_connected_graph(n, 0.02 if kind == "random-sparse" else 0.5, seed=n)
+    k = np.arange(1, n)
+    edges = {
+        "path": np.stack([k - 1, k], axis=1),
+        "ring": np.stack([k, (k + 1) % n], axis=1) if n > 2 else np.stack([k - 1, k], axis=1),
+        "star": np.stack([np.zeros_like(k), k], axis=1),
+        "complete": np.stack(np.triu_indices(n, k=1), axis=1),
+    }[kind]
+    return Graph(n, edges.reshape(-1, 2))
+
+
+def _assert_operators_match(m, a):
+    """Each engine operator of m equals its dense form built from a and m's
+    p: the array itself, or the `csr_array` of it, with no zero stored."""
+    for name, dense in dense_operators(a, m.perron.p).items():
+        op = getattr(m, name)
+        if isinstance(op, np.ndarray):
+            assert op.tobytes() == dense.tobytes(), name
+            continue
+        want = scipy.sparse.csr_array(dense)
+        for part in ("indptr", "indices", "data"):
+            got, ref = getattr(op, part), getattr(want, part)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (name, part)
+        assert np.all(op.data != 0), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 250])
+@pytest.mark.parametrize("kind", ["random-sparse", "random-dense", "ring", "path", "star",
+                                  "complete"])
+@pytest.mark.parametrize("rule", ["metropolis", "averaging"])
+def test_the_edge_form_matches_the_dense_construction(monkeypatch, n, kind, rule):
+    graph = _shape(kind, n)
+    build, dense_build = {"metropolis": (build_metropolis, dense_metropolis),
+                          "averaging": (build_averaging, dense_averaging)}[rule]
+    m = build(graph)
+    a = dense_build(graph)
+    assert "dense" not in vars(m._form)  # built on first read
+    assert m.a.tobytes() == a.tobytes()
+    assert m.abar.tobytes() == dense_abar(a).tobytes()
+    p = m.perron.p
+    assert m.v_squared.tobytes() == dense_v_squared(a, p).tobytes()
+    assert np.abs(p - bordered_perron(a)).max() <= 1e-12
+    want = dense_checks(a, p, graphs.SPARSE_MIN_AGENTS, graphs.SPARSE_MAX_DENSITY)
+    assert check_balanced(m) == (want["balance"] <= graphs.BALANCE_TOL, want["balance"])
+    assert (m.is_doubly_stochastic, m.is_symmetric_doubly_stochastic, m._sparse) == (
+        want["doubly"], want["symmetric"], want["sparse"])
+    _assert_operators_match(m, a)
+    # the same matrix from a file: the same p, bit for bit
+    assert matrix_from_array(m.a).perron.p.tobytes() == p.tobytes()
+    # every graph's operators in CSR form too, whatever its size and density
+    monkeypatch.setattr(graphs, "SPARSE_MIN_AGENTS", 1)
+    monkeypatch.setattr(graphs, "SPARSE_MAX_DENSITY", 1.0)
+    forced = build(graph)
+    assert forced._sparse
+    assert forced.perron.p.tobytes() == p.tobytes()
+    _assert_operators_match(forced, a)
+
+
+def test_a_matrix_is_freed_without_the_garbage_collector():
+    """No reference cycle keeps a matrix, its dense A or its eigenpairs
+    alive once it is dropped: the Perron data shares the edge form, not
+    the matrix."""
+    m = build_averaging(random_connected_graph(9, 0.4, seed=2))
+    m.perron.rhoA, m.abar, m._abar_t_op  # fill the caches
+    gone = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_an_unbalanced_matrix_takes_p_from_the_solve(monkeypatch):
+    """A matrix that local balance cannot explain gets the bordered solve's
+    p bit for bit, and its operators still match the dense forms."""
+    solves = []
+    solve = graphs._perron_vector
+    monkeypatch.setattr(graphs, "_perron_vector", lambda a: solves.append(1) or solve(a))
+    unbalanced = np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]])
+    m = matrix_from_array(unbalanced)
+    assert solves == [1]
+    assert m.perron.p.tobytes() == bordered_perron(unbalanced).tobytes()
+    assert check_balanced(m)[0] is False
+    monkeypatch.setattr(graphs, "SPARSE_MIN_AGENTS", 1)
+    monkeypatch.setattr(graphs, "SPARSE_MAX_DENSITY", 1.0)
+    _assert_operators_match(matrix_from_array(unbalanced), unbalanced)
+    assert solves == [1, 1]
+    build_averaging(random_connected_graph(9, 0.4, seed=2))
+    assert solves == [1, 1]  # a balanced matrix takes no solve
 
 
 # ---------------------------------------------------------------- file io

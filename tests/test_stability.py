@@ -1116,12 +1116,13 @@ def test_scan_bracket_straddles_the_spectral_onset(engine, builder, seed):
 
 def test_one_spectral_setup_per_matrix(monkeypatch):
     """Every consumer of one balanced matrix shares its spectral setup:
-    one bordered solve for p, one symmetric eigendecomposition of
-    P^-1/2 A P^1/2, cached by the matrix, from which the closed-form pair
-    and the adaptive engine's Perron estimates both come (no eigh of S, no
-    eigvalsh of S for ||T_e||), and a single decomposition of B.  No
-    array goes through a nonsymmetric eigensolver, no 2N x 2N array is
-    2-normed or SVD'd, and the cached blocks keep no array."""
+    p from local balance with no bordered solve, one symmetric
+    eigendecomposition of P^-1/2 A P^1/2, cached by the matrix, from which
+    the closed-form pair and the adaptive engine's Perron estimates both
+    come (no eigh of S, no eigvalsh of S for ||T_e||), and a single
+    decomposition of B.  No array goes through a nonsymmetric eigensolver,
+    no 2N x 2N array is 2-normed or SVD'd, and the cached blocks keep no
+    array."""
     n = 6
     calls = {"decompose": 0}
     factored, solved, dense_eig, eigh_args, eigvalsh_args = [], [], [], [], []
@@ -1203,7 +1204,7 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     assert list(vars(blocks)) == ["pair", "radius", "t_d_norm"]
     assert not [k for k, v in vars(blocks).items() if isinstance(v, np.ndarray)]
     assert not any(hasattr(blocks, name) for name in ("t_d", "t_e", "u", "v"))
-    assert solved.count((n, n)) == 1
+    assert solved.count((n, n)) == 0
     assert dense_eig == []
     assert matrix.perron is perron
     assert not [shape for shape in factored if 2 * n in shape]
