@@ -117,35 +117,44 @@ def _connected(n: int, ij: np.ndarray) -> bool:
     graph with an isolated agent is rejected before the component search."""
     if n > 1 and np.bincount(ij.ravel(), minlength=n).min() == 0:
         return False
-    return not _components(n, ij).any()
+    return not _components(n, ij)[0].any()
 
 
-def _components(n: int, ij: np.ndarray) -> np.ndarray:
-    """Each agent's component label, the smallest agent in its component, by
-    label propagation with pointer jumping over the edge rows (i, j).
+def _components(n: int, ij: np.ndarray, ratio: np.ndarray | None = None) -> tuple:
+    """(root, x): each agent's component label, the smallest agent in its
+    component, by label propagation with pointer jumping over the edge rows
+    (i, j), and, given each edge's ratio p_j / p_i, x = p / p_root (all
+    ones without ratios).
 
     Every agent points at a smaller or equal agent, and each pointer chain
     ends at a root that points at itself.  A round hooks, for every edge
     whose ends have different roots, the larger root onto the smaller one
     (the smallest offered, when a root is offered several), then jumps
-    pointers until each agent points at its root.  A round that hooks
-    nothing leaves one root per component.  Pointers only decrease, so no
-    hook closes a cycle, and each round that hooks merges two trees at
-    least: the search ends after at most n rounds, in practice a few."""
-    root = np.arange(n)
+    pointers until each agent points at its root.  A hook sets the hooked
+    root's x from its edge, and a jump multiplies x along the chain.  A
+    round that hooks nothing leaves one root per component.  Pointers only
+    decrease, so no hook closes a cycle, and each round that hooks merges
+    two trees at least: the search ends after at most n rounds, in practice
+    a few."""
+    root, x = np.arange(n), np.ones(n)
     i, j = ij[:, 0], ij[:, 1]
     while True:
         ri, rj = root[i], root[j]
         cross = ri != rj
         if not cross.any():
-            return root
+            return root, x
         ri, rj = ri[cross], rj[cross]
-        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        hi, lo = np.maximum(ri, rj), np.minimum(ri, rj)
+        np.minimum.at(root, hi, lo)
+        if ratio is not None:
+            up = (ratio * x[i] / x[j])[cross]  # p_rj / p_ri
+            won = root[hi] == lo
+            x[hi[won]] = np.where(ri > rj, 1.0 / up, up)[won]  # p_hi / p_lo
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):
                 break
-            root = jumped
+            x, root = x * x[root], jumped
 
 
 def _strongly_connected(n: int, ij: np.ndarray, fwd: np.ndarray, bwd: np.ndarray) -> bool:
@@ -198,12 +207,7 @@ class _EdgeForm:
     @cached_property
     def dense(self) -> np.ndarray:
         """The dense N x N A, read-only, built on first read."""
-        n, (i, j) = self.graph.n, self.graph._ij.T
-        a = np.zeros((n, n))
-        a[i, j], a[j, i] = self.upper, self.lower
-        a[np.diag_indices(n)] = self.diag
-        a.flags.writeable = False
-        return a
+        return _dense(self.graph._ij, self.diag, self.upper, self.lower)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a vector x."""
@@ -325,21 +329,14 @@ class CombinationMatrix:
     @cached_property
     def v_squared(self) -> np.ndarray:
         """S = V V^T = (P - A P)/2 of a balanced matrix, read-only,
-        computed on first use.  Balance makes it symmetric; it is
-        symmetrized to drop the rounding skew.  It has A's sparsity, plus
+        computed on first use (see `_weights`).  It has A's sparsity, plus
         the diagonal."""
-        p = self.perron.p
-        s = (np.diag(p) - self.a * p[np.newaxis, :]) / 2.0
-        s = (s + s.T) / 2.0
-        s.flags.writeable = False
-        return s
+        return _dense(self.graph._ij, *self._weights("v_squared"))
 
     @cached_property
     def abar(self) -> np.ndarray:
         """(I + A)/2, read-only, computed on first use."""
-        abar = (np.eye(self.n) + self.a) / 2.0
-        abar.flags.writeable = False
-        return abar
+        return _dense(self.graph._ij, *self._weights("abar"))
 
     @cached_property
     def _sparse(self) -> bool:
@@ -350,25 +347,31 @@ class CombinationMatrix:
         nonzeros = sum(np.count_nonzero(w) for w in (form.diag, form.upper, form.lower))
         return n >= SPARSE_MIN_AGENTS and nonzeros <= SPARSE_MAX_DENSITY * n * n
 
-    def _operator(self, op: str):
-        """The operator `op`, one of "a.T", "abar.T", "abar" and
-        "v_squared": on a large sparse network the `csr_array` assembled from
-        the edge form, entry for entry what `csr_array` makes of the dense
-        form, else the dense form itself."""
-        name = op.removesuffix(".T")
+    def _weights(self, name: str) -> tuple:
+        """The edge form (diag, upper, lower) of A ("a"), of (I + A)/2
+        ("abar") or of S = (P - A P)/2 ("v_squared"), which balance makes
+        symmetric and which is symmetrized to drop the rounding skew.  Each
+        entry is computed as the dense formula computes it, so a -0.0
+        weight gives +0.0 there as well."""
+        d, up, lo = self._form.diag, self._form.upper, self._form.lower
+        if name == "abar":
+            return (1.0 + d) / 2.0, (0.0 + up) / 2.0, (0.0 + lo) / 2.0
+        if name == "v_squared":
+            p, (i, j) = self.perron.p, self.graph._ij.T
+            s = ((0.0 - up * p[j]) / 2.0 + (0.0 - lo * p[i]) / 2.0) / 2.0
+            return (p - d * p) / 2.0, s, s
+        return d, up, lo
+
+    def _operator(self, name: str, transpose: bool = False):
+        """The operator of `_weights(name)`, or of its transpose: on a large
+        sparse network the `csr_array` assembled from the weights, a
+        transpose swapping each edge's two weights, else the matrix's cached
+        dense array or its transposed view."""
         if not self._sparse:
             dense = getattr(self, name)
-            return dense if name == op else dense.T
-        d, up, lo = self._form.diag, self._form.upper, self._form.lower
-        if name == "abar":  # (I + A)/2, as the dense sum computes it
-            d, up, lo = (1.0 + d) / 2.0, (0.0 + up) / 2.0, (0.0 + lo) / 2.0
-        elif name == "v_squared":  # S's entries, as `v_squared` computes them
-            p, (i, j) = self.perron.p, self.graph._ij.T
-            d = (p - d * p) / 2.0
-            up = lo = ((0.0 - up * p[j]) / 2.0 + (0.0 - lo * p[i]) / 2.0) / 2.0
-        if name != op:  # a transpose swaps each edge's two weights
-            up, lo = lo, up
-        return _csr(self.graph._ij, d, up, lo)
+            return dense.T if transpose else dense
+        d, up, lo = self._weights(name)
+        return _csr(self.graph._ij, d, *((lo, up) if transpose else (up, lo)))
 
     # The engines' operators, each built on first read: `op @ x` on an (N, M)
     # block or an (N, B*M) stack, with the `csr_array` on a large sparse
@@ -378,12 +381,12 @@ class CombinationMatrix:
     @cached_property
     def _a_t_op(self):
         """A^T, the tracking engines' combine."""
-        return self._operator("a.T")
+        return self._operator("a", transpose=True)
 
     @cached_property
     def _abar_t_op(self):
         """Abar^T, the exact diffusion engines' combine."""
-        return self._operator("abar.T")
+        return self._operator("abar", transpose=True)
 
     @cached_property
     def _abar_op(self):
@@ -419,6 +422,17 @@ def _column_sums(ij: np.ndarray, diag, upper, lower) -> np.ndarray:
     n = diag.size
     return np.bincount(np.concatenate([ij[:, 1], np.arange(n), ij[:, 0]]),
                        np.concatenate([upper, diag, lower]), n)
+
+
+def _dense(ij: np.ndarray, diag, upper, lower) -> np.ndarray:
+    """The read-only N x N array with diagonal `diag`, upper at the edge rows
+    (i, j), lower at (j, i) and +0.0 elsewhere."""
+    n, (i, j) = diag.size, ij.T
+    a = np.zeros((n, n))
+    a[i, j], a[j, i] = upper, lower
+    a[np.diag_indices(n)] = diag
+    a.flags.writeable = False
+    return a
 
 
 def _csr(ij: np.ndarray, diag, upper, lower):
@@ -552,30 +566,12 @@ def _symmetrized(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _perron_from_balance(form: _EdgeForm) -> np.ndarray:
     """The candidate Perron vector of a balanced A, read off its edges by
     local balance, p_j / p_i = a[j, i] / a[i, j] on each edge weighted both
-    ways, and normalized.  The edges are joined into trees as in
-    `_components`, each agent holding x = p / p_r for the root r of its
-    pointer chain: a hook sets the hooked root's x from its edge, and a
-    jump multiplies x along the chain.  SpectralError when those edges do
-    not connect the agents, so A cannot be balanced."""
+    ways, carried along the component search's trees (`_components`) and
+    normalized.  SpectralError when those edges do not connect the agents,
+    so A cannot be balanced."""
     both = (form.upper > 0) & (form.lower > 0)
-    (i, j), ratio = form.graph._ij[both].T, form.lower[both] / form.upper[both]
-    root, x = np.arange(form.graph.n), np.ones(form.graph.n)
-    while True:
-        ri, rj = root[i], root[j]
-        cross = ri != rj
-        if not cross.any():
-            break
-        up = (ratio * x[i] / x[j])[cross]  # p_rj / p_ri
-        ri, rj = ri[cross], rj[cross]
-        hi, lo = np.maximum(ri, rj), np.minimum(ri, rj)
-        np.minimum.at(root, hi, lo)
-        won = root[hi] == lo
-        x[hi[won]] = np.where(ri > rj, 1.0 / up, up)[won]  # p_hi / p_lo
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            x, root = x * x[root], jumped
+    root, x = _components(form.graph.n, form.graph._ij[both],
+                          form.lower[both] / form.upper[both])
     if root.any():
         raise SpectralError("the edges weighted both ways do not connect the agents")
     return x / x.sum()

@@ -1083,8 +1083,8 @@ built = []
 operator = graphs.CombinationMatrix._operator
 
 
-def counted(self, dense):
-    op = operator(self, dense)
+def counted(self, *args, **kwargs):
+    op = operator(self, *args, **kwargs)
     if not isinstance(op, graphs.np.ndarray):  # a CSR form
         built.append(op.shape[0])
     return op

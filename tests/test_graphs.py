@@ -279,7 +279,7 @@ def test_connectivity_matches_the_scipy_oracle_on_random_graphs():
         pairs = np.stack(np.triu_indices(n, k=1), axis=1)
         ij = pairs[rng.random(len(pairs)) < rng.uniform(0.0, 0.3)]
         labels = component_labels_oracle(n, ij)
-        assert np.array_equal(_components(n, ij), labels), (n, ij.tolist())
+        assert np.array_equal(_components(n, ij)[0], labels), (n, ij.tolist())
         assert _connected(n, ij) == (not labels.any())
         q = rng.uniform(0.5, 1.0)
         fwd = rng.random(len(ij)) < q
@@ -305,7 +305,7 @@ def test_connectivity_on_paths_rings_and_stars_at_n2000():
         for cut in (None, n // 2):
             edges = ij if cut is None else np.delete(ij, cut, axis=0)
             labels = component_labels_oracle(n, edges)
-            assert np.array_equal(_components(n, edges), labels), (name, cut)
+            assert np.array_equal(_components(n, edges)[0], labels), (name, cut)
             assert _connected(n, edges) == (not labels.any())
             # arcs along the edges one way only: strongly connected only as a ring
             support = np.eye(n, dtype=bool)
