@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ENGINE_SPECS, ENGINES, StepSizes, _validate_steps, run
+from .algorithms import ENGINE_SPECS, ENGINES, StepSizes, _check_engine, _validate_steps, run
 from .costs import ConvergenceError, CostModel, hessian_bounds, model_from_config
 from .graphs import (
     CombinationMatrix,
@@ -33,6 +33,7 @@ from .graphs import (
     SpectralError,
     build_averaging,
     build_metropolis,
+    check_balanced,
     load_matrix_csv,
     matrix_from_array,
     random_connected_graph,
@@ -206,9 +207,10 @@ def _build_graph(cfg: dict, default_seed) -> Graph:
 
 def _build_matrix(cfg: dict, default_seed, spectrum: bool = False) -> CombinationMatrix:
     """The configured matrix.  With `spectrum` (for `analyze` and the
-    adaptive engine, the readers of A's eigenvalues), the eigenvalues, which
-    a matrix computes on first read, are read here too, so that a failure of
-    their check surfaces where the matrix is built."""
+    adaptive engine, the readers of A's eigenvalues), a balanced matrix's
+    eigenvalues, which it computes on first read, are read here too, so
+    that a failure of their check surfaces where the matrix is built.  An
+    unbalanced matrix has none, and is refused where its reader needs them."""
     section = _section(cfg, "matrix")
     rule = _field(section, "matrix", "rule", "str")
     if rule == "file":
@@ -232,7 +234,7 @@ def _build_matrix(cfg: dict, default_seed, spectrum: bool = False) -> Combinatio
 
 
 def _with_spectrum(matrix: CombinationMatrix, spectrum: bool) -> CombinationMatrix:
-    if spectrum:
+    if spectrum and check_balanced(matrix)[0]:
         matrix.perron.rhoA  # computes and checks the eigenvalues
     return matrix
 
@@ -306,7 +308,8 @@ def _cmd_run(cfg: dict, seed) -> dict:
         raise ConfigError("run.engine", f"unknown engine {engine!r}; choose from {list(ENGINES)}")
     matrix = _build_matrix(cfg, seed, spectrum=engine == "adaptive_exact_diffusion")
     model = _build_model(cfg, matrix.n, seed)
-    with _failures_at("run"):
+    with _failures_at("run"):  # the engine's needs first: its steps may read p
+        _check_engine(engine, model, matrix)
         steps = _build_steps(run_cfg, engine, model, matrix)
     max_iters, stop = _budget(run_cfg, "run")
     w0 = None

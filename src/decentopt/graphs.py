@@ -6,11 +6,11 @@ a[l, k] is the weight agent k applies to data arriving from agent l.
 
 A CombinationMatrix is immutable and held in edge form, its diagonal and
 one weight per arc.  Its constructor validates A and computes the Perron
-vector and the balance residual in O(N + E), with no eigensolve (see the
-class).  The dense A, its spectrum (see `PerronData`), S = (P - A P)/2
-(`v_squared`), (I + A)/2 (`abar`), the engines' operators (CSR arrays
-built from the arcs on a large sparse network), and the error-recursion
-blocks, which read only Abar, p and the eigenpairs of
+vector and the balance residual in O(N + E), with no solve (see the
+class).  The dense A, a balanced A's spectrum (see `PerronData`),
+S = (P - A P)/2 (`v_squared`), (I + A)/2 (`abar`), the engines' operators
+(CSR arrays built from the arcs on a large sparse network), and the
+error-recursion blocks, which read only Abar, p and the eigenpairs of
 At = P^{-1/2} A P^{1/2} (`_eigh`), come on first read.  No dual factor V
 of S and no lifted 2N x 2N matrix is formed.
 
@@ -225,19 +225,21 @@ class CombinationMatrix:
     zero off the graph.  Validated in O(N + E): finite nonnegative entries,
     column sums, and structural primitivity: a strongly connected support
     with at least one positive self-weight, which makes A irreducible with
-    a positive diagonal entry, hence primitive.  So are `perron.p`, read off
-    the edges by local balance (`_perron_from_balance`) or, where that
-    fails its checks, solved densely (`_perron_vector`), and the balance
-    residual of `check_balanced`.  No eigensolve runs at construction: A's
-    eigenvalues, and the eigenpairs of the symmetric At = P^{-1/2} A P^{1/2}
-    of a balanced A (`_eigh`), are computed on first read and checked then
-    (see `PerronData`).  The dense `a` is built on first read and
-    read-only, so the cached spectral data cannot go stale.
+    a positive diagonal entry, hence primitive.  So are the balance
+    residual of `check_balanced` and p, which `_check_perron` accepts from
+    one of two sources: local balance over the edges
+    (`_perron_from_balance`) for a balanced A, else 1/N for a doubly
+    stochastic A.  Any other A has no Perron data: `perron` raises
+    ValueError.  No eigensolve runs at construction: the eigenpairs of the
+    symmetric At = P^{-1/2} A P^{1/2} of a balanced A (`_eigh`) are
+    computed on first read and checked then (see `PerronData`).  The dense
+    `a` is built on first read and read-only, so the cached spectral data
+    cannot go stale.
     """
 
     graph: Graph
     _form: _EdgeForm = field(repr=False)
-    perron: PerronData = field(repr=False)
+    _perron: PerronData | None = field(repr=False)
     _balance: float = field(repr=False)
 
     def __init__(self, a, graph: Graph):
@@ -246,13 +248,9 @@ class CombinationMatrix:
         n = graph.n
         if a.shape != (n, n):
             raise ValueError(f"matrix shape {a.shape} does not match n={n}")
-        if not np.isfinite(a).all():
-            raise ValueError("combination matrix has non-finite entries")
-        if a.min() < 0:
-            raise ValueError("combination matrix has negative entries")
         allowed = graph.adjacency().astype(bool) | np.eye(n, dtype=bool)
-        if np.any((a > 0) & ~allowed):
-            raise ValueError("positive weight on a non-edge pair")
+        if np.any((a != 0) & ~allowed):  # the edge form checks the rest
+            raise ValueError("nonzero weight on a non-edge pair")
         i, j = graph._ij.T
         form = _EdgeForm(graph, np.diag(a), a[i, j], a[j, i])
         object.__setattr__(form, "dense", a)  # the dense form is given: keep it
@@ -292,21 +290,32 @@ class CombinationMatrix:
                 "matrix support is not strongly connected; "
                 "matrix is not primitive"
             )
+        uniform = np.full(self.n, 1.0 / self.n)
         try:
             p = _perron_from_balance(form)
-            balance = _check_perron(form, p)
-        except SpectralError:
-            balance = np.inf
-        if not balance <= BALANCE_TOL:  # p by local balance fails: the dense solve
-            p = _perron_vector(form.dense)
-            balance = _check_perron(form, p)
-        p.flags.writeable = False
-        object.__setattr__(self, "perron", PerronData(p, form, balance <= BALANCE_TOL))
+        except SpectralError:  # A cannot be balanced: measure the residual at 1/N
+            p = uniform
+        balance = _balance_residual(form, p)
+        if not balance <= BALANCE_TOL and self.is_doubly_stochastic:
+            p, balance = uniform, _balance_residual(form, uniform)
+        perron = None
+        if balance <= BALANCE_TOL or self.is_doubly_stochastic:
+            _check_perron(form, p)
+            p.flags.writeable = False
+            perron = PerronData(p, form)
+        object.__setattr__(self, "_perron", perron)
         object.__setattr__(self, "_balance", balance)
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def perron(self) -> PerronData:
+        """The Perron data, or ValueError for an A with none."""
+        if self._perron is None:
+            _require_balanced(self._balance)
+        return self._perron
 
     @property
     def a(self) -> np.ndarray:
@@ -455,44 +464,33 @@ def _csr(ij: np.ndarray, diag, upper, lower):
 @dataclass(frozen=True)
 class PerronData:
     """Perron vector p (Ap = p, sum 1, entrywise positive) of a primitive
-    left-stochastic A, plus the spectral summary of A: second-largest
-    eigenvalue lambda2 (real for balanced policies), smallest eigenvalue
-    lambdaN, and second-largest eigenvalue magnitude rhoA.
+    left-stochastic A, plus the spectral summary of a balanced A:
+    second-largest eigenvalue lambda2, smallest eigenvalue lambdaN, and
+    second-largest eigenvalue magnitude rhoA.
 
-    p is computed with the matrix; the spectrum on first read.  A balanced
-    A's eigenvalues are those of one `eigh` of At (`_eigh`), which the
-    Perron data caches with its eigenvectors; an unbalanced A's come from
-    one `eigvals(A)`.  That first read checks them: exactly one within
-    UNIT_EIG_TOL of 1 and no other on the unit circle, else SpectralError.
-    A structurally primitive A passes unless rounding trips the check."""
+    p is computed with the matrix; the spectrum on first read, from one
+    `eigh` of At (`_eigh`), which the Perron data caches with its
+    eigenvectors.  That first read checks the eigenvalues: exactly one
+    within UNIT_EIG_TOL of 1 and no other on the unit circle, else
+    SpectralError, and ValueError for an unbalanced A.  A structurally
+    primitive A passes unless rounding trips the check."""
 
     p: np.ndarray
     _form: _EdgeForm = field(repr=False, compare=False)
-    _balanced: bool = field(repr=False, compare=False)
 
     @cached_property
     def _eigh(self) -> tuple:
         """(lam, U) of a balanced A's At = U diag(lam) U^T, read-only,
         ascending with the unit eigenvalue last, from one `eigh` on first use."""
+        _require_balanced(_balance_residual(self._form, self.p))
         lam, u = np.linalg.eigh(_symmetrized(self._form.dense, self.p))
         _check_primitive(lam)
         lam.flags.writeable = u.flags.writeable = False
         return lam, u
 
     @cached_property
-    def _eigvals(self) -> np.ndarray:
-        """A's eigenvalues, read-only: `_eigh`'s for a balanced A, else
-        `eigvals(A)`'s."""
-        if self._balanced:
-            return self._eigh[0]
-        vals = np.linalg.eigvals(self._form.dense)
-        _check_primitive(vals)
-        vals.flags.writeable = False
-        return vals
-
-    @cached_property
     def _summary(self) -> tuple:
-        return _spectrum_summary(self._eigvals)
+        return _spectrum_summary(self._eigh[0])
 
     @property
     def lambda2(self) -> float:
@@ -545,16 +543,11 @@ def _check_primitive(vals: np.ndarray) -> None:
 
 
 def _spectrum_summary(vals: np.ndarray):
-    """(lambda2, lambdaN, rhoA) from the full set of eigenvalues."""
-    vals = vals[np.lexsort((-vals.imag, -vals.real))]
+    """(lambda2, lambdaN, rhoA) from A's eigenvalues, real and ascending
+    with the unit one last (see `_check_primitive`)."""
     if vals.size == 1:
         return float("nan"), 1.0, 0.0
-    lambda2 = float(vals[1].real)
-    lambdaN = float(vals[-1].real)
-    perron_idx = int(np.argmin(np.abs(vals - 1.0)))
-    rest = np.delete(vals, perron_idx)
-    rhoA = float(np.abs(rest).max())
-    return lambda2, lambdaN, rhoA
+    return float(vals[-2]), float(vals[0]), float(max(abs(vals[0]), abs(vals[-2])))
 
 
 def _symmetrized(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -577,31 +570,27 @@ def _perron_from_balance(form: _EdgeForm) -> np.ndarray:
     return x / x.sum()
 
 
-def _perron_vector(a: np.ndarray) -> np.ndarray:
-    """Perron vector (Ap = p, sum 1) of an irreducible left-stochastic A
-    from one bordered solve: (I - A) p = 0 with its last row replaced by
-    1^T p = 1.  The rows of I - A sum to zero and span a space of dimension
-    N - 1, so any N - 1 of them are independent and the bordered system is
-    nonsingular (for N = 1 it is 1 p = 1)."""
-    n = a.shape[0]
-    bordered = np.eye(n) - a
-    bordered[-1] = 1.0
-    return np.linalg.solve(bordered, np.eye(n)[-1])
-
-
-def _check_perron(form: _EdgeForm, p: np.ndarray) -> float:
-    """The balance residual of a Perron vector p of A, the largest
-    |p_i a[j, i] - a[i, j] p_j| over the edges (the diagonal and off-edge
-    terms of P A^T - A P are exactly 0), once p has passed its checks:
-    SpectralError when p is not entrywise positive or misses the residual
-    tolerance."""
+def _check_perron(form: _EdgeForm, p: np.ndarray) -> None:
+    """SpectralError unless p is an entrywise positive Perron vector of A
+    within the residual tolerance."""
     if not p.min() > 0:
         raise SpectralError("Perron vector is not entrywise positive")
     residual = np.abs(form.apply(p) - p).max()
     if not residual <= PERRON_RESIDUAL_TOL:
         raise SpectralError(f"Perron residual {residual:.3e} above tolerance")
+
+
+def _balance_residual(form: _EdgeForm, p: np.ndarray) -> float:
+    """The largest |p_i a[j, i] - a[i, j] p_j| over the edges (the diagonal
+    and off-edge terms of P A^T - A P are exactly 0)."""
     i, j = form.graph._ij.T
     return float(np.abs(p[i] * form.lower - form.upper * p[j]).max(initial=0.0))
+
+
+def _require_balanced(violation: float) -> None:
+    """ValueError unless the balance residual `violation` is within BALANCE_TOL."""
+    if not violation <= BALANCE_TOL:
+        raise ValueError(f"combination matrix is not balanced (violation {violation:.3e})")
 
 
 def check_balanced(matrix: CombinationMatrix):
@@ -609,7 +598,9 @@ def check_balanced(matrix: CombinationMatrix):
     Perron vector.
 
     Returns (balanced, violation) where violation is the largest residual
-    entry, as the constructor measured it.
+    entry, as the constructor measured it: at p for a matrix with Perron
+    data, else at the candidate read off the edges by local balance, or at
+    1/N when the edges weighted both ways do not connect the agents.
     """
     return matrix._balance <= BALANCE_TOL, matrix._balance
 
@@ -684,7 +675,7 @@ def matrix_from_array(a, graph: Graph | None = None) -> CombinationMatrix:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"combination matrix must be square, got shape {a.shape}")
     if graph is None:
-        support = a > 0
+        support = a != 0
         graph = Graph(a.shape[0], np.argwhere(np.triu(support | support.T, k=1)))
     return CombinationMatrix(a, graph)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algorithms import ENGINE_SPECS, StepSizes, _check_engine, _iterate
 from .costs import CostModel, QuadraticModel, solve_centralized
-from .graphs import CombinationMatrix, SpectralError, check_balanced, matrix_from_array
+from .graphs import CombinationMatrix, SpectralError, _require_balanced, matrix_from_array
 from .spectral import dual_vectors
 
 EIGENPAIR_TOL = 1e-8
@@ -69,7 +69,6 @@ def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     Otherwise ||X_R|| and ||X_L|| are the 2-norms of the pair's N-row
     pieces, and ||T_d||^2 is the top eigenvalue of T_d^T T_d =
     Abar (I + S) Abar^T, each from a Gram `eigvalsh`."""
-    _require_balanced(matrix)
     dense_t = matrix.abar.T
     k_max = int(np.count_nonzero(dense_t, axis=1).max())
     uniform, p = matrix.is_symmetric_doubly_stochastic, matrix.perron.p
@@ -80,12 +79,6 @@ def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
         t_d = matrix._abar_op @ (dense_t + matrix._dual_op @ dense_t)
         t_d_norm = float(np.sqrt(max(np.linalg.eigvalsh(t_d)[-1], 0.0)))
     return _Blocks(pair=pair, radius=radius, t_d_norm=t_d_norm)
-
-
-def _require_balanced(matrix: CombinationMatrix) -> None:
-    balanced, violation = check_balanced(matrix)
-    if not balanced:
-        raise ValueError(f"combination matrix is not balanced (violation {violation:.3e})")
 
 
 def _symmetric_t_d_norm(a: np.ndarray, p: np.ndarray) -> float:
@@ -128,7 +121,7 @@ def build_error_dynamics(matrix, model: CostModel) -> ErrorDynamics:
         raise TypeError("error dynamics need constant Hessians (quadratic costs)")
     if model.n_agents != matrix.n:
         raise ValueError("model size does not match the combination matrix")
-    _require_balanced(matrix)
+    _require_balanced(matrix._balance)
     return ErrorDynamics(matrix=matrix, h=model.hessians())
 
 

@@ -11,6 +11,12 @@ from decentopt import (
 )
 
 
+# U is column stochastic but neither balanced nor doubly stochastic; the
+# cycle C is doubly stochastic but not balanced
+U = np.array([[0.5, 0.2, 0.3], [0.3, 0.5, 0.3], [0.2, 0.3, 0.4]])
+C = 0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=0)
+
+
 def random_metropolis(n: int, seed: int, prob: float = 0.6) -> CombinationMatrix:
     return build_metropolis(random_connected_graph(n, prob, seed))
 

@@ -181,7 +181,7 @@ def predicted_b_spectrum(matrix) -> np.ndarray:
     conjugate pair of modulus sqrt(lam)), from A's cached eigenvalues and
     the quadratic formula, independent of `decompose_b`."""
     matrix = matrix_from_array(matrix)
-    lams = (1.0 + matrix.perron._eigvals) / 2.0  # the eigenvalues of Abar
+    lams = (1.0 + matrix._eigh[0]) / 2.0  # the eigenvalues of Abar
     lams = np.delete(lams, np.argmin(np.abs(lams - 1.0))).astype(complex)
     root = np.sqrt(lams * lams - lams)
     return np.sort_complex(np.concatenate([[1.0, 1.0], lams + root, lams - root]))

@@ -23,6 +23,7 @@ from decentopt import (
 )
 from decentopt.cli import _build_graph, main
 
+from conftest import C, U
 from oracles import read_trace_csv
 
 SCHEMA_PATH = Path(decentopt.__file__).parent / "schemas" / "analysis_report.schema.json"
@@ -963,7 +964,7 @@ def test_perron_failure_is_config_error(tmp_path, capsys, monkeypatch, command):
 def test_spectral_setup_failures_surface_at_the_matrix(tmp_path, capsys, monkeypatch, command,
                                                        engine, rule, where, failure, message):
     # the constructor computes p, so a failed Perron check (the one both the
-    # edge-ratio p and the solved p pass) surfaces where the matrix is
+    # edge-ratio p and the 1/N p pass) surfaces where the matrix is
     # built: at `matrix` for a built-in rule and at `matrix.path` for a
     # matrix file.  A's eigenvalues, and their
     # primitivity check, come on first read: `analyze` and the adaptive
@@ -996,29 +997,76 @@ def test_spectral_setup_failures_surface_at_the_matrix(tmp_path, capsys, monkeyp
     assert f"config error at {where}: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("balanced", [True, False])
-def test_only_an_unbalanced_file_matrix_reaches_the_perron_solve(tmp_path, capsys, monkeypatch,
-                                                                 balanced):
-    # a balanced matrix takes p from local balance over its edges, so a
-    # failing bordered solve surfaces only for an unbalanced file matrix
-    monkeypatch.setattr(decentopt.graphs, "_perron_vector", _raise(SpectralError))
+def test_no_matrix_construction_calls_a_solve_or_eigvals(tmp_path, monkeypatch):
+    # p is read off the edges of a balanced matrix and is 1/N for a doubly
+    # stochastic one; any other matrix has none, so no matrix needs a solve
+    for name in ("solve", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, _raise(AssertionError))
+    graph = decentopt.random_connected_graph(6, 0.6, seed=7)
+    built = [decentopt.build_metropolis(graph), decentopt.build_averaging(graph)]
+    for a in [m.a for m in built] + [U, C]:
+        save_matrix_csv(tmp_path / "a.csv", a)
+        built.append(decentopt.matrix_from_array(decentopt.load_matrix_csv(tmp_path / "a.csv")))
+    assert [decentopt.check_balanced(m)[0] for m in built] == [True] * 4 + [False] * 2
+
+
+def _refusal_config(tmp_path, a, command, engine, steps):
     path = tmp_path / "a.csv"
-    if balanced:
-        save_matrix_csv(path, decentopt.build_averaging(
-            decentopt.random_connected_graph(6, 0.6, seed=7)).a)
-    else:
-        save_matrix_csv(path, np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]]))
-    payload = base_run_config()
+    save_matrix_csv(path, a)
+    payload = base_run_config(engine=engine or "exact_diffusion", max_iters=2000)
+    del payload["graph"], payload["run"]["mu_o"]
     payload["matrix"] = {"rule": "file", "path": str(path)}
-    del payload["graph"]
-    cfg = write_config(tmp_path, payload)
-    code = run_cli(["analyze", "--config", cfg, "--out", tmp_path / "x"])
-    if balanced:
-        assert code == 0
-    else:
-        assert code == 2
-        assert ("config error at matrix.path: bad combination matrix: injected failure"
-                in capsys.readouterr().err)
+    payload["run"].update(steps)
+    payload["scan"] = {"engine": engine, "mu_min": 0.01, "mu_max": 0.5, "points": 4,
+                       "max_iters": 500}
+    return write_config(tmp_path, payload)
+
+
+_BALANCED_U = "requires a locally balanced combination matrix (violation 7.895e-02)"
+_BALANCED_C = "requires a locally balanced combination matrix (violation 1.667e-01)"
+
+
+@pytest.mark.parametrize("matrix, command, engine, steps, where, text", [
+    (U, "analyze", None, {}, "matrix", "combination matrix is not balanced (violation 7.895e-02)"),
+    (U, "run", "exact_diffusion", {"mu": 0.01}, "run", "exact_diffusion " + _BALANCED_U),
+    (U, "run", "exact_diffusion", {"mu_o": 0.004}, "run", "exact_diffusion " + _BALANCED_U),
+    (U, "run", "adaptive_exact_diffusion", {"mu_o": 0.004}, "run",
+     "adaptive_exact_diffusion " + _BALANCED_U),
+    (U, "run", "diging", {"mu": 0.01}, "run",
+     "diging requires a doubly stochastic combination matrix"),
+    (U, "run", "extra", {"mu": 0.01}, "run",
+     "extra requires a doubly stochastic combination matrix"),
+    (U, "stability-scan", "exact_diffusion", {}, "scan", "exact_diffusion " + _BALANCED_U),
+    (U, "stability-scan", "aug_dgm", {}, "scan",
+     "aug_dgm requires a doubly stochastic combination matrix"),
+    (C, "analyze", None, {}, "matrix", "combination matrix is not balanced (violation 1.667e-01)"),
+    (C, "run", "exact_diffusion", {"mu": 0.01}, "run", "exact_diffusion " + _BALANCED_C),
+    (C, "run", "exact_diffusion", {"mu_o": 0.004}, "run", "exact_diffusion " + _BALANCED_C),
+    (C, "run", "adaptive_exact_diffusion", {"mu_o": 0.004}, "run",
+     "adaptive_exact_diffusion " + _BALANCED_C),
+    (C, "run", "diging", {"mu": 0.01}, None, None),
+    (C, "run", "extra", {"mu": 0.01}, "run", "extra requires a symmetric combination matrix"),
+    (C, "stability-scan", "exact_diffusion", {}, "scan", "exact_diffusion " + _BALANCED_C),
+    (C, "stability-scan", "aug_dgm", {}, None, None),
+], ids=[f"{m}-{c}" for m in "UC" for c in (
+    "analyze", "exact_diffusion-mu", "exact_diffusion-mu_o", "adaptive", "diging", "extra",
+    "scan-exact_diffusion", "scan-aug_dgm")])
+def test_unbalanced_file_matrices_are_refused_where_their_reader_needs_balance(
+        tmp_path, capsys, matrix, command, engine, steps, where, text):
+    """The refusals of U and C read from a file: exit code, field path and
+    text.  The engine's requirements are checked before its steps, so an
+    exact diffusion run with a plain mu is refused at `run` for the matrix,
+    as with mu_o, not at `run.mu` for a step rule that needs p."""
+    cfg = _refusal_config(tmp_path, matrix, command, engine, steps)
+    code = run_cli([command, "--config", cfg, "--out", tmp_path / "x"])
+    err = capsys.readouterr().err
+    if where is None:
+        assert (code, err) == (0, "")
+        assert os.listdir(tmp_path / "x")
+        return
+    assert code == 2
+    assert err == f"config error at {where}: {text}\n"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "stability-scan"])

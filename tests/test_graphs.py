@@ -27,7 +27,7 @@ from decentopt import graphs
 from decentopt.graphs import (PERRON_RESIDUAL_TOL, _components, _connected,
                               _strongly_connected)
 
-from conftest import random_metropolis
+from conftest import C, U, random_metropolis
 from oracles import (bordered_perron, component_labels_oracle, connected_oracle, dense_abar,
                      dense_averaging, dense_checks, dense_metropolis, dense_operators,
                      dense_v_squared, strongly_connected_oracle)
@@ -413,6 +413,20 @@ def test_matrix_validation_failures():
         CombinationMatrix(np.eye(3), k2)  # shape mismatch
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 0.1])
+def test_the_dense_constructor_refuses_any_nonzero_off_graph_entry(bad):
+    a = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]])
+    a[0, 2] = bad
+    with pytest.raises(ValueError, match="nonzero weight on a non-edge pair"):
+        CombinationMatrix(a, Graph(3, [(0, 1), (1, 2)]))
+    # a graph inferred from the nonzero entries holds the pair, and the edge
+    # form names the entry
+    match = ("non-finite" if not np.isfinite(bad) else "negative" if bad < 0
+             else "columns must sum")
+    with pytest.raises(ValueError, match=match):
+        matrix_from_array(a)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_matrix_rejects_non_finite_entries(bad):
     # NaN passes every comparison-based check and used to surface as a
@@ -503,14 +517,30 @@ def test_bordered_perron_matches_the_power_iteration_reference(n, kind, build):
     assert summary == pytest.approx(summary_ref, rel=0, abs=1e-12)
 
 
-def test_unbalanced_file_matrix_keeps_the_eigvals_spectrum(tmp_path):
+def test_an_unbalanced_file_matrix_refuses_its_spectrum(tmp_path):
+    """A matrix that is neither balanced nor doubly stochastic has no
+    Perron data: each read of p or of the spectrum raises the balance
+    text, never an AttributeError.  Its A and Abar operators are still
+    there; S, which needs p, is not."""
     path = tmp_path / "a.csv"
-    save_matrix_csv(path, np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]]))
+    save_matrix_csv(path, U)
     m = matrix_from_array(load_matrix_csv(path))
-    assert not check_balanced(m)[0]
-    p_ref, summary_ref = reference_perron(m.a)
-    assert (m.perron.lambda2, m.perron.lambdaN, m.perron.rhoA) == summary_ref
-    assert np.abs(m.perron.p - p_ref).max() <= 1e-12
+    assert check_balanced(m)[0] is False
+    text = r"combination matrix is not balanced \(violation 7\.895e-02\)"
+    for read in (lambda: m.perron, lambda: m.perron.p, lambda: m.perron.rhoA,
+                 lambda: m._eigh, lambda: m.v_squared):
+        with pytest.raises(ValueError, match=text):
+            read()
+    for name, dense in dense_operators(U, np.full(3, 1 / 3)).items():
+        if name != "_dual_op":
+            assert getattr(m, name).tobytes() == dense.tobytes(), name
+    # a doubly stochastic unbalanced matrix has p, but no spectrum either
+    c = matrix_from_array(C)
+    assert c.perron.p.tolist() == [1 / 3] * 3
+    for read in (lambda: c.perron.lambda2, lambda: c.perron.rhoA, lambda: c._eigh):
+        with pytest.raises(ValueError,
+                           match=r"combination matrix is not balanced \(violation 1\.667e-01\)"):
+            read()
 
 
 def test_combination_matrix_is_read_only():
@@ -528,20 +558,34 @@ def test_check_balanced_flags_asymmetric_column_stochastic():
     a = np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]])
     assert np.abs(a.sum(axis=0) - 1.0).max() <= 1e-15  # column stochastic...
     m = matrix_from_array(a)
-    perron = m.perron
     balanced, violation = check_balanced(m)
-    # ...but A diag(p) is not symmetric, so it is unbalanced
-    pa = a @ np.diag(perron.p)
+    # ...but A diag(p) is not symmetric for its true Perron vector (the
+    # oracle's solve), so it is unbalanced, and it has no Perron data
+    pa = a @ np.diag(bordered_perron(a))
     assert np.abs(pa - pa.T).max() > 1e-3
     assert balanced is False
     assert violation > 1e-3
+    # the violation is measured at the candidate read off the edges
+    assert violation == _dense_balance(a, graphs._perron_from_balance(m._form))
+    with pytest.raises(ValueError, match="not balanced"):
+        m.perron
 
 
-def _dense_balance(m):
+def _dense_balance(a, p):
     """The largest entry of |P A^T - A P|, the constructor's former dense
     formula."""
-    p = m.perron.p
-    return float(np.abs(p[:, np.newaxis] * m.a.T - m.a * p).max())
+    return float(np.abs(p[:, np.newaxis] * a.T - a * p).max())
+
+
+def _violation_p(m):
+    """The p that m's balance residual is measured at: its own, else the
+    candidate read off the edges by local balance, else 1/N."""
+    if m._perron is not None:
+        return m.perron.p
+    try:
+        return graphs._perron_from_balance(m._form)
+    except SpectralError:
+        return np.full(m.n, 1.0 / m.n)
 
 
 def _unbalanced_with_zero_weight_edges(seed):
@@ -572,11 +616,13 @@ def test_balance_over_the_edges_is_the_dense_residual_bit_for_bit():
             unbalanced.append(m)
     assert len(unbalanced) >= 5
     assert not any(check_balanced(m)[0] for m in unbalanced)
+    assert all(m._perron is None for m in unbalanced)  # none is doubly stochastic
     for m in matrices + unbalanced:
-        assert m._balance == _dense_balance(m)
-        assert check_balanced(m) == (m._balance <= graphs.BALANCE_TOL, _dense_balance(m))
+        dense = _dense_balance(m.a, _violation_p(m))
+        assert m._balance == dense
+        assert check_balanced(m) == (m._balance <= graphs.BALANCE_TOL, dense)
     single = matrix_from_array(np.array([[1.0]]))
-    assert single._balance == 0.0 == _dense_balance(single)
+    assert single._balance == 0.0 == _dense_balance(single.a, single.perron.p)
 
 
 # -------------------------------------------------------------- edge form
@@ -659,23 +705,33 @@ def test_a_matrix_is_freed_without_the_garbage_collector():
         gc.enable()
 
 
-def test_an_unbalanced_matrix_takes_p_from_the_solve(monkeypatch):
-    """A matrix that local balance cannot explain gets the bordered solve's
-    p bit for bit, and its operators still match the dense forms."""
-    solves = []
-    solve = graphs._perron_vector
-    monkeypatch.setattr(graphs, "_perron_vector", lambda a: solves.append(1) or solve(a))
-    unbalanced = np.array([[0.6, 0.2, 0.3], [0.2, 0.5, 0.3], [0.2, 0.3, 0.4]])
-    m = matrix_from_array(unbalanced)
-    assert solves == [1]
-    assert m.perron.p.tobytes() == bordered_perron(unbalanced).tobytes()
-    assert check_balanced(m)[0] is False
+def _doubly_stochastic_unbalanced():
+    """A nonsymmetric doubly stochastic 4 x 4 A with every edge weighted
+    both ways, so that local balance gives a candidate p that fails."""
+    perm = np.roll(np.eye(4), 1, axis=0)
+    return 0.4 * np.eye(4) + 0.4 * perm + 0.2 * perm.T
+
+
+@pytest.mark.parametrize("a", [C, _doubly_stochastic_unbalanced()], ids=["cycle", "candidate"])
+def test_a_doubly_stochastic_matrix_takes_p_uniform_with_no_solve(monkeypatch, a):
+    """An unbalanced doubly stochastic A, with or without a candidate from
+    local balance, gets p = 1/N exactly, with no solve; its balance residual
+    is measured there, and its operators still match the dense forms."""
+    solved = bordered_perron(a)
+    monkeypatch.setattr(np.linalg, "solve", _no_call)
+    n = a.shape[0]
+    m = matrix_from_array(a)
+    assert m.is_doubly_stochastic and not m.is_symmetric_doubly_stochastic
+    assert m.perron.p.tobytes() == np.full(n, 1.0 / n).tobytes()
+    assert check_balanced(m) == (False, _dense_balance(a, m.perron.p))
+    assert np.abs(m.perron.p - solved).max() <= 1e-15
     monkeypatch.setattr(graphs, "SPARSE_MIN_AGENTS", 1)
     monkeypatch.setattr(graphs, "SPARSE_MAX_DENSITY", 1.0)
-    _assert_operators_match(matrix_from_array(unbalanced), unbalanced)
-    assert solves == [1, 1]
-    build_averaging(random_connected_graph(9, 0.4, seed=2))
-    assert solves == [1, 1]  # a balanced matrix takes no solve
+    _assert_operators_match(matrix_from_array(a), a)
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("called")
 
 
 # ---------------------------------------------------------------- file io

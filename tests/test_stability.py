@@ -467,7 +467,7 @@ _UNBALANCED = np.array([[0.5, 0.2, 0.3], [0.3, 0.5, 0.3], [0.2, 0.3, 0.4]])
     ("exact_diffusion", random_quadratic(5, 2, seed=0), random_metropolis(6, seed=1),
      "combination matrix size does not match"),
     ("exact_diffusion", random_quadratic(3, 2, seed=0), _UNBALANCED,
-     r"exact_diffusion requires a locally balanced combination matrix \(violation 2.344e-02\)"),
+     r"exact_diffusion requires a locally balanced combination matrix \(violation 7.895e-02\)"),
     ("extra", random_quadratic(3, 2, seed=0), _UNBALANCED,
      "extra requires a doubly stochastic combination matrix"),
 ], ids=["averaging", "unknown", "unequal-q", "zero-self-weight", "size", "unbalanced",
