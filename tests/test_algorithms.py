@@ -12,7 +12,6 @@ from decentopt import (
     CombinationMatrix,
     QuadraticModel,
     StepSizes,
-    TraceRecord,
     build_averaging,
     build_metropolis,
     least_squares_model,
@@ -26,7 +25,6 @@ from decentopt.algorithms import (
     DIVERGENCE_CAP,
     ENGINE_SPECS,
     AlgorithmState,
-    RunResult,
     _iterate,
     _lookback,
     init_state,
@@ -36,7 +34,7 @@ from decentopt.stability import (_steps_for, b_spectrum_residual, diffusion_step
                                   extra_step_bound, stability_scan)
 
 from conftest import random_averaging, random_metropolis, random_quadratic
-from oracles import power_iteration_diagonals, symmetric_root
+from oracles import power_iteration_diagonals, reference_run, symmetric_root
 
 WEIGHTED = ("exact_diffusion", "exact_diffusion_pd", "adaptive_exact_diffusion")
 
@@ -89,76 +87,13 @@ def test_weighted_steps_over_a_zero_weight_are_a_value_error(q, p):
             StepSizes.from_weights(q, p, 0.1)
 
 
-def reference_run(engine, model, matrix, steps, max_iters=4000, stop=1e-8, w0=None,
-                  ground_truth=None, keep_iterates=False):
-    """`run` as one unstacked loop with its own telemetry, as it was before
-    `run` became a one-member stack of the loop the scans share: an
-    independent oracle for that loop.  It trusts its inputs, which must
-    pass `run`'s checks."""
-    spec = ENGINE_SPECS[engine]
-    gt = solve_centralized(model) if ground_truth is None else ground_truth
-    target = gt.w_star if spec.weighted else gt.w_o
-    if w0 is None:
-        w0 = np.zeros((model.n_agents, model.dim))
-    state, ctx = init_state(engine, model, matrix, w0, steps)
-    target_stack = np.broadcast_to(target, w0.shape)
-    denom = float(np.sum((w0 - target_stack) ** 2))
-
-    def rel_error_of(w):
-        if denom == 0.0:
-            return 0.0
-        return float(np.sum((w - target_stack) ** 2)) / denom
-
-    def grad_norm_of(w):
-        w_bar = w.mean(axis=0)
-        return float(np.linalg.norm(model.weighted_grad(w_bar)))
-
-    records = [TraceRecord(0, 0, 1.0 if denom > 0.0 else 0.0, grad_norm_of(state.w))]
-    iterates = [state.w.copy()] if keep_iterates else None
-    duals = [state.y.copy()] if keep_iterates and state.y is not None else None
-    estimates = []
-    status = "exhausted"
-    if denom == 0.0:
-        return RunResult(records=records, status="converged", state=state,
-                         target=target, iterates=iterates, dual_iterates=duals,
-                         perron_estimates=estimates)
-
-    for i in range(1, max_iters + 1):
-        spec.step(state, ctx)
-        rel = rel_error_of(state.w)
-        records.append(TraceRecord(i, i * spec.comm_units, rel, grad_norm_of(state.w)))
-        if keep_iterates:
-            if state.z is not None:
-                estimates.append(ctx.uu @ state.z)
-            iterates.append(state.w.copy())
-            if duals is not None:
-                duals.append(state.y.copy())
-        if not np.isfinite(rel) or rel > DIVERGENCE_CAP:
-            status = "diverged"
-            break
-        if rel <= stop:
-            status = "converged"
-            break
-
-    return RunResult(records=records, status=status, state=state,
-                     target=target, iterates=iterates, dual_iterates=duals,
-                     perron_estimates=estimates)
-
-
-def _same_arrays(xs, ys):
-    if xs is None or ys is None:
-        return xs is None and ys is None
-    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 def test_run_matches_the_reference_loop(engine):
     """run's one-member stack, checked once per CHECK_BLOCK iterations,
     reproduces the unstacked loop checked after every step bit for bit:
-    records, status, iterates, duals, the adaptive engine's Perron
-    estimates and final state, from a random w0, for a converging, an
-    exhausted and a diverging step size, for budgets of 1, 15, 16, 17 and
-    33, and for exits on the first and on the last row of a block."""
+    records, status and final iterate, from a random w0, for a converging,
+    an exhausted and a diverging step size, for budgets of 1, 15, 16, 17
+    and 33, and for exits on the first and on the last row of a block."""
     matrix = random_averaging(6, seed=17)
     model = random_quadratic(6, 3, seed=17)
     if engine not in WEIGHTED:
@@ -179,18 +114,11 @@ def test_run_matches_the_reference_loop(engine):
     for mu_max, max_iters, stop in cases:
         steps = steps_for(engine, model, perron, mu_max)
         args = (engine, model, matrix, steps)
-        kwargs = dict(max_iters=max_iters, stop=stop, w0=w0, ground_truth=gt,
-                      keep_iterates=True)
+        kwargs = dict(max_iters=max_iters, stop=stop, w0=w0, ground_truth=gt)
         got, want = run(*args, **kwargs), reference_run(*args, **kwargs)
         assert got.status == want.status
         assert got.records == want.records
-        assert _same_arrays(got.iterates, want.iterates)
-        assert _same_arrays(got.dual_iterates, want.dual_iterates)
-        assert _same_arrays(got.perron_estimates, want.perron_estimates)
-        assert len(got.perron_estimates) == (
-            got.iterations if engine == "adaptive_exact_diffusion" else 0)
-        for name in ("w", "psi_prev", "y", "g_prev", "z"):
-            assert _same_arrays([getattr(got.state, name)], [getattr(want.state, name)]), name
+        assert np.array_equal(got.w, want.w)
         statuses.add(got.status)
         if stop > 1e-12:
             exited.append((got.status, got.iterations))
@@ -287,10 +215,10 @@ def test_engines_converge_and_reach_consensus():
                   max_iters=20_000, stop=1e-16, ground_truth=gt)
         assert res.status == "converged", engine
         assert res.final_rel_error <= 1e-16
-        spread = np.abs(res.state.w - res.state.w.mean(axis=0)).max()
+        spread = np.abs(res.w - res.w.mean(axis=0)).max()
         assert spread <= 1e-7
         target = gt.w_star if engine in WEIGHTED else gt.w_o
-        assert np.abs(res.state.w - target).max() <= 1e-7
+        assert np.abs(res.w - target).max() <= 1e-7
         # trace rel_error values are squared-norm ratios: nonincreasing-ish
         # and ending below the stop threshold
         assert res.records[-1].rel_error <= 1e-16
@@ -313,24 +241,6 @@ def test_max_iters_one_is_exhausted():
     assert res.iterations == 1
 
 
-def test_keep_iterates_and_duals():
-    matrix = random_metropolis(4, seed=6)
-    model = least_squares_model(9, 4, 2, 8)
-    perron = matrix.perron
-    res = run("exact_diffusion_pd", model, matrix,
-              steps_for("exact_diffusion_pd", model, perron, 0.01),
-              max_iters=12, stop=0.0, keep_iterates=True)
-    assert len(res.iterates) == len(res.records) == len(res.dual_iterates)
-    res2 = run("exact_diffusion", model, matrix,
-               steps_for("exact_diffusion", model, perron, 0.01),
-               max_iters=12, stop=0.0, keep_iterates=True)
-    assert res2.dual_iterates is None
-    res3 = run("exact_diffusion", model, matrix,
-               steps_for("exact_diffusion", model, perron, 0.01),
-               max_iters=12, stop=0.0)
-    assert res3.iterates is None
-
-
 # ------------------------------------------------------------ equivalences
 
 
@@ -339,10 +249,8 @@ def test_exact_diffusion_equals_its_primal_dual_form():
     model = least_squares_model(10, 6, 3, 9, q=[1.0, 2.0, 0.5, 1.0, 1.5, 1.0])
     perron = matrix.perron
     steps = StepSizes.from_weights(model.q, perron.p, 0.002)
-    a = run("exact_diffusion", model, matrix, steps, max_iters=300, stop=0.0,
-            keep_iterates=True)
-    b = run("exact_diffusion_pd", model, matrix, steps, max_iters=300, stop=0.0,
-            keep_iterates=True)
+    a = reference_run("exact_diffusion", model, matrix, steps, max_iters=300, stop=0.0)
+    b = reference_run("exact_diffusion_pd", model, matrix, steps, max_iters=300, stop=0.0)
     gap = max(np.abs(x - y).max() for x, y in zip(a.iterates, b.iterates))
     assert gap <= 1e-9
 
@@ -354,11 +262,10 @@ def test_first_step_is_combine_of_gradient_step():
     steps = steps_for("exact_diffusion", model, perron, 0.05)
     rng = np.random.default_rng(0)
     w0 = rng.standard_normal((5, 2))
-    res = run("exact_diffusion", model, matrix, steps, max_iters=1, stop=0.0,
-              keep_iterates=True)
+    res = reference_run("exact_diffusion", model, matrix, steps, max_iters=1, stop=0.0)
     # default w0 is zeros; redo with explicit start for the identity
-    res = run("exact_diffusion", model, matrix, steps, max_iters=1, stop=0.0,
-              w0=w0, keep_iterates=True)
+    res = reference_run("exact_diffusion", model, matrix, steps, max_iters=1, stop=0.0,
+                        w0=w0)
     abar = (np.eye(5) + matrix.a) / 2.0
     expect = abar.T @ (w0 - steps.mu[:, None] * model.grad(w0))
     assert np.abs(res.iterates[1] - expect).max() <= 1e-13
@@ -369,8 +276,8 @@ def test_adaptive_first_step_uses_self_weights():
     model = least_squares_model(12, 5, 2, 8)
     perron9 = matrix.perron
     steps = StepSizes.from_weights(model.q, perron9.p, 0.003)
-    res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=2,
-              stop=0.0, keep_iterates=True)
+    res = reference_run("adaptive_exact_diffusion", model, matrix, steps, max_iters=2,
+                        stop=0.0)
     # after one combine the mixing estimate is diag(A), so the tuned step
     # is q_k mu_o / a_kk on the first iteration
     hist = res.perron_estimates
@@ -389,21 +296,11 @@ def test_adaptive_estimates_match_the_power_iteration(build, n, prob):
     assert _is_csr(matrix._a_t_op) == (n == 400)
     model = random_quadratic(n, 2, seed=4)
     steps = StepSizes.from_weights(model.q, matrix.perron.p, 1e-4)
-    res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=500, stop=0.0,
-              keep_iterates=True)
+    res = reference_run("adaptive_exact_diffusion", model, matrix, steps, max_iters=500,
+                        stop=0.0)
     assert res.status == "exhausted"
     want = power_iteration_diagonals(matrix.a, 500)
     assert np.abs(np.array(res.perron_estimates) - want).max() <= 1e-13
-
-
-def test_adaptive_history_is_kept_only_with_iterates():
-    matrix = random_averaging(5, seed=9)
-    model = random_quadratic(5, 2, seed=9)
-    steps = StepSizes.from_weights(model.q, matrix.perron.p, 0.003)
-    for keep, length in ((False, 0), (True, 7)):
-        res = run("adaptive_exact_diffusion", model, matrix, steps, max_iters=7, stop=0.0,
-                  keep_iterates=keep)
-        assert len(res.perron_estimates) == length
 
 
 # ------------------------------------------------------------ fixed points
@@ -568,8 +465,8 @@ def test_dense_and_csr_combines_agree(engine, monkeypatch):
     paths = (_on_path(matrix, False, monkeypatch), _on_path(matrix, True, monkeypatch))
     for mu_max, max_iters in ((0.02, 20_000), (0.02, 40)):
         steps = steps_for(engine, model, matrix.perron, mu_max)
-        want, got = (run(engine, model, m, steps, max_iters=max_iters, stop=1e-12, w0=w0,
-                         ground_truth=gt, keep_iterates=True) for m in paths)
+        want, got = (reference_run(engine, model, m, steps, max_iters=max_iters, stop=1e-12,
+                                   w0=w0, ground_truth=gt) for m in paths)
         assert (got.status, got.iterations) == (want.status, want.iterations)
         assert _close(got.iterates, want.iterates)
         if want.dual_iterates is not None:
@@ -582,9 +479,8 @@ def test_dense_and_csr_combines_agree(engine, monkeypatch):
     runs = []
     for m in paths:
         states = []
-        _, _, statuses, verdicts = _iterate(
-            engine, model, m, steps_list, 300, 1e-10, gt, w0,
-            lambda rows, rels, ctx: states.extend(row.w.copy() for row in rows))
+        statuses, verdicts = _iterate(engine, model, m, steps_list, 300, 1e-10, gt, w0,
+                                      lambda ws, rels: states.extend(w.copy() for w in ws))
         runs.append((statuses, verdicts, states))
     (want_statuses, want_verdicts, want), (got_statuses, got_verdicts, got) = runs
     assert (got_statuses, got_verdicts) == (want_statuses, want_verdicts)
@@ -604,14 +500,18 @@ def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
     matrix, model, gt, w0 = _combine_setup(engine, seed=22)
     csr = _on_path(matrix, True, monkeypatch)
     steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.005, 0.01, 0.02)]
-    state, _, statuses, _ = _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0)
-    rels = []
+    statuses, _ = _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0)
+    ws, rels = [], []
     _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0,
-             lambda rows, block, ctx: rels.extend(block.copy()))
+             lambda block, rel: (ws.extend(block), rels.extend(rel.copy())))
     for k, steps in enumerate(steps_list):
         res = run(engine, model, csr, steps, max_iters=80, stop=0.0, w0=w0, ground_truth=gt)
         assert res.status == statuses[k] == "exhausted"
-        assert np.array_equal(res.state.w, _member(state.w, k, model.dim))
+        want = reference_run(engine, model, csr, steps, max_iters=80, stop=0.0, w0=w0,
+                             ground_truth=gt).iterates
+        assert len(ws) == len(want) == 81
+        assert all(np.array_equal(x, _member(w, k, model.dim)) for x, w in zip(want, ws))
+        assert np.array_equal(res.w, _member(ws[-1], k, model.dim))
         # a member's error sums its own N M entries in a row, as its run does
         assert [r.rel_error for r in res.records] == [rel[k] for rel in rels]
 
@@ -620,8 +520,8 @@ def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
 def test_dense_scan_member_matches_its_one_member_run(engine):
     """On the dense path one combine is one product over the whole stack,
     which may round a member's entries in their last bits unlike its own
-    run's products: each member still has its run's status, and every
-    block of its state is within 1e-12 of the run's, relative."""
+    run's products: each member still has its run's status, and its iterate
+    at every iteration is within 1e-12 of the run's, relative."""
     # N = 20 and M = 5, the scan benchmark's shape, where the wide product
     # does round differently from the per-member ones
     matrix = (random_averaging if engine in WEIGHTED else random_metropolis)(20, seed=22)
@@ -630,15 +530,18 @@ def test_dense_scan_member_matches_its_one_member_run(engine):
     assert not _is_csr(matrix._a_t_op)
     mus = (0.002, 0.005, 0.01, 0.015, 0.02)
     steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in mus]
-    state, _, statuses, _ = _iterate(engine, model, matrix, steps_list, 80, 0.0, gt, w0)
+    ws = []
+    statuses, _ = _iterate(engine, model, matrix, steps_list, 80, 0.0, gt, w0,
+                           lambda block, rels: ws.extend(block))
     for k, steps in enumerate(steps_list):
         res = run(engine, model, matrix, steps, max_iters=80, stop=0.0, w0=w0, ground_truth=gt)
         assert res.status == statuses[k] == "exhausted"
-        for name in ("w", "psi_prev", "y", "g_prev"):
-            want = getattr(res.state, name)
-            if want is not None:
-                got = _member(getattr(state, name), k, model.dim)
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        want = reference_run(engine, model, matrix, steps, max_iters=80, stop=0.0, w0=w0,
+                             ground_truth=gt).iterates
+        assert len(ws) == len(want) == 81
+        for w, x in zip(ws, want):
+            got = _member(w, k, model.dim)
+            assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -657,8 +560,7 @@ def test_a_member_near_the_onset_is_classified_alike_beside_any_stack_mates(engi
              for mu in np.geomspace(onset / 3.0, 3.0 * onset, 30)]
 
     def outcomes(steps_list, columns):
-        _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, max_iters, stop,
-                                            gt)
+        statuses, verdicts = _iterate(engine, model, matrix, steps_list, max_iters, stop, gt)
         return [(statuses[c], verdicts[c]) for c in columns]
 
     alone = [outcomes([steps], [0])[0] for steps in near]
@@ -733,7 +635,7 @@ def _per_step(stop, on_step):
     iteration, seed included, with the errors of the members that have not
     exited on an earlier iteration: what a stack checked after every step
     would show."""
-    def record(rows, rels, ctx):
+    def record(ws, rels):
         done = ~(rels <= DIVERGENCE_CAP) | (rels <= stop)
         for rel, gone in zip(rels, np.cumsum(done, axis=0) - done > 0):
             on_step(rel[~gone])
@@ -755,8 +657,8 @@ def _separate_outcomes(engine, model, matrix, steps_list, max_iters, stop, gt, w
     """(status, verdict) of a one-member `run` per step size."""
     out = []
     for steps in steps_list:
-        _, _, (status,), (verdict,) = _iterate(engine, model, matrix, [steps], max_iters,
-                                               stop, gt, w0)
+        (status,), (verdict,) = _iterate(engine, model, matrix, [steps], max_iters, stop, gt,
+                                         w0)
         assert run(engine, model, matrix, steps, max_iters=max_iters, stop=stop, w0=w0,
                    ground_truth=gt).status == status
         out.append((status, verdict))
@@ -771,8 +673,8 @@ def test_stack_keeps_running_past_a_member_that_overflows(engine):
     steps_list = [steps_for(engine, model, matrix.perron, mu)
                   for mu in (0.005, 1e200, 0.02, 1e308, 5.0)]
     trace = []
-    _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt,
-                                        w0, lambda rows, rels, ctx: trace.extend(rels.copy()))
+    statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0,
+                                  lambda ws, rels: trace.extend(rels.copy()))
     separate = _separate_outcomes(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
     first = trace[1]
     assert not np.isfinite(first[1]) and not np.isfinite(first[3])
@@ -780,7 +682,7 @@ def test_stack_keeps_running_past_a_member_that_overflows(engine):
     assert list(zip(statuses, verdicts)) == separate
     assert statuses[1] == statuses[3] == "diverged"
     assert "diverged" not in (statuses[0], statuses[2])
-    assert _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)[2:] == (
+    assert _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0) == (
         statuses, verdicts)
 
 
@@ -802,12 +704,12 @@ def test_adaptive_stack_matches_separate_runs():
     matrix, model, gt, w0 = _combine_setup(engine, seed=27)
     steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.002, 0.02, 5.0)]
     sizes = []
-    _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0,
-                                        _per_step(1e-10, lambda rel: sizes.append(rel.size)))
+    statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0,
+                                  _per_step(1e-10, lambda rel: sizes.append(rel.size)))
     assert list(zip(statuses, verdicts)) == _separate_outcomes(
         engine, model, matrix, steps_list, 300, 1e-10, gt, w0)
     assert set(statuses) == {"converged", "exhausted", "diverged"}
-    assert _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0)[2:] == (
+    assert _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0) == (
         statuses, verdicts)
     # members alive on iteration i and gone on i + 1 exited on iteration i
     exits = [i for i in range(1, len(sizes))
@@ -834,14 +736,14 @@ def test_stack_handles_a_convergence_and_a_divergence_on_one_iteration():
     stop = trace[blowup][0]
     assert all(rel[0] > stop for rel in trace[:blowup])
     exits = []
-    _, _, statuses, verdicts = _iterate(engine, model, matrix, steps_list, 60, stop, gt, w0,
-                                        _per_step(stop, lambda rel: exits.append(rel.size)))
+    statuses, verdicts = _iterate(engine, model, matrix, steps_list, 60, stop, gt, w0,
+                                  _per_step(stop, lambda rel: exits.append(rel.size)))
     assert statuses == ["converged", "diverged", "exhausted"]
     assert exits[blowup] == 3 and exits[blowup + 1] == 1
     separate = _separate_outcomes(engine, model, matrix, steps_list, 60, stop, gt, w0)
     assert list(zip(statuses, verdicts)) == separate
     assert blowup % CHECK_BLOCK  # inside a checked block
-    assert _iterate(engine, model, matrix, steps_list, 60, stop, gt, w0)[2:] == (
+    assert _iterate(engine, model, matrix, steps_list, 60, stop, gt, w0) == (
         statuses, verdicts)
 
 
@@ -866,9 +768,9 @@ def test_record_free_stack_classifies_like_a_recorded_one(max_iters):
             finite.append(bool(np.isfinite(state.w).all()))
     assert finite[0] and not finite[-1]  # finite after one step, not after a block
 
-    blocked = _iterate(engine, model, matrix, steps_list, max_iters, 1e-10, gt, w0)[2:]
+    blocked = _iterate(engine, model, matrix, steps_list, max_iters, 1e-10, gt, w0)
     recorded = _iterate(engine, model, matrix, steps_list, max_iters, 1e-10, gt, w0,
-                        lambda rows, rels, ctx: None)[2:]
+                        lambda ws, rels: None)
     assert blocked == recorded
     stepwise = [_stepwise_outcome(engine, model, matrix, steps, max_iters, 1e-10, gt, w0)
                 for steps in steps_list]
@@ -898,7 +800,7 @@ def test_record_free_stack_takes_each_status_at_the_first_exit():
     stop = trace[1]
     assert run(engine, model, matrix, steps[0], max_iters=CHECK_BLOCK, stop=stop, w0=w0,
                ground_truth=gt).status == "converged"
-    assert _iterate(engine, model, matrix, steps, CHECK_BLOCK, stop, gt, w0)[2:] == (
+    assert _iterate(engine, model, matrix, steps, CHECK_BLOCK, stop, gt, w0) == (
         ["converged"], ["stable"])
 
 
@@ -916,7 +818,7 @@ def test_record_free_stack_converges_on_the_exact_budget(engine, mu_growing):
     t = first.iterations
     assert first.status == "converged" and t % CHECK_BLOCK
     for budget, status in ((t, "converged"), (t - 1, "exhausted")):
-        assert _iterate(engine, model, matrix, steps_list, budget, 1e-10, gt, w0)[2:] == (
+        assert _iterate(engine, model, matrix, steps_list, budget, 1e-10, gt, w0) == (
             [status, "exhausted"], ["stable", "unstable"])
 
 

@@ -528,7 +528,7 @@ def test_an_unbalanced_file_matrix_refuses_its_spectrum(tmp_path):
     assert check_balanced(m)[0] is False
     text = r"combination matrix is not balanced \(violation 7\.895e-02\)"
     for read in (lambda: m.perron, lambda: m.perron.p, lambda: m.perron.rhoA,
-                 lambda: m._eigh, lambda: m.v_squared):
+                 lambda: m.perron._eigh, lambda: m.v_squared):
         with pytest.raises(ValueError, match=text):
             read()
     for name, dense in dense_operators(U, np.full(3, 1 / 3)).items():
@@ -537,7 +537,7 @@ def test_an_unbalanced_file_matrix_refuses_its_spectrum(tmp_path):
     # a doubly stochastic unbalanced matrix has p, but no spectrum either
     c = matrix_from_array(C)
     assert c.perron.p.tolist() == [1 / 3] * 3
-    for read in (lambda: c.perron.lambda2, lambda: c.perron.rhoA, lambda: c._eigh):
+    for read in (lambda: c.perron.lambda2, lambda: c.perron.rhoA, lambda: c.perron._eigh):
         with pytest.raises(ValueError,
                            match=r"combination matrix is not balanced \(violation 1\.667e-01\)"):
             read()

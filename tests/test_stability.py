@@ -41,9 +41,8 @@ from decentopt.cli import main
 
 from conftest import random_averaging, random_metropolis, random_quadratic
 from oracles import (classify_run, dense_x, dense_x_inv, dual_factor, greedy_spectrum_gap,
-                     mismatch_decay_check, predicted_b_spectrum, simulate_error_recursion,
-                     symmetric_root, v_form, v_form_one_step)
-from test_algorithms import reference_run
+                     mismatch_decay_check, predicted_b_spectrum, reference_run,
+                     simulate_error_recursion, symmetric_root, v_form, v_form_one_step)
 
 
 def two_agent_matrix(a):
@@ -1058,7 +1057,7 @@ def test_refinement_schedule_leaves_no_one_level_run(levels, monkeypatch):
     def stable(mu):
         steps = [stability._steps_for(engine, model, matrix, mu)]
         return stability._iterate(engine, model, matrix, steps, max_iters, 1e-10,
-                                  gt)[3] == ["stable"]
+                                  gt)[1] == ["stable"]
 
     assert stable(lo) and not stable(hi)
     want_lo, want_hi = lo, hi
@@ -1193,7 +1192,7 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     assert np.array_equal(eigh_args[0], a_tilde)
     assert not any(np.array_equal(x, matrix.v_squared) for x in eigvalsh_args)
     # the closed-form pair and both adaptive loops read the cached eigenpairs
-    lam, u = matrix._eigh
+    lam, u = matrix.perron._eigh
     assert pair_args[0][1] is lam and pair_args[0][2] is u
     assert len(modes) == 2
     for lam_i, uu in modes:
