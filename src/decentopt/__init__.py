@@ -29,7 +29,6 @@ from .graphs import (
     CombinationMatrix,
     Graph,
     GraphError,
-    PerronData,
     SpectralError,
     build_averaging,
     build_metropolis,

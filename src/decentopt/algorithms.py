@@ -191,7 +191,7 @@ def _seed_correction(state: AlgorithmState, ctx: _EngineContext, steps: list):
 
 def _seed_dual(state: AlgorithmState, ctx: _EngineContext, steps: list):
     state.y = np.zeros_like(state.w)
-    ctx.p = ctx.matrix.perron.p[:, np.newaxis]
+    ctx.p = ctx.matrix.p[:, np.newaxis]
 
 
 def _seed_tracking(state: AlgorithmState, ctx: _EngineContext, steps: list):
@@ -265,7 +265,7 @@ def _check_engine(engine: str, model: CostModel, matrix) -> tuple[EngineSpec, Co
         raise ValueError(f"{engine} requires a symmetric combination matrix")
     if not spec.weighted and np.ptp(model.q) > 1e-12 * model.q.max():
         raise ValueError(f"{engine} solves the uniform aggregate; model weights q must be equal")
-    if spec.step_rule == "base" and matrix._form.diag.min() <= 0:  # keeps diag((A^T)^i) > 0
+    if spec.step_rule == "base" and matrix._diag.min() <= 0:  # keeps diag((A^T)^i) > 0
         raise ValueError("adaptive step-size tuning needs positive self-weights on every agent")
     return spec, matrix
 
@@ -277,7 +277,7 @@ def _validate_steps(engine: str, steps: StepSizes, model: CostModel, matrix: Com
     if rule == "base" and steps.mu_o is None:
         raise ValueError(f"{engine} needs a base step size mu_o")
     if rule == "perron":
-        ratio = steps.mu * matrix.perron.p / model.q
+        ratio = steps.mu * matrix.p / model.q
         if np.ptp(ratio) > 1e-9 * ratio.max():
             raise ValueError(
                 "exact diffusion steps must satisfy mu_k = q_k * mu_o / p_k, so a uniform mu fits "
@@ -305,12 +305,12 @@ def init_state(engine: str, model: CostModel, matrix: CombinationMatrix, w0: np.
 
 def _perron_modes(matrix: CombinationMatrix):
     """(lam, U o U) from the matrix's cached At = U diag(lam) U^T
-    (`perron._eigh`), so that diag((A^T)^i) = (U o U) lam^i.  The unit mode,
+    (`_eigh`), so that diag((A^T)^i) = (U o U) lam^i.  The unit mode,
     last, is set to exactly lam = 1 with column p, so the estimate tends to p
     exactly."""
-    lam, u = matrix.perron._eigh
+    lam, u = matrix._eigh
     lam, uu = lam.copy(), u * u
-    lam[-1], uu[:, -1] = 1.0, matrix.perron.p
+    lam[-1], uu[:, -1] = 1.0, matrix.p
     return lam, uu
 
 

@@ -235,7 +235,7 @@ def _build_matrix(cfg: dict, default_seed, spectrum: bool = False) -> Combinatio
 
 def _with_spectrum(matrix: CombinationMatrix, spectrum: bool) -> CombinationMatrix:
     if spectrum and check_balanced(matrix)[0]:
-        matrix.perron.rhoA  # computes and checks the eigenvalues
+        matrix.rhoA  # computes and checks the eigenvalues
     return matrix
 
 
@@ -290,7 +290,7 @@ def _build_steps(run_cfg: dict, engine: str, model: CostModel,
     if rule in ("base", "perron") and has_mu_o:
         mu_o = _positive(run_cfg, "run", "mu_o")
         with _failures_at("run.mu_o"):
-            return StepSizes.from_weights(model.q, matrix.perron.p, mu_o)
+            return StepSizes.from_weights(model.q, matrix.p, mu_o)
     if rule == "perron" and not has_mu:
         raise ConfigError("run.mu_o", "required field is missing")
     if has_mu_o:
@@ -363,7 +363,10 @@ def _curvature(cfg: dict, matrix: CombinationMatrix, seed):
         nu, delta, k_o = hessian_bounds(model)
     except (TypeError, ValueError) as exc:
         raise ConfigError("model", str(exc))
-    ratio = model.q / matrix.perron.p
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        ratio = model.q / matrix.p
+    if not np.isfinite(ratio).all():
+        raise ConfigError("model.q", "q / p overflows: the weights are too large")
     return nu, delta, k_o, ratio / ratio.max()
 
 
@@ -371,13 +374,12 @@ def _cmd_analyze(cfg: dict, seed) -> dict:
     matrix = _build_matrix(cfg, seed, spectrum=True)
     n = matrix.n
     with _failures_at("matrix"):
-        perron = matrix.perron
         report = {
             "n_agents": n,
             "degenerate": n < 2,
-            "rhoA": perron.rhoA,
-            "lambdaN": perron.lambdaN,
-            "lambda2": None if n < 2 else perron.lambda2,
+            "rhoA": matrix.rhoA,
+            "lambdaN": matrix.lambdaN,
+            "lambda2": None if n < 2 else matrix.lambda2,
             **dict.fromkeys(["alpha_d", "alpha_e", "mu_bound_diffusion", "mu_bound_extra",
                              "closed_form_residual", "nu", "delta", "t_d_norm", "t_e_norm"]),
         }

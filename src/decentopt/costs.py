@@ -80,8 +80,12 @@ class QuadraticModel(CostModel):
         self.h = h
         self.b = b
         self.const = np.zeros(n) if const is None else np.asarray(const, dtype=float)
-        self._h_q = np.einsum("k,kij->ij", self.q, h)  # sum_k q_k J_k's Hessian
-        self._b_q = self.q @ b  # and its linear term
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            self._h_q = np.einsum("k,kij->ij", self.q, h)  # sum_k q_k J_k's Hessian
+            self._b_q = self.q @ b  # and its linear term
+        finite = [bool(np.isfinite(x).all()) for x in (h, b, self._h_q, self._b_q)]
+        if all(finite[:2]) and not all(finite[2:]):  # NaN data is left to solve_centralized
+            raise ValueError("the q-weighted aggregate overflows: weights q or data too large")
         self._h_t = np.ascontiguousarray(h.transpose(0, 2, 1))
         self._b_stack = b[:, np.newaxis]  # b as an (N, B, M) stack, for the last B grad saw
 
@@ -254,6 +258,8 @@ def model_from_config(cfg: dict) -> CostModel:
 
 def _solve_quadratic(model: QuadraticModel, weights: np.ndarray) -> np.ndarray:
     h_sum = np.einsum("k,kij->ij", weights, model.h)
+    if np.isinf(h_sum).any():  # einsum overflows with no FloatingPointError
+        raise ConvergenceError("the weighted aggregate Hessian overflows")
     eigs = np.linalg.eigvalsh(h_sum)
     if not eigs[0] > PD_REL_TOL * abs(eigs[-1]):  # NaN data fails too
         raise ConvergenceError(
@@ -311,26 +317,30 @@ def solve_centralized(model: CostModel) -> GroundTruth:
     The direct solve must also leave a residual of at most 1e-10.  NaN
     data fails one of these two checks, so it raises too.
     Logistic models run damped Newton from zero down to gradient norm
-    1e-12, with a hard failure above 1e-8.
+    1e-12, with a hard failure above 1e-8.  An overflow anywhere in the
+    solve raises ConvergenceError too.
     """
     ones = np.ones(model.n_agents)
-    if isinstance(model, QuadraticModel):
-        w_star = _solve_quadratic(model, model.q)
-        w_o = _solve_quadratic(model, ones)
-        residual = max(
-            float(np.linalg.norm(model.weighted_grad(w_star))),
-            float(np.linalg.norm(ones @ model.grad_at(w_o))),
-        )
-        if not residual <= 1e-10:
-            raise ConvergenceError(f"direct solve residual {residual:.3e}")
-        return GroundTruth(w_star=w_star, w_o=w_o, solver_residual=residual)
-    if isinstance(model, LogisticModel):
-        w_star, r1 = _solve_logistic(model, model.q)
-        if np.array_equal(model.q, ones):
-            w_o, r2 = w_star.copy(), r1
-        else:
-            w_o, r2 = _solve_logistic(model, ones)
-        return GroundTruth(w_star=w_star, w_o=w_o, solver_residual=max(r1, r2))
+    try:
+        with np.errstate(over="raise"):
+            if isinstance(model, QuadraticModel):
+                w_star = _solve_quadratic(model, model.q)
+                w_o = _solve_quadratic(model, ones)
+                residual = max(float(np.linalg.norm(model.weighted_grad(w_star))),
+                               float(np.linalg.norm(ones @ model.grad_at(w_o))))
+                if not residual <= 1e-10:
+                    raise ConvergenceError(f"direct solve residual {residual:.3e}")
+                return GroundTruth(w_star=w_star, w_o=w_o, solver_residual=residual)
+            if isinstance(model, LogisticModel):
+                w_star, r1 = _solve_logistic(model, model.q)
+                if np.array_equal(model.q, ones):
+                    w_o, r2 = w_star.copy(), r1
+                else:
+                    w_o, r2 = _solve_logistic(model, ones)
+                return GroundTruth(w_star=w_star, w_o=w_o, solver_residual=max(r1, r2))
+    except FloatingPointError as exc:
+        raise ConvergenceError(f"the q-weighted aggregate overflows in the ground-truth "
+                               f"solve ({exc})") from None
     raise TypeError(f"no centralized solver for model kind {model.kind!r}")
 
 

@@ -4,15 +4,16 @@ Agents are the nodes of an undirected connected graph.  A combination
 matrix A is nonnegative and left-stochastic (columns sum to one); entry
 a[l, k] is the weight agent k applies to data arriving from agent l.
 
-A CombinationMatrix is immutable and held in edge form, its diagonal and
-one weight per arc.  Its constructor validates A and computes the Perron
-vector and the balance residual in O(N + E), with no solve (see the
-class).  The dense A, a balanced A's spectrum (see `PerronData`),
+A CombinationMatrix is the one immutable object for A: its edge form
+(its diagonal and one weight per arc), its Perron vector p, and every
+cache the analysis and the engines read.  Its constructor validates A and
+computes p and the balance residual in O(N + E), with no solve (see the
+class).  The dense A, a balanced A's spectrum (lambda2, lambdaN, rhoA),
 S = (P - A P)/2 (`v_squared`), (I + A)/2 (`abar`), the engines' operators
 (CSR arrays built from the arcs on a large sparse network), and the
 error-recursion blocks, which read only Abar, p and the eigenpairs of
-At = P^{-1/2} A P^{1/2} (`perron._eigh`), come on first read.  No dual
-factor V of S and no lifted 2N x 2N matrix is formed.
+At = P^{-1/2} A P^{1/2} (`_eigh`), come on first read.  No dual factor V
+of S and no lifted 2N x 2N matrix is formed.
 
 Connectivity is tested with numpy alone: a graph's by a component search
 over its edge array (`_components`), and the strong connectivity of a
@@ -187,59 +188,41 @@ def _reaches_all(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-@dataclass(frozen=True)
-class _EdgeForm:
-    """A held by its edges: the diagonal `diag` and, over the graph's edge
-    rows (i, j), a[i, j] (`upper`) and a[j, i] (`lower`), read-only.  A
-    matrix and its Perron data share it, and with it the dense A it builds
-    on first read; Perron data that held the matrix would make a reference
-    cycle, whose arrays only the garbage collector frees."""
-
-    graph: Graph
-    diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-
-    def __post_init__(self):
-        for w in (self.diag, self.upper, self.lower):
-            w.flags.writeable = False
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """The dense N x N A, read-only, built on first read."""
-        return _dense(self.graph._ij, self.diag, self.upper, self.lower)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x for a vector x."""
-        n, (i, j) = self.graph.n, self.graph._ij.T
-        return (self.diag * x + np.bincount(i, self.upper * x[j], n)
-                + np.bincount(j, self.lower * x[i], n))
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class CombinationMatrix:
-    """Left-stochastic nonnegative matrix tied to a graph.
+    """Left-stochastic nonnegative matrix tied to a graph, with its Perron
+    data.
 
-    Held in edge form (`_EdgeForm`), which the rules build directly
-    (`_from_weights`) and the constructor reads from a dense array that is
-    zero off the graph.  Validated in O(N + E): finite nonnegative entries,
-    column sums, and structural primitivity: a strongly connected support
-    with at least one positive self-weight, which makes A irreducible with
-    a positive diagonal entry, hence primitive.  So are the balance
-    residual of `check_balanced` and p, which `_check_perron` accepts from
-    one of two sources: local balance over the edges
-    (`_perron_from_balance`) for a balanced A, else 1/N for a doubly
-    stochastic A.  Any other A has no Perron data: `perron` raises
-    ValueError.  No eigensolve runs at construction: the eigenpairs of the
-    symmetric At = P^{-1/2} A P^{1/2} of a balanced A (`perron._eigh`) are
-    computed on first read and checked then (see `PerronData`).  The dense
-    `a` is built on first read and read-only, so the cached spectral data
-    cannot go stale.
+    Held in edge form: the diagonal `_diag` and, over the graph's edge rows
+    (i, j), a[i, j] (`_upper`) and a[j, i] (`_lower`), read-only.  The
+    rules build them directly (`_from_weights`) and the constructor reads
+    them from a dense array that is zero off the graph.  Validated in
+    O(N + E): finite nonnegative entries, column sums, and structural
+    primitivity: a strongly connected support with at least one positive
+    self-weight, which makes A irreducible with a positive diagonal entry,
+    hence primitive.  So are the balance residual of `check_balanced` and
+    the Perron vector p (Ap = p, sum 1, entrywise positive), which
+    `_check_perron` accepts from one of two sources: local balance over the
+    edges (`_perron_from_balance`) for a balanced A, else 1/N for a doubly
+    stochastic A.  Any other A has no Perron data: `p` raises ValueError.
+
+    No eigensolve runs at construction.  The spectral summary of a balanced
+    A, its second-largest eigenvalue lambda2, smallest eigenvalue lambdaN
+    and second-largest eigenvalue magnitude rhoA, comes on first read from
+    one `eigh` of the symmetric At = P^{-1/2} A P^{1/2} (`_eigh`), cached
+    with its eigenvectors.  That first read checks the eigenvalues: exactly
+    one within UNIT_EIG_TOL of 1 and no other on the unit circle, else
+    SpectralError, and ValueError for an unbalanced A.  A structurally
+    primitive A passes unless rounding trips the check.  The dense `a` is
+    built on first read and read-only, so the cached spectral data cannot
+    go stale.
     """
 
     graph: Graph
-    _form: _EdgeForm = field(repr=False)
-    _perron: PerronData | None = field(repr=False)
+    _diag: np.ndarray = field(repr=False)
+    _upper: np.ndarray = field(repr=False)
+    _lower: np.ndarray = field(repr=False)
+    _p: np.ndarray | None = field(repr=False)
     _balance: float = field(repr=False)
 
     def __init__(self, a, graph: Graph):
@@ -252,58 +235,59 @@ class CombinationMatrix:
         if np.any((a != 0) & ~allowed):  # the edge form checks the rest
             raise ValueError("nonzero weight on a non-edge pair")
         i, j = graph._ij.T
-        form = _EdgeForm(graph, np.diag(a), a[i, j], a[j, i])
-        object.__setattr__(form, "dense", a)  # the dense form is given: keep it
-        self.__post_init__(form)
+        object.__setattr__(self, "a", a)  # the dense form is given: keep it
+        self.__post_init__(graph, np.diag(a), a[i, j], a[j, i])
 
     @classmethod
     def _from_weights(cls, graph: Graph, diag, upper, lower) -> CombinationMatrix:
         """The matrix with diagonal `diag` and weights a[i, j] = upper and
         a[j, i] = lower over the graph's edge rows (i, j): no N x N array."""
         matrix = cls.__new__(cls)
-        matrix.__post_init__(_EdgeForm(graph, diag, upper, lower))
+        matrix.__post_init__(graph, diag, upper, lower)
         return matrix
 
-    def __post_init__(self, form: _EdgeForm):
+    def __post_init__(self, graph: Graph, diag, upper, lower):
         """Validates the edge form in O(N + E), then computes p and the
         balance residual."""
-        object.__setattr__(self, "graph", form.graph)
-        object.__setattr__(self, "_form", form)
-        weights = np.concatenate([form.diag, form.upper, form.lower])
+        for name, value in (("graph", graph), ("_diag", diag), ("_upper", upper),
+                            ("_lower", lower)):
+            object.__setattr__(self, name, value)
+        for w in (diag, upper, lower):
+            w.flags.writeable = False
+        weights = np.concatenate([diag, upper, lower])
         if not np.isfinite(weights).all():
             raise ValueError("combination matrix has non-finite entries")
         if weights.min() < 0:
             raise ValueError("combination matrix has negative entries")
-        deviation = np.abs(_column_sums(form.graph._ij, form.diag, form.upper, form.lower)
-                           - 1.0).max()
+        deviation = np.abs(_column_sums(graph._ij, diag, upper, lower) - 1.0).max()
         if deviation > COLUMN_SUM_TOL:
             raise ValueError(
                 f"columns must sum to 1 within {COLUMN_SUM_TOL:g}; "
                 f"max deviation {deviation:.3e}"
             )
-        if not np.any(form.diag > 0):
+        if not np.any(diag > 0):
             raise SpectralError("no agent has a positive self-weight")
         # directed support must be strongly connected, otherwise the
         # Perron vector degenerates (zero entries)
-        if not _strongly_connected(self.n, form.graph._ij, form.upper > 0, form.lower > 0):
+        if not _strongly_connected(self.n, graph._ij, upper > 0, lower > 0):
             raise SpectralError(
                 "matrix support is not strongly connected; "
                 "matrix is not primitive"
             )
         uniform = np.full(self.n, 1.0 / self.n)
         try:
-            p = _perron_from_balance(form)
+            p = self._perron_from_balance()
         except SpectralError:  # A cannot be balanced: measure the residual at 1/N
             p = uniform
-        balance = _balance_residual(form, p)
+        balance = self._balance_residual(p)
         if not balance <= BALANCE_TOL and self.is_doubly_stochastic:
-            p, balance = uniform, _balance_residual(form, uniform)
-        perron = None
+            p, balance = uniform, self._balance_residual(uniform)
         if balance <= BALANCE_TOL or self.is_doubly_stochastic:
-            _check_perron(form, p)
+            self._check_perron(p)
             p.flags.writeable = False
-            perron = PerronData(p, form)
-        object.__setattr__(self, "_perron", perron)
+        else:
+            p = None
+        object.__setattr__(self, "_p", p)
         object.__setattr__(self, "_balance", balance)
 
     @property
@@ -311,29 +295,99 @@ class CombinationMatrix:
         return self.graph.n
 
     @property
-    def perron(self) -> PerronData:
-        """The Perron data, or ValueError for an A with none."""
-        if self._perron is None:
+    def p(self) -> np.ndarray:
+        """The Perron vector, read-only, or ValueError for an A with none."""
+        if self._p is None:
             _require_balanced(self._balance)
-        return self._perron
+        return self._p
+
+    @cached_property
+    def _eigh(self) -> tuple:
+        """(lam, U) of a balanced A's At = U diag(lam) U^T, read-only,
+        ascending with the unit eigenvalue last, from one `eigh` on first use.
+        SpectralError unless exactly one eigenvalue lies within UNIT_EIG_TOL
+        of 1 and no other on the unit circle."""
+        _require_balanced(self._balance)
+        lam, u = np.linalg.eigh(_symmetrized(self.a, self.p))
+        near_one = np.abs(lam - 1.0) <= UNIT_EIG_TOL
+        if near_one.sum() != 1:
+            raise SpectralError(f"matrix is not primitive: {int(near_one.sum())} eigenvalues at 1")
+        others = np.abs(lam[~near_one])
+        if others.size and others.max() >= 1.0 - 1e-10:
+            raise SpectralError("matrix is not primitive: non-unit eigenvalue on the unit circle")
+        lam.flags.writeable = u.flags.writeable = False
+        return lam, u
+
+    @cached_property
+    def _summary(self) -> tuple:
+        """(lambda2, lambdaN, rhoA) from At's eigenvalues, the unit one last."""
+        lam = self._eigh[0]
+        if lam.size == 1:
+            return float("nan"), 1.0, 0.0
+        return float(lam[-2]), float(lam[0]), float(max(abs(lam[0]), abs(lam[-2])))
 
     @property
+    def lambda2(self) -> float:
+        return self._summary[0]
+
+    @property
+    def lambdaN(self) -> float:
+        return self._summary[1]
+
+    @property
+    def rhoA(self) -> float:
+        return self._summary[2]
+
+    @cached_property
     def a(self) -> np.ndarray:
         """The dense N x N A, read-only, built on first read (a matrix
         given as a dense array keeps a copy of it)."""
-        return self._form.dense
+        return _dense(self.graph._ij, self._diag, self._upper, self._lower)
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x."""
+        n, (i, j) = self.n, self.graph._ij.T
+        return (self._diag * x + np.bincount(i, self._upper * x[j], n)
+                + np.bincount(j, self._lower * x[i], n))
+
+    def _perron_from_balance(self) -> np.ndarray:
+        """The candidate Perron vector of a balanced A, read off its edges by
+        local balance, p_j / p_i = a[j, i] / a[i, j] on each edge weighted
+        both ways, carried along the component search's trees (`_components`)
+        and normalized.  SpectralError when those edges do not connect the
+        agents, so A cannot be balanced."""
+        both = (self._upper > 0) & (self._lower > 0)
+        root, x = _components(self.n, self.graph._ij[both],
+                              self._lower[both] / self._upper[both])
+        if root.any():
+            raise SpectralError("the edges weighted both ways do not connect the agents")
+        return x / x.sum()
+
+    def _check_perron(self, p: np.ndarray) -> None:
+        """SpectralError unless p is an entrywise positive Perron vector of A
+        within the residual tolerance."""
+        if not p.min() > 0:
+            raise SpectralError("Perron vector is not entrywise positive")
+        residual = np.abs(self._apply(p) - p).max()
+        if not residual <= PERRON_RESIDUAL_TOL:
+            raise SpectralError(f"Perron residual {residual:.3e} above tolerance")
+
+    def _balance_residual(self, p: np.ndarray) -> float:
+        """The largest |p_i a[j, i] - a[i, j] p_j| over the edges (the
+        diagonal and off-edge terms of P A^T - A P are exactly 0)."""
+        i, j = self.graph._ij.T
+        return float(np.abs(p[i] * self._lower - self._upper * p[j]).max(initial=0.0))
 
     @cached_property
     def is_doubly_stochastic(self) -> bool:
         """Rows sum to one within 1e-10 (columns always do)."""
-        return bool(np.abs(self._form.apply(np.ones(self.n)) - 1.0).max() <= STOCHASTIC_TOL)
+        return bool(np.abs(self._apply(np.ones(self.n)) - 1.0).max() <= STOCHASTIC_TOL)
 
     @cached_property
     def is_symmetric_doubly_stochastic(self) -> bool:
         """Symmetric within 1e-10 as well as doubly stochastic."""
-        form = self._form
         return self.is_doubly_stochastic and bool(
-            np.abs(form.upper - form.lower).max(initial=0.0) <= STOCHASTIC_TOL)
+            np.abs(self._upper - self._lower).max(initial=0.0) <= STOCHASTIC_TOL)
 
     @cached_property
     def v_squared(self) -> np.ndarray:
@@ -352,8 +406,7 @@ class CombinationMatrix:
         """Whether the engines' operators take CSR form: on a large sparse
         network (see SPARSE_MIN_AGENTS)."""
         n = self.n
-        form = self._form
-        nonzeros = sum(np.count_nonzero(w) for w in (form.diag, form.upper, form.lower))
+        nonzeros = sum(np.count_nonzero(w) for w in (self._diag, self._upper, self._lower))
         return n >= SPARSE_MIN_AGENTS and nonzeros <= SPARSE_MAX_DENSITY * n * n
 
     def _weights(self, name: str) -> tuple:
@@ -362,11 +415,11 @@ class CombinationMatrix:
         symmetric and which is symmetrized to drop the rounding skew.  Each
         entry is computed as the dense formula computes it, so a -0.0
         weight gives +0.0 there as well."""
-        d, up, lo = self._form.diag, self._form.upper, self._form.lower
+        d, up, lo = self._diag, self._upper, self._lower
         if name == "abar":
             return (1.0 + d) / 2.0, (0.0 + up) / 2.0, (0.0 + lo) / 2.0
         if name == "v_squared":
-            p, (i, j) = self.perron.p, self.graph._ij.T
+            p, (i, j) = self.p, self.graph._ij.T
             s = ((0.0 - up * p[j]) / 2.0 + (0.0 - lo * p[i]) / 2.0) / 2.0
             return (p - d * p) / 2.0, s, s
         return d, up, lo
@@ -455,50 +508,6 @@ def _csr(ij: np.ndarray, diag, upper, lower):
                                   shape=(n, n))
 
 
-@dataclass(frozen=True)
-class PerronData:
-    """Perron vector p (Ap = p, sum 1, entrywise positive) of a primitive
-    left-stochastic A, plus the spectral summary of a balanced A:
-    second-largest eigenvalue lambda2, smallest eigenvalue lambdaN, and
-    second-largest eigenvalue magnitude rhoA.
-
-    p is computed with the matrix; the spectrum on first read, from one
-    `eigh` of At (`_eigh`), which the Perron data caches with its
-    eigenvectors.  That first read checks the eigenvalues: exactly one
-    within UNIT_EIG_TOL of 1 and no other on the unit circle, else
-    SpectralError, and ValueError for an unbalanced A.  A structurally
-    primitive A passes unless rounding trips the check."""
-
-    p: np.ndarray
-    _form: _EdgeForm = field(repr=False, compare=False)
-
-    @cached_property
-    def _eigh(self) -> tuple:
-        """(lam, U) of a balanced A's At = U diag(lam) U^T, read-only,
-        ascending with the unit eigenvalue last, from one `eigh` on first use."""
-        _require_balanced(_balance_residual(self._form, self.p))
-        lam, u = np.linalg.eigh(_symmetrized(self._form.dense, self.p))
-        _check_primitive(lam)
-        lam.flags.writeable = u.flags.writeable = False
-        return lam, u
-
-    @cached_property
-    def _summary(self) -> tuple:
-        return _spectrum_summary(self._eigh[0])
-
-    @property
-    def lambda2(self) -> float:
-        return self._summary[0]
-
-    @property
-    def lambdaN(self) -> float:
-        return self._summary[1]
-
-    @property
-    def rhoA(self) -> float:
-        return self._summary[2]
-
-
 def build_metropolis(graph: Graph) -> CombinationMatrix:
     """Metropolis weights: symmetric doubly-stochastic.
 
@@ -521,64 +530,10 @@ def build_averaging(graph: Graph) -> CombinationMatrix:
     return CombinationMatrix._from_weights(graph, w, w[j], w[i])
 
 
-def _check_primitive(vals: np.ndarray) -> None:
-    """SpectralError unless exactly one of A's eigenvalues lies within
-    UNIT_EIG_TOL of 1 and no other on the unit circle."""
-    near_one = np.abs(vals - 1.0) <= UNIT_EIG_TOL
-    if near_one.sum() != 1:
-        raise SpectralError(
-            f"matrix is not primitive: {int(near_one.sum())} eigenvalues at 1"
-        )
-    others = np.abs(vals[~near_one])
-    if others.size and others.max() >= 1.0 - 1e-10:
-        raise SpectralError(
-            "matrix is not primitive: non-unit eigenvalue on the unit circle"
-        )
-
-
-def _spectrum_summary(vals: np.ndarray):
-    """(lambda2, lambdaN, rhoA) from A's eigenvalues, real and ascending
-    with the unit one last (see `_check_primitive`)."""
-    if vals.size == 1:
-        return float("nan"), 1.0, 0.0
-    return float(vals[-2]), float(vals[0]), float(max(abs(vals[0]), abs(vals[-2])))
-
-
 def _symmetrized(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """At = P^{-1/2} A P^{1/2} of a balanced A, without its rounding skew."""
     a_tilde = a * np.sqrt(p) / np.sqrt(p)[:, np.newaxis]
     return (a_tilde + a_tilde.T) / 2.0
-
-
-def _perron_from_balance(form: _EdgeForm) -> np.ndarray:
-    """The candidate Perron vector of a balanced A, read off its edges by
-    local balance, p_j / p_i = a[j, i] / a[i, j] on each edge weighted both
-    ways, carried along the component search's trees (`_components`) and
-    normalized.  SpectralError when those edges do not connect the agents,
-    so A cannot be balanced."""
-    both = (form.upper > 0) & (form.lower > 0)
-    root, x = _components(form.graph.n, form.graph._ij[both],
-                          form.lower[both] / form.upper[both])
-    if root.any():
-        raise SpectralError("the edges weighted both ways do not connect the agents")
-    return x / x.sum()
-
-
-def _check_perron(form: _EdgeForm, p: np.ndarray) -> None:
-    """SpectralError unless p is an entrywise positive Perron vector of A
-    within the residual tolerance."""
-    if not p.min() > 0:
-        raise SpectralError("Perron vector is not entrywise positive")
-    residual = np.abs(form.apply(p) - p).max()
-    if not residual <= PERRON_RESIDUAL_TOL:
-        raise SpectralError(f"Perron residual {residual:.3e} above tolerance")
-
-
-def _balance_residual(form: _EdgeForm, p: np.ndarray) -> float:
-    """The largest |p_i a[j, i] - a[i, j] p_j| over the edges (the diagonal
-    and off-edge terms of P A^T - A P are exactly 0)."""
-    i, j = form.graph._ij.T
-    return float(np.abs(p[i] * form.lower - form.upper * p[j]).max(initial=0.0))
 
 
 def _require_balanced(violation: float) -> None:

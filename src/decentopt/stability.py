@@ -10,11 +10,12 @@ recursion of the correction-term engine is driven by
 
 with Abar = (I + A)/2 and P = diag(p).  Any such factor gives the same B
 up to an orthogonal change of the dual block.  B's closed-form spectrum,
-its certificate and every bound read only Abar, p and the cached
-eigenpairs of At = P^{-1/2} A P^{1/2}.  The primal-dual engines carry
-z = V y and advance it with S, and the exact one-step map of quadratic
-costs (`one_step_matrix`) is taken in those (w, z) coordinates, from
-Abar, S and p.  No step of the library forms V or B.
+its certificate and every bound read only the CombinationMatrix: Abar,
+p, its spectral summary and its cached eigenpairs of At = P^{-1/2} A
+P^{1/2} (`_eigh`).  The primal-dual engines carry z = V y and advance it
+with S, and the exact one-step map of quadratic costs (`one_step_matrix`)
+is taken in those (w, z) coordinates, from Abar, S and p.  No step of the
+library forms V or B.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def _network_blocks(matrix: CombinationMatrix) -> _Blocks:
     Abar (I + S) Abar^T, each from a Gram `eigvalsh`."""
     dense_t = matrix.abar.T
     k_max = int(np.count_nonzero(dense_t, axis=1).max())
-    uniform, p = matrix.is_symmetric_doubly_stochastic, matrix.perron.p
-    pair, radius = _closed_form_pair(matrix._abar_t_op, *matrix.perron._eigh, p, k_max, uniform)
+    uniform, p = matrix.is_symmetric_doubly_stochastic, matrix.p
+    pair, radius = _closed_form_pair(matrix._abar_t_op, *matrix._eigh, p, k_max, uniform)
     if uniform:
         t_d_norm = _symmetric_t_d_norm(matrix.a, p)
     else:
@@ -146,7 +147,7 @@ def one_step_matrix(dyn: ErrorDynamics, engine: str, mu) -> np.ndarray:
     spec = ENGINE_SPECS.get(engine)
     if spec is None or spec.error_map is None:
         raise ValueError(f"no analytic error map for engine {engine!r}")
-    abar_t, s, p = matrix.abar.T, matrix.v_squared, matrix.perron.p
+    abar_t, s, p = matrix.abar.T, matrix.v_squared, matrix.p
     g = abar_t if spec.error_map == "t_d" else np.eye(n)
     b_z = np.block([[abar_t, -np.diag(1.0 / p)], [s @ abar_t, np.eye(n) - s / p]])
     m = dyn.h.shape[-1]
@@ -383,9 +384,9 @@ def _assemble_bound(engine: str, matrix: CombinationMatrix, sigma11: float,
         raise ValueError("stability bounds need at least two agents")
     if not 0 < nu <= delta:
         raise ValueError("need 0 < nu <= delta")
-    perron, blocks = matrix.perron, matrix._error_blocks
-    lam = float(np.sqrt((1.0 + perron.lambda2) / 2.0))
-    p_max = float(perron.p.max())
+    p, blocks = matrix.p, matrix._error_blocks
+    lam = float(np.sqrt((1.0 + matrix.lambda2) / 2.0))
+    p_max = float(p.max())
     norm_r, norm_l = blocks.pair.norm_r, blocks.pair.norm_l
     alpha = norm_l * t_norm * norm_r
     # the bound and rho_at square delta and sigma22 = alpha delta, and squaring
@@ -424,7 +425,7 @@ def diffusion_step_bound(matrix, tau=None, nu: float = 1.0, delta: float = 1.0,
     if not 0 <= k_o < n:
         raise ValueError("k_o out of range")
     return _assemble_bound("exact_diffusion", matrix,
-                           float(matrix.perron.p[k_o] * tau[k_o] * nu), nu, delta,
+                           float(matrix.p[k_o] * tau[k_o] * nu), nu, delta,
                            matrix._error_blocks.t_d_norm)
 
 
@@ -439,7 +440,7 @@ def extra_step_bound(matrix, nu: float = 1.0, delta: float = 1.0) -> StabilityBo
     matrix = matrix_from_array(matrix)
     if not matrix.is_symmetric_doubly_stochastic:
         raise ValueError("this bound needs a symmetric doubly stochastic matrix")
-    t_norm = np.sqrt(1.0 + (1.0 - matrix.perron.lambdaN) / (2.0 * matrix.n))
+    t_norm = np.sqrt(1.0 + (1.0 - matrix.lambdaN) / (2.0 * matrix.n))
     return _assemble_bound("extra", matrix, float(nu / matrix.n), nu, delta, t_norm)
 
 
@@ -529,7 +530,7 @@ def _steps_for(engine: str, model: CostModel, matrix: CombinationMatrix,
     # The scan axis is the largest per-agent step size, for every engine:
     # heterogeneous engines keep their q/p profile, rescaled to peak at mu.
     if ENGINE_SPECS[engine].weighted:
-        p = matrix.perron.p
+        p = matrix.p
         ratio = np.asarray(model.q, dtype=float) / p
         return StepSizes.from_weights(model.q, p, float(mu) / float(ratio.max()))
     return StepSizes.uniform(mu, model.n_agents)

@@ -184,7 +184,7 @@ def simulate_error_recursion(matrix, model, steps: StepSizes, w0: np.ndarray, it
     g = model.grad_at(gt.w_star if engine == "exact_diffusion_pd" else gt.w_o)
     if engine == "exact_diffusion_pd":
         w_ref = gt.w_star
-        z_ref = -matrix.perron.p[:, np.newaxis] * (matrix.abar.T @ (steps.mu[:, np.newaxis] * g))
+        z_ref = -matrix.p[:, np.newaxis] * (matrix.abar.T @ (steps.mu[:, np.newaxis] * g))
     else:
         w_ref = gt.w_o
         z_ref = -(steps.mu[0] / n) * g
@@ -220,9 +220,9 @@ def v_form(matrix, v=None) -> SimpleNamespace:
     T_d = [[Abar^T, 0], [V^T Abar^T, 0]] and T_e = [[I, 0], [V^T, 0]], for
     the factor v (by default `dual_factor` of the matrix's cached
     eigenpairs of At).  A small-N oracle for the engines' (w, z) form."""
-    n, p = matrix.n, matrix.perron.p
+    n, p = matrix.n, matrix.p
     if v is None:
-        v = dual_factor(*matrix.perron._eigh, p)[0]
+        v = dual_factor(*matrix._eigh, p)[0]
     abar_t, pinv_v = matrix.abar.T, v / p[:, np.newaxis]
     b = np.block([[abar_t, -pinv_v], [v.T @ abar_t, np.eye(n) - v.T @ pinv_v]])
     zeros = np.zeros((2 * n, n))
@@ -250,7 +250,7 @@ def predicted_b_spectrum(matrix) -> np.ndarray:
     conjugate pair of modulus sqrt(lam)), from A's cached eigenvalues and
     the quadratic formula, independent of `decompose_b`."""
     matrix = matrix_from_array(matrix)
-    lams = (1.0 + matrix.perron._eigh[0]) / 2.0  # the eigenvalues of Abar
+    lams = (1.0 + matrix._eigh[0]) / 2.0  # the eigenvalues of Abar
     lams = np.delete(lams, np.argmin(np.abs(lams - 1.0))).astype(complex)
     root = np.sqrt(lams * lams - lams)
     return np.sort_complex(np.concatenate([[1.0, 1.0], lams + root, lams - root]))

@@ -38,10 +38,10 @@ def _report(criterion, ok, message):
     assert ok, f"criterion {criterion}: {message}"
 
 
-def _steps(engine, model, perron, mu_max):
+def _steps(engine, model, matrix, mu_max):
     if engine in ("exact_diffusion", "exact_diffusion_pd", "adaptive_exact_diffusion"):
-        ratio = model.q / perron.p
-        return StepSizes.from_weights(model.q, perron.p, mu_max / ratio.max())
+        ratio = model.q / matrix.p
+        return StepSizes.from_weights(model.q, matrix.p, mu_max / ratio.max())
     return StepSizes.uniform(mu_max, model.n_agents)
 
 
@@ -55,12 +55,11 @@ def test_criterion_1_exact_linear_convergence():
     t0 = time.perf_counter()
     graph = random_connected_graph(20, 0.5, seed=20)
     matrix = build_metropolis(graph)
-    perron = matrix.perron
     model = least_squares_model(20, 20, 5, 40)
     gt = solve_centralized(model)
     nu, delta, k_o = hessian_bounds(model)
     bound = diffusion_step_bound(matrix, tau=None, nu=nu, delta=delta, k_o=k_o)
-    steps = _steps("exact_diffusion", model, perron, bound.mu_bound / 2.0)
+    steps = _steps("exact_diffusion", model, matrix, bound.mu_bound / 2.0)
     res = run("exact_diffusion", model, matrix, steps, max_iters=150_000,
               stop=1e-10, ground_truth=gt)
     elapsed = time.perf_counter() - t0
@@ -109,11 +108,10 @@ def _hundred_instances():
 def test_criterion_3_dual_norm_closed_form():
     worst = 0.0
     for n, matrix in _hundred_instances():
-        perron = matrix.perron
         # the dual factor of the V-form oracle
         v = v_form(matrix).v
         lam_max = np.linalg.eigvalsh(np.eye(n) + v @ v.T).max()
-        closed = (2 * n + 1 - perron.lambdaN) / (2 * n)
+        closed = (2 * n + 1 - matrix.lambdaN) / (2 * n)
         worst = max(worst, abs(lam_max - closed))
     ok = worst <= 1e-10
     _report(3, ok,
@@ -147,14 +145,13 @@ def test_criterion_5_eigenstructure():
         n = 3 + seed % 6
         builder = build_metropolis if seed % 2 == 0 else build_averaging
         matrix = builder(random_connected_graph(n, 0.5, seed))
-        perron = matrix.perron
         gap, radius = greedy_spectrum_gap(matrix), b_spectrum_residual(matrix)
         worst_spec, worst_radius = max(worst_spec, gap), max(worst_radius, radius)
         uncovered += gap > radius
         pair = decompose_b(matrix)
         r1 = np.concatenate([np.ones(n), np.zeros(n)])
         r2 = np.concatenate([np.zeros(n), np.ones(n)])
-        l1 = np.concatenate([perron.p, np.zeros(n)])
+        l1 = np.concatenate([matrix.p, np.zeros(n)])
         l2 = np.concatenate([np.zeros(n), np.full(n, 1.0 / n)])
         x, x_inv, b = dense_x(pair), dense_x_inv(pair), v_form(matrix).b
         worst_vec = max(
@@ -189,7 +186,7 @@ def test_criterion_6_error_recursion_equivalence():
         _, delta, _ = hessian_bounds(model)
         mu = 0.4 / delta
         steps = (StepSizes.uniform(mu, n) if engine == "extra"
-                 else _steps(engine, model, matrix.perron, mu))
+                 else _steps(engine, model, matrix, mu))
         dyn = build_error_dynamics(matrix, model=model)
         lift = one_step_matrix(
             dyn, "extra" if engine == "extra" else "exact_diffusion", steps.mu)
@@ -222,9 +219,8 @@ def test_criterion_7_dual_consensus_invariant():
                       least_squares_model(520 + i, n, 2, 8)))
     for engine, matrix, model in cases:
         n = matrix.n
-        perron = matrix.perron
         mu = 0.3 / hessian_bounds(model)[1]
-        res = reference_run(engine, model, matrix, _steps(engine, model, perron, mu),
+        res = reference_run(engine, model, matrix, _steps(engine, model, matrix, mu),
                             max_iters=400, stop=0.0, w0=rng.standard_normal((n, model.dim)))
         ys = np.array(res.dual_iterates)
         worst = max(worst, np.abs(ys.sum(axis=1)).max() / n)
@@ -253,9 +249,8 @@ def test_criterion_8_terminal_gradient_stationarity():
     worst = 0.0
     statuses = []
     for engine, matrix, model in cases:
-        perron = matrix.perron
         mu = 0.3 / hessian_bounds(model)[1]
-        res = run(engine, model, matrix, _steps(engine, model, perron, mu),
+        res = run(engine, model, matrix, _steps(engine, model, matrix, mu),
                   max_iters=60_000, stop=1e-22)
         statuses.append(res.status)
         worst = max(worst, res.records[-1].grad_norm)
@@ -268,24 +263,23 @@ def test_criterion_8_terminal_gradient_stationarity():
 
 def test_criterion_9_adaptive_tuning():
     matrix = random_averaging(5, seed=42)
-    perron = matrix.perron
     rng = np.random.default_rng(9)
     model = least_squares_model(900, 5, 2, 10, q=(0.5 + rng.random(5)).tolist())
     _, delta, _ = hessian_bounds(model)
-    ratio = model.q / perron.p
-    steps = StepSizes.from_weights(model.q, perron.p,
+    ratio = model.q / matrix.p
+    steps = StepSizes.from_weights(model.q, matrix.p,
                                    (0.4 / delta) / ratio.max())
     res = run("adaptive_exact_diffusion", model, matrix, steps,
               max_iters=60_000, stop=1e-8)
     ok_run = res.status == "converged" and res.final_rel_error <= 1e-8
     estimates = reference_run("adaptive_exact_diffusion", model, matrix, steps,
                               max_iters=60_000, stop=1e-8).perron_estimates
-    ok_env, fitted = mismatch_decay_check(estimates, perron.p, perron.rhoA)
+    ok_env, fitted = mismatch_decay_check(estimates, matrix.p, matrix.rhoA)
     ok = ok_run and ok_env
     _report(9, ok,
             f"adaptive run {res.status} rel={res.final_rel_error:.2e} (<=1e-8); "
             f"Perron-estimate error inside the rho_A envelope at every "
-            f"iteration, fitted decay {fitted:.4f} vs rho_A={perron.rhoA:.4f}")
+            f"iteration, fitted decay {fitted:.4f} vs rho_A={matrix.rhoA:.4f}")
 
 
 def test_criterion_10_measured_stability_ranges():

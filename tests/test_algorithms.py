@@ -39,10 +39,10 @@ from oracles import power_iteration_diagonals, reference_run, symmetric_root
 WEIGHTED = ("exact_diffusion", "exact_diffusion_pd", "adaptive_exact_diffusion")
 
 
-def steps_for(engine, model, perron, mu_max):
+def steps_for(engine, model, matrix, mu_max):
     if engine in WEIGHTED:
-        ratio = model.q / perron.p
-        return StepSizes.from_weights(model.q, perron.p, mu_max / ratio.max())
+        ratio = model.q / matrix.p
+        return StepSizes.from_weights(model.q, matrix.p, mu_max / ratio.max())
     return StepSizes.uniform(mu_max, model.n_agents)
 
 
@@ -98,11 +98,10 @@ def test_run_matches_the_reference_loop(engine):
     model = random_quadratic(6, 3, seed=17)
     if engine not in WEIGHTED:
         matrix = random_metropolis(6, seed=17)
-    perron = matrix.perron
     w0 = np.random.default_rng(17).standard_normal((6, 3))
     gt = solve_centralized(model)
     trace = [r.rel_error for r in reference_run(
-        engine, model, matrix, steps_for(engine, model, perron, 0.02), max_iters=40, stop=0.0,
+        engine, model, matrix, steps_for(engine, model, matrix, 0.02), max_iters=40, stop=0.0,
         w0=w0, ground_truth=gt).records]
     # a stop first crossed on iteration t, for t on a block's first or last row
     exits = [t for t in (1, 16, 17, 32) if trace[t] < min(trace[:t])]
@@ -112,7 +111,7 @@ def test_run_matches_the_reference_loop(engine):
     cases += [(0.02, 40, trace[t]) for t in exits]
     statuses, exited = set(), []
     for mu_max, max_iters, stop in cases:
-        steps = steps_for(engine, model, perron, mu_max)
+        steps = steps_for(engine, model, matrix, mu_max)
         args = (engine, model, matrix, steps)
         kwargs = dict(max_iters=max_iters, stop=stop, w0=w0, ground_truth=gt)
         got, want = run(*args, **kwargs), reference_run(*args, **kwargs)
@@ -142,9 +141,8 @@ def test_run_with_a_huge_budget_stops_early():
 def test_trace_starts_at_seed_and_counts_communications():
     matrix = random_metropolis(5, seed=1)
     model = least_squares_model(4, 5, 2, 8)
-    perron = matrix.perron
     for engine in ENGINES:
-        res = run(engine, model, matrix, steps_for(engine, model, perron, 0.01),
+        res = run(engine, model, matrix, steps_for(engine, model, matrix, 0.01),
                   max_iters=7, stop=0.0)
         assert res.status == "exhausted"
         assert len(res.records) == 8
@@ -162,7 +160,7 @@ def test_run_converges_immediately_from_the_solution():
     gt = solve_centralized(model)
     w0 = np.tile(gt.w_star, (4, 1))
     res = run("exact_diffusion", model, matrix,
-              steps_for("exact_diffusion", model, matrix.perron, 0.01),
+              steps_for("exact_diffusion", model, matrix, 0.01),
               w0=w0)
     assert res.status == "converged"
     assert len(res.records) == 1
@@ -177,7 +175,7 @@ def test_a_start_whose_error_underflows_is_rejected():
     n, m = 4, 2
     model = QuadraticModel(np.tile(np.eye(m), (n, 1, 1)), np.full((n, m), 1e-200))
     matrix = random_metropolis(n, seed=2)
-    steps = steps_for("exact_diffusion", model, matrix.perron, 0.1)
+    steps = steps_for("exact_diffusion", model, matrix, 0.1)
     with pytest.raises(ValueError, match="underflows to 0"):
         run("exact_diffusion", model, matrix, steps)
     with pytest.raises(ValueError, match="underflows to 0"):
@@ -194,7 +192,7 @@ def test_a_start_whose_error_overflows_is_rejected():
     ValueError now, with no warning, and so does a non-finite w0."""
     matrix = random_metropolis(6, seed=3)
     model = least_squares_model(6, 6, 2, 10)
-    steps = steps_for("exact_diffusion", model, matrix.perron, 0.02)
+    steps = steps_for("exact_diffusion", model, matrix, 0.02)
     res = run("exact_diffusion", model, matrix, steps, max_iters=20_000,
               w0=np.full((6, 2), 1e150))
     assert res.status == "converged"
@@ -208,10 +206,9 @@ def test_a_start_whose_error_overflows_is_rejected():
 def test_engines_converge_and_reach_consensus():
     matrix = random_metropolis(5, seed=3)
     model = least_squares_model(6, 5, 2, 10)
-    perron = matrix.perron
     gt = solve_centralized(model)
     for engine in ENGINES:
-        res = run(engine, model, matrix, steps_for(engine, model, perron, 0.02),
+        res = run(engine, model, matrix, steps_for(engine, model, matrix, 0.02),
                   max_iters=20_000, stop=1e-16, ground_truth=gt)
         assert res.status == "converged", engine
         assert res.final_rel_error <= 1e-16
@@ -247,8 +244,7 @@ def test_max_iters_one_is_exhausted():
 def test_exact_diffusion_equals_its_primal_dual_form():
     matrix = random_averaging(6, seed=7)
     model = least_squares_model(10, 6, 3, 9, q=[1.0, 2.0, 0.5, 1.0, 1.5, 1.0])
-    perron = matrix.perron
-    steps = StepSizes.from_weights(model.q, perron.p, 0.002)
+    steps = StepSizes.from_weights(model.q, matrix.p, 0.002)
     a = reference_run("exact_diffusion", model, matrix, steps, max_iters=300, stop=0.0)
     b = reference_run("exact_diffusion_pd", model, matrix, steps, max_iters=300, stop=0.0)
     gap = max(np.abs(x - y).max() for x, y in zip(a.iterates, b.iterates))
@@ -258,8 +254,7 @@ def test_exact_diffusion_equals_its_primal_dual_form():
 def test_first_step_is_combine_of_gradient_step():
     matrix = random_metropolis(5, seed=8)
     model = least_squares_model(11, 5, 2, 8)
-    perron = matrix.perron
-    steps = steps_for("exact_diffusion", model, perron, 0.05)
+    steps = steps_for("exact_diffusion", model, matrix, 0.05)
     rng = np.random.default_rng(0)
     w0 = rng.standard_normal((5, 2))
     res = reference_run("exact_diffusion", model, matrix, steps, max_iters=1, stop=0.0)
@@ -274,16 +269,14 @@ def test_first_step_is_combine_of_gradient_step():
 def test_adaptive_first_step_uses_self_weights():
     matrix = random_averaging(5, seed=9)
     model = least_squares_model(12, 5, 2, 8)
-    perron9 = matrix.perron
-    steps = StepSizes.from_weights(model.q, perron9.p, 0.003)
+    steps = StepSizes.from_weights(model.q, matrix.p, 0.003)
     res = reference_run("adaptive_exact_diffusion", model, matrix, steps, max_iters=2,
                         stop=0.0)
     # after one combine the mixing estimate is diag(A), so the tuned step
     # is q_k mu_o / a_kk on the first iteration
     hist = res.perron_estimates
     assert np.abs(hist[0] - np.diag(matrix.a)).max() <= 1e-15
-    perron = matrix.perron
-    assert np.abs(hist[-1] - perron.p).max() < np.abs(hist[0] - perron.p).max()
+    assert np.abs(hist[-1] - matrix.p).max() < np.abs(hist[0] - matrix.p).max()
 
 
 @pytest.mark.parametrize("build", [build_metropolis, build_averaging])
@@ -295,7 +288,7 @@ def test_adaptive_estimates_match_the_power_iteration(build, n, prob):
     matrix = build(random_connected_graph(n, prob, seed=4))
     assert _is_csr(matrix._a_t_op) == (n == 400)
     model = random_quadratic(n, 2, seed=4)
-    steps = StepSizes.from_weights(model.q, matrix.perron.p, 1e-4)
+    steps = StepSizes.from_weights(model.q, matrix.p, 1e-4)
     res = reference_run("adaptive_exact_diffusion", model, matrix, steps, max_iters=500,
                         stop=0.0)
     assert res.status == "exhausted"
@@ -309,13 +302,12 @@ def test_adaptive_estimates_match_the_power_iteration(build, n, prob):
 def test_fixed_point_residency_all_engines():
     matrix = random_metropolis(5, seed=10)
     model = random_quadratic(5, 2, seed=10)
-    perron = matrix.perron
     gt = solve_centralized(model)
     w_star = np.tile(gt.w_star, (5, 1))
     w_o = np.tile(gt.w_o, (5, 1))
     g_star = model.grad(w_star)
     g_o = model.grad(w_o)
-    steps = StepSizes.from_weights(model.q, perron.p, 0.01 / 5)
+    steps = StepSizes.from_weights(model.q, matrix.p, 0.01 / 5)
     uni = StepSizes.uniform(0.01, 5)
     v = symmetric_root(matrix)
     pinv_v = np.linalg.pinv(v)
@@ -327,7 +319,7 @@ def test_fixed_point_residency_all_engines():
         # the primal-dual engines carry z = V y: seed z* = V y*
         "exact_diffusion_pd": AlgorithmState(
             w=w_star.copy(),
-            y=v @ (-pinv_v @ (perron.p[:, None] * (abar.T @ (steps.mu[:, None] * g_star))))),
+            y=v @ (-pinv_v @ (matrix.p[:, None] * (abar.T @ (steps.mu[:, None] * g_star))))),
         "extra": AlgorithmState(
             w=w_o.copy(), y=v @ (-(uni.mu[0] / 5.0) * (pinv_v @ g_o))),
         "diging": AlgorithmState(w=w_o.copy(), y=np.zeros((5, 2)), g_prev=g_o),
@@ -385,7 +377,7 @@ def test_a_sparse_run_builds_only_the_operators_its_engine_applies(monkeypatch):
             "exact_diffusion_pd": 2, "extra": 2}
     for engine in ENGINES:
         matrix, built[:] = build_metropolis(graph), []
-        steps = steps_for(engine, model, matrix.perron, 1e-3)
+        steps = steps_for(engine, model, matrix, 1e-3)
         run(engine, model, matrix, steps, max_iters=5, stop=0.0, ground_truth=gt)
         assert len(built) == want[engine], engine
         matrix, built[:] = build_metropolis(graph), []
@@ -403,20 +395,20 @@ def test_the_sparse_run_path_holds_no_dense_array(monkeypatch):
     model = least_squares_model(3, n, 2, 4)
     gt = solve_centralized(model)
     built = []
-    dense = graphs._EdgeForm.dense.func
+    dense = CombinationMatrix.a.func
 
     def counted(self):
-        built.append(self.graph.n)
+        built.append(self.n)
         return dense(self)
 
     cached = functools.cached_property(counted)
-    cached.__set_name__(graphs._EdgeForm, "dense")
-    monkeypatch.setattr(graphs._EdgeForm, "dense", cached)
+    cached.__set_name__(CombinationMatrix, "a")
+    monkeypatch.setattr(CombinationMatrix, "a", cached)
     tracemalloc.start()
     try:
         matrix = build_metropolis(graph)
         assert _is_csr(matrix._abar_t_op)
-        steps = steps_for("exact_diffusion", model, matrix.perron, 1e-3)
+        steps = steps_for("exact_diffusion", model, matrix, 1e-3)
         result = run("exact_diffusion", model, matrix, steps, max_iters=32, stop=0.0,
                      ground_truth=gt)
         peak = tracemalloc.get_traced_memory()[1]
@@ -425,7 +417,7 @@ def test_the_sparse_run_path_holds_no_dense_array(monkeypatch):
     assert result.iterations == 32 and built == []
     assert peak < np.dtype(float).itemsize * n * n
     run("adaptive_exact_diffusion", model, matrix, steps, max_iters=2, ground_truth=gt)
-    matrix.perron.rhoA
+    matrix.rhoA
     diffusion_step_bound(matrix)
     extra_step_bound(matrix)
     b_spectrum_residual(matrix)
@@ -464,7 +456,7 @@ def test_dense_and_csr_combines_agree(engine, monkeypatch):
     matrix, model, gt, w0 = _combine_setup(engine)
     paths = (_on_path(matrix, False, monkeypatch), _on_path(matrix, True, monkeypatch))
     for mu_max, max_iters in ((0.02, 20_000), (0.02, 40)):
-        steps = steps_for(engine, model, matrix.perron, mu_max)
+        steps = steps_for(engine, model, matrix, mu_max)
         want, got = (reference_run(engine, model, m, steps, max_iters=max_iters, stop=1e-12,
                                    w0=w0, ground_truth=gt) for m in paths)
         assert (got.status, got.iterations) == (want.status, want.iterations)
@@ -475,7 +467,7 @@ def test_dense_and_csr_combines_agree(engine, monkeypatch):
             if getattr(want.state, name) is not None:
                 assert _close([getattr(got.state, name)], [getattr(want.state, name)]), name
 
-    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.005, 0.02, 5.0)]
+    steps_list = [steps_for(engine, model, matrix, mu) for mu in (0.005, 0.02, 5.0)]
     runs = []
     for m in paths:
         states = []
@@ -499,7 +491,7 @@ def _member(block, k, dim):
 def test_csr_scan_member_matches_its_one_member_run(engine, monkeypatch):
     matrix, model, gt, w0 = _combine_setup(engine, seed=22)
     csr = _on_path(matrix, True, monkeypatch)
-    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.005, 0.01, 0.02)]
+    steps_list = [steps_for(engine, model, matrix, mu) for mu in (0.005, 0.01, 0.02)]
     statuses, _ = _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0)
     ws, rels = [], []
     _iterate(engine, model, csr, steps_list, 80, 0.0, gt, w0,
@@ -529,7 +521,7 @@ def test_dense_scan_member_matches_its_one_member_run(engine):
     gt, w0 = solve_centralized(model), np.random.default_rng(22).standard_normal((20, 5))
     assert not _is_csr(matrix._a_t_op)
     mus = (0.002, 0.005, 0.01, 0.015, 0.02)
-    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in mus]
+    steps_list = [steps_for(engine, model, matrix, mu) for mu in mus]
     ws = []
     statuses, _ = _iterate(engine, model, matrix, steps_list, 80, 0.0, gt, w0,
                            lambda block, rels: ws.extend(block))
@@ -597,9 +589,9 @@ def test_v_free_steps_match_the_dense_v_step(engine, sparse, monkeypatch):
     matrix, model, gt, w0 = _combine_setup(engine, seed=23)
     matrix = _on_path(matrix, sparse, monkeypatch)
     assert _is_csr(matrix._dual_op) == sparse
-    steps = steps_for(engine, model, matrix.perron, 0.02)
+    steps = steps_for(engine, model, matrix, 0.02)
     _, ctx = init_state(engine, model, matrix, w0, steps)
-    p = matrix.perron.p[:, np.newaxis]
+    p = matrix.p[:, np.newaxis]
     half = (np.diag(p[:, 0]) - matrix.a * p.T) / 2.0  # (P - A P)/2, built here from A and p
     sigma, u = np.linalg.eigh((half + half.T) / 2.0)
     v = (u * np.sqrt(np.clip(sigma, 0.0, None))) @ u.T
@@ -621,7 +613,7 @@ def test_v_free_steps_match_the_dense_v_step(engine, sparse, monkeypatch):
 def test_primal_dual_runs_never_build_v(engine):
     # V lives only in the error blocks, which no run or scan builds
     matrix, model, gt, w0 = _combine_setup(engine, seed=24)
-    steps = steps_for(engine, model, matrix.perron, 0.02)
+    steps = steps_for(engine, model, matrix, 0.02)
     run(engine, model, matrix, steps, max_iters=50, stop=0.0, w0=w0, ground_truth=gt)
     _iterate(engine, model, matrix, [steps, steps], 50, 0.0, gt, w0)
     assert "_error_blocks" not in matrix.__dict__
@@ -670,7 +662,7 @@ def test_stack_keeps_running_past_a_member_that_overflows(engine):
     """Members whose error turns inf or NaN at once leave the stack as
     diverged; the others run on to the verdicts separate runs give."""
     matrix, model, gt, w0 = _combine_setup(engine, seed=25)
-    steps_list = [steps_for(engine, model, matrix.perron, mu)
+    steps_list = [steps_for(engine, model, matrix, mu)
                   for mu in (0.005, 1e200, 0.02, 1e308, 5.0)]
     trace = []
     statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0,
@@ -691,7 +683,7 @@ def test_a_run_that_overflows_is_diverged_without_warnings(engine):
     # warnings are errors here: one overflowing step used to raise
     # "RuntimeWarning: overflow encountered in square" instead of a verdict
     matrix, model, gt, w0 = _combine_setup(engine, seed=25)
-    steps = steps_for(engine, model, matrix.perron, 1e200)
+    steps = steps_for(engine, model, matrix, 1e200)
     result = run(engine, model, matrix, steps, max_iters=50, w0=w0, ground_truth=gt)
     assert result.status == "diverged"
     assert not np.isfinite(result.final_rel_error)
@@ -702,7 +694,7 @@ def test_adaptive_stack_matches_separate_runs():
     status, verdict and exit iteration of its own run."""
     engine = "adaptive_exact_diffusion"
     matrix, model, gt, w0 = _combine_setup(engine, seed=27)
-    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.002, 0.02, 5.0)]
+    steps_list = [steps_for(engine, model, matrix, mu) for mu in (0.002, 0.02, 5.0)]
     sizes = []
     statuses, verdicts = _iterate(engine, model, matrix, steps_list, 300, 1e-10, gt, w0,
                                   _per_step(1e-10, lambda rel: sizes.append(rel.size)))
@@ -725,7 +717,7 @@ def test_stack_handles_a_convergence_and_a_divergence_on_one_iteration():
     of its own run."""
     engine = "diging"
     matrix, model, gt, w0 = _combine_setup(engine, seed=26)
-    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.02, 0.2, 0.0005)]
+    steps_list = [steps_for(engine, model, matrix, mu) for mu in (0.02, 0.2, 0.0005)]
     trace = []
     _iterate(engine, model, matrix, steps_list, 60, 0.0, gt, w0,
              _per_step(0.0, lambda rel: trace.append(rel.copy())))
@@ -757,7 +749,7 @@ def test_record_free_stack_classifies_like_a_recorded_one(max_iters):
     gives it, and the status of its own run."""
     engine = "extra"
     matrix, model, gt, w0 = _combine_setup(engine, seed=26)
-    steps_list = [steps_for(engine, model, matrix.perron, mu)
+    steps_list = [steps_for(engine, model, matrix, mu)
                   for mu in (0.0005, 0.02, 0.08, 0.15, 1e150)]
     assert max_iters % CHECK_BLOCK and (max_iters - _lookback(max_iters)) % CHECK_BLOCK
     state, ctx = init_state(engine, model, matrix, w0, steps_list[-1])
@@ -792,7 +784,7 @@ def test_record_free_stack_takes_each_status_at_the_first_exit():
     its status is read where it first exits, not at the block's end."""
     engine = "diging"
     matrix, model, gt, w0 = _combine_setup(engine, seed=26)
-    steps = [steps_for(engine, model, matrix.perron, 0.5)]
+    steps = [steps_for(engine, model, matrix, 0.5)]
     trace = []
     _iterate(engine, model, matrix, steps, CHECK_BLOCK, 0.0, gt, w0,
              _per_step(0.0, lambda rel: trace.append(rel[0])))
@@ -812,7 +804,7 @@ def test_record_free_stack_converges_on_the_exact_budget(engine, mu_growing):
     with t - 1; beside it, a member whose error grows is exhausted and
     unstable on its own final error."""
     matrix, model, gt, w0 = _combine_setup(engine, seed=26)
-    steps_list = [steps_for(engine, model, matrix.perron, mu) for mu in (0.05, mu_growing)]
+    steps_list = [steps_for(engine, model, matrix, mu) for mu in (0.05, mu_growing)]
     first = run(engine, model, matrix, steps_list[0], max_iters=300, stop=1e-10, w0=w0,
                 ground_truth=gt)
     t = first.iterations
@@ -867,12 +859,11 @@ def test_asymmetric_doubly_stochastic_matrix_rules():
     a = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
     matrix = matrix_from_array(a)
     model = least_squares_model(15, 3, 2, 8)
-    perron = matrix.perron
     with pytest.raises(ValueError):
         run("extra", model, matrix, StepSizes.uniform(0.01, 3))
     with pytest.raises(ValueError):
         run("exact_diffusion", model, matrix,
-            StepSizes.from_weights(model.q, perron.p, 0.01 / 3))
+            StepSizes.from_weights(model.q, matrix.p, 0.01 / 3))
     res = run("diging", model, matrix, StepSizes.uniform(0.02, 3),
               max_iters=20_000, stop=1e-14)
     assert res.status == "converged"

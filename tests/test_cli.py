@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,7 +113,7 @@ def test_run_artifacts_hold_the_library_run(tmp_path):
     assert run_cli(["run", "--config", cfg, "--out", out]) == 0
     matrix = decentopt.build_metropolis(decentopt.random_connected_graph(6, 0.6, 7))
     model = decentopt.least_squares_model(seed=7, n_agents=6, dim=3, samples_per_agent=10)
-    steps = decentopt.StepSizes.from_weights(model.q, matrix.perron.p, 0.004)
+    steps = decentopt.StepSizes.from_weights(model.q, matrix.p, 0.004)
     res = decentopt.run("exact_diffusion", model, matrix, steps, max_iters=6000, stop=1e-10)
     assert read_trace_csv(out / "trace.csv") == res.records
     text = (out / "trace.json").read_text()
@@ -946,7 +947,7 @@ def test_ground_truth_nonconvergence_is_config_error(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("command", ["run", "stability-scan"])
 def test_perron_failure_is_config_error(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(decentopt.graphs, "_check_perron", _raise(SpectralError))
+    monkeypatch.setattr(decentopt.CombinationMatrix, "_check_perron", _raise(SpectralError))
     payload = base_run_config()
     payload["scan"] = {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.1}
     cfg = write_config(tmp_path, payload)
@@ -978,7 +979,7 @@ def test_spectral_setup_failures_surface_at_the_matrix(tmp_path, capsys, monkeyp
         payload["matrix"] = {"rule": "file", "path": str(path)}
         del payload["graph"]
     if failure == "perron":
-        monkeypatch.setattr(decentopt.graphs, "_check_perron", _raise(SpectralError))
+        monkeypatch.setattr(decentopt.CombinationMatrix, "_check_perron", _raise(SpectralError))
     else:
         # every eigenvalue then counts as one at 1
         monkeypatch.setattr(decentopt.graphs, "UNIT_EIG_TOL", 2.0)
@@ -1095,6 +1096,39 @@ def test_logistic_run_on_hard_instance_converges(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["run", "--config", cfg, "--out", out]) == 0
     assert json.loads((out / "trace.json").read_text())["status"] == "converged"
+
+
+_HUGE_Q = [1, 1, 1, 1, 1, 1e308]
+_OVERFLOWING_MODELS = {
+    "least_squares-q": {"kind": "least_squares", "dim": 3, "samples_per_agent": 10,
+                        "q": _HUGE_Q},
+    "logistic-q": {"kind": "logistic", "dim": 3, "samples_per_agent": 10, "ridge": 1.0,
+                   "q": _HUGE_Q},
+    "mse_quadratic-data": {"kind": "mse_quadratic", "dim": 2,
+                           "covariances": [[[1e308, 0.0], [0.0, 1e308]]] * 6,
+                           "cross_vectors": [[1e308, 1e308]] * 6},
+    # the q-weighted aggregate is finite, the uniform one is not
+    "mse_quadratic-data-small-q": {"kind": "mse_quadratic", "dim": 2, "q": [1e-10] * 6,
+                                   "covariances": [[[1e308, 0.0], [0.0, 1e308]]] * 6,
+                                   "cross_vectors": [[1e308, 1e308]] * 6},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "stability-scan", "analyze"])
+@pytest.mark.parametrize("model", sorted(_OVERFLOWING_MODELS))
+def test_an_overflowing_weighted_aggregate_is_a_model_error(tmp_path, capsys, model, command):
+    """Weights or data whose weighted aggregate overflows are refused at the
+    model, in one stderr line that names the overflow, with no numpy
+    warning (warnings are errors here) and no misleading solver text."""
+    payload = base_run_config()
+    payload["model"] = _OVERFLOWING_MODELS[model]
+    payload["scan"] = {"engine": "exact_diffusion", "mu_min": 0.01, "mu_max": 0.1}
+    cfg = write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(r"config error at model(\.q)?: .*overflow.*\n", err)
+    assert not (tmp_path / "x").exists()
 
 
 # ------------------------------------------------------------- start-up

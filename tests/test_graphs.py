@@ -387,14 +387,14 @@ def test_averaging_star_oracle():
         [[1 / 3, 1 / 2, 1 / 2], [1 / 3, 1 / 2, 0.0], [1 / 3, 0.0, 1 / 2]]
     )
     assert np.abs(a - expect).max() <= 1e-15
-    p = build_averaging(g).perron.p
+    p = build_averaging(g).p
     assert np.abs(p - np.array([3 / 7, 2 / 7, 2 / 7])).max() <= 1e-12
 
 
 def test_averaging_perron_follows_degrees():
     g = random_connected_graph(9, 0.35, seed=11)
     m = build_averaging(g)
-    p = m.perron.p
+    p = m.p
     weights = 1.0 + np.asarray(g.degrees(), dtype=float)
     assert np.abs(p - weights / weights.sum()).max() <= 1e-12
 
@@ -473,11 +473,10 @@ def test_matrix_from_array_infers_graph():
 
 def test_perron_uniform_for_doubly_stochastic():
     m = random_metropolis(7, seed=5)
-    perron = m.perron
-    assert np.abs(perron.p - 1 / 7).max() <= 1e-12
-    assert perron.rhoA < 1.0
-    assert -1.0 < perron.lambdaN < 1.0
-    assert perron.lambda2 < 1.0
+    assert np.abs(m.p - 1 / 7).max() <= 1e-12
+    assert m.rhoA < 1.0
+    assert -1.0 < m.lambdaN < 1.0
+    assert m.lambda2 < 1.0
     balanced, violation = check_balanced(m)
     assert balanced is True
     assert violation <= 1e-12
@@ -485,18 +484,17 @@ def test_perron_uniform_for_doubly_stochastic():
 
 def test_perron_single_agent_conventions():
     m = matrix_from_array(np.array([[1.0]]))
-    perron = m.perron
-    assert perron.p.tolist() == [1.0]
-    assert np.isnan(perron.lambda2)
-    assert perron.lambdaN == 1.0
-    assert perron.rhoA == 0.0
+    assert m.p.tolist() == [1.0]
+    assert np.isnan(m.lambda2)
+    assert m.lambdaN == 1.0
+    assert m.rhoA == 0.0
 
 
 def test_perron_residual_is_tiny():
     for seed in (0, 1, 2):
         for build in (build_metropolis, build_averaging):
             m = build(random_connected_graph(6, 0.5, seed))
-            p = m.perron.p
+            p = m.p
             assert np.abs(m.a @ p - p).max() <= 1e-12
             assert abs(p.sum() - 1.0) <= 1e-14
 
@@ -510,10 +508,10 @@ def test_bordered_perron_matches_the_power_iteration_reference(n, kind, build):
     edges = [(k, k + 1) for k in range(n - 1)] + ([(0, n - 1)] if kind == "ring" else [])
     m = build(Graph(n, edges))
     p_ref, summary_ref = reference_perron(m.a)
-    p = m.perron.p
+    p = m.p
     assert np.abs(m.a @ p - p).max() <= PERRON_RESIDUAL_TOL
     assert np.abs(p - p_ref).max() <= 1e-12
-    summary = (m.perron.lambda2, m.perron.lambdaN, m.perron.rhoA)
+    summary = (m.lambda2, m.lambdaN, m.rhoA)
     assert summary == pytest.approx(summary_ref, rel=0, abs=1e-12)
 
 
@@ -526,9 +524,9 @@ def test_an_unbalanced_file_matrix_refuses_its_spectrum(tmp_path):
     save_matrix_csv(path, U)
     m = matrix_from_array(load_matrix_csv(path))
     assert check_balanced(m)[0] is False
-    text = r"combination matrix is not balanced \(violation 7\.895e-02\)"
-    for read in (lambda: m.perron, lambda: m.perron.p, lambda: m.perron.rhoA,
-                 lambda: m.perron._eigh, lambda: m.v_squared):
+    text = r"^combination matrix is not balanced \(violation 7\.895e-02\)$"
+    for read in (lambda: m.p, lambda: m.lambda2, lambda: m.lambdaN, lambda: m.rhoA,
+                 lambda: m._eigh, lambda: m.v_squared):
         with pytest.raises(ValueError, match=text):
             read()
     for name, dense in dense_operators(U, np.full(3, 1 / 3)).items():
@@ -536,10 +534,10 @@ def test_an_unbalanced_file_matrix_refuses_its_spectrum(tmp_path):
             assert getattr(m, name).tobytes() == dense.tobytes(), name
     # a doubly stochastic unbalanced matrix has p, but no spectrum either
     c = matrix_from_array(C)
-    assert c.perron.p.tolist() == [1 / 3] * 3
-    for read in (lambda: c.perron.lambda2, lambda: c.perron.rhoA, lambda: c.perron._eigh):
+    assert c.p.tolist() == [1 / 3] * 3
+    for read in (lambda: c.lambda2, lambda: c.lambdaN, lambda: c.rhoA, lambda: c._eigh):
         with pytest.raises(ValueError,
-                           match=r"combination matrix is not balanced \(violation 1\.667e-01\)"):
+                           match=r"^combination matrix is not balanced \(violation 1\.667e-01\)$"):
             read()
 
 
@@ -551,7 +549,7 @@ def test_combination_matrix_is_read_only():
     with pytest.raises(ValueError):
         m.a[0, 0] = 0.5
     with pytest.raises(ValueError):
-        m.perron.p[0] = 1.0
+        m.p[0] = 1.0
 
 
 def test_check_balanced_flags_asymmetric_column_stochastic():
@@ -566,9 +564,9 @@ def test_check_balanced_flags_asymmetric_column_stochastic():
     assert balanced is False
     assert violation > 1e-3
     # the violation is measured at the candidate read off the edges
-    assert violation == _dense_balance(a, graphs._perron_from_balance(m._form))
+    assert violation == _dense_balance(a, m._perron_from_balance())
     with pytest.raises(ValueError, match="not balanced"):
-        m.perron
+        m.p
 
 
 def _dense_balance(a, p):
@@ -580,10 +578,10 @@ def _dense_balance(a, p):
 def _violation_p(m):
     """The p that m's balance residual is measured at: its own, else the
     candidate read off the edges by local balance, else 1/N."""
-    if m._perron is not None:
-        return m.perron.p
+    if m._p is not None:
+        return m.p
     try:
-        return graphs._perron_from_balance(m._form)
+        return m._perron_from_balance()
     except SpectralError:
         return np.full(m.n, 1.0 / m.n)
 
@@ -616,13 +614,13 @@ def test_balance_over_the_edges_is_the_dense_residual_bit_for_bit():
             unbalanced.append(m)
     assert len(unbalanced) >= 5
     assert not any(check_balanced(m)[0] for m in unbalanced)
-    assert all(m._perron is None for m in unbalanced)  # none is doubly stochastic
+    assert all(m._p is None for m in unbalanced)  # none is doubly stochastic
     for m in matrices + unbalanced:
         dense = _dense_balance(m.a, _violation_p(m))
         assert m._balance == dense
         assert check_balanced(m) == (m._balance <= graphs.BALANCE_TOL, dense)
     single = matrix_from_array(np.array([[1.0]]))
-    assert single._balance == 0.0 == _dense_balance(single.a, single.perron.p)
+    assert single._balance == 0.0 == _dense_balance(single.a, single.p)
 
 
 # -------------------------------------------------------------- edge form
@@ -646,7 +644,7 @@ def _shape(kind, n):
 def _assert_operators_match(m, a):
     """Each engine operator of m equals its dense form built from a and m's
     p: the array itself, or the `csr_array` of it, with no zero stored."""
-    for name, dense in dense_operators(a, m.perron.p).items():
+    for name, dense in dense_operators(a, m.p).items():
         op = getattr(m, name)
         if isinstance(op, np.ndarray):
             assert op.tobytes() == dense.tobytes(), name
@@ -668,10 +666,13 @@ def test_the_edge_form_matches_the_dense_construction(monkeypatch, n, kind, rule
                           "averaging": (build_averaging, dense_averaging)}[rule]
     m = build(graph)
     a = dense_build(graph)
-    assert "dense" not in vars(m._form)  # built on first read
+    assert "a" not in vars(m)  # built on first read
+    i, j = graph._ij.T
+    for got, want in ((m._diag, np.diag(a)), (m._upper, a[i, j]), (m._lower, a[j, i])):
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
     assert m.a.tobytes() == a.tobytes()
     assert m.abar.tobytes() == dense_abar(a).tobytes()
-    p = m.perron.p
+    p = m.p
     assert m.v_squared.tobytes() == dense_v_squared(a, p).tobytes()
     assert np.abs(p - bordered_perron(a)).max() <= 1e-12
     want = dense_checks(a, p, graphs.SPARSE_MIN_AGENTS, graphs.SPARSE_MAX_DENSITY)
@@ -680,22 +681,28 @@ def test_the_edge_form_matches_the_dense_construction(monkeypatch, n, kind, rule
         want["doubly"], want["symmetric"], want["sparse"])
     _assert_operators_match(m, a)
     # the same matrix from a file: the same p, bit for bit
-    assert matrix_from_array(m.a).perron.p.tobytes() == p.tobytes()
+    assert matrix_from_array(m.a).p.tobytes() == p.tobytes()
     # every graph's operators in CSR form too, whatever its size and density
     monkeypatch.setattr(graphs, "SPARSE_MIN_AGENTS", 1)
     monkeypatch.setattr(graphs, "SPARSE_MAX_DENSITY", 1.0)
     forced = build(graph)
     assert forced._sparse
-    assert forced.perron.p.tobytes() == p.tobytes()
+    assert forced.p.tobytes() == p.tobytes()
     _assert_operators_match(forced, a)
 
 
-def test_a_matrix_is_freed_without_the_garbage_collector():
-    """No reference cycle keeps a matrix, its dense A or its eigenpairs
-    alive once it is dropped: the Perron data shares the edge form, not
-    the matrix."""
-    m = build_averaging(random_connected_graph(9, 0.4, seed=2))
-    m.perron.rhoA, m.abar, m._abar_t_op  # fill the caches
+@pytest.mark.parametrize("n, prob", [(9, 0.4), (250, 0.02)], ids=["dense", "csr"])
+def test_a_matrix_is_freed_without_the_garbage_collector(n, prob):
+    """No reference cycle keeps a matrix, its dense A, its eigenpairs or
+    its operators alive once it is dropped: every cache holds results, none
+    the matrix, on the dense path and on the CSR one."""
+    m = build_averaging(random_connected_graph(n, prob, seed=2))
+    assert m._sparse == (n >= graphs.SPARSE_MIN_AGENTS)
+    # fill every cache the matrix holds
+    m.p, m.rhoA, m._eigh, m._error_blocks, m.abar, m.v_squared
+    m._a_t_op, m._abar_t_op, m._abar_op, m._dual_op
+    assert {"a", "_eigh", "_summary", "_error_blocks", "_a_t_op", "_abar_t_op", "_abar_op",
+            "_dual_op"} <= set(vars(m))
     gone = weakref.ref(m)
     gc.disable()
     try:
@@ -722,9 +729,9 @@ def test_a_doubly_stochastic_matrix_takes_p_uniform_with_no_solve(monkeypatch, a
     n = a.shape[0]
     m = matrix_from_array(a)
     assert m.is_doubly_stochastic and not m.is_symmetric_doubly_stochastic
-    assert m.perron.p.tobytes() == np.full(n, 1.0 / n).tobytes()
-    assert check_balanced(m) == (False, _dense_balance(a, m.perron.p))
-    assert np.abs(m.perron.p - solved).max() <= 1e-15
+    assert m.p.tobytes() == np.full(n, 1.0 / n).tobytes()
+    assert check_balanced(m) == (False, _dense_balance(a, m.p))
+    assert np.abs(m.p - solved).max() <= 1e-15
     monkeypatch.setattr(graphs, "SPARSE_MIN_AGENTS", 1)
     monkeypatch.setattr(graphs, "SPARSE_MAX_DENSITY", 1.0)
     _assert_operators_match(matrix_from_array(a), a)
@@ -762,6 +769,5 @@ def test_metropolis_is_symmetric_doubly_stochastic(n, seed):
 def test_averaging_is_balanced_column_stochastic(n, seed):
     m = build_averaging(random_connected_graph(n, 0.5, seed))
     assert np.abs(m.a.sum(axis=0) - 1.0).max() <= 1e-12
-    p = m.perron
-    assert p.p.min() > 0
+    assert m.p.min() > 0
     assert check_balanced(m)[0]

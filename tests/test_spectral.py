@@ -28,7 +28,7 @@ def two_agent(a):
 
 def factor(matrix):
     """`dual_factor` on the eigenpairs of At."""
-    p = matrix.perron.p
+    p = matrix.p
     return dual_factor(*np.linalg.eigh(_symmetrized(matrix.a, p)), p)
 
 
@@ -66,7 +66,7 @@ def test_v_plus_rank_one_is_invertible():
     # adding 1 p^T restores full rank
     m = random_averaging(5, seed=2)
     v, _ = factor(m)
-    patched = v + np.outer(np.ones(5), m.perron.p)
+    patched = v + np.outer(np.ones(5), m.p)
     assert np.linalg.matrix_rank(patched) == 5
     assert np.linalg.matrix_rank(v) == 4
 
@@ -75,7 +75,7 @@ def test_v_squared_matches_defining_matrix():
     # V V^T = P - (P Abar^T + Abar P)/2, symmetrized product with P = diag(p)
     m = random_averaging(6, seed=7)
     v, _ = factor(m)
-    p = np.diag(m.perron.p)
+    p = np.diag(m.p)
     abar = (m.a + np.eye(6)) / 2.0
     target = p - (p @ abar.T + abar @ p) / 2.0
     assert np.abs(v @ v.T - target).max() <= 1e-12

@@ -59,7 +59,7 @@ def test_b_matrix_block_structure():
     [Abar^T; S Abar^T] for exact diffusion and [I; S] for extra."""
     # the averaging rule's p is not uniform, so P^{-1} is no multiple of I
     matrix = random_averaging(5, seed=0)
-    n, p, s = 5, matrix.perron.p, matrix.v_squared
+    n, p, s = 5, matrix.p, matrix.v_squared
     assert np.ptp(p) > 1e-3
     model = QuadraticModel(h=np.ones((n, 1, 1)), b=np.zeros((n, 1)))
     dyn = build_error_dynamics(matrix, model=model)
@@ -174,7 +174,7 @@ def test_dual_factor_matches_the_symmetric_root():
 
 def _eigh(matrix):
     """The eigenpairs of P^{-1/2} A P^{1/2} that `_network_blocks` takes."""
-    return np.linalg.eigh(graphs._symmetrized(matrix.a, matrix.perron.p))
+    return np.linalg.eigh(graphs._symmetrized(matrix.a, matrix.p))
 
 
 def _pair(matrix, lam=None, u=None, abar_t=None):
@@ -183,7 +183,7 @@ def _pair(matrix, lam=None, u=None, abar_t=None):
     eig_lam, eig_u = _eigh(matrix)
     abar_t = matrix.abar.T if abar_t is None else abar_t
     return stability._closed_form_pair(abar_t, eig_lam if lam is None else lam,
-                                       eig_u if u is None else u, matrix.perron.p,
+                                       eig_u if u is None else u, matrix.p,
                                        int(np.count_nonzero(abar_t, axis=1).max()),
                                        matrix.is_symmetric_doubly_stochastic)
 
@@ -191,7 +191,7 @@ def _pair(matrix, lam=None, u=None, abar_t=None):
 def _dense_b(matrix, lam, u):
     """The V-form B (`oracles.v_form`) with the factor of the eigenpairs
     (lam, u)."""
-    return v_form(matrix, dual_factor(lam, u, matrix.perron.p)[0]).b
+    return v_form(matrix, dual_factor(lam, u, matrix.p)[0]).b
 
 
 @pytest.mark.parametrize("builder", [random_metropolis, random_averaging])
@@ -202,7 +202,7 @@ def test_residual_pieces_equal_the_dense_residual(builder):
     the factor P^{1/2} U Sigma^{1/2} U^T takes sqrt(p) to P^{1/2} U F_N,
     with sqrt(p) in place of U's unit column."""
     matrix = builder(8, seed=5)
-    n, p = matrix.n, matrix.perron.p
+    n, p = matrix.n, matrix.p
     lam, u = _eigh(matrix)
     u = u + 1e-6 * np.random.default_rng(3).standard_normal(u.shape)
     v, w = dual_factor(lam, u, p)
@@ -269,12 +269,11 @@ def test_eigenvalue_pairs_have_sqrt_magnitude():
 def test_decompose_canonical_vectors_and_reconstruction():
     for seed, builder in ((0, random_metropolis), (1, random_averaging)):
         matrix = builder(5, seed)
-        perron = matrix.perron
         pair = decompose_b(matrix)
         n = 5
         r1 = np.concatenate([np.ones(n), np.zeros(n)])
         r2 = np.concatenate([np.zeros(n), np.ones(n)])
-        l1 = np.concatenate([perron.p, np.zeros(n)])
+        l1 = np.concatenate([matrix.p, np.zeros(n)])
         l2 = np.concatenate([np.zeros(n), np.full(n, 1.0 / n)])
         x, x_inv = dense_x(pair), dense_x_inv(pair)
         assert np.abs(x[:, 0] - r1).max() <= 1e-12
@@ -369,8 +368,7 @@ def test_raw_arrays_coerce_like_combination_matrices(entry):
 def test_lifted_matrix_matches_engine_exact_diffusion():
     matrix = random_averaging(4, seed=5)
     model = random_quadratic(4, 2, seed=5, q=[1.0, 2.0, 0.5, 1.0])
-    perron = matrix.perron
-    steps = StepSizes.from_weights(model.q, perron.p, 0.01)
+    steps = StepSizes.from_weights(model.q, matrix.p, 0.01)
     dyn = build_error_dynamics(matrix, model=model)
     q = one_step_matrix(dyn, "exact_diffusion", steps.mu)
     rng = np.random.default_rng(0)
@@ -410,7 +408,7 @@ def test_one_step_matrix_matches_the_block_diag_construction(engine, per_agent):
     model = random_quadratic(n, m, seed=8)
     mu = np.linspace(0.01, 0.03, n) if per_agent else np.full(n, 0.02)
     dyn = build_error_dynamics(matrix, model=model)
-    abar_t, s, p = matrix.abar.T, matrix.v_squared, matrix.perron.p
+    abar_t, s, p = matrix.abar.T, matrix.v_squared, matrix.p
     g = abar_t if engine == "exact_diffusion" else np.eye(n)
     b_z = np.block([[abar_t, -np.diag(1.0 / p)], [s @ abar_t, np.eye(n) - s / p]])
     mh = scipy.linalg.block_diag(*(mu[k] * dyn.h[k] for k in range(n)))
@@ -519,7 +517,6 @@ def test_bound_rate_is_one_exactly_at_the_bound():
 
 def test_bound_constants_satisfy_stated_relations():
     matrix = random_metropolis(6, seed=9)
-    perron = matrix.perron
     d = diffusion_step_bound(matrix)
     e = extra_step_bound(matrix)
     for b in (d, e):
@@ -527,7 +524,7 @@ def test_bound_constants_satisfy_stated_relations():
         assert b.sigma22 == pytest.approx(b.alpha * b.delta, rel=1e-12)
         assert b.sigma12 ** 2 == pytest.approx(
             np.sqrt(b.p_max) * b.alpha * b.delta ** 2, rel=1e-12)
-        assert b.lam == pytest.approx(np.sqrt((1 + perron.lambda2) / 2), rel=1e-12)
+        assert b.lam == pytest.approx(np.sqrt((1 + matrix.lambda2) / 2), rel=1e-12)
         assert b.mu_bound == pytest.approx(
             b.sigma11 * (1 - b.lam) / (2 * b.sigma21 ** 2), rel=1e-12)
     # normalized curvature: nu = 1, uniform tau, p = 1/N
@@ -570,10 +567,9 @@ def test_bounds_reject_a_curvature_they_cannot_square(delta):
 def test_norm_comparison_closed_forms():
     for n in range(2, 9):
         matrix = random_metropolis(n, seed=n)
-        perron = matrix.perron
         root = symmetric_root(matrix)
         t_d, t_e = diffusion_step_bound(matrix).t_norm, extra_step_bound(matrix).t_norm
-        lam_n = perron.lambdaN
+        lam_n = matrix.lambdaN
         assert t_e ** 2 == pytest.approx((2 * n + 1 - lam_n) / (2 * n), abs=1e-10)
         assert t_e ** 2 == pytest.approx(
             np.linalg.eigvalsh(np.eye(n) + root @ root).max(), abs=1e-12)
@@ -1171,12 +1167,12 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "svd", recorded(scipy_svd, factored))
     matrix = random_metropolis(n, seed=3)
     model = random_quadratic(n, 2, seed=3)
-    perron = matrix.perron
-    run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, perron.p, 0.01),
+    p = matrix.p
+    run("exact_diffusion_pd", model, matrix, StepSizes.from_weights(model.q, p, 0.01),
         max_iters=20)
     run("extra", model, matrix, StepSizes.uniform(0.05, n), max_iters=20)
     run("adaptive_exact_diffusion", model, matrix,
-        StepSizes.from_weights(model.q, perron.p, 0.01), max_iters=20)
+        StepSizes.from_weights(model.q, p, 0.01), max_iters=20)
     stability_scan("exact_diffusion", model, matrix, [0.01, 0.05], max_iters=20)
     stability_scan("adaptive_exact_diffusion", model, matrix, [0.01, 0.05], max_iters=20)
     build_error_dynamics(matrix, model)
@@ -1187,25 +1183,25 @@ def test_one_spectral_setup_per_matrix(monkeypatch):
     # eigensolve, no second eigh
     assert b_spectrum_residual(matrix) <= 1e-8
     assert calls == {"decompose": 1}
-    a_tilde = graphs._symmetrized(matrix.a, perron.p)
+    a_tilde = graphs._symmetrized(matrix.a, p)
     assert len(eigh_args) == 1
     assert np.array_equal(eigh_args[0], a_tilde)
     assert not any(np.array_equal(x, matrix.v_squared) for x in eigvalsh_args)
     # the closed-form pair and both adaptive loops read the cached eigenpairs
-    lam, u = matrix.perron._eigh
+    lam, u = matrix._eigh
     assert pair_args[0][1] is lam and pair_args[0][2] is u
     assert len(modes) == 2
     for lam_i, uu in modes:
         assert np.array_equal(lam_i[:-1], lam[:-1]) and lam_i[-1] == 1.0
         assert np.array_equal(uu[:, :-1], u[:, :-1] ** 2)
-        assert np.array_equal(uu[:, -1], perron.p)
+        assert np.array_equal(uu[:, -1], p)
     blocks = matrix._error_blocks
     assert list(vars(blocks)) == ["pair", "radius", "t_d_norm"]
     assert not [k for k, v in vars(blocks).items() if isinstance(v, np.ndarray)]
     assert not any(hasattr(blocks, name) for name in ("t_d", "t_e", "u", "v"))
     assert solved.count((n, n)) == 0
     assert dense_eig == []
-    assert matrix.perron is perron
+    assert matrix.p is p
     assert not [shape for shape in factored if 2 * n in shape]
 
 
@@ -1345,7 +1341,7 @@ def test_closed_form_decomposition_matches_dense_eig():
     for n in range(3, 13):
         for builder in (random_metropolis, random_averaging):
             matrix = builder(n, seed=n)
-            root_p = np.sqrt(matrix.perron.p)
+            root_p = np.sqrt(matrix.p)
             a_tilde = matrix.a * root_p / root_p[:, np.newaxis]
             if np.diff(np.linalg.eigvalsh((a_tilde + a_tilde.T) / 2)).min() < 1e-6:
                 continue  # repeated eigenvalues: no unique reference
@@ -1417,7 +1413,7 @@ def test_one_step_map_contracts_at_the_bound(network, builder, n):
     dim = 2
     model = random_quadratic(graph.n, dim, seed=graph.n)
     nu, delta, k_o = hessian_bounds(model)
-    ratio = model.q / matrix.perron.p
+    ratio = model.q / matrix.p
     bounds = [("exact_diffusion", diffusion_step_bound(matrix, tau=ratio / ratio.max(), nu=nu,
                                                        delta=delta, k_o=k_o).mu_bound)]
     if matrix.is_symmetric_doubly_stochastic:
@@ -1447,7 +1443,7 @@ def test_exact_rate_is_within_the_bound_rate(network, seed):
     n = matrix.n
     model = least_squares_model(seed, n, dim, 8)
     nu, delta, k_o = hessian_bounds(model)
-    ratio = model.q / matrix.perron.p
+    ratio = model.q / matrix.p
     bounds = [diffusion_step_bound(matrix, tau=ratio / ratio.max(), nu=nu, delta=delta, k_o=k_o),
               extra_step_bound(matrix, nu, delta)]
     for engine, bound in zip(("exact_diffusion", "extra"), bounds):
