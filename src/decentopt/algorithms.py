@@ -6,7 +6,7 @@ matrix A is therefore W <- A^T W, one `op @ W` with the matrix's cached
 dense or CSR operator.  The step functions also advance an agent-major
 stack of B runs, the (N, B*M) block with member b in columns b*M to
 (b+1)*M.  One loop drives them: `run` is the stack B = 1, the plain (N, M)
-block, and the stability scans classify many step sizes in one stack.
+block, and the stability scans classify many step sizes per stack.
 
 The two primal-dual engines use the dual factor V only through V y, so
 they carry z = V y as their dual block (`AlgorithmState.y`, seeded at
@@ -401,6 +401,7 @@ def _iterate(engine: str, model: CostModel, matrix, steps_list, max_iters: int, 
                            out=sq.transpose(0, 2, 1, 3))
             sq -= target
             rels = np.square(sq, out=sq).reshape(rows, alive.size, -1).sum(axis=2) / denom
+            del sq  # not held while the next block's iterates are kept
             if i - rows < snapshot_at <= i:
                 earlier[alive] = rels[snapshot_at - i - 1]
             keep = None

@@ -4,22 +4,20 @@ Agents are the nodes of an undirected connected graph.  A combination
 matrix A is nonnegative and left-stochastic (columns sum to one); entry
 a[l, k] is the weight agent k applies to data arriving from agent l.
 
-A CombinationMatrix is the one immutable object for A: its edge form
-(its diagonal and one weight per arc), its Perron vector p, and every
-cache the analysis and the engines read.  Its constructor validates A and
-computes p and the balance residual in O(N + E), with no solve (see the
-class).  The dense A, a balanced A's spectrum (lambda2, lambdaN, rhoA),
-S = (P - A P)/2 (`v_squared`), (I + A)/2 (`abar`), the engines' operators
-(CSR arrays built from the arcs on a large sparse network), and the
-error-recursion blocks, which read only Abar, p and the eigenpairs of
-At = P^{-1/2} A P^{1/2} (`_eigh`), come on first read.  No dual factor V
-of S and no lifted 2N x 2N matrix is formed.
+A CombinationMatrix is the one immutable object for A: its edge form (its
+diagonal and one weight per arc), its Perron vector p, and every cache the
+analysis and the engines read.  Its one constructor takes the edge form,
+which the rules build and `matrix_from_array` reads off a dense array, and
+validates it and computes p and the balance residual in O(N + E), with no
+solve (see the class).  The dense A, a balanced A's spectrum (lambda2,
+lambdaN, rhoA), S = (P - A P)/2 (`v_squared`), (I + A)/2 (`abar`), the
+engines' operators (CSR arrays built from the arcs on a large sparse
+network), and the error-recursion blocks, which read only Abar, p and the
+eigenpairs of At = P^{-1/2} A P^{1/2} (`_eigh`), come on first read.  No
+dual factor V of S and no lifted 2N x 2N matrix is formed.
 
-Connectivity is tested with numpy alone: a graph's by a component search
-over its edge array (`_components`), and the strong connectivity of a
-matrix's directed support by the same search when the support is
-symmetric, else by reachability from agent 0 along the arcs and against
-them (`_strongly_connected`).  Only the CSR operators need scipy, and
+Connectivity is tested with numpy alone, over edge arrays (`_connected`,
+`_strongly_connected`).  Only the CSR operators need scipy, and
 `scipy.sparse` is imported when the first one is built.
 """
 
@@ -188,17 +186,18 @@ def _reaches_all(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class CombinationMatrix:
     """Left-stochastic nonnegative matrix tied to a graph, with its Perron
     data.
 
-    Held in edge form: the diagonal `_diag` and, over the graph's edge rows
-    (i, j), a[i, j] (`_upper`) and a[j, i] (`_lower`), read-only.  The
-    rules build them directly (`_from_weights`) and the constructor reads
-    them from a dense array that is zero off the graph.  Validated in
-    O(N + E): finite nonnegative entries, column sums, and structural
-    primitivity: a strongly connected support with at least one positive
+    Built in edge form, `CombinationMatrix(graph, diag, upper, lower)`: the
+    diagonal and, over the graph's edge rows (i, j), a[i, j] (upper) and
+    a[j, i] (lower), kept as read-only float copies (`_diag`, `_upper`,
+    `_lower`): no caller's array is frozen or aliased.  The rules pass their
+    weights, and `matrix_from_array` reads them off a dense array.
+    Validated in O(N + E): shapes, finite nonnegative entries, column sums,
+    and structural primitivity: a strongly connected support with a positive
     self-weight, which makes A irreducible with a positive diagonal entry,
     hence primitive.  So are the balance residual of `check_balanced` and
     the Perron vector p (Ap = p, sum 1, entrywise positive), which
@@ -222,38 +221,19 @@ class CombinationMatrix:
     _diag: np.ndarray = field(repr=False)
     _upper: np.ndarray = field(repr=False)
     _lower: np.ndarray = field(repr=False)
-    _p: np.ndarray | None = field(repr=False)
-    _balance: float = field(repr=False)
+    _p: np.ndarray | None = field(init=False, repr=False)
+    _balance: float = field(init=False, repr=False)
 
-    def __init__(self, a, graph: Graph):
-        a = np.array(a, dtype=float)
-        a.flags.writeable = False
-        n = graph.n
-        if a.shape != (n, n):
-            raise ValueError(f"matrix shape {a.shape} does not match n={n}")
-        allowed = graph.adjacency().astype(bool) | np.eye(n, dtype=bool)
-        if np.any((a != 0) & ~allowed):  # the edge form checks the rest
-            raise ValueError("nonzero weight on a non-edge pair")
-        i, j = graph._ij.T
-        object.__setattr__(self, "a", a)  # the dense form is given: keep it
-        self.__post_init__(graph, np.diag(a), a[i, j], a[j, i])
-
-    @classmethod
-    def _from_weights(cls, graph: Graph, diag, upper, lower) -> CombinationMatrix:
-        """The matrix with diagonal `diag` and weights a[i, j] = upper and
-        a[j, i] = lower over the graph's edge rows (i, j): no N x N array."""
-        matrix = cls.__new__(cls)
-        matrix.__post_init__(graph, diag, upper, lower)
-        return matrix
-
-    def __post_init__(self, graph: Graph, diag, upper, lower):
-        """Validates the edge form in O(N + E), then computes p and the
-        balance residual."""
-        for name, value in (("graph", graph), ("_diag", diag), ("_upper", upper),
-                            ("_lower", lower)):
-            object.__setattr__(self, name, value)
-        for w in (diag, upper, lower):
-            w.flags.writeable = False
+    def __post_init__(self):
+        """Copies the edge form, validates it in O(N + E), then computes p
+        and the balance residual."""
+        for name in ("_diag", "_upper", "_lower"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).flags.writeable = False
+        graph, diag, upper, lower = self.graph, self._diag, self._upper, self._lower
+        e = len(graph._ij)
+        if (diag.shape, upper.shape, lower.shape) != ((self.n,), (e,), (e,)):
+            raise ValueError(f"edge form shapes do not match n={self.n} and {e} edges")
         weights = np.concatenate([diag, upper, lower])
         if not np.isfinite(weights).all():
             raise ValueError("combination matrix has non-finite entries")
@@ -261,19 +241,15 @@ class CombinationMatrix:
             raise ValueError("combination matrix has negative entries")
         deviation = np.abs(_column_sums(graph._ij, diag, upper, lower) - 1.0).max()
         if deviation > COLUMN_SUM_TOL:
-            raise ValueError(
-                f"columns must sum to 1 within {COLUMN_SUM_TOL:g}; "
-                f"max deviation {deviation:.3e}"
-            )
+            raise ValueError(f"columns must sum to 1 within {COLUMN_SUM_TOL:g}; "
+                             f"max deviation {deviation:.3e}")
         if not np.any(diag > 0):
             raise SpectralError("no agent has a positive self-weight")
         # directed support must be strongly connected, otherwise the
         # Perron vector degenerates (zero entries)
         if not _strongly_connected(self.n, graph._ij, upper > 0, lower > 0):
-            raise SpectralError(
-                "matrix support is not strongly connected; "
-                "matrix is not primitive"
-            )
+            raise SpectralError("matrix support is not strongly connected; "
+                                "matrix is not primitive")
         uniform = np.full(self.n, 1.0 / self.n)
         try:
             p = self._perron_from_balance()
@@ -340,8 +316,7 @@ class CombinationMatrix:
 
     @cached_property
     def a(self) -> np.ndarray:
-        """The dense N x N A, read-only, built on first read (a matrix
-        given as a dense array keeps a copy of it)."""
+        """The dense N x N A, read-only, built on first read."""
         return _dense(self.graph._ij, self._diag, self._upper, self._lower)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -405,9 +380,8 @@ class CombinationMatrix:
     def _sparse(self) -> bool:
         """Whether the engines' operators take CSR form: on a large sparse
         network (see SPARSE_MIN_AGENTS)."""
-        n = self.n
-        nonzeros = sum(np.count_nonzero(w) for w in (self._diag, self._upper, self._lower))
-        return n >= SPARSE_MIN_AGENTS and nonzeros <= SPARSE_MAX_DENSITY * n * n
+        nonzeros = sum(map(np.count_nonzero, (self._diag, self._upper, self._lower)))
+        return self.n >= SPARSE_MIN_AGENTS and nonzeros <= SPARSE_MAX_DENSITY * self.n ** 2
 
     def _weights(self, name: str) -> tuple:
         """The edge form (diag, upper, lower) of A ("a"), of (I + A)/2
@@ -518,7 +492,7 @@ def build_metropolis(graph: Graph) -> CombinationMatrix:
     deg = graph.degrees()
     w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     diag = 1.0 - _column_sums(graph._ij, np.zeros(graph.n), w, w)
-    return CombinationMatrix._from_weights(graph, diag, w, w)
+    return CombinationMatrix(graph, diag, w, w)
 
 
 def build_averaging(graph: Graph) -> CombinationMatrix:
@@ -527,7 +501,7 @@ def build_averaging(graph: Graph) -> CombinationMatrix:
     proportional to the closed-neighborhood sizes."""
     i, j = graph._ij.T
     w = 1.0 / (1.0 + graph.degrees())
-    return CombinationMatrix._from_weights(graph, w, w[j], w[i])
+    return CombinationMatrix(graph, w, w[j], w[i])
 
 
 def _symmetrized(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -610,23 +584,29 @@ def _pairs(starts: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 
 def matrix_from_array(a, graph: Graph | None = None) -> CombinationMatrix:
-    """Wrap a raw square array as a CombinationMatrix, inferring the graph
-    from the off-diagonal sparsity pattern when none is given.  A
-    CombinationMatrix with no graph given is returned as it is, so every
-    entry point that takes either form coerces with this one call; with a
-    graph as well, it is a ValueError (the matrix carries its own graph)."""
+    """Read a square array, in place and without keeping it, into a
+    CombinationMatrix's edge form, inferring the graph from the off-diagonal
+    nonzeros when none is given.  A CombinationMatrix with no graph is
+    returned as it is, so every entry point coerces either form with this
+    one call, and is a ValueError with a graph (it carries its own)."""
     if isinstance(a, CombinationMatrix):
         if graph is not None:
             raise ValueError("got a CombinationMatrix and a graph; "
                              "a CombinationMatrix already carries its own graph")
         return a
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"combination matrix must be square, got shape {a.shape}")
     if graph is None:
-        support = a != 0
-        graph = Graph(a.shape[0], np.argwhere(np.triu(support | support.T, k=1)))
-    return CombinationMatrix(a, graph)
+        i, j = np.nonzero(a)
+        graph = Graph(a.shape[0], np.stack([i, j], axis=1)[i != j])
+    if a.shape != (graph.n, graph.n):
+        raise ValueError(f"matrix shape {a.shape} does not match n={graph.n}")
+    i, j = graph._ij.T
+    diag, upper, lower = a.diagonal(), a[i, j], a[j, i]
+    if np.count_nonzero(a) != sum(map(np.count_nonzero, (diag, upper, lower))):
+        raise ValueError("nonzero weight on a non-edge pair")  # the edge form checks the rest
+    return CombinationMatrix(graph, diag, upper, lower)
 
 
 def save_matrix_csv(path, a: np.ndarray) -> None:

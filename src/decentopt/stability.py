@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ENGINE_SPECS, StepSizes, _check_engine, _iterate
+from .algorithms import CHECK_BLOCK, ENGINE_SPECS, StepSizes, _check_engine, _iterate
 from .costs import CostModel, QuadraticModel, solve_centralized
 from .graphs import CombinationMatrix, SpectralError, _require_balanced, matrix_from_array
 from .spectral import dual_vectors
@@ -35,6 +35,8 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # are every midpoint the next four bisection steps can visit (one level
 # more in a first run that would leave one over: see `_first_depth`)
 SPECULATION_DEPTH = 4
+# bytes a scan's stacked run may hold, at 4 CHECK_BLOCK floats per member and iterate entry
+SCAN_STACK_BYTES = 2**26  # 1310 members at N M = 100, 65 at 2000 (2.3 CHECK_BLOCK measured)
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,7 @@ class _Blocks:
 
 def _two_norm(m: np.ndarray) -> float:
     """Largest singular value of a real matrix, from the largest
-    eigenvalue of its Gram matrix (0.0 for an empty one)."""
-    if m.size == 0:
-        return 0.0
+    eigenvalue of its Gram matrix (0.0 for one with no columns)."""
     return float(np.sqrt(max(np.linalg.eigvalsh(m @ m.T)[-1], 0.0)))
 
 
@@ -564,8 +564,8 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
 
     Each grid value is the largest per-agent step size (see _steps_for).
     Every point gets the verdict a `run` from zero with a shared ground
-    truth would get, but the grid advances as one stacked run through
-    `run`'s loop, in O(members) memory for any max_iters.  Bisection is
+    truth would get, but the grid advances in stacked runs through `run`'s
+    loop, each within SCAN_STACK_BYTES for any max_iters.  Bisection is
     speculative: one stacked run classifies every midpoint of the next
     SPECULATION_DEPTH levels (see `_first_depth`), and the bracket follows
     the verdicts to the bracket one-at-a-time bisection reaches.
@@ -580,10 +580,14 @@ def stability_scan(engine: str, model: CostModel, matrix, mu_grid,
         raise ValueError("rel_tol must be positive and finite")
     if ground_truth is None:
         ground_truth = solve_centralized(model)
+    members = max(1, SCAN_STACK_BYTES // (32 * CHECK_BLOCK * model.n_agents * model.dim))
 
     def classify(points: list) -> list:
-        steps = [_steps_for(engine, model, matrix, mu) for mu in points]
-        return _iterate(engine, model, matrix, steps, max_iters, stop, ground_truth)[1]
+        verdicts = []
+        for k in range(0, len(points), members):
+            steps = [_steps_for(engine, model, matrix, mu) for mu in points[k:k + members]]
+            verdicts += _iterate(engine, model, matrix, steps, max_iters, stop, ground_truth)[1]
+        return verdicts
 
     classifications = classify(mus)
     result = ScanResult(engine=engine, mus=mus, classifications=classifications)

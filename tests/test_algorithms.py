@@ -15,9 +15,11 @@ from decentopt import (
     build_averaging,
     build_metropolis,
     least_squares_model,
+    load_matrix_csv,
     matrix_from_array,
     random_connected_graph,
     run,
+    save_matrix_csv,
     solve_centralized,
 )
 from decentopt.algorithms import (
@@ -386,14 +388,18 @@ def test_a_sparse_run_builds_only_the_operators_its_engine_applies(monkeypatch):
         assert len(built) == want[engine], engine
 
 
-def test_the_sparse_run_path_holds_no_dense_array(monkeypatch):
+def test_the_sparse_run_path_holds_no_dense_array(monkeypatch, tmp_path):
     """At N = 2000 a Metropolis matrix, its CSR Abar^T and 32 exact
-    diffusion iterations stay below the memory of one dense N x N array; the
+    diffusion iterations stay below the memory of one dense N x N array,
+    whether the matrix comes from the rule or is read from a matrix file
+    (the file's own array aside), and both runs end on the same iterate; the
     adaptive engine and the analysis then build the dense A once, and share it."""
     n = 2000
     graph = random_connected_graph(n, 0.005, seed=11)
     model = least_squares_model(3, n, 2, 4)
     gt = solve_centralized(model)
+    save_matrix_csv(tmp_path / "a.csv", build_metropolis(graph).a)
+    a = load_matrix_csv(tmp_path / "a.csv")
     built = []
     dense = CombinationMatrix.a.func
 
@@ -404,18 +410,25 @@ def test_the_sparse_run_path_holds_no_dense_array(monkeypatch):
     cached = functools.cached_property(counted)
     cached.__set_name__(CombinationMatrix, "a")
     monkeypatch.setattr(CombinationMatrix, "a", cached)
-    tracemalloc.start()
-    try:
-        matrix = build_metropolis(graph)
-        assert _is_csr(matrix._abar_t_op)
-        steps = steps_for("exact_diffusion", model, matrix, 1e-3)
-        result = run("exact_diffusion", model, matrix, steps, max_iters=32, stop=0.0,
-                     ground_truth=gt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.iterations == 32 and built == []
-    assert peak < np.dtype(float).itemsize * n * n
+
+    def traced_run(make):
+        tracemalloc.start()
+        try:
+            matrix = make()
+            assert _is_csr(matrix._abar_t_op)
+            steps = steps_for("exact_diffusion", model, matrix, 1e-3)
+            result = run("exact_diffusion", model, matrix, steps, max_iters=32, stop=0.0,
+                         ground_truth=gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 32 and built == []
+        assert peak < np.dtype(float).itemsize * n * n
+        return matrix, steps, result
+
+    read = traced_run(lambda: matrix_from_array(a))[2]
+    matrix, steps, result = traced_run(lambda: build_metropolis(graph))
+    assert np.array_equal(read.w, result.w)
     run("adaptive_exact_diffusion", model, matrix, steps, max_iters=2, ground_truth=gt)
     matrix.rhoA
     diffusion_step_bound(matrix)
@@ -429,7 +442,7 @@ def _on_path(matrix, sparse, monkeypatch):
     or the dense one, whatever its size and density."""
     monkeypatch.setattr(graphs, "SPARSE_MIN_AGENTS", 1 if sparse else matrix.n + 1)
     monkeypatch.setattr(graphs, "SPARSE_MAX_DENSITY", 1.0)
-    copy = CombinationMatrix(matrix.a, matrix.graph)
+    copy = matrix_from_array(matrix.a, matrix.graph)
     assert _is_csr(copy._a_t_op) == sparse  # chosen while patched
     return copy
 

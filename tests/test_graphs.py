@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -92,7 +93,7 @@ def reference_matrix_from_array(a, graph=None):
             if a[i, j] > 0 or a[j, i] > 0
         }
         graph = Graph(n, frozenset(edges))
-    return CombinationMatrix(a, graph)
+    return matrix_from_array(a, graph)
 
 
 # The Perron computation the bordered solve replaced: power iteration down
@@ -402,15 +403,15 @@ def test_averaging_perron_follows_degrees():
 def test_matrix_validation_failures():
     k2 = Graph(2, frozenset({(0, 1)}))
     with pytest.raises(ValueError):
-        CombinationMatrix(np.array([[1.1, 0.5], [-0.1, 0.5]]), k2)
+        matrix_from_array(np.array([[1.1, 0.5], [-0.1, 0.5]]), k2)
     with pytest.raises(ValueError):
-        CombinationMatrix(np.array([[0.6, 0.5], [0.3, 0.5]]), k2)
+        matrix_from_array(np.array([[0.6, 0.5], [0.3, 0.5]]), k2)
     path3 = Graph(3, frozenset({(0, 1), (1, 2)}))
     dense = np.full((3, 3), 1 / 3)
     with pytest.raises(ValueError):
-        CombinationMatrix(dense, path3)  # weight on the missing (0, 2) edge
+        matrix_from_array(dense, path3)  # weight on the missing (0, 2) edge
     with pytest.raises(ValueError):
-        CombinationMatrix(np.eye(3), k2)  # shape mismatch
+        matrix_from_array(np.eye(3), k2)  # shape mismatch
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 0.1])
@@ -418,7 +419,7 @@ def test_the_dense_constructor_refuses_any_nonzero_off_graph_entry(bad):
     a = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]])
     a[0, 2] = bad
     with pytest.raises(ValueError, match="nonzero weight on a non-edge pair"):
-        CombinationMatrix(a, Graph(3, [(0, 1), (1, 2)]))
+        matrix_from_array(a, Graph(3, [(0, 1), (1, 2)]))
     # a graph inferred from the nonzero entries holds the pair, and the edge
     # form names the entry
     match = ("non-finite" if not np.isfinite(bad) else "negative" if bad < 0
@@ -438,11 +439,50 @@ def test_matrix_rejects_non_finite_entries(bad):
 def test_matrix_primitivity_failures():
     k2 = Graph(2, frozenset({(0, 1)}))
     with pytest.raises(SpectralError):
-        CombinationMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), k2)
+        matrix_from_array(np.array([[0.0, 1.0], [1.0, 0.0]]), k2)
     # weights are column stochastic with a positive diagonal, yet agent 0
     # never listens to agent 1: support is not strongly connected
     with pytest.raises(SpectralError):
         matrix_from_array(np.array([[1.0, 0.5], [0.0, 0.5]]))
+
+
+def test_the_constructor_keeps_read_only_copies_of_the_edge_form():
+    """CombinationMatrix(graph, diag, upper, lower) neither freezes nor
+    aliases the caller's arrays, and refuses weights that do not fit the
+    graph."""
+    graph = Graph(3, [(0, 1), (1, 2)])
+    diag, upper, lower = np.array([0.5, 0.5, 0.5]), np.array([0.25, 0.5]), np.array([0.5, 0.25])
+    m = CombinationMatrix(graph, diag, upper, lower)
+    assert np.array_equal(m.a, [[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]])
+    for given, kept in zip((diag, upper, lower), (m._diag, m._upper, m._lower)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+    diag[0] = 0.0
+    assert m._diag[0] == 0.5
+    for bad in ((diag[:2], upper, lower), (diag, upper, lower[:1]), (diag, upper, 0.5)):
+        with pytest.raises(ValueError, match="edge form shapes"):
+            CombinationMatrix(graph, *bad)
+
+
+@pytest.mark.parametrize("given", [True, False])
+def test_the_dense_entry_holds_no_dense_array(given):
+    """matrix_from_array reads a 400-agent sparse array into the edge form,
+    with the graph given or inferred: the matrix keeps no dense `a` and
+    shares no memory with the array, and the read peaks below one N x N
+    float array."""
+    rule = build_metropolis(random_connected_graph(400, 0.02, seed=5))
+    a = np.array(rule.a)
+    graph = rule.graph if given else None
+    tracemalloc.start()
+    try:
+        m = matrix_from_array(a, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "a" not in vars(m)
+    assert not any(np.shares_memory(w, a) for w in (m._diag, m._upper, m._lower))
+    assert a.flags.writeable and peak < a.nbytes
+    assert m.graph == rule.graph and np.array_equal(m.a, a)
 
 
 def test_matrix_from_array_rejects_a_matrix_with_a_graph():

@@ -984,6 +984,40 @@ def test_exhausted_adaptive_scan_keeps_memory_bounded():
     assert scan.classifications == ["stable", "stable"]
 
 
+def test_a_scan_classifies_its_grid_in_stacks_within_the_byte_budget(monkeypatch):
+    """With the budget cut to 25 members of a 20-agent, M = 5 network, a
+    100-point grid is classified in stacks of 25: it peaks no higher than a
+    grid of one stack, well below the same grid in one stacked run, and
+    keeps that run's verdicts and bracket."""
+    n, dim, members = 20, 5, 25
+    matrix = build_metropolis(random_connected_graph(n, 0.3, 3))
+    model = least_squares_model(3, n, dim, 20)
+    gt = solve_centralized(model)
+    grid = np.geomspace(0.01, 3.0, 4 * members)
+    calls = _counted_scans(monkeypatch)
+
+    def traced(points):
+        tracemalloc.start()
+        try:
+            scan = stability_scan("exact_diffusion", model, matrix, points, 300, 1e-8,
+                                  ground_truth=gt)
+            return scan, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = traced(grid)
+    assert calls[0] == 4 * members and whole.refined
+    monkeypatch.setattr(stability, "SCAN_STACK_BYTES",
+                        members * 32 * algorithms.CHECK_BLOCK * n * dim)
+    one_stack_peak = traced(grid[:members])[1]
+    calls[:] = []
+    stacked, stacked_peak = traced(grid)
+    assert calls[:4] == [members] * 4
+    assert (stacked.classifications, stacked.mu_stable, stacked.mu_unstable) == (
+        whole.classifications, whole.mu_stable, whole.mu_unstable)
+    assert stacked_peak <= one_stack_peak + 2**16 and 2 * stacked_peak < whole_peak
+
+
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-2])
 @pytest.mark.parametrize("engine", ["exact_diffusion", "diging"])
 def test_speculative_bisection_matches_sequential_bisection(engine, rel_tol):
@@ -1086,16 +1120,28 @@ def test_a_scan_shaped_like_the_benchmark_makes_three_runs(monkeypatch):
     assert len(calls) <= 3
 
 
+# an adaptive run can exit `converged` before an unstable mode of its limiting map
+# surfaces, so its bracket may lie above the onset (ROADMAP item 1)
+_ADAPTIVE_ABOVE_ONSET = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: the adaptive bracket lies above the onset")
+
+
 @pytest.mark.parametrize("engine, builder, seed", [
     *[(engine, build_metropolis, seed) for engine in ("exact_diffusion", "extra")
       for seed in (31, 32, 33)],
     *[("exact_diffusion_pd", build_metropolis, seed) for seed in range(31, 37)],
     *[(engine, build_averaging, seed) for engine in ("exact_diffusion", "exact_diffusion_pd")
-      for seed in (1, 2, 3)]])
+      for seed in (1, 2, 3)],
+    *[pytest.param("adaptive_exact_diffusion", builder, seed,
+                   marks=[_ADAPTIVE_ABOVE_ONSET] if (builder, seed) in (
+                       (build_metropolis, 32), (build_averaging, 3)) else [])
+      for builder, seeds in ((build_metropolis, range(31, 37)), (build_averaging, (1, 2, 3)))
+      for seed in seeds]])
 def test_scan_bracket_straddles_the_spectral_onset(engine, builder, seed):
     """The empirical bracket agrees with the exact oracle: the exact radius
     is below 1 at mu_stable and above 1 at mu_unstable, on Metropolis and
-    averaging matrices."""
+    averaging matrices.  For the adaptive engine the radius is that of its
+    limiting map."""
     n = 4 + seed % 3 if builder is build_metropolis else 6
     matrix = builder(graphs.random_connected_graph(n, 0.5, seed))
     model = least_squares_model(seed, n, 3, 8)
